@@ -34,7 +34,6 @@ from .errors import (
     PoleHit,
     PoleOnContour,
     QuadratureUnderresolved,
-    SingularBoundaryMatrix,
     StabilityWarning,
     StokesGreenError,
     TruncationWarning,
@@ -64,9 +63,7 @@ from .kernels import (
 from .resolvent import (
     BoundaryOperatorD,
     ResolventSolution,
-    boundary_matrix_B,
     check_resolvent_bound,
-    correction_w,
     free_part_v,
     resolvent_apply,
     resolvent_apply_general,

@@ -100,21 +100,19 @@ def _bump_field(grid: HalfLineGrid, ncomp: int, seed: int) -> np.ndarray:
 def cmd_kernel(args) -> int:
     mode = FourierMode(args.xi[0], args.xi[1])
     grid = _parse_grid(args.grid)
-    D = _parse_general_bc(args.general_bc, mode) if args.general_bc else None
+    if args.general_bc:
+        D = _parse_general_bc(args.general_bc, mode)
+        kind = f"general-bc kernel alpha={D.alpha} beta={D.beta} gamma={D.gamma_off}"
+    else:
+        D = BoundaryOperatorD.no_slip(mode)
+        kind = "no-slip vorticity kernel"
     sample = kernels.sample_green_function(args.t, args.nu, mode,
                                            grid.nodes, grid.nodes, D=D)
     # quadrature drift estimate from node doubling at the worst corner (y=z=0)
-    if D is None:
-        coarse = kernels.residual_kernel_time(args.t, args.nu, mode, 0.0, 0.0)
-        fine = kernels.residual_kernel_time(args.t, args.nu, mode, 0.0, 0.0,
-                                            n_arm=512, n_arc=256)
-    else:
-        coarse = kernels.residual_kernel_general(args.t, args.nu, mode, D, 0.0, 0.0)
-        fine = kernels.residual_kernel_general(args.t, args.nu, mode, D, 0.0, 0.0,
-                                               n_arm=512, n_arc=256)
+    coarse = kernels.residual_kernel_general(args.t, args.nu, mode, D, 0.0, 0.0)
+    fine = kernels.residual_kernel_general(args.t, args.nu, mode, D, 0.0, 0.0,
+                                           n_arm=512, n_arc=256)
     drift = max(np.max(np.abs(fine[k] - coarse[k])) for k in ("R1", "R2"))
-    kind = "no-slip vorticity kernel" if D is None else \
-        f"general-bc kernel alpha={D.alpha} beta={D.beta} gamma={D.gamma_off}"
     lines = [
         f"# green-function sample: heat-image part + residual contour quadrature ({kind})",
         f"# xi=({mode.xi1},{mode.xi2}) nu={_fmt(args.nu)} t={_fmt(args.t)} "

@@ -112,12 +112,6 @@ class Contour:
             total = part if total is None else total + part
         return total / (2.0j * np.pi)
 
-    def endpoints(self):
-        first = self.segments[0]
-        last = self.segments[-1]
-        return (complex(first.gamma(np.array([first.p0]))[0]),
-                complex(last.gamma(np.array([last.p1]))[0]))
-
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
@@ -135,27 +129,21 @@ def _gl(p0: float, p1: float, n: int):
 # low frequency
 
 
-def lowfreq_params(t: float, nu: float, xi_norm: float, s,
-                   enclose: list[tuple[complex, float]] | None = None) -> dict:
+def lowfreq_params(t: float, nu: float, xi_norm: float, s, pole: float = 0.0) -> dict:
     """Geometry of the low-frequency contour; vectorized over s = y + z.
 
-    ``enclose`` lists (pole, margin) pairs that the half circle must keep at
-    distance >= margin inside it (used for the moving pole of general boundary
-    operators).  The radius M grows with |c0| so that exp(lambda t - mu s)
-    stays bounded on the half circle; a fixed multiple of max(nu a^2, ...) as
-    the radius would overflow exp(M t) for large a.
+    ``pole`` is the real integrand pole lambda* the half circle must enclose
+    (0 for the no-slip kernel).  The radius M = 1.25 |c0 - lambda*| +
+    max(nu |xi|^2, 0.5/t) keeps the pole strictly inside, and grows with
+    |c0| so that exp(lambda t - mu s) stays bounded on the half circle; a
+    fixed multiple of max(nu a^2, ...) as the radius would overflow exp(M t)
+    for large a.
     """
     s = np.asarray(s, dtype=float)
     a = s / (2.0 * nu * t)
     c_arm = -0.5 * nu * xi_norm**2
     c0 = c_arm + nu * a**2
-    M = 1.25 * np.abs(c0) + max(nu * xi_norm**2, 0.5 / t)
-    if enclose:
-        for pole, margin in enclose:
-            M = np.maximum(M, np.abs(pole - c0) + margin)
-    # the pole at lambda = 0 must stay inside the half circle
-    if np.any(np.abs(c0) >= M):
-        raise PoleOnContour("half-circle radius does not enclose lambda = 0")
+    M = 1.25 * np.abs(c0 - pole) + max(nu * xi_norm**2, 0.5 / t)
     b_max = BETA_MAX / np.sqrt(nu * t)
     return {"t": t, "nu": nu, "xi_norm": xi_norm, "s": s, "a": a,
             "c_arm": c_arm, "c0": c0, "M": M, "b_max": b_max}
@@ -194,19 +182,19 @@ def lowfreq_nodes(params: dict, n_arm: int = 256, n_arc: int = 128):
 
 def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s: float,
                           M: float | None = None, b_max: float | None = None,
-                          enclose=None) -> Contour:
+                          pole: float = 0.0) -> Contour:
     """Low-frequency contour as an explicit Contour object (scalar s).
 
     ``M``/``b_max`` override the defaults (used by the contour-independence
     checks: any admissible radius gives the same integral).
     """
-    params = lowfreq_params(t, nu, xi_norm, float(s), enclose=enclose)
+    params = lowfreq_params(t, nu, xi_norm, float(s), pole=pole)
     a = float(params["a"])
     c0 = float(params["c0"])
     c_arm = params["c_arm"]
     if M is not None:
-        if abs(c0) >= M:
-            raise PoleOnContour("override radius M does not enclose lambda = 0")
+        if abs(c0 - pole) >= M:
+            raise PoleOnContour(f"override radius M does not enclose the pole {pole}")
         params = dict(params, M=M)
     M = float(params["M"])
     if b_max is not None:
@@ -228,7 +216,7 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s: float,
         lambda b: c_arm + nu * (a + 1j * b) ** 2 + 1j * M,
         lambda b: 2j * nu * (a + 1j * b) * np.ones_like(b),
     )
-    return Contour(segments=(arm_minus, arc, arm_plus), encloses_pole_at=0.0 + 0.0j,
+    return Contour(segments=(arm_minus, arc, arm_plus), encloses_pole_at=complex(pole),
                    regime="lowfreq", params=params, arc_index=1)
 
 

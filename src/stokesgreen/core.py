@@ -110,8 +110,12 @@ class HalfLineGrid:
             raise GridTooSmall("need at least 3 grid nodes")
         if nodes[0] != 0.0:
             raise IncompatibleData("grid must start at z = 0")
-        if np.any(np.diff(nodes) <= 0):
+        spacing = np.diff(nodes)
+        if np.any(spacing <= 0):
             raise IncompatibleData("grid nodes must be strictly increasing")
+        # every spatial operator and kernel action uses the single spacing h
+        if np.max(np.abs(spacing - spacing[0])) > 1e-12 * spacing[0]:
+            raise IncompatibleData("grid nodes must be uniformly spaced")
         if weights.shape != nodes.shape or np.any(weights <= 0):
             raise IncompatibleData("quadrature weights must be positive, one per node")
         self.nodes = nodes
@@ -139,13 +143,8 @@ class HalfLineGrid:
 
     @property
     def h(self) -> float:
-        """Spacing; only meaningful for uniform grids."""
+        """Node spacing."""
         return float(self.nodes[1] - self.nodes[0])
-
-    @property
-    def is_uniform(self) -> bool:
-        d = np.diff(self.nodes)
-        return bool(np.allclose(d, d[0], rtol=1e-12, atol=0.0))
 
     def integrate(self, values: np.ndarray) -> complex | np.ndarray:
         """Integrate node values over [0, z_max]; integrates the last axis."""
@@ -175,10 +174,6 @@ class ModeField:
             raise IncompatibleData("ModeField supports 1, 2 or 3 components")
         self.grid = grid
         self.values = values
-
-    @classmethod
-    def from_function(cls, grid: HalfLineGrid, *funcs) -> "ModeField":
-        return cls(grid, np.array([f(grid.nodes) for f in funcs]))
 
     @property
     def ncomp(self) -> int:
@@ -228,41 +223,24 @@ def tangential_projector(mode: FourierMode) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # discrete Delta_xi
 
-
-def _d2_weights(x: np.ndarray, x0: float) -> np.ndarray:
-    """Weights w with sum_k w_k f(x_k) ~ f''(x0), exact for polynomials."""
-    d = x - x0
-    m = d.size
-    v = np.vander(d, m, increasing=True).T  # v[k, j] = d_j^k
-    rhs = np.zeros(m)
-    rhs[2] = 2.0  # second derivative of x^2/2! normalization
-    return np.linalg.solve(v, rhs)
+# one-sided second difference at an endpoint, in units of 1/h^2
+_ENDPOINT_D2 = np.array([2.0, -5.0, 4.0, -1.0])
 
 
 def apply_delta_xi(field: ModeField, nu: float, mode: FourierMode) -> ModeField:
-    """Apply nu * (-|xi|^2 + d^2/dz^2) to each component with 3-point stencils.
+    """Apply nu * (-|xi|^2 + d^2/dz^2) to each component.
 
-    Interior nodes use the centered (generally non-uniform) 3-point second
-    difference; the endpoints use one-sided stencils widened to 4 points so the
-    whole operator is second-order accurate on uniform grids.
+    Interior nodes use the centered 3-point second difference; the endpoints
+    use one-sided 4-point stencils (2, -5, 4, -1)/h^2, so the whole operator
+    is second-order accurate.
     """
     grid = field.grid
-    n = grid.n
-    if n < 4:
+    if grid.n < 4:
         raise GridTooSmall("apply_delta_xi needs at least 4 nodes")
-    z = grid.nodes
     f = field.values
     d2 = np.empty_like(f)
-    if grid.is_uniform:
-        h2 = grid.h**2
-        d2[:, 1:-1] = (f[:, :-2] - 2.0 * f[:, 1:-1] + f[:, 2:]) / h2
-    else:
-        for i in range(1, n - 1):
-            w = _d2_weights(z[i - 1 : i + 2], z[i])
-            d2[:, i] = f[:, i - 1 : i + 2] @ w
-    w0 = _d2_weights(z[:4], z[0])
-    wn = _d2_weights(z[-4:], z[-1])
-    d2[:, 0] = f[:, :4] @ w0
-    d2[:, -1] = f[:, -4:] @ wn
-    out = nu * (-(mode.norm**2) * f + d2)
+    d2[:, 1:-1] = f[:, :-2] - 2.0 * f[:, 1:-1] + f[:, 2:]
+    d2[:, 0] = f[:, :4] @ _ENDPOINT_D2
+    d2[:, -1] = f[:, :-5:-1] @ _ENDPOINT_D2
+    out = nu * (-(mode.norm**2) * f + d2 / grid.h**2)
     return ModeField(grid, out)

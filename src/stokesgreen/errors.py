@@ -9,16 +9,8 @@ class BranchCutViolation(StokesGreenError):
     """lambda + nu*|xi|^2 landed on the branch cut (-inf, 0] of the square root."""
 
 
-class ZeroLambda(StokesGreenError):
-    """Kernel formulas with a 1/lambda factor were evaluated at lambda = 0."""
-
-
 class ZeroModeUnsupported(StokesGreenError):
     """The requested operation needs |xi| > 0."""
-
-
-class SingularBoundaryMatrix(StokesGreenError):
-    """The 2x2 boundary coupling matrix is (numerically) singular: mu*(mu-|xi|) ~ 0."""
 
 
 class PoleOnContour(StokesGreenError):
@@ -27,6 +19,11 @@ class PoleOnContour(StokesGreenError):
 
 class PoleHit(StokesGreenError):
     """lambda coincides (within tolerance) with a pole of the resolvent."""
+
+
+# The no-slip resolvent's pole sits at lambda* = 0, so evaluating its 1/lambda
+# formulas at lambda = 0 is a PoleHit.
+ZeroLambda = PoleHit
 
 
 class QuadratureUnderresolved(StokesGreenError):

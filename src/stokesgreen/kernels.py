@@ -5,16 +5,18 @@ The per-mode vorticity Green's function splits as
     G_xi(t, y; z) = H_xi(t, y; z) I_2 + R_xi(t, y; z),
 
 where H_xi is the Neumann half-line heat kernel (method of images) and the
-residual part R_xi = R1 + R2 is recovered from the resolvent kernel
+residual part R_xi = R1 + R2 is recovered from the resolvent kernel of an
+admissible boundary operator D (det D = 0, alpha, beta >= 0, trace sigma),
 
-    R_lambda(y, z) = (mu + |xi|) / (mu lambda |xi|) * P(xi) * e^{-mu (y+z)}
+    R_lambda(y, z) = e^{-mu (y+z)} / (nu mu (mu - sigma)) * D(xi),
 
 by contour quadrature over the deformed inverse-Laplace contours of the
-``contours`` module.  R1 carries the lambda = 0 pole (half-circle integral in
-the low-frequency regime, plain residue in the high-frequency regime) and R2
-the branch-cut remainder with Gaussian-in-(y+z) decay.  The general boundary
-operators D of the admissible family (det D = 0, alpha, beta >= 0) replace the
-residual numerator by D and move the pole to lambda* = nu((alpha+beta)^2 - |xi|^2).
+``contours`` module.  The pole sits at lambda* = nu (sigma^2 - |xi|^2).  R1
+carries the pole (half-circle integral in the low-frequency regime, plain
+residue in the high-frequency regime) and R2 the branch-cut remainder with
+Gaussian-in-(y+z) decay.  The no-slip vorticity kernel is the member
+D = P(xi)/|xi| with sigma = |xi| and lambda* = 0; its functions here are
+one-line wrappers of the general ones.
 
 Since R_lambda depends on y, z only through s = y + z, all residual kernels
 here are scalar "profiles" in s times a constant matrix, and the profile
@@ -30,11 +32,8 @@ import numpy as np
 
 from . import contours as ct
 from .core import FourierMode, SpectralPoint, projection_matrix
-from .errors import (
-    QuadratureUnderresolved,
-    ZeroLambda,
-    ZeroModeUnsupported,
-)
+from .errors import QuadratureUnderresolved, ZeroModeUnsupported
+from .resolvent import BoundaryOperatorD
 
 __all__ = [
     "heat_kernel_neumann",
@@ -92,69 +91,44 @@ def heat_kernel_dirichlet(t, nu, mode, y, z):
 
 def resolvent_kernel(point: SpectralPoint, y: float, z: float) -> np.ndarray:
     """G_lambda(y,z) = H_lambda I_2 + ((mu+|xi|)/(mu lambda |xi|)) P e^{-mu(y+z)}."""
-    mode = point.mode
-    if mode.is_zero:
-        raise ZeroModeUnsupported("resolvent kernel needs |xi| > 0")
-    if abs(point.lam) < 1e-300:
-        raise ZeroLambda("resolvent kernel has a pole at lambda = 0")
-    mu = point.mu
-    xin = mode.norm
-    h = (np.exp(-mu * abs(y - z)) + np.exp(-mu * (y + z))) / (2.0 * point.nu * mu)
-    r = (mu + xin) / (mu * point.lam * xin) * np.exp(-mu * (y + z))
-    return h * np.eye(2) + r * projection_matrix(mode)
+    return resolvent_kernel_general(point, BoundaryOperatorD.no_slip(point.mode), y, z)
 
 
 def resolvent_kernel_general(point: SpectralPoint, D, y: float, z: float) -> np.ndarray:
-    """H_lambda I_2 + e^{-mu(y+z)} / (nu mu (mu - (alpha+beta))) * D(xi)."""
-    mode = point.mode
-    if mode.is_zero:
+    """H_lambda I_2 + e^{-mu(y+z)} / (nu mu) * D / (mu - sigma); PoleHit at lambda*."""
+    if point.mode.is_zero:
         raise ZeroModeUnsupported("resolvent kernel needs |xi| > 0")
     mu = point.mu
-    sigma = D.sigma
     h = (np.exp(-mu * abs(y - z)) + np.exp(-mu * (y + z))) / (2.0 * point.nu * mu)
-    r = np.exp(-mu * (y + z)) / (point.nu * mu * (mu - sigma))
-    return h * np.eye(2) + r * D.matrix
+    r = np.exp(-mu * (y + z)) / (point.nu * mu)
+    return h * np.eye(2) + r * D.correction(point)
 
 
 def residue_at_zero(t, nu, mode: FourierMode, y, z) -> np.ndarray:
     """Residue of e^{lambda t} R_lambda(y,z) at lambda = 0: (2/|xi|) P e^{-|xi|(y+z)}.
 
-    Time-independent because the pole is simple with mu(0) = |xi|; the t and
-    nu arguments are kept for signature uniformity with the other kernels.
+    Time-independent because the no-slip pole sits at lambda* = 0.
     """
-    del t, nu
-    if mode.is_zero:
-        raise ZeroModeUnsupported("residue needs |xi| > 0")
-    xin = mode.norm
-    return (2.0 / xin) * projection_matrix(mode) * np.exp(-xin * (y + z))
+    return residue_at_pole_general(t, nu, mode, BoundaryOperatorD.no_slip(mode), y, z)
 
 
 def residue_at_pole_general(t, nu, mode: FourierMode, D, y, z) -> np.ndarray:
-    """Residue of the general-BC residual integrand at lambda* = nu(sigma^2 - |xi|^2).
+    """Residue of the residual integrand at lambda* = nu(sigma^2 - |xi|^2).
 
     Near lambda*, nu mu (mu - sigma) = (lambda - lambda*)/2 + O((lambda-lambda*)^2)
     since dmu/dlambda = 1/(2 nu mu), so the residue is 2 e^{lambda* t}
     e^{-sigma (y+z)} D — confirmed by small-circle quadrature.
     """
-    sigma = D.sigma
-    lam_star = nu * (sigma**2 - mode.norm**2)
-    return 2.0 * math.exp(lam_star * t) * np.exp(-sigma * (y + z)) * D.matrix
+    return 2.0 * math.exp(D.pole_lambda(nu) * t) * np.exp(-D.sigma * (y + z)) * D.matrix
 
 
 # ---------------------------------------------------------------------------
 # scalar residual profiles (vectorized over s = y + z)
 
 
-def _factor_time(lam, t, s, nu, xi_norm, deriv, comp):
+def _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp):
     # exponent compensation can push discarded contour pieces past the float
     # range; the resulting inf/nan sums are never read by callers
-    mu = np.sqrt(lam / nu + xi_norm**2)
-    expo = lam * t - mu * s[..., None] + comp[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(expo) * (mu + xi_norm) / (mu * lam * xi_norm) * (-mu) ** deriv
-
-
-def _factor_general(lam, t, s, nu, xi_norm, sigma, deriv, comp):
     mu = np.sqrt(lam / nu + xi_norm**2)
     expo = lam * t - mu * s[..., None] + comp[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -192,40 +166,24 @@ def _chunked_over_s(eval_chunk, s, comp, nodes_per_s):
 
 def residual_profiles_time(t, nu, mode: FourierMode, s, deriv=0, regime=None,
                            n_arm=256, n_arc=128, comp=None):
-    """Scalar profiles (rho1, rho2) with R1 = rho1 P(xi), R2 = rho2 P(xi).
+    """Scalar no-slip profiles (rho1, rho2) with R1 = rho1 P(xi), R2 = rho2 P(xi).
 
-    Vectorized over an array of s = y + z values.  ``deriv`` inserts the
-    analytic d/dz factor (-mu)^deriv under the integral; ``comp`` is an
-    exponent compensation array added inside exp() so that bound ratios with
-    huge e^{+s^2/4 nu t} factors can be formed without overflow.
+    R = rho_D D with D = P/|xi| and sigma = |xi|, so rho = rho_D / |xi|.
     """
-    if mode.is_zero:
-        raise ZeroModeUnsupported("residual profiles need |xi| > 0")
-    xin = mode.norm
-    regime = regime or _auto_regime(nu, mode)
-
-    def eval_chunk(s_c, comp_c):
-        if regime == "lowfreq":
-            params = ct.lowfreq_params(t, nu, xin, s_c)
-            lam_arc, w_arc, lam_arms, w_arms = ct.lowfreq_nodes(params, n_arm, n_arc)
-            rho1 = np.sum(w_arc * _factor_time(lam_arc, t, s_c, nu, xin, deriv, comp_c),
-                          axis=-1)
-            rho2 = np.sum(w_arms * _factor_time(lam_arms, t, s_c, nu, xin, deriv, comp_c),
-                          axis=-1)
-        else:
-            params = ct.highfreq_params(t, nu, xin, s_c, pole_mu=xin)
-            lam, w = ct.highfreq_nodes(params, n_arm)
-            rho2 = np.sum(w * _factor_time(lam, t, s_c, nu, xin, deriv, comp_c), axis=-1)
-            arg = np.where(params["crosses_pole"], -xin * s_c + comp_c, -np.inf)
-            rho1 = (2.0 / xin) * (-xin) ** deriv * np.exp(arg) + 0.0j
-        return rho1, rho2
-
-    return _chunked_over_s(eval_chunk, s, comp, 2 * n_arm + n_arc)
+    return tuple(rho / mode.norm for rho in residual_profiles_general(
+        t, nu, mode, s, mode.norm, deriv, regime, n_arm, n_arc, comp))
 
 
 def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
                               regime=None, n_arm=256, n_arc=128, comp=None):
-    """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi)."""
+    """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi).
+
+    Vectorized over an array of s = y + z values; ``sigma`` is the trace of D.
+    ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral;
+    ``comp`` is an exponent compensation array added inside exp() so that
+    bound ratios with huge e^{+s^2/4 nu t} factors can be formed without
+    overflow.
+    """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
     xin = mode.norm
@@ -237,18 +195,16 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 
     def eval_chunk(s_c, comp_c):
         if regime == "lowfreq":
-            margin = nu * (sigma**2 + xin**2 + 1.0)
-            params = ct.lowfreq_params(t, nu, xin, s_c, enclose=[(lam_star, margin)])
+            params = ct.lowfreq_params(t, nu, xin, s_c, pole=lam_star)
             lam_arc, w_arc, lam_arms, w_arms = ct.lowfreq_nodes(params, n_arm, n_arc)
-            rho1 = np.sum(w_arc * _factor_general(lam_arc, t, s_c, nu, xin, sigma,
-                                                  deriv, comp_c), axis=-1)
-            rho2 = np.sum(w_arms * _factor_general(lam_arms, t, s_c, nu, xin, sigma,
-                                                   deriv, comp_c), axis=-1)
+            rho1 = np.sum(w_arc * _factor(lam_arc, t, s_c, nu, xin, sigma, deriv, comp_c),
+                          axis=-1)
+            rho2 = np.sum(w_arms * _factor(lam_arms, t, s_c, nu, xin, sigma, deriv, comp_c),
+                          axis=-1)
         else:
             params = ct.highfreq_params(t, nu, xin, s_c, pole_mu=sigma)
             lam, w = ct.highfreq_nodes(params, n_arm)
-            rho2 = np.sum(w * _factor_general(lam, t, s_c, nu, xin, sigma,
-                                              deriv, comp_c), axis=-1)
+            rho2 = np.sum(w * _factor(lam, t, s_c, nu, xin, sigma, deriv, comp_c), axis=-1)
             arg = np.where(params["crosses_pole"], lam_star * t - sigma * s_c + comp_c,
                            -np.inf)
             rho1 = 2.0 * (-sigma) ** deriv * np.exp(arg) + 0.0j
@@ -273,32 +229,43 @@ def _check_refine(fn, coarse, tol):
 def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,
                          contour=None, method="fixed", n_arm=256, n_arc=128,
                          epsrel=1e-11, check=False, check_tol=1e-8):
-    """Split residual kernel {R1, R2} at a single (t, y, z).
+    """Split no-slip residual kernel {R1, R2} at a single (t, y, z)."""
+    return residual_kernel_general(t, nu, mode, BoundaryOperatorD.no_slip(mode), y, z,
+                                   regime, contour, method, n_arm, n_arc, epsrel,
+                                   check, check_tol)
+
+
+def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
+                            contour=None, method="fixed", n_arm=256, n_arc=128,
+                            epsrel=1e-11, check=False, check_tol=1e-8):
+    """Split residual kernel {R1, R2} for the boundary operator D at a single (t, y, z).
 
     Low frequency: R1 is the half-circle integral (pole contribution), R2 the
     parabolic arms.  High frequency: R2 is the parabola integral and R1 the
-    residue at lambda = 0 when the contour deformation crossed the pole.
+    residue at lambda* when the contour deformation crossed the pole.
     ``method="adaptive"`` (or an explicit ``contour``) uses adaptive panels on
     the Contour object; the default fixed Gauss-Legendre path matches it to
-    quadrature tolerance and is what the vectorized profiles use.
+    quadrature tolerance and is what the vectorized profiles use.  ``check``
+    raises QuadratureUnderresolved when doubling the fixed nodes moves the
+    result by more than ``check_tol`` relative.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual kernel needs |xi| > 0")
     s = float(y) + float(z)
-    xin = mode.norm
-    P = projection_matrix(mode)
+    xin, sigma = mode.norm, D.sigma
+    lam_star = D.pole_lambda(nu)
     regime = (contour.regime if contour is not None else regime) or _auto_regime(nu, mode)
 
     if contour is not None or method == "adaptive":
         if contour is None:
             if regime == "lowfreq":
-                contour = ct.build_contour_lowfreq(t, nu, xin, s)
+                contour = ct.build_contour_lowfreq(t, nu, xin, s, pole=lam_star)
             else:
-                contour = ct.build_contour_highfreq(t, nu, xin, s, pole_mu=xin)
+                contour = ct.build_contour_highfreq(t, nu, xin, s, pole_mu=sigma)
 
         def f(lam):
             mu = np.sqrt(lam / nu + xin**2)
-            return np.exp(lam * t - mu * s) * (mu + xin) / (mu * lam * xin)
+            return np.exp(lam * t - mu * s) / (nu * mu * (mu - sigma))
 
         if contour.regime == "lowfreq":
             rho1 = contour.integrate(f, epsrel=epsrel,
@@ -308,47 +275,30 @@ def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,
         else:
             rho2 = contour.integrate(f, epsrel=epsrel)
             if contour.encloses_pole_at is not None:
-                rho1 = (2.0 / xin) * np.exp(-xin * s)
+                rho1 = 2.0 * math.exp(lam_star * t - sigma * s)
             else:
                 rho1 = 0.0
-        return {"R1": complex(rho1) * P, "R2": complex(rho2) * P,
-                "regime": contour.regime, "contour": contour}
+        vals = np.array([rho1, rho2], dtype=complex)
+    else:
+        def run(na, nc):
+            r1, r2 = residual_profiles_general(t, nu, mode, np.array([s]), sigma,
+                                               regime=regime, n_arm=na, n_arc=nc)
+            return np.array([r1[0], r2[0]])
 
-    def run(na, nc):
-        r1, r2 = residual_profiles_time(t, nu, mode, np.array([s]), regime=regime,
-                                        n_arm=na, n_arc=nc)
-        return np.array([r1[0], r2[0]])
-
-    vals = run(n_arm, n_arc)
-    if check:
-        vals = _check_refine(lambda: run(2 * n_arm, 2 * n_arc), vals, check_tol)
-    return {"R1": vals[0] * P, "R2": vals[1] * P, "regime": regime, "contour": None}
-
-
-def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
-                            n_arm=256, n_arc=128, check=False, check_tol=1e-8):
-    """Split residual kernel {R1, R2} for a general boundary operator D."""
-    s = float(y) + float(z)
-
-    def run(na, nc):
-        r1, r2 = residual_profiles_general(t, nu, mode, np.array([s]), D.sigma,
-                                           regime=regime, n_arm=na, n_arc=nc)
-        return np.array([r1[0], r2[0]])
-
-    vals = run(n_arm, n_arc)
-    if check:
-        vals = _check_refine(lambda: run(2 * n_arm, 2 * n_arc), vals, check_tol)
-    return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix, "regime": regime}
+        vals = run(n_arm, n_arc)
+        if check:
+            vals = _check_refine(lambda: run(2 * n_arm, 2 * n_arc), vals, check_tol)
+    return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix, "regime": regime,
+            "contour": contour}
 
 
 def green_function(t, nu, mode: FourierMode, y, z, **kw) -> np.ndarray:
     """Full tangential Green's function G_xi(t,y;z) = H I_2 + R1 + R2 (2x2)."""
-    parts = residual_kernel_time(t, nu, mode, y, z, **kw)
-    h = heat_kernel_neumann(t, nu, mode, y, z)
-    return h * np.eye(2) + parts["R1"] + parts["R2"]
+    return green_function_general(t, nu, mode, BoundaryOperatorD.no_slip(mode), y, z, **kw)
 
 
 def green_function_general(t, nu, mode: FourierMode, D, y, z, **kw) -> np.ndarray:
+    """H I_2 + R1 + R2 for the boundary operator D (2x2)."""
     parts = residual_kernel_general(t, nu, mode, D, y, z, **kw)
     h = heat_kernel_neumann(t, nu, mode, y, z)
     return h * np.eye(2) + parts["R1"] + parts["R2"]
@@ -383,7 +333,7 @@ def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z, contour=None,
 
     total = contour.integrate(f, epsrel=epsrel).reshape(2, 2)
     if contour.regime == "highfreq" and contour.encloses_pole_at is not None:
-        total = total + residue_at_zero(t, nu, mode, y, z)
+        total = total + (2.0 / xin) * np.exp(-xin * s) * P
     return total
 
 
@@ -420,21 +370,17 @@ class KernelSample:
 
 def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
                           D=None, n_arm=256, n_arc=128) -> KernelSample:
-    """Sample G_xi(t) (or the general-BC kernel) on a product grid."""
+    """Sample G_xi(t) for the boundary operator D (default no-slip) on a product grid."""
+    D = D or BoundaryOperatorD.no_slip(mode)
     y = np.asarray(y_nodes, dtype=float)
     z = np.asarray(z_nodes, dtype=float)
     s = y[:, None] + z[None, :]
     h = heat_kernel_neumann(t, nu, mode, y[:, None], z[None, :])
-    if D is None:
-        rho1, rho2 = residual_profiles_time(t, nu, mode, s, n_arm=n_arm, n_arc=n_arc)
-        M = projection_matrix(mode)
-    else:
-        rho1, rho2 = residual_profiles_general(t, nu, mode, s, D.sigma,
-                                               n_arm=n_arm, n_arc=n_arc)
-        M = D.matrix
+    rho1, rho2 = residual_profiles_general(t, nu, mode, s, D.sigma,
+                                           n_arm=n_arm, n_arc=n_arc)
     return KernelSample(t=t, nu=nu, mode=mode, y_nodes=y, z_nodes=z, H=h,
-                        R1=rho1[..., None, None] * M,
-                        R2=rho2[..., None, None] * M,
+                        R1=rho1[..., None, None] * D.matrix,
+                        R2=rho2[..., None, None] * D.matrix,
                         regime=_auto_regime(nu, mode))
 
 
@@ -448,8 +394,8 @@ def mu0_rate(mode: FourierMode, nu: float) -> float:
 
 
 def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
-                 n_arm, n_arc, sigma_fraction=None):
-    """Sup bound ratios for one kernel family (no-slip or general-BC)."""
+                 n_arm, n_arc, operator):
+    """Sup bound ratios for the kernel family D = operator(mode)."""
     ln10 = math.log(10.0)
     sup = {"R1": 0.0, "R2_quarter": 0.0, "R2_stated_log10": -np.inf}
     arg = {"R1": None, "R2_quarter": None, "R2_stated_log10": None}
@@ -458,41 +404,26 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
             mode = FourierMode(n_xi, 0)
             xin = mode.norm
             mu0 = mu0_rate(mode, nu)
-            if sigma_fraction is None:
-                sigma = None
-                mat_scale = np.abs(projection_matrix(mode)).max()
-            else:
-                sigma = sigma_fraction * xin
-                alpha, beta = 0.3 * sigma, 0.7 * sigma
-                mat_scale = max(alpha, beta, math.sqrt(alpha * beta))
+            D = operator(mode)
+            mat_scale = np.abs(D.matrix).max()
             for t in t_values:
-                lam_star_t = 0.0 if sigma is None else nu * (sigma**2 - xin**2) * t
+                lam_star_t = D.pole_lambda(nu) * t
                 for k in k_values:
                     where = (nu, n_xi, t, k)
                     # R1 against mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 s}
                     comp1 = theta0 * mu0 * s_values - lam_star_t
-                    if sigma is None:
-                        rho1, _ = residual_profiles_time(
-                            t, nu, mode, s_values, deriv=k, comp=comp1,
-                            n_arm=n_arm, n_arc=n_arc)
-                    else:
-                        rho1, _ = residual_profiles_general(
-                            t, nu, mode, s_values, sigma, deriv=k, comp=comp1,
-                            n_arm=n_arm, n_arc=n_arc)
+                    rho1, _ = residual_profiles_general(
+                        t, nu, mode, s_values, D.sigma, deriv=k, comp=comp1,
+                        n_arm=n_arm, n_arc=n_arc)
                     r1 = np.max(np.abs(rho1)) * mat_scale / mu0 ** (k + 1)
                     if r1 > sup["R1"]:
                         sup["R1"], arg["R1"] = float(r1), where
                     # R2 against (nu t)^{-(k+1)/2} e^{lambda* t}
                     #   e^{-s^2/4 nu t} e^{-nu |xi|^2 t / 8} (proof exponent)
                     comp2 = s_values**2 / (4.0 * nu * t) + nu * xin**2 * t / 8.0 - lam_star_t
-                    if sigma is None:
-                        _, rho2 = residual_profiles_time(
-                            t, nu, mode, s_values, deriv=k, comp=comp2,
-                            n_arm=n_arm, n_arc=n_arc)
-                    else:
-                        _, rho2 = residual_profiles_general(
-                            t, nu, mode, s_values, sigma, deriv=k, comp=comp2,
-                            n_arm=n_arm, n_arc=n_arc)
+                    _, rho2 = residual_profiles_general(
+                        t, nu, mode, s_values, D.sigma, deriv=k, comp=comp2,
+                        n_arm=n_arm, n_arc=n_arc)
                     ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
                     r2 = np.max(ratio2)
                     if r2 > sup["R2_quarter"]:
@@ -515,8 +446,9 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
                          drift_tol=0.1) -> dict:
     """Certify the pointwise kernel bounds by sup-ratio sweeps.
 
-    Reports, for both the no-slip kernel and a general boundary operator with
-    alpha + beta = ``sigma_fraction``*|xi| (split 0.3/0.7, gamma from det=0):
+    Reports, for both the no-slip kernel (D = P/|xi|) and a general boundary
+    operator with alpha + beta = ``sigma_fraction``*|xi| (split 0.3/0.7, gamma
+    from det=0, c0 = 1, so 0 <= sigma_fraction <= 1):
 
     * sup |d^k/dz^k R1| / (mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 (y+z)}),
     * sup |d^k/dz^k R2| (nu t)^{(k+1)/2} e^{(y+z)^2/4 nu t} e^{nu|xi|^2 t/8}
@@ -531,16 +463,22 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     if s_values is None:
         s_values = np.linspace(0.0, 10.0, 21)
     s_values = np.asarray(s_values, dtype=float)
+
+    def general(mode):
+        sigma = sigma_fraction * mode.norm
+        alpha, beta = 0.3 * sigma, 0.7 * sigma
+        return BoundaryOperatorD(alpha, beta, math.sqrt(alpha * beta), c0=1.0, mode=mode)
+
     report = {"theta0": theta0, "drift_tol": drift_tol,
               "sweep": {"nu": list(nu_values), "xi": list(xi_values),
                         "t": list(t_values), "k": list(k_values),
                         "s_max": float(s_values.max()), "n_s": int(s_values.size)}}
     ok = True
-    for name, frac in (("no_slip", None), ("general", sigma_fraction)):
+    for name, operator in (("no_slip", BoundaryOperatorD.no_slip), ("general", general)):
         sup, arg = _bound_sweep(nu_values, xi_values, t_values, k_values,
-                                s_values, theta0, n_arm, n_arc, frac)
+                                s_values, theta0, n_arm, n_arc, operator)
         sup2, _ = _bound_sweep(nu_values, xi_values, t_values, k_values,
-                               s_values, theta0, 2 * n_arm, 2 * n_arc, frac)
+                               s_values, theta0, 2 * n_arm, 2 * n_arc, operator)
         drift = {key: abs(sup2[key] - sup[key]) / max(abs(sup[key]), 1e-300)
                  for key in ("R1", "R2_quarter")}
         finite = all(np.isfinite(sup[key]) for key in ("R1", "R2_quarter"))

@@ -1,15 +1,17 @@
 """Per-mode resolvent solves (lambda - nu Delta_xi) u = f on the half line.
 
+Every boundary condition here reads du/dz(0) + D u(0) = 0 for an admissible
+boundary operator D (det D = 0, alpha, beta >= 0, alpha + beta <= c0 |xi|).
+The vorticity (no-slip) condition -(d/dz + |xi|) u(0) + xi |xi|^{-1} xi . u(0)
+= 0 is the member D = P(xi)/|xi|, with trace sigma = |xi| and its pole at
+lambda* = nu (sigma^2 - |xi|^2) = 0.
+
 The solution splits as u = v + w:
 
 * v is the whole-space/Neumann free part, built from the even image kernel
   (e^{-mu|y-z|} + e^{-mu(y+z)}) / (2 nu mu), so gamma(dv/dz) = 0 exactly;
-* w corrects the boundary condition.  For the vorticity condition
-  -(d/dz + |xi|) u(0) + xi |xi|^{-1} xi . u(0) = 0 it is w = c0 e^{-mu y}
-  with c0 = B^{-1} (|xi| I - Q) v(0) and B = (mu - |xi|) I + Q,
-  Q = xi xi^T / |xi|.  For the admissible general boundary operators D
-  (det D = 0, alpha, beta >= 0, alpha + beta <= c0 |xi|) the correction is
-  the rank-one kernel e^{-mu(y+z)} D / (nu mu (mu - (alpha+beta))).
+* w = c0 e^{-mu y} corrects the boundary condition: (mu - D) c0 = D v(0), and
+  since D^2 = sigma D this is c0 = D v(0) / (mu - sigma).
 
 Kernel actions are exact on the piecewise-linear interpolant of f (see
 ``actions``), so the interior PDE residual of u is pure finite-difference
@@ -23,29 +25,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import halfline_laplace_weights, image_action_exp
+from .actions import image_action_exp
 from .core import (
     FourierMode,
     HalfLineGrid,
     ModeField,
     SpectralPoint,
-    inv2,
     projection_matrix,
-    tangential_projector,
 )
-from .errors import (
-    HypothesisViolated,
-    PoleHit,
-    SingularBoundaryMatrix,
-    ZeroModeUnsupported,
-)
+from .errors import HypothesisViolated, PoleHit
 
 __all__ = [
     "BoundaryOperatorD",
     "ResolventSolution",
     "free_part_v",
-    "boundary_matrix_B",
-    "correction_w",
     "resolvent_apply",
     "resolvent_apply_general",
     "check_resolvent_bound",
@@ -57,7 +50,8 @@ class BoundaryOperatorD:
     """Admissible boundary operator D = [[alpha, gamma_off], [gamma_off, beta]].
 
     Validated on construction: det D = 0 (so D^2 = (alpha+beta) D), both
-    diagonal entries nonnegative, and trace alpha + beta <= c0 |xi|.
+    diagonal entries nonnegative, and trace alpha + beta <= c0 |xi| (up to
+    rounding, relative 1e-12).
     """
 
     alpha: float
@@ -75,9 +69,15 @@ class BoundaryOperatorD:
             raise HypothesisViolated(f"det D = {det} != 0")
         if a < 0 or b < 0:
             raise HypothesisViolated(f"need alpha, beta >= 0, got {a}, {b}")
-        if a + b > self.c0 * self.mode.norm + 1e-15:
+        if a + b > self.c0 * self.mode.norm * (1.0 + 1e-12):
             raise HypothesisViolated(
                 f"alpha + beta = {a + b} exceeds c0 |xi| = {self.c0 * self.mode.norm}")
+
+    @classmethod
+    def no_slip(cls, mode: FourierMode) -> "BoundaryOperatorD":
+        """The vorticity (no-slip) condition: D = P(xi)/|xi| with c0 = 1."""
+        D = projection_matrix(mode).real / mode.norm
+        return cls(alpha=D[0, 0], beta=D[1, 1], gamma_off=D[0, 1], c0=1.0, mode=mode)
 
     @property
     def sigma(self) -> float:
@@ -93,31 +93,35 @@ class BoundaryOperatorD:
         """lambda* = nu (sigma^2 - |xi|^2), the pole of the corrected resolvent."""
         return nu * (self.sigma**2 - self.mode.norm**2)
 
+    def correction(self, point: SpectralPoint) -> np.ndarray:
+        """(mu - D)^{-1} D = D / (mu - sigma), the boundary-layer coefficient map.
+
+        Raises PoleHit when lambda sits on the pole lambda*.
+        """
+        lam_star = self.pole_lambda(point.nu)
+        if abs(point.lam - lam_star) < 1e-12 * max(point.nu * self.mode.norm**2, 1.0):
+            raise PoleHit(f"lambda = {point.lam} hits the boundary pole lambda* = {lam_star}")
+        return self.matrix / (point.mu - self.sigma)
+
 
 @dataclass(frozen=True)
 class ResolventSolution:
-    """u = v + w: full solution, free part, boundary correction."""
+    """u = v + w: full solution, free part, boundary correction w = c0 e^{-mu y}."""
 
     u: ModeField
     v: ModeField
     w: ModeField
     point: SpectralPoint
-    c0: np.ndarray | None = None
+    D: BoundaryOperatorD
+    c0: np.ndarray
 
     def boundary_residual(self) -> float:
-        """|-(d/dz + |xi|) u(0) + Q u(0)| from the analytic closed forms.
+        """|du/dz(0) + D u(0)| = |-mu c0 + D u(0)| from the analytic closed forms.
 
         gamma(dv/dz) = 0 exactly for the image free part and dw/dz(0) = -mu c0,
-        so no finite differencing enters.  For the zero mode the condition
-        reduces to the Neumann condition -du/dz(0) = 0, which v satisfies.
+        so no finite differencing enters.
         """
-        mode = self.point.mode
-        if mode.is_zero:
-            return 0.0
-        u0 = self.u.values[:, 0]
-        c0 = self.c0 if self.c0 is not None else np.zeros(2, dtype=complex)
-        du0 = -self.point.mu * c0
-        res = -(du0 + mode.norm * u0) + tangential_projector(mode) @ u0
+        res = -self.point.mu * self.c0 + self.D.matrix @ self.u.values[:, 0]
         return float(np.linalg.norm(res))
 
 
@@ -127,68 +131,29 @@ def free_part_v(f: ModeField, point: SpectralPoint) -> ModeField:
     return ModeField(f.grid, vals / (2.0 * point.nu * point.mu))
 
 
-def boundary_matrix_B(point: SpectralPoint) -> np.ndarray:
-    """B = (mu - |xi|) I + xi xi^T / |xi|, with det B = mu (mu - |xi|)."""
-    mode = point.mode
-    if mode.is_zero:
-        raise ZeroModeUnsupported("boundary matrix needs |xi| > 0")
-    mu = point.mu
-    xin = mode.norm
-    scale = max(abs(mu), xin)
-    if abs(mu) < 1e-12 * scale or abs(mu - xin) < 1e-12 * scale:
-        raise SingularBoundaryMatrix(
-            f"det B = mu(mu - |xi|) ~ 0 at mu = {mu}, |xi| = {xin}")
-    return (mu - xin) * np.eye(2) + tangential_projector(mode)
-
-
-def correction_w(v: ModeField, point: SpectralPoint) -> tuple[ModeField, np.ndarray]:
-    """w(y) = c0 e^{-mu y} with c0 = B^{-1} (|xi| v(0) - Q v(0)).
-
-    Requires v from ``free_part_v`` (its trace derivative vanishes).  Returns
-    the field together with the coefficient vector c0.
-    """
-    mode = point.mode
-    B = boundary_matrix_B(point)
-    v0 = v.values[:, 0]
-    rhs = mode.norm * v0 - tangential_projector(mode) @ v0
-    c0 = inv2(B) @ rhs
-    vals = c0[:, None] * np.exp(-point.mu * v.grid.nodes)[None, :]
-    return ModeField(v.grid, vals), c0
-
-
 def resolvent_apply(f: ModeField, point: SpectralPoint) -> ResolventSolution:
     """Solve the resolvent problem with the vorticity boundary condition.
 
-    For the zero mode the condition degenerates to pure Neumann and u = v.
+    For the zero mode the condition degenerates to pure Neumann (D = 0), so u = v.
     """
-    v = free_part_v(f, point)
     if point.mode.is_zero:
-        w = ModeField(f.grid, np.zeros_like(v.values))
-        return ResolventSolution(u=v, v=v, w=w, point=point,
-                                 c0=np.zeros(2, dtype=complex))
-    w, c0 = correction_w(v, point)
-    u = ModeField(f.grid, v.values + w.values)
-    return ResolventSolution(u=u, v=v, w=w, point=point, c0=c0)
+        return resolvent_apply_general(f, point, BoundaryOperatorD(0.0, 0.0, 0.0, 1.0,
+                                                                   point.mode))
+    return resolvent_apply_general(f, point, BoundaryOperatorD.no_slip(point.mode))
 
 
 def resolvent_apply_general(f: ModeField, point: SpectralPoint,
                             D: BoundaryOperatorD) -> ResolventSolution:
-    """Resolvent with the general admissible boundary condition gamma(du/dz + D u) = 0.
+    """Resolvent with the admissible boundary condition gamma(du/dz + D u) = 0.
 
-    u(y) = v(y) + e^{-mu y} / (nu mu (mu - sigma)) * D int_0^infty e^{-mu z} f(z) dz.
+    u(y) = v(y) + e^{-mu y} D v(0) / (mu - sigma).
     """
-    nu, mu = point.nu, point.mu
-    sigma = D.sigma
-    lam_star = D.pole_lambda(nu)
-    if abs(point.lam - lam_star) < 1e-12 * max(nu * D.mode.norm**2, 1.0):
-        raise PoleHit(f"lambda = {point.lam} hits the boundary pole lambda* = {lam_star}")
+    correction = D.correction(point)
     v = free_part_v(f, point)
-    F = halfline_laplace_weights(f.grid, mu) @ f.values.T  # int e^{-mu z} f
-    c0 = (D.matrix @ F) / (nu * mu * (mu - sigma))
-    vals = c0[:, None] * np.exp(-mu * f.grid.nodes)[None, :]
-    w = ModeField(f.grid, vals)
+    c0 = correction @ v.values[:, 0]
+    w = ModeField(f.grid, c0[:, None] * np.exp(-point.mu * f.grid.nodes)[None, :])
     u = ModeField(f.grid, v.values + w.values)
-    return ResolventSolution(u=u, v=v, w=w, point=point, c0=c0)
+    return ResolventSolution(u=u, v=v, w=w, point=point, D=D, c0=c0)
 
 
 def _h1_norm(grid: HalfLineGrid, values: np.ndarray) -> float:

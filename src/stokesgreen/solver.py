@@ -31,7 +31,7 @@ from scipy.sparse.linalg import splu
 from .actions import hankel_apply, image_action_gauss
 from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint, projection_matrix
 from .errors import AsymmetricModeSet, IncompatibleData, StabilityWarning
-from .kernels import residual_profiles_time
+from .kernels import residual_profiles_general
 from .resolvent import BoundaryOperatorD
 
 __all__ = [
@@ -115,14 +115,13 @@ class Trajectory:
 
 
 def _residual_action(grid, nu, mode, t, pair, n_arm=192, n_arc=96):
-    """Apply the residual kernel rho(t, y+z) P to a tangential pair by quadrature."""
-    n = grid.n
-    s_all = np.arange(2 * n - 1) * grid.h
-    rho1, rho2 = residual_profiles_time(t, nu, mode, s_all, n_arm=n_arm, n_arc=n_arc)
-    rho = rho1 + rho2
-    P = projection_matrix(mode)
-    weighted = np.einsum("ab,bn->an", P, pair) * grid.weights
-    return hankel_apply(rho, weighted)
+    """Apply the no-slip residual kernel rho(t, y+z) D to a tangential pair by quadrature."""
+    D = BoundaryOperatorD.no_slip(mode)
+    s_all = np.arange(2 * grid.n - 1) * grid.h
+    rho1, rho2 = residual_profiles_general(t, nu, mode, s_all, D.sigma,
+                                           n_arm=n_arm, n_arc=n_arc)
+    weighted = np.einsum("ab,bn->an", D.matrix, pair) * grid.weights
+    return hankel_apply(rho1 + rho2, weighted)
 
 
 def _propagate(grid, nu, mode, t, values, n_arm=192, n_arc=96, warn=False):
@@ -144,8 +143,10 @@ def _boundary_kernel_column(grid, nu, mode, t, n_arm=192, n_arc=96):
     h = 2.0 / np.sqrt(np.pi * c) * np.exp(-(y**2) / c) * np.exp(-nu * mode.norm**2 * t)
     out = h[None, None, :] * np.eye(2)[:, :, None]
     if not mode.is_zero:
-        rho1, rho2 = residual_profiles_time(t, nu, mode, y, n_arm=n_arm, n_arc=n_arc)
-        out = out + (rho1 + rho2)[None, None, :] * projection_matrix(mode)[:, :, None]
+        D = BoundaryOperatorD.no_slip(mode)
+        rho1, rho2 = residual_profiles_general(t, nu, mode, y, D.sigma,
+                                               n_arm=n_arm, n_arc=n_arc)
+        out = out + (rho1 + rho2)[None, None, :] * D.matrix[:, :, None]
     return out
 
 
@@ -239,8 +240,6 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
     """
     if grid is None:
         grid = problem.omega0.grid
-    if not grid.is_uniform:
-        raise IncompatibleData("the finite-difference oracle needs a uniform grid")
     nu, mode = problem.nu, problem.mode
     n = grid.n
     h = grid.h

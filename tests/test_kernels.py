@@ -119,20 +119,25 @@ class TestDecomposition:
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(G - direct)) < 1e-9 * scale
 
-    def test_regime_boundary_agreement(self):
+    @pytest.mark.parametrize("t", [0.2, 5.0])
+    @pytest.mark.parametrize("bc", ["no_slip", "general"])
+    def test_regime_boundary_agreement(self, bc, t):
         # nu |xi|^2 = 1: both contour families must give the same kernel
         mode = FourierMode(1, 0)
-        nu, t, y, z = 1.0, 0.2, 0.5, 1.0
-        lo = residual_kernel_time(t, nu, mode, y, z, regime="lowfreq")
-        hi = residual_kernel_time(t, nu, mode, y, z, regime="highfreq")
+        nu, y, z = 1.0, 0.5, 1.0
+        D = BoundaryOperatorD.no_slip(mode) if bc == "no_slip" else \
+            BoundaryOperatorD(0.5, 0.0, 0.0, c0=1.0, mode=mode)
+        lo = residual_kernel_general(t, nu, mode, D, y, z, regime="lowfreq")
+        hi = residual_kernel_general(t, nu, mode, D, y, z, regime="highfreq")
         total_lo = lo["R1"] + lo["R2"]
         total_hi = hi["R1"] + hi["R2"]
         assert np.max(np.abs(total_lo - total_hi)) < 1e-10 * np.max(np.abs(total_lo))
 
-    def test_fixed_matches_adaptive(self):
+    @pytest.mark.parametrize("t", [0.4, 1.0, 5.0])
+    def test_fixed_matches_adaptive(self, t):
         mode = FourierMode(1, 0)
-        fixed = residual_kernel_time(0.4, 1.0, mode, 0.6, 0.9)
-        adapt = residual_kernel_time(0.4, 1.0, mode, 0.6, 0.9, method="adaptive")
+        fixed = residual_kernel_time(t, 1.0, mode, 0.6, 0.9)
+        adapt = residual_kernel_time(t, 1.0, mode, 0.6, 0.9, method="adaptive")
         for key in ("R1", "R2"):
             assert np.max(np.abs(fixed[key] - adapt[key])) < 1e-10
 

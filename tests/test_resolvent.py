@@ -10,12 +10,10 @@ from stokesgreen import (
     HypothesisViolated,
     ModeField,
     PoleHit,
-    SingularBoundaryMatrix,
     SpectralPoint,
-    boundary_matrix_B,
     check_resolvent_bound,
-    correction_w,
     free_part_v,
+    projection_matrix,
     resolvent_apply,
     resolvent_apply_general,
 )
@@ -58,38 +56,21 @@ class TestFreePart:
         assert abs(d0) < 1e-4
 
 
-class TestBoundaryMatrix:
-    def test_examples(self):
-        B = boundary_matrix_B(PT)  # xi=(1,0), mu=2: Q = diag(1,0)
-        assert np.allclose(B, np.diag([2.0, 1.0]))
-        B2 = boundary_matrix_B(SpectralPoint(3.0 + 0j, 1.0, FourierMode(0, 1)))
-        assert np.allclose(B2, np.diag([1.0, 2.0]))
-
-    def test_singular_raises(self):
-        # mu = |xi| exactly: lambda = 0
-        pt = SpectralPoint(lam=1e-30 + 0j, nu=1.0, mode=MODE10)
-        with pytest.raises(SingularBoundaryMatrix):
-            boundary_matrix_B(pt)
-
-
 class TestCorrection:
     def test_parallel_data_no_correction(self):
-        # v(0) parallel to xi: (|xi| I - Q) v(0) = 0 so w = 0
+        # v(0) parallel to xi: D v(0) = P v(0) / |xi| = 0 so w = 0
         grid = HalfLineGrid.uniform(40.0, 2001)
-        v = free_part_v(exp_field(grid, (1, 0)), PT)
-        w, c0 = correction_w(v, PT)
-        assert np.max(np.abs(w.values)) < 1e-14
-        assert np.linalg.norm(c0) < 1e-14
+        sol = resolvent_apply(exp_field(grid, (1, 0)), PT)
+        assert np.max(np.abs(sol.w.values)) < 1e-14
+        assert np.linalg.norm(sol.c0) < 1e-14
 
     def test_perpendicular_example(self):
-        # v(0) = (0, 1), mu = 2, xi = (1,0): rhs = (0,1), B = diag(2,1) -> c0=(0,1)
-        grid = HalfLineGrid.uniform(10.0, 101)
-        vals = np.outer([0.0, 1.0], np.exp(-2.0 * grid.nodes)) + 0j
-        # fabricate a v with v(0) = (0,1)
-        v = ModeField(grid, vals)
-        w, c0 = correction_w(v, PT)
-        assert np.allclose(c0, [0.0, 1.0])
-        assert np.allclose(w.values[1], np.exp(-2.0 * grid.nodes))
+        # f = 6 e^{-z} (0, 1) has v(0) = (0, 1) up to O(h^2); with mu = 2 and
+        # D = P/|xi| = diag(0, 1): c0 = D v(0) / (mu - |xi|) = (0, 1)
+        grid = HalfLineGrid.uniform(40.0, 4001)
+        sol = resolvent_apply(exp_field(grid, (0, 6)), PT)
+        assert np.allclose(sol.c0, [0.0, 1.0], atol=1e-4)
+        assert np.allclose(sol.w.values[1], sol.c0[1] * np.exp(-2.0 * grid.nodes))
 
 
 class TestResolventApply:
@@ -123,6 +104,13 @@ class TestResolventApply:
         assert np.max(np.abs(sol.w.values)) == 0.0
         assert sol.boundary_residual() == 0.0
 
+    def test_pole_at_zero_raises(self):
+        # the no-slip pole sits at lambda* = 0 (mu = |xi|)
+        grid = HalfLineGrid.uniform(10.0, 101)
+        pt = SpectralPoint(lam=1e-30 + 0j, nu=1.0, mode=MODE10)
+        with pytest.raises(PoleHit):
+            resolvent_apply(exp_field(grid, (0, 1)), pt)
+
     def test_perpendicular_forcing_correction_structure(self):
         # xi . f = 0 everywhere: v(0) is perpendicular to xi, and the
         # correction coefficient stays perpendicular to xi as well
@@ -139,6 +127,15 @@ class TestBoundaryOperatorD:
         assert D.sigma == pytest.approx(1.0)
         assert np.allclose(D.matrix @ D.matrix, D.sigma * D.matrix)
         assert D.pole_lambda(2.0) == pytest.approx(2.0 * (1.0 - 1.0))
+
+    @pytest.mark.parametrize("xi", [(2, 16), (60, 59), (1, 0)])
+    def test_no_slip_builds(self, xi):
+        # P/|xi| has trace |xi| = c0 |xi| up to rounding
+        mode = FourierMode(*xi)
+        D = BoundaryOperatorD.no_slip(mode)
+        assert np.allclose(D.matrix * mode.norm, projection_matrix(mode))
+        assert D.sigma == pytest.approx(mode.norm, rel=1e-15)
+        assert abs(D.pole_lambda(1.0)) < 1e-12 * mode.norm**2
 
     def test_gates(self):
         with pytest.raises(HypothesisViolated):
@@ -175,6 +172,16 @@ class TestGeneralResolvent:
         # du/dz(0) + D u(0) with dv/dz(0)=0 and dw/dz(0) = -mu c0
         res = -pt.mu * sol.c0 + D.matrix @ sol.u.values[:, 0]
         assert np.linalg.norm(res) < 1e-8 * np.linalg.norm(f.values)
+
+    def test_boundary_residual_method(self):
+        # boundary_residual() evaluates the solution's own condition du/dz + D u
+        mode = FourierMode(2, 1)
+        grid = HalfLineGrid.uniform(20.0, 801)
+        f = ModeField(grid, np.vstack([np.exp(-((grid.nodes - 4.0) ** 2)),
+                                       (0.5 - 0.3j) * np.exp(-((grid.nodes - 6.0) ** 2))]))
+        D = BoundaryOperatorD(0.5, 0.3, np.sqrt(0.15), c0=2.0, mode=mode)
+        sol = resolvent_apply_general(f, SpectralPoint(2.0 + 1.0j, 0.5, mode), D)
+        assert sol.boundary_residual() < 1e-12 * np.linalg.norm(f.values)
 
     def test_zero_operator_reduces_to_neumann(self):
         f, pt, _ = self._setup()
