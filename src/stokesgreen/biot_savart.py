@@ -18,7 +18,12 @@ import numpy as np
 
 from .actions import halfline_laplace_weights, image_action_exp
 from .core import FourierMode, HalfLineGrid, ModeField
-from .errors import HypothesisViolated, IncompatibleData, ZeroModeUnsupported
+from .errors import (
+    GridTooSmall,
+    HypothesisViolated,
+    IncompatibleData,
+    ZeroModeUnsupported,
+)
 
 __all__ = [
     "dirichlet_inverse",
@@ -60,14 +65,26 @@ def phi(omega: ModeField, mode: FourierMode) -> ModeField:
     return ModeField(omega.grid, np.vstack([tang.values, norm.values]))
 
 
+# one-sided 5-point first-derivative stencils at the first two nodes, in units
+# of 1/12h; the last two nodes use them mirrored with the sign flipped
+_END_D1 = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                    [-3.0, -10.0, 18.0, -6.0, 1.0]])
+
+
 def dz(grid: HalfLineGrid, values: np.ndarray) -> np.ndarray:
-    """Second-order d/dz along the last axis (centered interior, one-sided ends)."""
-    h = grid.h
-    out = np.empty_like(values, dtype=complex)
-    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * h)
-    out[..., 0] = (-3.0 * values[..., 0] + 4.0 * values[..., 1] - values[..., 2]) / (2.0 * h)
-    out[..., -1] = (3.0 * values[..., -1] - 4.0 * values[..., -2] + values[..., -3]) / (2.0 * h)
-    return out
+    """Fourth-order d/dz along the last axis.
+
+    Interior nodes use the centred stencil (1, -8, 0, 8, -1)/12h; the two
+    nodes nearest each end use the one-sided 5-point stencils of ``_END_D1``.
+    """
+    if grid.n < 5:
+        raise GridTooSmall("dz needs at least 5 nodes")
+    v = values
+    out = np.empty_like(v, dtype=complex)
+    out[..., 2:-2] = v[..., :-4] - 8.0 * v[..., 1:-3] + 8.0 * v[..., 3:-1] - v[..., 4:]
+    out[..., :2] = v[..., :5] @ _END_D1.T
+    out[..., :-3:-1] = -(v[..., :-6:-1] @ _END_D1.T)
+    return out / (12.0 * grid.h)
 
 
 def curl_mode(W: ModeField, mode: FourierMode) -> ModeField:

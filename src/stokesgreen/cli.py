@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -38,6 +39,15 @@ EXIT_NUMERICAL = 3
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _fmt_each(x: np.ndarray) -> list[str]:
+    """``_fmt`` of every element of a float64 array, formatting each distinct
+    bit pattern once (bits, not values: -0.0 == 0.0 but prints as -0)."""
+    bits, inv = np.unique(np.ascontiguousarray(x, dtype=float).view(np.int64),
+                          return_inverse=True)
+    text = np.array([_fmt(v) for v in bits.view(np.float64)], dtype=object)
+    return text[inv.reshape(-1)].tolist()
 
 
 def _parse_grid(spec: str) -> HalfLineGrid:
@@ -120,15 +130,15 @@ def cmd_kernel(args) -> int:
         f"# quadrature node-doubling drift estimate: {_fmt(drift)}",
         "y,z,entry,part,re,im",
     ]
-    parts = {"H": sample.H[..., None, None] * np.eye(2), "R1": sample.R1, "R2": sample.R2}
-    for i, y in enumerate(sample.y_nodes):
-        for j, z in enumerate(sample.z_nodes):
-            for a in range(2):
-                for b in range(2):
-                    for pname, arr in parts.items():
-                        v = arr[i, j, a, b]
-                        lines.append(f"{_fmt(y)},{_fmt(z)},{a + 1}{b + 1},{pname},"
-                                     f"{_fmt(v.real)},{_fmt(v.imag)}")
+    # one row per (y, z, entry, part), in that nesting order
+    parts = np.stack([sample.H[..., None, None] * np.eye(2), sample.R1, sample.R2],
+                     axis=-1).reshape(-1)
+    tags = [f"{a + 1}{b + 1},{pname}" for a in range(2) for b in range(2)
+            for pname in ("H", "R1", "R2")]
+    keys = itertools.product([_fmt(y) for y in sample.y_nodes],
+                             [_fmt(z) for z in sample.z_nodes], tags)
+    lines.extend(f"{y},{z},{tag},{re},{im}" for (y, z, tag), re, im
+                 in zip(keys, _fmt_each(parts.real), _fmt_each(parts.imag)))
     _write_lines(args.out, lines)
     return EXIT_OK
 
@@ -235,7 +245,7 @@ def cmd_verify(args) -> int:
     h = bs.curl_mode(W, mode)
     rt = bs.check_biot_savart_roundtrip(h, mode)
     checks.append({"name": "biot_savart_roundtrip", "report": rt,
-                   "tolerance": args.tol, "pass": rt["rel_error"] < args.tol})
+                   "tolerance": args.tol, "pass": bool(rt["rel_error"] < args.tol)})
 
     report = {"checks": checks, "pass": all(c["pass"] for c in checks)}
     _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True, default=str)])

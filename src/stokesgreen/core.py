@@ -7,8 +7,8 @@ omega(x, z) on T^2 x R+ is decomposed as
 
 and each mode solves a one-dimensional problem on the half line z >= 0 with the
 operator  Delta_xi = -|xi|^2 + d^2/dz^2.  This module provides the mode/grid
-containers, the principal-branch spectral root, small 2x2 complex matrix
-helpers and the discrete Delta_xi.
+containers, the principal-branch spectral root, the 2x2 projections P(xi) and
+Q(xi) and the discrete Delta_xi.
 """
 
 from __future__ import annotations
@@ -33,9 +33,6 @@ __all__ = [
     "ModeField",
     "spectral_root",
     "apply_delta_xi",
-    "mat2",
-    "det2",
-    "inv2",
     "projection_matrix",
     "tangential_projector",
 ]
@@ -74,13 +71,19 @@ def spectral_root(lam: complex, nu: float, mode: FourierMode) -> complex:
     if nu <= 0:
         raise ValueError(f"viscosity must be positive, got {nu}")
     q = complex(lam) + nu * mode.norm**2
+    if not cmath.isfinite(q):
+        raise BranchCutViolation(f"lambda + nu|xi|^2 = {q} is not finite")
     if q.imag == 0.0 and q.real <= 0.0:
         raise BranchCutViolation(
             f"lambda + nu|xi|^2 = {q} lies on the branch cut (-inf, 0]"
         )
     mu = cmath.sqrt(q / nu)
-    # principal sqrt maps C \ (-inf, 0] to the open right half plane
-    assert mu.real > 0.0
+    # principal sqrt maps C \ (-inf, 0] to the open right half plane, up to
+    # underflow of Re mu just above or below the cut
+    if not mu.real > 0.0:
+        raise BranchCutViolation(
+            f"lambda + nu|xi|^2 = {q} is too close to the branch cut: Re mu = {mu.real}"
+        )
     return mu
 
 
@@ -184,20 +187,7 @@ class ModeField:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 complex matrix helpers
-
-
-def mat2(a, b, c, d) -> np.ndarray:
-    return np.array([[a, b], [c, d]], dtype=complex)
-
-
-def det2(m: np.ndarray) -> complex:
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-
-
-def inv2(m: np.ndarray) -> np.ndarray:
-    d = det2(m)
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
+# 2x2 projections
 
 
 def projection_matrix(mode: FourierMode) -> np.ndarray:

@@ -193,18 +193,22 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     lam_star = nu * (sigma**2 - xin**2)
     regime = regime or _auto_regime(nu, mode)
 
+    # The factor goes first in factor * weights: numpy computes a product with
+    # a large temporary on the right in place with the operands swapped, and
+    # complex multiplication is not bitwise commutative, so the other order
+    # would make each value depend on how many s are evaluated together.
     def eval_chunk(s_c, comp_c):
         if regime == "lowfreq":
             params = ct.lowfreq_params(t, nu, xin, s_c, pole=lam_star)
             lam_arc, w_arc, lam_arms, w_arms = ct.lowfreq_nodes(params, n_arm, n_arc)
-            rho1 = np.sum(w_arc * _factor(lam_arc, t, s_c, nu, xin, sigma, deriv, comp_c),
+            rho1 = np.sum(_factor(lam_arc, t, s_c, nu, xin, sigma, deriv, comp_c) * w_arc,
                           axis=-1)
-            rho2 = np.sum(w_arms * _factor(lam_arms, t, s_c, nu, xin, sigma, deriv, comp_c),
+            rho2 = np.sum(_factor(lam_arms, t, s_c, nu, xin, sigma, deriv, comp_c) * w_arms,
                           axis=-1)
         else:
             params = ct.highfreq_params(t, nu, xin, s_c, pole_mu=sigma)
             lam, w = ct.highfreq_nodes(params, n_arm)
-            rho2 = np.sum(w * _factor(lam, t, s_c, nu, xin, sigma, deriv, comp_c), axis=-1)
+            rho2 = np.sum(_factor(lam, t, s_c, nu, xin, sigma, deriv, comp_c) * w, axis=-1)
             arg = np.where(params["crosses_pole"], lam_star * t - sigma * s_c + comp_c,
                            -np.inf)
             rho1 = 2.0 * (-sigma) ** deriv * np.exp(arg) + 0.0j
@@ -370,14 +374,22 @@ class KernelSample:
 
 def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
                           D=None, n_arm=256, n_arc=128) -> KernelSample:
-    """Sample G_xi(t) for the boundary operator D (default no-slip) on a product grid."""
+    """Sample G_xi(t) for the boundary operator D (default no-slip) on a product grid.
+
+    The residual profiles depend on (y, z) only through s = y + z, so they are
+    evaluated once per distinct float s (2n - 1 values on a uniform n x n
+    grid) and scattered back.  Distinct means exact float equality, and every
+    profile value is computed on its own, so the sample is bit-for-bit the
+    one a per-pair evaluation gives.
+    """
     D = D or BoundaryOperatorD.no_slip(mode)
     y = np.asarray(y_nodes, dtype=float)
     z = np.asarray(z_nodes, dtype=float)
     s = y[:, None] + z[None, :]
     h = heat_kernel_neumann(t, nu, mode, y[:, None], z[None, :])
-    rho1, rho2 = residual_profiles_general(t, nu, mode, s, D.sigma,
-                                           n_arm=n_arm, n_arc=n_arc)
+    s_u, inv = np.unique(s, return_inverse=True)
+    rho1, rho2 = (rho[inv].reshape(s.shape) for rho in residual_profiles_general(
+        t, nu, mode, s_u, D.sigma, n_arm=n_arm, n_arc=n_arc))
     return KernelSample(t=t, nu=nu, mode=mode, y_nodes=y, z_nodes=z, H=h,
                         R1=rho1[..., None, None] * D.matrix,
                         R2=rho2[..., None, None] * D.matrix,

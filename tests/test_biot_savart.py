@@ -5,6 +5,7 @@ import pytest
 
 from stokesgreen import (
     FourierMode,
+    GridTooSmall,
     HalfLineGrid,
     HypothesisViolated,
     IncompatibleData,
@@ -95,6 +96,22 @@ class TestCurl:
         gradf = np.array([2j * f, 1j * f, dz(grid, f)])
         c = curl_mode(ModeField(grid, gradf), mode)
         assert np.max(np.abs(c.values[:, 2:-2])) < 1e-3
+
+    def test_dz_fourth_order(self):
+        # halving h divides the error by ~16 at every node, ends included
+        errs = []
+        for n in (101, 201):
+            grid = HalfLineGrid.uniform(4.0, n)
+            z = grid.nodes
+            d = dz(grid, np.exp(-z) * np.sin(2.0 * z))
+            exact = np.exp(-z) * (2.0 * np.cos(2.0 * z) - np.sin(2.0 * z))
+            errs.append(np.abs(d - exact))
+        assert np.max(errs[1]) < 2e-6
+        # the one-sided end stencils (same index) and the centred one (z = 2)
+        for k0, k1 in ((0, 0), (1, 1), (50, 100), (-2, -2), (-1, -1)):
+            assert errs[0][k0] / errs[1][k1] == pytest.approx(16.0, rel=0.25)
+        with pytest.raises(GridTooSmall):
+            dz(HalfLineGrid.uniform(1.0, 3), np.ones(3))
 
     def test_shape_guard(self):
         grid = HalfLineGrid.uniform(5.0, 11)

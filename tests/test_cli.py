@@ -2,9 +2,20 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from stokesgreen.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
+from stokesgreen import BoundaryOperatorD, FourierMode, kernels
+from stokesgreen.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    _build_parser,
+    _fmt,
+    _parse_general_bc,
+    _parse_grid,
+    main,
+)
 
 
 def run(argv):
@@ -39,6 +50,49 @@ class TestKernelCommand:
                   "--out", str(out)])
         assert rc == EXIT_OK
         assert "general-bc" in out.read_text()
+
+
+def reference_kernel_rows(argv):
+    """Data rows of ``kernel`` as the original one-value-at-a-time loop wrote them."""
+    args = _build_parser().parse_args(argv)
+    mode = FourierMode(*args.xi)
+    grid = _parse_grid(args.grid)
+    D = (_parse_general_bc(args.general_bc, mode) if args.general_bc
+         else BoundaryOperatorD.no_slip(mode))
+    sample = kernels.sample_green_function(args.t, args.nu, mode, grid.nodes,
+                                           grid.nodes, D=D)
+    parts = {"H": sample.H[..., None, None] * np.eye(2), "R1": sample.R1, "R2": sample.R2}
+    lines = []
+    for i, y in enumerate(sample.y_nodes):
+        for j, z in enumerate(sample.z_nodes):
+            for a in range(2):
+                for b in range(2):
+                    for pname, arr in parts.items():
+                        v = arr[i, j, a, b]
+                        lines.append(f"{_fmt(y)},{_fmt(z)},{a + 1}{b + 1},{pname},"
+                                     f"{_fmt(v.real)},{_fmt(v.imag)}")
+    return lines
+
+
+class TestKernelWriter:
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--xi", "2", "1", "--grid", "0:4:8"],
+        ["kernel", "--xi", "1", "0", "--t", "0.3", "--grid", "0:4:8",
+         "--general-bc", "alpha=0.2,beta=0.5,gamma=0.31622776601683794"],
+    ])
+    def test_rows_match_reference_loop(self, tmp_path, argv):
+        out = tmp_path / "k.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert text.endswith("\n")
+        rows = text.splitlines()[4:]
+        ref = reference_kernel_rows(argv)
+        assert len(rows) == 12 * 9 * 9
+        assert rows == ref
+        if "--general-bc" not in argv:
+            # -0.0 == 0.0, but the two print differently and both occur here
+            fields = [f for row in rows for f in row.split(",")[4:]]
+            assert "-0" in fields and "0" in fields
 
 
 class TestResolventCommand:
@@ -83,6 +137,25 @@ class TestVerifyCommand:
         names = {c["name"] for c in report["checks"]}
         assert names == {"kernel_bound_certificate", "resolvent_sector_bound",
                          "biot_savart_roundtrip"}
+
+
+    def test_default_grid_passes(self, tmp_path):
+        # fourth-order dz keeps the roundtrip within the default 1e-3 on 0:10:256
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["pass"] is True
+        rt = [c for c in report["checks"] if c["name"] == "biot_savart_roundtrip"][0]
+        assert rt["report"]["rel_error"] < 1e-3
+
+    def test_pass_fields_are_json_booleans(self, tmp_path):
+        # a failing check must write the literal false, not the string "False"
+        out = tmp_path / "verify.json"
+        assert run(["verify", "--tol", "1e-12", "--out", str(out)]) == EXIT_NUMERICAL
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert all(isinstance(c["pass"], bool) for c in report["checks"])
+        assert [c["pass"] for c in report["checks"]] == [True, True, False]
 
 
 class TestBiotSavartCommand:

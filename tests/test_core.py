@@ -17,7 +17,6 @@ from stokesgreen import (
     spectral_root,
     tangential_projector,
 )
-from stokesgreen.core import det2, inv2, mat2
 
 
 class TestFourierMode:
@@ -54,6 +53,15 @@ class TestSpectralRoot:
             spectral_root(-2.0, 1.0, FourierMode(1, 0))  # q = -1 on the cut
         with pytest.raises(BranchCutViolation):
             spectral_root(-1.0, 1.0, FourierMode(1, 0))  # q = 0 endpoint
+
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("nan+1j"), complex("inf"),
+                                     complex("inf+1j"), complex(1.0, float("inf"))])
+    def test_non_finite_lambda_raises(self, lam):
+        # typed error, not an assert that python -O strips
+        with pytest.raises(BranchCutViolation):
+            spectral_root(lam, 1.0, FourierMode(1, 0))
+        with pytest.raises(BranchCutViolation):
+            SpectralPoint(lam=lam, nu=1.0, mode=FourierMode(1, 0))
 
     def test_bad_viscosity(self):
         with pytest.raises(ValueError):
@@ -123,13 +131,6 @@ class TestProjectors:
     def test_zero_mode_rejected(self):
         with pytest.raises(ZeroModeUnsupported):
             projection_matrix(FourierMode(0, 0))
-
-
-class TestMat2:
-    def test_inv2(self):
-        m = mat2(1 + 2j, 3, 0.5j, 4 - 1j)
-        assert np.allclose(inv2(m) @ m, np.eye(2))
-        assert det2(np.eye(2)) == 1.0
 
 
 class TestApplyDeltaXi:

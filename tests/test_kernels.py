@@ -32,7 +32,7 @@ from stokesgreen import (
     sample_green_function,
     verify_kernel_bounds,
 )
-from stokesgreen.kernels import residual_kernel_general
+from stokesgreen.kernels import residual_kernel_general, residual_profiles_general
 
 MODE = FourierMode(1, 0)
 
@@ -237,6 +237,76 @@ class TestSampling:
         sample = sample_green_function(0.3, 0.5, mode, nodes, nodes)
         V = sample.values
         assert np.max(np.abs(V - np.transpose(V, (1, 0, 3, 2)))) < 1e-12
+
+
+class TestSamplingDedup:
+    """sample_green_function evaluates each distinct s once; the values must be
+    bit-for-bit those of evaluating the profile at every (y, z) pair."""
+
+    N_ARM, N_ARC = 32, 16  # the identity does not depend on the node counts
+
+    CASES = {
+        "no_slip_lowfreq": (FourierMode(1, 0), 1.0, None),
+        "no_slip_highfreq": (FourierMode(2, 1), 1.0, None),
+        "general": (FourierMode(1, 0), 1.0, (0.2, 0.5, math.sqrt(0.1))),
+    }
+
+    def _check(self, case, y, z):
+        mode, nu, abg = self.CASES[case]
+        D = (BoundaryOperatorD.no_slip(mode) if abg is None
+             else BoundaryOperatorD(*abg, c0=1.0, mode=mode))
+        t = 0.4
+        sample = sample_green_function(t, nu, mode, y, z, D=D,
+                                       n_arm=self.N_ARM, n_arc=self.N_ARC)
+        rho1, rho2 = residual_profiles_general(t, nu, mode, y[:, None] + z[None, :],
+                                               D.sigma, n_arm=self.N_ARM,
+                                               n_arc=self.N_ARC)
+        assert np.array_equal(sample.R1, rho1[..., None, None] * D.matrix)
+        assert np.array_equal(sample.R2, rho2[..., None, None] * D.matrix)
+        assert np.array_equal(sample.H, heat_kernel_neumann(t, nu, mode, y[:, None],
+                                                            z[None, :]))
+        return sample, D
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_profile_independent_of_batch(self, case):
+        # a value depends on its own s only, not on what else is in the batch
+        mode, nu, abg = self.CASES[case]
+        sigma = mode.norm if abg is None else abg[0] + abg[1]
+        s = np.linspace(0.0, 20.0, 257)
+        alone = residual_profiles_general(0.4, nu, mode, s, sigma, n_arm=self.N_ARM,
+                                          n_arc=self.N_ARC)
+        batched = residual_profiles_general(0.4, nu, mode, np.tile(s, 40), sigma,
+                                            n_arm=self.N_ARM, n_arc=self.N_ARC)
+        for a, b in zip(alone, batched):
+            assert np.array_equal(a, b[:s.size])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_uniform_grid(self, case):
+        nodes = HalfLineGrid.uniform(10.0, 129).nodes
+        self._check(case, nodes, nodes)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_non_dyadic_grid(self, case):
+        nodes = HalfLineGrid.uniform(7.0, 201).nodes
+        s = nodes[:, None] + nodes[None, :]
+        # rounding splits some equal-in-exact-arithmetic sums; they stay apart
+        assert 2 * nodes.size - 1 < np.unique(s).size < s.size
+        self._check(case, nodes, nodes)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_random_unsorted_nodes(self, case):
+        rng = np.random.default_rng(5)
+        y = rng.uniform(0.0, 4.0, 13)
+        z = np.concatenate([rng.uniform(0.0, 4.0, 6), y[:3]])
+        sample, D = self._check(case, y, z)
+        # and against one profile call per pair
+        mode, nu, _ = self.CASES[case]
+        for i, j in [(0, 0), (4, 7), (12, 8), (2, 8)]:
+            r1, r2 = residual_profiles_general(sample.t, nu, mode, np.array([y[i] + z[j]]),
+                                               D.sigma, n_arm=self.N_ARM,
+                                               n_arc=self.N_ARC)
+            assert np.array_equal(sample.R1[i, j], r1[0] * D.matrix)
+            assert np.array_equal(sample.R2[i, j], r2[0] * D.matrix)
 
 
 class TestQuadratureChecks:
