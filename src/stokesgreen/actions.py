@@ -35,7 +35,6 @@ __all__ = [
     "image_action_gauss",
     "image_action_exp",
     "halfline_laplace_weights",
-    "hankel_apply",
 ]
 
 
@@ -135,32 +134,25 @@ def image_action_exp(grid: HalfLineGrid, f: np.ndarray, mu: complex,
                          parity, warn_truncation)
 
 
-def halfline_laplace_weights(grid: HalfLineGrid, mu: complex) -> np.ndarray:
-    """Weights w with w . f = integral_0^zmax e^{-mu z} (PL f)(z) dz, exactly."""
+def halfline_laplace_weights(grid: HalfLineGrid, mu) -> np.ndarray:
+    """Weights w with w . f = integral_0^zmax e^{-mu z} (PL f)(z) dz, exactly.
+
+    ``mu`` may be an array; its shape becomes the leading axes of ``w``.
+    """
     h = grid.h
-    n = grid.n
     z = grid.nodes
+    # a scalar mu stays a Python/numpy scalar: numpy's array loops may round
+    # complex products differently, and scalar callers keep their exact values
+    if np.ndim(mu):
+        mu = np.asarray(mu)[..., None]
 
     def psi(x):
         return np.exp(-mu * x) / mu**2
 
-    w = np.empty(n, dtype=complex)
-    w[1:-1] = (psi(z[1:-1] - h) - 2.0 * psi(z[1:-1]) + psi(z[1:-1] + h)) / h
+    w = np.empty(np.shape(mu)[:-1] + (grid.n,), dtype=complex)
+    w[..., 1:-1] = (psi(z[1:-1] - h) - 2.0 * psi(z[1:-1]) + psi(z[1:-1] + h)) / h
     # boundary half-hats
-    w[0] = (1.0 - np.exp(-mu * h)) / mu - (1.0 - np.exp(-mu * h) * (1.0 + mu * h)) / (h * mu**2)
-    w[-1] = np.exp(-mu * z[-2]) * (1.0 - np.exp(-mu * h) * (1.0 + mu * h)) / (h * mu**2)
+    w[..., :1] = (1.0 - np.exp(-mu * h)) / mu \
+        - (1.0 - np.exp(-mu * h) * (1.0 + mu * h)) / (h * mu**2)
+    w[..., -1:] = np.exp(-mu * z[-2]) * (1.0 - np.exp(-mu * h) * (1.0 + mu * h)) / (h * mu**2)
     return w
-
-
-def hankel_apply(kernel_s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """out[i] = sum_j kernel_s[i + j] g[..., j] with len(kernel_s) = 2n - 1."""
-    g = np.asarray(g)
-    n = g.shape[-1]
-    if kernel_s.shape[-1] != 2 * n - 1:
-        raise ValueError("kernel vector must have length 2n-1")
-    col = kernel_s[n - 1:]
-    row = kernel_s[n - 1::-1]
-    gr = g[..., ::-1]
-    out = matmul_toeplitz((col, row), gr[..., :, None] if gr.ndim == 1 else gr.T)
-    out = out.T if out.ndim == 2 else out[:, 0]
-    return out.reshape(g.shape[:-1] + (n,))

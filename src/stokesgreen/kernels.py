@@ -428,7 +428,8 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
                         t, nu, mode, s_values, D.sigma, deriv=k, comp=comp1,
                         n_arm=n_arm, n_arc=n_arc)
                     r1 = np.max(np.abs(rho1)) * mat_scale / mu0 ** (k + 1)
-                    if r1 > sup["R1"]:
+                    # a NaN ratio compares False; keep it so the sup reads non-finite
+                    if r1 > sup["R1"] or np.isnan(r1):
                         sup["R1"], arg["R1"] = float(r1), where
                     # R2 against (nu t)^{-(k+1)/2} e^{lambda* t}
                     #   e^{-s^2/4 nu t} e^{-nu |xi|^2 t / 8} (proof exponent)
@@ -438,7 +439,7 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
                         n_arm=n_arm, n_arc=n_arc)
                     ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
                     r2 = np.max(ratio2)
-                    if r2 > sup["R2_quarter"]:
+                    if r2 > sup["R2_quarter"] or np.isnan(r2):
                         sup["R2_quarter"], arg["R2_quarter"] = float(r2), where
                     # the stated exponent e^{-s^2/nu t} differs by e^{3 s^2/4 nu t};
                     # report in log10 since it can overflow any float

@@ -4,13 +4,18 @@
 
     omega(t) = G(t) omega_0
              + int_0^t G(t-s) f(s) ds
-             + int_0^t G(t-s, y; 0) (g(s), 0)^T ds,
+             + int_0^t G(t-s, y; 0) (g(s), 0)^T ds.
 
-with the full tangential kernel (heat part + residual part) on the first two
-components and the Dirichlet heat kernel on the third.  The time integrals use
-the substitution s = t - sigma^2 with Gauss-Legendre in sigma, which removes
-the (nu (t-s))^{-1/2} trace singularity of the boundary term and keeps all
-integrands smooth.
+On the tangential pair G is the Neumann heat kernel plus the no-slip residual
+kernel R(t, y, z); on the third component it is the Dirichlet heat kernel.  The
+heat parts act exactly on the piecewise-linear interpolant.  R is the inverse
+Laplace transform of the resolvent's boundary layer e^{-mu(y+z)} D /
+(nu mu (mu - sigma)).  On one Weideman-Trefethen parabola for all (y, z) it is
+a sum of 33 separable terms c_k e^{-mu_k (y+z)} D.  Each term acts on data
+through the exact trace int e^{-mu_k z} (PL f)(z) dz that the resolvent's free
+part uses.  The time integrals use the substitution s = t - sigma^2 with
+Gauss-Legendre in sigma, which removes the (nu (t-s))^{-1/2} trace singularity
+of the boundary term and keeps all integrands smooth.
 
 ``crank_nicolson_oracle`` is an independent finite-difference solve of the same
 initial-boundary-value problem (ghost-node boundary condition, far-field
@@ -28,10 +33,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .actions import hankel_apply, image_action_gauss
+from .actions import halfline_laplace_weights, image_action_gauss
 from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint, projection_matrix
 from .errors import AsymmetricModeSet, IncompatibleData, StabilityWarning
-from .kernels import residual_profiles_general
 from .resolvent import BoundaryOperatorD
 
 __all__ = [
@@ -113,73 +117,98 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Duhamel representation
 
+# Trapezoid nodes per half of the Weideman-Trefethen parabola lambda = m (1 + iu)^2,
+# m = pi N / 12 t, u_k = 3k/N for |k| <= N (Math. Comp. 76 (2007) 1341).  Re lambda
+# <= m on the contour, so e^{lambda t} is bounded by e^{pi N/12} there.
+_N_CONTOUR = 16
+# Gauss-Legendre nodes in sigma = sqrt(t - s) for the forcing and boundary terms.
+_N_QUAD = 48
 
-def _residual_action(grid, nu, mode, t, pair, n_arm=192, n_arc=96):
-    """Apply the no-slip residual kernel rho(t, y+z) D to a tangential pair by quadrature."""
+
+def _residual_modes(grid, nu, mode, t):
+    """Separable no-slip residual kernel R(t, y, z) = sum_k c_k e^{-mu_k (y+z)} D.
+
+    R is the Bromwich integral of e^{lambda t} e^{-mu (y+z)} D / (nu mu (mu - sigma)),
+    the boundary-layer part of the resolvent, with D = P(xi)/|xi| and sigma = |xi|.
+    The parabola does not depend on (y, z), so each node k is one separable term.
+    Returns (c, mu, E, D) with E[k, n] = e^{-mu_k y_n}, or None for the zero
+    mode, whose tangential pair has no residual kernel.
+    """
+    if mode.is_zero:
+        return None
     D = BoundaryOperatorD.no_slip(mode)
-    s_all = np.arange(2 * grid.n - 1) * grid.h
-    rho1, rho2 = residual_profiles_general(t, nu, mode, s_all, D.sigma,
-                                           n_arm=n_arm, n_arc=n_arc)
-    weighted = np.einsum("ab,bn->an", D.matrix, pair) * grid.weights
-    return hankel_apply(rho1 + rho2, weighted)
+    u = np.arange(-_N_CONTOUR, _N_CONTOUR + 1) * (3.0 / _N_CONTOUR)
+    m = np.pi * _N_CONTOUR / (12.0 * t)
+    lam = m * (1.0 + 1j * u) ** 2
+    # trapezoid weights h lambda'(u_k) / (2 pi i) with h = 3/N
+    dlam = (3.0 / _N_CONTOUR) * m * (1.0 + 1j * u) / np.pi
+    mu = np.sqrt(lam / nu + mode.norm**2)
+    c = dlam * np.exp(lam * t) / (nu * mu * (mu - D.sigma))
+    return c, mu, np.exp(-np.outer(mu, grid.nodes)), D
 
 
-def _propagate(grid, nu, mode, t, values, n_arm=192, n_arc=96, warn=False):
-    """Apply the 3-component solution operator at time t to node values."""
-    c = nu * t
+def _propagate(grid, nu, mode, t, values, modes):
+    """Apply the 3-component solution operator at time t to node values.
+
+    ``modes`` is ``_residual_modes`` at t.  The residual part uses the exact
+    trace int e^{-mu z} (PL f)(z) dz of the data.
+    """
     decay = np.exp(-nu * mode.norm**2 * t)
     out = np.empty_like(values)
-    out[:2] = decay * image_action_gauss(grid, values[:2], c, +1, warn_truncation=warn)
-    out[2] = decay * image_action_gauss(grid, values[2:], c, -1, warn_truncation=warn)[0]
-    if not mode.is_zero:
-        out[:2] += _residual_action(grid, nu, mode, t, values[:2], n_arm, n_arc)
+    out[:2] = decay * image_action_gauss(grid, values[:2], nu * t, +1, warn_truncation=False)
+    out[2] = decay * image_action_gauss(grid, values[2:], nu * t, -1,
+                                        warn_truncation=False)[0]
+    if modes is not None:
+        c, mu, E, D = modes
+        traces = halfline_laplace_weights(grid, mu) @ values[:2].T
+        out[:2] += ((c[:, None] * traces) @ D.matrix.T).T @ E
     return out
 
 
-def _boundary_kernel_column(grid, nu, mode, t, n_arm=192, n_arc=96):
+def _boundary_kernel_column(grid, nu, mode, t, modes):
     """G(t, y; 0) restricted to the tangential pair: a (2, 2, n) array."""
     y = grid.nodes
-    c = 4.0 * nu * t
-    h = 2.0 / np.sqrt(np.pi * c) * np.exp(-(y**2) / c) * np.exp(-nu * mode.norm**2 * t)
+    a = 4.0 * nu * t
+    h = 2.0 / np.sqrt(np.pi * a) * np.exp(-(y**2) / a) * np.exp(-nu * mode.norm**2 * t)
     out = h[None, None, :] * np.eye(2)[:, :, None]
-    if not mode.is_zero:
-        D = BoundaryOperatorD.no_slip(mode)
-        rho1, rho2 = residual_profiles_general(t, nu, mode, y, D.sigma,
-                                               n_arm=n_arm, n_arc=n_arc)
-        out = out + (rho1 + rho2)[None, None, :] * D.matrix[:, :, None]
+    if modes is not None:
+        c, _, E, D = modes
+        out = out + (c @ E)[None, None, :] * D.matrix[:, :, None]
     return out
 
 
-def duhamel_solve(problem: StokesProblem, times, n_quad: int = 48,
-                  n_arm: int = 192, n_arc: int = 96) -> Trajectory:
+def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
     """Evaluate the Green's-function representation at the requested times.
 
-    ``n_quad`` Gauss-Legendre nodes are used in the substituted time variable
-    sigma = sqrt(t - s) for both the forcing and the boundary Duhamel terms.
+    Times must lie in [0, problem.t_final].  The forcing and boundary Duhamel
+    integrals use Gauss-Legendre nodes in sigma = sqrt(t - s).
     """
     grid = problem.omega0.grid
     nu, mode = problem.nu, problem.mode
     times = np.asarray(times, dtype=float)
+    if np.any(times < 0.0) or np.any(times > problem.t_final):
+        raise IncompatibleData(f"times must lie in [0, t_final = {problem.t_final}]")
     states = []
-    x_gl, w_gl = np.polynomial.legendre.leggauss(n_quad)
+    x_gl, w_gl = np.polynomial.legendre.leggauss(_N_QUAD)
     has_force = problem.forcing is not None
     has_g = problem.boundary_g is not None and not mode.is_zero
     for t in times:
         if t == 0.0:
             states.append(problem.omega0)
             continue
-        vals = _propagate(grid, nu, mode, t, problem.omega0.values, n_arm, n_arc)
+        vals = _propagate(grid, nu, mode, t, problem.omega0.values,
+                          _residual_modes(grid, nu, mode, t))
         if has_force or has_g:
             sig = 0.5 * np.sqrt(t) * (x_gl + 1.0)
             wts = 0.5 * np.sqrt(t) * w_gl * 2.0 * sig  # ds = 2 sigma dsigma
             for sigma, wt in zip(sig, wts):
                 tk = sigma**2  # kernel time t - s
+                modes = _residual_modes(grid, nu, mode, tk)
                 if has_force:
                     vals = vals + wt * _propagate(grid, nu, mode, tk,
-                                                  problem.force_at(t - tk),
-                                                  n_arm, n_arc)
+                                                  problem.force_at(t - tk), modes)
                 if has_g:
-                    col = _boundary_kernel_column(grid, nu, mode, tk, n_arm, n_arc)
+                    col = _boundary_kernel_column(grid, nu, mode, tk, modes)
                     vals[:2] += wt * np.einsum("abn,b->an", col, problem.g_at(t - tk))
         states.append(ModeField(grid, vals))
     if times[0] != 0.0:
@@ -237,6 +266,8 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
 
     The scheme is unconditionally stable; a StabilityWarning is emitted when
     nu dt / h^2 is large enough that the requested accuracy is unlikely.
+    ``snapshot_times`` must lie in [0, t_final] on the step grid k dt (to the
+    tolerance ``Trajectory.state_at`` uses) after dt is adjusted to divide t_final.
     """
     if grid is None:
         grid = problem.omega0.grid
@@ -251,7 +282,12 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
     snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
     nsteps = int(round(problem.t_final / dt))
     dt = problem.t_final / nsteps
+    if np.any(snapshot_times < 0.0) or np.any(snapshot_times > problem.t_final):
+        raise IncompatibleData(f"snapshot times must lie in [0, t_final = {problem.t_final}]")
     snap_steps = {int(round(t / dt)): t for t in snapshot_times if t > 0}
+    for k, t in snap_steps.items():
+        if abs(t - k * dt) > 1e-9 * max(t, 1.0):
+            raise IncompatibleData(f"snapshot time {t} is not a step k dt, dt = {dt}")
 
     A_t = _tangential_operator(grid, nu, mode)
     A_d = _dirichlet_operator(grid, nu, mode)

@@ -32,6 +32,7 @@ from stokesgreen import (
     sample_green_function,
     verify_kernel_bounds,
 )
+from stokesgreen import kernels
 from stokesgreen.kernels import residual_kernel_general, residual_profiles_general
 
 MODE = FourierMode(1, 0)
@@ -332,6 +333,24 @@ class TestBoundCertificate:
             assert np.isfinite(report[fam]["sup"]["R1"])
             assert np.isfinite(report[fam]["sup"]["R2_quarter"])
             assert report[fam]["stable"]
+
+    @pytest.mark.parametrize("part", [0, 1], ids=["R1", "R2"])
+    def test_nan_profile_fails(self, monkeypatch, part):
+        # one NaN in a certified profile must make the sup non-finite
+        real = kernels.residual_profiles_general
+
+        def poisoned(*args, **kw):
+            rho = [r.copy() for r in real(*args, **kw)]
+            rho[part][rho[part].size // 2] = np.nan
+            return tuple(rho)
+
+        monkeypatch.setattr(kernels, "residual_profiles_general", poisoned)
+        report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(1,),
+                                      t_values=(0.1,), k_values=(0,),
+                                      s_values=np.linspace(0.0, 6.0, 7),
+                                      n_arm=128, n_arc=64)
+        assert report["pass"] is False
+        assert report["no_slip"]["finite"] is False
 
     def test_mu0_rate(self):
         assert mu0_rate(FourierMode(3, 4), 0.25) == pytest.approx(7.0)

@@ -17,8 +17,12 @@ from stokesgreen import (
     assemble_3d,
     crank_nicolson_oracle,
     duhamel_solve,
+    residual_profiles_time,
     uniqueness_demo,
 )
+from stokesgreen.actions import halfline_laplace_weights
+from stokesgreen.resolvent import BoundaryOperatorD
+from stokesgreen.solver import _residual_modes
 
 MODE = FourierMode(1, 0)
 
@@ -105,6 +109,17 @@ class TestCrankNicolson:
         err = np.max(np.abs(traj.states[-1].values[2] - exact))
         assert err < 1e-4
 
+    def test_snapshot_times_validated(self):
+        grid = HalfLineGrid.uniform(10.0, 101)
+        p = StokesProblem(mode=MODE, nu=1.0,
+                          omega0=ModeField(grid, np.zeros((3, grid.n), dtype=complex)),
+                          t_final=1.0)
+        for bad in ([0.33], [0.3, 2.0], [-0.1, 0.5]):
+            with pytest.raises(IncompatibleData):
+                crank_nicolson_oracle(p, dt=0.1, snapshot_times=bad)
+        traj = crank_nicolson_oracle(p, dt=0.1, snapshot_times=[0.0, 0.3, 1.0])
+        assert np.array_equal(traj.times, [0.0, 0.3, 1.0])
+
     def test_stability_warning(self):
         grid = HalfLineGrid.uniform(10.0, 2001)  # h = 5e-3
         p = StokesProblem(mode=MODE, nu=1.0,
@@ -164,6 +179,47 @@ class TestDuhamel:
         p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid))
         traj = duhamel_solve(p, [0.0, 0.1])
         assert traj.states[0] is p.omega0
+
+    def test_times_outside_horizon_raise(self):
+        grid = HalfLineGrid.uniform(16.0, 257)
+        p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=1.0)
+        for bad in ([3.0], [0.5, 1.5], [-0.1]):
+            with pytest.raises(IncompatibleData):
+                duhamel_solve(p, bad)
+
+    def test_large_time_residue_limit(self):
+        # for nu |xi|^2 t >> 1 only the boundary pole at lambda = 0 survives:
+        # omega_tau -> 2 e^{-|xi| y} D int e^{-|xi| z} omega_tau(z) dz, omega_3 -> 0
+        grid = HalfLineGrid.uniform(20.0, 1025)
+        p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=50.0)
+        state = duhamel_solve(p, [50.0]).states[-1]
+        assert state.norm_l2() <= p.omega0.norm_l2()
+        D = BoundaryOperatorD.no_slip(MODE)
+        trace = p.omega0.values[:2] @ halfline_laplace_weights(grid, D.sigma)
+        limit = 2.0 * np.outer(D.matrix @ trace, np.exp(-D.sigma * grid.nodes))
+        err = np.max(np.abs(state.values[:2] - limit))
+        assert err <= 1e-12 * np.max(np.abs(limit))
+        assert np.max(np.abs(state.values[2])) <= 1e-12 * np.max(np.abs(limit))
+
+
+# compared where the s-dependent contour profiles are sound: at large
+# nu |xi|^2 t the low-frequency arc cancels catastrophically
+SEPARABLE_CASES = [(nu, xi, t) for nu in (1.0, 0.1, 0.04) for xi in ((1, 0), (2, 1), (8, 0))
+                   for t in (1e-4, 1e-2, 1.0, 5.0) if nu * (xi[0]**2 + xi[1]**2) * t <= 5.0]
+
+
+class TestSeparableResidual:
+    @pytest.mark.parametrize("nu,xi,t", SEPARABLE_CASES,
+                             ids=[f"nu{nu:g}-xi{xi[0]}{xi[1]}-t{t:g}"
+                                  for nu, xi, t in SEPARABLE_CASES])
+    def test_matches_contour_profiles(self, nu, xi, t):
+        # R = (rho1 + rho2) P = (rho1 + rho2) |xi| D on s = y + z in [0, 10]
+        mode = FourierMode(*xi)
+        grid = HalfLineGrid.uniform(10.0, 41)
+        c, _, E, _ = _residual_modes(grid, nu, mode, t)
+        rho1, rho2 = residual_profiles_time(t, nu, mode, grid.nodes)
+        ref = (rho1 + rho2) * mode.norm
+        assert np.max(np.abs(c @ E - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 class TestUniqueness:
