@@ -19,13 +19,19 @@ a = s / (2 nu t):
 * high frequency (nu |xi|^2 >= 1): a single parabola
   lambda = -nu|xi|^2 + nu (theta a + i b)^2, b in R, with theta in {1, 1/2}
   chosen so the line mu = theta a + i b stays away from the pole of the
-  integrand at mu = mu_pole (mu_pole = |xi| for the no-slip kernel).  Here R2
-  is the parabola integral and R1 is the residue when the parabola encloses
-  the pole.
+  integrand at mu = mu_pole (mu_pole = |xi| for the no-slip kernel).  It is
+  split at its vertex b = 0 into two segments.  Here R2 is the parabola
+  integral and R1 is the residue when the parabola encloses the pole.
 
 Everything is parameterized so that the magnitude of exp(lambda t - mu s) is
 bounded along the contour (steepest-descent arms), which keeps the quadrature
 well conditioned even for large s^2/(4 nu t).
+
+Each deformation is described once, as the ``Segment`` maps of a ``Contour``.
+The maps broadcast over an array of s (s axes first, the node axis last), so
+one Contour holds the contours of a whole batch of s.  Two integrators run
+over the same segments: ``Contour.gauss_legendre`` (fixed nodes, used by the
+vectorized profiles) and ``Contour.integrate`` (adaptive panels, the oracle).
 """
 
 from __future__ import annotations
@@ -46,8 +52,6 @@ __all__ = [
     "build_contour_highfreq",
     "lowfreq_params",
     "highfreq_params",
-    "lowfreq_nodes",
-    "highfreq_nodes",
     "BETA_MAX",
 ]
 
@@ -112,6 +116,30 @@ class Contour:
             total = part if total is None else total + part
         return total / (2.0j * np.pi)
 
+    def gauss_legendre(self, f: Callable[[np.ndarray], np.ndarray],
+                       n_arm: int = 256, n_arc: int = 128, segment_indices=None):
+        """(1/2 pi i) * integral of f(lambda) over (selected) segments, fixed nodes.
+
+        Gauss-Legendre with ``n_arc`` nodes on the arc segment and ``n_arm``
+        on each other segment.  ``f`` receives lambda with the contour's s
+        axes first and the node axis last, and returns that shape; the sum
+        runs over the node axis.
+        """
+        if segment_indices is None:
+            segment_indices = range(len(self.segments))
+        total = None
+        for k in segment_indices:
+            seg = self.segments[k]
+            p, w = _gl(seg.p0, seg.p1, n_arc if k == self.arc_index else n_arm)
+            # f(lambda) goes first in its product with the weights: numpy
+            # computes a product with a large temporary on the right in place
+            # with the operands swapped, and complex multiplication is not
+            # bitwise commutative, so the other order would make each value
+            # depend on how many s are evaluated together.
+            part = np.sum(f(seg.gamma(p)) * (seg.dgamma(p) * w), axis=-1)
+            total = part if total is None else total + part
+        return total / (2.0j * np.pi)
+
 
 @lru_cache(maxsize=32)
 def _leggauss(n: int):
@@ -123,6 +151,18 @@ def _gl(p0: float, p1: float, n: int):
     x, w = _leggauss(n)
     mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
     return mid + half * x, half * w
+
+
+def _last(x) -> np.ndarray:
+    """x with a trailing unit axis, so its s axes broadcast against the nodes."""
+    return np.asarray(x)[..., None]
+
+
+def _parabola(name: str, p0: float, p1: float, nu: float, center, shift) -> Segment:
+    """lambda = shift + nu (center + i b)^2 for b in [p0, p1]."""
+    return Segment(name, p0, p1,
+                   lambda b: shift + nu * (center + 1j * b) ** 2,
+                   lambda b: 2j * nu * (center + 1j * b))
 
 
 # ---------------------------------------------------------------------------
@@ -149,74 +189,33 @@ def lowfreq_params(t: float, nu: float, xi_norm: float, s, pole: float = 0.0) ->
             "c_arm": c_arm, "c0": c0, "M": M, "b_max": b_max}
 
 
-def lowfreq_nodes(params: dict, n_arm: int = 256, n_arc: int = 128):
-    """Quadrature nodes (lambda, weight) for the low-frequency contour.
-
-    Returns ``(lam_arc, w_arc, lam_arms, w_arms)``; weights already include
-    the map derivative, orientation and the 1/(2 pi i) prefactor, so e.g.
-    R1 = sum(w_arc * f(lam_arc)).  All arrays broadcast as s_shape x nodes.
-    """
-    nu, t = params["nu"], params["t"]
-    a = np.asarray(params["a"])[..., None]
-    c0 = np.asarray(params["c0"])[..., None]
-    M = np.asarray(params["M"])[..., None]
-    c_arm = params["c_arm"]
-
-    theta, w_th = _gl(-0.5 * np.pi, 0.5 * np.pi, n_arc)
-    lam_arc = c0 + M * np.exp(1j * theta)
-    w_arc = w_th * (1j * M * np.exp(1j * theta)) / (2.0j * np.pi)
-
-    beta, w_b = _gl(0.0, BETA_MAX, n_arm)
-    scale = 1.0 / np.sqrt(nu * t)
-    b = beta * scale
-    wplus = a + 1j * b  # upper arm, b in [0, b_max]
-    wminus = a - 1j * b  # lower arm traversed toward b = 0
-    lam_plus = c_arm + nu * wplus**2 + 1j * M
-    lam_minus = c_arm + nu * wminus**2 - 1j * M
-    w_plus = w_b * scale * (2j * nu * wplus) / (2.0j * np.pi)
-    w_minus = w_b * scale * (2j * nu * wminus) / (2.0j * np.pi)
-    lam_arms = np.concatenate([lam_minus, lam_plus], axis=-1)
-    w_arms = np.concatenate([w_minus, w_plus], axis=-1)
-    return lam_arc, w_arc, lam_arms, w_arms
-
-
-def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s: float,
+def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s,
                           M: float | None = None, b_max: float | None = None,
                           pole: float = 0.0) -> Contour:
-    """Low-frequency contour as an explicit Contour object (scalar s).
+    """Low-frequency contour for a scalar s or an array of s.
 
     ``M``/``b_max`` override the defaults (used by the contour-independence
-    checks: any admissible radius gives the same integral).
+    checks: any admissible radius gives the same integral); PoleOnContour is
+    raised unless the override radius encloses the pole for every s.
     """
-    params = lowfreq_params(t, nu, xi_norm, float(s), pole=pole)
-    a = float(params["a"])
-    c0 = float(params["c0"])
-    c_arm = params["c_arm"]
+    params = lowfreq_params(t, nu, xi_norm, s, pole=pole)
     if M is not None:
-        if abs(c0 - pole) >= M:
+        if np.any(np.abs(params["c0"] - pole) >= M):
             raise PoleOnContour(f"override radius M does not enclose the pole {pole}")
         params = dict(params, M=M)
-    M = float(params["M"])
     if b_max is not None:
         params = dict(params, b_max=float(b_max))
-    b_max = float(params["b_max"])
+    a, c0, M = _last(params["a"]), _last(params["c0"]), _last(params["M"])
+    c_arm, b_max = params["c_arm"], float(params["b_max"])
 
-    arm_minus = Segment(
-        "arm_minus", -b_max, 0.0,
-        lambda b: c_arm + nu * (a + 1j * b) ** 2 - 1j * M,
-        lambda b: 2j * nu * (a + 1j * b) * np.ones_like(b),
-    )
     arc = Segment(
         "arc", -0.5 * np.pi, 0.5 * np.pi,
         lambda th: c0 + M * np.exp(1j * th),
         lambda th: 1j * M * np.exp(1j * th),
     )
-    arm_plus = Segment(
-        "arm_plus", 0.0, b_max,
-        lambda b: c_arm + nu * (a + 1j * b) ** 2 + 1j * M,
-        lambda b: 2j * nu * (a + 1j * b) * np.ones_like(b),
-    )
-    return Contour(segments=(arm_minus, arc, arm_plus), encloses_pole_at=complex(pole),
+    segments = (_parabola("arm_minus", -b_max, 0.0, nu, a, c_arm - 1j * M), arc,
+                _parabola("arm_plus", 0.0, b_max, nu, a, c_arm + 1j * M))
+    return Contour(segments=segments, encloses_pole_at=complex(pole),
                    regime="lowfreq", params=params, arc_index=1)
 
 
@@ -260,49 +259,24 @@ def highfreq_params(t: float, nu: float, xi_norm: float, s,
             "crosses_pole": crosses, "b_max": b_max}
 
 
-def highfreq_nodes(params: dict, n_arm: int = 256):
-    """Quadrature nodes (lambda, weight) for the high-frequency parabola.
-
-    Returns ``(lam, w)`` with broadcast shape s_shape x (2 n_arm); weights
-    include orientation and 1/(2 pi i).  On this contour the principal root
-    satisfies mu = a_eff + i b exactly.
-    """
-    nu, t, xi_norm = params["nu"], params["t"], params["xi_norm"]
-    a_eff = np.asarray(params["a_eff"])[..., None]
-    beta, w_b = _gl(0.0, BETA_MAX, n_arm)
-    scale = 1.0 / np.sqrt(nu * t)
-    b = beta * scale
-    mu_up = a_eff + 1j * b
-    mu_dn = a_eff - 1j * b  # lower half traversed toward b = 0
-    lam_up = -nu * xi_norm**2 + nu * mu_up**2
-    lam_dn = -nu * xi_norm**2 + nu * mu_dn**2
-    w_up = w_b * scale * (2j * nu * mu_up) / (2.0j * np.pi)
-    w_dn = w_b * scale * (2j * nu * mu_dn) / (2.0j * np.pi)
-    lam = np.concatenate([lam_dn, lam_up], axis=-1)
-    w = np.concatenate([w_dn, w_up], axis=-1)
-    return lam, w
-
-
-def build_contour_highfreq(t: float, nu: float, xi_norm: float, s: float,
+def build_contour_highfreq(t: float, nu: float, xi_norm: float, s,
                            pole_mu: float | None = None,
                            b_max: float | None = None) -> Contour:
-    """High-frequency parabola as an explicit Contour object (scalar s)."""
-    params = highfreq_params(t, nu, xi_norm, float(s), pole_mu=pole_mu)
-    a_eff = float(params["a_eff"])
+    """High-frequency parabola for a scalar s or an array of s.
+
+    On it the principal root satisfies mu = a_eff + i b exactly.
+    ``encloses_pole_at`` is the pole when the parabola crossed it for some s;
+    ``params["crosses_pole"]`` says for which s.
+    """
+    params = highfreq_params(t, nu, xi_norm, s, pole_mu=pole_mu)
     if b_max is not None:
         params = dict(params, b_max=float(b_max))
-    b_max = float(params["b_max"])
+    a_eff, b_max = _last(params["a_eff"]), float(params["b_max"])
     vertex = -nu * xi_norm**2
 
-    parabola = Segment(
-        "parabola", -b_max, b_max,
-        lambda b: vertex + nu * (a_eff + 1j * b) ** 2,
-        lambda b: 2j * nu * (a_eff + 1j * b),
-    )
-    if bool(params["crosses_pole"]):
-        pole_lam = vertex + nu * params["pole_mu"] ** 2
-        encl = complex(pole_lam)
-    else:
-        encl = None
-    return Contour(segments=(parabola,), encloses_pole_at=encl,
+    segments = (_parabola("parabola_minus", -b_max, 0.0, nu, a_eff, vertex),
+                _parabola("parabola_plus", 0.0, b_max, nu, a_eff, vertex))
+    crosses = np.any(params["crosses_pole"])
+    encl = complex(vertex + nu * params["pole_mu"] ** 2) if crosses else None
+    return Contour(segments=segments, encloses_pole_at=encl,
                    regime="highfreq", params=params, arc_index=None)

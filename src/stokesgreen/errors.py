@@ -27,7 +27,8 @@ ZeroLambda = PoleHit
 
 
 class QuadratureUnderresolved(StokesGreenError):
-    """Doubling the quadrature order changed the result more than the tolerance."""
+    """A quadrature is not resolved: doubling its order changed the result more
+    than the tolerance, or it returned a non-finite value."""
 
 
 class GridTooSmall(StokesGreenError):

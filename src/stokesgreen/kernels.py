@@ -25,6 +25,7 @@ evaluators are vectorized over arrays of s.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -127,41 +128,46 @@ def residue_at_pole_general(t, nu, mode: FourierMode, D, y, z) -> np.ndarray:
 
 
 def _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp):
-    # exponent compensation can push discarded contour pieces past the float
-    # range; the resulting inf/nan sums are never read by callers
     mu = np.sqrt(lam / nu + xi_norm**2)
     expo = lam * t - mu * s[..., None] + comp[..., None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(expo) / (nu * mu * (mu - sigma)) * (-mu) ** deriv
+    return np.exp(expo) / (nu * mu * (mu - sigma)) * (-mu) ** deriv
 
 
 def _auto_regime(nu, mode):
     return "lowfreq" if nu * mode.norm**2 <= 1.0 else "highfreq"
 
 
+def _contour(regime, t, nu, xi_norm, s, sigma):
+    """The regime's contour around the pole lambda* = nu (sigma^2 - |xi|^2)."""
+    if regime == "lowfreq":
+        return ct.build_contour_lowfreq(t, nu, xi_norm, s,
+                                        pole=nu * (sigma**2 - xi_norm**2))
+    return ct.build_contour_highfreq(t, nu, xi_norm, s, pole_mu=sigma)
+
+
+def _split(contour, integrate, t, s, nu, xi_norm, sigma, deriv, comp):
+    """(rho1, rho2) of the residual integrand ``_factor`` on ``contour``.
+
+    ``integrate(f, segment_indices=...)`` is one of the contour's integrators.
+    Low frequency: rho1 is the half circle (pole contribution), rho2 the arms.
+    High frequency: rho2 is the parabola, rho1 the residue at lambda* for the
+    s where the deformation crossed the pole.
+    """
+    def f(lam):
+        return _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp)
+
+    if contour.regime == "lowfreq":
+        arms = [k for k in range(len(contour.segments)) if k != contour.arc_index]
+        return (integrate(f, segment_indices=[contour.arc_index]),
+                integrate(f, segment_indices=arms))
+    lam_star = nu * (sigma**2 - xi_norm**2)
+    arg = np.where(contour.params["crosses_pole"], lam_star * t - sigma * s + comp, -np.inf)
+    return 2.0 * (-sigma) ** deriv * np.exp(arg) + 0.0j, integrate(f)
+
+
 # Cap on s-values x quadrature-nodes elements held at once; large sample grids
 # are processed in chunks to keep peak memory flat.
 _CHUNK_ELEMENTS = 4_000_000
-
-
-def _chunked_over_s(eval_chunk, s, comp, nodes_per_s):
-    """Evaluate (rho1, rho2) = eval_chunk(s_flat, comp_flat) in bounded chunks."""
-    s = np.asarray(s, dtype=float)
-    comp = np.zeros_like(s) if comp is None else np.broadcast_to(comp, s.shape)
-    flat_s = s.reshape(-1)
-    flat_c = comp.reshape(-1)
-    step = max(1, _CHUNK_ELEMENTS // max(nodes_per_s, 1))
-    # compensated sweeps drive discarded contour pieces to inf; silence the
-    # arithmetic warnings here so callers see clean finite outputs only
-    with np.errstate(over="ignore", invalid="ignore"):
-        if flat_s.size <= step:
-            r1, r2 = eval_chunk(flat_s, flat_c)
-        else:
-            parts = [eval_chunk(flat_s[i:i + step], flat_c[i:i + step])
-                     for i in range(0, flat_s.size, step)]
-            r1 = np.concatenate([p[0] for p in parts])
-            r2 = np.concatenate([p[1] for p in parts])
-    return r1.reshape(s.shape), r2.reshape(s.shape)
 
 
 def residual_profiles_time(t, nu, mode: FourierMode, s, deriv=0, regime=None,
@@ -182,7 +188,8 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral;
     ``comp`` is an exponent compensation array added inside exp() so that
     bound ratios with huge e^{+s^2/4 nu t} factors can be formed without
-    overflow.
+    overflow.  Without ``comp`` a non-finite value raises
+    QuadratureUnderresolved; with it, parts a caller discards may overflow.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
@@ -190,31 +197,25 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     s = np.asarray(s, dtype=float)
     if sigma == 0.0:
         return np.zeros(s.shape, dtype=complex), np.zeros(s.shape, dtype=complex)
-    lam_star = nu * (sigma**2 - xin**2)
     regime = regime or _auto_regime(nu, mode)
-
-    # The factor goes first in factor * weights: numpy computes a product with
-    # a large temporary on the right in place with the operands swapped, and
-    # complex multiplication is not bitwise commutative, so the other order
-    # would make each value depend on how many s are evaluated together.
-    def eval_chunk(s_c, comp_c):
-        if regime == "lowfreq":
-            params = ct.lowfreq_params(t, nu, xin, s_c, pole=lam_star)
-            lam_arc, w_arc, lam_arms, w_arms = ct.lowfreq_nodes(params, n_arm, n_arc)
-            rho1 = np.sum(_factor(lam_arc, t, s_c, nu, xin, sigma, deriv, comp_c) * w_arc,
-                          axis=-1)
-            rho2 = np.sum(_factor(lam_arms, t, s_c, nu, xin, sigma, deriv, comp_c) * w_arms,
-                          axis=-1)
-        else:
-            params = ct.highfreq_params(t, nu, xin, s_c, pole_mu=sigma)
-            lam, w = ct.highfreq_nodes(params, n_arm)
-            rho2 = np.sum(_factor(lam, t, s_c, nu, xin, sigma, deriv, comp_c) * w, axis=-1)
-            arg = np.where(params["crosses_pole"], lam_star * t - sigma * s_c + comp_c,
-                           -np.inf)
-            rho1 = 2.0 * (-sigma) ** deriv * np.exp(arg) + 0.0j
-        return rho1, rho2
-
-    return _chunked_over_s(eval_chunk, s, comp, 2 * n_arm + n_arc)
+    flat_s = s.reshape(-1)
+    flat_c = np.broadcast_to(0.0 if comp is None else comp, s.shape).reshape(-1)
+    step = max(1, _CHUNK_ELEMENTS // (2 * n_arm + n_arc))
+    parts = []
+    # compensated sweeps drive discarded contour pieces to inf; silence the
+    # arithmetic warnings here, and check plain calls for finiteness below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, max(flat_s.size, 1), step):
+            s_c, comp_c = flat_s[i:i + step], flat_c[i:i + step]
+            contour = _contour(regime, t, nu, xin, s_c, sigma)
+            fixed = functools.partial(contour.gauss_legendre, n_arm=n_arm, n_arc=n_arc)
+            parts.append(_split(contour, fixed, t, s_c, nu, xin, sigma, deriv, comp_c))
+    rho1, rho2 = (np.concatenate(rho).reshape(s.shape) for rho in zip(*parts))
+    if comp is None and not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
+        raise QuadratureUnderresolved(
+            f"the {regime} contour quadrature returned a non-finite residual "
+            f"profile at t={t}")
+    return rho1, rho2
 
 
 # ---------------------------------------------------------------------------
@@ -246,46 +247,29 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
 
     Low frequency: R1 is the half-circle integral (pole contribution), R2 the
     parabolic arms.  High frequency: R2 is the parabola integral and R1 the
-    residue at lambda* when the contour deformation crossed the pole.
-    ``method="adaptive"`` (or an explicit ``contour``) uses adaptive panels on
-    the Contour object; the default fixed Gauss-Legendre path matches it to
-    quadrature tolerance and is what the vectorized profiles use.  ``check``
-    raises QuadratureUnderresolved when doubling the fixed nodes moves the
-    result by more than ``check_tol`` relative.
+    residue at lambda* when the contour deformation crossed the pole.  Both
+    methods make this split the same way on the same contour segments.  The
+    default fixed path is the vectorized profile at one s
+    (``Contour.gauss_legendre`` with ``n_arm``/``n_arc`` nodes);
+    ``method="adaptive"`` (or an explicit ``contour``) integrates with adaptive
+    panels (``Contour.integrate`` to ``epsrel``) and matches it to quadrature
+    tolerance.  ``check`` raises QuadratureUnderresolved when doubling the
+    fixed nodes moves the result by more than ``check_tol`` relative.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual kernel needs |xi| > 0")
     s = float(y) + float(z)
-    xin, sigma = mode.norm, D.sigma
-    lam_star = D.pole_lambda(nu)
     regime = (contour.regime if contour is not None else regime) or _auto_regime(nu, mode)
 
     if contour is not None or method == "adaptive":
         if contour is None:
-            if regime == "lowfreq":
-                contour = ct.build_contour_lowfreq(t, nu, xin, s, pole=lam_star)
-            else:
-                contour = ct.build_contour_highfreq(t, nu, xin, s, pole_mu=sigma)
-
-        def f(lam):
-            mu = np.sqrt(lam / nu + xin**2)
-            return np.exp(lam * t - mu * s) / (nu * mu * (mu - sigma))
-
-        if contour.regime == "lowfreq":
-            rho1 = contour.integrate(f, epsrel=epsrel,
-                                     segment_indices=[contour.arc_index])
-            others = [i for i in range(len(contour.segments)) if i != contour.arc_index]
-            rho2 = contour.integrate(f, epsrel=epsrel, segment_indices=others)
-        else:
-            rho2 = contour.integrate(f, epsrel=epsrel)
-            if contour.encloses_pole_at is not None:
-                rho1 = 2.0 * math.exp(lam_star * t - sigma * s)
-            else:
-                rho1 = 0.0
-        vals = np.array([rho1, rho2], dtype=complex)
+            contour = _contour(regime, t, nu, mode.norm, s, D.sigma)
+        adaptive = functools.partial(contour.integrate, epsrel=epsrel)
+        vals = np.array(_split(contour, adaptive, t, np.asarray(s), nu, mode.norm,
+                               D.sigma, 0, np.zeros(())), dtype=complex)
     else:
         def run(na, nc):
-            r1, r2 = residual_profiles_general(t, nu, mode, np.array([s]), sigma,
+            r1, r2 = residual_profiles_general(t, nu, mode, np.array([s]), D.sigma,
                                                regime=regime, n_arm=na, n_arc=nc)
             return np.array([r1[0], r2[0]])
 

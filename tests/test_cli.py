@@ -199,3 +199,11 @@ class TestConfigAndErrors:
                   "--lambda", "-2.0", "0.0", "--grid", "0:10:64"])
         assert rc == EXIT_NUMERICAL
         assert "numerical error" in capsys.readouterr().err
+
+    def test_non_finite_kernel_exits_numerical(self, tmp_path, capsys):
+        # at t = 1000 the profile overflows to NaN: no table, numerical exit
+        out = tmp_path / "k.csv"
+        rc = run(["kernel", "--t", "1000", "--grid", "0:2:4", "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "QuadratureUnderresolved" in capsys.readouterr().err
+        assert not out.exists()

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from stokesgreen import FourierMode, PoleOnContour, build_contour_highfreq, build_contour_lowfreq
-from stokesgreen.contours import (
-    BETA_MAX,
-    highfreq_nodes,
-    highfreq_params,
-    lowfreq_nodes,
-    lowfreq_params,
-)
+from stokesgreen.contours import BETA_MAX, highfreq_params, lowfreq_params
 
 
 class TestLowFreq:
@@ -31,21 +25,9 @@ class TestLowFreq:
     def test_override_radius_guard(self):
         with pytest.raises(PoleOnContour):
             build_contour_lowfreq(t=0.3, nu=1.0, xi_norm=1.0, s=4.0, M=0.1)
-
-    def test_nodes_match_segments(self):
-        # fixed Gauss-Legendre nodes must reproduce the adaptive segment integral
-        t, nu, xin, s = 0.4, 0.8, 1.0, 1.3
-        c = build_contour_lowfreq(t, nu, xin, s)
-
-        def f(lam):
-            mu = np.sqrt(lam / nu + xin**2)
-            return np.exp(lam * t - mu * s) / (lam - 5.0)
-
-        adaptive = c.integrate(f)
-        lam_arc, w_arc, lam_arms, w_arms = lowfreq_nodes(
-            lowfreq_params(t, nu, xin, np.array([s])), n_arm=256, n_arc=128)
-        fixed = np.sum(w_arc * f(lam_arc)) + np.sum(w_arms * f(lam_arms))
-        assert abs(adaptive - fixed) < 1e-12
+        # array s: M = 1 encloses the pole for s = 0 (|c0| = 0.5), not for s = 4
+        with pytest.raises(PoleOnContour):
+            build_contour_lowfreq(t=0.3, nu=1.0, xi_norm=1.0, s=np.array([0.0, 4.0]), M=1.0)
 
     def test_arm_decay_at_truncation(self):
         # the integrand weight exp(lambda t) decays like exp(-beta^2) along the arms
@@ -59,11 +41,13 @@ class TestLowFreq:
 class TestHighFreq:
     def test_mu_identity_on_contour(self):
         # principal sqrt of lambda/nu + |xi|^2 returns exactly a_eff + i b
-        p = highfreq_params(t=0.1, nu=1.0, xi_norm=3.0, s=2.0)
-        lam, _ = highfreq_nodes(p, n_arm=64)
-        mu = np.sqrt(lam / 1.0 + 9.0)
-        a_eff = float(p["a_eff"])
-        assert np.allclose(mu.real, a_eff, rtol=1e-12)
+        c = build_contour_highfreq(t=0.1, nu=1.0, xi_norm=3.0, s=2.0)
+        a_eff = float(c.params["a_eff"])
+        for seg in c.segments:
+            b = np.linspace(seg.p0, seg.p1, 64)
+            mu = np.sqrt(seg.gamma(b) / 1.0 + 9.0)
+            assert np.allclose(mu.real, a_eff, rtol=1e-12)
+            assert np.allclose(mu.imag, b, rtol=1e-12)
 
     def test_theta_band(self):
         nu, t, xin = 1.0, 0.1, 3.0
@@ -112,3 +96,25 @@ class TestContourIntegrate:
         val = c.integrate(lambda lam: 1.0 / (lam - z0))
         assert abs(val - 1.0) < 1e-12
         assert dataclasses.is_dataclass(c)
+
+    @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
+    def test_nodes_match_segments(self, family):
+        # fixed Gauss-Legendre nodes must reproduce the adaptive integral over
+        # the same segments, for every s of an array-s contour
+        if family == "lowfreq":
+            t, nu, xin, s = 0.4, 0.8, 1.0, np.array([0.0, 1.3])
+            c = build_contour_lowfreq(t, nu, xin, s)
+        else:
+            # s = 0 crosses the pole mu = |xi|, s = 10 (a = 50) does not
+            t, nu, xin, s = 0.1, 1.0, 3.0, np.array([0.0, 10.0])
+            c = build_contour_highfreq(t, nu, xin, s)
+            assert c.params["crosses_pole"].tolist() == [True, False]
+
+        def f(lam):
+            mu = np.sqrt(lam / nu + xin**2)
+            return np.exp(lam * t - mu * s[:, None]) / (lam - 5.0)
+
+        adaptive = c.integrate(f)
+        fixed = c.gauss_legendre(f, n_arm=256, n_arc=128)
+        assert fixed.shape == s.shape
+        assert np.max(np.abs(adaptive - fixed)) < 1e-12

@@ -11,6 +11,7 @@ from stokesgreen import (
     HalfLineGrid,
     KernelSample,
     ModeField,
+    QuadratureUnderresolved,
     SpectralPoint,
     ZeroLambda,
     ZeroModeUnsupported,
@@ -320,6 +321,18 @@ class TestQuadratureChecks:
             BoundaryOperatorD(0.5, 0.0, 0.0, c0=2.0, mode=FourierMode(2, 1)),
             0.5, 0.8, check=True)
         assert outg["R2"].shape == (2, 2)
+
+    def test_non_finite_profile_raises(self):
+        # at t = 1000 the low-frequency contour overflows to NaN at s = 0
+        nodes = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(QuadratureUnderresolved):
+            residual_profiles_time(1000.0, 1.0, MODE, np.array([0.0]))
+        with pytest.raises(QuadratureUnderresolved):
+            sample_green_function(1000.0, 1.0, MODE, nodes, nodes)
+        # a compensated call returns it, so the certificate can report it
+        rho1, _ = residual_profiles_time(1000.0, 1.0, MODE, np.array([0.0]),
+                                         comp=np.zeros(1))
+        assert not np.isfinite(rho1[0])
 
 
 class TestBoundCertificate:
