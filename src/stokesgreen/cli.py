@@ -67,6 +67,9 @@ def _parse_general_bc(spec: str, mode: FourierMode) -> BoundaryOperatorD:
     kv = {}
     for item in spec.split(","):
         key, _, val = item.partition("=")
+        if key.strip() not in ("alpha", "beta", "gamma", "gamma_off", "c0"):
+            raise ValueError(f"unknown --general-bc key {key.strip()!r} "
+                             "(expected alpha, beta, gamma, c0)")
         kv[key.strip()] = float(val)
     return BoundaryOperatorD(alpha=kv.get("alpha", 0.0), beta=kv.get("beta", 0.0),
                              gamma_off=kv.get("gamma", kv.get("gamma_off", 0.0)),
@@ -230,6 +233,8 @@ def cmd_verify(args) -> int:
         theta0=args.theta0)
     checks.append({"name": "kernel_bound_certificate",
                    "sup_ratios": {k: bounds[k]["sup"] for k in ("no_slip", "general")},
+                   "argmax(nu,xi,t,k,s)": {k: bounds[k]["argmax(nu,xi,t,k,s)"]
+                                           for k in ("no_slip", "general")},
                    "drift": {k: bounds[k]["drift"] for k in ("no_slip", "general")},
                    "tolerance": bounds["drift_tol"], "pass": bounds["pass"]})
 
@@ -324,28 +329,55 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value_ok(action: argparse.Action, val) -> bool:
+    """Whether a JSON config value has the type the flag ``action`` parses."""
+    if action.nargs == 0:  # store_true
+        return isinstance(val, bool)
+    kinds = {float: (int, float), int: (int,), None: (str,)}[action.type]
+    items = val if action.nargs is not None else [val]
+    return (isinstance(items, list) and len(items) == (action.nargs or 1)
+            and all(isinstance(v, kinds) and not isinstance(v, bool) for v in items))
+
+
+def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
+    """Install a JSON config file's values as subcommand defaults, so flags win.
+
+    Each key names a subcommand flag, by flag or destination name ('-' and
+    '_' alike), and its value must have that flag's type; ValueError if not.
+    """
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    flags = {}
+    for p in commands.values():
+        for a in p._actions:
+            if a.dest != "help":
+                for name in (a.dest, *(o.lstrip("-") for o in a.option_strings)):
+                    flags[name.replace("-", "_")] = a
+    for key, val in config.items():
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"config key {key!r} names no flag")
+        if not _config_value_ok(action, val):
+            raise ValueError(f"config value {val!r} for {key!r} does not have "
+                             "its flag's type")
+        for p in commands.values():
+            if action.dest in {a.dest for a in p._actions}:
+                p.set_defaults(**{action.dest: val})
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args, remaining = parser.parse_known_args(argv)
-    if remaining:
-        parser.error(f"unrecognized arguments: {' '.join(remaining)}")
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        # config supplies defaults only where the flag was not given
-        given = set()
-        for a in (argv if argv is not None else sys.argv[1:]):
-            if a.startswith("--"):
-                given.add(a[2:].split("=")[0].replace("-", "_"))
-        for key, val in config.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in given:
-                setattr(args, attr, val)
+    args = parser.parse_args(argv)
     try:
+        if args.config:
+            _apply_config(parser, args.config)
+            args = parser.parse_args(argv)
         if args.nu <= 0:
             raise ValueError(f"viscosity must be positive, got {args.nu}")
         if not (0.0 < args.tol < 1.0):

@@ -30,8 +30,10 @@ well conditioned even for large s^2/(4 nu t).
 Each deformation is described once, as the ``Segment`` maps of a ``Contour``.
 The maps broadcast over an array of s (s axes first, the node axis last), so
 one Contour holds the contours of a whole batch of s.  Two integrators run
-over the same segments: ``Contour.gauss_legendre`` (fixed nodes, used by the
-vectorized profiles) and ``Contour.integrate`` (adaptive panels, the oracle).
+over the same segments: ``Contour.gauss_legendre`` (fixed nodes; the
+vectorized profiles and the bound certificate) and ``Contour.integrate``
+(adaptive panels; the oracles ``residual_kernel_general(method="adaptive")``
+and ``invert_resolvent_kernel``).
 """
 
 from __future__ import annotations
@@ -92,9 +94,7 @@ class Contour:
     params: dict = field(compare=False)
     arc_index: int | None = None
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray],
-                  epsabs: float = 1e-13, epsrel: float = 1e-11,
-                  segment_indices=None):
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray], segment_indices=None):
         """(1/2 pi i) * integral of f(lambda) over (selected) segments.
 
         Uses adaptive Gauss-Kronrod panels (scipy ``quad_vec``); ``f`` must be
@@ -112,7 +112,7 @@ class Contour:
                 val = f(seg.gamma(pa)) * seg.dgamma(pa)
                 return val[..., 0] if np.ndim(p) == 0 else val
 
-            part, _ = quad_vec(g, seg.p0, seg.p1, epsabs=epsabs, epsrel=epsrel)
+            part, _ = quad_vec(g, seg.p0, seg.p1, epsabs=1e-13, epsrel=1e-11)
             total = part if total is None else total + part
         return total / (2.0j * np.pi)
 

@@ -184,6 +184,31 @@ class TestConfigAndErrors:
                     "--out", str(b)]) == EXIT_OK
         assert "nu=1" in b.read_text()
 
+    @pytest.mark.parametrize("command", ["kernel", "resolvent"])
+    def test_unknown_general_bc_key(self, command, capsys):
+        rc = run([command, "--grid", "0:4:8", "--general-bc", "alpah=0.3,beta=0.2",
+                  "--out", "-"])
+        assert rc == EXIT_CONFIG
+        assert "alpah" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [{"nu": "1.0"}, {"func": 1}, {"nuu": 0.5}],
+                             ids=["string-nu", "func", "unknown-key"])
+    def test_malformed_config_rejected(self, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run(["--config", str(cfg), "kernel", "--grid", "0:4:8",
+                    "--out", str(tmp_path / "k.csv")]) == EXIT_CONFIG
+        assert not (tmp_path / "k.csv").exists()
+
+    def test_flag_beats_config_under_another_dest(self, tmp_path):
+        # --lambda stores into args.lam; the explicit flag must still win
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lam": [5, 0]}))
+        out = tmp_path / "r.csv"
+        assert run(["--config", str(cfg), "resolvent", "--lambda", "3", "0",
+                    "--grid", "0:4:8", "--out", str(out)]) == EXIT_OK
+        assert "lambda=3+0j" in out.read_text()
+
     def test_bad_config_path(self):
         assert run(["--config", "/nonexistent.json", "kernel"]) == EXIT_CONFIG
 

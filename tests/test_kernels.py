@@ -329,14 +329,15 @@ class TestQuadratureChecks:
             residual_profiles_time(1000.0, 1.0, MODE, np.array([0.0]))
         with pytest.raises(QuadratureUnderresolved):
             sample_green_function(1000.0, 1.0, MODE, nodes, nodes)
-        # a compensated call returns it, so the certificate can report it
-        rho1, _ = residual_profiles_time(1000.0, 1.0, MODE, np.array([0.0]),
-                                         comp=np.zeros(1))
-        assert not np.isfinite(rho1[0])
 
 
 class TestBoundCertificate:
-    def test_small_sweep_passes(self):
+    def test_small_sweep_passes(self, monkeypatch):
+        # the certificate integrates on the contour itself, not through the profiles
+        def no_profiles(*args, **kw):
+            raise AssertionError("the certificate called residual_profiles_general")
+
+        monkeypatch.setattr(kernels, "residual_profiles_general", no_profiles)
         report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(1, 3),
                                       t_values=(0.1, 1.0), k_values=(0, 1),
                                       s_values=np.linspace(0.0, 6.0, 7),
@@ -347,23 +348,56 @@ class TestBoundCertificate:
             assert np.isfinite(report[fam]["sup"]["R2_quarter"])
             assert report[fam]["stable"]
 
-    @pytest.mark.parametrize("part", [0, 1], ids=["R1", "R2"])
+    @pytest.mark.parametrize("part", ["_rho1", "_rho2"], ids=["R1", "R2"])
     def test_nan_profile_fails(self, monkeypatch, part):
-        # one NaN in a certified profile must make the sup non-finite
-        real = kernels.residual_profiles_general
+        # one NaN in a certified part must make the sup non-finite
+        real = getattr(kernels, part)
 
         def poisoned(*args, **kw):
-            rho = [r.copy() for r in real(*args, **kw)]
-            rho[part][rho[part].size // 2] = np.nan
-            return tuple(rho)
+            rho = real(*args, **kw).copy()
+            rho.flat[rho.size // 2] = np.nan
+            return rho
 
-        monkeypatch.setattr(kernels, "residual_profiles_general", poisoned)
+        monkeypatch.setattr(kernels, part, poisoned)
         report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(1,),
                                       t_values=(0.1,), k_values=(0,),
                                       s_values=np.linspace(0.0, 6.0, 7),
                                       n_arm=128, n_arc=64)
         assert report["pass"] is False
         assert report["no_slip"]["finite"] is False
+
+    def test_sups_match_public_profiles(self):
+        # the certificate's compensated parts against plain profiles, cell by cell
+        s = np.linspace(0.0, 3.0, 7)
+        ks = (0, 1, 2)
+        for nu in (1.0, 0.04):
+            for n_xi in (1, 3, 8):
+                mode = FourierMode(n_xi, 0)
+                D = BoundaryOperatorD.no_slip(mode)
+                mu0 = mu0_rate(mode, nu)
+                scale = np.abs(D.matrix).max()
+                for t in (0.1, 1.0):
+                    sup, _ = kernels._bound_sweep((nu,), (n_xi,), (t,), ks, s, 0.25,
+                                                  256, 128, BoundaryOperatorD.no_slip)
+                    r1 = r2 = 0.0
+                    for k in ks:
+                        rho1, rho2 = residual_profiles_general(t, nu, mode, s, D.sigma,
+                                                               deriv=k)
+                        r1 = max(r1, np.max(np.abs(rho1) * np.exp(0.25 * mu0 * s))
+                                 * scale / mu0 ** (k + 1))
+                        comp2 = s**2 / (4.0 * nu * t) + nu * n_xi**2 * t / 8.0
+                        r2 = max(r2, np.max(np.abs(rho2) * np.exp(comp2))
+                                 * scale * (nu * t) ** ((k + 1) / 2))
+                    assert sup["R1"] == pytest.approx(r1, rel=1e-12, abs=0)
+                    assert sup["R2_quarter"] == pytest.approx(r2, rel=1e-12, abs=0)
+
+    def test_argmax_reports_s(self):
+        # the no-slip R2 sup of this cell sits at the window edge s = s_max
+        report = verify_kernel_bounds(nu_values=(0.04,), xi_values=(8,),
+                                      t_values=(0.01,), k_values=(2,),
+                                      s_values=np.linspace(0.0, 10.0, 21))
+        where = report["no_slip"]["argmax(nu,xi,t,k,s)"]["R2_quarter"]
+        assert where == (0.04, 8, 0.01, 2, 10.0)
 
     def test_mu0_rate(self):
         assert mu0_rate(FourierMode(3, 4), 0.25) == pytest.approx(7.0)
