@@ -113,7 +113,7 @@ def _bump_field(grid: HalfLineGrid, ncomp: int, seed: int) -> np.ndarray:
 def cmd_kernel(args) -> int:
     mode = FourierMode(args.xi[0], args.xi[1])
     grid = _parse_grid(args.grid)
-    if args.general_bc:
+    if args.general_bc is not None:
         D = _parse_general_bc(args.general_bc, mode)
         kind = f"general-bc kernel alpha={D.alpha} beta={D.beta} gamma={D.gamma_off}"
     else:
@@ -152,7 +152,7 @@ def cmd_resolvent(args) -> int:
     lam = complex(args.lam[0], args.lam[1])
     point = SpectralPoint(lam=lam, nu=args.nu, mode=mode)
     f = ModeField(grid, _bump_field(grid, 2, args.seed))
-    if args.general_bc:
+    if args.general_bc is not None:
         D = _parse_general_bc(args.general_bc, mode)
         sol = resolvent_apply_general(f, point, D)
         kind = f"general-bc alpha={D.alpha} beta={D.beta} gamma={D.gamma_off}"

@@ -190,11 +190,10 @@ def lowfreq_params(t: float, nu: float, xi_norm: float, s, pole: float = 0.0) ->
 
 
 def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s,
-                          M: float | None = None, b_max: float | None = None,
-                          pole: float = 0.0) -> Contour:
+                          M: float | None = None, pole: float = 0.0) -> Contour:
     """Low-frequency contour for a scalar s or an array of s.
 
-    ``M``/``b_max`` override the defaults (used by the contour-independence
+    ``M`` overrides the default radius (used by the contour-independence
     checks: any admissible radius gives the same integral); PoleOnContour is
     raised unless the override radius encloses the pole for every s.
     """
@@ -203,10 +202,8 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s,
         if np.any(np.abs(params["c0"] - pole) >= M):
             raise PoleOnContour(f"override radius M does not enclose the pole {pole}")
         params = dict(params, M=M)
-    if b_max is not None:
-        params = dict(params, b_max=float(b_max))
     a, c0, M = _last(params["a"]), _last(params["c0"]), _last(params["M"])
-    c_arm, b_max = params["c_arm"], float(params["b_max"])
+    c_arm, b_max = params["c_arm"], params["b_max"]
 
     arc = Segment(
         "arc", -0.5 * np.pi, 0.5 * np.pi,
@@ -260,8 +257,7 @@ def highfreq_params(t: float, nu: float, xi_norm: float, s,
 
 
 def build_contour_highfreq(t: float, nu: float, xi_norm: float, s,
-                           pole_mu: float | None = None,
-                           b_max: float | None = None) -> Contour:
+                           pole_mu: float | None = None) -> Contour:
     """High-frequency parabola for a scalar s or an array of s.
 
     On it the principal root satisfies mu = a_eff + i b exactly.
@@ -269,9 +265,7 @@ def build_contour_highfreq(t: float, nu: float, xi_norm: float, s,
     ``params["crosses_pole"]`` says for which s.
     """
     params = highfreq_params(t, nu, xi_norm, s, pole_mu=pole_mu)
-    if b_max is not None:
-        params = dict(params, b_max=float(b_max))
-    a_eff, b_max = _last(params["a_eff"]), float(params["b_max"])
+    a_eff, b_max = _last(params["a_eff"]), params["b_max"]
     vertex = -nu * xi_norm**2
 
     segments = (_parabola("parabola_minus", -b_max, 0.0, nu, a_eff, vertex),

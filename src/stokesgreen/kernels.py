@@ -432,16 +432,21 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
     return sup, arg
 
 
+# trace (alpha + beta)/|xi| of the certificate's general operator, <= 1 for c0 = 1
+_SIGMA_FRACTION = 0.5
+# largest relative move of a certified sup under node doubling that still passes
+_DRIFT_TOL = 0.1
+
+
 def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
                          t_values=(0.01, 0.0316, 0.1, 0.316, 1.0),
                          k_values=(0, 1, 2), s_values=None, theta0=0.25,
-                         sigma_fraction=0.5, n_arm=256, n_arc=128,
-                         drift_tol=0.1) -> dict:
+                         n_arm=256, n_arc=128) -> dict:
     """Certify the pointwise kernel bounds by sup-ratio sweeps.
 
     Reports, for both the no-slip kernel (D = P/|xi|) and a general boundary
-    operator with alpha + beta = ``sigma_fraction``*|xi| (split 0.3/0.7, gamma
-    from det=0, c0 = 1, so 0 <= sigma_fraction <= 1):
+    operator with alpha + beta = |xi|/2 (split 0.3/0.7, gamma from det=0,
+    c0 = 1):
 
     * sup |d^k/dz^k R1| / (mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 (y+z)}),
     * sup |d^k/dz^k R2| (nu t)^{(k+1)/2} e^{(y+z)^2/4 nu t} e^{nu|xi|^2 t/8}
@@ -454,18 +459,19 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     under ``argmax(nu,xi,t,k,s)``.  The ratios are integrated on the contours
     directly (not through the profiles), each bound's exponent inside exp().
     The certificate passes when the certified sups are finite and drift by
-    less than ``drift_tol`` relative when the quadrature node counts double.
+    less than ``report["drift_tol"]`` relative when the quadrature node counts
+    double.
     """
     if s_values is None:
         s_values = np.linspace(0.0, 10.0, 21)
     s_values = np.asarray(s_values, dtype=float)
 
     def general(mode):
-        sigma = sigma_fraction * mode.norm
+        sigma = _SIGMA_FRACTION * mode.norm
         alpha, beta = 0.3 * sigma, 0.7 * sigma
         return BoundaryOperatorD(alpha, beta, math.sqrt(alpha * beta), c0=1.0, mode=mode)
 
-    report = {"theta0": theta0, "drift_tol": drift_tol,
+    report = {"theta0": theta0, "drift_tol": _DRIFT_TOL,
               "sweep": {"nu": list(nu_values), "xi": list(xi_values),
                         "t": list(t_values), "k": list(k_values),
                         "s_max": float(s_values.max()), "n_s": int(s_values.size)}}
@@ -478,7 +484,7 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
         drift = {key: abs(sup2[key] - sup[key]) / max(abs(sup[key]), 1e-300)
                  for key in ("R1", "R2_quarter")}
         finite = all(np.isfinite(sup[key]) for key in ("R1", "R2_quarter"))
-        stable = all(d < drift_tol for d in drift.values())
+        stable = all(d < _DRIFT_TOL for d in drift.values())
         ok = ok and finite and stable
         report[name] = {"sup": sup, "argmax(nu,xi,t,k,s)": arg, "drift": drift,
                         "finite": finite, "stable": stable}

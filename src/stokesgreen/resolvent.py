@@ -131,15 +131,19 @@ def free_part_v(f: ModeField, point: SpectralPoint) -> ModeField:
     return ModeField(f.grid, vals / (2.0 * point.nu * point.mu))
 
 
+def _vorticity_operator(mode: FourierMode) -> BoundaryOperatorD:
+    """D of the vorticity condition: P(xi)/|xi|, or 0 at xi = 0 (pure Neumann)."""
+    if mode.is_zero:
+        return BoundaryOperatorD(0.0, 0.0, 0.0, 1.0, mode)
+    return BoundaryOperatorD.no_slip(mode)
+
+
 def resolvent_apply(f: ModeField, point: SpectralPoint) -> ResolventSolution:
     """Solve the resolvent problem with the vorticity boundary condition.
 
     For the zero mode the condition degenerates to pure Neumann (D = 0), so u = v.
     """
-    if point.mode.is_zero:
-        return resolvent_apply_general(f, point, BoundaryOperatorD(0.0, 0.0, 0.0, 1.0,
-                                                                   point.mode))
-    return resolvent_apply_general(f, point, BoundaryOperatorD.no_slip(point.mode))
+    return resolvent_apply_general(f, point, _vorticity_operator(point.mode))
 
 
 def resolvent_apply_general(f: ModeField, point: SpectralPoint,

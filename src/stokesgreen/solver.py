@@ -17,11 +17,13 @@ part uses.  The time integrals use the substitution s = t - sigma^2 with
 Gauss-Legendre in sigma, which removes the (nu (t-s))^{-1/2} trace singularity
 of the boundary term and keeps all integrands smooth.
 
-``crank_nicolson_oracle`` is an independent finite-difference solve of the same
-initial-boundary-value problem (ghost-node boundary condition, far-field
-Dirichlet, unconditionally stable theta = 1/2 stepping) used to validate the
-representation, and ``finite_difference_resolvent_general`` is the stationary
-analog for the general-boundary-condition resolvent.
+Two finite-difference oracles validate the representation and the resolvent.
+Both use one 3-point operator for nu Delta_xi on (omega_1, omega_2, omega_3):
+its tangential boundary row eliminates the ghost node through the mixed
+condition du/dz + D u = 0, and omega_3 at z = 0 and every far node are pinned.
+``crank_nicolson_oracle`` steps it with theta = 1/2 (unconditionally stable)
+for the vorticity condition's D; ``finite_difference_resolvent_general``
+solves (lambda - nu Delta_xi) u = f on its tangential block for any admissible D.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .actions import halfline_laplace_weights, image_action_gauss
-from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint, projection_matrix
+from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint
 from .errors import AsymmetricModeSet, IncompatibleData, StabilityWarning
-from .resolvent import BoundaryOperatorD
+from .resolvent import BoundaryOperatorD, _vorticity_operator
 
 __all__ = [
     "StokesProblem",
@@ -191,7 +193,7 @@ def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
     states = []
     x_gl, w_gl = np.polynomial.legendre.leggauss(_N_QUAD)
     has_force = problem.forcing is not None
-    has_g = problem.boundary_g is not None and not mode.is_zero
+    has_g = problem.boundary_g is not None
     for t in times:
         if t == 0.0:
             states.append(problem.omega0)
@@ -218,59 +220,52 @@ def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Crank-Nicolson finite-difference oracle
+# finite-difference oracles
 
 
-def _tangential_operator(grid: HalfLineGrid, nu: float, mode: FourierMode):
-    """Sparse CN spatial operator for the interleaved tangential pair (2n x 2n).
+def _fd_operator(grid: HalfLineGrid, nu: float, mode: FourierMode, D: BoundaryOperatorD):
+    """nu Delta_xi as a 3-point difference operator on (omega_1, omega_2, omega_3).
 
-    Node 0 uses the ghost-node elimination of the boundary condition
-    -(d/dz + |xi|) omega + Q omega = g/nu, which contributes the coupling
-    (2/h) P/|xi| at the boundary row and a (2/h) g source handled separately;
-    the far node is pinned (homogeneous Dirichlet).
+    A 3n x 3n sparse matrix acting on the stacked node values.  Row 0 of the
+    tangential pair eliminates the ghost node through du/dz + D u = 0,
+    u_{-1} = u_1 + 2 h D u_0, which adds nu (2/h) D.  The boundary row of omega_3
+    and every far-node row are zero: those values are pinned.
     """
-    n = grid.n
-    h = grid.h
+    n, h = grid.n, grid.h
     lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
                    [-1, 0, 1], format="lil", dtype=complex) / h**2
     lap[0, 1] = 2.0 / h**2
-    lap[n - 1, :] = 0.0
-    A = sp.kron(sp.eye(2), nu * (lap - mode.norm**2 * sp.eye(n))).tolil()
-    A[n - 1, :] = 0.0
-    A[2 * n - 1, :] = 0.0
-    if not mode.is_zero:
-        C = nu * (2.0 / h) * projection_matrix(mode) / mode.norm
-        for a in range(2):
-            for b in range(2):
-                A[a * n, b * n] += C[a, b]
+    A = sp.kron(sp.eye(3), nu * (lap - mode.norm**2 * sp.eye(n)), format="lil")
+    C = nu * (2.0 / h) * D.matrix
+    for a in range(2):
+        for b in range(2):
+            A[a * n, b * n] += C[a, b]
+    for row in _pinned_rows(n):
+        A[row, :] = 0.0
     return A.tocsc()
 
 
-def _dirichlet_operator(grid: HalfLineGrid, nu: float, mode: FourierMode):
-    n = grid.n
-    h = grid.h
-    lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
-                   [-1, 0, 1], format="lil", dtype=complex) / h**2
-    lap[0, :] = 0.0
-    lap[n - 1, :] = 0.0
-    A = nu * (lap - mode.norm**2 * sp.eye(n)).tolil()
-    A[0, 0] = 0.0
-    A[n - 1, n - 1] = 0.0
-    return A.tocsc()
+def _pinned_rows(n: int) -> list:
+    """Far nodes of all three components and the boundary node of omega_3."""
+    return [n - 1, 2 * n - 1, 2 * n, 3 * n - 1]
 
 
 def crank_nicolson_oracle(problem: StokesProblem, dt: float,
-                          grid: HalfLineGrid | None = None,
                           snapshot_times=None) -> Trajectory:
-    """Second-order finite-difference solve of the per-mode system.
+    """Second-order finite-difference solve of the per-mode system on the grid
+    of ``problem.omega0``.
 
-    The scheme is unconditionally stable; a StabilityWarning is emitted when
-    nu dt / h^2 is large enough that the requested accuracy is unlikely.
-    ``snapshot_times`` must lie in [0, t_final] on the step grid k dt (to the
-    tolerance ``Trajectory.state_at`` uses) after dt is adjusted to divide t_final.
+    Crank-Nicolson (theta = 1/2) steps of the operator ``_fd_operator`` that
+    ``finite_difference_resolvent_general`` also solves with: the tangential
+    pair takes the vorticity condition du/dz + D u = -g/nu through the ghost
+    node, with D = P(xi)/|xi| (0 at xi = 0), omega_3 is pinned to 0 at z = 0,
+    and all three vanish at the far node.  The scheme is unconditionally stable; a
+    StabilityWarning is emitted when nu dt / h^2 is large enough that the
+    requested accuracy is unlikely.  ``snapshot_times`` must lie in
+    [0, t_final] on the step grid k dt (to the tolerance
+    ``Trajectory.state_at`` uses) after dt is adjusted to divide t_final.
     """
-    if grid is None:
-        grid = problem.omega0.grid
+    grid = problem.omega0.grid
     nu, mode = problem.nu, problem.mode
     n = grid.n
     h = grid.h
@@ -289,46 +284,31 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
         if abs(t - k * dt) > 1e-9 * max(t, 1.0):
             raise IncompatibleData(f"snapshot time {t} is not a step k dt, dt = {dt}")
 
-    A_t = _tangential_operator(grid, nu, mode)
-    A_d = _dirichlet_operator(grid, nu, mode)
-    I2n = sp.eye(2 * n, format="csc")
-    In = sp.eye(n, format="csc")
-    lu_t = splu((I2n - 0.5 * dt * A_t).tocsc())
-    lu_d = splu((In - 0.5 * dt * A_d).tocsc())
-    M_t = (I2n + 0.5 * dt * A_t).tocsc()
-    M_d = (In + 0.5 * dt * A_d).tocsc()
+    A = _fd_operator(grid, nu, mode, _vorticity_operator(mode))
+    eye = sp.eye(3 * n, format="csc")
+    lu = splu((eye - 0.5 * dt * A).tocsc())
+    M = (eye + 0.5 * dt * A).tocsc()
+    pinned = _pinned_rows(n)
 
     def source(t):
-        src = np.zeros(2 * n, dtype=complex)
-        f = problem.force_at(t)
-        src[:n] = f[0]
-        src[n:] = f[1]
-        g = problem.g_at(t)
-        src[0] += (2.0 / h) * g[0]
-        src[n] += (2.0 / h) * g[1]
-        src[n - 1] = 0.0
-        src[2 * n - 1] = 0.0
-        return src, f[2]
+        src = np.array(problem.force_at(t), dtype=complex).reshape(3 * n)
+        src[[0, n]] += (2.0 / h) * problem.g_at(t)
+        src[pinned] = 0.0
+        return src
 
-    w = np.concatenate([problem.omega0.values[0], problem.omega0.values[1]])
-    w3 = problem.omega0.values[2].copy()
-    w3[0] = 0.0
-    w[n - 1] = w[2 * n - 1] = w3[-1] = 0.0
+    w = np.array(problem.omega0.values, dtype=complex).reshape(3 * n)
+    w[pinned] = 0.0
 
     times = [0.0]
-    states = [ModeField(grid, np.array([w[:n], w[n:], w3]))]
-    s_prev, f3_prev = source(0.0)
+    states = [ModeField(grid, w.reshape(3, n))]
+    s_prev = source(0.0)
     for k in range(1, nsteps + 1):
-        t_new = k * dt
-        s_new, f3_new = source(t_new)
-        w = lu_t.solve(M_t @ w + 0.5 * dt * (s_prev + s_new))
-        rhs3 = M_d @ w3 + 0.5 * dt * (f3_prev + f3_new)
-        rhs3[0] = rhs3[-1] = 0.0
-        w3 = lu_d.solve(rhs3)
-        s_prev, f3_prev = s_new, f3_new
+        s_new = source(k * dt)
+        w = lu.solve(M @ w + 0.5 * dt * (s_prev + s_new))
+        s_prev = s_new
         if k in snap_steps:
             times.append(snap_steps[k])
-            states.append(ModeField(grid, np.array([w[:n], w[n:], w3])))
+            states.append(ModeField(grid, w.reshape(3, n)))
     return Trajectory(times=np.asarray(times), states=states)
 
 
@@ -337,27 +317,19 @@ def finite_difference_resolvent_general(f: ModeField, point: SpectralPoint,
     """Stationary finite-difference solve of (lambda - nu Delta_xi) u = f
     with the general boundary condition du/dz(0) + D u(0) = 0 (ghost node).
 
-    Independent oracle for ``resolvent_apply_general``; returns node values (2, n).
+    Independent oracle for ``resolvent_apply_general``, on the tangential block
+    of ``_fd_operator``; returns node values (2, n).
     """
-    grid = f.grid
-    n, h = grid.n, grid.h
-    nu, lam = point.nu, point.lam
-    lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
-                   [-1, 0, 1], format="lil", dtype=complex) / h**2
-    lap[0, 1] = 2.0 / h**2
-    lap[n - 1, :] = 0.0
-    A = sp.kron(sp.eye(2), lam * sp.eye(n) - nu * (lap - point.mode.norm**2 * sp.eye(n))).tolil()
-    # ghost elimination u_{-1} = u_1 + 2 h D u_0 adds -nu (2/h) D at the corner
-    Dm = D.matrix
-    for a in range(2):
-        for b in range(2):
-            A[a * n, b * n] -= nu * (2.0 / h) * Dm[a, b]
-        A[a * n + n - 1, :] = 0.0
-        A[a * n + n - 1, a * n + n - 1] = 1.0
-    rhs = np.concatenate([f.values[0], f.values[1]]).astype(complex)
-    rhs[n - 1] = rhs[2 * n - 1] = 0.0
-    u = splu(A.tocsc()).solve(rhs)
-    return np.array([u[:n], u[n:]])
+    n = f.grid.n
+    far = [n - 1, 2 * n - 1]
+    A = _fd_operator(f.grid, point.nu, point.mode, D)[:2 * n, :2 * n]
+    # A's far rows are zero; a unit diagonal there pins u = 0 also at lambda = 0
+    diag = np.full(2 * n, complex(point.lam))
+    diag[far] = 1.0
+    rhs = np.array(f.values, dtype=complex).reshape(2 * n)
+    rhs[far] = 0.0
+    u = splu((sp.diags(diag) - A).tocsc()).solve(rhs)
+    return u.reshape(2, n)
 
 
 # ---------------------------------------------------------------------------

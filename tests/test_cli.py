@@ -57,7 +57,7 @@ def reference_kernel_rows(argv):
     args = _build_parser().parse_args(argv)
     mode = FourierMode(*args.xi)
     grid = _parse_grid(args.grid)
-    D = (_parse_general_bc(args.general_bc, mode) if args.general_bc
+    D = (_parse_general_bc(args.general_bc, mode) if args.general_bc is not None
          else BoundaryOperatorD.no_slip(mode))
     sample = kernels.sample_green_function(args.t, args.nu, mode, grid.nodes,
                                            grid.nodes, D=D)
@@ -186,10 +186,11 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("command", ["kernel", "resolvent"])
     def test_unknown_general_bc_key(self, command, capsys):
-        rc = run([command, "--grid", "0:4:8", "--general-bc", "alpah=0.3,beta=0.2",
-                  "--out", "-"])
-        assert rc == EXIT_CONFIG
-        assert "alpah" in capsys.readouterr().err
+        # an empty spec names no key, so it is rejected rather than read as no-slip
+        for spec, key in (("alpah=0.3,beta=0.2", "'alpah'"), ("", "''")):
+            rc = run([command, "--grid", "0:4:8", "--general-bc", spec, "--out", "-"])
+            assert rc == EXIT_CONFIG
+            assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("config", [{"nu": "1.0"}, {"func": 1}, {"nuu": 0.5}],
                              ids=["string-nu", "func", "unknown-key"])

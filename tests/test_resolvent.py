@@ -159,12 +159,24 @@ class TestGeneralResolvent:
         pt = SpectralPoint(4.0 + 2.0j, 0.7, FourierMode(2, 1))
         return f, pt, D
 
-    def test_matches_fd_oracle(self):
+    @pytest.mark.parametrize("operator", ["general", "no_slip", "zero"])
+    def test_matches_fd_oracle(self, operator):
+        # no_slip is the coupling the Crank-Nicolson oracle steps with
         f, pt, D = self._setup(n=3201)
+        D = {"general": D, "no_slip": BoundaryOperatorD.no_slip(D.mode),
+             "zero": BoundaryOperatorD(0.0, 0.0, 0.0, c0=1.0, mode=D.mode)}[operator]
         sol = resolvent_apply_general(f, pt, D)
         fd = finite_difference_resolvent_general(f, pt, D)
         denom = np.max(np.abs(sol.u.values))
         assert np.max(np.abs(sol.u.values - fd)) / denom < 1e-3
+
+    def test_fd_oracle_at_lambda_zero(self):
+        # lambda = 0 is off the cut for xi != 0; the oracle's far nodes stay pinned
+        f, pt, D = self._setup(n=3201)
+        pt = SpectralPoint(0.0, pt.nu, pt.mode)
+        u = resolvent_apply_general(f, pt, D).u.values
+        fd = finite_difference_resolvent_general(f, pt, D)
+        assert np.max(np.abs(u - fd)) / np.max(np.abs(u)) < 1e-3
 
     def test_boundary_residual_analytic(self):
         f, pt, D = self._setup()

@@ -158,6 +158,18 @@ class TestDuhamel:
         oracle = crank_nicolson_oracle(p, dt=1e-3)
         err = np.max(np.abs(traj.states[-1].values - oracle.states[-1].values))
         assert err < 1e-3
+        # from zero data the tangential boundary datum drives the Neumann flux;
+        # the ghost-node oracle needs the 4x finer grid for its O(h^2) flux error
+        def flux_problem(mesh):
+            return StokesProblem(
+                mode=FourierMode(0, 0), nu=0.5, t_final=0.4,
+                omega0=ModeField(mesh, np.zeros((3, mesh.n), dtype=complex)),
+                boundary_g=lambda t: np.array([1.0, -0.5j]) * math.sin(3.0 * t))
+        got = duhamel_solve(flux_problem(grid), [0.4]).states[-1].values
+        oracle = crank_nicolson_oracle(flux_problem(HalfLineGrid.uniform(16.0, 2049)),
+                                       dt=1e-3)
+        ref = oracle.states[-1].values[:, ::4]
+        assert np.max(np.abs(got - ref)) < 1e-3 * np.max(np.abs(ref))
 
     def test_semigroup_property(self):
         # evolving to t1 and then by t2 equals evolving to t1 + t2
