@@ -6,14 +6,18 @@ of by node-weight quadrature.  The point is robustness: |y-z| kernel kinks
 sitting mid-panel would otherwise inject O(h^2) node-alternating quadrature
 noise whose discrete Laplacian is O(1), wrecking PDE-residual checks.
 
-The basic identity: with Psi2'' = K, the hat function of width h centered at 0
-satisfies
+The exponential kernel e^{-mu|y-z|} is separable, so its action is two
+first-order recurrences over the panels (``image_action_exp``): O(n) per
+component, with no cancelling second differences of an antiderivative.
+
+The heat kernel is not separable.  With Psi2'' = K, the hat function of width
+h centered at 0 satisfies
 
     (hat * K)(d) = (Psi2(d-h) - 2 Psi2(d) + Psi2(d+h)) / h,
 
-so the action on the whole-line even/odd extension of f is a Toeplitz
+so its action on the whole-line even/odd extension of f is a Toeplitz
 matrix-vector product with these smoothed kernel values, done in O(N log N)
-via scipy's FFT-based ``matmul_toeplitz``.
+via scipy's FFT-based ``matmul_toeplitz`` (``image_action_gauss``).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import warnings
 
 import numpy as np
 from scipy.linalg import matmul_toeplitz
+from scipy.linalg.lapack import ztbtrs
 from scipy.special import erf
 
 from .core import HalfLineGrid
@@ -30,8 +35,6 @@ from .errors import TruncationWarning
 __all__ = [
     "gauss_psi1",
     "gauss_psi2",
-    "exp_psi1",
-    "exp_psi2",
     "image_action_gauss",
     "image_action_exp",
     "halfline_laplace_weights",
@@ -39,7 +42,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# antiderivatives: Psi1' = K, Psi2' = Psi1, fixed so Psi1 is odd / Psi2 even
+# heat-kernel antiderivatives: Psi1' = K, Psi2' = Psi1, Psi1 odd / Psi2 even
 
 
 def gauss_psi1(x, c):
@@ -52,86 +55,86 @@ def gauss_psi2(x, c):
     return x * gauss_psi1(x, c) + 2.0 * c * g
 
 
-def exp_psi1(x, mu):
-    """First antiderivative of E_mu(x) = e^{-mu |x|}, complex mu with Re mu > 0."""
-    ax = np.abs(x)
-    return np.sign(x) * (1.0 - np.exp(-mu * ax)) / mu
-
-
-def exp_psi2(x, mu):
-    ax = np.abs(x)
-    return ax / mu + (np.exp(-mu * ax) - 1.0) / mu**2
-
-
 def _hat_smoothed(psi2, d, h):
     return (psi2(d - h) - 2.0 * psi2(d) + psi2(d + h)) / h
 
 
-def _odd_center_hat(psi1, psi2, y, h):
-    """Action of K on the odd part of the boundary half-hat.
-
-    Equals integral of K(y - z) against sign(z)(1 - |z|/h) on [-h, h]; needed
-    because the odd extension of data with f(0) != 0 is not piecewise linear
-    through zero.
-    """
-    return 2.0 * psi1(y) - (psi2(y + h) - psi2(y - h)) / h
-
-
-def _check_truncation(f):
-    tail = np.max(np.abs(f[..., -2:]))
-    scale = np.max(np.abs(f))
-    if scale > 0 and tail > 1e-6 * scale:
-        warnings.warn(
-            "data not negligible at the truncation boundary; kernel action "
-            "ignores mass beyond z_max", TruncationWarning, stacklevel=3)
-
-
-def _image_action(grid: HalfLineGrid, f: np.ndarray, psi1, psi2, parity: int,
-                  warn_truncation: bool = True) -> np.ndarray:
-    """Exact action of K(y-z) + parity*K(y+z) on the PL interpolant of f.
-
-    f has shape (..., n); the image term is folded in through the even
-    (parity=+1, Neumann) or odd (parity=-1, Dirichlet) whole-line extension.
-    """
+def _as_rows(grid: HalfLineGrid, f, warn_truncation: bool) -> np.ndarray:
+    """f of shape (..., n) as a complex (m, n) array, after the truncation check."""
     f = np.asarray(f, dtype=complex)
-    n = grid.n
-    h = grid.h
     if warn_truncation:
-        _check_truncation(f)
-    # extension indices k = 0..2n-2 represent nodes (k - (n-1)) * h
-    mirrored = f[..., :0:-1]  # f[n-1], ..., f[1]
-    if parity == +1:
-        fe = np.concatenate([mirrored, f], axis=-1)
-    else:
-        fe = np.concatenate([-mirrored, f], axis=-1)
-        fe = fe.copy()
-        fe[..., n - 1] = 0.0  # boundary value handled by the odd half-hat below
-    col = _hat_smoothed(psi2, (np.arange(n) + (n - 1)) * h, h)
-    row = _hat_smoothed(psi2, ((n - 1) - np.arange(2 * n - 1)) * h, h)
-    out = matmul_toeplitz((col, row), fe[..., :, None] if fe.ndim == 1 else fe.T)
-    out = out.T if out.ndim == 2 else out[:, 0]
-    out = out.reshape(f.shape[:-1] + (n,))
-    if parity == -1:
-        out = out + f[..., :1] * _odd_center_hat(psi1, psi2, grid.nodes, h)
-    return out
+        tail = np.max(np.abs(f[..., -2:]))
+        scale = np.max(np.abs(f))
+        if scale > 0 and tail > 1e-6 * scale:
+            warnings.warn(
+                "data not negligible at the truncation boundary; kernel action "
+                "ignores mass beyond z_max", TruncationWarning, stacklevel=3)
+    return f.reshape(-1, grid.n)
 
 
 def image_action_gauss(grid: HalfLineGrid, f: np.ndarray, c: float,
                        parity: int, warn_truncation: bool = True) -> np.ndarray:
-    """(e^{-(y-z)^2/4c} + parity e^{-(y+z)^2/4c})/sqrt(4 pi c) applied to PL f."""
-    return _image_action(grid, f,
-                         lambda x: gauss_psi1(x, c),
-                         lambda x: gauss_psi2(x, c),
-                         parity, warn_truncation)
+    """(e^{-(y-z)^2/4c} + parity e^{-(y+z)^2/4c})/sqrt(4 pi c) applied to PL f.
+
+    f has shape (..., n); the image term is folded in through the even
+    (parity=+1, Neumann) or odd (parity=-1, Dirichlet) whole-line extension.
+    """
+    rows = _as_rows(grid, f, warn_truncation)
+    n, h = grid.n, grid.h
+
+    def psi2(x):
+        return gauss_psi2(x, c)
+
+    # extension indices k = 0..2n-2 represent nodes (k - (n-1)) * h
+    ext = np.concatenate([parity * rows[:, :0:-1], rows], axis=1)
+    if parity == -1:
+        ext[:, n - 1] = 0.0  # boundary value handled by the odd half-hat below
+    col = _hat_smoothed(psi2, (np.arange(n) + (n - 1)) * h, h)
+    row = _hat_smoothed(psi2, ((n - 1) - np.arange(2 * n - 1)) * h, h)
+    out = matmul_toeplitz((col, row), ext.T).T
+    if parity == -1:
+        # K against the odd half-hat sign(z)(1 - |z|/h) on [-h, h]: the odd
+        # extension of data with f(0) != 0 is not piecewise linear through 0
+        y = grid.nodes
+        out = out + rows[:, :1] * (2.0 * gauss_psi1(y, c) - (psi2(y + h) - psi2(y - h)) / h)
+    return out.reshape(np.shape(f))
 
 
 def image_action_exp(grid: HalfLineGrid, f: np.ndarray, mu: complex,
                      parity: int, warn_truncation: bool = True) -> np.ndarray:
-    """(e^{-mu|y-z|} + parity e^{-mu(y+z)}) applied to PL f (no prefactor)."""
-    return _image_action(grid, f,
-                         lambda x: exp_psi1(x, mu),
-                         lambda x: exp_psi2(x, mu),
-                         parity, warn_truncation)
+    """(e^{-mu|y-z|} + parity e^{-mu(y+z)}) applied to PL f (no prefactor).
+
+    f has shape (..., n) and Re mu > 0.  With q = e^{-mu h}, the two halves
+    L_j = int_0^{y_j} e^{-mu(y_j-z)} f dz and R_j = int_{y_j}^{z_max} e^{-mu(z-y_j)} f dz
+    obey, exactly on the PL interpolant,
+
+        L_{j+1} = q L_j + a f_j + b f_{j+1},   R_j = q R_{j+1} + a f_{j+1} + b f_j,
+
+    with a = int_0^h e^{-mu r} r/h dr and b = int_0^h e^{-mu r} dr - a.  R_0 is
+    the Laplace trace int e^{-mu z} f dz, so the image term is
+    parity e^{-mu y} R_0; for parity -1 it includes the jump of the odd
+    extension at 0.  Both sweeps of every component are one banded
+    triangular solve.
+    """
+    rows = _as_rows(grid, f, warn_truncation)
+    m, n = rows.shape
+    x = mu * grid.h
+    q = np.exp(-x)
+    one_minus_q = -np.expm1(-x)
+    a = (one_minus_q - x * q) / (mu * x)
+    b = one_minus_q / mu - a
+    # columns: L_j for each component, then R_{n-1-j}; L_0 = R_{n-1} = 0
+    rhs = np.empty((2 * m, n), dtype=complex)
+    rhs[:, 0] = 0.0
+    rhs[:m, 1:] = a * rows[:, :-1] + b * rows[:, 1:]
+    rhs[m:, :0:-1] = a * rows[:, 1:] + b * rows[:, :-1]
+    # unit lower bidiagonal matrix with -q below the diagonal (row 0 unread)
+    band = np.empty((2, n), dtype=complex)
+    band[1] = -q
+    sweeps, _ = ztbtrs(band, rhs.T, uplo="L", diag="U", overwrite_b=1)
+    left, right = sweeps[:, :m].T, sweeps[::-1, m:].T
+    out = left + right + parity * right[:, :1] * np.exp(-mu * grid.nodes)
+    return out.reshape(np.shape(f))
 
 
 def halfline_laplace_weights(grid: HalfLineGrid, mu) -> np.ndarray:

@@ -93,11 +93,20 @@ class BoundaryOperatorD:
         """lambda* = nu (sigma^2 - |xi|^2), the pole of the corrected resolvent."""
         return nu * (self.sigma**2 - self.mode.norm**2)
 
+    def check_mode(self, mode: FourierMode) -> None:
+        """Raise HypothesisViolated unless D was built (and validated) for ``mode``."""
+        if self.mode != mode:
+            raise HypothesisViolated(
+                f"D was built for xi = ({self.mode.xi1}, {self.mode.xi2}), "
+                f"not for xi = ({mode.xi1}, {mode.xi2})")
+
     def correction(self, point: SpectralPoint) -> np.ndarray:
         """(mu - D)^{-1} D = D / (mu - sigma), the boundary-layer coefficient map.
 
-        Raises PoleHit when lambda sits on the pole lambda*.
+        Raises HypothesisViolated when D belongs to another mode, PoleHit when
+        lambda sits on the pole lambda*.
         """
+        self.check_mode(point.mode)
         lam_star = self.pole_lambda(point.nu)
         if abs(point.lam - lam_star) < 1e-12 * max(point.nu * self.mode.norm**2, 1.0):
             raise PoleHit(f"lambda = {point.lam} hits the boundary pole lambda* = {lam_star}")

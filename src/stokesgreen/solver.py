@@ -320,6 +320,7 @@ def finite_difference_resolvent_general(f: ModeField, point: SpectralPoint,
     Independent oracle for ``resolvent_apply_general``, on the tangential block
     of ``_fd_operator``; returns node values (2, n).
     """
+    D.check_mode(point.mode)
     n = f.grid.n
     far = [n - 1, 2 * n - 1]
     A = _fd_operator(f.grid, point.nu, point.mode, D)[:2 * n, :2 * n]

@@ -1,19 +1,23 @@
 """Unit tests for the exact piecewise-linear kernel actions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import stokesgreen
 from stokesgreen.actions import (
-    exp_psi1,
-    exp_psi2,
     gauss_psi1,
     gauss_psi2,
     halfline_laplace_weights,
     image_action_exp,
     image_action_gauss,
 )
-from stokesgreen.core import HalfLineGrid
+from stokesgreen.core import FourierMode, HalfLineGrid, SpectralPoint
 from stokesgreen.errors import TruncationWarning
 
 
@@ -21,7 +25,7 @@ def pl_interp(grid, fvals):
     """Whole-line piecewise-linear interpolant with explicit extension."""
     def f(z, parity):
         az = np.abs(z)
-        val = np.interp(az, grid.nodes, np.real(fvals), right=0.0)
+        val = np.interp(az, grid.nodes, fvals, right=0.0)
         return val if (z >= 0 or parity == +1) else -val
     return f
 
@@ -32,13 +36,30 @@ def brute_force_action(grid, fvals, kernel, parity, y):
     def integrand(z):
         return kernel(y - z) * f(z, parity)
 
-    zmax = grid.z_max
     total = 0.0
     # integrate panel by panel so quad never misses the hat kinks
     knots = np.concatenate([-grid.nodes[::-1], grid.nodes[1:]])
     for a, b in zip(knots[:-1], knots[1:]):
-        total += quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13)[0]
+        total += quad(integrand, a, b, epsabs=1e-14, epsrel=1e-13, complex_func=True)[0]
     return total
+
+
+def sweeps_longdouble(grid, fvals, mu, parity):
+    """The two panel recurrences of ``image_action_exp``, run in clongdouble."""
+    f = np.asarray(fvals).astype(np.clongdouble)
+    mu = np.clongdouble(mu)
+    x = mu * np.longdouble(grid.h)
+    q = np.exp(-x)
+    a = (-np.expm1(-x) - x * q) / (mu * x)
+    b = -np.expm1(-x) / mu - a
+    left = np.zeros_like(f)
+    right = np.zeros_like(f)
+    for j in range(grid.n - 1):
+        left[..., j + 1] = q * left[..., j] + a * f[..., j] + b * f[..., j + 1]
+    for j in range(grid.n - 2, -1, -1):
+        right[..., j] = q * right[..., j + 1] + a * f[..., j + 1] + b * f[..., j]
+    image = np.exp(-mu * grid.nodes.astype(np.longdouble))
+    return left + right + parity * right[..., :1] * image
 
 
 class TestAntiderivatives:
@@ -53,15 +74,6 @@ class TestAntiderivatives:
         d1 = (gauss_psi2(x + h, c) - gauss_psi2(x - h, c)) / (2 * h)
         assert np.allclose(d1, gauss_psi1(x, c), atol=1e-10)
 
-    def test_exp_chain_complex_mu(self):
-        mu = 1.5 + 0.8j
-        x = np.linspace(-2, 2, 9)
-        h = 1e-5
-        d2 = (exp_psi2(x - h, mu) - 2 * exp_psi2(x, mu) + exp_psi2(x + h, mu)) / h**2
-        assert np.allclose(d2, np.exp(-mu * np.abs(x)), atol=1e-5)
-        d1 = (exp_psi2(x + h, mu) - exp_psi2(x - h, mu)) / (2 * h)
-        assert np.allclose(d1, exp_psi1(x, mu), atol=1e-9)
-
 
 class TestImageActions:
     @pytest.mark.parametrize("parity", [+1, -1])
@@ -70,12 +82,15 @@ class TestImageActions:
         rng = np.random.default_rng(3)
         fvals = rng.normal(size=grid.n)
         fvals[-1] = 0.0
-        mu = 1.3
-        out = image_action_exp(grid, fvals, mu, parity, warn_truncation=False)
-        for i in (0, 1, 7, 16, 32):
-            ref = brute_force_action(grid, fvals, lambda d: np.exp(-mu * np.abs(d)),
-                                     parity, grid.nodes[i])
-            assert out[i].real == pytest.approx(ref, abs=1e-10)
+        cvals = fvals + 1j * rng.normal(size=grid.n)
+        cvals[-1] = 0.0
+        # |mu h| = 0.325, ~1e-3 (q near 1) and ~5 (q near 0)
+        for mu, f in ((1.3, fvals), (4e-3 * np.exp(0.6j), cvals), (20.0 * np.exp(-0.4j), cvals)):
+            out = image_action_exp(grid, f, mu, parity, warn_truncation=False)
+            for i in (0, 1, 7, 16, 32):
+                ref = brute_force_action(grid, f, lambda d: np.exp(-mu * np.abs(d)),
+                                         parity, grid.nodes[i])
+                assert out[i] == pytest.approx(ref, abs=1e-10)
 
     @pytest.mark.parametrize("parity", [+1, -1])
     def test_gauss_action_matches_brute_force(self, parity):
@@ -88,7 +103,7 @@ class TestImageActions:
         kern = lambda d: np.exp(-(d**2) / (4 * c)) / np.sqrt(4 * np.pi * c)
         for i in (0, 2, 16, 32):
             ref = brute_force_action(grid, fvals, kern, parity, grid.nodes[i])
-            assert out[i].real == pytest.approx(ref, abs=1e-10)
+            assert out[i] == pytest.approx(ref, abs=1e-10)
 
     def test_dirichlet_action_vanishes_at_origin(self):
         # odd image: the kernel action must cancel exactly at y = 0
@@ -119,6 +134,68 @@ class TestImageActions:
         grid = HalfLineGrid.uniform(3.0, 9)
         with pytest.warns(TruncationWarning):
             image_action_exp(grid, np.ones(grid.n), 1.0, +1)
+
+    @pytest.mark.parametrize("parity", [+1, -1])
+    @pytest.mark.parametrize("action, arg", [(image_action_exp, 1.0 + 0.5j),
+                                             (image_action_gauss, 0.3)])
+    def test_leading_axes(self, action, arg, parity):
+        # f of shape (..., n): any leading axes, each slice acted on alone
+        grid = HalfLineGrid.uniform(5.0, 17)
+        rng = np.random.default_rng(6)
+        f = rng.normal(size=(2, 3, grid.n)) + 1j * rng.normal(size=(2, 3, grid.n))
+        out = action(grid, f, arg, parity, warn_truncation=False)
+        assert out.shape == f.shape
+        for i in range(2):
+            for j in range(3):
+                single = action(grid, f[i, j], arg, parity, warn_truncation=False)
+                assert np.allclose(out[i, j], single, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                    reason="long double is double precision here")
+class TestExpActionAccuracy:
+    """image_action_exp against its own recurrence run in extended precision."""
+
+    GRID = HalfLineGrid.uniform(30.0, 8193)
+
+    def _data(self):
+        z = self.GRID.nodes
+        rng = np.random.default_rng(9)
+        smooth = (1.0 + 0.5j) * np.exp(-(((z - 7.0) / 1.3) ** 2)) \
+            + (0.3 - 1.0j) * np.exp(-(((z - 12.0) / 0.6) ** 2)) * np.cos(3.0 * z)
+        rough = rng.normal(size=z.size) + 1j * rng.normal(size=z.size)
+        return np.array([smooth, rough])
+
+    def _worst(self, mu, parity):
+        f = self._data()
+        out = image_action_exp(self.GRID, f, mu, parity, warn_truncation=False)
+        ref = sweeps_longdouble(self.GRID, f, mu, parity)
+        err = np.max(np.abs(out - ref), axis=-1) / np.max(np.abs(ref), axis=-1)
+        return float(np.max(err))
+
+    @pytest.mark.parametrize("parity", [+1, -1])
+    @pytest.mark.parametrize("lam", [0.2, 1 + 1j, 50 + 40j, 400 - 300j])
+    def test_resolvent_points(self, lam, parity):
+        # |mu h| from 8.5e-3 to 0.12 (nu = 0.5, xi = (2, 1))
+        mu = SpectralPoint(complex(lam), 0.5, FourierMode(2, 1)).mu
+        assert self._worst(mu, parity) <= 1e-14
+
+    @pytest.mark.parametrize("parity", [+1, -1])
+    def test_q_near_one(self, parity):
+        # |mu h| = 1e-4: rounding of q builds up over the ~|mu h|^{-1} steps
+        # through which |q|^k stays near 1
+        mu = 1e-4 / self.GRID.h * np.exp(0.3j)
+        assert self._worst(mu, parity) <= 1e-12
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # importing scipy.signal costs most of a second per CLI run
+    src = str(Path(stokesgreen.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, stokesgreen; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestLaplaceWeights:

@@ -211,6 +211,19 @@ class TestGeneralResolvent:
         with pytest.raises(PoleHit):
             resolvent_apply_general(f, SpectralPoint(complex(lam_star), 1.0, mode), D)
 
+    def test_operator_of_another_mode_rejected(self):
+        # D's admissibility and pole were computed for xi = (1, 0), not (2, 1)
+        f, _, _ = self._setup(n=101)
+        pt = SpectralPoint(1.0, 1.0, FourierMode(2, 1))
+        with pytest.raises(HypothesisViolated, match="built for xi"):
+            resolvent_apply_general(f, pt, BoundaryOperatorD.no_slip(MODE10))
+
+    def test_fd_oracle_rejects_operator_of_another_mode(self):
+        f, _, _ = self._setup(n=101)
+        pt = SpectralPoint(1.0, 1.0, FourierMode(2, 1))
+        with pytest.raises(HypothesisViolated, match="built for xi"):
+            finite_difference_resolvent_general(f, pt, BoundaryOperatorD.no_slip(MODE10))
+
 
 class TestResolventBound:
     def test_finite_and_deterministic(self):
