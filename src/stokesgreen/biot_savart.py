@@ -109,29 +109,33 @@ def divergence_mode(u: ModeField, mode: FourierMode) -> np.ndarray:
             + dz(u.grid, u.values[2]))
 
 
-def check_biot_savart_roundtrip(h: ModeField, mode: FourierMode,
-                                tol: float = 1e-8) -> dict:
+# relative size of h(0) or div h beyond which the roundtrip's hypotheses fail
+_HYPOTHESIS_TOL = 1e-8
+
+
+def check_biot_savart_roundtrip(h: ModeField, mode: FourierMode) -> dict:
     """Relative max-norm error of curl(Phi(curl h)) = h.
 
     The identity requires h = 0 on the boundary and div h = 0; inputs failing
-    those hypotheses beyond ``tol`` (relative to the max of h) are rejected.
+    those hypotheses beyond ``_HYPOTHESIS_TOL`` (relative to the max of h)
+    raise HypothesisViolated.
     """
     scale = np.max(np.abs(h.values))
     if scale == 0.0:
         return {"rel_error": 0.0, "div_residual": 0.0, "boundary_residual": 0.0}
     bres = float(np.max(np.abs(h.values[:, 0]))) / scale
     dres = float(np.max(np.abs(divergence_mode(h, mode)))) / scale
-    if bres > tol:
+    if bres > _HYPOTHESIS_TOL:
         raise HypothesisViolated(f"h(0) != 0: relative boundary value {bres}")
-    if dres > tol:
+    if dres > _HYPOTHESIS_TOL:
         raise HypothesisViolated(f"div h != 0: relative residual {dres}")
     recon = curl_mode(phi(curl_mode(h, mode), mode), mode)
     rel = float(np.max(np.abs(recon.values - h.values))) / scale
     return {"rel_error": rel, "div_residual": dres, "boundary_residual": bres}
 
 
-def check_trace_identities(f: ModeField, mode: FourierMode, laplacian=None,
-                           df0=None) -> tuple[float, float]:
+def check_trace_identities(f: ModeField, mode: FourierMode, laplacian,
+                           df0) -> tuple[float, float]:
     """Boundary trace identities of the half-line inverses, per mode.
 
     With L = |xi|^2 - d^2/dz^2 and h_D, h_N the Dirichlet/Neumann inverses of
@@ -140,47 +144,35 @@ def check_trace_identities(f: ModeField, mode: FourierMode, laplacian=None,
         d h_D/dz (0) = f'(0) + |xi| f(0),
         h_N(0)       = f(0) + |xi|^{-1} f'(0);
 
-    returns the absolute errors of the two identities.  The boundary traces of
-    the inverses are the explicit integrals int e^{-|xi| z} (L f)(z) dz (times
-    1/|xi| for the Neumann one), evaluated by the grid quadrature.  Passing the
-    analytic ``laplacian`` (node values of L f) and ``df0`` avoids finite
-    differences entirely.
+    returns the absolute errors of the two identities.  ``laplacian`` holds
+    the node values of L f and ``df0`` is f'(0), both analytic.  The boundary
+    traces of the inverses are the explicit integrals int e^{-|xi| z} (L f)(z) dz
+    (times 1/|xi| for the Neumann one), evaluated by the grid quadrature.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("trace identities need |xi| > 0")
     xin = mode.norm
     grid = f.grid
     fv = f.values[0]
-    if laplacian is None:
-        lf = xin**2 * fv - dz(grid, dz(grid, fv))
-    else:
-        lf = np.asarray(laplacian, dtype=complex)
-    if df0 is None:
-        df0 = complex(dz(grid, fv)[0])
+    lf = np.asarray(laplacian, dtype=complex)
     trace_int = grid.integrate(np.exp(-xin * grid.nodes) * lf)
     err_d = abs(trace_int - (df0 + xin * fv[0]))
     err_n = abs(trace_int / xin - (fv[0] + df0 / xin))
     return float(err_d), float(err_n)
 
 
-def boundary_source_K(g: ModeField, mode: FourierMode,
-                      exact: bool = True) -> np.ndarray:
+def boundary_source_K(g: ModeField, mode: FourierMode) -> np.ndarray:
     """Tangential boundary source pair K = d/dz Phi_D(g_tau)(0) + i xi Phi_N(g_3)(0).
 
     Componentwise K_j = int e^{-|xi| z} g_j dz + (i xi_j / |xi|) int e^{-|xi| z}
-    g_3 dz, using the explicit boundary traces of the image kernels.  With
-    ``exact`` the Laplace integrals are evaluated exactly on the piecewise-linear
-    interpolant; otherwise by the grid quadrature.
+    g_3 dz, using the explicit boundary traces of the image kernels.  The
+    Laplace integrals are evaluated exactly on the piecewise-linear interpolant.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("boundary source needs |xi| > 0")
     if g.ncomp != 3:
         raise IncompatibleData("boundary_source_K expects a 3-component field")
     xin = mode.norm
-    if exact:
-        w = halfline_laplace_weights(g.grid, xin)
-        ints = g.values @ w
-    else:
-        ints = g.grid.integrate(np.exp(-xin * g.grid.nodes) * g.values)
+    ints = g.values @ halfline_laplace_weights(g.grid, xin)
     xi_vec = np.array([mode.xi1, mode.xi2], dtype=float)
     return ints[:2] + 1j * xi_vec / xin * ints[2]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -60,7 +61,10 @@ def _parse_grid(spec: str) -> HalfLineGrid:
         raise ValueError("grid must start at 0")
     if n % 2 == 0:
         n += 1  # composite Simpson needs an odd node count
-    return HalfLineGrid.uniform(b, n)
+    try:
+        return HalfLineGrid.uniform(b, n)
+    except StokesGreenError as exc:
+        raise ValueError(f"grid spec {spec!r}: {exc}") from exc
 
 
 def _parse_general_bc(spec: str, mode: FourierMode) -> BoundaryOperatorD:
@@ -284,48 +288,48 @@ def cmd_biot_savart(args) -> int:
 # argument plumbing
 
 
+# every flag of some command, by name; a command registers only the flags its
+# cmd_* reads, so any other flag is an argparse error (exit 2)
+_FLAGS = {
+    "xi": dict(nargs=2, type=int, default=[1, 0], metavar=("I", "J")),
+    "nu": dict(type=float, default=1.0),
+    "t": dict(type=float, default=0.5),
+    "lambda": dict(dest="lam", nargs=2, type=float, default=[3.0, 0.0],
+                   metavar=("RE", "IM")),
+    "grid": dict(default="0:10:256", metavar="A:B:N"),
+    "general-bc": dict(default=None, metavar="K=V[,K=V...]"),
+    "seed": dict(type=int, default=0),
+    "tol": dict(type=float, default=1e-3),
+    "oracle": dict(action="store_true"),
+    "full": dict(action="store_true", help="full bound-certificate sweep"),
+    "theta0": dict(type=float, default=0.25),
+    "out": dict(default=None, metavar="PATH"),
+}
+
+_COMMANDS = (
+    ("kernel", cmd_kernel, "sample the Green's function on a grid",
+     ("xi", "nu", "t", "grid", "general-bc", "out")),
+    ("resolvent", cmd_resolvent, "solve one resolvent problem",
+     ("xi", "nu", "lambda", "grid", "general-bc", "seed", "out")),
+    ("solve", cmd_solve, "evolve one mode and optionally compare oracles",
+     ("xi", "nu", "t", "grid", "seed", "tol", "oracle", "out")),
+    ("verify", cmd_verify, "run the verification suites",
+     ("xi", "nu", "grid", "seed", "tol", "full", "theta0", "out")),
+    ("biot-savart", cmd_biot_savart, "roundtrip and trace-identity checks",
+     ("xi", "grid", "seed", "tol", "out")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stokesgreen",
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file of defaults; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--xi", nargs=2, type=int, default=[1, 0], metavar=("I", "J"))
-        p.add_argument("--nu", type=float, default=1.0)
-        p.add_argument("--grid", default="0:10:256", metavar="A:B:N")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, metavar="PATH")
-        p.add_argument("--tol", type=float, default=1e-3)
-
-    p = sub.add_parser("kernel", help="sample the Green's function on a grid")
-    common(p)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--general-bc", default=None, metavar="K=V[,K=V...]")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("resolvent", help="solve one resolvent problem")
-    common(p)
-    p.add_argument("--lambda", dest="lam", nargs=2, type=float, default=[3.0, 0.0],
-                   metavar=("RE", "IM"))
-    p.add_argument("--general-bc", default=None, metavar="K=V[,K=V...]")
-    p.set_defaults(func=cmd_resolvent)
-
-    p = sub.add_parser("solve", help="evolve one mode and optionally compare oracles")
-    common(p)
-    p.add_argument("--t", type=float, default=0.5)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    common(p)
-    p.add_argument("--full", action="store_true", help="full bound-certificate sweep")
-    p.add_argument("--theta0", type=float, default=0.25)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("biot-savart", help="roundtrip and trace-identity checks")
-    common(p)
-    p.set_defaults(func=cmd_biot_savart)
+    for name, func, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -378,12 +382,13 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(parser, args.config)
             args = parser.parse_args(argv)
-        if args.nu <= 0:
-            raise ValueError(f"viscosity must be positive, got {args.nu}")
-        if not (0.0 < args.tol < 1.0):
+        # each check runs only for the commands that take the flag
+        if hasattr(args, "nu") and not 0.0 < args.nu < math.inf:
+            raise ValueError(f"viscosity must be finite and positive, got {args.nu}")
+        if hasattr(args, "t") and not 0.0 < args.t < math.inf:
+            raise ValueError(f"time must be finite and positive, got {args.t}")
+        if hasattr(args, "tol") and not 0.0 < args.tol < 1.0:
             raise ValueError(f"tolerance must be in (0,1), got {args.tol}")
-        if hasattr(args, "t") and args.t <= 0:
-            raise ValueError(f"time must be positive, got {args.t}")
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

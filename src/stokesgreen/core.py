@@ -103,51 +103,29 @@ class SpectralPoint:
 class HalfLineGrid:
     """Uniform grid on [0, z_max] with composite-Simpson quadrature weights.
 
-    The node count must be odd so that the panels pair up for Simpson's rule.
+    Uniform by construction: it is built from (z_max, n) only, as
+    ``HalfLineGrid.uniform(z_max, n)``, and every spatial operator and kernel
+    action uses its single spacing h.  The node count must be odd so that the
+    panels pair up for Simpson's rule.
     """
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
-        nodes = np.asarray(nodes, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if nodes.ndim != 1 or nodes.size < 3:
-            raise GridTooSmall("need at least 3 grid nodes")
-        if nodes[0] != 0.0:
-            raise IncompatibleData("grid must start at z = 0")
-        spacing = np.diff(nodes)
-        if np.any(spacing <= 0):
-            raise IncompatibleData("grid nodes must be strictly increasing")
-        # every spatial operator and kernel action uses the single spacing h
-        if np.max(np.abs(spacing - spacing[0])) > 1e-12 * spacing[0]:
-            raise IncompatibleData("grid nodes must be uniformly spaced")
-        if weights.shape != nodes.shape or np.any(weights <= 0):
-            raise IncompatibleData("quadrature weights must be positive, one per node")
-        self.nodes = nodes
-        self.weights = weights
-
-    @classmethod
-    def uniform(cls, z_max: float, n: int) -> "HalfLineGrid":
+    def __init__(self, z_max: float, n: int):
         if n < 3 or n % 2 == 0:
             raise GridTooSmall(f"composite Simpson needs an odd node count >= 3, got {n}")
-        nodes = np.linspace(0.0, z_max, n)
-        h = nodes[1] - nodes[0]
+        if not 0.0 < z_max < math.inf:
+            raise IncompatibleData(f"z_max must be finite and positive, got {z_max}")
+        self.nodes = np.linspace(0.0, z_max, n)
+        self.n = self.nodes.size
+        self.z_max = float(self.nodes[-1])
+        self.h = float(self.nodes[1] - self.nodes[0])
         weights = np.full(n, 2.0, dtype=float)
         weights[1::2] = 4.0
         weights[0] = weights[-1] = 1.0
-        weights *= h / 3.0
-        return cls(nodes, weights)
+        self.weights = weights * (self.h / 3.0)
 
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
-    @property
-    def z_max(self) -> float:
-        return float(self.nodes[-1])
-
-    @property
-    def h(self) -> float:
-        """Node spacing."""
-        return float(self.nodes[1] - self.nodes[0])
+    @classmethod
+    def uniform(cls, z_max: float, n: int) -> "HalfLineGrid":
+        return cls(z_max, n)
 
     def integrate(self, values: np.ndarray) -> complex | np.ndarray:
         """Integrate node values over [0, z_max]; integrates the last axis."""

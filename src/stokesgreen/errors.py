@@ -36,7 +36,12 @@ class GridTooSmall(StokesGreenError):
 
 
 class HypothesisViolated(StokesGreenError):
-    """A boundary operator failed the admissibility conditions."""
+    """An input fails a hypothesis of the identity or formula it is used in.
+
+    Raised for a boundary operator D that fails the admissibility conditions
+    or was built for another mode, and for a Biot-Savart roundtrip input with
+    h(0) != 0 or div h != 0.
+    """
 
 
 class IncompatibleData(StokesGreenError):

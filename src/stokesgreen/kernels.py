@@ -319,12 +319,16 @@ def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z) -> np.ndarray:
     return total
 
 
-def residue_small_circle(f, center: complex, radius: float, n: int = 256) -> complex:
+# periodic-trapezoid nodes on the small residue circle
+_N_CIRCLE = 256
+
+
+def residue_small_circle(f, center: complex, radius: float) -> complex:
     """(1/2 pi i) contour integral of f over a small circle (periodic trapezoid)."""
-    theta = 2.0 * np.pi * np.arange(n) / n
+    theta = 2.0 * np.pi * np.arange(_N_CIRCLE) / _N_CIRCLE
     lam = center + radius * np.exp(1j * theta)
     vals = f(lam) * radius * np.exp(1j * theta)
-    return complex(np.sum(vals) / n)
+    return complex(np.sum(vals) / _N_CIRCLE)
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +440,13 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
 _SIGMA_FRACTION = 0.5
 # largest relative move of a certified sup under node doubling that still passes
 _DRIFT_TOL = 0.1
+# Gauss-Legendre nodes per arm and on the arc of the certificate's contours
+_CERT_N_ARM, _CERT_N_ARC = 256, 128
 
 
 def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
                          t_values=(0.01, 0.0316, 0.1, 0.316, 1.0),
-                         k_values=(0, 1, 2), s_values=None, theta0=0.25,
-                         n_arm=256, n_arc=128) -> dict:
+                         k_values=(0, 1, 2), s_values=None, theta0=0.25) -> dict:
     """Certify the pointwise kernel bounds by sup-ratio sweeps.
 
     Reports, for both the no-slip kernel (D = P/|xi|) and a general boundary
@@ -478,9 +483,9 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     ok = True
     for name, operator in (("no_slip", BoundaryOperatorD.no_slip), ("general", general)):
         sup, arg = _bound_sweep(nu_values, xi_values, t_values, k_values,
-                                s_values, theta0, n_arm, n_arc, operator)
+                                s_values, theta0, _CERT_N_ARM, _CERT_N_ARC, operator)
         sup2, _ = _bound_sweep(nu_values, xi_values, t_values, k_values,
-                               s_values, theta0, 2 * n_arm, 2 * n_arc, operator)
+                               s_values, theta0, 2 * _CERT_N_ARM, 2 * _CERT_N_ARC, operator)
         drift = {key: abs(sup2[key] - sup[key]) / max(abs(sup[key]), 1e-300)
                  for key in ("R1", "R2_quarter")}
         finite = all(np.isfinite(sup[key]) for key in ("R1", "R2_quarter"))

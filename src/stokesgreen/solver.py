@@ -28,6 +28,7 @@ solves (lambda - nu Delta_xi) u = f on its tangential block for any admissible D
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -71,10 +72,10 @@ class StokesProblem:
     compat_correction: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if self.nu <= 0:
-            raise IncompatibleData(f"viscosity must be positive, got {self.nu}")
-        if self.t_final <= 0:
-            raise IncompatibleData(f"t_final must be positive, got {self.t_final}")
+        if not 0.0 < self.nu < math.inf:
+            raise IncompatibleData(f"viscosity must be finite and positive, got {self.nu}")
+        if not 0.0 < self.t_final < math.inf:
+            raise IncompatibleData(f"t_final must be finite and positive, got {self.t_final}")
         if self.omega0.ncomp != 3:
             raise IncompatibleData("omega0 must have 3 components")
         w3_0 = self.omega0.values[2, 0]
@@ -182,14 +183,16 @@ def _boundary_kernel_column(grid, nu, mode, t, modes):
 def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
     """Evaluate the Green's-function representation at the requested times.
 
-    Times must lie in [0, problem.t_final].  The forcing and boundary Duhamel
+    Times must be finite and lie in [0, problem.t_final].  The forcing and boundary Duhamel
     integrals use Gauss-Legendre nodes in sigma = sqrt(t - s).
     """
     grid = problem.omega0.grid
     nu, mode = problem.nu, problem.mode
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0) or np.any(times > problem.t_final):
-        raise IncompatibleData(f"times must lie in [0, t_final = {problem.t_final}]")
+    # written so that NaN, which fails every comparison, is out of range too
+    if not np.all((times >= 0.0) & (times <= problem.t_final)):
+        raise IncompatibleData(
+            f"times must be finite and lie in [0, t_final = {problem.t_final}]")
     states = []
     x_gl, w_gl = np.polynomial.legendre.leggauss(_N_QUAD)
     has_force = problem.forcing is not None

@@ -175,13 +175,6 @@ class TestTraceIdentities:
         assert err_d < 1e-9
         assert err_n < 1e-9
 
-    def test_fd_fallback(self):
-        grid = HalfLineGrid.uniform(40.0, 8001)
-        f = ModeField(grid, np.exp(-2.0 * grid.nodes))
-        err_d, err_n = check_trace_identities(f, MODE)
-        assert err_d < 1e-4  # finite-difference Laplacian limits accuracy
-        assert err_n < 1e-4
-
 
 class TestBoundarySource:
     def test_structure(self):
@@ -205,8 +198,10 @@ class TestBoundarySource:
         g = ModeField(grid, np.array([np.exp(-((z - 4) ** 2)),
                                       1j * np.exp(-((z - 5) ** 2)),
                                       np.exp(-((z - 6) ** 2))]))
-        K_exact = boundary_source_K(g, mode, exact=True)
-        K_quad = boundary_source_K(g, mode, exact=False)
+        K_exact = boundary_source_K(g, mode)
+        # the same Laplace integrals by Simpson quadrature
+        ints = grid.integrate(np.exp(-mode.norm * z) * g.values)
+        K_quad = ints[:2] + 1j * np.array([2.0, 1.0]) / mode.norm * ints[2]
         # PL-exact Laplace weights vs Simpson differ at quadrature order
         assert np.allclose(K_exact, K_quad, atol=1e-6)
 

@@ -1,6 +1,8 @@
 """In-process tests of the command-line interface."""
 
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -215,9 +217,31 @@ class TestConfigAndErrors:
 
     def test_config_error_codes(self):
         assert run(["kernel", "--nu", "-1.0"]) == EXIT_CONFIG
-        assert run(["kernel", "--tol", "2.0"]) == EXIT_CONFIG
+        assert run(["verify", "--tol", "2.0"]) == EXIT_CONFIG
         assert run(["kernel", "--t", "-0.5"]) == EXIT_CONFIG
         assert run(["kernel", "--grid", "1:5:64", "--out", "-"]) == EXIT_CONFIG
+        # kernel reads no tolerance, so it takes no --tol
+        with pytest.raises(SystemExit) as exc:
+            run(["kernel", "--tol", "1e-3"])
+        assert exc.value.code == EXIT_CONFIG
+        # a non-finite nu or t is a configuration error, not rows of nan
+        for flag, val in (("--nu", "nan"), ("--nu", "inf"), ("--t", "nan"), ("--t", "inf")):
+            assert run(["solve", flag, val, "--grid", "0:4:8", "--out", "-"]) == EXIT_CONFIG
+        # a grid the constructor rejects is a configuration error too
+        for spec in ("0:-5:9", "0:0:9", "0:nan:9", "0:inf:9", "0:10:1"):
+            assert run(["kernel", "--grid", spec, "--out", "-"]) == EXIT_CONFIG
+
+    def test_every_flag_is_read(self):
+        # each command registers exactly the flags its cmd_* reads
+        commands = next(a.choices for a in _build_parser()._actions
+                        if a.dest == "command")
+        for name, p in commands.items():
+            src = inspect.getsource(p.get_default("func"))
+            dests = {a.dest for a in p._actions} - {"help", "command", "func", "config"}
+            unread = {d for d in dests if f"args.{d}" not in src}
+            assert not unread, f"{name} registers flags it never reads: {unread}"
+            unregistered = set(re.findall(r"args\.(\w+)", src)) - dests
+            assert not unregistered, f"{name} reads unregistered flags: {unregistered}"
 
     def test_numerical_error_code(self, capsys):
         # lambda on the negative real branch cut -> numerical failure exit

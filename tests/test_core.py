@@ -92,10 +92,9 @@ class TestHalfLineGrid:
             HalfLineGrid.uniform(1.0, 4)  # even
         with pytest.raises(GridTooSmall):
             HalfLineGrid.uniform(1.0, 1)
-        with pytest.raises(IncompatibleData):
-            HalfLineGrid(np.array([1.0, 2.0, 3.0]), np.ones(3))  # not at 0
-        with pytest.raises(IncompatibleData):
-            HalfLineGrid(np.linspace(0.0, 1.0, 11) ** 2, np.ones(11))  # not uniform
+        for z_max in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(IncompatibleData, match="finite and positive"):
+                HalfLineGrid.uniform(z_max, 5)
 
     def test_norm_l2(self):
         grid = HalfLineGrid.uniform(40.0, 4001)

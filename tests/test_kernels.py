@@ -340,8 +340,7 @@ class TestBoundCertificate:
         monkeypatch.setattr(kernels, "residual_profiles_general", no_profiles)
         report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(1, 3),
                                       t_values=(0.1, 1.0), k_values=(0, 1),
-                                      s_values=np.linspace(0.0, 6.0, 7),
-                                      n_arm=128, n_arc=64)
+                                      s_values=np.linspace(0.0, 6.0, 7))
         assert report["pass"]
         for fam in ("no_slip", "general"):
             assert np.isfinite(report[fam]["sup"]["R1"])
@@ -361,8 +360,7 @@ class TestBoundCertificate:
         monkeypatch.setattr(kernels, part, poisoned)
         report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(1,),
                                       t_values=(0.1,), k_values=(0,),
-                                      s_values=np.linspace(0.0, 6.0, 7),
-                                      n_arm=128, n_arc=64)
+                                      s_values=np.linspace(0.0, 6.0, 7))
         assert report["pass"] is False
         assert report["no_slip"]["finite"] is False
 

@@ -195,9 +195,13 @@ class TestDuhamel:
     def test_times_outside_horizon_raise(self):
         grid = HalfLineGrid.uniform(16.0, 257)
         p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=1.0)
-        for bad in ([3.0], [0.5, 1.5], [-0.1]):
+        for bad in ([3.0], [0.5, 1.5], [-0.1], [np.nan], [0.5, np.nan], [np.inf]):
             with pytest.raises(IncompatibleData):
                 duhamel_solve(p, bad)
+        # a non-finite nu or horizon is rejected when the problem is built
+        for nu, t_final in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(IncompatibleData, match="finite and positive"):
+                StokesProblem(mode=MODE, nu=nu, omega0=bump_initial(grid), t_final=t_final)
 
     def test_large_time_residue_limit(self):
         # for nu |xi|^2 t >> 1 only the boundary pole at lambda = 0 survives:
