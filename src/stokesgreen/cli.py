@@ -389,6 +389,8 @@ def main(argv=None) -> int:
             raise ValueError(f"time must be finite and positive, got {args.t}")
         if hasattr(args, "tol") and not 0.0 < args.tol < 1.0:
             raise ValueError(f"tolerance must be in (0,1), got {args.tol}")
+        if hasattr(args, "theta0") and not 0.0 < args.theta0 < 1.0:
+            raise ValueError(f"theta0 must be in (0,1), got {args.theta0}")
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,6 +34,15 @@ over the same segments: ``Contour.gauss_legendre`` (fixed nodes; the
 vectorized profiles and the bound certificate) and ``Contour.integrate``
 (adaptive panels; the oracles ``residual_kernel_general(method="adaptive")``
 and ``invert_resolvent_kernel``).
+
+Both deformations are mirror images under complex conjugation, and the
+builders declare it (``Contour.mirror``).  The residual integrands are real
+in the sense f(conj lambda) = conj f(lambda) (real t, s, nu, |xi|, sigma and
+the principal root mu), so their Bromwich integrals are real and
+``gauss_legendre`` evaluates only the upper half of each contour: the lower
+half contributes the conjugate, and (I - conj I) / (2 pi i) = Im(I) / pi.
+It therefore returns real values and accepts only such integrands;
+``integrate`` evaluates every segment and accepts any integrand.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad_vec
 
-from .errors import PoleOnContour
+from .errors import HypothesisViolated, PoleOnContour
 
 __all__ = [
     "Segment",
@@ -86,6 +95,12 @@ class Contour:
     inverse Laplace transform is the contour integral plus that residue;
     ``arc_index`` marks the segment that carries the pole contribution for the
     low-frequency split (None for the high-frequency parabola).
+
+    ``mirror`` declares the contour conjugate-symmetric: segment ``mirror[k]``
+    traversed backwards is the complex conjugate of segment k, and a segment
+    with ``mirror[k] == k`` is its own mirror image.  Of a mirror pair the
+    later segment lies in the upper half plane, as does the later half of a
+    self-mirrored one.  None for a contour without that symmetry.
     """
 
     segments: tuple[Segment, ...]
@@ -93,6 +108,7 @@ class Contour:
     regime: str
     params: dict = field(compare=False)
     arc_index: int | None = None
+    mirror: tuple[int, ...] | None = None
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], segment_indices=None):
         """(1/2 pi i) * integral of f(lambda) over (selected) segments.
@@ -124,13 +140,36 @@ class Contour:
         on each other segment.  ``f`` receives lambda with the contour's s
         axes first and the node axis last, and returns that shape; the sum
         runs over the node axis.
+
+        Requires f(conj lambda) = conj f(lambda) on a contour built
+        conjugate-symmetric (``mirror``), and a segment selection closed under
+        mirroring; HypothesisViolated otherwise.  Only the upper node of each
+        mirror pair is evaluated (node j of a segment mirrors node n-1-j of
+        its mirror; the centre node of a self-mirrored segment with odd n
+        enters once, at half weight), so the rule is the full Gauss-Legendre
+        rule in exact arithmetic, and the result is real: Im(I) / pi of the
+        upper-half sum I.
         """
+        if self.mirror is None:
+            raise HypothesisViolated(
+                "fixed-node quadrature needs a conjugate-symmetric contour")
         if segment_indices is None:
             segment_indices = range(len(self.segments))
+        chosen = sorted(set(segment_indices))
+        if any(self.mirror[k] not in chosen for k in chosen):
+            raise HypothesisViolated(
+                f"segments {chosen} are not closed under mirroring {self.mirror}")
         total = None
-        for k in segment_indices:
+        for k in chosen:
+            if self.mirror[k] > k:
+                continue  # the lower segment of a pair: its mirror stands for it
             seg = self.segments[k]
-            p, w = _gl(seg.p0, seg.p1, n_arc if k == self.arc_index else n_arm)
+            n = n_arc if k == self.arc_index else n_arm
+            p, w = _gl(seg.p0, seg.p1, n)
+            if self.mirror[k] == k:
+                p, w = p[n // 2:], w[n // 2:].copy()
+                if n % 2:
+                    w[0] *= 0.5
             # f(lambda) goes first in its product with the weights: numpy
             # computes a product with a large temporary on the right in place
             # with the operands swapped, and complex multiplication is not
@@ -138,7 +177,7 @@ class Contour:
             # depend on how many s are evaluated together.
             part = np.sum(f(seg.gamma(p)) * (seg.dgamma(p) * w), axis=-1)
             total = part if total is None else total + part
-        return total / (2.0j * np.pi)
+        return total.imag / np.pi
 
 
 @lru_cache(maxsize=32)
@@ -213,7 +252,7 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s,
     segments = (_parabola("arm_minus", -b_max, 0.0, nu, a, c_arm - 1j * M), arc,
                 _parabola("arm_plus", 0.0, b_max, nu, a, c_arm + 1j * M))
     return Contour(segments=segments, encloses_pole_at=complex(pole),
-                   regime="lowfreq", params=params, arc_index=1)
+                   regime="lowfreq", params=params, arc_index=1, mirror=(2, 1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -273,4 +312,4 @@ def build_contour_highfreq(t: float, nu: float, xi_norm: float, s,
     crosses = np.any(params["crosses_pole"])
     encl = complex(vertex + nu * params["pole_mu"] ** 2) if crosses else None
     return Contour(segments=segments, encloses_pole_at=encl,
-                   regime="highfreq", params=params, arc_index=None)
+                   regime="highfreq", params=params, arc_index=None, mirror=(1, 0))

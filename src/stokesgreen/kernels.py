@@ -33,7 +33,7 @@ import numpy as np
 
 from . import contours as ct
 from .core import FourierMode, SpectralPoint, projection_matrix
-from .errors import QuadratureUnderresolved, ZeroModeUnsupported
+from .errors import IncompatibleData, QuadratureUnderresolved, ZeroModeUnsupported
 from .resolvent import BoundaryOperatorD
 
 __all__ = [
@@ -159,7 +159,7 @@ def _rho1(contour, integrate, t, s, nu, xi_norm, sigma, deriv, comp):
                          segment_indices=[contour.arc_index])
     lam_star = nu * (sigma**2 - xi_norm**2)
     arg = np.where(contour.params["crosses_pole"], lam_star * t - sigma * s + comp, -np.inf)
-    return 2.0 * (-sigma) ** deriv * np.exp(arg) + 0.0j
+    return 2.0 * (-sigma) ** deriv * np.exp(arg)
 
 
 def _rho2(contour, integrate, t, s, nu, xi_norm, sigma, deriv, comp):
@@ -191,15 +191,16 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D.
     ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral.
     Both parts come from fixed Gauss-Legendre nodes (``n_arm``/``n_arc``) on
-    one contour per chunk of s.  A non-finite value raises
-    QuadratureUnderresolved.
+    one contour per chunk of s, and are real float arrays (the kernel is real;
+    the quadrature evaluates the upper half of the conjugate-symmetric
+    contour only).  A non-finite value raises QuadratureUnderresolved.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
     xin = mode.norm
     s = np.asarray(s, dtype=float)
     if sigma == 0.0:
-        return np.zeros(s.shape, dtype=complex), np.zeros(s.shape, dtype=complex)
+        return np.zeros(s.shape), np.zeros(s.shape)
     regime = regime or _auto_regime(nu, mode)
     flat_s = s.reshape(-1)
     step = max(1, _CHUNK_ELEMENTS // (2 * n_arm + n_arc))
@@ -272,7 +273,9 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
                 raise QuadratureUnderresolved(
                     "doubling quadrature nodes changed the kernel by more than 1e-8 relative")
             vals = fine
-    return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix, "regime": regime,
+    # D is real: the fixed path's real profiles give real R1, R2
+    mat = D.matrix.real
+    return {"R1": vals[0] * mat, "R2": vals[1] * mat, "regime": regime,
             "contour": contour}
 
 
@@ -354,8 +357,12 @@ class KernelSample:
         return self.H[..., None, None] * np.eye(2) + self.R1 + self.R2
 
 
+# Gauss-Legendre nodes per arm and on the arc of the sampled profiles
+_SAMPLE_N_ARM, _SAMPLE_N_ARC = 256, 128
+
+
 def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
-                          D=None, n_arm=256, n_arc=128) -> KernelSample:
+                          D=None) -> KernelSample:
     """Sample G_xi(t) for the boundary operator D (default no-slip) on a product grid.
 
     The residual profiles depend on (y, z) only through s = y + z, so they are
@@ -371,10 +378,10 @@ def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
     h = heat_kernel_neumann(t, nu, mode, y[:, None], z[None, :])
     s_u, inv = np.unique(s, return_inverse=True)
     rho1, rho2 = (rho[inv].reshape(s.shape) for rho in residual_profiles_general(
-        t, nu, mode, s_u, D.sigma, n_arm=n_arm, n_arc=n_arc))
+        t, nu, mode, s_u, D.sigma, n_arm=_SAMPLE_N_ARM, n_arc=_SAMPLE_N_ARC))
     return KernelSample(t=t, nu=nu, mode=mode, y_nodes=y, z_nodes=z, H=h,
-                        R1=rho1[..., None, None] * D.matrix,
-                        R2=rho2[..., None, None] * D.matrix,
+                        R1=rho1[..., None, None] * D.matrix.real,
+                        R2=rho2[..., None, None] * D.matrix.real,
                         regime=_auto_regime(nu, mode))
 
 
@@ -465,8 +472,12 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     directly (not through the profiles), each bound's exponent inside exp().
     The certificate passes when the certified sups are finite and drift by
     less than ``report["drift_tol"]`` relative when the quadrature node counts
-    double.
+    double.  A ``theta0`` outside (0, 1) raises IncompatibleData: theta0 <= 0
+    turns the R1 bound's decay e^{-theta0 mu0 (y+z)} into growth, so the sup
+    would bound nothing.
     """
+    if not 0.0 < theta0 < 1.0:
+        raise IncompatibleData(f"theta0 must be in (0, 1), got {theta0}")
     if s_values is None:
         s_values = np.linspace(0.0, 10.0, 21)
     s_values = np.asarray(s_values, dtype=float)

@@ -280,7 +280,7 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
     snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
     nsteps = int(round(problem.t_final / dt))
     dt = problem.t_final / nsteps
-    if np.any(snapshot_times < 0.0) or np.any(snapshot_times > problem.t_final):
+    if not np.all((snapshot_times >= 0.0) & (snapshot_times <= problem.t_final)):
         raise IncompatibleData(f"snapshot times must lie in [0, t_final = {problem.t_final}]")
     snap_steps = {int(round(t / dt)): t for t in snapshot_times if t > 0}
     for k, t in snap_steps.items():

@@ -230,6 +230,9 @@ class TestConfigAndErrors:
         # a grid the constructor rejects is a configuration error too
         for spec in ("0:-5:9", "0:0:9", "0:nan:9", "0:inf:9", "0:10:1"):
             assert run(["kernel", "--grid", spec, "--out", "-"]) == EXIT_CONFIG
+        # theta0 outside (0, 1) would make the R1 bound certify nothing
+        for val in ("-5", "0", "1", "nan"):
+            assert run(["verify", "--theta0", val, "--out", "-"]) == EXIT_CONFIG
 
     def test_every_flag_is_read(self):
         # each command registers exactly the flags its cmd_* reads

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from stokesgreen import FourierMode, PoleOnContour, build_contour_highfreq, build_contour_lowfreq
-from stokesgreen.contours import BETA_MAX, highfreq_params, lowfreq_params
+from stokesgreen import (
+    FourierMode,
+    HypothesisViolated,
+    PoleOnContour,
+    build_contour_highfreq,
+    build_contour_lowfreq,
+)
+from stokesgreen.contours import BETA_MAX, Contour, Segment, highfreq_params, lowfreq_params
 
 
 class TestLowFreq:
@@ -84,8 +90,6 @@ class TestContourIntegrate:
         # closed-path check via two half circles: integral of 1/(lambda - z0)
         import dataclasses
 
-        from stokesgreen.contours import Contour, Segment
-
         z0 = 0.3 + 0.1j
         right = Segment("right", -0.5 * np.pi, 0.5 * np.pi,
                         lambda th: np.exp(1j * th), lambda th: 1j * np.exp(1j * th))
@@ -96,6 +100,10 @@ class TestContourIntegrate:
         val = c.integrate(lambda lam: 1.0 / (lam - z0))
         assert abs(val - 1.0) < 1e-12
         assert dataclasses.is_dataclass(c)
+        # the fixed-node rule folds by conjugate symmetry, which this contour
+        # and integrand lack
+        with pytest.raises(HypothesisViolated):
+            c.gauss_legendre(lambda lam: 1.0 / (lam - z0))
 
     @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
     def test_nodes_match_segments(self, family):
@@ -118,3 +126,64 @@ class TestContourIntegrate:
         fixed = c.gauss_legendre(f, n_arm=256, n_arc=128)
         assert fixed.shape == s.shape
         assert np.max(np.abs(adaptive - fixed)) < 1e-12
+
+
+def _unfolded_gauss_legendre(c, f, n_arm, n_arc, segment_indices):
+    """The plain Gauss-Legendre rule over every node of the selected segments."""
+    total = 0.0
+    for k in segment_indices:
+        seg = c.segments[k]
+        x, w = np.polynomial.legendre.leggauss(n_arc if k == c.arc_index else n_arm)
+        mid, half = 0.5 * (seg.p0 + seg.p1), 0.5 * (seg.p1 - seg.p0)
+        p = mid + half * x
+        total = total + np.sum(f(seg.gamma(p)) * seg.dgamma(p) * (half * w), axis=-1)
+    return total / (2.0j * np.pi)
+
+
+class TestConjugateFold:
+    """gauss_legendre evaluates only the upper half of a conjugate-symmetric
+    contour; it must be the full Gauss-Legendre rule, with a real result."""
+
+    @staticmethod
+    def _contour(family, pole):
+        if family == "lowfreq":
+            t, nu, xin, s = 0.4, 0.8, 1.0, np.array([0.0, 0.7, 1.3])
+            lam_star = 0.0 if pole == "no_slip" else nu * (0.5**2 - xin**2)
+            c = build_contour_lowfreq(t, nu, xin, s, pole=lam_star)
+            sigma = xin if pole == "no_slip" else 0.5
+        else:
+            # s = 0 crosses the pole mu = sigma, s = 10 (a = 50) does not
+            t, nu, xin, s = 0.1, 1.0, 3.0, np.array([0.0, 10.0])
+            sigma = xin if pole == "no_slip" else 1.5
+            c = build_contour_highfreq(t, nu, xin, s, pole_mu=sigma)
+            assert c.params["crosses_pole"].tolist() == [True, False]
+
+        def f(lam):
+            mu = np.sqrt(lam / nu + xin**2)
+            return np.exp(lam * t - mu * s[:, None]) / (nu * mu * (mu - sigma))
+
+        return c, f
+
+    @pytest.mark.parametrize("n_arm,n_arc", [(24, 16), (23, 15)])
+    @pytest.mark.parametrize("pole", ["no_slip", "general"])
+    @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
+    def test_matches_unfolded_rule(self, family, pole, n_arm, n_arc):
+        c, f = self._contour(family, pole)
+        # the whole contour, and at low frequency the arc (R1) and arms (R2) alone
+        selections = [[0, 1, 2], [1], [0, 2]] if family == "lowfreq" else [[0, 1]]
+        for sel in selections:
+            folded = c.gauss_legendre(f, n_arm=n_arm, n_arc=n_arc, segment_indices=sel)
+            plain = _unfolded_gauss_legendre(c, f, n_arm, n_arc, sel)
+            assert folded.dtype == np.float64 and folded.shape == plain.shape
+            scale = np.max(np.abs(plain))
+            assert np.max(np.abs(plain.imag)) <= 1e-15 * scale
+            assert np.max(np.abs(folded - plain.real)) <= 1e-15 * scale
+
+    def test_rejects_selection_not_closed_under_mirroring(self):
+        c, f = self._contour("lowfreq", "no_slip")
+        for sel in ([0], [2], [0, 1], [1, 2]):
+            with pytest.raises(HypothesisViolated):
+                c.gauss_legendre(f, segment_indices=sel)
+        c, f = self._contour("highfreq", "no_slip")
+        with pytest.raises(HypothesisViolated):
+            c.gauss_legendre(f, segment_indices=[1])

@@ -9,6 +9,7 @@ from stokesgreen import (
     BoundaryOperatorD,
     FourierMode,
     HalfLineGrid,
+    IncompatibleData,
     KernelSample,
     ModeField,
     QuadratureUnderresolved,
@@ -245,7 +246,7 @@ class TestSamplingDedup:
     """sample_green_function evaluates each distinct s once; the values must be
     bit-for-bit those of evaluating the profile at every (y, z) pair."""
 
-    N_ARM, N_ARC = 32, 16  # the identity does not depend on the node counts
+    N_ARM, N_ARC = 32, 16  # batch independence does not depend on the node counts
 
     CASES = {
         "no_slip_lowfreq": (FourierMode(1, 0), 1.0, None),
@@ -258,11 +259,9 @@ class TestSamplingDedup:
         D = (BoundaryOperatorD.no_slip(mode) if abg is None
              else BoundaryOperatorD(*abg, c0=1.0, mode=mode))
         t = 0.4
-        sample = sample_green_function(t, nu, mode, y, z, D=D,
-                                       n_arm=self.N_ARM, n_arc=self.N_ARC)
+        sample = sample_green_function(t, nu, mode, y, z, D=D)
         rho1, rho2 = residual_profiles_general(t, nu, mode, y[:, None] + z[None, :],
-                                               D.sigma, n_arm=self.N_ARM,
-                                               n_arc=self.N_ARC)
+                                               D.sigma)
         assert np.array_equal(sample.R1, rho1[..., None, None] * D.matrix)
         assert np.array_equal(sample.R2, rho2[..., None, None] * D.matrix)
         assert np.array_equal(sample.H, heat_kernel_neumann(t, nu, mode, y[:, None],
@@ -305,10 +304,33 @@ class TestSamplingDedup:
         mode, nu, _ = self.CASES[case]
         for i, j in [(0, 0), (4, 7), (12, 8), (2, 8)]:
             r1, r2 = residual_profiles_general(sample.t, nu, mode, np.array([y[i] + z[j]]),
-                                               D.sigma, n_arm=self.N_ARM,
-                                               n_arc=self.N_ARC)
+                                               D.sigma)
             assert np.array_equal(sample.R1[i, j], r1[0] * D.matrix)
             assert np.array_equal(sample.R2[i, j], r2[0] * D.matrix)
+
+
+class TestRealResidualKernels:
+    """R(conj lambda) = conj R(lambda) for a real D, so the fixed-node R1 and
+    R2 are real: their imaginary parts are exactly 0, not rounding noise."""
+
+    CASES = [(FourierMode(1, 0), 1.0, None), (FourierMode(2, 1), 1.0, None),
+             (FourierMode(1, 0), 1.0, (0.2, 0.5, math.sqrt(0.1))),
+             (FourierMode(3, 1), 0.3, (0.5, 0.2, math.sqrt(0.1)))]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_imaginary_part_is_zero(self, case):
+        mode, nu, abg = self.CASES[case]
+        D = (BoundaryOperatorD.no_slip(mode) if abg is None
+             else BoundaryOperatorD(*abg, c0=1.0, mode=mode))
+        nodes = np.linspace(0.0, 10.0, 33)
+        for deriv in (0, 1, 2):
+            for rho in residual_profiles_general(0.5, nu, mode, 2 * nodes, D.sigma,
+                                                 deriv=deriv):
+                assert np.all(np.imag(rho) == 0.0)
+        sample = sample_green_function(0.5, nu, mode, nodes, nodes, D=D)
+        out = residual_kernel_general(0.5, nu, mode, D, 0.3, 1.1)
+        for R in (sample.R1, sample.R2, out["R1"], out["R2"]):
+            assert np.all(np.imag(R) == 0.0)
 
 
 class TestQuadratureChecks:
@@ -388,6 +410,14 @@ class TestBoundCertificate:
                                  * scale * (nu * t) ** ((k + 1) / 2))
                     assert sup["R1"] == pytest.approx(r1, rel=1e-12, abs=0)
                     assert sup["R2_quarter"] == pytest.approx(r2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("theta0", [-5.0, 0.0, 1.0, math.nan])
+    def test_theta0_outside_unit_interval_raises(self, theta0):
+        # theta0 <= 0 turns the R1 bound's decay factor into growth
+        with pytest.raises(IncompatibleData):
+            verify_kernel_bounds(nu_values=(1.0,), xi_values=(1,), t_values=(0.1,),
+                                 k_values=(0,), s_values=np.linspace(0.0, 6.0, 7),
+                                 theta0=theta0)
 
     def test_argmax_reports_s(self):
         # the no-slip R2 sup of this cell sits at the window edge s = s_max

@@ -114,7 +114,7 @@ class TestCrankNicolson:
         p = StokesProblem(mode=MODE, nu=1.0,
                           omega0=ModeField(grid, np.zeros((3, grid.n), dtype=complex)),
                           t_final=1.0)
-        for bad in ([0.33], [0.3, 2.0], [-0.1, 0.5]):
+        for bad in ([0.33], [0.3, 2.0], [-0.1, 0.5], [0.5, math.nan]):
             with pytest.raises(IncompatibleData):
                 crank_nicolson_oracle(p, dt=0.1, snapshot_times=bad)
         traj = crank_nicolson_oracle(p, dt=0.1, snapshot_times=[0.0, 0.3, 1.0])
