@@ -12,7 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
 import math
 import sys
@@ -42,13 +42,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_each(x: np.ndarray) -> list[str]:
-    """``_fmt`` of every element of a float64 array, formatting each distinct
-    bit pattern once (bits, not values: -0.0 == 0.0 but prints as -0)."""
+def _fmt_each(x: np.ndarray) -> np.ndarray:
+    """``_fmt`` of every element of a real float64 array, as an object array
+    of its shape, formatting each distinct bit pattern once (bits, not values:
+    -0.0 == 0.0 but prints as -0).  TypeError on complex input, whose
+    imaginary part a cast to float would drop."""
+    if np.iscomplexobj(x):
+        raise TypeError("_fmt_each formats real arrays only")
     bits, inv = np.unique(np.ascontiguousarray(x, dtype=float).view(np.int64),
                           return_inverse=True)
     text = np.array([_fmt(v) for v in bits.view(np.float64)], dtype=object)
-    return text[inv.reshape(-1)].tolist()
+    return text[inv.reshape(x.shape)]
 
 
 def _parse_grid(spec: str) -> HalfLineGrid:
@@ -80,13 +84,16 @@ def _parse_general_bc(spec: str, mode: FourierMode) -> BoundaryOperatorD:
                              c0=kv.get("c0", 1.0), mode=mode)
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+def _open_out(path: str | None):
+    """The output file as a context manager; stdout for no path or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
+
+
+def _write_lines(path: str | None, lines: list[str]) -> None:
+    with _open_out(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _bump_params(ncomp: int, seed: int, z_max: float, interior: bool = False):
@@ -130,7 +137,7 @@ def cmd_kernel(args) -> int:
     fine = kernels.residual_kernel_general(args.t, args.nu, mode, D, 0.0, 0.0,
                                            n_arm=512, n_arc=256)
     drift = max(np.max(np.abs(fine[k] - coarse[k])) for k in ("R1", "R2"))
-    lines = [
+    header = [
         f"# green-function sample: heat-image part + residual contour quadrature ({kind})",
         f"# xi=({mode.xi1},{mode.xi2}) nu={_fmt(args.nu)} t={_fmt(args.t)} "
         f"regime={sample.regime} grid=0:{_fmt(grid.z_max)}:{grid.n}",
@@ -139,14 +146,22 @@ def cmd_kernel(args) -> int:
     ]
     # one row per (y, z, entry, part), in that nesting order
     parts = np.stack([sample.H[..., None, None] * np.eye(2), sample.R1, sample.R2],
-                     axis=-1).reshape(-1)
-    tags = [f"{a + 1}{b + 1},{pname}" for a in range(2) for b in range(2)
-            for pname in ("H", "R1", "R2")]
-    keys = itertools.product([_fmt(y) for y in sample.y_nodes],
-                             [_fmt(z) for z in sample.z_nodes], tags)
-    lines.extend(f"{y},{z},{tag},{re},{im}" for (y, z, tag), re, im
-                 in zip(keys, _fmt_each(parts.real), _fmt_each(parts.imag)))
-    _write_lines(args.out, lines)
+                     axis=-1)
+    if not np.isrealobj(parts):
+        raise TypeError("kernel parts must be real: the im column is written as 0")
+    re_text = _fmt_each(parts).reshape(len(sample.y_nodes), len(sample.z_nodes), 12)
+    z_text = _fmt_each(sample.z_nodes)
+    # one y-row of the table as cells "y,z" | ",ab,part," | re | ",0\n"
+    cells = np.empty((len(z_text), 12, 4), dtype=object)
+    cells[:, :, 1] = [f",{a + 1}{b + 1},{pname}," for a in range(2) for b in range(2)
+                      for pname in ("H", "R1", "R2")]
+    cells[:, :, 3] = ",0\n"
+    with _open_out(args.out) as fh:
+        fh.write("\n".join(header) + "\n")
+        for y, re_y in zip(_fmt_each(sample.y_nodes), re_text):
+            cells[:, :, 0] = (y + "," + z_text)[:, None]
+            cells[:, :, 2] = re_y
+            fh.write("".join(cells.ravel().tolist()))
     return EXIT_OK
 
 
@@ -244,6 +259,7 @@ def cmd_verify(args) -> int:
 
     point = SpectralPoint(lam=3.0 + 0.0j, nu=args.nu, mode=mode)
     rb = check_resolvent_bound(point, trials=10, seed=args.seed)
+    rb["lambda"] = [point.lam.real, point.lam.imag]
     rb_pass = np.isfinite(rb["l2_ratio"]) and np.isfinite(rb["h1_ratio"])
     checks.append({"name": "resolvent_sector_bound", "report": rb,
                    "tolerance": "finite sup ratios", "pass": bool(rb_pass)})
@@ -257,7 +273,7 @@ def cmd_verify(args) -> int:
                    "tolerance": args.tol, "pass": bool(rt["rel_error"] < args.tol)})
 
     report = {"checks": checks, "pass": all(c["pass"] for c in checks)}
-    _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True, default=str)])
+    _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True)])
     return EXIT_OK if report["pass"] else EXIT_NUMERICAL
 
 

@@ -1,5 +1,6 @@
 """In-process tests of the command-line interface."""
 
+import dataclasses
 import inspect
 import json
 import re
@@ -14,6 +15,7 @@ from stokesgreen.cli import (
     EXIT_OK,
     _build_parser,
     _fmt,
+    _fmt_each,
     _parse_general_bc,
     _parse_grid,
     main,
@@ -81,20 +83,43 @@ class TestKernelWriter:
         ["kernel", "--xi", "2", "1", "--grid", "0:4:8"],
         ["kernel", "--xi", "1", "0", "--t", "0.3", "--grid", "0:4:8",
          "--general-bc", "alpha=0.2,beta=0.5,gamma=0.31622776601683794"],
+        ["kernel", "--xi", "1", "0", "--grid", "0:7:20"],
+        ["kernel", "--xi", "3", "2", "--nu", "0.04", "--t", "0.01", "--grid", "0:2:8"],
     ])
-    def test_rows_match_reference_loop(self, tmp_path, argv):
+    def test_rows_match_reference_loop(self, tmp_path, capsys, argv):
         out = tmp_path / "k.csv"
         assert run(argv + ["--out", str(out)]) == EXIT_OK
         text = out.read_text()
         assert text.endswith("\n")
         rows = text.splitlines()[4:]
         ref = reference_kernel_rows(argv)
-        assert len(rows) == 12 * 9 * 9
+        n = _parse_grid(argv[argv.index("--grid") + 1]).n
+        assert len(rows) == 12 * n * n
         assert rows == ref
         if "--general-bc" not in argv:
             # -0.0 == 0.0, but the two print differently and both occur here
             fields = [f for row in rows for f in row.split(",")[4:]]
             assert "-0" in fields and "0" in fields
+        capsys.readouterr()
+        assert run(argv + ["--out", "-"]) == EXIT_OK
+        assert capsys.readouterr().out == text
+
+    def test_complex_parts_refused(self, tmp_path, monkeypatch):
+        # the im column is the literal 0, so a complex part must not reach it
+        assert _fmt_each(np.array([[-0.0], [0.5]])).tolist() == [["-0"], ["0.5"]]
+        with pytest.raises(TypeError):
+            _fmt_each(np.array([1.0 + 2.0j]))
+        real = kernels.sample_green_function
+
+        def complex_sample(*args, **kwargs):
+            sample = real(*args, **kwargs)
+            return dataclasses.replace(sample, R2=sample.R2 + 1e-3j)
+
+        monkeypatch.setattr(kernels, "sample_green_function", complex_sample)
+        out = tmp_path / "k.csv"
+        with pytest.raises(TypeError):
+            run(["kernel", "--grid", "0:4:8", "--out", str(out)])
+        assert not out.exists()
 
 
 class TestResolventCommand:
@@ -139,6 +164,8 @@ class TestVerifyCommand:
         names = {c["name"] for c in report["checks"]}
         assert names == {"kernel_bound_certificate", "resolvent_sector_bound",
                          "biot_savart_roundtrip"}
+        rb = [c for c in report["checks"] if c["name"] == "resolvent_sector_bound"][0]
+        assert rb["report"]["lambda"] == [3.0, 0.0]
 
 
     def test_default_grid_passes(self, tmp_path):
