@@ -25,6 +25,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
+import scipy.fft  # noqa: F401  matmul_toeplitz's backend, loaded here, not on its first call
 from scipy.linalg import matmul_toeplitz
 from scipy.linalg.lapack import ztbtrs
 from scipy.special import erf

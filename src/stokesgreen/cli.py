@@ -234,8 +234,11 @@ def cmd_solve(args) -> int:
         report = {"comparison": "finite-difference oracle, ghost-node boundary",
                   "max_rel_errors": errs, "tol": args.tol,
                   "pass": all(e < args.tol for e in errs.values())}
-        path = (args.out + ".oracle.json") if args.out and args.out != "-" else None
-        _write_lines(path, [json.dumps(report, indent=2, sort_keys=True)])
+        text = json.dumps(report, indent=2, sort_keys=True)
+        if args.out and args.out != "-":
+            _write_lines(args.out + ".oracle.json", [text])
+        else:
+            print(text, file=sys.stderr)  # stdout holds the CSV alone
         if not report["pass"]:
             return EXIT_NUMERICAL
     return EXIT_OK

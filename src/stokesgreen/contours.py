@@ -33,7 +33,9 @@ one Contour holds the contours of a whole batch of s.  Two integrators run
 over the same segments: ``Contour.gauss_legendre`` (fixed nodes; the
 vectorized profiles and the bound certificate) and ``Contour.integrate``
 (adaptive panels; the oracles ``residual_kernel_general(method="adaptive")``
-and ``invert_resolvent_kernel``).
+and ``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's
+``quad_vec``, so it imports ``scipy.integrate`` on its first call and the
+package import does not load it.
 
 Both deformations are mirror images under complex conjugation, and the
 builders declare it (``Contour.mirror``).  The residual integrands are real
@@ -52,7 +54,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import HypothesisViolated, PoleOnContour
 
@@ -113,10 +114,13 @@ class Contour:
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], segment_indices=None):
         """(1/2 pi i) * integral of f(lambda) over (selected) segments.
 
-        Uses adaptive Gauss-Kronrod panels (scipy ``quad_vec``); ``f`` must be
+        Uses adaptive Gauss-Kronrod panels (scipy ``quad_vec``, imported here
+        because only the oracles integrate adaptively); ``f`` must be
         vectorized over a 1-D array of lambda values and may return extra
         leading axes (e.g. a stack of integrands).
         """
+        from scipy.integrate import quad_vec
+
         if segment_indices is None:
             segment_indices = range(len(self.segments))
         total = None

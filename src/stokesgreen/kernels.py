@@ -222,7 +222,7 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 
 
 # ---------------------------------------------------------------------------
-# single-point residual kernels (adaptive contour quadrature)
+# single-point residual kernels (fixed nodes; adaptive quadrature as an oracle)
 
 
 def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,

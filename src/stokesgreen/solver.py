@@ -24,6 +24,8 @@ condition du/dz + D u = 0, and omega_3 at z = 0 and every far node are pinned.
 ``crank_nicolson_oracle`` steps it with theta = 1/2 (unconditionally stable)
 for the vorticity condition's D; ``finite_difference_resolvent_general``
 solves (lambda - nu Delta_xi) u = f on its tangential block for any admissible D.
+Both factor a sparse matrix with ``scipy.sparse.linalg.splu``; they import
+``scipy.sparse`` on their first call, so the package import does not load it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .actions import halfline_laplace_weights, image_action_gauss
 from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint
@@ -234,6 +234,8 @@ def _fd_operator(grid: HalfLineGrid, nu: float, mode: FourierMode, D: BoundaryOp
     u_{-1} = u_1 + 2 h D u_0, which adds nu (2/h) D.  The boundary row of omega_3
     and every far-node row are zero: those values are pinned.
     """
+    import scipy.sparse as sp
+
     n, h = grid.n, grid.h
     lap = sp.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
                    [-1, 0, 1], format="lil", dtype=complex) / h**2
@@ -287,6 +289,9 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
         if abs(t - k * dt) > 1e-9 * max(t, 1.0):
             raise IncompatibleData(f"snapshot time {t} is not a step k dt, dt = {dt}")
 
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     A = _fd_operator(grid, nu, mode, _vorticity_operator(mode))
     eye = sp.eye(3 * n, format="csc")
     lu = splu((eye - 0.5 * dt * A).tocsc())
@@ -323,6 +328,9 @@ def finite_difference_resolvent_general(f: ModeField, point: SpectralPoint,
     Independent oracle for ``resolvent_apply_general``, on the tangential block
     of ``_fd_operator``; returns node values (2, n).
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
+
     D.check_mode(point.mode)
     n = f.grid.n
     far = [n - 1, 2 * n - 1]

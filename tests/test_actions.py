@@ -1,15 +1,9 @@
 """Unit tests for the exact piecewise-linear kernel actions."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-import stokesgreen
 from stokesgreen.actions import (
     gauss_psi1,
     gauss_psi2,
@@ -186,16 +180,6 @@ class TestExpActionAccuracy:
         # through which |q|^k stays near 1
         mu = 1e-4 / self.GRID.h * np.exp(0.3j)
         assert self._worst(mu, parity) <= 1e-12
-
-
-def test_import_leaves_scipy_signal_unloaded():
-    # importing scipy.signal costs most of a second per CLI run
-    src = str(Path(stokesgreen.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, stokesgreen; print('scipy.signal' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True)
-    assert out.stdout.strip() == "False"
 
 
 class TestLaplaceWeights:

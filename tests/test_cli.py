@@ -152,6 +152,20 @@ class TestSolveCommand:
         assert report["pass"]
         assert all(e < 1e-3 for e in report["max_rel_errors"].values())
 
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]])
+    def test_oracle_report_to_stderr_with_stdout_csv(self, out, tmp_path, capsys):
+        argv = ["solve", "--grid", "0:12:32", "--t", "0.2", "--oracle"]
+        rc = run(argv + out)
+        captured = capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "s.csv")]) == rc
+        assert captured.out == (tmp_path / "s.csv").read_text()
+        rows = [line.split(",") for line in captured.out.splitlines()
+                if not line.startswith("#")]
+        assert rows[0] == ["t", "z", "component", "re", "im"]
+        assert len(rows) == 1 + 5 * 3 * 33 and all(len(r) == 5 for r in rows)
+        assert json.loads(captured.err) == json.loads(
+            (tmp_path / "s.csv.oracle.json").read_text())
+
 
 class TestVerifyCommand:
     def test_small_sweep(self, tmp_path):
