@@ -8,16 +8,18 @@ noise whose discrete Laplacian is O(1), wrecking PDE-residual checks.
 
 The exponential kernel e^{-mu|y-z|} is separable, so its action is two
 first-order recurrences over the panels (``image_action_exp``): O(n) per
-component, with no cancelling second differences of an antiderivative.
+component, with no cancelling second differences of an antiderivative.  The
+resolvent and the solver's semigroup (a sum of resolvent solves) use it.
 
-The heat kernel is not separable.  With Psi2'' = K, the hat function of width
-h centered at 0 satisfies
+The heat kernel is not separable; ``image_action_gauss`` is the heat-semigroup
+oracle the tests check the solver against.  With Psi2'' = K, the hat function
+of width h centered at 0 satisfies
 
     (hat * K)(d) = (Psi2(d-h) - 2 Psi2(d) + Psi2(d+h)) / h,
 
 so its action on the whole-line even/odd extension of f is a Toeplitz
 matrix-vector product with these smoothed kernel values, done in O(N log N)
-via scipy's FFT-based ``matmul_toeplitz`` (``image_action_gauss``).
+via scipy's FFT-based ``matmul_toeplitz``.
 """
 
 from __future__ import annotations
@@ -102,10 +104,12 @@ def image_action_gauss(grid: HalfLineGrid, f: np.ndarray, c: float,
 
 
 def image_action_exp(grid: HalfLineGrid, f: np.ndarray, mu: complex,
-                     parity: int, warn_truncation: bool = True) -> np.ndarray:
+                     parity, warn_truncation: bool = True) -> np.ndarray:
     """(e^{-mu|y-z|} + parity e^{-mu(y+z)}) applied to PL f (no prefactor).
 
-    f has shape (..., n) and Re mu > 0.  With q = e^{-mu h}, the two halves
+    f has shape (..., n) and Re mu > 0.  ``parity`` is +1 or -1 for every
+    row, or an array of shape (m, 1) of +-1 giving each of the m rows of
+    ``f.reshape(-1, n)`` its own.  With q = e^{-mu h}, the two halves
     L_j = int_0^{y_j} e^{-mu(y_j-z)} f dz and R_j = int_{y_j}^{z_max} e^{-mu(z-y_j)} f dz
     obey, exactly on the PL interpolant,
 
@@ -138,25 +142,18 @@ def image_action_exp(grid: HalfLineGrid, f: np.ndarray, mu: complex,
     return out.reshape(np.shape(f))
 
 
-def halfline_laplace_weights(grid: HalfLineGrid, mu) -> np.ndarray:
-    """Weights w with w . f = integral_0^zmax e^{-mu z} (PL f)(z) dz, exactly.
-
-    ``mu`` may be an array; its shape becomes the leading axes of ``w``.
-    """
+def halfline_laplace_weights(grid: HalfLineGrid, mu: complex) -> np.ndarray:
+    """Weights w with w . f = integral_0^zmax e^{-mu z} (PL f)(z) dz, exactly, for scalar mu."""
     h = grid.h
     z = grid.nodes
-    # a scalar mu stays a Python/numpy scalar: numpy's array loops may round
-    # complex products differently, and scalar callers keep their exact values
-    if np.ndim(mu):
-        mu = np.asarray(mu)[..., None]
 
     def psi(x):
         return np.exp(-mu * x) / mu**2
 
-    w = np.empty(np.shape(mu)[:-1] + (grid.n,), dtype=complex)
-    w[..., 1:-1] = (psi(z[1:-1] - h) - 2.0 * psi(z[1:-1]) + psi(z[1:-1] + h)) / h
+    w = np.empty(grid.n, dtype=complex)
+    w[1:-1] = (psi(z[1:-1] - h) - 2.0 * psi(z[1:-1]) + psi(z[1:-1] + h)) / h
     # boundary half-hats
-    w[..., :1] = (1.0 - np.exp(-mu * h)) / mu \
+    w[0] = (1.0 - np.exp(-mu * h)) / mu \
         - (1.0 - np.exp(-mu * h) * (1.0 + mu * h)) / (h * mu**2)
-    w[..., -1:] = np.exp(-mu * z[-2]) * (1.0 - np.exp(-mu * h) * (1.0 + mu * h)) / (h * mu**2)
+    w[-1] = np.exp(-mu * z[-2]) * (1.0 - np.exp(-mu * h) * (1.0 + mu * h)) / (h * mu**2)
     return w

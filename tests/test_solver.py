@@ -20,9 +20,10 @@ from stokesgreen import (
     residual_profiles_time,
     uniqueness_demo,
 )
-from stokesgreen.actions import halfline_laplace_weights
+from stokesgreen.actions import halfline_laplace_weights, image_action_gauss
+from stokesgreen.kernels import heat_kernel_neumann
 from stokesgreen.resolvent import BoundaryOperatorD
-from stokesgreen.solver import _residual_modes
+from stokesgreen.solver import _boundary_kernel_column, _propagate
 
 MODE = FourierMode(1, 0)
 
@@ -207,15 +208,59 @@ class TestDuhamel:
         # for nu |xi|^2 t >> 1 only the boundary pole at lambda = 0 survives:
         # omega_tau -> 2 e^{-|xi| y} D int e^{-|xi| z} omega_tau(z) dz, omega_3 -> 0
         grid = HalfLineGrid.uniform(20.0, 1025)
-        p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=50.0)
-        state = duhamel_solve(p, [50.0]).states[-1]
-        assert state.norm_l2() <= p.omega0.norm_l2()
-        D = BoundaryOperatorD.no_slip(MODE)
-        trace = p.omega0.values[:2] @ halfline_laplace_weights(grid, D.sigma)
-        limit = 2.0 * np.outer(D.matrix @ trace, np.exp(-D.sigma * grid.nodes))
-        err = np.max(np.abs(state.values[:2] - limit))
-        assert err <= 1e-12 * np.max(np.abs(limit))
-        assert np.max(np.abs(state.values[2])) <= 1e-12 * np.max(np.abs(limit))
+        for mode in (MODE, FourierMode(2, 1)):
+            p = StokesProblem(mode=mode, nu=1.0, omega0=bump_initial(grid), t_final=50.0)
+            state = duhamel_solve(p, [50.0]).states[-1]
+            assert state.norm_l2() <= p.omega0.norm_l2()
+            D = BoundaryOperatorD.no_slip(mode)
+            trace = p.omega0.values[:2] @ halfline_laplace_weights(grid, D.sigma)
+            limit = 2.0 * np.outer(D.matrix @ trace, np.exp(-D.sigma * grid.nodes))
+            err = np.max(np.abs(state.values[:2] - limit))
+            assert err <= 1e-12 * np.max(np.abs(limit)), mode
+            assert np.max(np.abs(state.values[2])) <= 1e-12 * np.max(np.abs(limit)), mode
+            # the parabola passes right of the pole at 0, so a decayed component
+            # is resolved in absolute terms only: at nu |xi|^2 t = 250 omega_3 is
+            # 1e-110 exactly and about 1e-17 here
+            assert np.max(np.abs(state.values[2])) <= 1e-14 * np.max(np.abs(p.omega0.values))
+
+    @pytest.mark.parametrize("source,value", [
+        ("forcing", np.ones((1, 65))), ("forcing", np.ones((2, 65))), ("forcing", 1.0),
+        ("forcing", np.ones((3, 64))), ("boundary_g", 1.0), ("boundary_g", [1.0, 0.0, 0.0]),
+        ("boundary_g", [[1.0], [0.0]])],
+        ids=["forcing-1xn", "forcing-2xn", "forcing-scalar", "forcing-3x(n-1)",
+             "g-scalar", "g-3-vector", "g-2x1"])
+    def test_malformed_sources_raise(self, source, value):
+        grid = HalfLineGrid.uniform(8.0, 65)
+        p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=0.2,
+                          **{source: lambda t: value})
+        with pytest.raises(IncompatibleData, match=source):
+            duhamel_solve(p, [0.2])
+        with pytest.raises(IncompatibleData, match=source):
+            crank_nicolson_oracle(p, dt=0.1)
+
+
+# (nu, xi) pairs covering both contour regimes and the zero mode
+HEAT_CASES = [(0.4, (1, 0)), (1.0, (2, 1)), (0.05, (8, 0)), (1.0, (0, 0))]
+
+
+class TestHeatSemigroup:
+    @pytest.mark.parametrize("n", [513, 1025])
+    @pytest.mark.parametrize("nu,xi", HEAT_CASES,
+                             ids=[f"nu{nu:g}-xi{xi[0]}{xi[1]}" for nu, xi in HEAT_CASES])
+    def test_zero_operator_matches_gauss_oracle(self, nu, xi, n):
+        # with D = 0 the resolvent sum is the heat semigroup: Neumann on the
+        # tangential pair, Dirichlet on omega_3, times e^{-nu |xi|^2 t}
+        mode = FourierMode(*xi)
+        grid = HalfLineGrid.uniform(20.0, n)
+        f = bump_initial(grid).values
+        D0 = BoundaryOperatorD(0.0, 0.0, 0.0, 1.0, mode)
+        for t in (1e-6, 1e-4, 1e-2, 0.5, 5.0, 50.0):
+            got = _propagate(grid, nu, mode, t, f, D0)
+            decay = math.exp(-nu * mode.norm**2 * t)
+            ref = np.concatenate([
+                image_action_gauss(grid, f[:2], nu * t, +1, warn_truncation=False),
+                image_action_gauss(grid, f[2:], nu * t, -1, warn_truncation=False)]) * decay
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(f)), t
 
 
 # compared where the s-dependent contour profiles are sound: at large
@@ -229,13 +274,16 @@ class TestSeparableResidual:
                              ids=[f"nu{nu:g}-xi{xi[0]}{xi[1]}-t{t:g}"
                                   for nu, xi, t in SEPARABLE_CASES])
     def test_matches_contour_profiles(self, nu, xi, t):
-        # R = (rho1 + rho2) P = (rho1 + rho2) |xi| D on s = y + z in [0, 10]
+        # G(t, y; 0) = H(t, y, 0) I + (rho1 + rho2)(y) |xi| D on y in [0, 10]
         mode = FourierMode(*xi)
         grid = HalfLineGrid.uniform(10.0, 41)
-        c, _, E, _ = _residual_modes(grid, nu, mode, t)
+        D = BoundaryOperatorD.no_slip(mode)
+        col = _boundary_kernel_column(grid, nu, mode, t, D)
         rho1, rho2 = residual_profiles_time(t, nu, mode, grid.nodes)
-        ref = (rho1 + rho2) * mode.norm
-        assert np.max(np.abs(c @ E - ref)) <= 1e-11 * np.max(np.abs(ref))
+        heat = heat_kernel_neumann(t, nu, mode, grid.nodes, 0.0)
+        ref = (heat * np.eye(2)[:, :, None]
+               + ((rho1 + rho2) * mode.norm) * D.matrix[:, :, None])
+        assert np.max(np.abs(col - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
 class TestUniqueness:
