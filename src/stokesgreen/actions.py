@@ -9,7 +9,10 @@ noise whose discrete Laplacian is O(1), wrecking PDE-residual checks.
 The exponential kernel e^{-mu|y-z|} is separable, so its action is two
 first-order recurrences over the panels (``image_action_exp``): O(n) per
 component, with no cancelling second differences of an antiderivative.  The
-resolvent and the solver's semigroup (a sum of resolvent solves) use it.
+sweep evaluates the table e^{-mu y} for its image term and ``_exp_action_rows``
+returns it beside the action: the resolvent and the solver's semigroup (a sum
+of resolvent solves) build their boundary layer c0 e^{-mu y} from that table
+instead of evaluating it again.
 
 The heat kernel is not separable; ``image_action_gauss`` is the heat-semigroup
 oracle the tests check the solver against.  With Psi2'' = K, the hat function
@@ -33,7 +36,7 @@ from scipy.linalg.lapack import ztbtrs
 from scipy.special import erf
 
 from .core import HalfLineGrid
-from .errors import TruncationWarning
+from .errors import HypothesisViolated, IncompatibleData, TruncationWarning
 
 __all__ = [
     "gauss_psi1",
@@ -62,8 +65,12 @@ def _hat_smoothed(psi2, d, h):
     return (psi2(d - h) - 2.0 * psi2(d) + psi2(d + h)) / h
 
 
-def _as_rows(grid: HalfLineGrid, f, warn_truncation: bool) -> np.ndarray:
-    """f of shape (..., n) as a complex (m, n) array, after the truncation check."""
+def _as_rows(grid: HalfLineGrid, f, warn_truncation: bool, stacklevel: int = 2) -> np.ndarray:
+    """f of shape (..., n) as a complex (m, n) array, after the truncation check.
+
+    ``stacklevel`` is counted as by ``warnings.warn`` called in the caller of
+    ``_as_rows``: the default 2 points the warning at that caller's caller.
+    """
     f = np.asarray(f, dtype=complex)
     if warn_truncation:
         tail = np.max(np.abs(f[..., -2:]))
@@ -71,7 +78,7 @@ def _as_rows(grid: HalfLineGrid, f, warn_truncation: bool) -> np.ndarray:
         if scale > 0 and tail > 1e-6 * scale:
             warnings.warn(
                 "data not negligible at the truncation boundary; kernel action "
-                "ignores mass beyond z_max", TruncationWarning, stacklevel=3)
+                "ignores mass beyond z_max", TruncationWarning, stacklevel=stacklevel + 1)
     return f.reshape(-1, grid.n)
 
 
@@ -107,9 +114,10 @@ def image_action_exp(grid: HalfLineGrid, f: np.ndarray, mu: complex,
                      parity, warn_truncation: bool = True) -> np.ndarray:
     """(e^{-mu|y-z|} + parity e^{-mu(y+z)}) applied to PL f (no prefactor).
 
-    f has shape (..., n) and Re mu > 0.  ``parity`` is +1 or -1 for every
-    row, or an array of shape (m, 1) of +-1 giving each of the m rows of
-    ``f.reshape(-1, n)`` its own.  With q = e^{-mu h}, the two halves
+    f has shape (..., n) and Re mu > 0 (else HypothesisViolated).  ``parity``
+    is +1 or -1 for every row, or an array of shape (m, 1) of +-1 giving each
+    of the m rows of ``f.reshape(-1, n)`` its own (else IncompatibleData).
+    With q = e^{-mu h}, the two halves
     L_j = int_0^{y_j} e^{-mu(y_j-z)} f dz and R_j = int_{y_j}^{z_max} e^{-mu(z-y_j)} f dz
     obey, exactly on the PL interpolant,
 
@@ -118,28 +126,65 @@ def image_action_exp(grid: HalfLineGrid, f: np.ndarray, mu: complex,
     with a = int_0^h e^{-mu r} r/h dr and b = int_0^h e^{-mu r} dr - a.  R_0 is
     the Laplace trace int e^{-mu z} f dz, so the image term is
     parity e^{-mu y} R_0; for parity -1 it includes the jump of the odd
-    extension at 0.  Both sweeps of every component are one banded
-    triangular solve.
+    extension at 0.  The L sweeps of all components are one banded triangular
+    solve, the R sweeps another.  The table e^{-mu y} of the image term is
+    dropped here; the resolvent and the semigroup get it from
+    ``_exp_action_rows``.
     """
     rows = _as_rows(grid, f, warn_truncation)
+    m = rows.shape[0]
+    if np.ndim(parity) == 0:
+        ok = parity == 1 or parity == -1
+    else:
+        ok = np.shape(parity) == (m, 1) and bool(np.all((parity == 1) | (parity == -1)))
+    if not ok:
+        raise IncompatibleData(
+            f"parity must be +1, -1 or an ({m}, 1) array of +-1, got {parity!r}")
+    out, _ = _exp_action_rows(grid, rows, mu, parity)
+    return out.reshape(np.shape(f))
+
+
+def _exp_action_rows(grid: HalfLineGrid, rows: np.ndarray, mu: complex,
+                     parity) -> tuple[np.ndarray, np.ndarray]:
+    """``image_action_exp`` of complex (m, n) rows, and the table e^{-mu y}.
+
+    Returns (out, decay): out of shape (m, n), a new array the caller may
+    overwrite, and decay = e^{-mu y} at the grid nodes, shape (n,).  The
+    parity is trusted (``image_action_exp`` checks it for outside callers);
+    Re mu <= 0, where the sweeps grow instead of decaying, raises here.
+    """
+    if not mu.real > 0:
+        raise HypothesisViolated(f"the exponential kernel needs Re mu > 0, got mu = {mu}")
     m, n = rows.shape
     x = mu * grid.h
     q = np.exp(-x)
     one_minus_q = -np.expm1(-x)
     a = (one_minus_q - x * q) / (mu * x)
     b = one_minus_q / mu - a
-    # columns: L_j for each component, then R_{n-1-j}; L_0 = R_{n-1} = 0
-    rhs = np.empty((2 * m, n), dtype=complex)
-    rhs[:, 0] = 0.0
-    rhs[:m, 1:] = a * rows[:, :-1] + b * rows[:, 1:]
-    rhs[m:, :0:-1] = a * rows[:, 1:] + b * rows[:, :-1]
+    # rows of out: L_j; rows of rev: R_{n-1-j}; L_0 = R_{n-1} = 0.  Two
+    # (m, n) arrays rather than one (2m, n) right-hand side: every large
+    # block of a resolvent solve then has the size of a solution, so the
+    # blocks freed by one solve are reused by the next.
+    out = np.empty((m, n), dtype=complex)
+    rev = np.empty((m, n), dtype=complex)
+    out[:, 0] = rev[:, 0] = 0.0
+    lo, hi = rows[:, :-1], rows[:, 1:]
+    np.multiply(a, lo, out=out[:, 1:])
+    out[:, 1:] += np.multiply(b, hi, out=rev[:, 1:])  # rev as scratch
+    right_rhs = rev[:, :0:-1]
+    np.multiply(a, hi, out=right_rhs)
+    right_rhs += b * lo
     # unit lower bidiagonal matrix with -q below the diagonal (row 0 unread)
-    band = np.empty((2, n), dtype=complex)
+    band = np.empty((2, n), dtype=complex, order="F")
     band[1] = -q
-    sweeps, _ = ztbtrs(band, rhs.T, uplo="L", diag="U", overwrite_b=1)
-    left, right = sweeps[:, :m].T, sweeps[::-1, m:].T
-    out = left + right + parity * right[:, :1] * np.exp(-mu * grid.nodes)
-    return out.reshape(np.shape(f))
+    out = ztbtrs(band, out.T, uplo="L", diag="U", overwrite_b=1)[0].T
+    right = ztbtrs(band, rev.T, uplo="L", diag="U", overwrite_b=1)[0].T[:, ::-1]
+    decay = np.multiply(-mu, grid.nodes)
+    np.exp(decay, out=decay)
+    out += right
+    image = parity * right[:, :1]  # parity R_0, read before rev is reused
+    out += np.multiply(image, decay, out=rev)
+    return out, decay
 
 
 def halfline_laplace_weights(grid: HalfLineGrid, mu: complex) -> np.ndarray:

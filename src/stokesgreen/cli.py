@@ -185,10 +185,13 @@ def cmd_resolvent(args) -> int:
         f"# seed={args.seed} boundary_residual={_fmt(sol.boundary_residual())}",
         "z,component,part,re,im",
     ]
-    for name, fld in (("u", sol.u), ("v", sol.v), ("w", sol.w), ("f", f)):
-        for comp in range(2):
-            for z, v in zip(grid.nodes, fld.values[comp]):
-                lines.append(f"{_fmt(z)},{comp + 1},{name},{_fmt(v.real)},{_fmt(v.imag)}")
+    # rows "z,component,part,re,im" for the parts u, v, w, f and both components
+    parts = np.array([sol.u.values, sol.v.values, sol.w.values, f.values])
+    labels = np.array([[f",{comp + 1},{name}," for comp in range(2)] for name in "uvwf"],
+                      dtype=object)
+    rows = (_fmt_each(grid.nodes) + labels[:, :, None] + _fmt_each(parts.real) + ","
+            + _fmt_each(parts.imag))
+    lines.extend(rows.ravel().tolist())
     _write_lines(args.out, lines)
     return EXIT_OK
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import image_action_exp
+from .actions import _as_rows, _exp_action_rows
 from .core import (
     FourierMode,
     HalfLineGrid,
@@ -136,8 +136,20 @@ class ResolventSolution:
 
 def free_part_v(f: ModeField, point: SpectralPoint) -> ModeField:
     """v(y) = (1/2 nu mu) int (e^{-mu|y-z|} + e^{-mu(y+z)}) f(z) dz, exactly on PL f."""
-    vals = image_action_exp(f.grid, f.values, point.mu, parity=+1)
-    return ModeField(f.grid, vals / (2.0 * point.nu * point.mu))
+    vals, _ = _free_part(f, point, stacklevel=3)
+    return ModeField(f.grid, vals)
+
+
+def _free_part(f: ModeField, point: SpectralPoint, stacklevel: int):
+    """The values of ``free_part_v`` and the table e^{-mu y} of their sweep.
+
+    ``stacklevel`` points a truncation warning at a caller, counted as by
+    ``warnings.warn`` called here.
+    """
+    rows = _as_rows(f.grid, f.values, True, stacklevel)
+    vals, decay = _exp_action_rows(f.grid, rows, point.mu, 1)
+    vals /= 2.0 * point.nu * point.mu
+    return vals, decay
 
 
 def _vorticity_operator(mode: FourierMode) -> BoundaryOperatorD:
@@ -152,7 +164,7 @@ def resolvent_apply(f: ModeField, point: SpectralPoint) -> ResolventSolution:
 
     For the zero mode the condition degenerates to pure Neumann (D = 0), so u = v.
     """
-    return resolvent_apply_general(f, point, _vorticity_operator(point.mode))
+    return _solve(f, point, _vorticity_operator(point.mode))
 
 
 def resolvent_apply_general(f: ModeField, point: SpectralPoint,
@@ -161,12 +173,21 @@ def resolvent_apply_general(f: ModeField, point: SpectralPoint,
 
     u(y) = v(y) + e^{-mu y} D v(0) / (mu - sigma).
     """
+    return _solve(f, point, D)
+
+
+def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> ResolventSolution:
+    """u = v + w from one sweep: w is built on the sweep's own e^{-mu y} table.
+
+    Called only from the two public solvers, so a truncation warning points
+    at their caller.
+    """
     correction = D.correction(point)
-    v = free_part_v(f, point)
-    c0 = correction @ v.values[:, 0]
-    w = ModeField(f.grid, c0[:, None] * np.exp(-point.mu * f.grid.nodes)[None, :])
-    u = ModeField(f.grid, v.values + w.values)
-    return ResolventSolution(u=u, v=v, w=w, point=point, D=D, c0=c0)
+    v, decay = _free_part(f, point, stacklevel=4)
+    c0 = correction @ v[:, 0]
+    w = c0[:, None] * decay
+    return ResolventSolution(u=ModeField(f.grid, v + w), v=ModeField(f.grid, v),
+                             w=ModeField(f.grid, w), point=point, D=D, c0=c0)
 
 
 def _h1_norm(grid: HalfLineGrid, values: np.ndarray) -> float:

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import image_action_exp
+from .actions import _as_rows, _exp_action_rows
 from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint
 from .errors import AsymmetricModeSet, IncompatibleData, StabilityWarning
 from .resolvent import BoundaryOperatorD, _vorticity_operator
@@ -158,10 +158,11 @@ def _propagate(grid, nu, mode, t, values, D):
     the boundary layer e^{-mu y} D v(0) / (mu - sigma) on the tangential
     pair, the odd image action on omega_3.
     """
+    rows = _as_rows(grid, values, False)
     out = np.zeros(values.shape, dtype=complex)
     for c, mu in zip(*_parabola(nu, mode, t)):
-        r = image_action_exp(grid, values, mu, _PARITY, warn_truncation=False)
-        r[:2] += np.outer(D.matrix @ r[:2, 0] / (mu - D.sigma), np.exp(-mu * grid.nodes))
+        r, decay = _exp_action_rows(grid, rows, mu, _PARITY)
+        r[:2] += np.outer(D.matrix @ r[:2, 0] / (mu - D.sigma), decay)
         out += (c / (2.0 * nu * mu)) * r
     return out
 

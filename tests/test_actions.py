@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from stokesgreen.actions import (
+    _exp_action_rows,
     gauss_psi1,
     gauss_psi2,
     halfline_laplace_weights,
@@ -12,7 +13,7 @@ from stokesgreen.actions import (
     image_action_gauss,
 )
 from stokesgreen.core import FourierMode, HalfLineGrid, SpectralPoint
-from stokesgreen.errors import TruncationWarning
+from stokesgreen.errors import HypothesisViolated, IncompatibleData, TruncationWarning
 
 
 def pl_interp(grid, fvals):
@@ -126,8 +127,42 @@ class TestImageActions:
 
     def test_truncation_warning(self):
         grid = HalfLineGrid.uniform(3.0, 9)
-        with pytest.warns(TruncationWarning):
+        with pytest.warns(TruncationWarning) as caught:
             image_action_exp(grid, np.ones(grid.n), 1.0, +1)
+        assert caught[0].filename == __file__
+
+    @pytest.mark.parametrize("mu", [-1.0, 0.0, 1j, -0.5 + 2j, np.nan])
+    def test_exp_action_needs_positive_re_mu(self, mu):
+        # the sweeps grow instead of decaying (mu = -1 gave max|out| = 7.5e6)
+        grid = HalfLineGrid.uniform(10.0, 65)
+        f = np.exp(-((grid.nodes - 3.0) ** 2))
+        with pytest.raises(HypothesisViolated):
+            image_action_exp(grid, f, mu, +1, warn_truncation=False)
+
+    @pytest.mark.parametrize("parity", [0, 2, 1j, np.array([[1.0], [0.0], [-1.0]]),
+                                        np.array([[1.0], [-1.0]]), np.array([1.0, 1.0, -1.0])],
+                             ids=["0", "2", "1j", "zero-row", "two-rows", "flat"])
+    def test_exp_action_rejects_parity(self, parity):
+        grid = HalfLineGrid.uniform(10.0, 65)
+        f = np.ones((3, 1)) * np.exp(-((grid.nodes - 3.0) ** 2))
+        with pytest.raises(IncompatibleData):
+            image_action_exp(grid, f, 1.0 + 0.5j, parity, warn_truncation=False)
+
+    @pytest.mark.parametrize("n", [65, 8193])
+    def test_wrapper_and_sweep_table_bits(self, n):
+        # the wrapper returns the helper's action unchanged, the helper's table
+        # is e^{-mu y} bit for bit, and scalar and per-row parities agree
+        grid = HalfLineGrid.uniform(30.0, n)
+        rng = np.random.default_rng(8)
+        f = (rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))) \
+            * np.exp(-((grid.nodes - rng.uniform(3.0, 9.0, size=(3, 1))) ** 2))
+        mu = 1.3 + 0.7j
+        parity = np.array([[1.0], [1.0], [-1.0]])
+        out, decay = _exp_action_rows(grid, f, mu, parity)
+        assert np.array_equal(decay, np.exp(-mu * grid.nodes))
+        assert np.array_equal(image_action_exp(grid, f, mu, parity), out)
+        for i, p in enumerate((+1, +1, -1)):
+            assert np.array_equal(image_action_exp(grid, f[i], mu, p), out[i])
 
     @pytest.mark.parametrize("parity", [+1, -1])
     @pytest.mark.parametrize("action, arg", [(image_action_exp, 1.0 + 0.5j),

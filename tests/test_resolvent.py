@@ -11,6 +11,7 @@ from stokesgreen import (
     ModeField,
     PoleHit,
     SpectralPoint,
+    TruncationWarning,
     check_resolvent_bound,
     free_part_v,
     projection_matrix,
@@ -79,7 +80,7 @@ class TestResolventApply:
         f = ModeField(grid, np.vstack([np.exp(-((grid.nodes - 4) ** 2)),
                                        1j * np.exp(-((grid.nodes - 6) ** 2))]))
         sol = resolvent_apply(f, SpectralPoint(2 + 1j, 0.5, FourierMode(2, 1)))
-        assert np.allclose(sol.u.values, sol.v.values + sol.w.values)
+        assert np.array_equal(sol.u.values, sol.v.values + sol.w.values)
         assert sol.boundary_residual() < 1e-12
 
     def test_interior_residual_second_order(self):
@@ -118,6 +119,41 @@ class TestResolventApply:
         sol = resolvent_apply(exp_field(grid, (0, 1)), PT)
         assert abs(sol.c0[0]) < 1e-14
         assert abs(sol.c0[1]) > 1e-3
+
+
+class TestExactParts:
+    """v, w and u are the closed forms, bit for bit, not only to rounding."""
+
+    @pytest.mark.parametrize("n", [65, 8193])
+    @pytest.mark.parametrize("general", [False, True], ids=["no-slip", "general"])
+    def test_parts_bit_identical(self, n, general):
+        grid = HalfLineGrid.uniform(30.0, n)
+        mode = FourierMode(2, 1)
+        pt = SpectralPoint(3.0 + 1.0j, 0.5, mode)
+        f = ModeField(grid, np.vstack([np.exp(-((grid.nodes - 4.0) ** 2)),
+                                       (0.5 - 1j) * np.exp(-((grid.nodes - 7.0) ** 2))]))
+        if general:
+            sol = resolvent_apply_general(
+                f, pt, BoundaryOperatorD(0.3, 0.2, np.sqrt(0.06), c0=1.0, mode=mode))
+        else:
+            sol = resolvent_apply(f, pt)
+        assert np.array_equal(sol.v.values, free_part_v(f, pt).values)
+        assert np.array_equal(sol.w.values, sol.c0[:, None] * np.exp(-pt.mu * grid.nodes))
+        assert np.array_equal(sol.u.values, sol.v.values + sol.w.values)
+
+    @pytest.mark.parametrize("which", ["free_part_v", "resolvent_apply",
+                                       "resolvent_apply_general"])
+    def test_truncation_warning_points_at_caller(self, which):
+        grid = HalfLineGrid.uniform(3.0, 33)
+        f = ModeField(grid, np.ones((2, grid.n)))  # does not decay by z_max
+        with pytest.warns(TruncationWarning) as caught:
+            if which == "free_part_v":
+                free_part_v(f, PT)
+            elif which == "resolvent_apply":
+                resolvent_apply(f, PT)
+            else:
+                resolvent_apply_general(f, PT, BoundaryOperatorD.no_slip(MODE10))
+        assert [w.filename for w in caught] == [__file__]
 
 
 class TestBoundaryOperatorD:
