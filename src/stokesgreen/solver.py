@@ -1,18 +1,14 @@
 """Per-mode evolution of the forced Stokes vorticity system, plus oracles.
 
-``duhamel_solve`` evaluates the Green's-function representation
-
-    omega(t) = G(t) omega_0
-             + int_0^t G(t-s) f(s) ds
-             + int_0^t G(t-s, y; 0) (g(s), 0)^T ds.
-
-G(t) = e^{tA}, for A = nu Delta_xi with du/dz + D u = 0 on the tangential pair
-(D = P(xi)/|xi|, or 0 at xi = 0) and omega_3(0) = 0, is the contour integral of
-the resolvent on one Weideman-Trefethen parabola, summed by the trapezoid rule
-over 33 nodes: e^{tA} f = sum_k w_k e^{lambda_k t} (lambda_k - A)^{-1} f.  Each
+``duhamel_solve`` evaluates omega(t) = e^{tA} omega_0 + int_0^t e^{(t-s)A} (f, g)(s) ds
+for A = nu Delta_xi, omega_3(0) = 0 and du/dz + D u = -g/nu on the tangential
+pair (D = P(xi)/|xi|, or 0 at xi = 0).  All three terms are contour integrals
+of the resolvent on one Weideman-Trefethen parabola, summed by the trapezoid
+rule over 33 nodes: e^{tA} (f, g) = sum_k w_k e^{lambda_k t} (lambda_k - A)^{-1} (f, g),
+each solve taking f in the interior and g in the boundary condition.  Each
 solve is the resolvent's own: the image-exponential action (even on the
 tangential pair, odd on omega_3), exact on PL data and O(n), plus the boundary
-layer e^{-mu y} D v(0) / (mu - sigma).  The time integrals use the
+layer c e^{-mu y}, c = (mu - D)^{-1} (D v(0) + g/nu).  The time integrals use the
 substitution s = t - sigma^2 with Gauss-Legendre in sigma, which removes the
 (nu (t-s))^{-1/2} trace singularity of the boundary term and keeps all
 integrands smooth.
@@ -58,7 +54,8 @@ class StokesProblem:
 
     ``forcing(t)`` returns interior force node values of shape (3, n) and
     ``boundary_g(t)`` the tangential boundary datum pair, shape (2,); both
-    default to zero, and any other shape raises IncompatibleData.
+    default to zero (None), and a source that is not callable or returns
+    any other shape raises IncompatibleData.
     Initial data with omega_3(0) != 0 is incompatible with the boundary
     condition and is corrected by zeroing the first node (linear interpolation
     over the first cell); the correction size is recorded.
@@ -79,6 +76,9 @@ class StokesProblem:
             raise IncompatibleData(f"t_final must be finite and positive, got {self.t_final}")
         if self.omega0.ncomp != 3:
             raise IncompatibleData("omega0 must have 3 components")
+        for name in ("forcing", "boundary_g"):
+            if getattr(self, name) is not None and not callable(getattr(self, name)):
+                raise IncompatibleData(f"{name} must be a function of t or None")
         w3_0 = self.omega0.values[2, 0]
         if w3_0 != 0.0:
             vals = self.omega0.values.copy()
@@ -120,7 +120,8 @@ class Trajectory:
 
     def state_at(self, t: float) -> ModeField:
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-9 * max(t, 1.0):
+        # argmin of all-NaN or all-inf distances is 0, and inf would pass the tolerance
+        if not math.isfinite(t) or abs(self.times[i] - t) > 1e-9 * max(t, 1.0):
             raise IncompatibleData(f"time {t} not in trajectory")
         return self.states[i]
 
@@ -151,39 +152,31 @@ def _parabola(nu, mode, t):
     return w * np.exp(lam * t), np.sqrt(lam / nu + mode.norm**2)
 
 
-def _propagate(grid, nu, mode, t, values, D):
-    """Apply the 3-component solution operator at time t to node values.
+def _propagate(grid, nu, mode, t, values, g, D):
+    """Apply the 3-component solution operator at time t to node values and
+    the tangential boundary datum pair g.
 
-    A sum of exact resolvent solves on PL data: the even image action plus
-    the boundary layer e^{-mu y} D v(0) / (mu - sigma) on the tangential
-    pair, the odd image action on omega_3.
+    A sum of exact resolvent solves on PL data with du/dz + D u = -g/nu: the
+    even image action plus the boundary layer c e^{-mu y} on the tangential
+    pair, c = D v(0) / (mu - sigma) + (g + D g / (mu - sigma)) / (nu mu), and
+    the odd image action on omega_3.
     """
     rows = _as_rows(grid, values, False)
     out = np.zeros(values.shape, dtype=complex)
     for c, mu in zip(*_parabola(nu, mode, t)):
         r, decay = _exp_action_rows(grid, rows, mu, _PARITY)
-        r[:2] += np.outer(D.matrix @ r[:2, 0] / (mu - D.sigma), decay)
+        # r is 2 nu mu times the solve, so 2 nu mu c is the coefficient here
+        r[:2] += np.outer(2.0 * g + D.matrix @ (r[:2, 0] + 2.0 * g) / (mu - D.sigma), decay)
         out += (c / (2.0 * nu * mu)) * r
     return out
-
-
-def _boundary_kernel_column(grid, nu, mode, t, D):
-    """G(t, y; 0) restricted to the tangential pair: a (2, 2, n) array.
-
-    sum_k c_k e^{-mu_k y} (I + D / (mu_k - sigma)) / (nu mu_k), the heat part
-    included.
-    """
-    c, mu = _parabola(nu, mode, t)
-    c = c / (nu * mu)
-    heat, layer = np.array([c, c / (mu - D.sigma)]) @ np.exp(-np.outer(mu, grid.nodes))
-    return heat * np.eye(2)[:, :, None] + layer * D.matrix[:, :, None]
 
 
 def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
     """Evaluate the Green's-function representation at the requested times.
 
-    Times must be finite and lie in [0, problem.t_final].  The forcing and boundary Duhamel
-    integrals use Gauss-Legendre nodes in sigma = sqrt(t - s).
+    Times must be finite and lie in [0, problem.t_final].  One ``_propagate``
+    call takes omega_0, and one per Gauss-Legendre node in sigma = sqrt(t - s)
+    takes f(s) and g(s) together.
 
     The error is absolute, about 1e-13 of max |omega_0| (and of the sources):
     the parabola passes right of the pole lambda = 0, so e^{-nu |xi|^2 t} is
@@ -200,23 +193,19 @@ def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
             f"times must be finite and lie in [0, t_final = {problem.t_final}]")
     states = []
     x_gl, w_gl = np.polynomial.legendre.leggauss(_N_QUAD)
-    has_force = problem.forcing is not None
-    has_g = problem.boundary_g is not None
+    no_g = np.zeros(2, dtype=complex)
     for t in times:
         if t == 0.0:
             states.append(problem.omega0)
             continue
-        vals = _propagate(grid, nu, mode, t, problem.omega0.values, D)
-        if has_force or has_g:
+        vals = _propagate(grid, nu, mode, t, problem.omega0.values, no_g, D)
+        if problem.forcing is not None or problem.boundary_g is not None:
             sig = 0.5 * np.sqrt(t) * (x_gl + 1.0)
             wts = 0.5 * np.sqrt(t) * w_gl * 2.0 * sig  # ds = 2 sigma dsigma
             for sigma, wt in zip(sig, wts):
                 tk = sigma**2  # kernel time t - s
-                if has_force:
-                    vals += wt * _propagate(grid, nu, mode, tk, problem.force_at(t - tk), D)
-                if has_g:
-                    col = _boundary_kernel_column(grid, nu, mode, tk, D)
-                    vals[:2] += wt * np.einsum("abn,b->an", col, problem.g_at(t - tk))
+                vals += wt * _propagate(grid, nu, mode, tk, problem.force_at(t - tk),
+                                        problem.g_at(t - tk), D)
         states.append(ModeField(grid, vals))
     if times[0] != 0.0:
         times = np.concatenate([[0.0], times])
@@ -268,7 +257,8 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
     node, with D = P(xi)/|xi| (0 at xi = 0), omega_3 is pinned to 0 at z = 0,
     and all three vanish at the far node.  The scheme is unconditionally stable; a
     StabilityWarning is emitted when nu dt / h^2 is large enough that the
-    requested accuracy is unlikely.  ``snapshot_times`` must lie in
+    requested accuracy is unlikely.  dt must be finite and positive, with
+    t_final / dt rounding to at least one step; ``snapshot_times`` must lie in
     [0, t_final] on the step grid k dt (to the tolerance
     ``Trajectory.state_at`` uses) after dt is adjusted to divide t_final.
     """
@@ -276,13 +266,16 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
     nu, mode = problem.nu, problem.mode
     n = grid.n
     h = grid.h
+    steps = problem.t_final / dt if 0.0 < dt < math.inf else math.nan
+    if not 0.5 < steps < math.inf:  # NaN fails too; round(steps) >= 1 below
+        raise IncompatibleData(f"dt must be finite, positive and give a step, got {dt}")
     if nu * dt / h**2 > 200.0:
         warnings.warn("nu dt / h^2 is very large; Crank-Nicolson accuracy degrades",
                       StabilityWarning, stacklevel=2)
     if snapshot_times is None:
         snapshot_times = [problem.t_final]
     snapshot_times = np.asarray(sorted(set(float(t) for t in snapshot_times)))
-    nsteps = int(round(problem.t_final / dt))
+    nsteps = int(round(steps))
     dt = problem.t_final / nsteps
     if not np.all((snapshot_times >= 0.0) & (snapshot_times <= problem.t_final)):
         raise IncompatibleData(f"snapshot times must lie in [0, t_final = {problem.t_final}]")

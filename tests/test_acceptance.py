@@ -220,7 +220,7 @@ class TestCriterion5GreenFunctionProperties:
         D0 = BoundaryOperatorD(0.0, 0.0, 0.0, 1.0, mode)
         errs = []
         for t in (1e-2, 1e-3, 1e-4):
-            evolved = _propagate(grid, nu, mode, t, data, D0)[0]
+            evolved = _propagate(grid, nu, mode, t, data, np.zeros(2), D0)[0]
             # the boundary-layer part is e^{-|xi| * 8}-small at the hat and
             # ignored; compare against the initial datum directly
             errs.append(np.max(np.abs(evolved - hat)))

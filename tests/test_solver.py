@@ -23,7 +23,7 @@ from stokesgreen import (
 from stokesgreen.actions import halfline_laplace_weights, image_action_gauss
 from stokesgreen.kernels import heat_kernel_neumann
 from stokesgreen.resolvent import BoundaryOperatorD
-from stokesgreen.solver import _boundary_kernel_column, _propagate
+from stokesgreen.solver import _propagate
 
 MODE = FourierMode(1, 0)
 
@@ -74,8 +74,9 @@ class TestTrajectory:
             Trajectory(times=[0.0, 0.2], states=[st])
         tr = Trajectory(times=[0.0, 0.2], states=[st, st])
         assert tr.state_at(0.2) is st
-        with pytest.raises(IncompatibleData):
-            tr.state_at(0.15)
+        for bad in (0.15, math.nan, math.inf, -math.inf):
+            with pytest.raises(IncompatibleData):
+                tr.state_at(bad)
 
 
 class TestCrankNicolson:
@@ -120,6 +121,15 @@ class TestCrankNicolson:
                 crank_nicolson_oracle(p, dt=0.1, snapshot_times=bad)
         traj = crank_nicolson_oracle(p, dt=0.1, snapshot_times=[0.0, 0.3, 1.0])
         assert np.array_equal(traj.times, [0.0, 0.3, 1.0])
+
+    @pytest.mark.parametrize("dt", [0.0, 3.0, math.nan, -0.1, math.inf, 5e-324])
+    def test_dt_validated(self, dt):
+        grid = HalfLineGrid.uniform(10.0, 101)
+        p = StokesProblem(mode=MODE, nu=1.0,
+                          omega0=ModeField(grid, np.zeros((3, grid.n), dtype=complex)),
+                          t_final=1.0)
+        with pytest.raises(IncompatibleData, match="dt must be"):
+            crank_nicolson_oracle(p, dt=dt)
 
     def test_stability_warning(self):
         grid = HalfLineGrid.uniform(10.0, 2001)  # h = 5e-3
@@ -238,6 +248,14 @@ class TestDuhamel:
         with pytest.raises(IncompatibleData, match=source):
             crank_nicolson_oracle(p, dt=0.1)
 
+    @pytest.mark.parametrize("source", ["forcing", "boundary_g"])
+    def test_non_callable_sources_raise(self, source):
+        grid = HalfLineGrid.uniform(8.0, 65)
+        value = np.ones((3, grid.n)) if source == "forcing" else np.ones(2)
+        with pytest.raises(IncompatibleData, match=source):
+            StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=0.2,
+                          **{source: value})
+
 
 # (nu, xi) pairs covering both contour regimes and the zero mode
 HEAT_CASES = [(0.4, (1, 0)), (1.0, (2, 1)), (0.05, (8, 0)), (1.0, (0, 0))]
@@ -255,7 +273,7 @@ class TestHeatSemigroup:
         f = bump_initial(grid).values
         D0 = BoundaryOperatorD(0.0, 0.0, 0.0, 1.0, mode)
         for t in (1e-6, 1e-4, 1e-2, 0.5, 5.0, 50.0):
-            got = _propagate(grid, nu, mode, t, f, D0)
+            got = _propagate(grid, nu, mode, t, f, np.zeros(2), D0)
             decay = math.exp(-nu * mode.norm**2 * t)
             ref = np.concatenate([
                 image_action_gauss(grid, f[:2], nu * t, +1, warn_truncation=False),
@@ -274,11 +292,14 @@ class TestSeparableResidual:
                              ids=[f"nu{nu:g}-xi{xi[0]}{xi[1]}-t{t:g}"
                                   for nu, xi, t in SEPARABLE_CASES])
     def test_matches_contour_profiles(self, nu, xi, t):
+        # from zero data, the boundary datum g = e_b gives column b of
         # G(t, y; 0) = H(t, y, 0) I + (rho1 + rho2)(y) |xi| D on y in [0, 10]
         mode = FourierMode(*xi)
         grid = HalfLineGrid.uniform(10.0, 41)
         D = BoundaryOperatorD.no_slip(mode)
-        col = _boundary_kernel_column(grid, nu, mode, t, D)
+        zero = np.zeros((3, grid.n), dtype=complex)
+        col = np.stack([_propagate(grid, nu, mode, t, zero, g, D)[:2] for g in np.eye(2)],
+                       axis=1)
         rho1, rho2 = residual_profiles_time(t, nu, mode, grid.nodes)
         heat = heat_kernel_neumann(t, nu, mode, grid.nodes, 0.0)
         ref = (heat * np.eye(2)[:, :, None]
