@@ -64,7 +64,6 @@ from .resolvent import (
     BoundaryOperatorD,
     ResolventSolution,
     check_resolvent_bound,
-    free_part_v,
     resolvent_apply,
     resolvent_apply_general,
 )

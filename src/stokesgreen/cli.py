@@ -21,14 +21,10 @@ import numpy as np
 
 from . import biot_savart as bs
 from . import kernels, solver
+from .contours import N_ARC, N_ARM
 from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint
 from .errors import StokesGreenError
-from .resolvent import (
-    BoundaryOperatorD,
-    check_resolvent_bound,
-    resolvent_apply,
-    resolvent_apply_general,
-)
+from .resolvent import BoundaryOperatorD, check_resolvent_bound, resolvent_apply_general
 
 __all__ = ["main", "cmd_kernel", "cmd_resolvent", "cmd_solve", "cmd_verify",
            "cmd_biot_savart"]
@@ -135,7 +131,7 @@ def cmd_kernel(args) -> int:
     # quadrature drift estimate from node doubling at the worst corner (y=z=0)
     coarse = kernels.residual_kernel_general(args.t, args.nu, mode, D, 0.0, 0.0)
     fine = kernels.residual_kernel_general(args.t, args.nu, mode, D, 0.0, 0.0,
-                                           n_arm=512, n_arc=256)
+                                           n_arm=2 * N_ARM, n_arc=2 * N_ARC)
     drift = max(np.max(np.abs(fine[k] - coarse[k])) for k in ("R1", "R2"))
     header = [
         f"# green-function sample: heat-image part + residual contour quadrature ({kind})",
@@ -173,11 +169,11 @@ def cmd_resolvent(args) -> int:
     f = ModeField(grid, _bump_field(grid, 2, args.seed))
     if args.general_bc is not None:
         D = _parse_general_bc(args.general_bc, mode)
-        sol = resolvent_apply_general(f, point, D)
         kind = f"general-bc alpha={D.alpha} beta={D.beta} gamma={D.gamma_off}"
     else:
-        sol = resolvent_apply(f, point)
+        D = BoundaryOperatorD.no_slip(mode)
         kind = "no-slip vorticity condition"
+    sol = resolvent_apply_general(f, point, D)
     lines = [
         "# resolvent solve u = v + w: even-image free part + boundary-layer correction",
         f"# xi=({mode.xi1},{mode.xi2}) nu={_fmt(args.nu)} lambda={_fmt(lam.real)}"

@@ -75,6 +75,10 @@ BETA_MAX = 6.1
 # any vertex offset gives the same integral by Cauchy's theorem).
 VERTEX_FLOOR_FRACTION = 0.05
 
+# Gauss-Legendre nodes per arm and on the arc: the fixed-node resolution of
+# every profile, kernel and certificate (node-doubling checks use twice these).
+N_ARM, N_ARC = 256, 128
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -137,7 +141,7 @@ class Contour:
         return total / (2.0j * np.pi)
 
     def gauss_legendre(self, f: Callable[[np.ndarray], np.ndarray],
-                       n_arm: int = 256, n_arc: int = 128, segment_indices=None):
+                       n_arm: int = N_ARM, n_arc: int = N_ARC, segment_indices=None):
         """(1/2 pi i) * integral of f(lambda) over (selected) segments, fixed nodes.
 
         Gauss-Legendre with ``n_arc`` nodes on the arc segment and ``n_arm``

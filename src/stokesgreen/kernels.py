@@ -120,7 +120,11 @@ def residue_at_pole_general(t, nu, mode: FourierMode, D, y, z) -> np.ndarray:
     since dmu/dlambda = 1/(2 nu mu), so the residue is 2 e^{lambda* t}
     e^{-sigma (y+z)} D — confirmed by small-circle quadrature.
     """
-    return 2.0 * math.exp(D.pole_lambda(nu) * t) * np.exp(-D.sigma * (y + z)) * D.matrix
+    if mode.is_zero:
+        raise ZeroModeUnsupported("the boundary pole needs |xi| > 0")
+    # complex like the small-circle residues; D itself is real
+    return (2.0 * math.exp(D.pole_lambda(nu) * t) * np.exp(-D.sigma * (y + z))
+            * D.matrix.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +179,7 @@ _CHUNK_ELEMENTS = 4_000_000
 
 
 def residual_profiles_time(t, nu, mode: FourierMode, s, deriv=0, regime=None,
-                           n_arm=256, n_arc=128):
+                           n_arm=ct.N_ARM, n_arc=ct.N_ARC):
     """Scalar no-slip profiles (rho1, rho2) with R1 = rho1 P(xi), R2 = rho2 P(xi).
 
     R = rho_D D with D = P/|xi| and sigma = |xi|, so rho = rho_D / |xi|.
@@ -185,7 +189,7 @@ def residual_profiles_time(t, nu, mode: FourierMode, s, deriv=0, regime=None,
 
 
 def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
-                              regime=None, n_arm=256, n_arc=128):
+                              regime=None, n_arm=ct.N_ARM, n_arc=ct.N_ARC):
     """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi).
 
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D.
@@ -226,7 +230,7 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 
 
 def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,
-                         contour=None, method="fixed", n_arm=256, n_arc=128,
+                         contour=None, method="fixed", n_arm=ct.N_ARM, n_arc=ct.N_ARC,
                          check=False):
     """Split no-slip residual kernel {R1, R2} at a single (t, y, z)."""
     return residual_kernel_general(t, nu, mode, BoundaryOperatorD.no_slip(mode), y, z,
@@ -234,7 +238,7 @@ def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,
 
 
 def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
-                            contour=None, method="fixed", n_arm=256, n_arc=128,
+                            contour=None, method="fixed", n_arm=ct.N_ARM, n_arc=ct.N_ARC,
                             check=False):
     """Split residual kernel {R1, R2} for the boundary operator D at a single (t, y, z).
 
@@ -274,8 +278,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
                     "doubling quadrature nodes changed the kernel by more than 1e-8 relative")
             vals = fine
     # D is real: the fixed path's real profiles give real R1, R2
-    mat = D.matrix.real
-    return {"R1": vals[0] * mat, "R2": vals[1] * mat, "regime": regime,
+    return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix, "regime": regime,
             "contour": contour}
 
 
@@ -303,10 +306,7 @@ def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z) -> np.ndarray:
     d = abs(float(y) - float(z))
     # the heat part decays only like e^{-mu |y-z|}, so tune the contour to
     # the weakest decay distance d <= s to keep the arm integrand bounded
-    if _auto_regime(nu, mode) == "lowfreq":
-        contour = ct.build_contour_lowfreq(t, nu, xin, d)
-    else:
-        contour = ct.build_contour_highfreq(t, nu, xin, d, pole_mu=xin)
+    contour = _contour(_auto_regime(nu, mode), t, nu, xin, d, xin)
     P = projection_matrix(mode)
     eye = np.eye(2)
 
@@ -357,10 +357,6 @@ class KernelSample:
         return self.H[..., None, None] * np.eye(2) + self.R1 + self.R2
 
 
-# Gauss-Legendre nodes per arm and on the arc of the sampled profiles
-_SAMPLE_N_ARM, _SAMPLE_N_ARC = 256, 128
-
-
 def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
                           D=None) -> KernelSample:
     """Sample G_xi(t) for the boundary operator D (default no-slip) on a product grid.
@@ -378,10 +374,10 @@ def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
     h = heat_kernel_neumann(t, nu, mode, y[:, None], z[None, :])
     s_u, inv = np.unique(s, return_inverse=True)
     rho1, rho2 = (rho[inv].reshape(s.shape) for rho in residual_profiles_general(
-        t, nu, mode, s_u, D.sigma, n_arm=_SAMPLE_N_ARM, n_arc=_SAMPLE_N_ARC))
+        t, nu, mode, s_u, D.sigma))
     return KernelSample(t=t, nu=nu, mode=mode, y_nodes=y, z_nodes=z, H=h,
-                        R1=rho1[..., None, None] * D.matrix.real,
-                        R2=rho2[..., None, None] * D.matrix.real,
+                        R1=rho1[..., None, None] * D.matrix,
+                        R2=rho2[..., None, None] * D.matrix,
                         regime=_auto_regime(nu, mode))
 
 
@@ -447,8 +443,6 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
 _SIGMA_FRACTION = 0.5
 # largest relative move of a certified sup under node doubling that still passes
 _DRIFT_TOL = 0.1
-# Gauss-Legendre nodes per arm and on the arc of the certificate's contours
-_CERT_N_ARM, _CERT_N_ARC = 256, 128
 
 
 def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
@@ -474,10 +468,13 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     less than ``report["drift_tol"]`` relative when the quadrature node counts
     double.  A ``theta0`` outside (0, 1) raises IncompatibleData: theta0 <= 0
     turns the R1 bound's decay e^{-theta0 mu0 (y+z)} into growth, so the sup
-    would bound nothing.
+    would bound nothing.  A zero in ``xi_values`` raises ZeroModeUnsupported:
+    the bounds are stated for |xi| > 0.
     """
     if not 0.0 < theta0 < 1.0:
         raise IncompatibleData(f"theta0 must be in (0, 1), got {theta0}")
+    if 0 in xi_values:
+        raise ZeroModeUnsupported("kernel bounds need |xi| > 0")
     if s_values is None:
         s_values = np.linspace(0.0, 10.0, 21)
     s_values = np.asarray(s_values, dtype=float)
@@ -494,9 +491,9 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     ok = True
     for name, operator in (("no_slip", BoundaryOperatorD.no_slip), ("general", general)):
         sup, arg = _bound_sweep(nu_values, xi_values, t_values, k_values,
-                                s_values, theta0, _CERT_N_ARM, _CERT_N_ARC, operator)
+                                s_values, theta0, ct.N_ARM, ct.N_ARC, operator)
         sup2, _ = _bound_sweep(nu_values, xi_values, t_values, k_values,
-                               s_values, theta0, 2 * _CERT_N_ARM, 2 * _CERT_N_ARC, operator)
+                               s_values, theta0, 2 * ct.N_ARM, 2 * ct.N_ARC, operator)
         drift = {key: abs(sup2[key] - sup[key]) / max(abs(sup[key]), 1e-300)
                  for key in ("R1", "R2_quarter")}
         finite = all(np.isfinite(sup[key]) for key in ("R1", "R2_quarter"))

@@ -4,12 +4,14 @@ Every boundary condition here reads du/dz(0) + D u(0) = 0 for an admissible
 boundary operator D (det D = 0, alpha, beta >= 0, alpha + beta <= c0 |xi|).
 The vorticity (no-slip) condition -(d/dz + |xi|) u(0) + xi |xi|^{-1} xi . u(0)
 = 0 is the member D = P(xi)/|xi|, with trace sigma = |xi| and its pole at
-lambda* = nu (sigma^2 - |xi|^2) = 0.
+lambda* = nu (sigma^2 - |xi|^2) = 0; at xi = 0 it degenerates to pure Neumann,
+D = 0.  ``BoundaryOperatorD.no_slip`` builds both.
 
 The solution splits as u = v + w:
 
 * v is the whole-space/Neumann free part, built from the even image kernel
-  (e^{-mu|y-z|} + e^{-mu(y+z)}) / (2 nu mu), so gamma(dv/dz) = 0 exactly;
+  (e^{-mu|y-z|} + e^{-mu(y+z)}) / (2 nu mu), so gamma(dv/dz) = 0 exactly.
+  It is ``ResolventSolution.v``, and the whole solution for D = 0;
 * w = c0 e^{-mu y} corrects the boundary condition: (mu - D) c0 = D v(0), and
   since D^2 = sigma D this is c0 = D v(0) / (mu - sigma).
 
@@ -21,7 +23,7 @@ error, O(h^2), and the boundary residual is zero up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from .errors import HypothesisViolated, PoleHit
 __all__ = [
     "BoundaryOperatorD",
     "ResolventSolution",
-    "free_part_v",
     "resolvent_apply",
     "resolvent_apply_general",
     "check_resolvent_bound",
@@ -49,9 +50,10 @@ __all__ = [
 class BoundaryOperatorD:
     """Admissible boundary operator D = [[alpha, gamma_off], [gamma_off, beta]].
 
-    Validated on construction: det D = 0 (so D^2 = (alpha+beta) D), both
-    diagonal entries nonnegative, and trace alpha + beta <= c0 |xi| (up to
-    rounding, relative 1e-12).
+    Validated on construction: all four numbers finite, det D = 0 (so
+    D^2 = (alpha+beta) D), both diagonal entries nonnegative, and trace
+    alpha + beta <= c0 |xi| (up to rounding, relative 1e-12).  ``matrix`` is
+    D as a read-only real 2x2 array, built once.
     """
 
     alpha: float
@@ -59,9 +61,13 @@ class BoundaryOperatorD:
     gamma_off: float
     c0: float
     mode: FourierMode
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b, g = self.alpha, self.beta, self.gamma_off
+        if not all(math.isfinite(x) for x in (a, b, g, self.c0)):
+            raise HypothesisViolated(
+                f"alpha, beta, gamma and c0 must be finite, got {a}, {b}, {g}, {self.c0}")
         if self.c0 <= 0:
             raise HypothesisViolated(f"c0 must be positive, got {self.c0}")
         det = a * b - g * g
@@ -72,10 +78,18 @@ class BoundaryOperatorD:
         if a + b > self.c0 * self.mode.norm * (1.0 + 1e-12):
             raise HypothesisViolated(
                 f"alpha + beta = {a + b} exceeds c0 |xi| = {self.c0 * self.mode.norm}")
+        matrix = np.array([[a, g], [g, b]], dtype=float)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def no_slip(cls, mode: FourierMode) -> "BoundaryOperatorD":
-        """The vorticity (no-slip) condition: D = P(xi)/|xi| with c0 = 1."""
+        """The vorticity (no-slip) condition: D = P(xi)/|xi| with c0 = 1.
+
+        At xi = 0 the condition degenerates to pure Neumann: D = 0.
+        """
+        if mode.is_zero:
+            return cls(alpha=0.0, beta=0.0, gamma_off=0.0, c0=1.0, mode=mode)
         D = projection_matrix(mode).real / mode.norm
         return cls(alpha=D[0, 0], beta=D[1, 1], gamma_off=D[0, 1], c0=1.0, mode=mode)
 
@@ -83,11 +97,6 @@ class BoundaryOperatorD:
     def sigma(self) -> float:
         """Trace alpha + beta; D^2 = sigma D and the kernel pole sits at mu = sigma."""
         return self.alpha + self.beta
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.alpha, self.gamma_off],
-                         [self.gamma_off, self.beta]], dtype=complex)
 
     def pole_lambda(self, nu: float) -> float:
         """lambda* = nu (sigma^2 - |xi|^2), the pole of the corrected resolvent."""
@@ -134,37 +143,14 @@ class ResolventSolution:
         return float(np.linalg.norm(res))
 
 
-def free_part_v(f: ModeField, point: SpectralPoint) -> ModeField:
-    """v(y) = (1/2 nu mu) int (e^{-mu|y-z|} + e^{-mu(y+z)}) f(z) dz, exactly on PL f."""
-    vals, _ = _free_part(f, point, stacklevel=3)
-    return ModeField(f.grid, vals)
-
-
-def _free_part(f: ModeField, point: SpectralPoint, stacklevel: int):
-    """The values of ``free_part_v`` and the table e^{-mu y} of their sweep.
-
-    ``stacklevel`` points a truncation warning at a caller, counted as by
-    ``warnings.warn`` called here.
-    """
-    rows = _as_rows(f.grid, f.values, True, stacklevel)
-    vals, decay = _exp_action_rows(f.grid, rows, point.mu, 1)
-    vals /= 2.0 * point.nu * point.mu
-    return vals, decay
-
-
-def _vorticity_operator(mode: FourierMode) -> BoundaryOperatorD:
-    """D of the vorticity condition: P(xi)/|xi|, or 0 at xi = 0 (pure Neumann)."""
-    if mode.is_zero:
-        return BoundaryOperatorD(0.0, 0.0, 0.0, 1.0, mode)
-    return BoundaryOperatorD.no_slip(mode)
-
-
 def resolvent_apply(f: ModeField, point: SpectralPoint) -> ResolventSolution:
-    """Solve the resolvent problem with the vorticity boundary condition.
+    """Solve the resolvent problem with the vorticity boundary condition,
+    D = ``BoundaryOperatorD.no_slip(point.mode)``.
 
-    For the zero mode the condition degenerates to pure Neumann (D = 0), so u = v.
+    The free part is ``ResolventSolution.v``.  For the zero mode the condition
+    degenerates to pure Neumann (D = 0), so u = v.
     """
-    return _solve(f, point, _vorticity_operator(point.mode))
+    return _solve(f, point, BoundaryOperatorD.no_slip(point.mode))
 
 
 def resolvent_apply_general(f: ModeField, point: SpectralPoint,
@@ -179,11 +165,14 @@ def resolvent_apply_general(f: ModeField, point: SpectralPoint,
 def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> ResolventSolution:
     """u = v + w from one sweep: w is built on the sweep's own e^{-mu y} table.
 
+    v(y) = (1/2 nu mu) int (e^{-mu|y-z|} + e^{-mu(y+z)}) f(z) dz, exactly on PL f.
     Called only from the two public solvers, so a truncation warning points
     at their caller.
     """
     correction = D.correction(point)
-    v, decay = _free_part(f, point, stacklevel=4)
+    rows = _as_rows(f.grid, f.values, True, stacklevel=3)
+    v, decay = _exp_action_rows(f.grid, rows, point.mu, 1)
+    v /= 2.0 * point.nu * point.mu
     c0 = correction @ v[:, 0]
     w = c0[:, None] * decay
     return ResolventSolution(u=ModeField(f.grid, v + w), v=ModeField(f.grid, v),

@@ -2,13 +2,14 @@
 
 ``duhamel_solve`` evaluates omega(t) = e^{tA} omega_0 + int_0^t e^{(t-s)A} (f, g)(s) ds
 for A = nu Delta_xi, omega_3(0) = 0 and du/dz + D u = -g/nu on the tangential
-pair (D = P(xi)/|xi|, or 0 at xi = 0).  All three terms are contour integrals
-of the resolvent on one Weideman-Trefethen parabola, summed by the trapezoid
-rule over 33 nodes: e^{tA} (f, g) = sum_k w_k e^{lambda_k t} (lambda_k - A)^{-1} (f, g),
-each solve taking f in the interior and g in the boundary condition.  Each
-solve is the resolvent's own: the image-exponential action (even on the
-tangential pair, odd on omega_3), exact on PL data and O(n), plus the boundary
-layer c e^{-mu y}, c = (mu - D)^{-1} (D v(0) + g/nu).  The time integrals use the
+pair, D = ``BoundaryOperatorD.no_slip(xi)`` (P(xi)/|xi|, or 0 at xi = 0).
+All three terms are contour integrals of the resolvent on one
+Weideman-Trefethen parabola, summed by the trapezoid rule over 33 nodes:
+e^{tA} (f, g) = sum_k w_k e^{lambda_k t} (lambda_k - A)^{-1} (f, g), each solve
+taking f in the interior and g in the boundary condition.  Each solve is the
+resolvent's own: the image-exponential action (even on the tangential pair,
+odd on omega_3), exact on PL data and O(n), plus the boundary layer
+c e^{-mu y}, c = (mu - D)^{-1} (D v(0) + g/nu).  The time integrals use the
 substitution s = t - sigma^2 with Gauss-Legendre in sigma, which removes the
 (nu (t-s))^{-1/2} trace singularity of the boundary term and keeps all
 integrands smooth.
@@ -35,7 +36,7 @@ import numpy as np
 from .actions import _as_rows, _exp_action_rows
 from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint
 from .errors import AsymmetricModeSet, IncompatibleData, StabilityWarning
-from .resolvent import BoundaryOperatorD, _vorticity_operator
+from .resolvent import BoundaryOperatorD
 
 __all__ = [
     "StokesProblem",
@@ -50,7 +51,8 @@ __all__ = [
 
 @dataclass
 class StokesProblem:
-    """One per-mode initial-boundary-value problem on the half line.
+    """One per-mode initial-boundary-value problem on the half line, with the
+    vorticity boundary condition D = ``BoundaryOperatorD.no_slip(mode)``.
 
     ``forcing(t)`` returns interior force node values of shape (3, n) and
     ``boundary_g(t)`` the tangential boundary datum pair, shape (2,); both
@@ -174,7 +176,8 @@ def _propagate(grid, nu, mode, t, values, g, D):
 def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
     """Evaluate the Green's-function representation at the requested times.
 
-    Times must be finite and lie in [0, problem.t_final].  One ``_propagate``
+    ``times`` must be a non-empty 1-D sequence of finite times in
+    [0, problem.t_final], IncompatibleData otherwise.  One ``_propagate``
     call takes omega_0, and one per Gauss-Legendre node in sigma = sqrt(t - s)
     takes f(s) and g(s) together.
 
@@ -185,12 +188,13 @@ def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
     """
     grid = problem.omega0.grid
     nu, mode = problem.nu, problem.mode
-    D = _vorticity_operator(mode)
+    D = BoundaryOperatorD.no_slip(mode)
     times = np.asarray(times, dtype=float)
     # written so that NaN, which fails every comparison, is out of range too
-    if not np.all((times >= 0.0) & (times <= problem.t_final)):
-        raise IncompatibleData(
-            f"times must be finite and lie in [0, t_final = {problem.t_final}]")
+    if times.ndim != 1 or times.size == 0 or not np.all(
+            (times >= 0.0) & (times <= problem.t_final)):
+        raise IncompatibleData("times must be a non-empty 1-D sequence of finite "
+                               f"times in [0, t_final = {problem.t_final}]")
     states = []
     x_gl, w_gl = np.polynomial.legendre.leggauss(_N_QUAD)
     no_g = np.zeros(2, dtype=complex)
@@ -254,8 +258,8 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
     Crank-Nicolson (theta = 1/2) steps of the operator ``_fd_operator`` that
     ``finite_difference_resolvent_general`` also solves with: the tangential
     pair takes the vorticity condition du/dz + D u = -g/nu through the ghost
-    node, with D = P(xi)/|xi| (0 at xi = 0), omega_3 is pinned to 0 at z = 0,
-    and all three vanish at the far node.  The scheme is unconditionally stable; a
+    node, with D = ``BoundaryOperatorD.no_slip(mode)``, omega_3 is pinned to 0
+    at z = 0, and all three vanish at the far node.  The scheme is unconditionally stable; a
     StabilityWarning is emitted when nu dt / h^2 is large enough that the
     requested accuracy is unlikely.  dt must be finite and positive, with
     t_final / dt rounding to at least one step; ``snapshot_times`` must lie in
@@ -287,7 +291,7 @@ def crank_nicolson_oracle(problem: StokesProblem, dt: float,
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
-    A = _fd_operator(grid, nu, mode, _vorticity_operator(mode))
+    A = _fd_operator(grid, nu, mode, BoundaryOperatorD.no_slip(mode))
     eye = sp.eye(3 * n, format="csc")
     lu = splu((eye - 0.5 * dt * A).tocsc())
     M = (eye + 0.5 * dt * A).tocsc()

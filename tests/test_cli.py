@@ -301,3 +301,15 @@ class TestConfigAndErrors:
         assert rc == EXIT_NUMERICAL
         assert "QuadratureUnderresolved" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["kernel", "resolvent"])
+    @pytest.mark.parametrize("spec", ["alpha=nan", "alpha=0.5,c0=nan", "alpha=0.5,c0=inf",
+                                      "alpha=5"])
+    def test_inadmissible_general_bc_exits_numerical(self, tmp_path, capsys, command, spec):
+        # a non-finite entry would otherwise write a table of nan (or pass the trace gate)
+        out = tmp_path / "out.csv"
+        rc = run([command, "--xi", "1", "0", "--grid", "0:4:8", "--general-bc", spec,
+                  "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "HypothesisViolated" in capsys.readouterr().err
+        assert not out.exists()

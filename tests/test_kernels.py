@@ -202,6 +202,14 @@ class TestResidues:
         expect = circ * D.matrix
         assert np.max(np.abs(analytic - expect)) < 1e-10 * np.max(np.abs(analytic))
 
+    def test_zero_mode_has_no_pole(self):
+        # no_slip(xi = 0) is the zero operator, but the residues stay undefined there
+        zero = FourierMode(0, 0)
+        with pytest.raises(ZeroModeUnsupported):
+            residue_at_zero(0.3, 0.5, zero, 0.4, 0.9)
+        with pytest.raises(ZeroModeUnsupported):
+            residue_at_pole_general(0.3, 0.5, zero, BoundaryOperatorD.no_slip(zero), 0.4, 0.9)
+
 
 class TestBoundaryIdentity:
     @pytest.mark.parametrize("nu,xi", [(1.0, (1, 0)), (0.2, (2, 1))])
@@ -418,6 +426,11 @@ class TestBoundCertificate:
             verify_kernel_bounds(nu_values=(1.0,), xi_values=(1,), t_values=(0.1,),
                                  k_values=(0,), s_values=np.linspace(0.0, 6.0, 7),
                                  theta0=theta0)
+
+    def test_zero_mode_raises(self):
+        # no_slip(xi = 0) is the zero operator, but the bounds are stated for |xi| > 0
+        with pytest.raises(ZeroModeUnsupported):
+            verify_kernel_bounds(nu_values=(1.0,), xi_values=(0, 1), t_values=(0.1,))
 
     def test_argmax_reports_s(self):
         # the no-slip R2 sup of this cell sits at the window edge s = s_max

@@ -13,7 +13,6 @@ from stokesgreen import (
     SpectralPoint,
     TruncationWarning,
     check_resolvent_bound,
-    free_part_v,
     projection_matrix,
     resolvent_apply,
     resolvent_apply_general,
@@ -38,7 +37,7 @@ class TestFreePart:
         errs = []
         for n in (2001, 4001):
             grid = HalfLineGrid.uniform(40.0, n)
-            v = free_part_v(exp_field(grid, (1, 0)), PT)
+            v = resolvent_apply(exp_field(grid, (1, 0)), PT).v
             y = grid.nodes
             exact = np.exp(-y) / 3.0 - np.exp(-2.0 * y) / 6.0
             errs.append(np.max(np.abs(v.values[0] - exact)))
@@ -51,7 +50,7 @@ class TestFreePart:
         grid = HalfLineGrid.uniform(30.0, 3001)
         rng = np.random.default_rng(0)
         vals = np.exp(-((grid.nodes - 5.0) ** 2)) * (1 + 0.5j)
-        v = free_part_v(ModeField(grid, np.vstack([vals, 0 * vals])), PT)
+        v = resolvent_apply(ModeField(grid, np.vstack([vals, 0 * vals])), PT).v
         h = grid.h
         d0 = (-3 * v.values[0, 0] + 4 * v.values[0, 1] - v.values[0, 2]) / (2 * h)
         assert abs(d0) < 1e-4
@@ -101,9 +100,15 @@ class TestResolventApply:
     def test_zero_mode_neumann(self):
         grid = HalfLineGrid.uniform(30.0, 601)
         f = ModeField(grid, np.exp(-((grid.nodes - 5) ** 2))[None, :].repeat(2, 0))
-        sol = resolvent_apply(f, SpectralPoint(1.5 + 0j, 1.0, FourierMode(0, 0)))
+        pt = SpectralPoint(1.5 + 0j, 1.0, FourierMode(0, 0))
+        sol = resolvent_apply(f, pt)
         assert np.max(np.abs(sol.w.values)) == 0.0
         assert sol.boundary_residual() == 0.0
+        # resolvent_apply is the general solve with D = no_slip, at xi = 0 too
+        general = resolvent_apply_general(f, pt, BoundaryOperatorD.no_slip(pt.mode))
+        for part in ("u", "v", "w"):
+            assert np.array_equal(getattr(sol, part).values, getattr(general, part).values)
+        assert np.array_equal(sol.c0, general.c0)
 
     def test_pole_at_zero_raises(self):
         # the no-slip pole sits at lambda* = 0 (mu = |xi|)
@@ -137,19 +142,18 @@ class TestExactParts:
                 f, pt, BoundaryOperatorD(0.3, 0.2, np.sqrt(0.06), c0=1.0, mode=mode))
         else:
             sol = resolvent_apply(f, pt)
-        assert np.array_equal(sol.v.values, free_part_v(f, pt).values)
+        # v is the free part: the whole solution for D = 0
+        D0 = BoundaryOperatorD(0.0, 0.0, 0.0, c0=1.0, mode=mode)
+        assert np.array_equal(sol.v.values, resolvent_apply_general(f, pt, D0).u.values)
         assert np.array_equal(sol.w.values, sol.c0[:, None] * np.exp(-pt.mu * grid.nodes))
         assert np.array_equal(sol.u.values, sol.v.values + sol.w.values)
 
-    @pytest.mark.parametrize("which", ["free_part_v", "resolvent_apply",
-                                       "resolvent_apply_general"])
+    @pytest.mark.parametrize("which", ["resolvent_apply", "resolvent_apply_general"])
     def test_truncation_warning_points_at_caller(self, which):
         grid = HalfLineGrid.uniform(3.0, 33)
         f = ModeField(grid, np.ones((2, grid.n)))  # does not decay by z_max
         with pytest.warns(TruncationWarning) as caught:
-            if which == "free_part_v":
-                free_part_v(f, PT)
-            elif which == "resolvent_apply":
+            if which == "resolvent_apply":
                 resolvent_apply(f, PT)
             else:
                 resolvent_apply_general(f, PT, BoundaryOperatorD.no_slip(MODE10))
@@ -173,6 +177,21 @@ class TestBoundaryOperatorD:
         assert D.sigma == pytest.approx(mode.norm, rel=1e-15)
         assert abs(D.pole_lambda(1.0)) < 1e-12 * mode.norm**2
 
+    def test_no_slip_zero_mode_is_neumann(self):
+        # the vorticity condition degenerates to pure Neumann at xi = 0
+        D = BoundaryOperatorD.no_slip(FourierMode(0, 0))
+        assert (D.alpha, D.beta, D.gamma_off, D.c0) == (0.0, 0.0, 0.0, 1.0)
+        assert np.array_equal(D.matrix, np.zeros((2, 2)))
+
+    def test_matrix_built_once_real_read_only(self):
+        D = BoundaryOperatorD(0.3, 0.7, np.sqrt(0.21), c0=2.0, mode=MODE10)
+        assert D.matrix is D.matrix
+        assert D.matrix.dtype == np.float64
+        assert np.array_equal(D.matrix, [[0.3, np.sqrt(0.21)], [np.sqrt(0.21), 0.7]])
+        with pytest.raises(ValueError):
+            D.matrix[0, 0] = 1.0
+        assert D == BoundaryOperatorD(0.3, 0.7, np.sqrt(0.21), c0=2.0, mode=MODE10)
+
     def test_gates(self):
         with pytest.raises(HypothesisViolated):
             BoundaryOperatorD(1.0, 1.0, 0.0, 2.0, MODE10)       # det != 0
@@ -182,6 +201,12 @@ class TestBoundaryOperatorD:
             BoundaryOperatorD(3.0, 0.0, 0.0, 1.0, MODE10)       # trace > c0 |xi|
         with pytest.raises(HypothesisViolated):
             BoundaryOperatorD(0.5, 0.0, 0.0, -1.0, MODE10)      # c0 <= 0
+        # a non-finite entry fails no comparison gate (inf c0 would pass the trace gate)
+        for bad in (np.nan, np.inf, -np.inf):
+            for args in ((bad, 0.0, 0.0, 1.0), (0.0, bad, 0.0, 1.0),
+                         (0.0, 0.0, bad, 1.0), (0.5, 0.0, 0.0, bad)):
+                with pytest.raises(HypothesisViolated, match="finite"):
+                    BoundaryOperatorD(*args, MODE10)
 
 
 class TestGeneralResolvent:

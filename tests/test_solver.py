@@ -206,7 +206,8 @@ class TestDuhamel:
     def test_times_outside_horizon_raise(self):
         grid = HalfLineGrid.uniform(16.0, 257)
         p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=1.0)
-        for bad in ([3.0], [0.5, 1.5], [-0.1], [np.nan], [0.5, np.nan], [np.inf]):
+        for bad in ([3.0], [0.5, 1.5], [-0.1], [np.nan], [0.5, np.nan], [np.inf],
+                    [], [[0.1, 0.2]]):
             with pytest.raises(IncompatibleData):
                 duhamel_solve(p, bad)
         # a non-finite nu or horizon is rejected when the problem is built
