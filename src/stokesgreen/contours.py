@@ -19,9 +19,9 @@ a = s / (2 nu t):
 * high frequency (nu |xi|^2 >= 1): a single parabola
   lambda = -nu|xi|^2 + nu (theta a + i b)^2, b in R, with theta in {1, 1/2}
   chosen so the line mu = theta a + i b stays away from the pole of the
-  integrand at mu = mu_pole (mu_pole = |xi| for the no-slip kernel).  It is
-  split at its vertex b = 0 into two segments.  Here R2 is the parabola
-  integral and R1 is the residue when the parabola encloses the pole.
+  integrand at mu = mu_pole (mu_pole = |xi| for the no-slip kernel).  Here R2
+  is the parabola integral and R1 is the residue when the parabola encloses
+  the pole.
 
 Everything is parameterized so that the magnitude of exp(lambda t - mu s) is
 bounded along the contour (steepest-descent arms), which keeps the quadrature
@@ -38,13 +38,13 @@ and ``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's
 package import does not load it.
 
 Both deformations are mirror images under complex conjugation, and the
-builders declare it (``Contour.mirror``).  The residual integrands are real
-in the sense f(conj lambda) = conj f(lambda) (real t, s, nu, |xi|, sigma and
-the principal root mu), so their Bromwich integrals are real and
-``gauss_legendre`` evaluates only the upper half of each contour: the lower
-half contributes the conjugate, and (I - conj I) / (2 pi i) = Im(I) / pi.
-It therefore returns real values and accepts only such integrands;
-``integrate`` evaluates every segment and accepts any integrand.
+residual integrands are real in the sense f(conj lambda) = conj f(lambda)
+(real t, s, nu, |xi|, sigma and the principal root mu).  The lower half of a
+contour therefore contributes the conjugate of the upper half's integral I,
+so the Bromwich integral is (I - conj I) / (2 pi i) = Im(I) / pi.  A
+``Contour`` is its upper half (Im lambda >= 0): at low frequency the quarter
+circle from the real axis and the arm b >= 0, at high frequency the parabola
+b >= 0.  Both integrators return that real value.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisViolated, PoleOnContour
+from .errors import PoleOnContour
 
 __all__ = [
     "Segment",
@@ -93,19 +93,13 @@ class Segment:
 
 @dataclass(frozen=True)
 class Contour:
-    """An upward-oriented contour made of smooth segments.
+    """The upper half (Im lambda >= 0) of an upward-oriented contour, in segments.
 
     ``encloses_pole_at`` records which integrand pole (if any) lies to the
     right of the contour (between it and the Bromwich line), in which case the
     inverse Laplace transform is the contour integral plus that residue;
     ``arc_index`` marks the segment that carries the pole contribution for the
     low-frequency split (None for the high-frequency parabola).
-
-    ``mirror`` declares the contour conjugate-symmetric: segment ``mirror[k]``
-    traversed backwards is the complex conjugate of segment k, and a segment
-    with ``mirror[k] == k`` is its own mirror image.  Of a mirror pair the
-    later segment lies in the upper half plane, as does the later half of a
-    self-mirrored one.  None for a contour without that symmetry.
     """
 
     segments: tuple[Segment, ...]
@@ -113,15 +107,16 @@ class Contour:
     regime: str
     params: dict = field(compare=False)
     arc_index: int | None = None
-    mirror: tuple[int, ...] | None = None
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], segment_indices=None):
-        """(1/2 pi i) * integral of f(lambda) over (selected) segments.
+        """(1/2 pi i) * integral of f(lambda) over (selected) segments and their mirrors.
 
-        Uses adaptive Gauss-Kronrod panels (scipy ``quad_vec``, imported here
-        because only the oracles integrate adaptively); ``f`` must be
-        vectorized over a 1-D array of lambda values and may return extra
-        leading axes (e.g. a stack of integrands).
+        Requires f(conj lambda) = conj f(lambda), and returns the real
+        Im(I) / pi of the upper-half integral I.  Uses adaptive Gauss-Kronrod
+        panels (scipy ``quad_vec``, imported here because only the oracles
+        integrate adaptively); ``f`` must be vectorized over a 1-D array of
+        lambda values and may return extra leading axes (e.g. a stack of
+        integrands).
         """
         from scipy.integrate import quad_vec
 
@@ -138,46 +133,32 @@ class Contour:
 
             part, _ = quad_vec(g, seg.p0, seg.p1, epsabs=1e-13, epsrel=1e-11)
             total = part if total is None else total + part
-        return total / (2.0j * np.pi)
+        return total.imag / np.pi
 
     def gauss_legendre(self, f: Callable[[np.ndarray], np.ndarray],
                        n_arm: int = N_ARM, n_arc: int = N_ARC, segment_indices=None):
-        """(1/2 pi i) * integral of f(lambda) over (selected) segments, fixed nodes.
+        """``integrate`` with fixed Gauss-Legendre nodes.
 
-        Gauss-Legendre with ``n_arc`` nodes on the arc segment and ``n_arm``
-        on each other segment.  ``f`` receives lambda with the contour's s
-        axes first and the node axis last, and returns that shape; the sum
-        runs over the node axis.
-
-        Requires f(conj lambda) = conj f(lambda) on a contour built
-        conjugate-symmetric (``mirror``), and a segment selection closed under
-        mirroring; HypothesisViolated otherwise.  Only the upper node of each
-        mirror pair is evaluated (node j of a segment mirrors node n-1-j of
-        its mirror; the centre node of a self-mirrored segment with odd n
-        enters once, at half weight), so the rule is the full Gauss-Legendre
-        rule in exact arithmetic, and the result is real: Im(I) / pi of the
-        upper-half sum I.
+        ``n_arm`` nodes on each arm.  The arc starts on the real axis at
+        p = 0 and takes the upper half of the ``n_arc``-node rule on
+        [-p1, p1], the whole half circle (an odd rule's centre node at half
+        weight), so that with the mirrored nodes the rule is the full
+        Gauss-Legendre rule in exact arithmetic.
+        ``f`` receives lambda with the contour's s axes first and the node
+        axis last, and returns that shape; the sum runs over the node axis.
         """
-        if self.mirror is None:
-            raise HypothesisViolated(
-                "fixed-node quadrature needs a conjugate-symmetric contour")
         if segment_indices is None:
             segment_indices = range(len(self.segments))
-        chosen = sorted(set(segment_indices))
-        if any(self.mirror[k] not in chosen for k in chosen):
-            raise HypothesisViolated(
-                f"segments {chosen} are not closed under mirroring {self.mirror}")
         total = None
-        for k in chosen:
-            if self.mirror[k] > k:
-                continue  # the lower segment of a pair: its mirror stands for it
+        for k in segment_indices:
             seg = self.segments[k]
-            n = n_arc if k == self.arc_index else n_arm
-            p, w = _gl(seg.p0, seg.p1, n)
-            if self.mirror[k] == k:
-                p, w = p[n // 2:], w[n // 2:].copy()
-                if n % 2:
+            if k == self.arc_index:
+                p, w = _gl(-seg.p1, seg.p1, n_arc)
+                p, w = p[n_arc // 2:], w[n_arc // 2:]
+                if n_arc % 2:
                     w[0] *= 0.5
+            else:
+                p, w = _gl(seg.p0, seg.p1, n_arm)
             # f(lambda) goes first in its product with the weights: numpy
             # computes a product with a large temporary on the right in place
             # with the operands swapped, and complex multiplication is not
@@ -253,14 +234,13 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s,
     c_arm, b_max = params["c_arm"], params["b_max"]
 
     arc = Segment(
-        "arc", -0.5 * np.pi, 0.5 * np.pi,
+        "arc", 0.0, 0.5 * np.pi,
         lambda th: c0 + M * np.exp(1j * th),
         lambda th: 1j * M * np.exp(1j * th),
     )
-    segments = (_parabola("arm_minus", -b_max, 0.0, nu, a, c_arm - 1j * M), arc,
-                _parabola("arm_plus", 0.0, b_max, nu, a, c_arm + 1j * M))
+    segments = (arc, _parabola("arm", 0.0, b_max, nu, a, c_arm + 1j * M))
     return Contour(segments=segments, encloses_pole_at=complex(pole),
-                   regime="lowfreq", params=params, arc_index=1, mirror=(2, 1, 0))
+                   regime="lowfreq", params=params, arc_index=0)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +295,8 @@ def build_contour_highfreq(t: float, nu: float, xi_norm: float, s,
     a_eff, b_max = _last(params["a_eff"]), params["b_max"]
     vertex = -nu * xi_norm**2
 
-    segments = (_parabola("parabola_minus", -b_max, 0.0, nu, a_eff, vertex),
-                _parabola("parabola_plus", 0.0, b_max, nu, a_eff, vertex))
+    segments = (_parabola("parabola", 0.0, b_max, nu, a_eff, vertex),)
     crosses = np.any(params["crosses_pole"])
     encl = complex(vertex + nu * params["pole_mu"] ** 2) if crosses else None
     return Contour(segments=segments, encloses_pole_at=encl,
-                   regime="highfreq", params=params, arc_index=None, mirror=(1, 0))
+                   regime="highfreq", params=params, arc_index=None)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,6 +111,10 @@ class HalfLineGrid:
     """
 
     def __init__(self, z_max: float, n: int):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise IncompatibleData(f"the node count must be an integer, got {n!r}") from None
         if n < 3 or n % 2 == 0:
             raise GridTooSmall(f"composite Simpson needs an odd node count >= 3, got {n}")
         if not 0.0 < z_max < math.inf:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,8 +64,8 @@ __all__ = [
 
 
 def _heat(t, nu, mode, y, z, sign):
-    if t <= 0:
-        raise ValueError("heat kernel requires t > 0")
+    if not (0.0 < t < math.inf and 0.0 < nu < math.inf):
+        raise IncompatibleData(f"heat kernel needs finite t, nu > 0, got t={t}, nu={nu}")
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     c = 4.0 * nu * t
@@ -122,6 +123,7 @@ def residue_at_pole_general(t, nu, mode: FourierMode, D, y, z) -> np.ndarray:
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("the boundary pole needs |xi| > 0")
+    D.check_mode(mode)
     # complex like the small-circle residues; D itself is real
     return (2.0 * math.exp(D.pole_lambda(nu) * t) * np.exp(-D.sigma * (y + z))
             * D.matrix.astype(complex))
@@ -167,7 +169,7 @@ def _rho1(contour, integrate, t, s, nu, xi_norm, sigma, deriv, comp):
 
 
 def _rho2(contour, integrate, t, s, nu, xi_norm, sigma, deriv, comp):
-    """rho2 of ``_factor`` on ``contour``: the arms at low frequency, the parabola at high."""
+    """rho2 of ``_factor`` on ``contour``: the arm at low frequency, the parabola at high."""
     arms = [k for k in range(len(contour.segments)) if k != contour.arc_index]
     return integrate(lambda lam: _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp),
                      segment_indices=arms)
@@ -195,9 +197,9 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D.
     ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral.
     Both parts come from fixed Gauss-Legendre nodes (``n_arm``/``n_arc``) on
-    one contour per chunk of s, and are real float arrays (the kernel is real;
-    the quadrature evaluates the upper half of the conjugate-symmetric
-    contour only).  A non-finite value raises QuadratureUnderresolved.
+    one contour per chunk of s, and are real float arrays: the contours hold
+    only their upper half, whose integral I gives Im(I) / pi.  A non-finite
+    value raises QuadratureUnderresolved.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
@@ -255,6 +257,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual kernel needs |xi| > 0")
+    D.check_mode(mode)
     s = float(y) + float(z)
     regime = (contour.regime if contour is not None else regime) or _auto_regime(nu, mode)
 
@@ -262,7 +265,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
         if contour is None:
             contour = _contour(regime, t, nu, mode.norm, s, D.sigma)
         vals = np.array([rho(contour, contour.integrate, t, np.asarray(s), nu, mode.norm,
-                             D.sigma, 0, 0.0) for rho in (_rho1, _rho2)], dtype=complex)
+                             D.sigma, 0, 0.0) for rho in (_rho1, _rho2)])
     else:
         def run(na, nc):
             r1, r2 = residual_profiles_general(t, nu, mode, np.array([s]), D.sigma,
@@ -277,7 +280,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
                 raise QuadratureUnderresolved(
                     "doubling quadrature nodes changed the kernel by more than 1e-8 relative")
             vals = fine
-    # D is real: the fixed path's real profiles give real R1, R2
+    # D and both paths' profiles are real, so R1 and R2 are real
     return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix, "regime": regime,
             "contour": contour}
 
@@ -368,6 +371,7 @@ def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
     one a per-pair evaluation gives.
     """
     D = D or BoundaryOperatorD.no_slip(mode)
+    D.check_mode(mode)
     y = np.asarray(y_nodes, dtype=float)
     z = np.asarray(z_nodes, dtype=float)
     s = y[:, None] + z[None, :]
@@ -468,16 +472,25 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     less than ``report["drift_tol"]`` relative when the quadrature node counts
     double.  A ``theta0`` outside (0, 1) raises IncompatibleData: theta0 <= 0
     turns the R1 bound's decay e^{-theta0 mu0 (y+z)} into growth, so the sup
-    would bound nothing.  A zero in ``xi_values`` raises ZeroModeUnsupported:
-    the bounds are stated for |xi| > 0.
+    would bound nothing.  So does an empty sweep axis, a nu or t that is not
+    finite and positive, an s = y + z that is not finite and >= 0, or a k
+    that is not a non-negative integer: a vacuous or invalid sweep certifies
+    nothing.  A zero in ``xi_values`` raises ZeroModeUnsupported: the bounds
+    are stated for |xi| > 0.
     """
     if not 0.0 < theta0 < 1.0:
         raise IncompatibleData(f"theta0 must be in (0, 1), got {theta0}")
-    if 0 in xi_values:
-        raise ZeroModeUnsupported("kernel bounds need |xi| > 0")
     if s_values is None:
         s_values = np.linspace(0.0, 10.0, 21)
     s_values = np.asarray(s_values, dtype=float)
+    if not (all(np.size(axis) for axis in (nu_values, xi_values, t_values, k_values, s_values))
+            and all(0.0 < x < math.inf for x in (*nu_values, *t_values))
+            and np.all((s_values >= 0.0) & (s_values < math.inf))
+            and all(isinstance(k, numbers.Integral) and k >= 0 for k in k_values)):
+        raise IncompatibleData("the sweep needs non-empty axes, finite nu, t > 0, "
+                               "finite s >= 0 and integer k >= 0")
+    if 0 in xi_values:
+        raise ZeroModeUnsupported("kernel bounds need |xi| > 0")
 
     def general(mode):
         sigma = _SIGMA_FRACTION * mode.norm

@@ -5,7 +5,6 @@ import pytest
 
 from stokesgreen import (
     FourierMode,
-    HypothesisViolated,
     PoleOnContour,
     build_contour_highfreq,
     build_contour_lowfreq,
@@ -16,13 +15,13 @@ from stokesgreen.contours import BETA_MAX, Contour, Segment, highfreq_params, lo
 class TestLowFreq:
     def test_arms_meet_arc(self):
         c = build_contour_lowfreq(t=0.3, nu=1.0, xi_norm=1.0, s=1.5)
-        arm_minus, arc, arm_plus = c.segments
-        end_minus = arm_minus.gamma(np.array([arm_minus.p1]))[0]
+        arc, arm = c.segments
+        assert c.arc_index == 0
         start_arc = arc.gamma(np.array([arc.p0]))[0]
         end_arc = arc.gamma(np.array([arc.p1]))[0]
-        start_plus = arm_plus.gamma(np.array([arm_plus.p0]))[0]
-        assert abs(end_minus - start_arc) < 1e-12
-        assert abs(end_arc - start_plus) < 1e-12
+        start_arm = arm.gamma(np.array([arm.p0]))[0]
+        assert start_arc.imag == 0.0  # the upper half starts on the real axis
+        assert abs(end_arc - start_arm) < 1e-12
 
     def test_pole_enclosed(self):
         p = lowfreq_params(t=0.5, nu=0.2, xi_norm=2.0, s=np.array([0.0, 3.0, 8.0]))
@@ -87,23 +86,18 @@ class TestHighFreq:
 
 class TestContourIntegrate:
     def test_cauchy_circle(self):
-        # closed-path check via two half circles: integral of 1/(lambda - z0)
+        # closed-path check via the upper unit half circle and its mirror:
+        # integral of 1/(lambda - z0) with a real pole z0 inside
         import dataclasses
 
-        z0 = 0.3 + 0.1j
-        right = Segment("right", -0.5 * np.pi, 0.5 * np.pi,
+        z0 = 0.3
+        upper = Segment("upper", 0.0, np.pi,
                         lambda th: np.exp(1j * th), lambda th: 1j * np.exp(1j * th))
-        left = Segment("left", 0.5 * np.pi, 1.5 * np.pi,
-                       lambda th: np.exp(1j * th), lambda th: 1j * np.exp(1j * th))
-        c = Contour(segments=(right, left), encloses_pole_at=None,
-                    regime="test", params={})
-        val = c.integrate(lambda lam: 1.0 / (lam - z0))
-        assert abs(val - 1.0) < 1e-12
+        c = Contour(segments=(upper,), encloses_pole_at=None,
+                    regime="test", params={}, arc_index=0)
+        assert abs(c.integrate(lambda lam: 1.0 / (lam - z0)) - 1.0) < 1e-12
+        assert abs(c.gauss_legendre(lambda lam: 1.0 / (lam - z0)) - 1.0) < 1e-12
         assert dataclasses.is_dataclass(c)
-        # the fixed-node rule folds by conjugate symmetry, which this contour
-        # and integrand lack
-        with pytest.raises(HypothesisViolated):
-            c.gauss_legendre(lambda lam: 1.0 / (lam - z0))
 
     @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
     def test_nodes_match_segments(self, family):
@@ -129,14 +123,23 @@ class TestContourIntegrate:
 
 
 def _unfolded_gauss_legendre(c, f, n_arm, n_arc, segment_indices):
-    """The plain Gauss-Legendre rule over every node of the selected segments."""
+    """The plain Gauss-Legendre rule over the selected segments and their
+    mirror images: the arc extended to the whole half circle, and each arm's
+    mirror, conj gamma traversed backwards."""
     total = 0.0
     for k in segment_indices:
         seg = c.segments[k]
-        x, w = np.polynomial.legendre.leggauss(n_arc if k == c.arc_index else n_arm)
+        if k == c.arc_index:
+            x, w = np.polynomial.legendre.leggauss(n_arc)
+            p, w = seg.p1 * x, seg.p1 * w
+            total = total + np.sum(f(seg.gamma(p)) * seg.dgamma(p) * w, axis=-1)
+            continue
+        x, w = np.polynomial.legendre.leggauss(n_arm)
         mid, half = 0.5 * (seg.p0 + seg.p1), 0.5 * (seg.p1 - seg.p0)
-        p = mid + half * x
-        total = total + np.sum(f(seg.gamma(p)) * seg.dgamma(p) * (half * w), axis=-1)
+        p, w = mid + half * x, half * w
+        lam, dlam = seg.gamma(p), seg.dgamma(p)
+        total = total + np.sum((f(lam) * dlam - f(np.conj(lam)) * np.conj(dlam)) * w,
+                               axis=-1)
     return total / (2.0j * np.pi)
 
 
@@ -169,8 +172,8 @@ class TestConjugateFold:
     @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
     def test_matches_unfolded_rule(self, family, pole, n_arm, n_arc):
         c, f = self._contour(family, pole)
-        # the whole contour, and at low frequency the arc (R1) and arms (R2) alone
-        selections = [[0, 1, 2], [1], [0, 2]] if family == "lowfreq" else [[0, 1]]
+        # the whole contour, and at low frequency the arc (R1) and the arm (R2) alone
+        selections = [[0, 1], [0], [1]] if family == "lowfreq" else [[0]]
         for sel in selections:
             folded = c.gauss_legendre(f, n_arm=n_arm, n_arc=n_arc, segment_indices=sel)
             plain = _unfolded_gauss_legendre(c, f, n_arm, n_arc, sel)
@@ -179,11 +182,27 @@ class TestConjugateFold:
             assert np.max(np.abs(plain.imag)) <= 1e-15 * scale
             assert np.max(np.abs(folded - plain.real)) <= 1e-15 * scale
 
-    def test_rejects_selection_not_closed_under_mirroring(self):
-        c, f = self._contour("lowfreq", "no_slip")
-        for sel in ([0], [2], [0, 1], [1, 2]):
-            with pytest.raises(HypothesisViolated):
-                c.gauss_legendre(f, segment_indices=sel)
-        c, f = self._contour("highfreq", "no_slip")
-        with pytest.raises(HypothesisViolated):
-            c.gauss_legendre(f, segment_indices=[1])
+    def test_segments_in_upper_half_plane(self):
+        # every built segment, and every node the fixed rule evaluates, has
+        # Im lambda >= 0, also for s where the high-frequency parabola
+        # crosses the pole
+        s = np.linspace(0.0, 10.0, 41)
+        contours = [build_contour_lowfreq(0.4, 0.8, 1.0, s),
+                    build_contour_lowfreq(0.4, 0.8, 1.0, s, pole=0.8 * (0.25 - 1.0)),
+                    build_contour_highfreq(0.1, 1.0, 3.0, s),
+                    build_contour_highfreq(0.1, 1.0, 3.0, s, pole_mu=1.5)]
+        crosses = contours[2].params["crosses_pole"]
+        assert crosses.any() and not crosses.all()
+        for c in contours:
+            for seg in c.segments:
+                lam = seg.gamma(np.linspace(seg.p0, seg.p1, 257))
+                assert np.all(lam.imag >= 0.0), (c.regime, seg.name)
+            nodes = []
+
+            def f(lam):
+                nodes.append(lam)
+                return np.zeros_like(lam)
+
+            for n_arm, n_arc in ((24, 16), (23, 15)):
+                c.gauss_legendre(f, n_arm=n_arm, n_arc=n_arc)
+            assert all(np.all(lam.imag >= 0.0) for lam in nodes)

@@ -95,6 +95,10 @@ class TestHalfLineGrid:
         for z_max in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(IncompatibleData, match="finite and positive"):
                 HalfLineGrid.uniform(z_max, 5)
+        for n in (5.0, 5.5, "5"):
+            with pytest.raises(IncompatibleData, match="integer"):
+                HalfLineGrid(10.0, n)
+        assert HalfLineGrid(10.0, np.int64(5)).n == 5
 
     def test_norm_l2(self):
         grid = HalfLineGrid.uniform(40.0, 4001)

@@ -9,6 +9,7 @@ from stokesgreen import (
     BoundaryOperatorD,
     FourierMode,
     HalfLineGrid,
+    HypothesisViolated,
     IncompatibleData,
     KernelSample,
     ModeField,
@@ -72,6 +73,19 @@ class TestHeatKernels:
                               * heat_kernel_neumann(t2, nu, MODE, grid.nodes, z))
         assert conv == pytest.approx(heat_kernel_neumann(t1 + t2, nu, MODE, y, z),
                                      rel=1e-9)
+
+    @pytest.mark.parametrize("t,nu", [(0.0, 1.0), (-0.1, 1.0), (math.nan, 1.0),
+                                      (math.inf, 1.0), (0.2, 0.0), (0.2, -1.0),
+                                      (0.2, math.nan), (0.2, math.inf)])
+    @pytest.mark.parametrize("kernel", [heat_kernel_neumann, heat_kernel_dirichlet])
+    def test_inadmissible_t_nu_raise(self, kernel, t, nu):
+        with pytest.raises(IncompatibleData):
+            kernel(t, nu, MODE, 1.0, 2.0)
+
+    def test_sample_at_t_zero_raises(self):
+        nodes = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(IncompatibleData):
+            sample_green_function(0.0, 1.0, MODE, nodes, nodes)
 
 
 class TestResolventKernel:
@@ -211,6 +225,19 @@ class TestResidues:
             residue_at_pole_general(0.3, 0.5, zero, BoundaryOperatorD.no_slip(zero), 0.4, 0.9)
 
 
+@pytest.mark.parametrize("call", [
+    lambda D: residual_kernel_general(0.5, 1.0, MODE, D, 0.1, 0.2),
+    lambda D: green_function_general(0.5, 1.0, MODE, D, 0.1, 0.2),
+    lambda D: sample_green_function(0.5, 1.0, MODE, [0.1], [0.2], D=D),
+    lambda D: residue_at_pole_general(0.5, 1.0, MODE, D, 0.1, 0.2),
+], ids=["residual_kernel_general", "green_function_general", "sample_green_function",
+        "residue_at_pole_general"])
+def test_operator_of_another_mode_raises(call):
+    # a D validated for xi = (2, 1) says nothing about xi = (1, 0)
+    with pytest.raises(HypothesisViolated, match="built for xi"):
+        call(BoundaryOperatorD.no_slip(FourierMode(2, 1)))
+
+
 class TestBoundaryIdentity:
     @pytest.mark.parametrize("nu,xi", [(1.0, (1, 0)), (0.2, (2, 1))])
     def test_kernel_satisfies_vorticity_condition(self, nu, xi):
@@ -339,6 +366,8 @@ class TestRealResidualKernels:
         out = residual_kernel_general(0.5, nu, mode, D, 0.3, 1.1)
         for R in (sample.R1, sample.R2, out["R1"], out["R2"]):
             assert np.all(np.imag(R) == 0.0)
+        adaptive = residual_kernel_general(0.5, nu, mode, D, 0.3, 1.1, method="adaptive")
+        assert adaptive["R1"].dtype == adaptive["R2"].dtype == np.float64
 
 
 class TestQuadratureChecks:
@@ -426,6 +455,20 @@ class TestBoundCertificate:
             verify_kernel_bounds(nu_values=(1.0,), xi_values=(1,), t_values=(0.1,),
                                  k_values=(0,), s_values=np.linspace(0.0, 6.0, 7),
                                  theta0=theta0)
+
+    @pytest.mark.parametrize("bad", [
+        {"nu_values": ()}, {"xi_values": ()}, {"t_values": ()}, {"k_values": ()},
+        {"s_values": []}, {"t_values": (0.0,)}, {"t_values": (math.nan,)},
+        {"nu_values": (-1.0,)}, {"nu_values": (math.inf,)}, {"s_values": [0.0, -1.0]},
+        {"s_values": [0.0, math.inf]}, {"k_values": (-1,)}, {"k_values": (0.5,)},
+    ], ids=lambda bad: "-".join(f"{key}={val}" for key, val in bad.items()))
+    def test_vacuous_or_invalid_sweep_raises(self, bad):
+        # an empty axis would certify nothing; t = 0, nu < 0 or s < 0 lie
+        # outside the bounds' domain, and k counts derivatives
+        sweep = {"nu_values": (1.0,), "xi_values": (1,), "t_values": (0.1,),
+                 "k_values": (0,), "s_values": np.linspace(0.0, 6.0, 7)}
+        with pytest.raises(IncompatibleData):
+            verify_kernel_bounds(**{**sweep, **bad})
 
     def test_zero_mode_raises(self):
         # no_slip(xi = 0) is the zero operator, but the bounds are stated for |xi| > 0
