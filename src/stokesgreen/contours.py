@@ -30,12 +30,16 @@ well conditioned even for large s^2/(4 nu t).
 Each deformation is described once, as the ``Segment`` maps of a ``Contour``.
 The maps broadcast over an array of s (s axes first, the node axis last), so
 one Contour holds the contours of a whole batch of s.  Two integrators run
-over the same segments: ``Contour.gauss_legendre`` (fixed nodes; the
-vectorized profiles and the bound certificate) and ``Contour.integrate``
-(adaptive panels; the oracles ``residual_kernel_general(method="adaptive")``
-and ``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's
-``quad_vec``, so it imports ``scipy.integrate`` on its first call and the
-package import does not load it.
+over the same segments.  ``Contour.gauss_legendre`` (fixed nodes) integrates
+the fixed-node integrand of the vectorized profiles and the bound certificate
+in the root variable mu = sqrt(lambda/nu + |xi|^2), which each segment gives
+with its derivative (exactly mu = a_eff + i b on the high-frequency parabola,
+the principal square root elsewhere); it also takes integrands in lambda.
+``Contour.integrate`` (adaptive panels) integrates the oracles' integrands in
+lambda (``residual_kernel_general(method="adaptive")`` and
+``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's ``quad_vec``,
+so it imports ``scipy.integrate`` on its first call and the package import
+does not load it.
 
 Both deformations are mirror images under complex conjugation, and the
 residual integrands are real in the sense f(conj lambda) = conj f(lambda)
@@ -82,13 +86,19 @@ N_ARM, N_ARC = 256, 128
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth piece of a contour: lambda = gamma(p), p in [p0, p1]."""
+    """One smooth piece of a contour: lambda = gamma(p), p in [p0, p1].
+
+    ``root(p)``, when given, returns (mu, dmu/dp) of the principal root
+    mu = sqrt(lambda/nu + |xi|^2) along the piece in closed form; without it
+    ``Contour.gauss_legendre`` takes the square root of gamma.
+    """
 
     name: str
     p0: float
     p1: float
     gamma: Callable[[np.ndarray], np.ndarray]
     dgamma: Callable[[np.ndarray], np.ndarray]
+    root: Callable[[np.ndarray], tuple] | None = None
 
 
 @dataclass(frozen=True)
@@ -135,8 +145,8 @@ class Contour:
             total = part if total is None else total + part
         return total.imag / np.pi
 
-    def gauss_legendre(self, f: Callable[[np.ndarray], np.ndarray],
-                       n_arm: int = N_ARM, n_arc: int = N_ARC, segment_indices=None):
+    def gauss_legendre(self, f: Callable, n_arm: int = N_ARM, n_arc: int = N_ARC,
+                       segment_indices=None, in_mu: bool = False):
         """``integrate`` with fixed Gauss-Legendre nodes.
 
         ``n_arm`` nodes on each arm.  The arc starts on the real axis at
@@ -146,6 +156,10 @@ class Contour:
         Gauss-Legendre rule in exact arithmetic.
         ``f`` receives lambda with the contour's s axes first and the node
         axis last, and returns that shape; the sum runs over the node axis.
+        With ``in_mu`` the integral runs in the root variable instead:
+        ``f(mu, dmu_w)`` receives mu at the nodes and dmu/dp times the
+        weights, and returns its own sums over the node axis, with any
+        leading axes (so one evaluation can give several integrals).
         """
         if segment_indices is None:
             segment_indices = range(len(self.segments))
@@ -163,10 +177,21 @@ class Contour:
             # computes a product with a large temporary on the right in place
             # with the operands swapped, and complex multiplication is not
             # bitwise commutative, so the other order would make each value
-            # depend on how many s are evaluated together.
-            part = np.sum(f(seg.gamma(p)) * (seg.dgamma(p) * w), axis=-1)
+            # depend on how many s are evaluated together.  An f in mu makes
+            # that product itself and keeps the same rule.
+            if in_mu:
+                mu, dmu = seg.root(p) if seg.root else self._principal_root(seg, p)
+                part = f(mu, dmu * w)
+            else:
+                part = np.sum(f(seg.gamma(p)) * (seg.dgamma(p) * w), axis=-1)
             total = part if total is None else total + part
         return total.imag / np.pi
+
+    def _principal_root(self, seg: Segment, p):
+        """(mu, dmu/dp) on ``seg`` from its lambda: dlambda = 2 nu mu dmu."""
+        nu = self.params["nu"]
+        mu = np.sqrt(seg.gamma(p) / nu + self.params["xi_norm"] ** 2)
+        return mu, seg.dgamma(p) / (2.0 * nu * mu)
 
 
 @lru_cache(maxsize=32)
@@ -186,11 +211,12 @@ def _last(x) -> np.ndarray:
     return np.asarray(x)[..., None]
 
 
-def _parabola(name: str, p0: float, p1: float, nu: float, center, shift) -> Segment:
+def _parabola(name: str, p0: float, p1: float, nu: float, center, shift,
+              root=None) -> Segment:
     """lambda = shift + nu (center + i b)^2 for b in [p0, p1]."""
     return Segment(name, p0, p1,
                    lambda b: shift + nu * (center + 1j * b) ** 2,
-                   lambda b: 2j * nu * (center + 1j * b))
+                   lambda b: 2j * nu * (center + 1j * b), root)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +321,8 @@ def build_contour_highfreq(t: float, nu: float, xi_norm: float, s,
     a_eff, b_max = _last(params["a_eff"]), params["b_max"]
     vertex = -nu * xi_norm**2
 
-    segments = (_parabola("parabola", 0.0, b_max, nu, a_eff, vertex),)
+    segments = (_parabola("parabola", 0.0, b_max, nu, a_eff, vertex,
+                          root=lambda b: (a_eff + 1j * b, 1j)),)
     crosses = np.any(params["crosses_pole"])
     encl = complex(vertex + nu * params["pole_mu"] ** 2) if crosses else None
     return Contour(segments=segments, encloses_pole_at=encl,

@@ -41,10 +41,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FourierMode:
-    """A tangential wave vector xi = (xi1, xi2) in Z^2."""
+    """A tangential wave vector xi = (xi1, xi2) in Z^2.
+
+    A component that is not an integer (Python or numpy) raises
+    IncompatibleData: xi indexes a Fourier mode of T^2.
+    """
 
     xi1: int
     xi2: int
+
+    def __post_init__(self):
+        for x in (self.xi1, self.xi2):
+            try:
+                operator.index(x)
+            except TypeError:
+                raise IncompatibleData(f"xi must be an integer pair, got {x!r}") from None
 
     @property
     def norm(self) -> float:

@@ -21,6 +21,16 @@ one-line wrappers of the general ones.
 Since R_lambda depends on y, z only through s = y + z, all residual kernels
 here are scalar "profiles" in s times a constant matrix, and the profile
 evaluators are vectorized over arrays of s.
+
+Two integrands give the contour parts, and ``_rho1``/``_rho2`` say which
+segment carries which part for both.  The fixed-node integrand
+``_fixed_parts`` serves the profiles (hence every kernel, sample and the CLI)
+and the bound certificate: it runs in mu with the exact root of the
+high-frequency parabola, the completed-square exponent
+nu t (mu - a)^2 - nu |xi|^2 t, and every derivative order from one
+evaluation by the recurrence (-mu)^{k+1} = -mu (-mu)^k.  The oracle integrand
+``_factor`` runs in lambda under adaptive panels
+(``residual_kernel_general(method="adaptive")``).
 """
 
 from __future__ import annotations
@@ -133,15 +143,57 @@ def residue_at_pole_general(t, nu, mode: FourierMode, D, y, z) -> np.ndarray:
 # scalar residual profiles (vectorized over s = y + z)
 
 
-def _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp):
-    """e^{lambda t - mu s + comp} (-mu)^deriv / (nu mu (mu - sigma)), node axis last.
+def _log_gauss(s, nu, t):
+    """s^2 / (4 nu t): the Gaussian e^{-s^2/4 nu t} that every part is returned without."""
+    return s**2 / (4.0 * nu * t)
 
-    ``comp`` broadcasts against ``s``; ``deriv`` may carry extra leading axes
-    over those of ``s`` (the certificate stacks its k values there).
+
+def _factor(lam, t, s, nu, xi_norm, sigma, ks, comp):
+    """The oracles' integrand in lambda (``Contour.integrate``), k axis first, node axis last:
+    e^{lambda t - mu s + s^2/(4 nu t) + comp} (-mu)^k / (nu mu (mu - sigma)) for k in ``ks``.
+
+    ``comp`` broadcasts against ``s``; with comp = -s^2/(4 nu t) from
+    ``_log_gauss`` the two terms cancel exactly and the exponent is
+    lambda t - mu s as written.
     """
     mu = np.sqrt(lam / nu + xi_norm**2)
-    expo = lam * t - mu * s[..., None] + np.asarray(comp)[..., None]
-    return np.exp(expo) / (nu * mu * (mu - sigma)) * (-mu) ** np.asarray(deriv)[..., None]
+    expo = lam * t - mu * s[..., None] + np.asarray(_log_gauss(s, nu, t) + comp)[..., None]
+    base = np.exp(expo) / (nu * mu * (mu - sigma))
+    return np.stack([base * (-mu) ** k for k in ks])
+
+
+def _fixed_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp,
+                 n_arm=ct.N_ARM, n_arc=ct.N_ARC):
+    """The fixed-node integrand of the profiles and the certificate, k axis first.
+
+    In the root variable, dlambda / (nu mu (mu - sigma)) = 2 dmu / (mu - sigma),
+    and with s = 2 nu t a the exponent completes the square:
+    lambda t - mu s = nu t (mu - a)^2 - nu |xi|^2 t - s^2/(4 nu t).  The
+    Gaussian is replaced by ``comp`` (as in ``_factor``), so a bound that
+    divides by it cancels it exactly.  The weights are multiplied in once per
+    (s, node), and each k in ``ks`` is one more factor -mu, summed after each
+    step.
+    """
+    a = contour.params["a"][..., None]
+    shift = np.asarray(comp - nu * xi_norm**2 * t)[..., None]
+
+    def sums(mu, dmu_w):
+        # in-place products keep the large array on the left (see gauss_legendre)
+        g = np.exp(nu * t * (mu - a) ** 2 + shift)
+        g *= 2.0 * dmu_w / (mu - sigma)
+        out = [g.sum(axis=-1)]
+        for _ in range(max(ks)):
+            g *= -mu
+            out.append(g.sum(axis=-1))
+        return np.stack(out)[list(ks)]
+
+    return contour.gauss_legendre(sums, n_arm, n_arc, segment_indices, in_mu=True)
+
+
+def _adaptive_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp):
+    """``_fixed_parts`` by adaptive panels over ``_factor``: the oracle."""
+    return contour.integrate(lambda lam: _factor(lam, t, s, nu, xi_norm, sigma, ks, comp),
+                             segment_indices=segment_indices)
 
 
 def _auto_regime(nu, mode):
@@ -156,28 +208,31 @@ def _contour(regime, t, nu, xi_norm, s, sigma):
     return ct.build_contour_highfreq(t, nu, xi_norm, s, pole_mu=sigma)
 
 
-def _rho1(contour, integrate, t, s, nu, xi_norm, sigma, deriv, comp):
-    """rho1 of ``_factor`` on ``contour``, with ``integrate(f, segment_indices=...)``
-    one of its integrators: the half circle at low frequency; at high frequency
-    the residue at lambda* for the s where the deformation crossed the pole."""
+def _rho1(contour, parts, t, s, nu, xi_norm, sigma, ks, comp):
+    """rho1 e^{s^2/(4 nu t) + comp} for each k in ``ks`` (k axis first) on
+    ``contour``, with ``parts`` one of its integrators (``_fixed_parts`` or
+    ``_adaptive_parts``): the half circle at low frequency; at high frequency
+    the residue at mu = sigma for the s where the deformation crossed the pole."""
     if contour.regime == "lowfreq":
-        return integrate(lambda lam: _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp),
-                         segment_indices=[contour.arc_index])
-    lam_star = nu * (sigma**2 - xi_norm**2)
-    arg = np.where(contour.params["crosses_pole"], lam_star * t - sigma * s + comp, -np.inf)
-    return 2.0 * (-sigma) ** deriv * np.exp(arg)
+        return parts(contour, [contour.arc_index], t, s, nu, xi_norm, sigma, ks, comp)
+    # the residue of the integrand 2 e^{nu t (mu - a)^2 - nu |xi|^2 t + comp} / (mu - sigma)
+    a = contour.params["a"]
+    arg = np.where(contour.params["crosses_pole"],
+                   nu * t * (sigma - a) ** 2 - nu * xi_norm**2 * t + comp, -np.inf)
+    k = np.reshape(ks, (-1,) + (1,) * arg.ndim)
+    return 2.0 * (-sigma) ** k * np.exp(arg)
 
 
-def _rho2(contour, integrate, t, s, nu, xi_norm, sigma, deriv, comp):
-    """rho2 of ``_factor`` on ``contour``: the arm at low frequency, the parabola at high."""
+def _rho2(contour, parts, t, s, nu, xi_norm, sigma, ks, comp):
+    """rho2 like ``_rho1``: the arm at low frequency, the parabola at high."""
     arms = [k for k in range(len(contour.segments)) if k != contour.arc_index]
-    return integrate(lambda lam: _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp),
-                     segment_indices=arms)
+    return parts(contour, arms, t, s, nu, xi_norm, sigma, ks, comp)
 
 
-# Cap on s-values x quadrature-nodes elements held at once; large sample grids
-# are processed in chunks to keep peak memory flat.
-_CHUNK_ELEMENTS = 4_000_000
+# Cap on s-values x evaluated quadrature nodes held at once; large sample
+# grids are processed in chunks to keep peak memory flat (a few complex
+# arrays of this size, under 150 MB in all).
+_CHUNK_ELEMENTS = 1_600_000
 
 
 def residual_profiles_time(t, nu, mode: FourierMode, s, deriv=0, regime=None,
@@ -196,10 +251,10 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D.
     ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral.
-    Both parts come from fixed Gauss-Legendre nodes (``n_arm``/``n_arc``) on
-    one contour per chunk of s, and are real float arrays: the contours hold
-    only their upper half, whose integral I gives Im(I) / pi.  A non-finite
-    value raises QuadratureUnderresolved.
+    Both parts come from the fixed-node integrand (``n_arm``/``n_arc``
+    Gauss-Legendre nodes) on one contour per chunk of s, and are real float
+    arrays: the contours hold only their upper half, whose integral I gives
+    Im(I) / pi.  A non-finite value raises QuadratureUnderresolved.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
@@ -209,17 +264,20 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
         return np.zeros(s.shape), np.zeros(s.shape)
     regime = regime or _auto_regime(nu, mode)
     flat_s = s.reshape(-1)
-    step = max(1, _CHUNK_ELEMENTS // (2 * n_arm + n_arc))
-    parts = []
+    # the nodes a contour evaluates per s: its upper half
+    nodes = n_arm + (n_arc - n_arc // 2 if regime == "lowfreq" else 0)
+    step = max(1, _CHUNK_ELEMENTS // nodes)
+    fixed = functools.partial(_fixed_parts, n_arm=n_arm, n_arc=n_arc)
+    chunks = []
     # an overflow surfaces as a non-finite value, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, max(flat_s.size, 1), step):
             s_c = flat_s[i:i + step]
             contour = _contour(regime, t, nu, xin, s_c, sigma)
-            fixed = functools.partial(contour.gauss_legendre, n_arm=n_arm, n_arc=n_arc)
-            parts.append([rho(contour, fixed, t, s_c, nu, xin, sigma, deriv, 0.0)
-                          for rho in (_rho1, _rho2)])
-    rho1, rho2 = (np.concatenate(rho).reshape(s.shape) for rho in zip(*parts))
+            comp = -_log_gauss(s_c, nu, t)
+            chunks.append([rho(contour, fixed, t, s_c, nu, xin, sigma, (deriv,), comp)[0]
+                           for rho in (_rho1, _rho2)])
+    rho1, rho2 = (np.concatenate(rho).reshape(s.shape) for rho in zip(*chunks))
     if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
         raise QuadratureUnderresolved(
             f"the {regime} contour quadrature returned a non-finite residual "
@@ -264,8 +322,9 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
     if contour is not None or method == "adaptive":
         if contour is None:
             contour = _contour(regime, t, nu, mode.norm, s, D.sigma)
-        vals = np.array([rho(contour, contour.integrate, t, np.asarray(s), nu, mode.norm,
-                             D.sigma, 0, 0.0) for rho in (_rho1, _rho2)])
+        s_arr = np.asarray(s)
+        vals = np.array([rho(contour, _adaptive_parts, t, s_arr, nu, mode.norm, D.sigma, (0,),
+                             -_log_gauss(s_arr, nu, t))[0] for rho in (_rho1, _rho2)])
     else:
         def run(na, nc):
             r1, r2 = residual_profiles_general(t, nu, mode, np.array([s]), D.sigma,
@@ -310,7 +369,7 @@ def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z) -> np.ndarray:
     # the heat part decays only like e^{-mu |y-z|}, so tune the contour to
     # the weakest decay distance d <= s to keep the arm integrand bounded
     contour = _contour(_auto_regime(nu, mode), t, nu, xin, d, xin)
-    P = projection_matrix(mode)
+    P = projection_matrix(mode).real
     eye = np.eye(2)
 
     def f(lam):
@@ -400,10 +459,12 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
 
     Each (nu, xi, t) cell builds one contour over ``s_values`` and integrates
     only the part each ratio reads, all k at once, with the ratio's exponent
-    inside exp() so that huge factors such as e^{+s^2/4 nu t} never overflow.
+    inside exp() so that huge factors never overflow.  The R2 ratio's
+    e^{+s^2/4 nu t} cancels the Gaussian the parts leave out exactly.
     """
     ln10 = math.log(10.0)
     k = np.asarray(k_values)[:, None]
+    fixed = functools.partial(_fixed_parts, n_arm=n_arm, n_arc=n_arc)
     sup = {"R1": 0.0, "R2_quarter": 0.0, "R2_stated_log10": -np.inf}
     arg = dict.fromkeys(sup)
 
@@ -424,15 +485,15 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
                 lam_star_t = D.pole_lambda(nu) * t
                 cell = (nu, n_xi, t)
                 contour = _contour(_auto_regime(nu, mode), t, nu, xin, s_values, D.sigma)
-                fixed = functools.partial(contour.gauss_legendre, n_arm=n_arm, n_arc=n_arc)
                 # R1 against mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 s}
-                comp1 = theta0 * mu0 * s_values - lam_star_t
-                rho1 = _rho1(contour, fixed, t, s_values, nu, xin, D.sigma, k, comp1)
+                comp1 = theta0 * mu0 * s_values - lam_star_t - _log_gauss(s_values, nu, t)
+                rho1 = _rho1(contour, fixed, t, s_values, nu, xin, D.sigma, k_values, comp1)
                 record("R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
                 # R2 against (nu t)^{-(k+1)/2} e^{lambda* t}
-                #   e^{-s^2/4 nu t} e^{-nu |xi|^2 t / 8} (proof exponent)
-                comp2 = s_values**2 / (4.0 * nu * t) + nu * xin**2 * t / 8.0 - lam_star_t
-                rho2 = _rho2(contour, fixed, t, s_values, nu, xin, D.sigma, k, comp2)
+                #   e^{-s^2/4 nu t} e^{-nu |xi|^2 t / 8} (proof exponent), whose
+                #   Gaussian cancels the one the parts leave out
+                comp2 = nu * xin**2 * t / 8.0 - lam_star_t
+                rho2 = _rho2(contour, fixed, t, s_values, nu, xin, D.sigma, k_values, comp2)
                 ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
                 record("R2_quarter", ratio2, cell)
                 # the stated exponent e^{-s^2/nu t} differs by e^{3 s^2/4 nu t};
@@ -467,7 +528,8 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
 
     Each family reports its sups under ``sup`` and where each is reached
     under ``argmax(nu,xi,t,k,s)``.  The ratios are integrated on the contours
-    directly (not through the profiles), each bound's exponent inside exp().
+    directly (not through the profiles, but with their fixed-node integrand),
+    each bound's exponent inside exp().
     The certificate passes when the certified sups are finite and drift by
     less than ``report["drift_tol"]`` relative when the quadrature node counts
     double.  A ``theta0`` outside (0, 1) raises IncompatibleData: theta0 <= 0

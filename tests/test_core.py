@@ -28,6 +28,16 @@ class TestFourierMode:
     def test_conjugate(self):
         assert FourierMode(2, -1).conjugate() == FourierMode(-2, 1)
 
+    @pytest.mark.parametrize("xi", [(1.5, 0.25), (1.0, 0), (0, np.float64(2.0)), (1, "2")])
+    def test_non_integer_component_raises(self, xi):
+        # xi indexes a mode of the torus; a float, even a whole one, is a caller error
+        with pytest.raises(IncompatibleData):
+            FourierMode(*xi)
+
+    def test_numpy_integers_accepted(self):
+        mode = FourierMode(np.int64(3), np.int32(-4))
+        assert mode.norm == 5.0 and mode == FourierMode(3, -4)
+
 
 class TestSpectralRoot:
     def test_square_invariant_random(self):

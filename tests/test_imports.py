@@ -1,4 +1,4 @@
-"""Which SciPy subpackages load, checked in fresh interpreters.
+"""Which SciPy subpackages (and mpmath) load, checked in fresh interpreters.
 
 The package and its production paths need only scipy.linalg, scipy.special
 and scipy.fft.  The oracles (adaptive contour quadrature, Crank-Nicolson, the
@@ -17,10 +17,11 @@ import pytest
 
 import stokesgreen
 
-# subpackages the production paths must not load; scipy.integrate alone pulls
-# in optimize, sparse and spatial
+# modules the production paths must not load: the scipy subpackages of the
+# oracles (scipy.integrate alone pulls in optimize, sparse and spatial) and
+# mpmath, the tests' extended-precision reference
 ORACLE_ONLY = ("scipy.integrate", "scipy.sparse", "scipy.optimize", "scipy.spatial",
-               "scipy.signal")
+               "scipy.signal", "mpmath")
 
 
 def run_fresh(code: str) -> str:

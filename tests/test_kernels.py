@@ -35,7 +35,7 @@ from stokesgreen import (
     sample_green_function,
     verify_kernel_bounds,
 )
-from stokesgreen import kernels
+from stokesgreen import contours, kernels
 from stokesgreen.kernels import residual_kernel_general, residual_profiles_general
 
 MODE = FourierMode(1, 0)
@@ -135,6 +135,13 @@ class TestDecomposition:
         direct = invert_resolvent_kernel(t, nu, mode, y, z)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(G - direct)) < 1e-9 * scale
+
+    @pytest.mark.parametrize("t", [0.1, 0.3, 1.0])
+    @pytest.mark.parametrize("nu,xi", [(1.0, (1, 0)), (1.0, (2, 1))], ids=["lowfreq", "highfreq"])
+    def test_contour_inversion_is_real(self, nu, xi, t):
+        # at high frequency these t cross the pole, and the residue term is real too
+        direct = invert_resolvent_kernel(t, nu, FourierMode(*xi), 0.8, 1.4)
+        assert direct.dtype == np.float64
 
     @pytest.mark.parametrize("t", [0.2, 5.0])
     @pytest.mark.parametrize("bc", ["no_slip", "general"])
@@ -461,14 +468,45 @@ class TestBoundCertificate:
         {"s_values": []}, {"t_values": (0.0,)}, {"t_values": (math.nan,)},
         {"nu_values": (-1.0,)}, {"nu_values": (math.inf,)}, {"s_values": [0.0, -1.0]},
         {"s_values": [0.0, math.inf]}, {"k_values": (-1,)}, {"k_values": (0.5,)},
+        {"xi_values": (1.5,)},
     ], ids=lambda bad: "-".join(f"{key}={val}" for key, val in bad.items()))
     def test_vacuous_or_invalid_sweep_raises(self, bad):
         # an empty axis would certify nothing; t = 0, nu < 0 or s < 0 lie
-        # outside the bounds' domain, and k counts derivatives
+        # outside the bounds' domain, k counts derivatives and xi indexes a mode
         sweep = {"nu_values": (1.0,), "xi_values": (1,), "t_values": (0.1,),
                  "k_values": (0,), "s_values": np.linspace(0.0, 6.0, 7)}
         with pytest.raises(IncompatibleData):
             verify_kernel_bounds(**{**sweep, **bad})
+
+    def test_r2_ratio_matches_40_digit_sum(self):
+        # at the R2 argmax s^2/(4 nu t) = 62500: the parts leave the Gaussian
+        # out, so the bound's weight e^{s^2/4 nu t} cancels exactly instead of
+        # against a sum of terms of that size.  Reference: the same nodes,
+        # summed at 40 digits in the plain exponent lambda t - mu s.
+        mpmath = pytest.importorskip("mpmath")
+        nu, n_xi, t, k, s = 0.04, 8, 0.01, 2, 10.0
+        report = verify_kernel_bounds(nu_values=(nu,), xi_values=(n_xi,), t_values=(t,),
+                                      k_values=(k,), s_values=[s])
+        mode = FourierMode(n_xi, 0)
+        D = BoundaryOperatorD.no_slip(mode)
+        params = contours.highfreq_params(t, nu, mode.norm, np.array([s]))
+        assert params["theta"][0] == 1.0 and not params["crosses_pole"][0]
+        b_nodes, weights = contours._gl(0.0, params["b_max"], contours.N_ARM)
+        with mpmath.workdps(40):
+            mp = mpmath.mpf
+            nu_, t_, s_, xi2, sigma = mp(nu), mp(t), mp(s), mp(mode.norm) ** 2, mp(D.sigma)
+            a_eff = mp(params["a_eff"][0])
+            total = mp(0)
+            for b, w in zip(b_nodes, weights):
+                lam = -nu_ * xi2 + nu_ * (a_eff + 1j * mp(b)) ** 2
+                mu = mpmath.sqrt(lam / nu_ + xi2)
+                expo = lam * t_ - mu * s_ + s_**2 / (4 * nu_ * t_) + nu_ * xi2 * t_ / 8
+                total += (mpmath.exp(expo) * (-mu) ** k / (nu_ * mu * (mu - sigma))
+                          * 2j * nu_ * (a_eff + 1j * mp(b)) * mp(w))
+            ref = abs(total.imag / mpmath.pi) * mp(np.abs(D.matrix).max()) \
+                * (nu_ * t_) ** (mp(k + 1) / 2)
+            ratio = report["no_slip"]["sup"]["R2_quarter"]
+            assert abs(ratio - ref) / ref < 1e-14
 
     def test_zero_mode_raises(self):
         # no_slip(xi = 0) is the zero operator, but the bounds are stated for |xi| > 0
