@@ -34,9 +34,9 @@ over the same segments.  ``Contour.gauss_legendre`` (fixed nodes) integrates
 the fixed-node integrand of the vectorized profiles and the bound certificate
 in the root variable mu = sqrt(lambda/nu + |xi|^2), which each segment gives
 with its derivative (exactly mu = a_eff + i b on the high-frequency parabola,
-the principal square root elsewhere); it also takes integrands in lambda.
-``Contour.integrate`` (adaptive panels) integrates the oracles' integrands in
-lambda (``residual_kernel_general(method="adaptive")`` and
+the principal square root elsewhere).  ``Contour.integrate`` (adaptive
+panels) integrates the oracles' integrands in lambda
+(``residual_kernel_general(method="adaptive")`` and
 ``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's ``quad_vec``,
 so it imports ``scipy.integrate`` on its first call and the package import
 does not load it.
@@ -88,9 +88,8 @@ N_ARM, N_ARC = 256, 128
 class Segment:
     """One smooth piece of a contour: lambda = gamma(p), p in [p0, p1].
 
-    ``root(p)``, when given, returns (mu, dmu/dp) of the principal root
-    mu = sqrt(lambda/nu + |xi|^2) along the piece in closed form; without it
-    ``Contour.gauss_legendre`` takes the square root of gamma.
+    ``root(p)`` returns (mu, dmu/dp) of the principal root
+    mu = sqrt(lambda/nu + |xi|^2) along the piece.
     """
 
     name: str
@@ -98,7 +97,7 @@ class Segment:
     p1: float
     gamma: Callable[[np.ndarray], np.ndarray]
     dgamma: Callable[[np.ndarray], np.ndarray]
-    root: Callable[[np.ndarray], tuple] | None = None
+    root: Callable[[np.ndarray], tuple]
 
 
 @dataclass(frozen=True)
@@ -146,20 +145,20 @@ class Contour:
         return total.imag / np.pi
 
     def gauss_legendre(self, f: Callable, n_arm: int = N_ARM, n_arc: int = N_ARC,
-                       segment_indices=None, in_mu: bool = False):
-        """``integrate`` with fixed Gauss-Legendre nodes.
+                       segment_indices=None):
+        """``integrate`` with fixed Gauss-Legendre nodes, in the root variable.
 
         ``n_arm`` nodes on each arm.  The arc starts on the real axis at
         p = 0 and takes the upper half of the ``n_arc``-node rule on
         [-p1, p1], the whole half circle (an odd rule's centre node at half
         weight), so that with the mirrored nodes the rule is the full
         Gauss-Legendre rule in exact arithmetic.
-        ``f`` receives lambda with the contour's s axes first and the node
-        axis last, and returns that shape; the sum runs over the node axis.
-        With ``in_mu`` the integral runs in the root variable instead:
-        ``f(mu, dmu_w)`` receives mu at the nodes and dmu/dp times the
-        weights, and returns its own sums over the node axis, with any
-        leading axes (so one evaluation can give several integrals).
+        ``f(mu, dmu_w)`` receives mu at the nodes, with the contour's s axes
+        first and the node axis last, and dmu/dp times the weights, and
+        returns its own sums over the node axis, with any leading axes (so
+        one evaluation can give several integrals).  An integrand g(lambda)
+        is ``np.sum(g(lam) * (2 nu mu dmu_w), axis=-1)``, since
+        dlambda = 2 nu mu dmu.
         """
         if segment_indices is None:
             segment_indices = range(len(self.segments))
@@ -173,25 +172,15 @@ class Contour:
                     w[0] *= 0.5
             else:
                 p, w = _gl(seg.p0, seg.p1, n_arm)
-            # f(lambda) goes first in its product with the weights: numpy
+            # f puts its own values first in its products with dmu_w: numpy
             # computes a product with a large temporary on the right in place
             # with the operands swapped, and complex multiplication is not
             # bitwise commutative, so the other order would make each value
-            # depend on how many s are evaluated together.  An f in mu makes
-            # that product itself and keeps the same rule.
-            if in_mu:
-                mu, dmu = seg.root(p) if seg.root else self._principal_root(seg, p)
-                part = f(mu, dmu * w)
-            else:
-                part = np.sum(f(seg.gamma(p)) * (seg.dgamma(p) * w), axis=-1)
+            # depend on how many s are evaluated together.
+            mu, dmu = seg.root(p)
+            part = f(mu, dmu * w)
             total = part if total is None else total + part
         return total.imag / np.pi
-
-    def _principal_root(self, seg: Segment, p):
-        """(mu, dmu/dp) on ``seg`` from its lambda: dlambda = 2 nu mu dmu."""
-        nu = self.params["nu"]
-        mu = np.sqrt(seg.gamma(p) / nu + self.params["xi_norm"] ** 2)
-        return mu, seg.dgamma(p) / (2.0 * nu * mu)
 
 
 @lru_cache(maxsize=32)
@@ -211,12 +200,19 @@ def _last(x) -> np.ndarray:
     return np.asarray(x)[..., None]
 
 
-def _parabola(name: str, p0: float, p1: float, nu: float, center, shift,
-              root=None) -> Segment:
-    """lambda = shift + nu (center + i b)^2 for b in [p0, p1]."""
-    return Segment(name, p0, p1,
-                   lambda b: shift + nu * (center + 1j * b) ** 2,
-                   lambda b: 2j * nu * (center + 1j * b), root)
+def _parabola(nu: float, center, shift):
+    """(gamma, dgamma) of lambda = shift + nu (center + i b)^2."""
+    return (lambda b: shift + nu * (center + 1j * b) ** 2,
+            lambda b: 2j * nu * (center + 1j * b))
+
+
+def _principal_root(gamma, dgamma, nu: float, xi_norm: float):
+    """root(p) of a Segment by the principal square root of gamma:
+    mu = sqrt(gamma/nu + |xi|^2), and dlambda = 2 nu mu dmu."""
+    def root(p):
+        mu = np.sqrt(gamma(p) / nu + xi_norm**2)
+        return mu, dgamma(p) / (2.0 * nu * mu)
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -259,12 +255,12 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s,
     a, c0, M = _last(params["a"]), _last(params["c0"]), _last(params["M"])
     c_arm, b_max = params["c_arm"], params["b_max"]
 
-    arc = Segment(
-        "arc", 0.0, 0.5 * np.pi,
-        lambda th: c0 + M * np.exp(1j * th),
-        lambda th: 1j * M * np.exp(1j * th),
-    )
-    segments = (arc, _parabola("arm", 0.0, b_max, nu, a, c_arm + 1j * M))
+    pieces = (("arc", 0.5 * np.pi, (lambda th: c0 + M * np.exp(1j * th),
+                                    lambda th: 1j * M * np.exp(1j * th))),
+              ("arm", b_max, _parabola(nu, a, c_arm + 1j * M)))
+    segments = tuple(Segment(name, 0.0, p1, gamma, dgamma,
+                             _principal_root(gamma, dgamma, nu, xi_norm))
+                     for name, p1, (gamma, dgamma) in pieces)
     return Contour(segments=segments, encloses_pole_at=complex(pole),
                    regime="lowfreq", params=params, arc_index=0)
 
@@ -321,8 +317,8 @@ def build_contour_highfreq(t: float, nu: float, xi_norm: float, s,
     a_eff, b_max = _last(params["a_eff"]), params["b_max"]
     vertex = -nu * xi_norm**2
 
-    segments = (_parabola("parabola", 0.0, b_max, nu, a_eff, vertex,
-                          root=lambda b: (a_eff + 1j * b, 1j)),)
+    segments = (Segment("parabola", 0.0, b_max, *_parabola(nu, a_eff, vertex),
+                        lambda b: (a_eff + 1j * b, 1j)),)
     crosses = np.any(params["crosses_pole"])
     encl = complex(vertex + nu * params["pole_mu"] ** 2) if crosses else None
     return Contour(segments=segments, encloses_pole_at=encl,

@@ -148,18 +148,15 @@ def _log_gauss(s, nu, t):
     return s**2 / (4.0 * nu * t)
 
 
-def _factor(lam, t, s, nu, xi_norm, sigma, ks, comp):
-    """The oracles' integrand in lambda (``Contour.integrate``), k axis first, node axis last:
-    e^{lambda t - mu s + s^2/(4 nu t) + comp} (-mu)^k / (nu mu (mu - sigma)) for k in ``ks``.
+def _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp):
+    """The oracles' integrand in lambda (``Contour.integrate``), node axis last:
+    e^{lambda t - mu s + comp} (-mu)^deriv / (nu mu (mu - sigma)).
 
-    ``comp`` broadcasts against ``s``; with comp = -s^2/(4 nu t) from
-    ``_log_gauss`` the two terms cancel exactly and the exponent is
-    lambda t - mu s as written.
+    ``comp`` broadcasts against ``s``.
     """
     mu = np.sqrt(lam / nu + xi_norm**2)
-    expo = lam * t - mu * s[..., None] + np.asarray(_log_gauss(s, nu, t) + comp)[..., None]
-    base = np.exp(expo) / (nu * mu * (mu - sigma))
-    return np.stack([base * (-mu) ** k for k in ks])
+    expo = lam * t - mu * s[..., None] + np.asarray(comp)[..., None]
+    return np.exp(expo) / (nu * mu * (mu - sigma)) * (-mu) ** deriv
 
 
 def _fixed_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp,
@@ -169,10 +166,9 @@ def _fixed_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp,
     In the root variable, dlambda / (nu mu (mu - sigma)) = 2 dmu / (mu - sigma),
     and with s = 2 nu t a the exponent completes the square:
     lambda t - mu s = nu t (mu - a)^2 - nu |xi|^2 t - s^2/(4 nu t).  The
-    Gaussian is replaced by ``comp`` (as in ``_factor``), so a bound that
-    divides by it cancels it exactly.  The weights are multiplied in once per
-    (s, node), and each k in ``ks`` is one more factor -mu, summed after each
-    step.
+    Gaussian is replaced by ``comp``, so a bound that divides by it cancels it
+    exactly.  The weights are multiplied in once per (s, node), and each k in
+    ``ks`` is one more factor -mu, summed after each step.
     """
     a = contour.params["a"][..., None]
     shift = np.asarray(comp - nu * xi_norm**2 * t)[..., None]
@@ -187,13 +183,19 @@ def _fixed_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp,
             out.append(g.sum(axis=-1))
         return np.stack(out)[list(ks)]
 
-    return contour.gauss_legendre(sums, n_arm, n_arc, segment_indices, in_mu=True)
+    return contour.gauss_legendre(sums, n_arm, n_arc, segment_indices)
 
 
 def _adaptive_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp):
-    """``_fixed_parts`` by adaptive panels over ``_factor``: the oracle."""
-    return contour.integrate(lambda lam: _factor(lam, t, s, nu, xi_norm, sigma, ks, comp),
-                             segment_indices=segment_indices)
+    """``_fixed_parts`` by adaptive panels over ``_factor``: the oracle.
+
+    ``_factor``'s exponent keeps the Gaussian, so ``comp`` (relative to it)
+    gets s^2/(4 nu t) back here.
+    """
+    comp = comp + _log_gauss(s, nu, t)
+    return np.stack([contour.integrate(
+        lambda lam, k=k: _factor(lam, t, s, nu, xi_norm, sigma, k, comp),
+        segment_indices=segment_indices) for k in ks])
 
 
 def _auto_regime(nu, mode):
@@ -250,7 +252,8 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi).
 
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D.
-    ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral.
+    ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral;
+    one that is not a non-negative integer raises IncompatibleData.
     Both parts come from the fixed-node integrand (``n_arm``/``n_arc``
     Gauss-Legendre nodes) on one contour per chunk of s, and are real float
     arrays: the contours hold only their upper half, whose integral I gives
@@ -258,6 +261,8 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
+    if not (isinstance(deriv, numbers.Integral) and deriv >= 0):
+        raise IncompatibleData(f"deriv must be an integer >= 0, got {deriv!r}")
     xin = mode.norm
     s = np.asarray(s, dtype=float)
     if sigma == 0.0:

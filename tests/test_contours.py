@@ -43,6 +43,32 @@ class TestLowFreq:
         assert BETA_MAX**2 > 34.0
 
 
+@pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
+def test_segment_root_is_principal_root(family):
+    # every segment's root is the principal sqrt of lambda/nu + |xi|^2 with
+    # dmu/dp = (dlambda/dp) / (2 nu mu), for every s of an array-s contour
+    s = np.linspace(0.0, 10.0, 11)
+    if family == "lowfreq":
+        c = build_contour_lowfreq(0.4, 0.8, 1.0, s)
+    else:
+        c = build_contour_highfreq(0.1, 1.0, 3.0, s)
+    nu, xin = c.params["nu"], c.params["xi_norm"]
+    for seg in c.segments:
+        p = np.linspace(seg.p0, seg.p1, 33)
+        mu, dmu = seg.root(p)
+        lam = seg.gamma(p)
+        assert np.allclose(mu, np.sqrt(lam / nu + xin**2), rtol=1e-13, atol=0)
+        assert np.allclose(2.0 * nu * mu * dmu, seg.dgamma(p), rtol=1e-13, atol=0)
+
+
+def _in_mu(c, g):
+    """The lambda integrand g as ``Contour.gauss_legendre`` takes it:
+    node sums of g(lambda) dlambda with dlambda = 2 nu mu dmu."""
+    nu, xin = c.params["nu"], c.params["xi_norm"]
+    return lambda mu, dmu_w: np.sum(g(nu * (mu**2 - xin**2)) * (2.0 * nu * mu * dmu_w),
+                                    axis=-1)
+
+
 class TestHighFreq:
     def test_mu_identity_on_contour(self):
         # principal sqrt of lambda/nu + |xi|^2 returns exactly a_eff + i b
@@ -91,12 +117,14 @@ class TestContourIntegrate:
         import dataclasses
 
         z0 = 0.3
+        # nu = 1, |xi| = 0: mu = sqrt(lambda) = e^{i th / 2}
         upper = Segment("upper", 0.0, np.pi,
-                        lambda th: np.exp(1j * th), lambda th: 1j * np.exp(1j * th))
+                        lambda th: np.exp(1j * th), lambda th: 1j * np.exp(1j * th),
+                        lambda th: (np.exp(0.5j * th), 0.5j * np.exp(0.5j * th)))
         c = Contour(segments=(upper,), encloses_pole_at=None,
-                    regime="test", params={}, arc_index=0)
+                    regime="test", params={"nu": 1.0, "xi_norm": 0.0}, arc_index=0)
         assert abs(c.integrate(lambda lam: 1.0 / (lam - z0)) - 1.0) < 1e-12
-        assert abs(c.gauss_legendre(lambda lam: 1.0 / (lam - z0)) - 1.0) < 1e-12
+        assert abs(c.gauss_legendre(_in_mu(c, lambda lam: 1.0 / (lam - z0))) - 1.0) < 1e-12
         assert dataclasses.is_dataclass(c)
 
     @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
@@ -117,28 +145,27 @@ class TestContourIntegrate:
             return np.exp(lam * t - mu * s[:, None]) / (lam - 5.0)
 
         adaptive = c.integrate(f)
-        fixed = c.gauss_legendre(f, n_arm=256, n_arc=128)
+        fixed = c.gauss_legendre(_in_mu(c, f), n_arm=256, n_arc=128)
         assert fixed.shape == s.shape
         assert np.max(np.abs(adaptive - fixed)) < 1e-12
 
 
-def _unfolded_gauss_legendre(c, f, n_arm, n_arc, segment_indices):
-    """The plain Gauss-Legendre rule over the selected segments and their
-    mirror images: the arc extended to the whole half circle, and each arm's
-    mirror, conj gamma traversed backwards."""
+def _unfolded_gauss_legendre(c, h, n_arm, n_arc, segment_indices):
+    """The plain Gauss-Legendre rule for the integrand h(mu) dmu over the
+    selected segments and their mirror images: the arc extended to the whole
+    half circle, and each arm's mirror, conj mu traversed backwards."""
     total = 0.0
     for k in segment_indices:
         seg = c.segments[k]
         if k == c.arc_index:
             x, w = np.polynomial.legendre.leggauss(n_arc)
-            p, w = seg.p1 * x, seg.p1 * w
-            total = total + np.sum(f(seg.gamma(p)) * seg.dgamma(p) * w, axis=-1)
+            mu, dmu = seg.root(seg.p1 * x)
+            total = total + np.sum(h(mu) * dmu * (seg.p1 * w), axis=-1)
             continue
         x, w = np.polynomial.legendre.leggauss(n_arm)
         mid, half = 0.5 * (seg.p0 + seg.p1), 0.5 * (seg.p1 - seg.p0)
-        p, w = mid + half * x, half * w
-        lam, dlam = seg.gamma(p), seg.dgamma(p)
-        total = total + np.sum((f(lam) * dlam - f(np.conj(lam)) * np.conj(dlam)) * w,
+        mu, dmu = seg.root(mid + half * x)
+        total = total + np.sum((h(mu) * dmu - h(np.conj(mu)) * np.conj(dmu)) * (half * w),
                                axis=-1)
     return total / (2.0j * np.pi)
 
@@ -161,22 +188,23 @@ class TestConjugateFold:
             c = build_contour_highfreq(t, nu, xin, s, pole_mu=sigma)
             assert c.params["crosses_pole"].tolist() == [True, False]
 
-        def f(lam):
-            mu = np.sqrt(lam / nu + xin**2)
-            return np.exp(lam * t - mu * s[:, None]) / (nu * mu * (mu - sigma))
+        def h(mu):
+            # e^{lambda t - mu s} dlambda / (nu mu (mu - sigma)), per dmu
+            return 2.0 * np.exp(nu * t * (mu**2 - xin**2) - mu * s[:, None]) / (mu - sigma)
 
-        return c, f
+        return c, h
 
     @pytest.mark.parametrize("n_arm,n_arc", [(24, 16), (23, 15)])
     @pytest.mark.parametrize("pole", ["no_slip", "general"])
     @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
     def test_matches_unfolded_rule(self, family, pole, n_arm, n_arc):
-        c, f = self._contour(family, pole)
+        c, h = self._contour(family, pole)
         # the whole contour, and at low frequency the arc (R1) and the arm (R2) alone
         selections = [[0, 1], [0], [1]] if family == "lowfreq" else [[0]]
         for sel in selections:
-            folded = c.gauss_legendre(f, n_arm=n_arm, n_arc=n_arc, segment_indices=sel)
-            plain = _unfolded_gauss_legendre(c, f, n_arm, n_arc, sel)
+            folded = c.gauss_legendre(lambda mu, dmu_w: np.sum(h(mu) * dmu_w, axis=-1),
+                                      n_arm=n_arm, n_arc=n_arc, segment_indices=sel)
+            plain = _unfolded_gauss_legendre(c, h, n_arm, n_arc, sel)
             assert folded.dtype == np.float64 and folded.shape == plain.shape
             scale = np.max(np.abs(plain))
             assert np.max(np.abs(plain.imag)) <= 1e-15 * scale
@@ -199,10 +227,11 @@ class TestConjugateFold:
                 assert np.all(lam.imag >= 0.0), (c.regime, seg.name)
             nodes = []
 
-            def f(lam):
-                nodes.append(lam)
-                return np.zeros_like(lam)
+            def f(mu, dmu_w):
+                nodes.append(mu)
+                return np.zeros(mu.shape[:-1], dtype=complex)
 
             for n_arm, n_arc in ((24, 16), (23, 15)):
                 c.gauss_legendre(f, n_arm=n_arm, n_arc=n_arc)
-            assert all(np.all(lam.imag >= 0.0) for lam in nodes)
+            # Re mu >= 0 for the principal root, so Im lambda = 2 nu Re mu Im mu
+            assert all(np.all((mu.real >= 0.0) & (mu.imag >= 0.0)) for mu in nodes)

@@ -262,6 +262,24 @@ class TestBoundaryIdentity:
         assert np.max(np.abs(res) / scale) < 1e-8
 
 
+@pytest.mark.parametrize("regime", ["lowfreq", "highfreq"])
+@pytest.mark.parametrize("deriv", [-1, 0.5, 1.0, None])
+def test_profile_deriv_must_be_nonnegative_integer(deriv, regime):
+    # deriv counts d/dz factors (-mu): a negative or fractional count, or a
+    # float, is not one, for the contour parts and the residue alike
+    with pytest.raises(IncompatibleData, match="deriv"):
+        residual_profiles_time(0.3, 1.0, FourierMode(2, 1), np.array([0.5, 1.0]),
+                               deriv=deriv, regime=regime)
+
+
+def test_profile_deriv_accepts_numpy_integer():
+    mode = FourierMode(2, 1)
+    s = np.array([0.5, 1.0])
+    for a, b in zip(residual_profiles_time(0.3, 1.0, mode, s, deriv=np.int64(1)),
+                    residual_profiles_time(0.3, 1.0, mode, s, deriv=1)):
+        assert np.array_equal(a, b)
+
+
 class TestSampling:
     def test_sample_matches_pointwise(self):
         mode = FourierMode(1, 0)
