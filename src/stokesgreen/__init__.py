@@ -37,7 +37,6 @@ from .errors import (
     StabilityWarning,
     StokesGreenError,
     TruncationWarning,
-    ZeroLambda,
     ZeroModeUnsupported,
 )
 from .kernels import (

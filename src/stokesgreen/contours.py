@@ -19,9 +19,12 @@ a = s / (2 nu t):
 * high frequency (nu |xi|^2 >= 1): a single parabola
   lambda = -nu|xi|^2 + nu (theta a + i b)^2, b in R, with theta in {1, 1/2}
   chosen so the line mu = theta a + i b stays away from the pole of the
-  integrand at mu = mu_pole (mu_pole = |xi| for the no-slip kernel).  Here R2
-  is the parabola integral and R1 is the residue when the parabola encloses
-  the pole.
+  integrand at mu = sigma.  Here R2 is the parabola integral and R1 is the
+  residue when the parabola encloses the pole.
+
+Both take the pole once, as ``sigma`` (finite, > 0; kept in ``params``): its
+position in mu = sqrt(lambda/nu + |xi|^2), so lambda* = nu (sigma^2 - |xi|^2)
+(sigma = |xi|, lambda* = 0 for the no-slip kernel).
 
 Everything is parameterized so that the magnitude of exp(lambda t - mu s) is
 bounded along the contour (steepest-descent arms), which keeps the quadrature
@@ -53,13 +56,15 @@ b >= 0.  Both integrators return that real value.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
 
-from .errors import PoleOnContour
+from .errors import IncompatibleData, PoleOnContour
 
 __all__ = [
     "Segment",
@@ -86,14 +91,13 @@ N_ARM, N_ARC = 256, 128
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth piece of a contour: lambda = gamma(p), p in [p0, p1].
+    """One smooth piece of a contour: lambda = gamma(p), p in [0, p1].
 
     ``root(p)`` returns (mu, dmu/dp) of the principal root
     mu = sqrt(lambda/nu + |xi|^2) along the piece.
     """
 
     name: str
-    p0: float
     p1: float
     gamma: Callable[[np.ndarray], np.ndarray]
     dgamma: Callable[[np.ndarray], np.ndarray]
@@ -104,18 +108,21 @@ class Segment:
 class Contour:
     """The upper half (Im lambda >= 0) of an upward-oriented contour, in segments.
 
-    ``encloses_pole_at`` records which integrand pole (if any) lies to the
-    right of the contour (between it and the Bromwich line), in which case the
-    inverse Laplace transform is the contour integral plus that residue;
-    ``arc_index`` marks the segment that carries the pole contribution for the
-    low-frequency split (None for the high-frequency parabola).
+    ``params`` holds the geometry (the pole ``sigma`` among it); ``arc_index``
+    marks the segment that carries the pole contribution at low frequency.
     """
 
     segments: tuple[Segment, ...]
-    encloses_pole_at: complex | None
     regime: str
     params: dict = field(compare=False)
     arc_index: int | None = None
+
+    def _fold(self, part: Callable, segment_indices) -> np.ndarray:
+        """Im(I) / pi, I the sum of ``part(k, segment)`` over the selected segments."""
+        if segment_indices is None:
+            segment_indices = range(len(self.segments))
+        total = reduce(operator.add, (part(k, self.segments[k]) for k in segment_indices))
+        return total.imag / np.pi
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], segment_indices=None):
         """(1/2 pi i) * integral of f(lambda) over (selected) segments and their mirrors.
@@ -129,20 +136,15 @@ class Contour:
         """
         from scipy.integrate import quad_vec
 
-        if segment_indices is None:
-            segment_indices = range(len(self.segments))
-        total = None
-        for k in segment_indices:
-            seg = self.segments[k]
-
-            def g(p, seg=seg):
+        def part(k, seg):
+            def g(p):
                 pa = np.atleast_1d(p)
                 val = f(seg.gamma(pa)) * seg.dgamma(pa)
                 return val[..., 0] if np.ndim(p) == 0 else val
 
-            part, _ = quad_vec(g, seg.p0, seg.p1, epsabs=1e-13, epsrel=1e-11)
-            total = part if total is None else total + part
-        return total.imag / np.pi
+            return quad_vec(g, 0.0, seg.p1, epsabs=1e-13, epsrel=1e-11)[0]
+
+        return self._fold(part, segment_indices)
 
     def gauss_legendre(self, f: Callable, n_arm: int = N_ARM, n_arc: int = N_ARC,
                        segment_indices=None):
@@ -160,27 +162,23 @@ class Contour:
         is ``np.sum(g(lam) * (2 nu mu dmu_w), axis=-1)``, since
         dlambda = 2 nu mu dmu.
         """
-        if segment_indices is None:
-            segment_indices = range(len(self.segments))
-        total = None
-        for k in segment_indices:
-            seg = self.segments[k]
+        def part(k, seg):
             if k == self.arc_index:
                 p, w = _gl(-seg.p1, seg.p1, n_arc)
                 p, w = p[n_arc // 2:], w[n_arc // 2:]
                 if n_arc % 2:
                     w[0] *= 0.5
             else:
-                p, w = _gl(seg.p0, seg.p1, n_arm)
+                p, w = _gl(0.0, seg.p1, n_arm)
             # f puts its own values first in its products with dmu_w: numpy
             # computes a product with a large temporary on the right in place
             # with the operands swapped, and complex multiplication is not
             # bitwise commutative, so the other order would make each value
             # depend on how many s are evaluated together.
             mu, dmu = seg.root(p)
-            part = f(mu, dmu * w)
-            total = part if total is None else total + part
-        return total.imag / np.pi
+            return f(mu, dmu * w)
+
+        return self._fold(part, segment_indices)
 
 
 @lru_cache(maxsize=32)
@@ -215,42 +213,48 @@ def _principal_root(gamma, dgamma, nu: float, xi_norm: float):
     return root
 
 
+def _check_sigma(sigma) -> None:
+    if not 0.0 < sigma < math.inf:
+        raise IncompatibleData(f"the pole sigma must be finite and positive, got {sigma}")
+
+
 # ---------------------------------------------------------------------------
 # low frequency
 
 
-def lowfreq_params(t: float, nu: float, xi_norm: float, s, pole: float = 0.0) -> dict:
+def lowfreq_params(t: float, nu: float, xi_norm: float, s, sigma: float) -> dict:
     """Geometry of the low-frequency contour; vectorized over s = y + z.
 
-    ``pole`` is the real integrand pole lambda* the half circle must enclose
-    (0 for the no-slip kernel).  The radius M = 1.25 |c0 - lambda*| +
-    max(nu |xi|^2, 0.5/t) keeps the pole strictly inside, and grows with
-    |c0| so that exp(lambda t - mu s) stays bounded on the half circle; a
-    fixed multiple of max(nu a^2, ...) as the radius would overflow exp(M t)
-    for large a.
+    The half circle must enclose the real integrand pole
+    lambda* = nu (sigma^2 - |xi|^2) (0 for the no-slip kernel).  The radius
+    M = 1.25 |c0 - lambda*| + max(nu |xi|^2, 0.5/t) keeps the pole strictly
+    inside, and grows with |c0| so that exp(lambda t - mu s) stays bounded on
+    the half circle; a fixed multiple of max(nu a^2, ...) as the radius would
+    overflow exp(M t) for large a.
     """
+    _check_sigma(sigma)
     s = np.asarray(s, dtype=float)
     a = s / (2.0 * nu * t)
     c_arm = -0.5 * nu * xi_norm**2
     c0 = c_arm + nu * a**2
-    M = 1.25 * np.abs(c0 - pole) + max(nu * xi_norm**2, 0.5 / t)
+    M = 1.25 * np.abs(c0 - nu * (sigma**2 - xi_norm**2)) + max(nu * xi_norm**2, 0.5 / t)
     b_max = BETA_MAX / np.sqrt(nu * t)
-    return {"t": t, "nu": nu, "xi_norm": xi_norm, "s": s, "a": a,
+    return {"t": t, "nu": nu, "xi_norm": xi_norm, "s": s, "sigma": sigma, "a": a,
             "c_arm": c_arm, "c0": c0, "M": M, "b_max": b_max}
 
 
-def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s,
-                          M: float | None = None, pole: float = 0.0) -> Contour:
-    """Low-frequency contour for a scalar s or an array of s.
+def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s, sigma: float,
+                          M: float | None = None) -> Contour:
+    """Low-frequency contour for a scalar s or an array of s, around the pole sigma.
 
     ``M`` overrides the default radius (used by the contour-independence
     checks: any admissible radius gives the same integral); PoleOnContour is
     raised unless the override radius encloses the pole for every s.
     """
-    params = lowfreq_params(t, nu, xi_norm, s, pole=pole)
+    params = lowfreq_params(t, nu, xi_norm, s, sigma)
     if M is not None:
-        if np.any(np.abs(params["c0"] - pole) >= M):
-            raise PoleOnContour(f"override radius M does not enclose the pole {pole}")
+        if np.any(np.abs(params["c0"] - nu * (sigma**2 - xi_norm**2)) >= M):
+            raise PoleOnContour(f"override radius M does not enclose the pole mu = {sigma}")
         params = dict(params, M=M)
     a, c0, M = _last(params["a"]), _last(params["c0"]), _last(params["M"])
     c_arm, b_max = params["c_arm"], params["b_max"]
@@ -258,68 +262,54 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s,
     pieces = (("arc", 0.5 * np.pi, (lambda th: c0 + M * np.exp(1j * th),
                                     lambda th: 1j * M * np.exp(1j * th))),
               ("arm", b_max, _parabola(nu, a, c_arm + 1j * M)))
-    segments = tuple(Segment(name, 0.0, p1, gamma, dgamma,
+    segments = tuple(Segment(name, p1, gamma, dgamma,
                              _principal_root(gamma, dgamma, nu, xi_norm))
                      for name, p1, (gamma, dgamma) in pieces)
-    return Contour(segments=segments, encloses_pole_at=complex(pole),
-                   regime="lowfreq", params=params, arc_index=0)
+    return Contour(segments=segments, regime="lowfreq", params=params, arc_index=0)
 
 
 # ---------------------------------------------------------------------------
 # high frequency
 
 
-def highfreq_params(t: float, nu: float, xi_norm: float, s,
-                    pole_mu: float | None = None) -> dict:
+def highfreq_params(t: float, nu: float, xi_norm: float, s, sigma: float) -> dict:
     """Geometry of the high-frequency parabola; vectorized over s = y + z.
 
-    ``pole_mu`` is the location (in the mu variable) of the integrand pole the
-    parabola must avoid; mu = |xi| (i.e. lambda = 0) for the no-slip kernel.
-    theta = 1/2 is selected when the saddle parameter a sits in the danger
-    band [pole_mu/2, 3 pole_mu/2].
+    The parabola must avoid the integrand pole at mu = sigma.  theta = 1/2 is
+    selected when the saddle parameter a sits in the danger band
+    [sigma/2, 3 sigma/2].
     """
-    if pole_mu is None:
-        pole_mu = xi_norm
+    _check_sigma(sigma)
     s = np.asarray(s, dtype=float)
     a = s / (2.0 * nu * t)
-    if pole_mu > 0.0:
-        ratio = a / pole_mu
-        theta = np.where((ratio >= 0.5) & (ratio <= 1.5), 0.5, 1.0)
-    else:
-        theta = np.ones_like(a)
+    ratio = a / sigma
+    theta = np.where((ratio >= 0.5) & (ratio <= 1.5), 0.5, 1.0)
     floor = VERTEX_FLOOR_FRACTION * xi_norm
     # keep the floored vertex away from the pole as well as off the cut
-    if pole_mu > 0.0 and abs(floor - pole_mu) < 0.5 * pole_mu:
-        floor = 0.25 * pole_mu
+    if abs(floor - sigma) < 0.5 * sigma:
+        floor = 0.25 * sigma
     a_eff = np.maximum(theta * a, floor)
-    # The Bromwich line sweeps across the pole mu = pole_mu exactly when the
+    # The Bromwich line sweeps across the pole mu = sigma exactly when the
     # vertical mu-line Re mu = a_eff ends up left of it; only then does the
     # parabola integral miss the pole contribution and a residue must be
     # added (t -> 0 kills the residue at large a, t -> infinity keeps it).
-    crosses = a_eff < pole_mu if pole_mu > 0.0 else np.zeros(a.shape, dtype=bool)
-    if pole_mu > 0.0 and np.any(np.abs(a_eff - pole_mu) < 1e-9 * max(pole_mu, 1.0)):
+    crosses = a_eff < sigma
+    if np.any(np.abs(a_eff - sigma) < 1e-9 * max(sigma, 1.0)):
         raise PoleOnContour("parabola passes through the integrand pole")
     b_max = BETA_MAX / np.sqrt(nu * t)
-    return {"t": t, "nu": nu, "xi_norm": xi_norm, "s": s, "a": a,
-            "theta": theta, "a_eff": a_eff, "pole_mu": pole_mu,
-            "crosses_pole": crosses, "b_max": b_max}
+    return {"t": t, "nu": nu, "xi_norm": xi_norm, "s": s, "sigma": sigma, "a": a,
+            "theta": theta, "a_eff": a_eff, "crosses_pole": crosses, "b_max": b_max}
 
 
-def build_contour_highfreq(t: float, nu: float, xi_norm: float, s,
-                           pole_mu: float | None = None) -> Contour:
-    """High-frequency parabola for a scalar s or an array of s.
+def build_contour_highfreq(t: float, nu: float, xi_norm: float, s, sigma: float) -> Contour:
+    """High-frequency parabola for a scalar s or an array of s, around the pole sigma.
 
     On it the principal root satisfies mu = a_eff + i b exactly.
-    ``encloses_pole_at`` is the pole when the parabola crossed it for some s;
-    ``params["crosses_pole"]`` says for which s.
+    ``params["crosses_pole"]`` says for which s the parabola crossed the pole,
+    so that the residue must be added.
     """
-    params = highfreq_params(t, nu, xi_norm, s, pole_mu=pole_mu)
+    params = highfreq_params(t, nu, xi_norm, s, sigma)
     a_eff, b_max = _last(params["a_eff"]), params["b_max"]
-    vertex = -nu * xi_norm**2
-
-    segments = (Segment("parabola", 0.0, b_max, *_parabola(nu, a_eff, vertex),
+    segments = (Segment("parabola", b_max, *_parabola(nu, a_eff, -nu * xi_norm**2),
                         lambda b: (a_eff + 1j * b, 1j)),)
-    crosses = np.any(params["crosses_pole"])
-    encl = complex(vertex + nu * params["pole_mu"] ** 2) if crosses else None
-    return Contour(segments=segments, encloses_pole_at=encl,
-                   regime="highfreq", params=params, arc_index=None)
+    return Contour(segments=segments, regime="highfreq", params=params)

@@ -79,9 +79,10 @@ def spectral_root(lam: complex, nu: float, mode: FourierMode) -> complex:
     (lambda - nu Delta_xi) u = 0, so Re mu > 0 is required for decaying
     solutions.  The principal branch guarantees that away from the cut
     lambda + nu|xi|^2 in (-inf, 0], where a BranchCutViolation is raised.
+    A viscosity that is not finite and positive raises IncompatibleData.
     """
-    if nu <= 0:
-        raise ValueError(f"viscosity must be positive, got {nu}")
+    if not 0.0 < nu < math.inf:
+        raise IncompatibleData(f"viscosity must be finite and positive, got {nu}")
     q = complex(lam) + nu * mode.norm**2
     if not cmath.isfinite(q):
         raise BranchCutViolation(f"lambda + nu|xi|^2 = {q} is not finite")

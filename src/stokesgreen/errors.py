@@ -21,11 +21,6 @@ class PoleHit(StokesGreenError):
     """lambda coincides (within tolerance) with a pole of the resolvent."""
 
 
-# The no-slip resolvent's pole sits at lambda* = 0, so evaluating its 1/lambda
-# formulas at lambda = 0 is a PoleHit.
-ZeroLambda = PoleHit
-
-
 class QuadratureUnderresolved(StokesGreenError):
     """A quadrature is not resolved: doubling its order changed the result more
     than the tolerance, or it returned a non-finite value."""

@@ -11,7 +11,8 @@ admissible boundary operator D (det D = 0, alpha, beta >= 0, trace sigma),
     R_lambda(y, z) = e^{-mu (y+z)} / (nu mu (mu - sigma)) * D(xi),
 
 by contour quadrature over the deformed inverse-Laplace contours of the
-``contours`` module.  The pole sits at lambda* = nu (sigma^2 - |xi|^2).  R1
+``contours`` module, built around the pole mu = sigma (lambda* = nu (sigma^2 -
+|xi|^2)); D = 0 (sigma = 0) gives R = 0 and no contour is built.  R1
 carries the pole (half-circle integral in the low-frequency regime, plain
 residue in the high-frequency regime) and R2 the branch-cut remainder with
 Gaussian-in-(y+z) decay.  The no-slip vorticity kernel is the member
@@ -148,19 +149,17 @@ def _log_gauss(s, nu, t):
     return s**2 / (4.0 * nu * t)
 
 
-def _factor(lam, t, s, nu, xi_norm, sigma, deriv, comp):
+def _factor(lam, p, deriv, comp):
     """The oracles' integrand in lambda (``Contour.integrate``), node axis last:
-    e^{lambda t - mu s + comp} (-mu)^deriv / (nu mu (mu - sigma)).
-
-    ``comp`` broadcasts against ``s``.
+    e^{lambda t - mu s + comp} (-mu)^deriv / (nu mu (mu - sigma)) for the
+    contour's ``params`` ``p``; ``comp`` broadcasts against ``s``.
     """
-    mu = np.sqrt(lam / nu + xi_norm**2)
-    expo = lam * t - mu * s[..., None] + np.asarray(comp)[..., None]
-    return np.exp(expo) / (nu * mu * (mu - sigma)) * (-mu) ** deriv
+    mu = np.sqrt(lam / p["nu"] + p["xi_norm"]**2)
+    expo = lam * p["t"] - mu * p["s"][..., None] + np.asarray(comp)[..., None]
+    return np.exp(expo) / (p["nu"] * mu * (mu - p["sigma"])) * (-mu) ** deriv
 
 
-def _fixed_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp,
-                 n_arm=ct.N_ARM, n_arc=ct.N_ARC):
+def _fixed_parts(contour, segment_indices, ks, comp, n_arm=ct.N_ARM, n_arc=ct.N_ARC):
     """The fixed-node integrand of the profiles and the certificate, k axis first.
 
     In the root variable, dlambda / (nu mu (mu - sigma)) = 2 dmu / (mu - sigma),
@@ -170,8 +169,9 @@ def _fixed_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp,
     exactly.  The weights are multiplied in once per (s, node), and each k in
     ``ks`` is one more factor -mu, summed after each step.
     """
-    a = contour.params["a"][..., None]
-    shift = np.asarray(comp - nu * xi_norm**2 * t)[..., None]
+    p = contour.params
+    t, nu, sigma, a = p["t"], p["nu"], p["sigma"], p["a"][..., None]
+    shift = np.asarray(comp - nu * p["xi_norm"]**2 * t)[..., None]
 
     def sums(mu, dmu_w):
         # in-place products keep the large array on the left (see gauss_legendre)
@@ -186,16 +186,16 @@ def _fixed_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp,
     return contour.gauss_legendre(sums, n_arm, n_arc, segment_indices)
 
 
-def _adaptive_parts(contour, segment_indices, t, s, nu, xi_norm, sigma, ks, comp):
+def _adaptive_parts(contour, segment_indices, ks, comp):
     """``_fixed_parts`` by adaptive panels over ``_factor``: the oracle.
 
     ``_factor``'s exponent keeps the Gaussian, so ``comp`` (relative to it)
     gets s^2/(4 nu t) back here.
     """
-    comp = comp + _log_gauss(s, nu, t)
-    return np.stack([contour.integrate(
-        lambda lam, k=k: _factor(lam, t, s, nu, xi_norm, sigma, k, comp),
-        segment_indices=segment_indices) for k in ks])
+    p = contour.params
+    comp = comp + _log_gauss(p["s"], p["nu"], p["t"])
+    return np.stack([contour.integrate(lambda lam, k=k: _factor(lam, p, k, comp),
+                                       segment_indices=segment_indices) for k in ks])
 
 
 def _auto_regime(nu, mode):
@@ -203,38 +203,40 @@ def _auto_regime(nu, mode):
 
 
 def _contour(regime, t, nu, xi_norm, s, sigma):
-    """The regime's contour around the pole lambda* = nu (sigma^2 - |xi|^2)."""
-    if regime == "lowfreq":
-        return ct.build_contour_lowfreq(t, nu, xi_norm, s,
-                                        pole=nu * (sigma**2 - xi_norm**2))
-    return ct.build_contour_highfreq(t, nu, xi_norm, s, pole_mu=sigma)
+    """The regime's contour around the pole mu = sigma."""
+    build = ct.build_contour_lowfreq if regime == "lowfreq" else ct.build_contour_highfreq
+    return build(t, nu, xi_norm, s, sigma)
 
 
-def _rho1(contour, parts, t, s, nu, xi_norm, sigma, ks, comp):
+def _rho1(contour, parts, ks, comp):
     """rho1 e^{s^2/(4 nu t) + comp} for each k in ``ks`` (k axis first) on
     ``contour``, with ``parts`` one of its integrators (``_fixed_parts`` or
     ``_adaptive_parts``): the half circle at low frequency; at high frequency
     the residue at mu = sigma for the s where the deformation crossed the pole."""
     if contour.regime == "lowfreq":
-        return parts(contour, [contour.arc_index], t, s, nu, xi_norm, sigma, ks, comp)
+        return parts(contour, [contour.arc_index], ks, comp)
     # the residue of the integrand 2 e^{nu t (mu - a)^2 - nu |xi|^2 t + comp} / (mu - sigma)
-    a = contour.params["a"]
-    arg = np.where(contour.params["crosses_pole"],
-                   nu * t * (sigma - a) ** 2 - nu * xi_norm**2 * t + comp, -np.inf)
+    p = contour.params
+    t, nu, sigma = p["t"], p["nu"], p["sigma"]
+    arg = np.where(p["crosses_pole"],
+                   nu * t * (sigma - p["a"]) ** 2 - nu * p["xi_norm"]**2 * t + comp, -np.inf)
     k = np.reshape(ks, (-1,) + (1,) * arg.ndim)
     return 2.0 * (-sigma) ** k * np.exp(arg)
 
 
-def _rho2(contour, parts, t, s, nu, xi_norm, sigma, ks, comp):
+def _rho2(contour, parts, ks, comp):
     """rho2 like ``_rho1``: the arm at low frequency, the parabola at high."""
     arms = [k for k in range(len(contour.segments)) if k != contour.arc_index]
-    return parts(contour, arms, t, s, nu, xi_norm, sigma, ks, comp)
+    return parts(contour, arms, ks, comp)
 
 
 # Cap on s-values x evaluated quadrature nodes held at once; large sample
 # grids are processed in chunks to keep peak memory flat (a few complex
 # arrays of this size, under 150 MB in all).
 _CHUNK_ELEMENTS = 1_600_000
+
+# relative move under node doubling that marks a fixed-node kernel unresolved
+DOUBLING_RTOL = 1e-8
 
 
 def residual_profiles_time(t, nu, mode: FourierMode, s, deriv=0, regime=None,
@@ -251,7 +253,7 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
                               regime=None, n_arm=ct.N_ARM, n_arc=ct.N_ARC):
     """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi).
 
-    Vectorized over an array of s = y + z values; ``sigma`` is the trace of D.
+    Vectorized over an array of s = y + z values; ``sigma`` is the trace of D (0: zeros).
     ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral;
     one that is not a non-negative integer raises IncompatibleData.
     Both parts come from the fixed-node integrand (``n_arm``/``n_arc``
@@ -263,7 +265,6 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
     if not (isinstance(deriv, numbers.Integral) and deriv >= 0):
         raise IncompatibleData(f"deriv must be an integer >= 0, got {deriv!r}")
-    xin = mode.norm
     s = np.asarray(s, dtype=float)
     if sigma == 0.0:
         return np.zeros(s.shape), np.zeros(s.shape)
@@ -278,10 +279,9 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, max(flat_s.size, 1), step):
             s_c = flat_s[i:i + step]
-            contour = _contour(regime, t, nu, xin, s_c, sigma)
+            contour = _contour(regime, t, nu, mode.norm, s_c, sigma)
             comp = -_log_gauss(s_c, nu, t)
-            chunks.append([rho(contour, fixed, t, s_c, nu, xin, sigma, (deriv,), comp)[0]
-                           for rho in (_rho1, _rho2)])
+            chunks.append([rho(contour, fixed, (deriv,), comp)[0] for rho in (_rho1, _rho2)])
     rho1, rho2 = (np.concatenate(rho).reshape(s.shape) for rho in zip(*chunks))
     if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
         raise QuadratureUnderresolved(
@@ -295,58 +295,66 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 
 
 def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,
-                         contour=None, method="fixed", n_arm=ct.N_ARM, n_arc=ct.N_ARC,
-                         check=False):
+                         contour=None, method="fixed", check=False):
     """Split no-slip residual kernel {R1, R2} at a single (t, y, z)."""
     return residual_kernel_general(t, nu, mode, BoundaryOperatorD.no_slip(mode), y, z,
-                                   regime, contour, method, n_arm, n_arc, check)
+                                   regime, contour, method, check)
+
+
+def _check_contour(contour, **call):
+    """IncompatibleData unless ``contour`` was built for ``call``'s values to 1e-12
+    relative (the no-slip D.sigma and |xi| can differ in the last bit)."""
+    for key, value in call.items():
+        built = np.ravel(contour.params[key])
+        if built.size != 1 or not math.isclose(built[0], value, rel_tol=1e-12):
+            raise IncompatibleData(f"the contour was built for {key} = {built}, not {value}")
 
 
 def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
-                            contour=None, method="fixed", n_arm=ct.N_ARM, n_arc=ct.N_ARC,
-                            check=False):
+                            contour=None, method="fixed", check=False):
     """Split residual kernel {R1, R2} for the boundary operator D at a single (t, y, z).
 
     Low frequency: R1 is the half-circle integral (pole contribution), R2 the
     parabolic arms.  High frequency: R2 is the parabola integral and R1 the
     residue at lambda* when the contour deformation crossed the pole.  Both
-    methods make this split the same way on the same contour segments.  The
-    default fixed path is the vectorized profile at one s
-    (``Contour.gauss_legendre`` with ``n_arm``/``n_arc`` nodes);
-    ``method="adaptive"`` (or an explicit ``contour``) integrates with adaptive
-    panels (``Contour.integrate``) and matches it to quadrature tolerance.
-    ``check`` raises QuadratureUnderresolved when doubling the fixed nodes
-    moves the result by more than 1e-8 relative.
+    methods make this split the same way on the same contour segments (none
+    for D = 0, whose kernel vanishes).  The default fixed path is the
+    vectorized profile at one s; ``method="adaptive"`` (or an explicit
+    ``contour``, which must be built for this call) integrates with adaptive
+    panels and matches it to quadrature tolerance.  ``check`` raises
+    QuadratureUnderresolved when doubling the fixed nodes moves the result by
+    more than ``DOUBLING_RTOL`` relative.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual kernel needs |xi| > 0")
     D.check_mode(mode)
     s = float(y) + float(z)
-    regime = (contour.regime if contour is not None else regime) or _auto_regime(nu, mode)
+    regime = regime or _auto_regime(nu, mode)
 
-    if contour is not None or method == "adaptive":
-        if contour is None:
-            contour = _contour(regime, t, nu, mode.norm, s, D.sigma)
-        s_arr = np.asarray(s)
-        vals = np.array([rho(contour, _adaptive_parts, t, s_arr, nu, mode.norm, D.sigma, (0,),
-                             -_log_gauss(s_arr, nu, t))[0] for rho in (_rho1, _rho2)])
+    if D.sigma == 0.0:
+        vals = np.zeros(2)
+    elif contour is not None or method == "adaptive":
+        contour = contour or _contour(regime, t, nu, mode.norm, s, D.sigma)
+        _check_contour(contour, t=t, s=s, nu=nu, xi_norm=mode.norm, sigma=D.sigma)
+        p = contour.params
+        comp = -_log_gauss(p["s"], p["nu"], p["t"])
+        vals = np.array([rho(contour, _adaptive_parts, (0,), comp)[0] for rho in (_rho1, _rho2)])
     else:
-        def run(na, nc):
-            r1, r2 = residual_profiles_general(t, nu, mode, np.array([s]), D.sigma,
-                                               regime=regime, n_arm=na, n_arc=nc)
-            return np.array([r1[0], r2[0]])
+        def run(k):  # (rho1, rho2) on k times the default nodes
+            return np.concatenate(residual_profiles_general(
+                t, nu, mode, np.array([s]), D.sigma, regime=regime,
+                n_arm=k * ct.N_ARM, n_arc=k * ct.N_ARC))
 
-        vals = run(n_arm, n_arc)
+        vals = run(1)
         if check:
-            fine = run(2 * n_arm, 2 * n_arc)
+            fine = run(2)
             scale = max(np.max(np.abs(vals)), np.max(np.abs(fine)), 1e-300)
-            if np.max(np.abs(fine - vals)) > 1e-8 * scale:
-                raise QuadratureUnderresolved(
-                    "doubling quadrature nodes changed the kernel by more than 1e-8 relative")
+            if np.max(np.abs(fine - vals)) > DOUBLING_RTOL * scale:
+                raise QuadratureUnderresolved("doubling quadrature nodes changed the kernel "
+                                              f"by more than {DOUBLING_RTOL:g} relative")
             vals = fine
     # D and both paths' profiles are real, so R1 and R2 are real
-    return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix, "regime": regime,
-            "contour": contour}
+    return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix}
 
 
 def green_function(t, nu, mode: FourierMode, y, z, **kw) -> np.ndarray:
@@ -384,8 +392,8 @@ def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z) -> np.ndarray:
         return (h[None, :] * eye.reshape(4, 1) + r[None, :] * P.reshape(4, 1))
 
     total = contour.integrate(f).reshape(2, 2)
-    if contour.regime == "highfreq" and contour.encloses_pole_at is not None:
-        total = total + (2.0 / xin) * np.exp(-xin * s) * P
+    if contour.regime == "highfreq" and np.any(contour.params["crosses_pole"]):
+        total = total + residue_at_zero(t, nu, mode, y, z).real
     return total
 
 
@@ -492,13 +500,13 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
                 contour = _contour(_auto_regime(nu, mode), t, nu, xin, s_values, D.sigma)
                 # R1 against mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 s}
                 comp1 = theta0 * mu0 * s_values - lam_star_t - _log_gauss(s_values, nu, t)
-                rho1 = _rho1(contour, fixed, t, s_values, nu, xin, D.sigma, k_values, comp1)
+                rho1 = _rho1(contour, fixed, k_values, comp1)
                 record("R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
                 # R2 against (nu t)^{-(k+1)/2} e^{lambda* t}
                 #   e^{-s^2/4 nu t} e^{-nu |xi|^2 t / 8} (proof exponent), whose
                 #   Gaussian cancels the one the parts leave out
                 comp2 = nu * xin**2 * t / 8.0 - lam_star_t
-                rho2 = _rho2(contour, fixed, t, s_values, nu, xin, D.sigma, k_values, comp2)
+                rho2 = _rho2(contour, fixed, k_values, comp2)
                 ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
                 record("R2_quarter", ratio2, cell)
                 # the stated exponent e^{-s^2/nu t} differs by e^{3 s^2/4 nu t};

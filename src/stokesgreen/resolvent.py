@@ -23,6 +23,7 @@ error, O(h^2), and the boundary residual is zero up to rounding.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +36,7 @@ from .core import (
     SpectralPoint,
     projection_matrix,
 )
-from .errors import HypothesisViolated, PoleHit
+from .errors import HypothesisViolated, IncompatibleData, PoleHit
 
 __all__ = [
     "BoundaryOperatorD",
@@ -167,8 +168,11 @@ def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> Resolven
 
     v(y) = (1/2 nu mu) int (e^{-mu|y-z|} + e^{-mu(y+z)}) f(z) dz, exactly on PL f.
     Called only from the two public solvers, so a truncation warning points
-    at their caller.
+    at their caller.  f must be the tangential pair (two components).
     """
+    if f.ncomp != 2:
+        raise IncompatibleData(f"the resolvent acts on the tangential pair, got {f.ncomp} "
+                               "components")
     correction = D.correction(point)
     rows = _as_rows(f.grid, f.values, True, stacklevel=3)
     v, decay = _exp_action_rows(f.grid, rows, point.mu, 1)
@@ -192,7 +196,11 @@ def check_resolvent_bound(point: SpectralPoint, trials: int, seed: int = 0,
 
     * ``l2_ratio``  = ||u||_2 |lambda + nu |xi|^2| / ||f||_2,
     * ``h1_ratio``  = ||u||_{H^1} sqrt(nu) |lambda + nu |xi|^2|^{1/2} / ||f||_2.
+
+    ``trials`` must be a positive integer: no trial bounds nothing.
     """
+    if not (isinstance(trials, numbers.Integral) and trials >= 1):
+        raise IncompatibleData(f"trials must be an integer >= 1, got {trials!r}")
     if grid is None:
         grid = HalfLineGrid.uniform(20.0, 801)
     rng = np.random.default_rng(seed)

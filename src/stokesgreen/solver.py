@@ -325,12 +325,16 @@ def finite_difference_resolvent_general(f: ModeField, point: SpectralPoint,
     with the general boundary condition du/dz(0) + D u(0) = 0 (ghost node).
 
     Independent oracle for ``resolvent_apply_general``, on the tangential block
-    of ``_fd_operator``; returns node values (2, n).
+    of ``_fd_operator``; returns node values (2, n).  f must be the
+    tangential pair (two components).
     """
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
     D.check_mode(point.mode)
+    if f.ncomp != 2:
+        raise IncompatibleData(f"the resolvent acts on the tangential pair, got {f.ncomp} "
+                               "components")
     n = f.grid.n
     far = [n - 1, 2 * n - 1]
     A = _fd_operator(f.grid, point.nu, point.mode, D)[:2 * n, :2 * n]

@@ -152,16 +152,17 @@ class TestCriterion4ContourIndependence:
         nu, mode, t = 0.25, FourierMode(1, 0), 0.3
         y, z = 0.6, 0.9
         s = y + z
-        params = lowfreq_params(t, nu, mode.norm, np.array([s]))
+        params = lowfreq_params(t, nu, mode.norm, np.array([s]), mode.norm)
         M0 = float(np.asarray(params["M"]).reshape(-1)[0])
 
         def total(contour):
             out = residual_kernel_time(t, nu, mode, y, z, contour=contour)
             return out["R1"] + out["R2"]
 
-        base = total(build_contour_lowfreq(t, nu, mode.norm, s))
-        doubled = total(build_contour_lowfreq(t, nu, mode.norm, s, M=2.0 * M0))
-        perturbed = total(build_contour_lowfreq(t, nu, mode.norm, s, M=1.37 * M0))
+        base = total(build_contour_lowfreq(t, nu, mode.norm, s, mode.norm))
+        doubled = total(build_contour_lowfreq(t, nu, mode.norm, s, mode.norm, M=2.0 * M0))
+        perturbed = total(build_contour_lowfreq(t, nu, mode.norm, s, mode.norm,
+                                                M=1.37 * M0))
         scale = np.max(np.abs(base))
         rel_d = np.max(np.abs(doubled - base)) / scale
         rel_p = np.max(np.abs(perturbed - base)) / scale

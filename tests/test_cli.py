@@ -302,6 +302,18 @@ class TestConfigAndErrors:
         assert "QuadratureUnderresolved" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("xi,t", [(("1", "0"), "50"), (("1", "0"), "20"),
+                                      (("2", "1"), "1e-7")])
+    def test_unresolved_kernel_exits_numerical(self, tmp_path, capsys, xi, t):
+        # finite but unresolved: at t = 50 the corner drift is 3e10 and the R
+        # values reach 3e10; no table is written
+        out = tmp_path / "k.csv"
+        rc = run(["kernel", "--xi", *xi, "--nu", "1", "--t", t, "--grid", "0:4:8",
+                  "--out", str(out)])
+        assert rc == EXIT_NUMERICAL
+        assert "QuadratureUnderresolved" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["kernel", "resolvent"])
     @pytest.mark.parametrize("spec", ["alpha=nan", "alpha=0.5,c0=nan", "alpha=0.5,c0=inf",
                                       "alpha=5"])

@@ -74,8 +74,14 @@ class TestSpectralRoot:
             SpectralPoint(lam=lam, nu=1.0, mode=FourierMode(1, 0))
 
     def test_bad_viscosity(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IncompatibleData):
             spectral_root(3.0, -1.0, FourierMode(1, 0))
+
+    @pytest.mark.parametrize("nu", [0.0, -1.0, float("nan"), float("inf")])
+    def test_spectral_point_needs_finite_positive_viscosity(self, nu):
+        # one typed error for every nu that is not finite and positive
+        with pytest.raises(IncompatibleData, match="viscosity"):
+            SpectralPoint(lam=3.0, nu=nu, mode=FourierMode(1, 0))
 
     def test_spectral_point_caches_mu(self):
         pt = SpectralPoint(lam=3.0 + 0j, nu=1.0, mode=FourierMode(1, 0))

@@ -14,8 +14,8 @@ from stokesgreen import (
     KernelSample,
     ModeField,
     QuadratureUnderresolved,
+    PoleHit,
     SpectralPoint,
-    ZeroLambda,
     ZeroModeUnsupported,
     green_function,
     green_function_general,
@@ -96,7 +96,7 @@ class TestResolventKernel:
         assert np.allclose(a, b.T)
 
     def test_guards(self):
-        with pytest.raises(ZeroLambda):
+        with pytest.raises(PoleHit):
             resolvent_kernel(SpectralPoint(0.0 + 0j, 1.0, MODE), 1.0, 1.0)
         with pytest.raises(ZeroModeUnsupported):
             resolvent_kernel(SpectralPoint(1.0 + 0j, 1.0, FourierMode(0, 0)), 1.0, 1.0)
@@ -174,7 +174,7 @@ class TestDecomposition:
         from stokesgreen.contours import build_contour_highfreq
 
         s = y + z
-        contour = build_contour_highfreq(t, nu, mode.norm, s, pole_mu=D.sigma)
+        contour = build_contour_highfreq(t, nu, mode.norm, s, D.sigma)
 
         def f(lam):
             mu = np.sqrt(lam / nu + mode.norm**2)
@@ -185,7 +185,7 @@ class TestDecomposition:
                 + r[None, :] * D.matrix.reshape(4, 1)
 
         direct = contour.integrate(f).reshape(2, 2)
-        if contour.encloses_pole_at is not None:
+        if np.any(contour.params["crosses_pole"]):
             direct = direct + residue_at_pole_general(t, nu, mode, D, y, z)
         assert np.max(np.abs(G - direct)) < 1e-9 * np.max(np.abs(direct))
 
@@ -415,6 +415,89 @@ class TestQuadratureChecks:
             sample_green_function(1000.0, 1.0, MODE, nodes, nodes)
 
 
+    @pytest.mark.parametrize("xi,t", [((2, 1), 1e-7), ((1, 0), 50.0)])
+    def test_check_raises_when_doubling_moves_the_kernel(self, xi, t):
+        # the high-frequency parabola at tiny nu t and the low-frequency arc at
+        # large t are not resolved by the fixed nodes at y = z = 0
+        with pytest.raises(QuadratureUnderresolved, match="doubling"):
+            residual_kernel_time(t, 1.0, FourierMode(*xi), 0.0, 0.0, check=True)
+
+    def test_floored_vertex_moved_off_the_pole(self):
+        # sigma = 0.1 at xi = (2, 1): the vertex floor 0.05 |xi| = 0.112 is
+        # within sigma/2 of the pole, so it moves to sigma/4 (left of the pole,
+        # so the residue is added); the fixed nodes still match the oracle
+        mode = FourierMode(2, 1)
+        D = BoundaryOperatorD(0.04, 0.06, math.sqrt(0.04 * 0.06), c0=1.0, mode=mode)
+        params = contours.highfreq_params(0.3, 1.0, mode.norm, 0.0, D.sigma)
+        assert float(params["a_eff"]) == 0.25 * D.sigma and bool(params["crosses_pole"])
+        fixed = residual_kernel_general(0.3, 1.0, mode, D, 0.0, 0.0)
+        adaptive = residual_kernel_general(0.3, 1.0, mode, D, 0.0, 0.0, method="adaptive")
+        scale = max(np.max(np.abs(fixed[k])) for k in ("R1", "R2"))
+        for k in ("R1", "R2"):
+            assert np.max(np.abs(fixed[k] - adaptive[k])) < 1e-12 * scale
+
+
+class TestExplicitContour:
+    """``contour=`` must have been built for the call it is passed to."""
+
+    MODE_D = BoundaryOperatorD(0.15, 0.35, math.sqrt(0.15 * 0.35), c0=1.0, mode=MODE)
+    CALL = dict(t=0.3, nu=0.25, xi_norm=1.0, s=1.5, sigma=0.5)
+
+    def _kernel(self, contour):
+        return residual_kernel_general(0.3, 0.25, MODE, self.MODE_D, 0.6, 0.9,
+                                       contour=contour)
+
+    @pytest.mark.parametrize("key,value", [("s", 5.0), ("t", 0.31), ("nu", 0.5),
+                                           ("xi_norm", 2.0), ("sigma", 0.4)])
+    def test_mismatched_contour_raises(self, key, value):
+        # unchecked, a contour built for s = 5 gives R1 + R2 ~ 8.9e31 here, not 3.7e-5
+        built = {**self.CALL, key: value}
+        contour = contours.build_contour_lowfreq(built["t"], built["nu"], built["xi_norm"],
+                                                 built["s"], built["sigma"])
+        with pytest.raises(IncompatibleData, match=f"for {key} ="):
+            self._kernel(contour)
+
+    def test_contour_for_several_s_raises(self):
+        contour = contours.build_contour_lowfreq(0.3, 0.25, 1.0, np.array([1.5, 2.0]), 0.5)
+        with pytest.raises(IncompatibleData):
+            self._kernel(contour)
+
+    def test_matching_contour_is_the_adaptive_kernel(self):
+        contour = contours.build_contour_lowfreq(*self.CALL.values())
+        out = self._kernel(contour)
+        adaptive = residual_kernel_general(0.3, 0.25, MODE, self.MODE_D, 0.6, 0.9,
+                                           method="adaptive")
+        for k in ("R1", "R2"):
+            assert np.array_equal(out[k], adaptive[k])
+
+    @pytest.mark.parametrize("nu", [0.04, 1.0])
+    def test_last_bit_of_sigma_is_tolerated(self, nu):
+        # the no-slip D.sigma of xi = (3, 1) differs from |xi| in the last bit
+        mode = FourierMode(3, 1)
+        assert BoundaryOperatorD.no_slip(mode).sigma != mode.norm
+        contour = kernels._contour(kernels._auto_regime(nu, mode), 0.3, nu, mode.norm,
+                                   0.6 + 0.9, mode.norm)
+        out = residual_kernel_time(0.3, nu, mode, 0.6, 0.9, contour=contour)
+        assert np.all(np.isfinite(out["R1"])) and np.all(np.isfinite(out["R2"]))
+
+
+class TestZeroOperator:
+    @pytest.mark.parametrize("method", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("nu", [0.04, 1.0])
+    def test_no_contour_and_zero_kernel(self, monkeypatch, method, nu):
+        # D = 0 has no pole and R = 0; no contour is built for it
+        def no_contour(*args, **kwargs):
+            raise AssertionError("a contour was built for D = 0")
+
+        monkeypatch.setattr(contours, "build_contour_lowfreq", no_contour)
+        monkeypatch.setattr(contours, "build_contour_highfreq", no_contour)
+        mode = FourierMode(2, 1)
+        D = BoundaryOperatorD(0.0, 0.0, 0.0, c0=1.0, mode=mode)
+        out = residual_kernel_general(0.3, nu, mode, D, 0.2, 0.5, method=method)
+        for k in ("R1", "R2"):
+            assert np.array_equal(out[k], np.zeros((2, 2)))
+
+
 class TestBoundCertificate:
     def test_small_sweep_passes(self, monkeypatch):
         # the certificate integrates on the contour itself, not through the profiles
@@ -507,7 +590,7 @@ class TestBoundCertificate:
                                       k_values=(k,), s_values=[s])
         mode = FourierMode(n_xi, 0)
         D = BoundaryOperatorD.no_slip(mode)
-        params = contours.highfreq_params(t, nu, mode.norm, np.array([s]))
+        params = contours.highfreq_params(t, nu, mode.norm, np.array([s]), mode.norm)
         assert params["theta"][0] == 1.0 and not params["crosses_pole"][0]
         b_nodes, weights = contours._gl(0.0, params["b_max"], contours.N_ARM)
         with mpmath.workdps(40):

@@ -8,6 +8,7 @@ from stokesgreen import (
     FourierMode,
     HalfLineGrid,
     HypothesisViolated,
+    IncompatibleData,
     ModeField,
     PoleHit,
     SpectralPoint,
@@ -295,3 +296,24 @@ class TestResolventBound:
         assert np.isfinite(r1["l2_ratio"]) and np.isfinite(r1["h1_ratio"])
         assert r1["l2_ratio"] == r2["l2_ratio"]
         assert r1["h1_ratio"] == r2["h1_ratio"]
+
+
+@pytest.mark.parametrize("ncomp", [1, 3])
+@pytest.mark.parametrize("solve", [
+    lambda f: resolvent_apply(f, PT),
+    lambda f: resolvent_apply_general(f, PT, BoundaryOperatorD.no_slip(MODE10)),
+    lambda f: finite_difference_resolvent_general(f, PT, BoundaryOperatorD.no_slip(MODE10)),
+], ids=["resolvent_apply", "resolvent_apply_general", "finite_difference_general"])
+def test_solves_need_the_tangential_pair(solve, ncomp):
+    # a 1- or 3-component field is not the tangential pair the boundary acts on
+    grid = HalfLineGrid.uniform(20.0, 65)
+    f = ModeField(grid, np.tile(np.exp(-(grid.nodes - 5.0) ** 2), (ncomp, 1)))
+    with pytest.raises(IncompatibleData, match="tangential pair"):
+        solve(f)
+
+
+@pytest.mark.parametrize("trials", [0, -1, 2.5])
+def test_resolvent_bound_needs_a_trial(trials):
+    # zero trials would report ratios of 0.0, which a finiteness check passes
+    with pytest.raises(IncompatibleData, match="trials"):
+        check_resolvent_bound(PT, trials=trials)
