@@ -42,7 +42,6 @@ from .errors import (
 from .kernels import (
     KernelSample,
     green_function,
-    green_function_general,
     heat_kernel_dirichlet,
     heat_kernel_neumann,
     invert_resolvent_kernel,
@@ -50,12 +49,9 @@ from .kernels import (
     residual_kernel_general,
     residual_kernel_time,
     residual_profiles_general,
-    residual_profiles_time,
-    residue_at_pole_general,
-    residue_at_zero,
+    residue_at_pole,
     residue_small_circle,
     resolvent_kernel,
-    resolvent_kernel_general,
     sample_green_function,
     verify_kernel_bounds,
 )

@@ -16,8 +16,12 @@ by contour quadrature over the deformed inverse-Laplace contours of the
 carries the pole (half-circle integral in the low-frequency regime, plain
 residue in the high-frequency regime) and R2 the branch-cut remainder with
 Gaussian-in-(y+z) decay.  The no-slip vorticity kernel is the member
-D = P(xi)/|xi| with sigma = |xi| and lambda* = 0; its functions here are
-one-line wrappers of the general ones.
+D = P(xi)/|xi| with sigma = |xi| and lambda* = 0 exactly, not a family of
+its own: the resolvent kernel, the pole residue, the Green's function and
+its grid sample each take D, and ``D=None`` means
+``BoundaryOperatorD.no_slip(mode)``.  The profiles take sigma and give
+R = rho_D D for every D, no-slip included.  ``residual_kernel_time`` is the
+one no-slip wrapper left (of ``residual_kernel_general``).
 
 Since R_lambda depends on y, z only through s = y + z, all residual kernels
 here are scalar "profiles" in s times a constant matrix, and the profile
@@ -52,15 +56,11 @@ __all__ = [
     "heat_kernel_neumann",
     "heat_kernel_dirichlet",
     "resolvent_kernel",
-    "resolvent_kernel_general",
-    "residue_at_zero",
-    "residue_at_pole_general",
-    "residual_profiles_time",
+    "residue_at_pole",
     "residual_profiles_general",
     "residual_kernel_time",
     "residual_kernel_general",
     "green_function",
-    "green_function_general",
     "invert_resolvent_kernel",
     "residue_small_circle",
     "KernelSample",
@@ -102,38 +102,33 @@ def heat_kernel_dirichlet(t, nu, mode, y, z):
 # resolvent kernels (lambda domain)
 
 
-def resolvent_kernel(point: SpectralPoint, y: float, z: float) -> np.ndarray:
-    """G_lambda(y,z) = H_lambda I_2 + ((mu+|xi|)/(mu lambda |xi|)) P e^{-mu(y+z)}."""
-    return resolvent_kernel_general(point, BoundaryOperatorD.no_slip(point.mode), y, z)
+def resolvent_kernel(point: SpectralPoint, y: float, z: float, D=None) -> np.ndarray:
+    """H_lambda I_2 + e^{-mu(y+z)} / (nu mu) * D / (mu - sigma); PoleHit at lambda*.
 
-
-def resolvent_kernel_general(point: SpectralPoint, D, y: float, z: float) -> np.ndarray:
-    """H_lambda I_2 + e^{-mu(y+z)} / (nu mu) * D / (mu - sigma); PoleHit at lambda*."""
+    D defaults to no-slip, where the correction is ((mu+|xi|)/(mu lambda |xi|))
+    P e^{-mu(y+z)}.
+    """
     if point.mode.is_zero:
         raise ZeroModeUnsupported("resolvent kernel needs |xi| > 0")
+    D = D or BoundaryOperatorD.no_slip(point.mode)
     mu = point.mu
     h = (np.exp(-mu * abs(y - z)) + np.exp(-mu * (y + z))) / (2.0 * point.nu * mu)
     r = np.exp(-mu * (y + z)) / (point.nu * mu)
     return h * np.eye(2) + r * D.correction(point)
 
 
-def residue_at_zero(t, nu, mode: FourierMode, y, z) -> np.ndarray:
-    """Residue of e^{lambda t} R_lambda(y,z) at lambda = 0: (2/|xi|) P e^{-|xi|(y+z)}.
-
-    Time-independent because the no-slip pole sits at lambda* = 0.
-    """
-    return residue_at_pole_general(t, nu, mode, BoundaryOperatorD.no_slip(mode), y, z)
-
-
-def residue_at_pole_general(t, nu, mode: FourierMode, D, y, z) -> np.ndarray:
+def residue_at_pole(t, nu, mode: FourierMode, y, z, D=None) -> np.ndarray:
     """Residue of the residual integrand at lambda* = nu(sigma^2 - |xi|^2).
 
     Near lambda*, nu mu (mu - sigma) = (lambda - lambda*)/2 + O((lambda-lambda*)^2)
     since dmu/dlambda = 1/(2 nu mu), so the residue is 2 e^{lambda* t}
-    e^{-sigma (y+z)} D — confirmed by small-circle quadrature.
+    e^{-sigma (y+z)} D — confirmed by small-circle quadrature.  For D
+    no-slip (the default) lambda* = 0 exactly, so the residue
+    (2/|xi|) P e^{-|xi|(y+z)} does not depend on t.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("the boundary pole needs |xi| > 0")
+    D = D or BoundaryOperatorD.no_slip(mode)
     D.check_mode(mode)
     # complex like the small-circle residues; D itself is real
     return (2.0 * math.exp(D.pole_lambda(nu) * t) * np.exp(-D.sigma * (y + z))
@@ -239,16 +234,6 @@ _CHUNK_ELEMENTS = 1_600_000
 DOUBLING_RTOL = 1e-8
 
 
-def residual_profiles_time(t, nu, mode: FourierMode, s, deriv=0, regime=None,
-                           n_arm=ct.N_ARM, n_arc=ct.N_ARC):
-    """Scalar no-slip profiles (rho1, rho2) with R1 = rho1 P(xi), R2 = rho2 P(xi).
-
-    R = rho_D D with D = P/|xi| and sigma = |xi|, so rho = rho_D / |xi|.
-    """
-    return tuple(rho / mode.norm for rho in residual_profiles_general(
-        t, nu, mode, s, mode.norm, deriv, regime, n_arm, n_arc))
-
-
 def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
                               regime=None, n_arm=ct.N_ARM, n_arc=ct.N_ARC):
     """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi).
@@ -303,7 +288,7 @@ def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,
 
 def _check_contour(contour, **call):
     """IncompatibleData unless ``contour`` was built for ``call``'s values to 1e-12
-    relative (the no-slip D.sigma and |xi| can differ in the last bit)."""
+    relative (so one built from a sigma or |xi| rounded another way still fits)."""
     for key, value in call.items():
         built = np.ravel(contour.params[key])
         if built.size != 1 or not math.isclose(built[0], value, rel_tol=1e-12):
@@ -357,14 +342,12 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
     return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix}
 
 
-def green_function(t, nu, mode: FourierMode, y, z, **kw) -> np.ndarray:
-    """Full tangential Green's function G_xi(t,y;z) = H I_2 + R1 + R2 (2x2)."""
-    return green_function_general(t, nu, mode, BoundaryOperatorD.no_slip(mode), y, z, **kw)
-
-
-def green_function_general(t, nu, mode: FourierMode, D, y, z, **kw) -> np.ndarray:
-    """H I_2 + R1 + R2 for the boundary operator D (2x2)."""
-    parts = residual_kernel_general(t, nu, mode, D, y, z, **kw)
+def green_function(t, nu, mode: FourierMode, y, z, D=None, **kw) -> np.ndarray:
+    """Tangential Green's function G_xi(t,y;z) = H I_2 + R1 + R2 (2x2, real) for
+    the boundary operator D (default no-slip); ``kw`` goes to
+    ``residual_kernel_general``."""
+    parts = residual_kernel_general(t, nu, mode, D or BoundaryOperatorD.no_slip(mode),
+                                    y, z, **kw)
     h = heat_kernel_neumann(t, nu, mode, y, z)
     return h * np.eye(2) + parts["R1"] + parts["R2"]
 
@@ -393,7 +376,7 @@ def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z) -> np.ndarray:
 
     total = contour.integrate(f).reshape(2, 2)
     if contour.regime == "highfreq" and np.any(contour.params["crosses_pole"]):
-        total = total + residue_at_zero(t, nu, mode, y, z).real
+        total = total + residue_at_pole(t, nu, mode, y, z).real
     return total
 
 

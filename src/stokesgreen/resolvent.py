@@ -87,11 +87,19 @@ class BoundaryOperatorD:
     def no_slip(cls, mode: FourierMode) -> "BoundaryOperatorD":
         """The vorticity (no-slip) condition: D = P(xi)/|xi| with c0 = 1.
 
+        The trace is |xi| exactly, so the pole sits at lambda* = 0 exactly.
         At xi = 0 the condition degenerates to pure Neumann: D = 0.
         """
         if mode.is_zero:
             return cls(alpha=0.0, beta=0.0, gamma_off=0.0, c0=1.0, mode=mode)
         D = projection_matrix(mode).real / mode.norm
+        if D[0, 0] + D[1, 1] != mode.norm:
+            # lambda* = 0 needs the trace to be |xi| exactly.  Where the
+            # quotients xi_j^2/|xi| miss it in the last bit, the smaller entry
+            # becomes |xi| minus the larger (>= |xi|/2), exact by Sterbenz's
+            # lemma; quotients that already sum to |xi| are kept as they are.
+            j = int(D[0, 0] >= D[1, 1])
+            D[j, j] = mode.norm - D[1 - j, 1 - j]
         return cls(alpha=D[0, 0], beta=D[1, 1], gamma_off=D[0, 1], c0=1.0, mode=mode)
 
     @property

@@ -26,12 +26,11 @@ from stokesgreen import (
     curl_mode,
     duhamel_solve,
     green_function,
-    green_function_general,
     heat_kernel_neumann,
     invert_resolvent_kernel,
     residual_kernel_time,
-    residual_profiles_time,
-    residue_at_zero,
+    residual_profiles_general,
+    residue_at_pole,
     residue_small_circle,
     resolvent_apply,
     sample_green_function,
@@ -175,7 +174,7 @@ class TestCriterion4ContourIndependence:
             return np.exp(lam * t - mu * s) * (mu + mode.norm) / (mu * lam * mode.norm)
 
         circ = residue_small_circle(f, 0.0, 0.05 * nu * mode.norm**2)
-        analytic = residue_at_zero(t, nu, mode, y, z)
+        analytic = residue_at_pole(t, nu, mode, y, z)
         expect = circ * projection_matrix(mode)
         rel_r = np.max(np.abs(analytic - expect)) / np.max(np.abs(analytic))
         assert rel_r < 1e-10
@@ -232,17 +231,17 @@ class TestCriterion5GreenFunctionProperties:
               f"{errs[2]:.2e}, observed rates {rates[0]:.3f}, {rates[1]:.3f}")
 
     def test_boundary_condition_residual(self):
-        # the kernel satisfies the vorticity condition in z at z = 0:
-        # d/dz rho + |xi| rho + H(t, y, 0)/|xi| = 0
+        # the kernel satisfies the vorticity condition in z at z = 0: with
+        # R = rho D, D = P/|xi|, d/dz rho + |xi| rho + H(t, y, 0) = 0
         worst = 0.0
         for nu, xi in ((1.0, (1, 0)), (0.2, (2, 1))):
             mode = FourierMode(*xi)
             y = np.linspace(0.1, 4.0, 9)
-            r1, r2 = residual_profiles_time(0.3, nu, mode, y)
-            d1, d2 = residual_profiles_time(0.3, nu, mode, y, deriv=1)
+            r1, r2 = residual_profiles_general(0.3, nu, mode, y, mode.norm)
+            d1, d2 = residual_profiles_general(0.3, nu, mode, y, mode.norm, deriv=1)
             h = heat_kernel_neumann(0.3, nu, mode, y, 0.0)
-            res = (d1 + d2) + mode.norm * (r1 + r2) + h / mode.norm
-            scale = np.abs(d1 + d2) + mode.norm * np.abs(r1 + r2) + h / mode.norm
+            res = (d1 + d2) + mode.norm * (r1 + r2) + h
+            scale = np.abs(d1 + d2) + mode.norm * np.abs(r1 + r2) + h
             worst = max(worst, float(np.max(np.abs(res) / scale)))
         assert worst < 1e-6
         print(f"\n[criterion 5d] PASS kernel boundary-condition residual {worst:.2e}")
@@ -376,7 +375,7 @@ class TestCriterion9GeneralBCReduction:
         D0 = BoundaryOperatorD(0.0, 0.0, 0.0, c0=1.0, mode=mode)
         worst = 0.0
         for t, y, z in ((0.1, 0.5, 1.0), (0.5, 0.0, 0.3), (1.0, 2.0, 2.0)):
-            G = green_function_general(t, 0.5, mode, D0, y, z)
+            G = green_function(t, 0.5, mode, y, z, D=D0)
             H = heat_kernel_neumann(t, 0.5, mode, y, z) * np.eye(2)
             worst = max(worst, float(np.max(np.abs(G - H)) / np.max(np.abs(H))))
         assert worst < 1e-10

@@ -18,7 +18,6 @@ from stokesgreen import (
     SpectralPoint,
     ZeroModeUnsupported,
     green_function,
-    green_function_general,
     heat_kernel_dirichlet,
     heat_kernel_neumann,
     invert_resolvent_kernel,
@@ -26,11 +25,8 @@ from stokesgreen import (
     projection_matrix,
     resolvent_apply,
     resolvent_kernel,
-    resolvent_kernel_general,
     residual_kernel_time,
-    residual_profiles_time,
-    residue_at_pole_general,
-    residue_at_zero,
+    residue_at_pole,
     residue_small_circle,
     sample_green_function,
     verify_kernel_bounds,
@@ -120,8 +116,8 @@ class TestResolventKernel:
         mode = FourierMode(2, 1)
         D = BoundaryOperatorD(0.4, 0.1, math.sqrt(0.04), c0=2.0, mode=mode)
         pt = SpectralPoint(2.0 + 1.0j, 0.5, mode)
-        a = resolvent_kernel_general(pt, D, 0.7, 1.9)
-        b = resolvent_kernel_general(pt, D, 1.9, 0.7)
+        a = resolvent_kernel(pt, 0.7, 1.9, D=D)
+        b = resolvent_kernel(pt, 1.9, 0.7, D=D)
         assert np.allclose(a, b.T)
 
 
@@ -169,7 +165,7 @@ class TestDecomposition:
         mode = FourierMode(2, 1)
         nu, t, y, z = 0.5, 0.4, 0.7, 1.1
         D = BoundaryOperatorD(0.5, 0.3, math.sqrt(0.15), c0=2.0, mode=mode)
-        G = green_function_general(t, nu, mode, D, y, z)
+        G = green_function(t, nu, mode, y, z, D=D)
         # oracle: integrate the full general resolvent kernel over the contour
         from stokesgreen.contours import build_contour_highfreq
 
@@ -186,7 +182,7 @@ class TestDecomposition:
 
         direct = contour.integrate(f).reshape(2, 2)
         if np.any(contour.params["crosses_pole"]):
-            direct = direct + residue_at_pole_general(t, nu, mode, D, y, z)
+            direct = direct + residue_at_pole(t, nu, mode, y, z, D=D)
         assert np.max(np.abs(G - direct)) < 1e-9 * np.max(np.abs(direct))
 
 
@@ -201,11 +197,11 @@ class TestResidues:
             return np.exp(lam * t - mu * s) * (mu + mode.norm) / (mu * lam * mode.norm)
 
         circ = residue_small_circle(f, 0.0, 0.05 * nu * mode.norm**2)
-        analytic = residue_at_zero(t, nu, mode, y, z)
+        analytic = residue_at_pole(t, nu, mode, y, z)
         expect = circ * projection_matrix(mode)
         assert np.max(np.abs(analytic - expect)) < 1e-10 * np.max(np.abs(analytic))
         # and the residue is t-independent
-        assert np.allclose(residue_at_zero(5.0, 7.0, mode, y, z), analytic)
+        assert np.allclose(residue_at_pole(5.0, 7.0, mode, y, z), analytic)
 
     def test_general_pole_vs_small_circle(self):
         mode = FourierMode(2, 1)
@@ -219,7 +215,7 @@ class TestResidues:
             return np.exp(lam * t - mu * s) / (nu * mu * (mu - sigma))
 
         circ = residue_small_circle(f, lam_star, 0.02)
-        analytic = residue_at_pole_general(t, nu, mode, D, y, z)
+        analytic = residue_at_pole(t, nu, mode, y, z, D=D)
         expect = circ * D.matrix
         assert np.max(np.abs(analytic - expect)) < 1e-10 * np.max(np.abs(analytic))
 
@@ -227,38 +223,80 @@ class TestResidues:
         # no_slip(xi = 0) is the zero operator, but the residues stay undefined there
         zero = FourierMode(0, 0)
         with pytest.raises(ZeroModeUnsupported):
-            residue_at_zero(0.3, 0.5, zero, 0.4, 0.9)
+            residue_at_pole(0.3, 0.5, zero, 0.4, 0.9)
         with pytest.raises(ZeroModeUnsupported):
-            residue_at_pole_general(0.3, 0.5, zero, BoundaryOperatorD.no_slip(zero), 0.4, 0.9)
+            residue_at_pole(0.3, 0.5, zero, 0.4, 0.9, D=BoundaryOperatorD.no_slip(zero))
 
 
 @pytest.mark.parametrize("call", [
     lambda D: residual_kernel_general(0.5, 1.0, MODE, D, 0.1, 0.2),
-    lambda D: green_function_general(0.5, 1.0, MODE, D, 0.1, 0.2),
+    lambda D: green_function(0.5, 1.0, MODE, 0.1, 0.2, D=D),
     lambda D: sample_green_function(0.5, 1.0, MODE, [0.1], [0.2], D=D),
-    lambda D: residue_at_pole_general(0.5, 1.0, MODE, D, 0.1, 0.2),
-], ids=["residual_kernel_general", "green_function_general", "sample_green_function",
-        "residue_at_pole_general"])
+    lambda D: residue_at_pole(0.5, 1.0, MODE, 0.1, 0.2, D=D),
+    lambda D: resolvent_kernel(SpectralPoint(2.0 + 1.0j, 1.0, MODE), 0.1, 0.2, D=D),
+], ids=["residual_kernel_general", "green_function", "sample_green_function",
+        "residue_at_pole", "resolvent_kernel"])
 def test_operator_of_another_mode_raises(call):
     # a D validated for xi = (2, 1) says nothing about xi = (1, 0)
     with pytest.raises(HypothesisViolated, match="built for xi"):
         call(BoundaryOperatorD.no_slip(FourierMode(2, 1)))
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("xi", [(1, 0), (2, 1), (3, 1)])
+@pytest.mark.parametrize("call", [
+    lambda mode, D: resolvent_kernel(SpectralPoint(2.0 + 1.0j, 0.5, mode), 0.7, 1.9, D=D),
+    lambda mode, D: green_function(0.3, 0.5, mode, 0.7, 1.9, D=D),
+    lambda mode, D: residue_at_pole(0.3, 0.5, mode, 0.7, 1.9, D=D),
+    lambda mode, D: sample_green_function(0.3, 0.5, mode, [0.0, 0.7], [1.9], D=D).values,
+], ids=["resolvent_kernel", "green_function", "residue_at_pole", "sample_green_function"])
+def test_default_operator_is_no_slip(call, xi):
+    # D=None is BoundaryOperatorD.no_slip(mode), bit for bit
+    mode = FourierMode(*xi)
+    assert _same_bits(call(mode, None), call(mode, BoundaryOperatorD.no_slip(mode)))
+
+
+# every mode with |xi1|, |xi2| <= 9 but the zero mode
+NO_SLIP_MODES = [FourierMode(a, b) for a in range(-9, 10) for b in range(-9, 10)
+                 if (a, b) != (0, 0)]
+
+
+class TestNoSlipPole:
+    """The no-slip trace is |xi| to the last bit, so its pole is lambda* = 0."""
+
+    def test_trace_is_norm_and_pole_is_zero(self):
+        wrong = []
+        for mode in NO_SLIP_MODES:
+            D = BoundaryOperatorD.no_slip(mode)
+            if not (D.sigma == mode.norm and D.pole_lambda(1.0) == D.pole_lambda(0.04) == 0.0):
+                wrong.append((mode.xi1, mode.xi2))
+        assert wrong == []
+
+    def test_residue_does_not_depend_on_t(self):
+        wrong = [(mode.xi1, mode.xi2) for mode in NO_SLIP_MODES
+                 if not _same_bits(residue_at_pole(0.3, 1.0, mode, 0.4, 0.9),
+                                   residue_at_pole(50.0, 1.0, mode, 0.4, 0.9))]
+        assert wrong == []
+
+
 class TestBoundaryIdentity:
     @pytest.mark.parametrize("nu,xi", [(1.0, (1, 0)), (0.2, (2, 1))])
     def test_kernel_satisfies_vorticity_condition(self, nu, xi):
-        # at z = 0: rho'(s) + |xi| rho(s) + H(t,y,0)/(nu ... ) combine so that
-        # the boundary operator annihilates the kernel columns; scalar form:
-        # nu [ d/dz(rho1+rho2) |_{z=0} + |xi| (rho1+rho2)(y) + H(t,y,0)/|xi| ] = 0
+        # at z = 0 the boundary operator annihilates the kernel columns; with
+        # R = rho D, D = P/|xi| (sigma = |xi|), the scalar form is
+        # d/dz(rho1+rho2) |_{z=0} + |xi| (rho1+rho2)(y) + H(t,y,0) = 0
         mode = FourierMode(*xi)
         t = 0.3
         y = np.linspace(0.1, 3.0, 7)
-        r1, r2 = residual_profiles_time(t, nu, mode, y)
-        d1, d2 = residual_profiles_time(t, nu, mode, y, deriv=1)
+        r1, r2 = residual_profiles_general(t, nu, mode, y, mode.norm)
+        d1, d2 = residual_profiles_general(t, nu, mode, y, mode.norm, deriv=1)
         h = heat_kernel_neumann(t, nu, mode, y, 0.0)
-        res = (d1 + d2) + mode.norm * (r1 + r2) + h / mode.norm
-        scale = np.abs(d1 + d2) + mode.norm * np.abs(r1 + r2) + h / mode.norm
+        res = (d1 + d2) + mode.norm * (r1 + r2) + h
+        scale = np.abs(d1 + d2) + mode.norm * np.abs(r1 + r2) + h
         assert np.max(np.abs(res) / scale) < 1e-8
 
 
@@ -267,16 +305,17 @@ class TestBoundaryIdentity:
 def test_profile_deriv_must_be_nonnegative_integer(deriv, regime):
     # deriv counts d/dz factors (-mu): a negative or fractional count, or a
     # float, is not one, for the contour parts and the residue alike
+    mode = FourierMode(2, 1)
     with pytest.raises(IncompatibleData, match="deriv"):
-        residual_profiles_time(0.3, 1.0, FourierMode(2, 1), np.array([0.5, 1.0]),
-                               deriv=deriv, regime=regime)
+        residual_profiles_general(0.3, 1.0, mode, np.array([0.5, 1.0]), mode.norm,
+                                  deriv=deriv, regime=regime)
 
 
 def test_profile_deriv_accepts_numpy_integer():
     mode = FourierMode(2, 1)
     s = np.array([0.5, 1.0])
-    for a, b in zip(residual_profiles_time(0.3, 1.0, mode, s, deriv=np.int64(1)),
-                    residual_profiles_time(0.3, 1.0, mode, s, deriv=1)):
+    for a, b in zip(residual_profiles_general(0.3, 1.0, mode, s, mode.norm, deriv=np.int64(1)),
+                    residual_profiles_general(0.3, 1.0, mode, s, mode.norm, deriv=1)):
         assert np.array_equal(a, b)
 
 
@@ -410,7 +449,7 @@ class TestQuadratureChecks:
         # at t = 1000 the low-frequency contour overflows to NaN at s = 0
         nodes = np.linspace(0.0, 2.0, 5)
         with pytest.raises(QuadratureUnderresolved):
-            residual_profiles_time(1000.0, 1.0, MODE, np.array([0.0]))
+            residual_profiles_general(1000.0, 1.0, MODE, np.array([0.0]), MODE.norm)
         with pytest.raises(QuadratureUnderresolved):
             sample_green_function(1000.0, 1.0, MODE, nodes, nodes)
 
@@ -472,11 +511,11 @@ class TestExplicitContour:
 
     @pytest.mark.parametrize("nu", [0.04, 1.0])
     def test_last_bit_of_sigma_is_tolerated(self, nu):
-        # the no-slip D.sigma of xi = (3, 1) differs from |xi| in the last bit
+        # a contour built for a sigma one ulp above the no-slip D.sigma = |xi| fits
         mode = FourierMode(3, 1)
-        assert BoundaryOperatorD.no_slip(mode).sigma != mode.norm
+        sigma = np.nextafter(mode.norm, math.inf)
         contour = kernels._contour(kernels._auto_regime(nu, mode), 0.3, nu, mode.norm,
-                                   0.6 + 0.9, mode.norm)
+                                   0.6 + 0.9, sigma)
         out = residual_kernel_time(0.3, nu, mode, 0.6, 0.9, contour=contour)
         assert np.all(np.isfinite(out["R1"])) and np.all(np.isfinite(out["R2"]))
 

@@ -17,11 +17,10 @@ from stokesgreen import (
     assemble_3d,
     crank_nicolson_oracle,
     duhamel_solve,
-    residual_profiles_time,
     uniqueness_demo,
 )
 from stokesgreen.actions import halfline_laplace_weights, image_action_gauss
-from stokesgreen.kernels import heat_kernel_neumann
+from stokesgreen.kernels import heat_kernel_neumann, residual_profiles_general
 from stokesgreen.resolvent import BoundaryOperatorD
 from stokesgreen.solver import _propagate
 
@@ -294,17 +293,17 @@ class TestSeparableResidual:
                                   for nu, xi, t in SEPARABLE_CASES])
     def test_matches_contour_profiles(self, nu, xi, t):
         # from zero data, the boundary datum g = e_b gives column b of
-        # G(t, y; 0) = H(t, y, 0) I + (rho1 + rho2)(y) |xi| D on y in [0, 10]
+        # G(t, y; 0) = H(t, y, 0) I + (rho1 + rho2)(y) D on y in [0, 10]
         mode = FourierMode(*xi)
         grid = HalfLineGrid.uniform(10.0, 41)
         D = BoundaryOperatorD.no_slip(mode)
         zero = np.zeros((3, grid.n), dtype=complex)
         col = np.stack([_propagate(grid, nu, mode, t, zero, g, D)[:2] for g in np.eye(2)],
                        axis=1)
-        rho1, rho2 = residual_profiles_time(t, nu, mode, grid.nodes)
+        rho1, rho2 = residual_profiles_general(t, nu, mode, grid.nodes, mode.norm)
         heat = heat_kernel_neumann(t, nu, mode, grid.nodes, 0.0)
         ref = (heat * np.eye(2)[:, :, None]
-               + ((rho1 + rho2) * mode.norm) * D.matrix[:, :, None])
+               + (rho1 + rho2) * D.matrix[:, :, None])
         assert np.max(np.abs(col - ref)) <= 1e-11 * np.max(np.abs(ref))
 
 
