@@ -1,8 +1,8 @@
 """Per-mode numerical engine for the Stokes system on T^2 x R+ in vorticity form.
 
-Resolvent solves, Green's functions by contour quadrature, kernel-bound
-certification, Biot-Savart reconstruction and Duhamel evolution, one
-tangential Fourier mode at a time.
+Resolvent solves, Green's functions (closed form at high frequency, contour
+quadrature at low frequency), kernel-bound certification, Biot-Savart
+reconstruction and Duhamel evolution, one tangential Fourier mode at a time.
 """
 
 from .biot_savart import (

@@ -127,13 +127,16 @@ def cmd_kernel(args) -> int:
         kind = "no-slip vorticity kernel"
     sample = kernels.sample_green_function(args.t, args.nu, mode,
                                            grid.nodes, grid.nodes, D=D)
-    # quadrature drift estimate from node doubling at the worst corner (y=z=0);
-    # check=True raises QuadratureUnderresolved (no table) beyond DOUBLING_RTOL
+    # quadrature drift estimate from node doubling at the worst corner (y=z=0),
+    # 0 for the high-frequency closed form; check=True raises
+    # QuadratureUnderresolved (no table) beyond DOUBLING_RTOL
     fine = kernels.residual_kernel_general(args.t, args.nu, mode, D, 0.0, 0.0, check=True)
     drift = max(np.max(np.abs(fine["R1"] - sample.R1[0, 0])),
                 np.max(np.abs(fine["R2"] - sample.R2[0, 0])))
+    residual = ("erfc closed form" if sample.regime == "highfreq"
+                else "contour quadrature")
     header = [
-        f"# green-function sample: heat-image part + residual contour quadrature ({kind})",
+        f"# green-function sample: heat-image part + residual {residual} ({kind})",
         f"# xi=({mode.xi1},{mode.xi2}) nu={_fmt(args.nu)} t={_fmt(args.t)} "
         f"regime={sample.regime} grid=0:{_fmt(grid.z_max)}:{grid.n}",
         f"# quadrature node-doubling drift estimate: {_fmt(drift)}",

@@ -34,12 +34,13 @@ Each deformation is described once, as the ``Segment`` maps of a ``Contour``.
 The maps broadcast over an array of s (s axes first, the node axis last), so
 one Contour holds the contours of a whole batch of s.  Two integrators run
 over the same segments.  ``Contour.gauss_legendre`` (fixed nodes) integrates
-the fixed-node integrand of the vectorized profiles and the bound certificate
+the fixed-node integrand of the low-frequency profiles and bound certificate
 in the root variable mu = sqrt(lambda/nu + |xi|^2), which each segment gives
 with its derivative (exactly mu = a_eff + i b on the high-frequency parabola,
-the principal square root elsewhere).  ``Contour.integrate`` (adaptive
-panels) integrates the oracles' integrands in lambda
-(``residual_kernel_general(method="adaptive")`` and
+the principal square root elsewhere); the high-frequency profiles are closed
+forms that evaluate no node, and read only ``highfreq_params``.
+``Contour.integrate`` (adaptive panels) integrates the oracles' integrands
+in lambda (``residual_kernel_general(method="adaptive")`` and
 ``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's ``quad_vec``,
 so it imports ``scipy.integrate`` on its first call and the package import
 does not load it.
@@ -85,7 +86,8 @@ BETA_MAX = 6.1
 VERTEX_FLOOR_FRACTION = 0.05
 
 # Gauss-Legendre nodes per arm and on the arc: the fixed-node resolution of
-# every profile, kernel and certificate (node-doubling checks use twice these).
+# every low-frequency profile, kernel and certificate cell (node-doubling
+# checks use twice these).
 N_ARM, N_ARC = 256, 128
 
 

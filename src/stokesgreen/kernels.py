@@ -10,12 +10,20 @@ admissible boundary operator D (det D = 0, alpha, beta >= 0, trace sigma),
 
     R_lambda(y, z) = e^{-mu (y+z)} / (nu mu (mu - sigma)) * D(xi),
 
-by contour quadrature over the deformed inverse-Laplace contours of the
-``contours`` module, built around the pole mu = sigma (lambda* = nu (sigma^2 -
-|xi|^2)); D = 0 (sigma = 0) gives R = 0 and no contour is built.  R1
-carries the pole (half-circle integral in the low-frequency regime, plain
-residue in the high-frequency regime) and R2 the branch-cut remainder with
-Gaussian-in-(y+z) decay.  The no-slip vorticity kernel is the member
+whose Bromwich integral around the pole mu = sigma (lambda* = nu (sigma^2 -
+|xi|^2)) is R = rho D with the Robin half-line heat kernel
+
+    rho(s) = e^{lambda* t - sigma s} erfc(x) = e^{-nu |xi|^2 t - s^2/4 nu t} erfcx(x),
+    x = s / (2 sqrt(nu t)) - sigma sqrt(nu t);
+
+D = 0 (sigma = 0) gives R = 0.  R1 carries the pole and R2 the branch-cut
+remainder with Gaussian-in-(y+z) decay, split on the deformed inverse-Laplace
+contours of the ``contours`` module.  In the high-frequency regime both
+parts are closed forms and no node is evaluated: R1 is the residue
+2 (-sigma)^k e^{lambda* t - sigma s} where the parabola crossed the pole, and
+R2 = rho - R1 is -e^{-nu |xi|^2 t - s^2/4 nu t} erfcx(-x) there and rho
+elsewhere.  In the low-frequency regime R1 is the half-circle integral and
+R2 the arms, by contour quadrature.  The no-slip vorticity kernel is the member
 D = P(xi)/|xi| with sigma = |xi| and lambda* = 0 exactly, not a family of
 its own: the resolvent kernel, the pole residue, the Green's function and
 its grid sample each take D, and ``D=None`` means
@@ -27,14 +35,18 @@ Since R_lambda depends on y, z only through s = y + z, all residual kernels
 here are scalar "profiles" in s times a constant matrix, and the profile
 evaluators are vectorized over arrays of s.
 
-Two integrands give the contour parts, and ``_rho1``/``_rho2`` say which
-segment carries which part for both.  The fixed-node integrand
-``_fixed_parts`` serves the profiles (hence every kernel, sample and the CLI)
-and the bound certificate: it runs in mu with the exact root of the
-high-frequency parabola, the completed-square exponent
-nu t (mu - a)^2 - nu |xi|^2 t, and every derivative order from one
-evaluation by the recurrence (-mu)^{k+1} = -mu (-mu)^k.  The oracle integrand
-``_factor`` runs in lambda under adaptive panels
+The profiles (hence every kernel, sample and the CLI) and the bound
+certificate share one fixed-node path, ``_fixed_rho``.  At high frequency it
+evaluates the closed forms (``_residue``, ``_erfc_rho2``), every derivative
+order of R2 by the recurrence rho2^{(k)} = -sigma rho2^{(k-1)} -
+2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).
+At low frequency it integrates ``_fixed_parts`` on the contour: in mu, with
+the completed-square exponent nu t (mu - a)^2 - nu |xi|^2 t, and every
+derivative order from one evaluation by the recurrence
+(-mu)^{k+1} = -mu (-mu)^k.  Both leave the Gaussian e^{-s^2/4 nu t} out.
+``_rho1``/``_rho2`` say which segment carries which part, for the fixed
+nodes and for the oracle integrand ``_factor``, which runs in lambda under
+adaptive panels on either regime's contour
 (``residual_kernel_general(method="adaptive")``).
 """
 
@@ -46,6 +58,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc, erfcx
 
 from . import contours as ct
 from .core import FourierMode, SpectralPoint, projection_matrix
@@ -155,7 +168,8 @@ def _factor(lam, p, deriv, comp):
 
 
 def _fixed_parts(contour, segment_indices, ks, comp, n_arm=ct.N_ARM, n_arc=ct.N_ARC):
-    """The fixed-node integrand of the profiles and the certificate, k axis first.
+    """The low-frequency fixed-node integrand of the profiles and the certificate,
+    k axis first.
 
     In the root variable, dlambda / (nu mu (mu - sigma)) = 2 dmu / (mu - sigma),
     and with s = 2 nu t a the exponent completes the square:
@@ -203,15 +217,11 @@ def _contour(regime, t, nu, xi_norm, s, sigma):
     return build(t, nu, xi_norm, s, sigma)
 
 
-def _rho1(contour, parts, ks, comp):
-    """rho1 e^{s^2/(4 nu t) + comp} for each k in ``ks`` (k axis first) on
-    ``contour``, with ``parts`` one of its integrators (``_fixed_parts`` or
-    ``_adaptive_parts``): the half circle at low frequency; at high frequency
-    the residue at mu = sigma for the s where the deformation crossed the pole."""
-    if contour.regime == "lowfreq":
-        return parts(contour, [contour.arc_index], ks, comp)
+def _residue(p, ks, comp):
+    """The high-frequency rho1 e^{s^2/(4 nu t) + comp} for each k in ``ks`` (k
+    axis first) from the parabola's ``params`` ``p``: the residue at mu = sigma
+    for the s where the deformation crossed the pole, 0 elsewhere."""
     # the residue of the integrand 2 e^{nu t (mu - a)^2 - nu |xi|^2 t + comp} / (mu - sigma)
-    p = contour.params
     t, nu, sigma = p["t"], p["nu"], p["sigma"]
     arg = np.where(p["crosses_pole"],
                    nu * t * (sigma - p["a"]) ** 2 - nu * p["xi_norm"]**2 * t + comp, -np.inf)
@@ -219,10 +229,64 @@ def _rho1(contour, parts, ks, comp):
     return 2.0 * (-sigma) ** k * np.exp(arg)
 
 
+def _erfc_rho2(p, ks, comp):
+    """The high-frequency rho2 e^{s^2/(4 nu t) + comp} like ``_residue``, in closed form.
+
+    With x = s/(2 sqrt(nu t)) - sigma sqrt(nu t) and E = e^{-nu |xi|^2 t + comp},
+    rho2 e^{s^2/4 nu t + comp} is -E erfcx(-x) where the parabola crossed the
+    pole and E erfcx(x) elsewhere (rho - rho1 without cancellation).
+    E erfcx(y) is evaluated as e^{y^2} E erfc(y) for y < 0, so nothing
+    overflows.  Derivative orders follow
+    rho2' = -sigma rho2 - 2 e^{-nu |xi|^2 t} Phi, with the Hermite recurrence
+    Phi^{(j)} = -(s Phi^{(j-1)} + (j-1) Phi^{(j-2)}) / (2 nu t) for
+    Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).  Where the parabola crosses the
+    pole the two terms nearly cancel for k >= 1: the relative error grows
+    like 2 x^2 times the rounding error.
+    """
+    t, nu, sigma, s = p["t"], p["nu"], p["sigma"], p["s"]
+    root = math.sqrt(nu * t)
+    sign = np.where(p["crosses_pole"], -1.0, 1.0)
+    y = sign * (s / (2.0 * root) - sigma * root)
+    log_e = comp - nu * p["xi_norm"]**2 * t
+    neg = np.minimum(y, 0.0)
+    rho2 = sign * np.where(y >= 0.0, np.exp(log_e) * erfcx(np.maximum(y, 0.0)),
+                           np.exp(neg**2 + log_e) * erfc(neg))
+    out = [rho2]
+    # 2 E Phi^{(j)} e^{s^2/4 nu t}, starting at j = 0
+    phi, phi_prev = np.exp(log_e) / math.sqrt(math.pi * nu * t), 0.0
+    for j in range(max(ks)):
+        rho2 = -sigma * rho2 - phi
+        out.append(rho2)
+        phi, phi_prev = -(s * phi + j * phi_prev) / (2.0 * nu * t), phi
+    return np.stack(out)[list(ks)]
+
+
+def _rho1(contour, parts, ks, comp):
+    """rho1 e^{s^2/(4 nu t) + comp} for each k in ``ks`` (k axis first) on
+    ``contour``, with ``parts`` one of its integrators (``_fixed_parts`` or
+    ``_adaptive_parts``): the half circle at low frequency, the residue at
+    high frequency."""
+    if contour.regime == "lowfreq":
+        return parts(contour, [contour.arc_index], ks, comp)
+    return _residue(contour.params, ks, comp)
+
+
 def _rho2(contour, parts, ks, comp):
     """rho2 like ``_rho1``: the arm at low frequency, the parabola at high."""
     arms = [k for k in range(len(contour.segments)) if k != contour.arc_index]
     return parts(contour, arms, ks, comp)
+
+
+def _fixed_rho(regime, t, nu, xi_norm, s, sigma, ks, comp1, comp2, n_arm, n_arc):
+    """(rho1 e^{s^2/(4 nu t) + comp1}, rho2 e^{s^2/(4 nu t) + comp2}), k axis
+    first: the closed forms at high frequency, ``_fixed_parts`` with
+    ``n_arm``/``n_arc`` Gauss-Legendre nodes on the low-frequency contour."""
+    if regime == "highfreq":
+        p = ct.highfreq_params(t, nu, xi_norm, s, sigma)
+        return _residue(p, ks, comp1), _erfc_rho2(p, ks, comp2)
+    contour = ct.build_contour_lowfreq(t, nu, xi_norm, s, sigma)
+    fixed = functools.partial(_fixed_parts, n_arm=n_arm, n_arc=n_arc)
+    return _rho1(contour, fixed, ks, comp1), _rho2(contour, fixed, ks, comp2)
 
 
 # Cap on s-values x evaluated quadrature nodes held at once; large sample
@@ -239,12 +303,14 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi).
 
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D (0: zeros).
-    ``deriv`` inserts the analytic d/dz factor (-mu)^deriv under the integral;
-    one that is not a non-negative integer raises IncompatibleData.
-    Both parts come from the fixed-node integrand (``n_arm``/``n_arc``
-    Gauss-Legendre nodes) on one contour per chunk of s, and are real float
-    arrays: the contours hold only their upper half, whose integral I gives
-    Im(I) / pi.  A non-finite value raises QuadratureUnderresolved.
+    ``deriv`` is the order of d/dz (the factor (-mu)^deriv under the
+    integral); one that is not a non-negative integer raises IncompatibleData.
+    At high frequency both parts are closed forms and ``n_arm``/``n_arc`` are
+    unused.  At low frequency both come from the fixed-node integrand
+    (``n_arm``/``n_arc`` Gauss-Legendre nodes) on one contour per chunk of s:
+    the contours hold only their upper half, whose integral I gives
+    Im(I) / pi.  Both are real float arrays.  A non-finite value raises
+    QuadratureUnderresolved.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
@@ -255,23 +321,20 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
         return np.zeros(s.shape), np.zeros(s.shape)
     regime = regime or _auto_regime(nu, mode)
     flat_s = s.reshape(-1)
-    # the nodes a contour evaluates per s: its upper half
-    nodes = n_arm + (n_arc - n_arc // 2 if regime == "lowfreq" else 0)
-    step = max(1, _CHUNK_ELEMENTS // nodes)
-    fixed = functools.partial(_fixed_parts, n_arm=n_arm, n_arc=n_arc)
+    # the nodes the low-frequency contour evaluates per s: its upper half
+    step = max(1, _CHUNK_ELEMENTS // (n_arm + n_arc - n_arc // 2))
     chunks = []
     # an overflow surfaces as a non-finite value, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, max(flat_s.size, 1), step):
             s_c = flat_s[i:i + step]
-            contour = _contour(regime, t, nu, mode.norm, s_c, sigma)
             comp = -_log_gauss(s_c, nu, t)
-            chunks.append([rho(contour, fixed, (deriv,), comp)[0] for rho in (_rho1, _rho2)])
+            chunks.append([rho[0] for rho in _fixed_rho(regime, t, nu, mode.norm, s_c, sigma,
+                                                        (deriv,), comp, comp, n_arm, n_arc)])
     rho1, rho2 = (np.concatenate(rho).reshape(s.shape) for rho in zip(*chunks))
     if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
         raise QuadratureUnderresolved(
-            f"the {regime} contour quadrature returned a non-finite residual "
-            f"profile at t={t}")
+            f"the {regime} residual profile is not finite at t={t}")
     return rho1, rho2
 
 
@@ -302,13 +365,14 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
     Low frequency: R1 is the half-circle integral (pole contribution), R2 the
     parabolic arms.  High frequency: R2 is the parabola integral and R1 the
     residue at lambda* when the contour deformation crossed the pole.  Both
-    methods make this split the same way on the same contour segments (none
-    for D = 0, whose kernel vanishes).  The default fixed path is the
-    vectorized profile at one s; ``method="adaptive"`` (or an explicit
+    methods make this split the same way (none for D = 0, whose kernel
+    vanishes).  The default fixed path is the vectorized profile at one s,
+    in closed form at high frequency; ``method="adaptive"`` (or an explicit
     ``contour``, which must be built for this call) integrates with adaptive
-    panels and matches it to quadrature tolerance.  ``check`` raises
-    QuadratureUnderresolved when doubling the fixed nodes moves the result by
-    more than ``DOUBLING_RTOL`` relative.
+    panels on the contour segments and matches it to quadrature tolerance.
+    ``check`` raises QuadratureUnderresolved when doubling the fixed nodes
+    moves the result by more than ``DOUBLING_RTOL`` relative (a closed form
+    does not move).
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual kernel needs |xi| > 0")
@@ -453,14 +517,14 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
                  n_arm, n_arc, operator):
     """Sup bound ratios for the kernel family D = operator(mode).
 
-    Each (nu, xi, t) cell builds one contour over ``s_values`` and integrates
-    only the part each ratio reads, all k at once, with the ratio's exponent
-    inside exp() so that huge factors never overflow.  The R2 ratio's
-    e^{+s^2/4 nu t} cancels the Gaussian the parts leave out exactly.
+    Each (nu, xi, t) cell evaluates the fixed-node parts over ``s_values``
+    (closed forms at high frequency, one contour at low frequency), all k at
+    once, with the ratio's exponent inside exp() so that huge factors never
+    overflow.  The R2 ratio's e^{+s^2/4 nu t} cancels the Gaussian the parts
+    leave out exactly.
     """
     ln10 = math.log(10.0)
     k = np.asarray(k_values)[:, None]
-    fixed = functools.partial(_fixed_parts, n_arm=n_arm, n_arc=n_arc)
     sup = {"R1": 0.0, "R2_quarter": 0.0, "R2_stated_log10": -np.inf}
     arg = dict.fromkeys(sup)
 
@@ -480,16 +544,15 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
             for t in t_values:
                 lam_star_t = D.pole_lambda(nu) * t
                 cell = (nu, n_xi, t)
-                contour = _contour(_auto_regime(nu, mode), t, nu, xin, s_values, D.sigma)
                 # R1 against mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 s}
                 comp1 = theta0 * mu0 * s_values - lam_star_t - _log_gauss(s_values, nu, t)
-                rho1 = _rho1(contour, fixed, k_values, comp1)
-                record("R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
                 # R2 against (nu t)^{-(k+1)/2} e^{lambda* t}
                 #   e^{-s^2/4 nu t} e^{-nu |xi|^2 t / 8} (proof exponent), whose
                 #   Gaussian cancels the one the parts leave out
                 comp2 = nu * xin**2 * t / 8.0 - lam_star_t
-                rho2 = _rho2(contour, fixed, k_values, comp2)
+                rho1, rho2 = _fixed_rho(_auto_regime(nu, mode), t, nu, xin, s_values, D.sigma,
+                                        k_values, comp1, comp2, n_arm, n_arc)
+                record("R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
                 ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
                 record("R2_quarter", ratio2, cell)
                 # the stated exponent e^{-s^2/nu t} differs by e^{3 s^2/4 nu t};
@@ -523,14 +586,17 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
       quarter-exponent version is certified).
 
     Each family reports its sups under ``sup`` and where each is reached
-    under ``argmax(nu,xi,t,k,s)``.  The ratios are integrated on the contours
-    directly (not through the profiles, but with their fixed-node integrand),
-    each bound's exponent inside exp().
+    under ``argmax(nu,xi,t,k,s)``.  The ratios are evaluated directly (not
+    through the profiles, but on their fixed-node path), each bound's
+    exponent inside exp(): in closed form at high frequency, by quadrature on
+    the contour at low frequency.
     The certificate passes when the certified sups are finite and drift by
     less than ``report["drift_tol"]`` relative when the quadrature node counts
-    double.  A ``theta0`` outside (0, 1) raises IncompatibleData: theta0 <= 0
-    turns the R1 bound's decay e^{-theta0 mu0 (y+z)} into growth, so the sup
-    would bound nothing.  So does an empty sweep axis, a nu or t that is not
+    double; a sup reached at a high-frequency (closed-form) cell does not
+    move, so its drift is exactly 0.  A ``theta0`` outside (0, 1) raises
+    IncompatibleData: theta0 <= 0 turns the R1 bound's decay
+    e^{-theta0 mu0 (y+z)} into growth, so the sup would bound nothing.  So
+    does an empty sweep axis, a nu or t that is not
     finite and positive, an s = y + z that is not finite and >= 0, or a k
     that is not a non-negative integer: a vacuous or invalid sweep certifies
     nothing.  A zero in ``xi_values`` raises ZeroModeUnsupported: the bounds

@@ -302,8 +302,7 @@ class TestConfigAndErrors:
         assert "QuadratureUnderresolved" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("xi,t", [(("1", "0"), "50"), (("1", "0"), "20"),
-                                      (("2", "1"), "1e-7")])
+    @pytest.mark.parametrize("xi,t", [(("1", "0"), "50"), (("1", "0"), "20")])
     def test_unresolved_kernel_exits_numerical(self, tmp_path, capsys, xi, t):
         # finite but unresolved: at t = 50 the corner drift is 3e10 and the R
         # values reach 3e10; no table is written
@@ -313,6 +312,30 @@ class TestConfigAndErrors:
         assert rc == EXIT_NUMERICAL
         assert "QuadratureUnderresolved" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_small_nu_t_kernel_matches_erfc(self, tmp_path):
+        # at nu t = 1e-7 the high-frequency residual is a closed form: the
+        # table is written with drift 0, and the corner R1 + R2 = rho(0) D is
+        # erfc(-|xi| sqrt(nu t)) D (lambda* = 0 for no-slip) to 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        out = tmp_path / "k.csv"
+        rc = run(["kernel", "--xi", "2", "1", "--nu", "1", "--t", "1e-7", "--grid", "0:4:8",
+                  "--out", str(out)])
+        assert rc == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# green-function sample: heat-image part + residual "
+                                   "erfc closed form")
+        assert lines[2].endswith("drift estimate: 0")
+        mode = FourierMode(2, 1)
+        D = BoundaryOperatorD.no_slip(mode)
+        corner = {(row[2], row[3]): float(row[4]) for row in
+                  (line.split(",") for line in lines[4:]) if row[:2] == ["0", "0"]}
+        with mpmath.workdps(40):
+            rho = float(mpmath.erfc(-mpmath.mpf(mode.norm) * mpmath.sqrt(mpmath.mpf(1e-7))))
+        for a in range(2):
+            for b in range(2):
+                got = corner[(f"{a + 1}{b + 1}", "R1")] + corner[(f"{a + 1}{b + 1}", "R2")]
+                assert abs(got - rho * D.matrix[a, b]) <= 1e-13 * rho * np.abs(D.matrix).max()
 
     @pytest.mark.parametrize("command", ["kernel", "resolvent"])
     @pytest.mark.parametrize("spec", ["alpha=nan", "alpha=0.5,c0=nan", "alpha=0.5,c0=inf",

@@ -454,12 +454,23 @@ class TestQuadratureChecks:
             sample_green_function(1000.0, 1.0, MODE, nodes, nodes)
 
 
-    @pytest.mark.parametrize("xi,t", [((2, 1), 1e-7), ((1, 0), 50.0)])
+    @pytest.mark.parametrize("xi,t", [((1, 0), 20.0), ((1, 0), 50.0)])
     def test_check_raises_when_doubling_moves_the_kernel(self, xi, t):
-        # the high-frequency parabola at tiny nu t and the low-frequency arc at
-        # large t are not resolved by the fixed nodes at y = z = 0
+        # the low-frequency arc at large t is not resolved by the fixed nodes
+        # at y = z = 0
         with pytest.raises(QuadratureUnderresolved, match="doubling"):
             residual_kernel_time(t, 1.0, FourierMode(*xi), 0.0, 0.0, check=True)
+
+    def test_check_passes_at_small_nu_t_and_matches_mpmath(self):
+        # the high-frequency closed form needs no nodes at tiny nu t, where the
+        # parabola was off by 1.8e-3: R1 + R2 = erfc(-|xi| sqrt(nu t)) D at s = 0
+        mpmath = pytest.importorskip("mpmath")
+        mode = FourierMode(2, 1)
+        out = residual_kernel_time(1e-7, 1.0, mode, 0.0, 0.0, check=True)
+        with mpmath.workdps(40):
+            rho = float(mpmath.erfc(-mpmath.mpf(mode.norm) * mpmath.sqrt(mpmath.mpf(1e-7))))
+        D = BoundaryOperatorD.no_slip(mode).matrix
+        assert np.max(np.abs(out["R1"] + out["R2"] - rho * D)) <= 1e-13 * rho * np.abs(D).max()
 
     def test_floored_vertex_moved_off_the_pole(self):
         # sigma = 0.1 at xi = (2, 1): the vertex floor 0.05 |xi| = 0.112 is
@@ -535,6 +546,79 @@ class TestZeroOperator:
         out = residual_kernel_general(0.3, nu, mode, D, 0.2, 0.5, method=method)
         for k in ("R1", "R2"):
             assert np.array_equal(out[k], np.zeros((2, 2)))
+
+
+def _mp_parts(t, nu, xi_norm, sigma, crosses):
+    """(rho1, rho2) of the high-frequency split as mpmath functions of s, at the
+    working precision: rho = e^{lambda* t - sigma s} erfc(x) with
+    x = s / (2 sqrt(nu t)) - sigma sqrt(nu t); where the parabola crosses the
+    pole rho1 = 2 e^{lambda* t - sigma s} and rho2 = rho - rho1 =
+    -e^{lambda* t - sigma s} erfc(-x), elsewhere rho1 = 0 and rho2 = rho."""
+    import mpmath
+
+    t, nu, xi_norm, sigma = map(mpmath.mpf, (t, nu, xi_norm, sigma))
+    root = mpmath.sqrt(nu * t)
+
+    def pole(s):
+        return mpmath.exp(nu * (sigma**2 - xi_norm**2) * t - sigma * s)
+
+    if crosses:
+        return (lambda s: 2 * pole(s),
+                lambda s: -pole(s) * mpmath.erfc(sigma * root - s / (2 * root)))
+    return (lambda s: mpmath.mpf(0),
+            lambda s: pole(s) * mpmath.erfc(s / (2 * root) - sigma * root))
+
+
+class TestHighFrequencyClosedForm:
+    """The high-frequency profiles against 40-digit erfc and its derivatives."""
+
+    # s runs over [0, s_max] in 17 values.  The parabola crosses the pole at
+    # s = 0 only in the first three cells, at every s in the fourth and at
+    # the first 9 s in the last.
+    @pytest.mark.parametrize("nu,xi,t,fraction,s_max", [
+        (1.0, (2, 1), 1e-7, 1.0, 3e-3),    # the parabola was off by 1.8e-3 at s = 0
+        (0.25, (2, 1), 1e-3, 0.1, 0.16),   # a pole close to the cut: off by 4.0e-6
+        (0.04, (8, 0), 1e-3, 0.1, 0.064),  # off by 1.2e-6
+        (1.0, (8, 0), 1.0, 1.0, 10.0),     # sigma^2 nu t = 64
+        (1.0, (2, 1), 0.3, 1.0, 4.0),      # both sides of crosses_pole
+    ])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_parts_match_mpmath(self, nu, xi, t, fraction, s_max, k):
+        # R1 and R2 separately, each to 1e-13 of its sup over s
+        mpmath = pytest.importorskip("mpmath")
+        mode = FourierMode(*xi)
+        sigma = fraction * mode.norm
+        s = np.linspace(0.0, s_max, 17)
+        crosses = contours.highfreq_params(t, nu, mode.norm, s, sigma)["crosses_pole"]
+        got = residual_profiles_general(t, nu, mode, s, sigma, deriv=k)
+        with mpmath.workdps(40):
+            ref = np.array([[float(mpmath.diff(part, mpmath.mpf(s_j), k))
+                             for part in _mp_parts(t, nu, mode.norm, sigma, c_j)]
+                            for s_j, c_j in zip(s, crosses)]).T
+        for got_part, ref_part in zip(got, ref):
+            sup = np.max(np.abs(ref_part))
+            assert np.max(np.abs(got_part - ref_part)) <= 1e-13 * sup
+
+    def test_no_quadrature_nodes(self, monkeypatch):
+        # the high-frequency profiles, samples and certificate cells evaluate
+        # no Gauss-Legendre node
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("quadrature nodes were evaluated")
+
+        monkeypatch.setattr(contours.Contour, "gauss_legendre", no_nodes)
+        mode = FourierMode(2, 1)
+        s = np.linspace(0.0, 4.0, 9)
+        for k in (0, 1, 2):
+            rho1, rho2 = residual_profiles_general(0.3, 1.0, mode, s, mode.norm, deriv=k)
+            assert np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))
+        sample = sample_green_function(0.3, 1.0, mode, s, s)
+        assert sample.regime == "highfreq"
+        report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(2, 3),
+                                      t_values=(0.1, 1.0), k_values=(0, 1, 2),
+                                      s_values=np.linspace(0.0, 6.0, 7))
+        assert report["pass"]
+        for fam in ("no_slip", "general"):
+            assert report[fam]["drift"] == {"R1": 0.0, "R2_quarter": 0.0}
 
 
 class TestBoundCertificate:
@@ -621,8 +705,9 @@ class TestBoundCertificate:
     def test_r2_ratio_matches_40_digit_sum(self):
         # at the R2 argmax s^2/(4 nu t) = 62500: the parts leave the Gaussian
         # out, so the bound's weight e^{s^2/4 nu t} cancels exactly instead of
-        # against a sum of terms of that size.  Reference: the same nodes,
-        # summed at 40 digits in the plain exponent lambda t - mu s.
+        # against terms of that size.  The parabola does not cross the pole
+        # there, so R2 is the whole closed form, differentiated at 40 digits
+        # in the plain exponent lambda* t - sigma s.
         mpmath = pytest.importorskip("mpmath")
         nu, n_xi, t, k, s = 0.04, 8, 0.01, 2, 10.0
         report = verify_kernel_bounds(nu_values=(nu,), xi_values=(n_xi,), t_values=(t,),
@@ -631,20 +716,13 @@ class TestBoundCertificate:
         D = BoundaryOperatorD.no_slip(mode)
         params = contours.highfreq_params(t, nu, mode.norm, np.array([s]), mode.norm)
         assert params["theta"][0] == 1.0 and not params["crosses_pole"][0]
-        b_nodes, weights = contours._gl(0.0, params["b_max"], contours.N_ARM)
         with mpmath.workdps(40):
             mp = mpmath.mpf
-            nu_, t_, s_, xi2, sigma = mp(nu), mp(t), mp(s), mp(mode.norm) ** 2, mp(D.sigma)
-            a_eff = mp(params["a_eff"][0])
-            total = mp(0)
-            for b, w in zip(b_nodes, weights):
-                lam = -nu_ * xi2 + nu_ * (a_eff + 1j * mp(b)) ** 2
-                mu = mpmath.sqrt(lam / nu_ + xi2)
-                expo = lam * t_ - mu * s_ + s_**2 / (4 * nu_ * t_) + nu_ * xi2 * t_ / 8
-                total += (mpmath.exp(expo) * (-mu) ** k / (nu_ * mu * (mu - sigma))
-                          * 2j * nu_ * (a_eff + 1j * mp(b)) * mp(w))
-            ref = abs(total.imag / mpmath.pi) * mp(np.abs(D.matrix).max()) \
-                * (nu_ * t_) ** (mp(k + 1) / 2)
+            nu_, t_, s_ = mp(nu), mp(t), mp(s)
+            rho = _mp_parts(t, nu, mode.norm, D.sigma, False)[1]
+            ref = abs(mpmath.diff(rho, s_, k)) * mpmath.exp(s_**2 / (4 * nu_ * t_)
+                                                            + nu_ * mp(n_xi)**2 * t_ / 8) \
+                * mp(np.abs(D.matrix).max()) * (nu_ * t_) ** (mp(k + 1) / 2)
             ratio = report["no_slip"]["sup"]["R2_quarter"]
             assert abs(ratio - ref) / ref < 1e-14
 
