@@ -80,10 +80,17 @@ def _parse_general_bc(spec: str, mode: FourierMode) -> BoundaryOperatorD:
 
 
 def _open_out(path: str | None):
-    """The output file as a context manager; stdout for no path or '-'."""
+    """The output file as a context manager; stdout for no path or '-'.
+
+    A file that cannot be opened for writing is a configuration error
+    (ValueError), so ``main`` exits 2 with one line instead of a traceback.
+    """
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w")
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write output: {exc}") from exc
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from stokesgreen.actions import (
+    _decay_table,
     _exp_action_rows,
     gauss_psi1,
     gauss_psi2,
@@ -151,7 +152,7 @@ class TestImageActions:
     @pytest.mark.parametrize("n", [65, 8193])
     def test_wrapper_and_sweep_table_bits(self, n):
         # the wrapper returns the helper's action unchanged, the helper's table
-        # is e^{-mu y} bit for bit, and scalar and per-row parities agree
+        # is ``_decay_table``'s bit for bit, and scalar and per-row parities agree
         grid = HalfLineGrid.uniform(30.0, n)
         rng = np.random.default_rng(8)
         f = (rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))) \
@@ -159,7 +160,7 @@ class TestImageActions:
         mu = 1.3 + 0.7j
         parity = np.array([[1.0], [1.0], [-1.0]])
         out, decay = _exp_action_rows(grid, f, mu, parity)
-        assert np.array_equal(decay, np.exp(-mu * grid.nodes))
+        assert np.array_equal(decay, _decay_table(grid, mu))
         assert np.array_equal(image_action_exp(grid, f, mu, parity), out)
         for i, p in enumerate((+1, +1, -1)):
             assert np.array_equal(image_action_exp(grid, f[i], mu, p), out[i])
@@ -227,6 +228,40 @@ class TestExpActionAccuracy:
         # through which |q|^k stays near 1
         mu = 1e-4 / self.GRID.h * np.exp(0.3j)
         assert self._worst(mu, parity) <= 1e-12
+
+
+class TestDecayTable:
+    """The sweep's e^{-mu y} table against 40-digit exponentials at every node."""
+
+    @staticmethod
+    def _mu(case, grid):
+        return {"large-imag": 0.5 + 300.0j,
+                # Re mu z_max = 744: the last nodes are subnormal or 0
+                "underflow": 744.0 / grid.z_max + 3.0j,
+                "mu-h-1e-4": 1e-4 / grid.h * (0.6 + 0.8j),
+                "mu-h-5": 5.0 / grid.h * (0.6 + 0.8j)}[case]
+
+    # n - 1 = 2, 64, 512, 1000, 8192: one perfect square, and ragged last blocks
+    @pytest.mark.parametrize("n", [3, 65, 513, 1001, 8193])
+    @pytest.mark.parametrize("case", ["large-imag", "underflow", "mu-h-1e-4", "mu-h-5"])
+    def test_matches_40_digit_exp(self, n, case):
+        mpmath = pytest.importorskip("mpmath")
+        grid = HalfLineGrid.uniform(30.0, n)
+        mu = self._mu(case, grid)
+        with mpmath.workdps(40):
+            exact = [mpmath.exp(-mpmath.mpc(mu) * mpmath.mpf(y)) for y in grid.nodes]
+
+            def err(table):
+                return np.array([float(abs(mpmath.mpc(v) - e)) for v, e in zip(table, exact)])
+
+            size = np.array([float(abs(e)) for e in exact])
+        # relative 4 eps (1 + |mu y|): the rounding of mu y moves the phase by
+        # eps |mu y|; plus two subnormal ulps, the roundings below the normal range
+        bound = 4.0 * np.finfo(float).eps * (1.0 + np.abs(mu * grid.nodes)) * size \
+            + 2.0 * np.finfo(float).smallest_subnormal
+        assert np.all(err(_decay_table(grid, mu)) <= bound)
+        # the direct table meets the same bound, so it is no looser than before
+        assert np.all(err(np.exp(-mu * grid.nodes)) <= bound)
 
 
 class TestLaplaceWeights:

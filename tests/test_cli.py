@@ -287,6 +287,27 @@ class TestConfigAndErrors:
             unregistered = set(re.findall(r"args\.(\w+)", src)) - dests
             assert not unregistered, f"{name} reads unregistered flags: {unregistered}"
 
+    @pytest.mark.parametrize("argv", [["kernel", "--grid", "0:10:8"],
+                                      ["verify", "--xi", "1", "0", "--grid", "0:10:64"]],
+                             ids=["kernel", "verify"])
+    def test_unwritable_out_exits_config(self, tmp_path, capsys, argv):
+        # an --out in a directory that does not exist: one error line, no traceback
+        out = tmp_path / "missing" / "out.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_oracle_report_exits_config(self, tmp_path, capsys):
+        # PATH.oracle.json is a directory, so the oracle report cannot be written
+        out = tmp_path / "s.csv"
+        (tmp_path / "s.csv.oracle.json").mkdir()
+        rc = run(["solve", "--grid", "0:12:32", "--t", "0.2", "--oracle", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_numerical_error_code(self, capsys):
         # lambda on the negative real branch cut -> numerical failure exit
         rc = run(["resolvent", "--xi", "1", "0", "--nu", "1.0",
