@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -79,8 +80,8 @@ def _parse_general_bc(spec: str, mode: FourierMode) -> BoundaryOperatorD:
                              c0=kv.get("c0", 1.0), mode=mode)
 
 
-def _open_out(path: str | None):
-    """The output file as a context manager; stdout for no path or '-'.
+def _open_out(path: str | None, mode: str = "w"):
+    """The output file, opened with ``mode``, as a context manager; stdout for no path or '-'.
 
     A file that cannot be opened for writing is a configuration error
     (ValueError), so ``main`` exits 2 with one line instead of a traceback.
@@ -88,14 +89,29 @@ def _open_out(path: str | None):
     if path is None or path == "-":
         return contextlib.nullcontext(sys.stdout)
     try:
-        return open(path, "w")
+        return open(path, mode)
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}") from exc
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    with _open_out(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_lines(*outputs) -> None:
+    """Write each (path, lines) pair, opening every path (by ``_open_out``, in
+    append mode so that nothing is truncated yet) before writing any: when
+    one cannot be opened, none is written and the files this call created
+    are removed before the ValueError."""
+    new = [p for p, _ in outputs if p not in (None, "-") and not os.path.lexists(p)]
+    with contextlib.ExitStack() as stack:
+        try:
+            handles = [stack.enter_context(_open_out(p, "a")) for p, _ in outputs]
+        except ValueError:
+            stack.close()
+            for p in filter(os.path.lexists, new):
+                os.remove(p)
+            raise
+        for fh, (_, lines) in zip(handles, outputs):
+            if fh is not sys.stdout:
+                fh.truncate(0)
+            fh.write("\n".join(lines) + "\n")
 
 
 def _bump_params(ncomp: int, seed: int, z_max: float, interior: bool = False):
@@ -197,7 +213,7 @@ def cmd_resolvent(args) -> int:
     rows = (_fmt_each(grid.nodes) + labels[:, :, None] + _fmt_each(parts.real) + ","
             + _fmt_each(parts.imag))
     lines.extend(rows.ravel().tolist())
-    _write_lines(args.out, lines)
+    _write_lines((args.out, lines))
     return EXIT_OK
 
 
@@ -221,7 +237,9 @@ def cmd_solve(args) -> int:
         for comp in range(3):
             for z, v in zip(grid.nodes, st.values[comp]):
                 lines.append(f"{_fmt(t)},{_fmt(z)},{comp + 1},{_fmt(v.real)},{_fmt(v.imag)}")
-    _write_lines(args.out, lines)
+    # the oracle and its report come first: a failure writes neither file
+    outputs = [(args.out, lines)]
+    passed = True
     if args.oracle:
         # run the oracle on a 4x refined grid so its own O(h^2) error does not
         # dominate the comparison; the coarse nodes are a subset of the fine ones
@@ -239,17 +257,16 @@ def cmd_solve(args) -> int:
             a = traj.state_at(t).values
             b = oracle.state_at(t).values[:, ::refine]
             errs[_fmt(t)] = float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
-        report = {"comparison": "finite-difference oracle, ghost-node boundary",
-                  "max_rel_errors": errs, "tol": args.tol,
-                  "pass": all(e < args.tol for e in errs.values())}
-        text = json.dumps(report, indent=2, sort_keys=True)
+        passed = all(e < args.tol for e in errs.values())
+        text = json.dumps({"comparison": "finite-difference oracle, ghost-node boundary",
+                           "max_rel_errors": errs, "tol": args.tol, "pass": passed},
+                          indent=2, sort_keys=True)
         if args.out and args.out != "-":
-            _write_lines(args.out + ".oracle.json", [text])
-        else:
-            print(text, file=sys.stderr)  # stdout holds the CSV alone
-        if not report["pass"]:
-            return EXIT_NUMERICAL
-    return EXIT_OK
+            outputs.append((args.out + ".oracle.json", [text]))
+    _write_lines(*outputs)
+    if args.oracle and len(outputs) == 1:
+        print(text, file=sys.stderr)  # stdout holds the CSV alone
+    return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 def cmd_verify(args) -> int:
@@ -284,7 +301,7 @@ def cmd_verify(args) -> int:
                    "tolerance": args.tol, "pass": bool(rt["rel_error"] < args.tol)})
 
     report = {"checks": checks, "pass": all(c["pass"] for c in checks)}
-    _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True)])
+    _write_lines((args.out, [json.dumps(report, indent=2, sort_keys=True)]))
     return EXIT_OK if report["pass"] else EXIT_NUMERICAL
 
 
@@ -307,7 +324,7 @@ def cmd_biot_savart(args) -> int:
               "trace_identity_errors": {"dirichlet": errs[0], "neumann": errs[1]},
               "seed": args.seed, "tolerance": args.tol,
               "pass": bool(rt["rel_error"] < args.tol and max(errs) < args.tol)}
-    _write_lines(args.out, [json.dumps(report, indent=2, sort_keys=True)])
+    _write_lines((args.out, [json.dumps(report, indent=2, sort_keys=True)]))
     return EXIT_OK if report["pass"] else EXIT_NUMERICAL
 
 

@@ -35,15 +35,15 @@ The maps broadcast over an array of s (s axes first, the node axis last), so
 one Contour holds the contours of a whole batch of s.  Two integrators run
 over the same segments.  ``Contour.gauss_legendre`` (fixed nodes) integrates
 the fixed-node integrand of the low-frequency profiles and bound certificate
-in the root variable mu = sqrt(lambda/nu + |xi|^2), which each segment gives
-with its derivative (exactly mu = a_eff + i b on the high-frequency parabola,
-the principal square root elsewhere); the high-frequency profiles are closed
-forms that evaluate no node, and read only ``highfreq_params``.
-``Contour.integrate`` (adaptive panels) integrates the oracles' integrands
-in lambda (``residual_kernel_general(method="adaptive")`` and
-``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's ``quad_vec``,
-so it imports ``scipy.integrate`` on its first call and the package import
-does not load it.
+in the root variable mu = sqrt(lambda/nu + |xi|^2), the principal square
+root of each node's lambda, with dmu = dlambda / (2 nu mu); the
+high-frequency profiles are closed forms that evaluate no node, and read
+only ``highfreq_params``.  ``Contour.integrate`` (adaptive panels)
+integrates the oracles' integrands in lambda
+(``residual_kernel_general(method="adaptive")`` and
+``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's
+``quad_vec``, so it imports ``scipy.integrate`` on its first call and the
+package import does not load it.
 
 Both deformations are mirror images under complex conjugation, and the
 residual integrands are real in the sense f(conj lambda) = conj f(lambda)
@@ -93,17 +93,12 @@ N_ARM, N_ARC = 256, 128
 
 @dataclass(frozen=True)
 class Segment:
-    """One smooth piece of a contour: lambda = gamma(p), p in [0, p1].
-
-    ``root(p)`` returns (mu, dmu/dp) of the principal root
-    mu = sqrt(lambda/nu + |xi|^2) along the piece.
-    """
+    """One smooth piece of a contour: lambda = gamma(p), p in [0, p1]."""
 
     name: str
     p1: float
     gamma: Callable[[np.ndarray], np.ndarray]
     dgamma: Callable[[np.ndarray], np.ndarray]
-    root: Callable[[np.ndarray], tuple]
 
 
 @dataclass(frozen=True)
@@ -139,10 +134,9 @@ class Contour:
         from scipy.integrate import quad_vec
 
         def part(k, seg):
-            def g(p):
-                pa = np.atleast_1d(p)
-                val = f(seg.gamma(pa)) * seg.dgamma(pa)
-                return val[..., 0] if np.ndim(p) == 0 else val
+            def g(p):  # quad_vec passes a scalar p, f takes a node axis
+                p = np.atleast_1d(p)
+                return (f(seg.gamma(p)) * seg.dgamma(p))[..., 0]
 
             return quad_vec(g, 0.0, seg.p1, epsabs=1e-13, epsrel=1e-11)[0]
 
@@ -150,7 +144,8 @@ class Contour:
 
     def gauss_legendre(self, f: Callable, n_arm: int = N_ARM, n_arc: int = N_ARC,
                        segment_indices=None):
-        """``integrate`` with fixed Gauss-Legendre nodes, in the root variable.
+        """``integrate`` with fixed Gauss-Legendre nodes, in the principal root
+        mu = sqrt(lambda/nu + |xi|^2) (nu and |xi| from ``params``).
 
         ``n_arm`` nodes on each arm.  The arc starts on the real axis at
         p = 0 and takes the upper half of the ``n_arc``-node rule on
@@ -164,6 +159,8 @@ class Contour:
         is ``np.sum(g(lam) * (2 nu mu dmu_w), axis=-1)``, since
         dlambda = 2 nu mu dmu.
         """
+        nu, xi_norm = self.params["nu"], self.params["xi_norm"]
+
         def part(k, seg):
             if k == self.arc_index:
                 p, w = _gl(-seg.p1, seg.p1, n_arc)
@@ -177,8 +174,8 @@ class Contour:
             # with the operands swapped, and complex multiplication is not
             # bitwise commutative, so the other order would make each value
             # depend on how many s are evaluated together.
-            mu, dmu = seg.root(p)
-            return f(mu, dmu * w)
+            mu = np.sqrt(seg.gamma(p) / nu + xi_norm**2)
+            return f(mu, seg.dgamma(p) / (2.0 * nu * mu) * w)
 
         return self._fold(part, segment_indices)
 
@@ -204,15 +201,6 @@ def _parabola(nu: float, center, shift):
     """(gamma, dgamma) of lambda = shift + nu (center + i b)^2."""
     return (lambda b: shift + nu * (center + 1j * b) ** 2,
             lambda b: 2j * nu * (center + 1j * b))
-
-
-def _principal_root(gamma, dgamma, nu: float, xi_norm: float):
-    """root(p) of a Segment by the principal square root of gamma:
-    mu = sqrt(gamma/nu + |xi|^2), and dlambda = 2 nu mu dmu."""
-    def root(p):
-        mu = np.sqrt(gamma(p) / nu + xi_norm**2)
-        return mu, dgamma(p) / (2.0 * nu * mu)
-    return root
 
 
 def _check_sigma(sigma) -> None:
@@ -261,12 +249,9 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s, sigma: float,
     a, c0, M = _last(params["a"]), _last(params["c0"]), _last(params["M"])
     c_arm, b_max = params["c_arm"], params["b_max"]
 
-    pieces = (("arc", 0.5 * np.pi, (lambda th: c0 + M * np.exp(1j * th),
-                                    lambda th: 1j * M * np.exp(1j * th))),
-              ("arm", b_max, _parabola(nu, a, c_arm + 1j * M)))
-    segments = tuple(Segment(name, p1, gamma, dgamma,
-                             _principal_root(gamma, dgamma, nu, xi_norm))
-                     for name, p1, (gamma, dgamma) in pieces)
+    segments = (Segment("arc", 0.5 * np.pi, lambda th: c0 + M * np.exp(1j * th),
+                        lambda th: 1j * M * np.exp(1j * th)),
+                Segment("arm", b_max, *_parabola(nu, a, c_arm + 1j * M)))
     return Contour(segments=segments, regime="lowfreq", params=params, arc_index=0)
 
 
@@ -306,12 +291,11 @@ def highfreq_params(t: float, nu: float, xi_norm: float, s, sigma: float) -> dic
 def build_contour_highfreq(t: float, nu: float, xi_norm: float, s, sigma: float) -> Contour:
     """High-frequency parabola for a scalar s or an array of s, around the pole sigma.
 
-    On it the principal root satisfies mu = a_eff + i b exactly.
+    On it the principal root is mu = a_eff + i b (in exact arithmetic).
     ``params["crosses_pole"]`` says for which s the parabola crossed the pole,
     so that the residue must be added.
     """
     params = highfreq_params(t, nu, xi_norm, s, sigma)
     a_eff, b_max = _last(params["a_eff"]), params["b_max"]
-    segments = (Segment("parabola", b_max, *_parabola(nu, a_eff, -nu * xi_norm**2),
-                        lambda b: (a_eff + 1j * b, 1j)),)
+    segments = (Segment("parabola", b_max, *_parabola(nu, a_eff, -nu * xi_norm**2)),)
     return Contour(segments=segments, regime="highfreq", params=params)

@@ -22,14 +22,14 @@ contours of the ``contours`` module.  In the high-frequency regime both
 parts are closed forms and no node is evaluated: R1 is the residue
 2 (-sigma)^k e^{lambda* t - sigma s} where the parabola crossed the pole, and
 R2 = rho - R1 is -e^{-nu |xi|^2 t - s^2/4 nu t} erfcx(-x) there and rho
-elsewhere.  In the low-frequency regime R1 is the half-circle integral and
-R2 the arms, by contour quadrature.  The no-slip vorticity kernel is the member
-D = P(xi)/|xi| with sigma = |xi| and lambda* = 0 exactly, not a family of
-its own: the resolvent kernel, the pole residue, the Green's function and
-its grid sample each take D, and ``D=None`` means
-``BoundaryOperatorD.no_slip(mode)``.  The profiles take sigma and give
-R = rho_D D for every D, no-slip included.  ``residual_kernel_time`` is the
-one no-slip wrapper left (of ``residual_kernel_general``).
+elsewhere; in the low-frequency regime both come from contour quadrature.
+The no-slip vorticity kernel is the member D = P(xi)/|xi| with sigma = |xi|
+and lambda* = 0 exactly, not a family of its own: the resolvent kernel, the
+pole residue, the Green's function and its grid sample each take D, and
+``D=None`` means ``BoundaryOperatorD.no_slip(mode)``.  The profiles take
+sigma and give R = rho_D D for every D, no-slip included.
+``residual_kernel_time`` is the one no-slip wrapper left (of
+``residual_kernel_general``).
 
 Since R_lambda depends on y, z only through s = y + z, all residual kernels
 here are scalar "profiles" in s times a constant matrix, and the profile
@@ -40,19 +40,16 @@ certificate share one fixed-node path, ``_fixed_rho``.  At high frequency it
 evaluates the closed forms (``_residue``, ``_erfc_rho2``), every derivative
 order of R2 by the recurrence rho2^{(k)} = -sigma rho2^{(k-1)} -
 2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).
-At low frequency it integrates ``_fixed_parts`` on the contour: in mu, with
-the completed-square exponent nu t (mu - a)^2 - nu |xi|^2 t, and every
-derivative order from one evaluation by the recurrence
-(-mu)^{k+1} = -mu (-mu)^k.  Both leave the Gaussian e^{-s^2/4 nu t} out.
-``_rho1``/``_rho2`` say which segment carries which part, for the fixed
-nodes and for the oracle integrand ``_factor``, which runs in lambda under
-adaptive panels on either regime's contour
-(``residual_kernel_general(method="adaptive")``).
+At low frequency it integrates ``_fixed_parts`` on the half circle (R1) and
+the arm (R2): in mu, with the completed-square exponent
+nu t (mu - a)^2 - nu |xi|^2 t, and every derivative order from one
+evaluation by the recurrence (-mu)^{k+1} = -mu (-mu)^k.  Both leave the
+Gaussian e^{-s^2/4 nu t} out.  The oracle ``_adaptive_rho``
+(``method="adaptive"``) is kept apart: adaptive panels in lambda, at k = 0.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -157,17 +154,7 @@ def _log_gauss(s, nu, t):
     return s**2 / (4.0 * nu * t)
 
 
-def _factor(lam, p, deriv, comp):
-    """The oracles' integrand in lambda (``Contour.integrate``), node axis last:
-    e^{lambda t - mu s + comp} (-mu)^deriv / (nu mu (mu - sigma)) for the
-    contour's ``params`` ``p``; ``comp`` broadcasts against ``s``.
-    """
-    mu = np.sqrt(lam / p["nu"] + p["xi_norm"]**2)
-    expo = lam * p["t"] - mu * p["s"][..., None] + np.asarray(comp)[..., None]
-    return np.exp(expo) / (p["nu"] * mu * (mu - p["sigma"])) * (-mu) ** deriv
-
-
-def _fixed_parts(contour, segment_indices, ks, comp, n_arm=ct.N_ARM, n_arc=ct.N_ARC):
+def _fixed_parts(contour, segment_indices, ks, comp, n_arm, n_arc):
     """The low-frequency fixed-node integrand of the profiles and the certificate,
     k axis first.
 
@@ -195,20 +182,13 @@ def _fixed_parts(contour, segment_indices, ks, comp, n_arm=ct.N_ARM, n_arc=ct.N_
     return contour.gauss_legendre(sums, n_arm, n_arc, segment_indices)
 
 
-def _adaptive_parts(contour, segment_indices, ks, comp):
-    """``_fixed_parts`` by adaptive panels over ``_factor``: the oracle.
-
-    ``_factor``'s exponent keeps the Gaussian, so ``comp`` (relative to it)
-    gets s^2/(4 nu t) back here.
-    """
-    p = contour.params
-    comp = comp + _log_gauss(p["s"], p["nu"], p["t"])
-    return np.stack([contour.integrate(lambda lam, k=k: _factor(lam, p, k, comp),
-                                       segment_indices=segment_indices) for k in ks])
-
-
-def _auto_regime(nu, mode):
-    return "lowfreq" if nu * mode.norm**2 <= 1.0 else "highfreq"
+def _auto_regime(nu, mode, regime=None):
+    """``regime`` ("lowfreq" or "highfreq"), or for None the one nu |xi|^2 selects."""
+    if regime is None:
+        return "lowfreq" if nu * mode.norm**2 <= 1.0 else "highfreq"
+    if regime not in ("lowfreq", "highfreq"):
+        raise IncompatibleData(f"regime must be 'lowfreq', 'highfreq' or None, got {regime!r}")
+    return regime
 
 
 def _contour(regime, t, nu, xi_norm, s, sigma):
@@ -261,32 +241,16 @@ def _erfc_rho2(p, ks, comp):
     return np.stack(out)[list(ks)]
 
 
-def _rho1(contour, parts, ks, comp):
-    """rho1 e^{s^2/(4 nu t) + comp} for each k in ``ks`` (k axis first) on
-    ``contour``, with ``parts`` one of its integrators (``_fixed_parts`` or
-    ``_adaptive_parts``): the half circle at low frequency, the residue at
-    high frequency."""
-    if contour.regime == "lowfreq":
-        return parts(contour, [contour.arc_index], ks, comp)
-    return _residue(contour.params, ks, comp)
-
-
-def _rho2(contour, parts, ks, comp):
-    """rho2 like ``_rho1``: the arm at low frequency, the parabola at high."""
-    arms = [k for k in range(len(contour.segments)) if k != contour.arc_index]
-    return parts(contour, arms, ks, comp)
-
-
 def _fixed_rho(regime, t, nu, xi_norm, s, sigma, ks, comp1, comp2, n_arm, n_arc):
     """(rho1 e^{s^2/(4 nu t) + comp1}, rho2 e^{s^2/(4 nu t) + comp2}), k axis
     first: the closed forms at high frequency, ``_fixed_parts`` with
-    ``n_arm``/``n_arc`` Gauss-Legendre nodes on the low-frequency contour."""
+    ``n_arm``/``n_arc`` nodes on the half circle and the arm at low frequency."""
     if regime == "highfreq":
         p = ct.highfreq_params(t, nu, xi_norm, s, sigma)
         return _residue(p, ks, comp1), _erfc_rho2(p, ks, comp2)
     contour = ct.build_contour_lowfreq(t, nu, xi_norm, s, sigma)
-    fixed = functools.partial(_fixed_parts, n_arm=n_arm, n_arc=n_arc)
-    return _rho1(contour, fixed, ks, comp1), _rho2(contour, fixed, ks, comp2)
+    return (_fixed_parts(contour, [0], ks, comp1, n_arm, n_arc),
+            _fixed_parts(contour, [1], ks, comp2, n_arm, n_arc))
 
 
 # Cap on s-values x evaluated quadrature nodes held at once; large sample
@@ -304,12 +268,12 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D (0: zeros).
     ``deriv`` is the order of d/dz (the factor (-mu)^deriv under the
-    integral); one that is not a non-negative integer raises IncompatibleData.
-    At high frequency both parts are closed forms and ``n_arm``/``n_arc`` are
-    unused.  At low frequency both come from the fixed-node integrand
-    (``n_arm``/``n_arc`` Gauss-Legendre nodes) on one contour per chunk of s:
-    the contours hold only their upper half, whose integral I gives
-    Im(I) / pi.  Both are real float arrays.  A non-finite value raises
+    integral); one that is not a non-negative integer raises IncompatibleData,
+    as does a ``regime`` other than "lowfreq", "highfreq" or None (from
+    nu |xi|^2).  At high frequency both parts are closed forms and
+    ``n_arm``/``n_arc`` are unused.  At low frequency both come from the fixed-node integrand
+    (``n_arm``/``n_arc`` Gauss-Legendre nodes) on one contour per chunk of s.
+    Both are real float arrays.  A non-finite value raises
     QuadratureUnderresolved.
     """
     if mode.is_zero:
@@ -317,9 +281,9 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     if not (isinstance(deriv, numbers.Integral) and deriv >= 0):
         raise IncompatibleData(f"deriv must be an integer >= 0, got {deriv!r}")
     s = np.asarray(s, dtype=float)
+    regime = _auto_regime(nu, mode, regime)
     if sigma == 0.0:
         return np.zeros(s.shape), np.zeros(s.shape)
-    regime = regime or _auto_regime(nu, mode)
     flat_s = s.reshape(-1)
     # the nodes the low-frequency contour evaluates per s: its upper half
     step = max(1, _CHUNK_ELEMENTS // (n_arm + n_arc - n_arc // 2))
@@ -342,52 +306,57 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 # single-point residual kernels (fixed nodes; adaptive quadrature as an oracle)
 
 
+def _adaptive_rho(contour):
+    """The oracle's (rho1, rho2) at k = 0 on ``contour``: adaptive panels
+    (``Contour.integrate``) over e^{lambda t - mu s} / (nu mu (mu - sigma)) on
+    the half circle and the arm at low frequency, the residue and the
+    parabola at high frequency."""
+    p = contour.params
+
+    def f(lam):  # node axis last
+        mu = np.sqrt(lam / p["nu"] + p["xi_norm"]**2)
+        return np.exp(lam * p["t"] - mu * p["s"][..., None]) / (p["nu"] * mu * (mu - p["sigma"]))
+
+    if contour.regime == "lowfreq":
+        return tuple(contour.integrate(f, segment_indices=[k]) for k in (0, 1))
+    return _residue(p, (0,), -_log_gauss(p["s"], p["nu"], p["t"]))[0], contour.integrate(f)
+
+
 def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,
-                         contour=None, method="fixed", check=False):
+                         method="fixed", check=False):
     """Split no-slip residual kernel {R1, R2} at a single (t, y, z)."""
     return residual_kernel_general(t, nu, mode, BoundaryOperatorD.no_slip(mode), y, z,
-                                   regime, contour, method, check)
-
-
-def _check_contour(contour, **call):
-    """IncompatibleData unless ``contour`` was built for ``call``'s values to 1e-12
-    relative (so one built from a sigma or |xi| rounded another way still fits)."""
-    for key, value in call.items():
-        built = np.ravel(contour.params[key])
-        if built.size != 1 or not math.isclose(built[0], value, rel_tol=1e-12):
-            raise IncompatibleData(f"the contour was built for {key} = {built}, not {value}")
+                                   regime, method, check)
 
 
 def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
-                            contour=None, method="fixed", check=False):
+                            method="fixed", check=False):
     """Split residual kernel {R1, R2} for the boundary operator D at a single (t, y, z).
 
     Low frequency: R1 is the half-circle integral (pole contribution), R2 the
     parabolic arms.  High frequency: R2 is the parabola integral and R1 the
     residue at lambda* when the contour deformation crossed the pole.  Both
     methods make this split the same way (none for D = 0, whose kernel
-    vanishes).  The default fixed path is the vectorized profile at one s,
-    in closed form at high frequency; ``method="adaptive"`` (or an explicit
-    ``contour``, which must be built for this call) integrates with adaptive
-    panels on the contour segments and matches it to quadrature tolerance.
-    ``check`` raises QuadratureUnderresolved when doubling the fixed nodes
-    moves the result by more than ``DOUBLING_RTOL`` relative (a closed form
-    does not move).
+    vanishes).  ``method="fixed"`` is the profile at one s (closed form at
+    high frequency); the oracle ``method="adaptive"`` matches it to
+    quadrature tolerance.  ``check`` raises QuadratureUnderresolved when
+    doubling the fixed nodes moves the result by more than ``DOUBLING_RTOL``
+    relative.  Any other ``regime``/``method``, or ``check`` with the
+    adaptive method (no nodes to double), raises IncompatibleData.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual kernel needs |xi| > 0")
     D.check_mode(mode)
+    regime = _auto_regime(nu, mode, regime)
+    if method not in ("fixed", "adaptive") or (check and method == "adaptive"):
+        raise IncompatibleData(f"method must be 'fixed', or 'adaptive' without check "
+                               f"(no nodes to double), got {method!r} with check={check!r}")
     s = float(y) + float(z)
-    regime = regime or _auto_regime(nu, mode)
 
     if D.sigma == 0.0:
         vals = np.zeros(2)
-    elif contour is not None or method == "adaptive":
-        contour = contour or _contour(regime, t, nu, mode.norm, s, D.sigma)
-        _check_contour(contour, t=t, s=s, nu=nu, xi_norm=mode.norm, sigma=D.sigma)
-        p = contour.params
-        comp = -_log_gauss(p["s"], p["nu"], p["t"])
-        vals = np.array([rho(contour, _adaptive_parts, (0,), comp)[0] for rho in (_rho1, _rho2)])
+    elif method == "adaptive":
+        vals = np.array(_adaptive_rho(_contour(regime, t, nu, mode.norm, s, D.sigma)))
     else:
         def run(k):  # (rho1, rho2) on k times the default nodes
             return np.concatenate(residual_profiles_general(

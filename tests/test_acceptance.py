@@ -36,6 +36,7 @@ from stokesgreen import (
     sample_green_function,
     verify_kernel_bounds,
 )
+from stokesgreen import kernels
 from stokesgreen.contours import build_contour_lowfreq, lowfreq_params
 from stokesgreen.core import projection_matrix
 from stokesgreen.solver import _propagate
@@ -155,8 +156,10 @@ class TestCriterion4ContourIndependence:
         M0 = float(np.asarray(params["M"]).reshape(-1)[0])
 
         def total(contour):
-            out = residual_kernel_time(t, nu, mode, y, z, contour=contour)
-            return out["R1"] + out["R2"]
+            # the adaptive oracle's R1 + R2 on this contour
+            rho1, rho2 = kernels._adaptive_rho(contour)
+            P = BoundaryOperatorD.no_slip(mode).matrix
+            return rho1 * P + rho2 * P
 
         base = total(build_contour_lowfreq(t, nu, mode.norm, s, mode.norm))
         doubled = total(build_contour_lowfreq(t, nu, mode.norm, s, mode.norm, M=2.0 * M0))

@@ -307,6 +307,24 @@ class TestConfigAndErrors:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # neither file is written: no CSV without its report
+        assert not out.exists()
+
+    def test_unwritable_oracle_report_keeps_existing_csv(self, tmp_path):
+        # a CSV already at PATH is neither truncated nor removed
+        out = tmp_path / "s.csv"
+        out.write_text("earlier table\n")
+        (tmp_path / "s.csv.oracle.json").mkdir()
+        rc = run(["solve", "--grid", "0:12:32", "--t", "0.2", "--oracle", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert out.read_text() == "earlier table\n"
+        # once the report can be written, both files are written in full (the
+        # comparison fails its tolerance on this coarse grid: exit 3)
+        (tmp_path / "s.csv.oracle.json").rmdir()
+        rc = run(["solve", "--grid", "0:12:32", "--t", "0.2", "--oracle", "--out", str(out)])
+        report = json.loads((tmp_path / "s.csv.oracle.json").read_text())
+        assert rc == (EXIT_OK if report["pass"] else EXIT_NUMERICAL)
+        assert out.read_text().startswith("# per-mode evolution")
 
     def test_numerical_error_code(self, capsys):
         # lambda on the negative real branch cut -> numerical failure exit

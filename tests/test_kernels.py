@@ -472,6 +472,24 @@ class TestQuadratureChecks:
         D = BoundaryOperatorD.no_slip(mode).matrix
         assert np.max(np.abs(out["R1"] + out["R2"] - rho * D)) <= 1e-13 * rho * np.abs(D).max()
 
+    def test_check_raises_at_small_nu_t_low_frequency(self):
+        # nu = 0.25, xi = (1, 0), t = 0.01, y + z = 1.9: the fixed sum is
+        # -3.08e-120, with doubled nodes 2.85e-134, and the value is 4.92e-159,
+        # so check raises; unchecked, the error still meets the absolute
+        # contract, 1e-13 of rho at s = 0
+        mpmath = pytest.importorskip("mpmath")
+        nu, t = 0.25, 0.01
+        assert kernels._auto_regime(nu, MODE) == "lowfreq"
+        with pytest.raises(QuadratureUnderresolved, match="doubling"):
+            residual_kernel_time(t, nu, MODE, 0.95, 0.95, check=True)
+        out = residual_kernel_time(t, nu, MODE, 0.95, 0.95)
+        # lambda* = 0 and the pole is never crossed: rho2 is rho, rho1 is 0
+        _, rho = _mp_parts(t, nu, MODE.norm, MODE.norm, False)
+        with mpmath.workdps(40):
+            value, rho0 = float(rho(mpmath.mpf(1.9))), float(rho(mpmath.mpf(0)))
+        D = BoundaryOperatorD.no_slip(MODE).matrix
+        assert np.max(np.abs(out["R1"] + out["R2"] - value * D)) <= 1e-13 * rho0 * np.abs(D).max()
+
     def test_floored_vertex_moved_off_the_pole(self):
         # sigma = 0.1 at xi = (2, 1): the vertex floor 0.05 |xi| = 0.112 is
         # within sigma/2 of the pole, so it moves to sigma/4 (left of the pole,
@@ -487,48 +505,41 @@ class TestQuadratureChecks:
             assert np.max(np.abs(fixed[k] - adaptive[k])) < 1e-12 * scale
 
 
-class TestExplicitContour:
-    """``contour=`` must have been built for the call it is passed to."""
+class TestSelectors:
+    """A regime, method or check that no path reads raises instead of being
+    read as another one."""
 
-    MODE_D = BoundaryOperatorD(0.15, 0.35, math.sqrt(0.15 * 0.35), c0=1.0, mode=MODE)
-    CALL = dict(t=0.3, nu=0.25, xi_norm=1.0, s=1.5, sigma=0.5)
+    D = BoundaryOperatorD.no_slip(MODE)
 
-    def _kernel(self, contour):
-        return residual_kernel_general(0.3, 0.25, MODE, self.MODE_D, 0.6, 0.9,
-                                       contour=contour)
+    @pytest.mark.parametrize("method", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("regime", ["bogus", "Lowfreq", ""])
+    def test_unknown_regime_raises(self, regime, method):
+        # "bogus" was the low-frequency contour on the fixed path and the
+        # high-frequency one on the adaptive path (R2[1,1] 0.02315 against
+        # 0.09979 at nu = 1, xi = (1,0), t = 0.3, (y, z) = (0.5, 0.8))
+        with pytest.raises(IncompatibleData, match="regime"):
+            residual_kernel_general(0.3, 1.0, MODE, self.D, 0.5, 0.8, regime=regime,
+                                    method=method)
+        with pytest.raises(IncompatibleData, match="regime"):
+            residual_profiles_general(0.3, 1.0, MODE, np.array([1.3]), 1.0, regime=regime)
 
-    @pytest.mark.parametrize("key,value", [("s", 5.0), ("t", 0.31), ("nu", 0.5),
-                                           ("xi_norm", 2.0), ("sigma", 0.4)])
-    def test_mismatched_contour_raises(self, key, value):
-        # unchecked, a contour built for s = 5 gives R1 + R2 ~ 8.9e31 here, not 3.7e-5
-        built = {**self.CALL, key: value}
-        contour = contours.build_contour_lowfreq(built["t"], built["nu"], built["xi_norm"],
-                                                 built["s"], built["sigma"])
-        with pytest.raises(IncompatibleData, match=f"for {key} ="):
-            self._kernel(contour)
+    @pytest.mark.parametrize("method", ["Adaptive", "exact", None])
+    def test_unknown_method_raises(self, method):
+        # "Adaptive" ran the fixed path
+        with pytest.raises(IncompatibleData, match="method"):
+            residual_kernel_general(0.3, 1.0, MODE, self.D, 0.5, 0.8, method=method)
 
-    def test_contour_for_several_s_raises(self):
-        contour = contours.build_contour_lowfreq(0.3, 0.25, 1.0, np.array([1.5, 2.0]), 0.5)
-        with pytest.raises(IncompatibleData):
-            self._kernel(contour)
+    def test_check_with_adaptive_raises(self):
+        # the adaptive oracle has no nodes to double: check was ignored there
+        with pytest.raises(IncompatibleData, match="check"):
+            residual_kernel_time(0.3, 1.0, MODE, 0.5, 0.8, method="adaptive", check=True)
 
-    def test_matching_contour_is_the_adaptive_kernel(self):
-        contour = contours.build_contour_lowfreq(*self.CALL.values())
-        out = self._kernel(contour)
-        adaptive = residual_kernel_general(0.3, 0.25, MODE, self.MODE_D, 0.6, 0.9,
-                                           method="adaptive")
-        for k in ("R1", "R2"):
-            assert np.array_equal(out[k], adaptive[k])
-
-    @pytest.mark.parametrize("nu", [0.04, 1.0])
-    def test_last_bit_of_sigma_is_tolerated(self, nu):
-        # a contour built for a sigma one ulp above the no-slip D.sigma = |xi| fits
-        mode = FourierMode(3, 1)
-        sigma = np.nextafter(mode.norm, math.inf)
-        contour = kernels._contour(kernels._auto_regime(nu, mode), 0.3, nu, mode.norm,
-                                   0.6 + 0.9, sigma)
-        out = residual_kernel_time(0.3, nu, mode, 0.6, 0.9, contour=contour)
-        assert np.all(np.isfinite(out["R1"])) and np.all(np.isfinite(out["R2"]))
+    def test_rejected_for_the_zero_operator_too(self):
+        D0 = BoundaryOperatorD(0.0, 0.0, 0.0, c0=1.0, mode=MODE)
+        for kw in (dict(regime="bogus"), dict(method="Adaptive"),
+                   dict(method="adaptive", check=True)):
+            with pytest.raises(IncompatibleData):
+                residual_kernel_general(0.3, 1.0, MODE, D0, 0.5, 0.8, **kw)
 
 
 class TestZeroOperator:
@@ -637,17 +648,19 @@ class TestBoundCertificate:
             assert np.isfinite(report[fam]["sup"]["R2_quarter"])
             assert report[fam]["stable"]
 
-    @pytest.mark.parametrize("part", ["_rho1", "_rho2"], ids=["R1", "R2"])
-    def test_nan_profile_fails(self, monkeypatch, part):
-        # one NaN in a certified part must make the sup non-finite
-        real = getattr(kernels, part)
+    @pytest.mark.parametrize("segment", [0, 1], ids=["R1", "R2"])
+    def test_nan_profile_fails(self, monkeypatch, segment):
+        # one NaN in a certified part (the half circle's R1 or the arm's R2 of
+        # a low-frequency cell) must make the sup non-finite
+        real = kernels._fixed_parts
 
-        def poisoned(*args, **kw):
-            rho = real(*args, **kw).copy()
-            rho.flat[rho.size // 2] = np.nan
+        def poisoned(contour, segment_indices, *args):
+            rho = real(contour, segment_indices, *args).copy()
+            if segment_indices == [segment]:
+                rho.flat[rho.size // 2] = np.nan
             return rho
 
-        monkeypatch.setattr(kernels, part, poisoned)
+        monkeypatch.setattr(kernels, "_fixed_parts", poisoned)
         report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(1,),
                                       t_values=(0.1,), k_values=(0,),
                                       s_values=np.linspace(0.0, 6.0, 7))
