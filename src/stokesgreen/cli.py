@@ -165,23 +165,36 @@ def cmd_kernel(args) -> int:
         f"# quadrature node-doubling drift estimate: {_fmt(drift)}",
         "y,z,entry,part,re,im",
     ]
-    # one row per (y, z, entry, part), in that nesting order
-    parts = np.stack([sample.H[..., None, None] * np.eye(2), sample.R1, sample.R2],
-                     axis=-1)
-    if not np.isrealobj(parts):
-        raise TypeError("kernel parts must be real: the im column is written as 0")
-    re_text = _fmt_each(parts).reshape(len(sample.y_nodes), len(sample.z_nodes), 12)
-    z_text = _fmt_each(sample.z_nodes)
-    # one y-row of the table as cells "y,z" | ",ab,part," | re | ",0\n"
-    cells = np.empty((len(z_text), 12, 4), dtype=object)
-    cells[:, :, 1] = [f",{a + 1}{b + 1},{pname}," for a in range(2) for b in range(2)
-                      for pname in ("H", "R1", "R2")]
-    cells[:, :, 3] = ",0\n"
+    # one row per (y, z, entry, part), in that nesting order.  R1 and R2 depend
+    # on (y, z) only through s = y + z, so they are formatted once per
+    # distinct float s (exact equality, as sample_green_function groups them)
+    # and gathered back; the heat part once per (y, z), and its off-diagonal
+    # entries H * 0 are the literal 0, since H is finite and >= 0.
+    # _fmt_each raises TypeError on a complex part (the im column is 0).
+    _, first, s_inv = np.unique(sample.y_nodes[:, None] + sample.z_nodes[None, :],
+                                return_index=True, return_inverse=True)
+    s_inv = s_inv.reshape(len(sample.y_nodes), len(sample.z_nodes))
+    r_parts = np.stack([r.reshape(-1, 4)[first] for r in (sample.R1, sample.R2)], axis=-1)
+    # per distinct s, the tail ",ab,part,re,0\n" of each of its 8 residual rows
+    r_labels = np.array([f",{a + 1}{b + 1},{pname}," for a in range(2) for b in range(2)
+                         for pname in ("R1", "R2")], dtype=object)
+    r_tails = r_labels + _fmt_each(r_parts).reshape(-1, 8) + ",0\n"
+    h_text = _fmt_each(sample.H)
+    z_text = "," + _fmt_each(sample.z_nodes)
+    # one y-row of the table as items "y,z" | tail, 12 rows per (y, z): the
+    # H rows 0, 9 (entries 11, 22) take the heat value, 3, 6 are constant
+    cells = np.empty((len(z_text), 12, 2), dtype=object)
+    cells[:, 3, 1] = ",12,H,0,0\n"
+    cells[:, 6, 1] = ",21,H,0,0\n"
+    r_rows = [1, 2, 4, 5, 7, 8, 10, 11]
     with _open_out(args.out) as fh:
         fh.write("\n".join(header) + "\n")
-        for y, re_y in zip(_fmt_each(sample.y_nodes), re_text):
-            cells[:, :, 0] = (y + "," + z_text)[:, None]
-            cells[:, :, 2] = re_y
+        for y, h_y, s_y in zip(_fmt_each(sample.y_nodes), h_text, s_inv):
+            cells[:, :, 0] = (y + z_text)[:, None]
+            h_tail = h_y + ",0\n"
+            cells[:, 0, 1] = ",11,H," + h_tail
+            cells[:, 9, 1] = ",22,H," + h_tail
+            cells[:, r_rows, 1] = r_tails[s_y]
             fh.write("".join(cells.ravel().tolist()))
     return EXIT_OK
 
@@ -233,10 +246,12 @@ def cmd_solve(args) -> int:
         f"seed={args.seed} grid=0:{_fmt(grid.z_max)}:{grid.n}",
         "t,z,component,re,im",
     ]
-    for t, st in zip(traj.times, traj.states):
-        for comp in range(3):
-            for z, v in zip(grid.nodes, st.values[comp]):
-                lines.append(f"{_fmt(t)},{_fmt(z)},{comp + 1},{_fmt(v.real)},{_fmt(v.imag)}")
+    # rows "t,z,component,re,im" for every output time and component
+    values = np.array([st.values for st in traj.states])
+    labels = np.array([f",{comp + 1}," for comp in range(3)], dtype=object)
+    rows = (_fmt_each(traj.times)[:, None, None] + "," + _fmt_each(grid.nodes)
+            + labels[:, None] + _fmt_each(values.real) + "," + _fmt_each(values.imag))
+    lines.extend(rows.ravel().tolist())
     # the oracle and its report come first: a failure writes neither file
     outputs = [(args.out, lines)]
     passed = True
@@ -350,16 +365,18 @@ _FLAGS = {
     "out": dict(default=None, metavar="PATH"),
 }
 
+# each command runs the cmd_* of its name ('-' as '_'), looked up when the
+# parser is built, so a function rebound on the module (a wrapper) is the one called
 _COMMANDS = (
-    ("kernel", cmd_kernel, "sample the Green's function on a grid",
+    ("kernel", "sample the Green's function on a grid",
      ("xi", "nu", "t", "grid", "general-bc", "out")),
-    ("resolvent", cmd_resolvent, "solve one resolvent problem",
+    ("resolvent", "solve one resolvent problem",
      ("xi", "nu", "lambda", "grid", "general-bc", "seed", "out")),
-    ("solve", cmd_solve, "evolve one mode and optionally compare oracles",
+    ("solve", "evolve one mode and optionally compare oracles",
      ("xi", "nu", "t", "grid", "seed", "tol", "oracle", "out")),
-    ("verify", cmd_verify, "run the verification suites",
+    ("verify", "run the verification suites",
      ("xi", "nu", "grid", "seed", "tol", "full", "theta0", "out")),
-    ("biot-savart", cmd_biot_savart, "roundtrip and trace-identity checks",
+    ("biot-savart", "roundtrip and trace-identity checks",
      ("xi", "grid", "seed", "tol", "out")),
 )
 
@@ -369,11 +386,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="JSON file of defaults; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text, flags in _COMMANDS:
+    for name, help_text, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument("--" + flag, **_FLAGS[flag])
-        p.set_defaults(func=func)
+        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
 
 

@@ -253,10 +253,13 @@ def _fixed_rho(regime, t, nu, xi_norm, s, sigma, ks, comp1, comp2, n_arm, n_arc)
             _fixed_parts(contour, [1], ks, comp2, n_arm, n_arc))
 
 
-# Cap on s-values x evaluated quadrature nodes held at once; large sample
-# grids are processed in chunks to keep peak memory flat (a few complex
-# arrays of this size, under 150 MB in all).
-_CHUNK_ELEMENTS = 1_600_000
+# Cap on s values x evaluated quadrature nodes held at once: 62 s of the
+# default low-frequency contour's 320 upper-half nodes, 20 000 s of the
+# high-frequency closed forms.  The few complex arrays of this size (0.3 MB
+# each) stay in cache, and a `kernel` table's profiles add no more to the
+# heap's high-water mark than its formatting does.  Each value depends on
+# its own s only, so chunking never changes a bit.
+_CHUNK_ELEMENTS = 20_000
 
 # relative move under node doubling that marks a fixed-node kernel unresolved
 DOUBLING_RTOL = 1e-8
@@ -285,8 +288,10 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     if sigma == 0.0:
         return np.zeros(s.shape), np.zeros(s.shape)
     flat_s = s.reshape(-1)
-    # the nodes the low-frequency contour evaluates per s: its upper half
-    step = max(1, _CHUNK_ELEMENTS // (n_arm + n_arc - n_arc // 2))
+    # the nodes the low-frequency contour evaluates per s (its upper half); the
+    # high-frequency closed forms evaluate one value per s
+    per_s = n_arm + n_arc - n_arc // 2 if regime == "lowfreq" else 1
+    step = max(1, _CHUNK_ELEMENTS // per_s)
     chunks = []
     # an overflow surfaces as a non-finite value, which raises below
     with np.errstate(over="ignore", invalid="ignore"):
@@ -453,10 +458,13 @@ def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
     """Sample G_xi(t) for the boundary operator D (default no-slip) on a product grid.
 
     The residual profiles depend on (y, z) only through s = y + z, so they are
-    evaluated once per distinct float s (2n - 1 values on a uniform n x n
-    grid) and scattered back.  Distinct means exact float equality, and every
-    profile value is computed on its own, so the sample is bit-for-bit the
-    one a per-pair evaluation gives.
+    evaluated once per distinct float s and scattered back.  Distinct means
+    exact float equality: on a uniform n x n grid that is 2n - 1 values when
+    every node is an exact binary fraction (spacing 5/64: 257 values for
+    n = 129 on [0, 10]), but on other spacings rounding splits some sums that
+    are equal in exact arithmetic (726 for n = 201 on [0, 7]).  Every profile
+    value is computed on its own, so the sample is bit-for-bit the one a
+    per-pair evaluation gives.
     """
     D = D or BoundaryOperatorD.no_slip(mode)
     D.check_mode(mode)

@@ -4,11 +4,12 @@ import dataclasses
 import inspect
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stokesgreen import BoundaryOperatorD, FourierMode, kernels
+from stokesgreen import BoundaryOperatorD, FourierMode, ModeField, cli, kernels, solver
 from stokesgreen.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -85,6 +86,8 @@ class TestKernelWriter:
          "--general-bc", "alpha=0.2,beta=0.5,gamma=0.31622776601683794"],
         ["kernel", "--xi", "1", "0", "--grid", "0:7:20"],
         ["kernel", "--xi", "3", "2", "--nu", "0.04", "--t", "0.01", "--grid", "0:2:8"],
+        # 257 distinct s: the low-frequency profiles run in several chunks
+        ["kernel", "--xi", "1", "0", "--t", "0.6", "--grid", "0:10:128"],
     ])
     def test_rows_match_reference_loop(self, tmp_path, capsys, argv):
         out = tmp_path / "k.csv"
@@ -121,6 +124,18 @@ class TestKernelWriter:
             run(["kernel", "--grid", "0:4:8", "--out", str(out)])
         assert not out.exists()
 
+    def test_traced_peak_memory(self, tmp_path):
+        # the table is formatted per distinct value and written row by row,
+        # and the profiles run in small chunks: no full-table temporaries
+        tracemalloc.start()
+        try:
+            assert run(["kernel", "--xi", "1", "0", "--t", "0.6", "--grid", "0:10:128",
+                        "--out", str(tmp_path / "k.csv")]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
 
 class TestResolventCommand:
     def test_runs_and_reports_residual(self, tmp_path):
@@ -141,7 +156,37 @@ class TestResolventCommand:
         assert a.read_bytes() != b.read_bytes()
 
 
+def reference_solve_rows(argv):
+    """Data rows of ``solve`` as the original one-value-at-a-time loop wrote them."""
+    args = _build_parser().parse_args(argv)
+    grid = _parse_grid(args.grid)
+    bump = cli._bump_params(3, args.seed, grid.z_max, interior=True)
+    vals = cli._bump_values(grid, bump)
+    vals[2, 0] = 0.0
+    problem = solver.StokesProblem(mode=FourierMode(*args.xi), nu=args.nu,
+                                   omega0=ModeField(grid, vals), t_final=args.t)
+    traj = solver.duhamel_solve(problem, np.linspace(0.0, args.t, 5))
+    lines = []
+    for t, st in zip(traj.times, traj.states):
+        for comp in range(3):
+            for z, v in zip(grid.nodes, st.values[comp]):
+                lines.append(f"{_fmt(t)},{_fmt(z)},{comp + 1},{_fmt(v.real)},{_fmt(v.imag)}")
+    return lines
+
+
 class TestSolveCommand:
+    def test_rows_match_reference_loop(self, tmp_path):
+        argv = ["solve", "--xi", "2", "1", "--nu", "0.5", "--t", "0.3",
+                "--grid", "0:8:40", "--seed", "4"]
+        out = tmp_path / "s.csv"
+        assert run(argv + ["--out", str(out)]) == EXIT_OK
+        text = out.read_text()
+        assert text.endswith("\n")
+        rows = text.splitlines()
+        assert rows[2] == "t,z,component,re,im"
+        assert rows[3:] == reference_solve_rows(argv)
+        assert len(rows) == 3 + 5 * 3 * 41
+
     def test_solve_with_oracle(self, tmp_path):
         out = tmp_path / "solve.csv"
         rc = run(["solve", "--xi", "1", "0", "--nu", "0.5", "--t", "0.4",
@@ -274,6 +319,18 @@ class TestConfigAndErrors:
         # theta0 outside (0, 1) would make the R1 bound certify nothing
         for val in ("-5", "0", "1", "nan"):
             assert run(["verify", "--theta0", val, "--out", "-"]) == EXIT_CONFIG
+
+    def test_command_looked_up_when_parsing(self, monkeypatch):
+        # a cmd_* rebound on the module (as a tracing wrapper is) is the one main calls
+        calls = []
+
+        def fake(args):
+            calls.append(args.grid)
+            return EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_kernel", fake)
+        assert run(["kernel", "--grid", "0:3:4", "--out", "-"]) == EXIT_OK
+        assert calls == ["0:3:4"]
 
     def test_every_flag_is_read(self):
         # each command registers exactly the flags its cmd_* reads

@@ -380,6 +380,39 @@ class TestSamplingDedup:
         for a, b in zip(alone, batched):
             assert np.array_equal(a, b[:s.size])
 
+    @pytest.mark.parametrize("regime", ["lowfreq", "highfreq"])
+    @pytest.mark.parametrize("general", [False, True], ids=["no_slip", "general"])
+    def test_chunk_boundaries_keep_bits(self, monkeypatch, regime, general):
+        # one s per chunk, chunks of 5 with a ragged last one, and one chunk
+        # for all 37 s give the same bits at every derivative order
+        mode = FourierMode(1, 0) if regime == "lowfreq" else FourierMode(2, 1)
+        sigma = (0.7 if general else 1.0) * mode.norm
+        s = np.linspace(0.0, 12.0, 37)
+        # the elements a chunk holds per s: the low-frequency upper-half nodes,
+        # one closed-form value at high frequency
+        per_s = (contours.N_ARM + contours.N_ARC - contours.N_ARC // 2
+                 if regime == "lowfreq" else 1)
+        sizes = []
+        real = kernels._fixed_rho
+
+        def fixed_rho(*args):
+            sizes.append(np.size(args[4]))
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "_fixed_rho", fixed_rho)
+        for deriv in (0, 1, 2):
+            runs = []
+            for elements, chunks in ((per_s, [1] * 37), (5 * per_s, [5] * 7 + [2]),
+                                     (37 * per_s, [37])):
+                monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", elements)
+                sizes.clear()
+                runs.append(residual_profiles_general(0.4, 1.0, mode, s, sigma,
+                                                      deriv=deriv, regime=regime))
+                assert sizes == chunks
+            for rho in zip(*runs):
+                assert np.all(np.isfinite(rho[0]))
+                assert all(np.array_equal(rho[0], other) for other in rho[1:])
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_uniform_grid(self, case):
         nodes = HalfLineGrid.uniform(10.0, 129).nodes
