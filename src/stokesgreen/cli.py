@@ -167,13 +167,11 @@ def cmd_kernel(args) -> int:
     ]
     # one row per (y, z, entry, part), in that nesting order.  R1 and R2 depend
     # on (y, z) only through s = y + z, so they are formatted once per
-    # distinct float s (exact equality, as sample_green_function groups them)
-    # and gathered back; the heat part once per (y, z), and its off-diagonal
-    # entries H * 0 are the literal 0, since H is finite and >= 0.
+    # distinct float s, as sample_green_function grouped them, and gathered
+    # back; the heat part once per (y, z), and its off-diagonal entries
+    # H * 0 are the literal 0, since H is finite and >= 0.
     # _fmt_each raises TypeError on a complex part (the im column is 0).
-    _, first, s_inv = np.unique(sample.y_nodes[:, None] + sample.z_nodes[None, :],
-                                return_index=True, return_inverse=True)
-    s_inv = s_inv.reshape(len(sample.y_nodes), len(sample.z_nodes))
+    first, s_inv = sample._s_groups
     r_parts = np.stack([r.reshape(-1, 4)[first] for r in (sample.R1, sample.R2)], axis=-1)
     # per distinct s, the tail ",ab,part,re,0\n" of each of its 8 residual rows
     r_labels = np.array([f",{a + 1}{b + 1},{pname}," for a in range(2) for b in range(2)

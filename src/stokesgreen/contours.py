@@ -87,8 +87,15 @@ VERTEX_FLOOR_FRACTION = 0.05
 
 # Gauss-Legendre nodes per arm and on the arc: the fixed-node resolution of
 # every low-frequency profile, kernel and certificate cell (node-doubling
-# checks use twice these).
-N_ARM, N_ARC = 256, 128
+# checks use twice these).  The arm integrand is the Gaussian e^{-nu t b^2}
+# on [0, BETA_MAX / sqrt(nu t)]: against 1024 arm / 512 arc nodes over
+# nu in {1, 0.25, 0.04, 0.01}, t in [1e-5, 20], sigma/|xi| in {0.3, 0.5, 0.9, 1},
+# s <= 40 and k <= 2, R2 misses by 2.3e-10 of its sup at 48 arm nodes
+# (nu = 0.04, xi = (2,0), t = 3, sigma = |xi|/2, k = 0) and reaches the
+# rounding floor (~1e-13) at 64, so 96 is a 2x margin.  The arc keeps 128:
+# at t >= 10 it is the part still unresolved (R1 off by 8.2e-3 at 128 arc
+# nodes, 6.5e-2 at 64), and fewer nodes would make that silent error larger.
+N_ARM, N_ARC = 96, 128
 
 
 @dataclass(frozen=True)

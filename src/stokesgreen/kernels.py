@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erfc, erfcx
@@ -253,8 +253,8 @@ def _fixed_rho(regime, t, nu, xi_norm, s, sigma, ks, comp1, comp2, n_arm, n_arc)
             _fixed_parts(contour, [1], ks, comp2, n_arm, n_arc))
 
 
-# Cap on s values x evaluated quadrature nodes held at once: 62 s of the
-# default low-frequency contour's 320 upper-half nodes, 20 000 s of the
+# Cap on s values x evaluated quadrature nodes held at once: 125 s of the
+# default low-frequency contour's 160 upper-half nodes, 20 000 s of the
 # high-frequency closed forms.  The few complex arrays of this size (0.3 MB
 # each) stay in cache, and a `kernel` table's profiles add no more to the
 # heap's high-water mark than its formatting does.  Each value depends on
@@ -447,6 +447,10 @@ class KernelSample:
     R1: np.ndarray      # (ny, nz, 2, 2)
     R2: np.ndarray
     regime: str
+    # (flat index of the first (y, z) pair with each distinct s = y + z, the
+    # (ny, nz) index of each pair's distinct s): the grouping the profiles
+    # were evaluated on, so the `kernel` writer formats R1, R2 once per s
+    _s_groups: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -472,13 +476,13 @@ def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
     z = np.asarray(z_nodes, dtype=float)
     s = y[:, None] + z[None, :]
     h = heat_kernel_neumann(t, nu, mode, y[:, None], z[None, :])
-    s_u, inv = np.unique(s, return_inverse=True)
-    rho1, rho2 = (rho[inv].reshape(s.shape) for rho in residual_profiles_general(
-        t, nu, mode, s_u, D.sigma))
+    s_u, first, inv = np.unique(s, return_index=True, return_inverse=True)
+    inv = inv.reshape(s.shape)
+    rho1, rho2 = (rho[inv] for rho in residual_profiles_general(t, nu, mode, s_u, D.sigma))
     return KernelSample(t=t, nu=nu, mode=mode, y_nodes=y, z_nodes=z, H=h,
                         R1=rho1[..., None, None] * D.matrix,
                         R2=rho2[..., None, None] * D.matrix,
-                        regime=_auto_regime(nu, mode))
+                        regime=_auto_regime(nu, mode), _s_groups=(first, inv))
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,10 @@ def _propagate(grid, nu, mode, t, values, g, D):
 def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
     """Evaluate the Green's-function representation at the requested times.
 
-    ``times`` must be a non-empty 1-D sequence of finite times in
-    [0, problem.t_final], IncompatibleData otherwise.  One ``_propagate``
-    call takes omega_0, and one per Gauss-Legendre node in sigma = sqrt(t - s)
-    takes f(s) and g(s) together.
+    ``times`` must be a non-empty, strictly increasing 1-D sequence of finite
+    times in [0, problem.t_final], IncompatibleData otherwise (raised before
+    any solve).  One ``_propagate`` call takes omega_0, and one per
+    Gauss-Legendre node in sigma = sqrt(t - s) takes f(s) and g(s) together.
 
     The error is absolute, about 1e-13 of max |omega_0| (and of the sources):
     the parabola passes right of the pole lambda = 0, so e^{-nu |xi|^2 t} is
@@ -195,6 +195,12 @@ def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
             (times >= 0.0) & (times <= problem.t_final)):
         raise IncompatibleData("times must be a non-empty 1-D sequence of finite "
                                f"times in [0, t_final = {problem.t_final}]")
+    bad = np.flatnonzero(np.diff(times) <= 0.0)
+    if bad.size:
+        i = bad[0] + 1
+        how = "repeats" if times[i] == times[i - 1] else "is below"
+        raise IncompatibleData(f"times must strictly increase: times[{i}] = {times[i]} "
+                               f"{how} times[{i - 1}] = {times[i - 1]}")
     states = []
     x_gl, w_gl = np.polynomial.legendre.leggauss(_N_QUAD)
     no_g = np.zeros(2, dtype=complex)

@@ -538,6 +538,35 @@ class TestQuadratureChecks:
             assert np.max(np.abs(fixed[k] - adaptive[k])) < 1e-12 * scale
 
 
+def _arm_error(nu, xi, t, sigma_fraction, k, n_arm):
+    """Low-frequency R2 at ``n_arm`` arm nodes against 4 N_ARM, relative to its
+    sup over s in [0, 40]."""
+    mode = FourierMode(*xi)
+    s = np.linspace(0.0, 40.0, 161)
+    sigma = sigma_fraction * mode.norm
+    _, ref = residual_profiles_general(t, nu, mode, s, sigma, deriv=k, regime="lowfreq",
+                                       n_arm=4 * contours.N_ARM)
+    _, rho2 = residual_profiles_general(t, nu, mode, s, sigma, deriv=k, regime="lowfreq",
+                                        n_arm=n_arm)
+    return np.max(np.abs(rho2 - ref)) / np.max(np.abs(ref))
+
+
+class TestArmNodeCount:
+    # the arm integrand is the Gaussian e^{-nu t b^2} on [0, BETA_MAX / sqrt(nu t)]
+
+    @pytest.mark.parametrize("nu,xi", [(1.0, (1, 0)), (0.04, (2, 0)), (0.04, (5, 0))])
+    @pytest.mark.parametrize("t", [1e-5, 0.01, 3.0])
+    def test_default_resolves_the_arm(self, nu, xi, t):
+        for sigma_fraction in (0.5, 1.0):
+            for k in (0, 1, 2):
+                err = _arm_error(nu, xi, t, sigma_fraction, k, contours.N_ARM)
+                assert err <= 1e-12, (sigma_fraction, k, err)
+
+    def test_half_the_nodes_miss(self):
+        # 48 arm nodes leave 2.3e-10 here, so the bound above is not vacuous
+        assert _arm_error(0.04, (2, 0), 3.0, 0.5, 0, 48) > 1e-12
+
+
 class TestSelectors:
     """A regime, method or check that no path reads raises instead of being
     read as another one."""
@@ -712,7 +741,8 @@ class TestBoundCertificate:
                 scale = np.abs(D.matrix).max()
                 for t in (0.1, 1.0):
                     sup, _ = kernels._bound_sweep((nu,), (n_xi,), (t,), ks, s, 0.25,
-                                                  256, 128, BoundaryOperatorD.no_slip)
+                                                  contours.N_ARM, contours.N_ARC,
+                                                  BoundaryOperatorD.no_slip)
                     r1 = r2 = 0.0
                     for k in ks:
                         rho1, rho2 = residual_profiles_general(t, nu, mode, s, D.sigma,

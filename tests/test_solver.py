@@ -22,6 +22,7 @@ from stokesgreen import (
 from stokesgreen.actions import halfline_laplace_weights, image_action_gauss
 from stokesgreen.kernels import heat_kernel_neumann, residual_profiles_general
 from stokesgreen.resolvent import BoundaryOperatorD
+from stokesgreen import solver
 from stokesgreen.solver import _propagate
 
 MODE = FourierMode(1, 0)
@@ -213,6 +214,20 @@ class TestDuhamel:
         for nu, t_final in ((np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)):
             with pytest.raises(IncompatibleData, match="finite and positive"):
                 StokesProblem(mode=MODE, nu=nu, omega0=bump_initial(grid), t_final=t_final)
+
+    @pytest.mark.parametrize("times,how", [([0.5, 0.5], "repeats"),
+                                           ([0.5, 0.25], "is below"),
+                                           ([0.0, 0.3, 0.3, 0.6], "repeats")])
+    def test_times_not_increasing_raise_before_any_solve(self, monkeypatch, times, how):
+        calls = []
+        real = solver._exp_action_rows
+        monkeypatch.setattr(solver, "_exp_action_rows",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        grid = HalfLineGrid.uniform(16.0, 257)
+        p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=1.0)
+        with pytest.raises(IncompatibleData, match=f"strictly increase.*{how}"):
+            duhamel_solve(p, times)
+        assert calls == []
 
     def test_large_time_residue_limit(self):
         # for nu |xi|^2 t >> 1 only the boundary pole at lambda = 0 survives:
