@@ -65,11 +65,9 @@ from .resolvent import (
 from .solver import (
     StokesProblem,
     Trajectory,
-    assemble_3d,
     crank_nicolson_oracle,
     duhamel_solve,
     finite_difference_resolvent_general,
-    uniqueness_demo,
 )
 
 __version__ = "0.1.0"

@@ -33,13 +33,15 @@ well conditioned even for large s^2/(4 nu t).
 Each deformation is described once, as the ``Segment`` maps of a ``Contour``.
 The maps broadcast over an array of s (s axes first, the node axis last), so
 one Contour holds the contours of a whole batch of s.  Two integrators run
-over the same segments.  ``Contour.gauss_legendre`` (fixed nodes) integrates
-the fixed-node integrand of the low-frequency profiles and bound certificate
-in the root variable mu = sqrt(lambda/nu + |xi|^2), the principal square
-root of each node's lambda, with dmu = dlambda / (2 nu mu); the
-high-frequency profiles are closed forms that evaluate no node, and read
-only ``highfreq_params``.  ``Contour.integrate`` (adaptive panels)
-integrates the oracles' integrands in lambda
+over the same segments.  ``Contour.gauss_legendre`` (fixed nodes) hands the
+fixed-node integrand of the low-frequency profiles and bound certificate
+the nodes of all segments at once, concatenated on one node axis with each
+segment's slice, in the root variable mu = sqrt(lambda/nu + |xi|^2), the
+principal square root of each node's lambda, with dmu = dlambda / (2 nu mu);
+the high-frequency profiles are closed forms that evaluate no node, and read
+only ``highfreq_params`` (which also takes (cell, 1) columns of t, nu, |xi|
+and sigma, for the certificate's cells at once).  ``Contour.integrate``
+(adaptive panels) integrates the oracles' integrands in lambda
 (``residual_kernel_general(method="adaptive")`` and
 ``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's
 ``quad_vec``, so it imports ``scipy.integrate`` on its first call and the
@@ -121,13 +123,6 @@ class Contour:
     params: dict = field(compare=False)
     arc_index: int | None = None
 
-    def _fold(self, part: Callable, segment_indices) -> np.ndarray:
-        """Im(I) / pi, I the sum of ``part(k, segment)`` over the selected segments."""
-        if segment_indices is None:
-            segment_indices = range(len(self.segments))
-        total = reduce(operator.add, (part(k, self.segments[k]) for k in segment_indices))
-        return total.imag / np.pi
-
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], segment_indices=None):
         """(1/2 pi i) * integral of f(lambda) over (selected) segments and their mirrors.
 
@@ -140,35 +135,40 @@ class Contour:
         """
         from scipy.integrate import quad_vec
 
-        def part(k, seg):
+        def part(seg):
             def g(p):  # quad_vec passes a scalar p, f takes a node axis
                 p = np.atleast_1d(p)
                 return (f(seg.gamma(p)) * seg.dgamma(p))[..., 0]
 
             return quad_vec(g, 0.0, seg.p1, epsabs=1e-13, epsrel=1e-11)[0]
 
-        return self._fold(part, segment_indices)
+        if segment_indices is None:
+            segment_indices = range(len(self.segments))
+        total = reduce(operator.add, (part(self.segments[k]) for k in segment_indices))
+        return total.imag / np.pi
 
-    def gauss_legendre(self, f: Callable, n_arm: int = N_ARM, n_arc: int = N_ARC,
-                       segment_indices=None):
-        """``integrate`` with fixed Gauss-Legendre nodes, in the principal root
-        mu = sqrt(lambda/nu + |xi|^2) (nu and |xi| from ``params``).
+    def gauss_legendre(self, f: Callable, n_arm: int = N_ARM, n_arc: int = N_ARC):
+        """Im(f(mu, dmu_w, cuts)) / pi on fixed Gauss-Legendre nodes, in the
+        principal root mu = sqrt(lambda/nu + |xi|^2) (nu and |xi| from ``params``).
 
         ``n_arm`` nodes on each arm.  The arc starts on the real axis at
         p = 0 and takes the upper half of the ``n_arc``-node rule on
         [-p1, p1], the whole half circle (an odd rule's centre node at half
         weight), so that with the mirrored nodes the rule is the full
         Gauss-Legendre rule in exact arithmetic.
-        ``f(mu, dmu_w)`` receives mu at the nodes, with the contour's s axes
-        first and the node axis last, and dmu/dp times the weights, and
-        returns its own sums over the node axis, with any leading axes (so
-        one evaluation can give several integrals).  An integrand g(lambda)
-        is ``np.sum(g(lam) * (2 nu mu dmu_w), axis=-1)``, since
+        ``f`` is called once, on the nodes of every segment together: mu with
+        the contour's s axes first and the segments' nodes concatenated in
+        order on the last axis, dmu/dp times the weights on the same nodes,
+        and ``cuts``, each segment's slice of that axis.  It returns its own
+        sums over the node axis (per segment, or over all of it), with any
+        leading axes (so one evaluation can give several integrals).  An
+        integrand g(lambda) over the whole contour is
+        ``np.sum(g(lam) * (2 nu mu dmu_w), axis=-1)``, since
         dlambda = 2 nu mu dmu.
         """
         nu, xi_norm = self.params["nu"], self.params["xi_norm"]
-
-        def part(k, seg):
+        nodes, cuts, start = [], [], 0
+        for k, seg in enumerate(self.segments):
             if k == self.arc_index:
                 p, w = _gl(-seg.p1, seg.p1, n_arc)
                 p, w = p[n_arc // 2:], w[n_arc // 2:]
@@ -176,15 +176,24 @@ class Contour:
                     w[0] *= 0.5
             else:
                 p, w = _gl(0.0, seg.p1, n_arm)
-            # f puts its own values first in its products with dmu_w: numpy
-            # computes a product with a large temporary on the right in place
-            # with the operands swapped, and complex multiplication is not
-            # bitwise commutative, so the other order would make each value
-            # depend on how many s are evaluated together.
-            mu = np.sqrt(seg.gamma(p) / nu + xi_norm**2)
-            return f(mu, seg.dgamma(p) / (2.0 * nu * mu) * w)
-
-        return self._fold(part, segment_indices)
+            nodes.append((seg, p, w))
+            cuts.append(slice(start, start + p.size))
+            start += p.size
+        # in place, so that at most three arrays of the nodes' size are held;
+        # each value takes the same operations as sqrt(lambda/nu + |xi|^2) and
+        # dlambda/dp / (2 nu mu) * w.  f puts its own values first in its
+        # products with dmu_w: numpy computes a product with a large temporary
+        # on the right in place with the operands swapped, and complex
+        # multiplication is not bitwise commutative, so the other order would
+        # make each value depend on how many s are evaluated together.
+        mu = np.concatenate([seg.gamma(p) for seg, p, _ in nodes], axis=-1)
+        mu /= nu
+        mu += xi_norm**2
+        mu = np.sqrt(mu, out=mu)
+        dmu_w = np.concatenate([seg.dgamma(p) for seg, p, _ in nodes], axis=-1)
+        dmu_w /= 2.0 * nu * mu
+        dmu_w *= np.concatenate([w for *_, w in nodes]).astype(complex)
+        return f(mu, dmu_w, cuts).imag / np.pi
 
 
 @lru_cache(maxsize=32)
@@ -211,7 +220,7 @@ def _parabola(nu: float, center, shift):
 
 
 def _check_sigma(sigma) -> None:
-    if not 0.0 < sigma < math.inf:
+    if not np.all((0.0 < sigma) & (sigma < math.inf)):
         raise IncompatibleData(f"the pole sigma must be finite and positive, got {sigma}")
 
 
@@ -266,12 +275,14 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s, sigma: float,
 # high frequency
 
 
-def highfreq_params(t: float, nu: float, xi_norm: float, s, sigma: float) -> dict:
+def highfreq_params(t, nu, xi_norm, s, sigma) -> dict:
     """Geometry of the high-frequency parabola; vectorized over s = y + z.
 
     The parabola must avoid the integrand pole at mu = sigma.  theta = 1/2 is
     selected when the saddle parameter a sits in the danger band
-    [sigma/2, 3 sigma/2].
+    [sigma/2, 3 sigma/2].  ``t``, ``nu``, ``xi_norm`` and ``sigma`` may be
+    (cells, 1) columns against an s row, which gives every cell's geometry
+    at once, each value bit for bit the one its own scalar call gives.
     """
     _check_sigma(sigma)
     s = np.asarray(s, dtype=float)
@@ -280,15 +291,14 @@ def highfreq_params(t: float, nu: float, xi_norm: float, s, sigma: float) -> dic
     theta = np.where((ratio >= 0.5) & (ratio <= 1.5), 0.5, 1.0)
     floor = VERTEX_FLOOR_FRACTION * xi_norm
     # keep the floored vertex away from the pole as well as off the cut
-    if abs(floor - sigma) < 0.5 * sigma:
-        floor = 0.25 * sigma
+    floor = np.where(np.abs(floor - sigma) < 0.5 * sigma, 0.25 * sigma, floor)
     a_eff = np.maximum(theta * a, floor)
     # The Bromwich line sweeps across the pole mu = sigma exactly when the
     # vertical mu-line Re mu = a_eff ends up left of it; only then does the
     # parabola integral miss the pole contribution and a residue must be
     # added (t -> 0 kills the residue at large a, t -> infinity keeps it).
     crosses = a_eff < sigma
-    if np.any(np.abs(a_eff - sigma) < 1e-9 * max(sigma, 1.0)):
+    if np.any(np.abs(a_eff - sigma) < 1e-9 * np.maximum(sigma, 1.0)):
         raise PoleOnContour("parabola passes through the integrand pole")
     b_max = BETA_MAX / np.sqrt(nu * t)
     return {"t": t, "nu": nu, "xi_norm": xi_norm, "s": s, "sigma": sigma, "a": a,

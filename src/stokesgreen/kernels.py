@@ -39,11 +39,13 @@ The profiles (hence every kernel, sample and the CLI) and the bound
 certificate share one fixed-node path, ``_fixed_rho``.  At high frequency it
 evaluates the closed forms (``_residue``, ``_erfc_rho2``), every derivative
 order of R2 by the recurrence rho2^{(k)} = -sigma rho2^{(k-1)} -
-2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).
-At low frequency it integrates ``_fixed_parts`` on the half circle (R1) and
-the arm (R2): in mu, with the completed-square exponent
-nu t (mu - a)^2 - nu |xi|^2 t, and every derivative order from one
-evaluation by the recurrence (-mu)^{k+1} = -mu (-mu)^k.  Both leave the
+2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t);
+they take (cell, 1) columns too, so the certificate evaluates all its
+high-frequency cells in one call.  At low frequency ``_fixed_parts``
+integrates the half circle (R1) and the arm (R2) in one evaluation on one
+node array: in mu, with the completed-square exponent
+nu t (mu - a)^2 - nu |xi|^2 t, and every derivative order by the
+recurrence (-mu)^{k+1} = -mu (-mu)^k.  Both leave the
 Gaussian e^{-s^2/4 nu t} out.  The oracle ``_adaptive_rho``
 (``method="adaptive"``) is kept apart: adaptive panels in lambda, at k = 0.
 """
@@ -154,32 +156,46 @@ def _log_gauss(s, nu, t):
     return s**2 / (4.0 * nu * t)
 
 
-def _fixed_parts(contour, segment_indices, ks, comp, n_arm, n_arc):
-    """The low-frequency fixed-node integrand of the profiles and the certificate,
-    k axis first.
+def _fixed_parts(contour, ks, comp1, comp2, n_arm, n_arc):
+    """The low-frequency fixed-node integrand of the profiles and the
+    certificate: (rho1 e^{s^2/(4 nu t) + comp1}, rho2 e^{s^2/(4 nu t) + comp2}),
+    k axis first, from one evaluation on the half circle (R1) and the arm (R2).
 
     In the root variable, dlambda / (nu mu (mu - sigma)) = 2 dmu / (mu - sigma),
     and with s = 2 nu t a the exponent completes the square:
     lambda t - mu s = nu t (mu - a)^2 - nu |xi|^2 t - s^2/(4 nu t).  The
-    Gaussian is replaced by ``comp``, so a bound that divides by it cancels it
-    exactly.  The weights are multiplied in once per (s, node), and each k in
-    ``ks`` is one more factor -mu, summed after each step.
+    Gaussian is replaced by ``comp1`` on the arc and ``comp2`` on the arm, so
+    a bound that divides by it cancels it exactly.  The weights are
+    multiplied in once per (s, node), and each k in ``ks`` is one more
+    factor -mu, summed per segment after each step.
     """
     p = contour.params
-    t, nu, sigma, a = p["t"], p["nu"], p["sigma"], p["a"][..., None]
-    shift = np.asarray(comp - nu * p["xi_norm"]**2 * t)[..., None]
+    t, nu, sigma = p["t"], p["nu"], p["sigma"]
+    # the real operands as complex, the cast numpy would make per node
+    a = p["a"][..., None].astype(complex)
+    decay = nu * p["xi_norm"]**2 * t
+    shifts = [np.asarray(comp - decay)[..., None].astype(complex) for comp in (comp1, comp2)]
 
-    def sums(mu, dmu_w):
-        # in-place products keep the large array on the left (see gauss_legendre)
-        g = np.exp(nu * t * (mu - a) ** 2 + shift)
-        g *= 2.0 * dmu_w / (mu - sigma)
-        out = [g.sum(axis=-1)]
+    def sums(mu, dmu_w, cuts):
+        # g = e^{nu t (mu - a)^2 + shift} 2 dmu_w / (mu - sigma), in place over
+        # dmu_w and one more array; products keep the large array on the left
+        # (see gauss_legendre)
+        g = mu - sigma
+        dmu_w = np.multiply(2.0, dmu_w, out=dmu_w)
+        dmu_w /= g
+        g = np.square(np.subtract(mu, a, out=g), out=g)
+        g *= nu * t
+        for cut, shift in zip(cuts, shifts):
+            g[..., cut] += shift
+        g = np.exp(g, out=g)
+        g *= dmu_w
+        out = [[g[..., cut].sum(axis=-1) for cut in cuts]]
         for _ in range(max(ks)):
-            g *= -mu
-            out.append(g.sum(axis=-1))
-        return np.stack(out)[list(ks)]
+            g *= np.negative(mu, out=dmu_w)
+            out.append([g[..., cut].sum(axis=-1) for cut in cuts])
+        return np.stack(out, axis=1)[:, list(ks)]
 
-    return contour.gauss_legendre(sums, n_arm, n_arc, segment_indices)
+    return tuple(contour.gauss_legendre(sums, n_arm, n_arc))
 
 
 def _auto_regime(nu, mode, regime=None):
@@ -200,7 +216,8 @@ def _contour(regime, t, nu, xi_norm, s, sigma):
 def _residue(p, ks, comp):
     """The high-frequency rho1 e^{s^2/(4 nu t) + comp} for each k in ``ks`` (k
     axis first) from the parabola's ``params`` ``p``: the residue at mu = sigma
-    for the s where the deformation crossed the pole, 0 elsewhere."""
+    for the s where the deformation crossed the pole, 0 elsewhere.  Like
+    ``highfreq_params`` it takes (cells, 1) columns, with ``comp`` per (cell, s)."""
     # the residue of the integrand 2 e^{nu t (mu - a)^2 - nu |xi|^2 t + comp} / (mu - sigma)
     t, nu, sigma = p["t"], p["nu"], p["sigma"]
     arg = np.where(p["crosses_pole"],
@@ -221,10 +238,11 @@ def _erfc_rho2(p, ks, comp):
     Phi^{(j)} = -(s Phi^{(j-1)} + (j-1) Phi^{(j-2)}) / (2 nu t) for
     Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).  Where the parabola crosses the
     pole the two terms nearly cancel for k >= 1: the relative error grows
-    like 2 x^2 times the rounding error.
+    like 2 x^2 times the rounding error.  Takes (cells, 1) columns like
+    ``_residue``, with ``comp`` per cell or per (cell, s).
     """
     t, nu, sigma, s = p["t"], p["nu"], p["sigma"], p["s"]
-    root = math.sqrt(nu * t)
+    root = np.sqrt(nu * t)
     sign = np.where(p["crosses_pole"], -1.0, 1.0)
     y = sign * (s / (2.0 * root) - sigma * root)
     log_e = comp - nu * p["xi_norm"]**2 * t
@@ -233,7 +251,7 @@ def _erfc_rho2(p, ks, comp):
                            np.exp(neg**2 + log_e) * erfc(neg))
     out = [rho2]
     # 2 E Phi^{(j)} e^{s^2/4 nu t}, starting at j = 0
-    phi, phi_prev = np.exp(log_e) / math.sqrt(math.pi * nu * t), 0.0
+    phi, phi_prev = np.exp(log_e) / np.sqrt(math.pi * nu * t), 0.0
     for j in range(max(ks)):
         rho2 = -sigma * rho2 - phi
         out.append(rho2)
@@ -248,9 +266,8 @@ def _fixed_rho(regime, t, nu, xi_norm, s, sigma, ks, comp1, comp2, n_arm, n_arc)
     if regime == "highfreq":
         p = ct.highfreq_params(t, nu, xi_norm, s, sigma)
         return _residue(p, ks, comp1), _erfc_rho2(p, ks, comp2)
-    contour = ct.build_contour_lowfreq(t, nu, xi_norm, s, sigma)
-    return (_fixed_parts(contour, [0], ks, comp1, n_arm, n_arc),
-            _fixed_parts(contour, [1], ks, comp2, n_arm, n_arc))
+    return _fixed_parts(ct.build_contour_lowfreq(t, nu, xi_norm, s, sigma), ks,
+                        comp1, comp2, n_arm, n_arc)
 
 
 # Cap on s values x evaluated quadrature nodes held at once: 125 s of the
@@ -494,65 +511,91 @@ def mu0_rate(mode: FourierMode, nu: float) -> float:
     return mode.norm + 1.0 / math.sqrt(nu)
 
 
+def _sup(ratio, start):
+    """(sup, index) of ``ratio`` over its sweep-ordered axes, starting from
+    ``start`` (index None while nothing exceeds it).  The first maximum in
+    sweep order wins a tie, and the first NaN wins outright, so the sup reads NaN."""
+    i = np.unravel_index(np.argmax(ratio), ratio.shape)
+    top = float(ratio[i])
+    return (top, i) if top > start or math.isnan(top) else (start, None)
+
+
 def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
                  n_arm, n_arc, operator):
     """Sup bound ratios for the kernel family D = operator(mode), in one pass.
 
     Returns (sup, (arg, drift)): the sups at ``n_arm``/``n_arc`` nodes, where
     each is reached, and the relative move of the certified sups (R1,
-    R2_quarter) when the node counts double.  Each (nu, xi, t) cell evaluates
-    the fixed-node parts over ``s_values``, all k at once, with the ratio's
-    exponent inside exp() so that huge factors never overflow: a
-    high-frequency cell once, in closed form, for both node counts; a
-    low-frequency cell on its contour at both node counts.  The R2 ratio's
-    e^{+s^2/4 nu t} cancels the Gaussian the parts leave out exactly.
+    R2_quarter) when the node counts double.  The fixed-node parts fill
+    (node count, cell, k, s) arrays, cells in (nu, xi, t) order, with the
+    ratio's exponent inside exp() so that huge factors never overflow: every
+    high-frequency cell in one closed-form call over (cell, s) arrays, the
+    same for both node counts; each low-frequency cell on its contour at both
+    node counts.  The R2 ratio's e^{+s^2/4 nu t} cancels the Gaussian the
+    parts leave out exactly.  Each sup is one argmax over its ratio array;
+    at doubled nodes only the two the drift reads are formed.
     """
-    ln10 = math.log(10.0)
+    s = s_values
+    cells = [(nu, n_xi, t) for nu in nu_values for n_xi in xi_values for t in t_values]
+    operators = {n_xi: operator(FourierMode(n_xi, 0)) for n_xi in xi_values}
+    cols = []
+    for nu, n_xi, t in cells:
+        D = operators[n_xi]
+        mode = D.mode
+        lam_star_t = D.pole_lambda(nu) * t
+        # R2 against (nu t)^{-(k+1)/2} e^{lambda* t} e^{-s^2/4 nu t}
+        #   e^{-nu |xi|^2 t / 8} (proof exponent), whose Gaussian cancels the
+        #   one the parts leave out
+        comp2 = nu * mode.norm**2 * t / 8.0 - lam_star_t
+        cols.append((t, nu, mode.norm, D.sigma, comp2, mu0_rate(mode, nu), lam_star_t,
+                     np.abs(D.matrix).max(), _auto_regime(nu, mode) == "highfreq"))
+    # (cell, 1) columns
+    t_c, nu_c, xin_c, sigma_c, comp2_c, mu0_c, lam_c, scale_c, high = (
+        np.array(col)[:, None] for col in zip(*cols))
+    # R1 against mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 s}
+    comp1 = theta0 * mu0_c * s - lam_c - _log_gauss(s, nu_c, t_c)
+    high = high[:, 0]
+
+    def lowfreq(c, m):
+        t, nu, xin, sigma, comp2 = cols[c][:5]
+        return _fixed_rho("lowfreq", t, nu, xin, s, sigma, k_values, comp1[c], comp2,
+                          m * n_arm, m * n_arc)
+
+    # each low-frequency cell on its contour at both node counts, before the
+    # (node count, cell, k, s) arrays exist, which keeps the heap's high-water
+    # mark down
+    low = {c: [lowfreq(c, m) for m in (1, 2)] for c in np.flatnonzero(~high)}
+    rho1, rho2 = np.empty((2, 2, len(cells), len(k_values), s.size))
+    for c, parts in low.items():
+        for m, part in enumerate(parts):
+            rho1[m, c], rho2[m, c] = part
+    if high.any():
+        # a closed-form cell is the same at every node count
+        parts = _fixed_rho("highfreq", t_c[high], nu_c[high], xin_c[high], s, sigma_c[high],
+                           k_values, comp1[high], comp2_c[high], n_arm, n_arc)
+        for rho, part in zip((rho1, rho2), parts):
+            rho[:, high] = np.moveaxis(part, 0, 1)
+    # the ratios, in place of the parts
     k = np.asarray(k_values)[:, None]
-    start = {"R1": 0.0, "R2_quarter": 0.0, "R2_stated_log10": -np.inf}
-    # (sup, argmax) at the given node counts and at twice them
-    reports = [(dict(start), dict.fromkeys(start)) for _ in range(2)]
-
-    def record(sup, arg, key, ratio, cell):
-        # ratio is (k, s); argmax finds a NaN first: keep it, so the sup reads NaN
-        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
-        if ratio[i, j] > sup[key] or np.isnan(ratio[i, j]):
-            sup[key], arg[key] = float(ratio[i, j]), (*cell, k_values[i], float(s_values[j]))
-
-    for nu in nu_values:
-        for n_xi in xi_values:
-            mode = FourierMode(n_xi, 0)
-            xin = mode.norm
-            mu0 = mu0_rate(mode, nu)
-            D = operator(mode)
-            mat_scale = np.abs(D.matrix).max()
-            for t in t_values:
-                lam_star_t = D.pole_lambda(nu) * t
-                cell = (nu, n_xi, t)
-                # R1 against mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 s}
-                comp1 = theta0 * mu0 * s_values - lam_star_t - _log_gauss(s_values, nu, t)
-                # R2 against (nu t)^{-(k+1)/2} e^{lambda* t}
-                #   e^{-s^2/4 nu t} e^{-nu |xi|^2 t / 8} (proof exponent), whose
-                #   Gaussian cancels the one the parts leave out
-                comp2 = nu * xin**2 * t / 8.0 - lam_star_t
-                regime = _auto_regime(nu, mode)
-                # a closed-form (high-frequency) cell is the same at every node
-                # count: it is evaluated once and recorded in both reports
-                parts = [_fixed_rho(regime, t, nu, xin, s_values, D.sigma, k_values,
-                                    comp1, comp2, m * n_arm, m * n_arc)
-                         for m in ((1,) if regime == "highfreq" else (1, 2))]
-                for (rho1, rho2), report in zip((parts[0], parts[-1]), reports):
-                    record(*report, "R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
-                    ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
-                    record(*report, "R2_quarter", ratio2, cell)
-                    # the stated exponent e^{-s^2/nu t} differs by e^{3 s^2/4 nu t};
-                    # report in log10 since it can overflow any float
-                    stated = np.log10(np.maximum(ratio2, 1e-300)) \
-                        + 0.75 * s_values**2 / (nu * t) / ln10
-                    record(*report, "R2_stated_log10", stated, cell)
-    (sup, arg), (sup2, _) = reports
-    drift = {key: abs(sup2[key] - sup[key]) / max(abs(sup[key]), 1e-300)
-             for key in ("R1", "R2_quarter")}
+    scale_c, mu0_c, nu_t = scale_c[..., None], mu0_c[..., None], (nu_c * t_c)[..., None]
+    ratios = {"R1": np.abs(rho1, out=rho1), "R2_quarter": np.abs(rho2, out=rho2)}
+    for ratio in ratios.values():
+        ratio *= scale_c
+    ratios["R1"] /= mu0_c ** (k + 1)
+    ratios["R2_quarter"] *= nu_t ** ((k + 1) / 2)
+    # the stated exponent e^{-s^2/nu t} differs by e^{3 s^2/4 nu t}; report in
+    # log10 since it can overflow any float
+    stated = np.log10(np.maximum(ratios["R2_quarter"][0], 1e-300)) \
+        + 0.75 * s**2 / nu_t / math.log(10.0)
+    sup, arg, drift = {}, {}, {}
+    for key, ratio, start in (("R1", ratios["R1"][0], 0.0),
+                              ("R2_quarter", ratios["R2_quarter"][0], 0.0),
+                              ("R2_stated_log10", stated, -np.inf)):
+        sup[key], i = _sup(ratio, start)
+        arg[key] = None if i is None else (*cells[i[0]], k_values[i[1]], float(s[i[2]]))
+        if key in ratios:
+            sup2 = _sup(ratios[key][1], start)[0]
+            drift[key] = abs(sup2 - sup[key]) / max(abs(sup[key]), 1e-300)
     return sup, (arg, drift)
 
 
@@ -579,23 +622,26 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
       quarter-exponent version is certified).
 
     Each family reports its sups under ``sup`` and where each is reached
-    under ``argmax(nu,xi,t,k,s)``.  The ratios are evaluated directly (not
-    through the profiles, but on their fixed-node path), each bound's
-    exponent inside exp(): in closed form at high frequency, by quadrature on
-    the contour at low frequency.
+    under ``argmax(nu,xi,t,k,s)``: the first maximum in (nu, xi, t, k, s)
+    sweep order, or the first NaN, which makes the sup NaN.  The ratios are
+    evaluated directly (not through the profiles, but on their fixed-node
+    path), cell-vectorized, each bound's exponent inside exp(): in closed
+    form at high frequency, all cells in one call, by quadrature on each
+    cell's contour at low frequency.
     The certificate passes when the certified sups are finite and drift by
     less than ``report["drift_tol"]`` relative when the quadrature node counts
     double.  One sweep per operator fills both node counts: a low-frequency
     cell is integrated at both, a high-frequency (closed-form) cell is
-    evaluated once and recorded at both, so a sup reached there does not
-    move and its drift is exactly 0.  A ``theta0`` outside (0, 1) raises
-    IncompatibleData: theta0 <= 0 turns the R1 bound's decay
+    evaluated once and counts at both, so a sup reached there does not
+    move and its drift is exactly 0.  At doubled nodes only the two
+    certified sups, which the drift reads, are formed.  A ``theta0`` outside
+    (0, 1) raises IncompatibleData: theta0 <= 0 turns the R1 bound's decay
     e^{-theta0 mu0 (y+z)} into growth, so the sup would bound nothing.  So
-    does an empty sweep axis, a nu or t that is not
-    finite and positive, an s = y + z that is not finite and >= 0, or a k
-    that is not a non-negative integer: a vacuous or invalid sweep certifies
-    nothing.  A zero in ``xi_values`` raises ZeroModeUnsupported: the bounds
-    are stated for |xi| > 0.
+    does an empty sweep axis, a nu or t that is not finite and positive, an
+    s = y + z that is not finite and >= 0, or a k that is not a non-negative
+    integer: a vacuous or invalid sweep certifies nothing.  A zero in
+    ``xi_values`` raises ZeroModeUnsupported: the bounds are stated for
+    |xi| > 0.
     """
     if not 0.0 < theta0 < 1.0:
         raise IncompatibleData(f"theta0 must be in (0, 1), got {theta0}")

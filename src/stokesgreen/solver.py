@@ -35,7 +35,7 @@ import numpy as np
 
 from .actions import _as_rows, _exp_action_rows
 from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint
-from .errors import AsymmetricModeSet, IncompatibleData, StabilityWarning
+from .errors import IncompatibleData, StabilityWarning
 from .resolvent import BoundaryOperatorD
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "duhamel_solve",
     "crank_nicolson_oracle",
     "finite_difference_resolvent_general",
-    "uniqueness_demo",
-    "assemble_3d",
 ]
 
 
@@ -352,60 +350,3 @@ def finite_difference_resolvent_general(f: ModeField, point: SpectralPoint,
     u = splu((sp.diags(diag) - A).tocsc()).solve(rhs)
     return u.reshape(2, n)
 
-
-# ---------------------------------------------------------------------------
-# demonstrations and assembly
-
-
-def uniqueness_demo(mode: FourierMode, nu: float, perturbation: float,
-                    grid: HalfLineGrid | None = None, t_final: float = 1.0,
-                    dt: float = 1e-3, seed: int = 0) -> dict:
-    """Evolve the homogeneous system from noise-scale data.
-
-    Dissipativity forces the norm to stay at the noise scale (uniqueness), and
-    the xi . omega_tau component obeys a decoupled Neumann heat equation, so it
-    cannot be excited beyond its initial size.
-    """
-    if grid is None:
-        grid = HalfLineGrid.uniform(20.0, 513)
-    rng = np.random.default_rng(seed)
-    vals = perturbation * (rng.normal(size=(3, grid.n))
-                           + 1j * rng.normal(size=(3, grid.n)))
-    vals[:, -1] = 0.0
-    vals[2, 0] = 0.0
-    problem = StokesProblem(mode=mode, nu=nu, omega0=ModeField(grid, vals),
-                            t_final=t_final)
-    snaps = np.linspace(0.0, t_final, 6)[1:]
-    traj = crank_nicolson_oracle(problem, dt, snapshot_times=snaps)
-    norms = [st.norm_l2() for st in traj.states]
-    xi_vec = mode.as_array()
-    xi_dot = [float(np.max(np.abs(xi_vec @ st.values[:2]))) for st in traj.states]
-    return {"times": traj.times.tolist(), "norms": norms,
-            "xi_dot_max": xi_dot, "perturbation": perturbation, "seed": seed,
-            "monotone": bool(np.all(np.diff(norms) <= 1e-10 * max(norms[0], 1e-300)))}
-
-
-def assemble_3d(mode_states: dict, x_points) -> np.ndarray:
-    """Sum per-mode states over a conjugate-symmetric mode set at tangential points.
-
-    ``mode_states`` maps FourierMode -> node values (ncomp, n); ``x_points`` is
-    an (npts, 2) array of tangential sample locations.  The result
-    (npts, ncomp, n) is asserted real and returned as a float array.
-    """
-    x_points = np.atleast_2d(np.asarray(x_points, dtype=float))
-    out = None
-    for mode, vals in mode_states.items():
-        conj_mode = mode.conjugate()
-        if conj_mode not in mode_states:
-            raise AsymmetricModeSet(f"mode {mode} present without {conj_mode}")
-        if not np.allclose(mode_states[conj_mode], np.conj(vals), rtol=1e-10, atol=1e-12):
-            raise AsymmetricModeSet(f"data at {conj_mode} is not the conjugate of {mode}")
-        phase = np.exp(1j * (x_points @ mode.as_array()))
-        term = phase[:, None, None] * np.asarray(vals, dtype=complex)[None, :, :]
-        out = term if out is None else out + term
-    if out is None:
-        raise IncompatibleData("empty mode set")
-    scale = np.max(np.abs(out))
-    if scale > 0 and np.max(np.abs(out.imag)) > 1e-10 * scale:
-        raise AsymmetricModeSet("assembled field has a nonreal residue")
-    return out.real

@@ -57,11 +57,11 @@ class TestLowFreq:
 
 
 def _in_mu(c, g):
-    """The lambda integrand g as ``Contour.gauss_legendre`` takes it:
-    node sums of g(lambda) dlambda with dlambda = 2 nu mu dmu."""
+    """The lambda integrand g as ``Contour.gauss_legendre`` takes it: node
+    sums of g(lambda) dlambda over every segment, dlambda = 2 nu mu dmu."""
     nu, xin = c.params["nu"], c.params["xi_norm"]
-    return lambda mu, dmu_w: np.sum(g(nu * (mu**2 - xin**2)) * (2.0 * nu * mu * dmu_w),
-                                    axis=-1)
+    return lambda mu, dmu_w, cuts: np.sum(g(nu * (mu**2 - xin**2)) * (2.0 * nu * mu * dmu_w),
+                                          axis=-1)
 
 
 class TestHighFreq:
@@ -204,8 +204,11 @@ class TestConjugateFold:
         # the whole contour, and at low frequency the arc (R1) and the arm (R2) alone
         selections = [[0, 1], [0], [1]] if family == "lowfreq" else [[0]]
         for sel in selections:
-            folded = c.gauss_legendre(lambda mu, dmu_w: np.sum(h(mu) * dmu_w, axis=-1),
-                                      n_arm=n_arm, n_arc=n_arc, segment_indices=sel)
+            def f(mu, dmu_w, cuts):
+                # every segment's nodes come in one call; sum the selected ones
+                return sum(np.sum((h(mu) * dmu_w)[..., cuts[k]], axis=-1) for k in sel)
+
+            folded = c.gauss_legendre(f, n_arm=n_arm, n_arc=n_arc)
             plain = _unfolded_gauss_legendre(c, h, n_arm, n_arc, sel)
             assert folded.dtype == np.float64 and folded.shape == plain.shape
             scale = np.max(np.abs(plain))
@@ -229,7 +232,7 @@ class TestConjugateFold:
                 assert np.all(lam.imag >= 0.0), (c.regime, seg.name)
             nodes = []
 
-            def f(mu, dmu_w):
+            def f(mu, dmu_w, cuts):
                 nodes.append(mu)
                 return np.zeros(mu.shape[:-1], dtype=complex)
 

@@ -15,6 +15,7 @@ from stokesgreen import (
     ModeField,
     QuadratureUnderresolved,
     PoleHit,
+    PoleOnContour,
     SpectralPoint,
     ZeroModeUnsupported,
     green_function,
@@ -694,6 +695,127 @@ class TestHighFrequencyClosedForm:
             assert report[fam]["drift"] == {"R1": 0.0, "R2_quarter": 0.0}
 
 
+class TestBatchedEvaluation:
+    """The certificate's batched closed forms and fused low-frequency parts
+    give the bits of one scalar call per cell and of one pass per segment."""
+
+    # (t, nu, |xi|, sigma) cells, |xi| integer as on the certificate's xi
+    # axis: cell 0 takes the vertex-floor branch (|0.05 |xi| - sigma| <
+    # sigma / 2); over the s row the parabola crosses the pole in every cell
+    # at s = 0 and in none at s = 6.
+    CELLS = [(0.1, 1.0, 8.0, 0.45), (0.3, 1.0, 2.0, 2.0), (0.316, 1.0, 8.0, 4.0),
+             (0.01, 0.04, 7.0, 3.5), (0.0316, 0.25, 3.0, 0.5 * 3.0)]
+
+    def test_closed_forms_match_scalar_calls(self):
+        s = np.linspace(0.0, 6.0, 25)
+        ks = (0, 1, 2)
+        cols = [np.array(col)[:, None] for col in zip(*self.CELLS)]
+        t, nu, xin, sigma = cols
+        comp1 = 0.25 * (xin + 1.0 / np.sqrt(nu)) * s - kernels._log_gauss(s, nu, t)
+        comp2 = nu * xin**2 * t / 8.0
+        p = contours.highfreq_params(t, nu, xin, s, sigma)
+        rho1, rho2 = kernels._residue(p, ks, comp1), kernels._erfc_rho2(p, ks, comp2)
+        crosses = p["crosses_pole"]
+        assert crosses[:, 0].all() and not crosses[:, -1].any()
+        *_, xin0, sigma0 = self.CELLS[0]
+        assert abs(0.05 * xin0 - sigma0) < 0.5 * sigma0
+        assert np.all(p["a_eff"][0] >= 0.25 * sigma0) and p["a_eff"][0, 0] == 0.25 * sigma0
+        for c, (t_c, nu_c, xin_c, sigma_c) in enumerate(self.CELLS):
+            q = contours.highfreq_params(t_c, nu_c, xin_c, s, sigma_c)
+            for key in ("a", "theta", "a_eff", "crosses_pole"):
+                assert _same_bits(p[key][c], q[key])
+            assert _same_bits(p["b_max"][c, 0], q["b_max"])
+            assert _same_bits(rho1[:, c], kernels._residue(q, ks, comp1[c]))
+            assert _same_bits(rho2[:, c], kernels._erfc_rho2(q, ks, float(comp2[c, 0])))
+
+    def test_pole_on_contour_in_one_cell_raises(self):
+        # the guards keep a_eff at least sigma/4 from the pole, so only a pole
+        # inside the check's absolute 1e-9 band is hit: a cell with sigma =
+        # |xi| = 1e-10 at s = 0, beside cells that alone pass
+        cells = np.array([[0.1, 1.0, 2.0, 2.0], [0.1, 1.0, 1e-10, 1e-10],
+                          [0.1, 1.0, 3.0, 3.0]])
+        t, nu, xin, sigma = (cells[:, [j]] for j in range(4))
+        s = np.array([0.0, 1.0])
+        contours.highfreq_params(t[[0, 2]], nu[[0, 2]], xin[[0, 2]], s, sigma[[0, 2]])
+        with pytest.raises(PoleOnContour):
+            contours.highfreq_params(t, nu, xin, s, sigma)
+
+    @pytest.mark.parametrize("n_s", [1, 21, 125])
+    @pytest.mark.parametrize("n_arm,n_arc", [(contours.N_ARM, contours.N_ARC),
+                                             (2 * contours.N_ARM, 2 * contours.N_ARC), (23, 15)])
+    @pytest.mark.parametrize("sigma_fraction", [1.0, 0.5])
+    def test_fused_parts_match_per_segment_passes(self, n_s, n_arm, n_arc, sigma_fraction):
+        # the arc and the arm evaluated together, on one concatenated node
+        # array, against a contour that holds only the arc or only the arm
+        import dataclasses
+
+        t, nu, xin = 0.1, 0.04, 3.0
+        s = np.linspace(0.0, 10.0, n_s)
+        ks = (0, 1, 2)
+        comp1 = 0.25 * (xin + 1.0 / math.sqrt(nu)) * s - kernels._log_gauss(s, nu, t)
+        comp2 = nu * xin**2 * t / 8.0
+        c = contours.build_contour_lowfreq(t, nu, xin, s, sigma_fraction * xin)
+        arc = dataclasses.replace(c, segments=c.segments[:1])
+        arm = dataclasses.replace(c, segments=c.segments[1:], arc_index=None)
+        rho1, rho2 = kernels._fixed_parts(c, ks, comp1, comp2, n_arm, n_arc)
+        # a one-segment contour takes its shift from the first comp
+        assert _same_bits(rho1, kernels._fixed_parts(arc, ks, comp1, comp1, n_arm, n_arc)[0])
+        assert _same_bits(rho2, kernels._fixed_parts(arm, ks, comp2, comp2, n_arm, n_arc)[0])
+
+
+def reference_bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
+                          n_arm, n_arc, operator):
+    """``kernels._bound_sweep`` one (nu, xi, t) cell at a time: each cell makes
+    its own ``_fixed_rho`` call (a high-frequency cell once, for both node
+    counts) and each sup is a running comparison of per-cell argmaxes, in
+    which a later cell replaces the sup only when it is strictly larger.  It
+    returns the same (sup, (arg, drift))."""
+    ln10 = math.log(10.0)
+    k = np.asarray(k_values)[:, None]
+    start = {"R1": 0.0, "R2_quarter": 0.0, "R2_stated_log10": -np.inf}
+    reports = [(dict(start), dict.fromkeys(start)) for _ in range(2)]
+
+    def record(sup, arg, key, ratio, cell):
+        i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+        if ratio[i, j] > sup[key]:
+            sup[key], arg[key] = float(ratio[i, j]), (*cell, k_values[i], float(s_values[j]))
+
+    for nu in nu_values:
+        for n_xi in xi_values:
+            mode = FourierMode(n_xi, 0)
+            xin = mode.norm
+            mu0 = mu0_rate(mode, nu)
+            D = operator(mode)
+            mat_scale = np.abs(D.matrix).max()
+            for t in t_values:
+                lam_star_t = D.pole_lambda(nu) * t
+                cell = (nu, n_xi, t)
+                comp1 = theta0 * mu0 * s_values - lam_star_t - kernels._log_gauss(s_values, nu, t)
+                comp2 = nu * xin**2 * t / 8.0 - lam_star_t
+                regime = kernels._auto_regime(nu, mode)
+                parts = [kernels._fixed_rho(regime, t, nu, xin, s_values, D.sigma, k_values,
+                                            comp1, comp2, m * n_arm, m * n_arc)
+                         for m in ((1,) if regime == "highfreq" else (1, 2))]
+                for (rho1, rho2), report in zip((parts[0], parts[-1]), reports):
+                    record(*report, "R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
+                    ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
+                    record(*report, "R2_quarter", ratio2, cell)
+                    stated = np.log10(np.maximum(ratio2, 1e-300)) \
+                        + 0.75 * s_values**2 / (nu * t) / ln10
+                    record(*report, "R2_stated_log10", stated, cell)
+    (sup, arg), (sup2, _) = reports
+    drift = {key: abs(sup2[key] - sup[key]) / max(abs(sup[key]), 1e-300)
+             for key in ("R1", "R2_quarter")}
+    return sup, (arg, drift)
+
+
+def _general_operator(mode):
+    # the certificate's general family: alpha + beta = |xi|/2, split 0.3/0.7
+    sigma = 0.5 * mode.norm
+    alpha, beta = 0.3 * sigma, 0.7 * sigma
+    return BoundaryOperatorD(alpha, beta, math.sqrt(alpha * beta), c0=1.0, mode=mode)
+
+
 class TestBoundCertificate:
     def test_small_sweep_passes(self, monkeypatch):
         # the certificate integrates on the contour itself, not through the profiles
@@ -710,24 +832,47 @@ class TestBoundCertificate:
             assert np.isfinite(report[fam]["sup"]["R2_quarter"])
             assert report[fam]["stable"]
 
-    @pytest.mark.parametrize("segment", [0, 1], ids=["R1", "R2"])
-    def test_nan_profile_fails(self, monkeypatch, segment):
-        # one NaN in a certified part (the half circle's R1 or the arm's R2 of
-        # a low-frequency cell) must make the sup non-finite
-        real = kernels._fixed_parts
+    # two cells per sweep, in sweep order: two low-frequency cells (t = 0.1,
+    # then 1.0) or two high-frequency ones (xi = 2, then 3)
+    NAN_SWEEPS = {"lowfreq": ((1,), (0.1, 1.0)), "highfreq": ((2, 3), (0.1,))}
 
-        def poisoned(contour, segment_indices, *args):
-            rho = real(contour, segment_indices, *args).copy()
-            if segment_indices == [segment]:
-                rho.flat[rho.size // 2] = np.nan
+    @pytest.mark.parametrize("regime,part", [("lowfreq", 0), ("lowfreq", 1),
+                                             ("highfreq", 0), ("highfreq", 1)],
+                             ids=["R1", "R2", "highfreq-R1", "highfreq-R2"])
+    def test_nan_profile_fails(self, monkeypatch, regime, part):
+        # one NaN per cell in a certified part (the half circle's R1 or the
+        # arm's R2 of the fused low-frequency evaluation, the residue or the
+        # erfc remainder of the batched closed forms), planted in both cells
+        # at (k, s) = (1, 3.0), must make the sup NaN and the certificate
+        # fail.  argmax names the first NaN in sweep order: the first cell.
+        def poison(rho):
+            rho = np.array(rho, copy=True)
+            rho[1, ..., 3] = np.nan  # k axis first, s axis last
             return rho
 
-        monkeypatch.setattr(kernels, "_fixed_parts", poisoned)
-        report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(1,),
-                                      t_values=(0.1,), k_values=(0,),
+        if regime == "lowfreq":
+            real = kernels._fixed_parts
+
+            def poisoned(*args):
+                rho = list(real(*args))
+                rho[part] = poison(rho[part])
+                return tuple(rho)
+
+            monkeypatch.setattr(kernels, "_fixed_parts", poisoned)
+        else:
+            name = ("_residue", "_erfc_rho2")[part]
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda *args: poison(real(*args)))
+        xi_values, t_values = self.NAN_SWEEPS[regime]
+        report = verify_kernel_bounds(nu_values=(1.0,), xi_values=xi_values,
+                                      t_values=t_values, k_values=(0, 1, 2),
                                       s_values=np.linspace(0.0, 6.0, 7))
         assert report["pass"] is False
-        assert report["no_slip"]["finite"] is False
+        family = report["no_slip"]
+        assert family["finite"] is False
+        key, other = ("R1", "R2_quarter")[part], ("R2_quarter", "R1")[part]
+        assert math.isnan(family["sup"][key]) and math.isfinite(family["sup"][other])
+        assert family["argmax(nu,xi,t,k,s)"][key] == (1.0, xi_values[0], t_values[0], 1, 3.0)
 
     def test_sups_match_public_profiles(self):
         # the certificate's compensated parts against plain profiles, cell by cell
@@ -814,6 +959,31 @@ class TestBoundCertificate:
                                       s_values=np.linspace(0.0, 10.0, 21))
         where = report["no_slip"]["argmax(nu,xi,t,k,s)"]["R2_quarter"]
         assert where == (0.04, 8, 0.01, 2, 10.0)
+
+    # (nu, xi, t, k, s) axes: `verify --full`, `verify`, and a mixed-regime
+    # sweep with planted ties.  There every nu = 1 cell has a twin, identical
+    # in value, later in sweep order (nu = np.float64(1.0), an arg that prints
+    # differently), and s = 0 has one (s = -0.0).
+    SWEEPS = {
+        "full": ((1.0, 0.04), tuple(range(1, 9)), (0.01, 0.0316, 0.1, 0.316, 1.0), (0, 1, 2),
+                 np.linspace(0.0, 10.0, 21)),
+        "default": ((1.0,), (1, 4, 8), (0.01, 0.1, 1.0), (0, 1, 2), np.linspace(0.0, 10.0, 21)),
+        "ties": ((1.0, 0.04, np.float64(1.0)), (1, 3), (0.1, 1.0), (2, 0, 1),
+                 np.array([0.0, -0.0, 1.5, 3.0, 6.0])),
+    }
+
+    @pytest.mark.parametrize("operator", [BoundaryOperatorD.no_slip, _general_operator],
+                             ids=["no_slip", "general"])
+    @pytest.mark.parametrize("sweep", sorted(SWEEPS))
+    def test_sweep_matches_reference_loop(self, sweep, operator):
+        # sup, argmax and drift bit for bit (repr tells -0.0 from 0.0 and
+        # np.float64(1.0) from 1.0), the first cell in sweep order winning a tie
+        args = (*self.SWEEPS[sweep], 0.25, contours.N_ARM, contours.N_ARC, operator)
+        got = kernels._bound_sweep(*args)
+        assert repr(got) == repr(reference_bound_sweep(*args))
+        if sweep == "ties":
+            for where in got[1][0].values():
+                assert type(where[0]) is float and math.copysign(1.0, where[4]) == 1.0
 
     def test_mu0_rate(self):
         assert mu0_rate(FourierMode(3, 4), 0.25) == pytest.approx(7.0)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from stokesgreen import (
-    AsymmetricModeSet,
     FourierMode,
     HalfLineGrid,
     IncompatibleData,
@@ -14,10 +13,8 @@ from stokesgreen import (
     StabilityWarning,
     StokesProblem,
     Trajectory,
-    assemble_3d,
     crank_nicolson_oracle,
     duhamel_solve,
-    uniqueness_demo,
 )
 from stokesgreen.actions import halfline_laplace_weights, image_action_gauss
 from stokesgreen.kernels import heat_kernel_neumann, residual_profiles_general
@@ -320,45 +317,3 @@ class TestSeparableResidual:
         ref = (heat * np.eye(2)[:, :, None]
                + (rho1 + rho2) * D.matrix[:, :, None])
         assert np.max(np.abs(col - ref)) <= 1e-11 * np.max(np.abs(ref))
-
-
-class TestUniqueness:
-    def test_noise_stays_noise(self):
-        out = uniqueness_demo(FourierMode(1, 0), nu=0.5, perturbation=1e-8,
-                              t_final=0.5, dt=2e-3, seed=3)
-        assert out["monotone"]
-        assert max(out["norms"]) <= out["norms"][0] * (1 + 1e-10)
-        assert max(out["xi_dot_max"]) <= out["xi_dot_max"][0] * (1 + 1e-10)
-
-
-class TestAssemble3D:
-    def test_conjugate_pair_real_cosine(self):
-        grid = HalfLineGrid.uniform(5.0, 9)
-        prof = np.exp(-grid.nodes)
-        mode = FourierMode(1, 0)
-        states = {mode: np.array([prof, 0 * prof, 0 * prof], dtype=complex),
-                  mode.conjugate(): np.array([prof, 0 * prof, 0 * prof],
-                                             dtype=complex)}
-        x = np.array([[0.0, 0.0], [np.pi / 2, 0.0], [np.pi, 0.0]])
-        out = assemble_3d(states, x)
-        assert out.shape == (3, 3, 9)
-        assert np.allclose(out[0, 0], 2.0 * prof)
-        assert np.allclose(out[1, 0], 0.0, atol=1e-12)
-        assert np.allclose(out[2, 0], -2.0 * prof)
-
-    def test_missing_conjugate_raises(self):
-        grid = HalfLineGrid.uniform(5.0, 9)
-        prof = np.exp(-grid.nodes) + 0j
-        with pytest.raises(AsymmetricModeSet):
-            assemble_3d({FourierMode(1, 0): prof[None, :]}, [[0.0, 0.0]])
-
-    def test_nonconjugate_data_raises(self):
-        grid = HalfLineGrid.uniform(5.0, 9)
-        prof = (np.exp(-grid.nodes) + 0.5j)[None, :]
-        states = {FourierMode(1, 0): prof, FourierMode(-1, 0): prof}
-        with pytest.raises(AsymmetricModeSet):
-            assemble_3d(states, [[0.0, 0.0]])
-
-    def test_empty_raises(self):
-        with pytest.raises(IncompatibleData):
-            assemble_3d({}, [[0.0, 0.0]])
