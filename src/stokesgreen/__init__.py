@@ -26,7 +26,6 @@ from .core import (
     tangential_projector,
 )
 from .errors import (
-    AsymmetricModeSet,
     BranchCutViolation,
     GridTooSmall,
     HypothesisViolated,

@@ -157,7 +157,7 @@ def cmd_kernel(args) -> int:
     drift = max(np.max(np.abs(fine["R1"] - sample.R1[0, 0])),
                 np.max(np.abs(fine["R2"] - sample.R2[0, 0])))
     residual = ("erfc closed form" if sample.regime == "highfreq"
-                else "contour quadrature")
+                else "arm quadrature, arc from the erfc closed form")
     header = [
         f"# green-function sample: heat-image part + residual {residual} ({kind})",
         f"# xi=({mode.xi1},{mode.xi2}) nu={_fmt(args.nu)} t={_fmt(args.t)} "

@@ -14,7 +14,10 @@ a = s / (2 nu t):
   lambda = -nu|xi|^2/2 + nu (a + i b)^2 -+ i M, b in (-inf, 0] resp. [0, inf),
   bridged by a half circle of radius M around c0 = -nu|xi|^2/2 + nu a^2.  The
   half circle carries the pole contribution (R1), the arms the decaying
-  remainder (R2).
+  remainder (R2).  The arc and the arms together enclose the pole, so by
+  Cauchy's theorem R1 = rho - R2 with the closed-form Robin heat kernel rho
+  of the ``kernels`` module: the fixed-node path integrates only the arms,
+  and only the adaptive oracle integrates the half circle.
 
 * high frequency (nu |xi|^2 >= 1): a single parabola
   lambda = -nu|xi|^2 + nu (theta a + i b)^2, b in R, with theta in {1, 1/2}
@@ -35,17 +38,16 @@ The maps broadcast over an array of s (s axes first, the node axis last), so
 one Contour holds the contours of a whole batch of s.  Two integrators run
 over the same segments.  ``Contour.gauss_legendre`` (fixed nodes) hands the
 fixed-node integrand of the low-frequency profiles and bound certificate
-the nodes of all segments at once, concatenated on one node axis with each
-segment's slice, in the root variable mu = sqrt(lambda/nu + |xi|^2), the
-principal square root of each node's lambda, with dmu = dlambda / (2 nu mu);
-the high-frequency profiles are closed forms that evaluate no node, and read
-only ``highfreq_params`` (which also takes (cell, 1) columns of t, nu, |xi|
-and sigma, for the certificate's cells at once).  ``Contour.integrate``
-(adaptive panels) integrates the oracles' integrands in lambda
-(``residual_kernel_general(method="adaptive")`` and
-``invert_resolvent_kernel``).  Only ``integrate`` needs scipy's
-``quad_vec``, so it imports ``scipy.integrate`` on its first call and the
-package import does not load it.
+the nodes of the arm, in the root variable mu = sqrt(lambda/nu + |xi|^2),
+the principal square root of each node's lambda, with
+dmu = dlambda / (2 nu mu); the high-frequency profiles are closed forms that
+evaluate no node, and read only ``highfreq_params`` (which also takes
+(cell, 1) columns of t, nu, |xi| and sigma, for the certificate's cells at
+once).  ``Contour.integrate`` (adaptive panels) integrates the oracles'
+integrands in lambda (``residual_kernel_general(method="adaptive")`` and
+``invert_resolvent_kernel``), the half circle included.  Only ``integrate``
+needs scipy's ``quad_vec``, so it imports ``scipy.integrate`` on its first
+call and the package import does not load it.
 
 Both deformations are mirror images under complex conjugation, and the
 residual integrands are real in the sense f(conj lambda) = conj f(lambda)
@@ -87,17 +89,15 @@ BETA_MAX = 6.1
 # any vertex offset gives the same integral by Cauchy's theorem).
 VERTEX_FLOOR_FRACTION = 0.05
 
-# Gauss-Legendre nodes per arm and on the arc: the fixed-node resolution of
-# every low-frequency profile, kernel and certificate cell (node-doubling
-# checks use twice these).  The arm integrand is the Gaussian e^{-nu t b^2}
-# on [0, BETA_MAX / sqrt(nu t)]: against 1024 arm / 512 arc nodes over
-# nu in {1, 0.25, 0.04, 0.01}, t in [1e-5, 20], sigma/|xi| in {0.3, 0.5, 0.9, 1},
-# s <= 40 and k <= 2, R2 misses by 2.3e-10 of its sup at 48 arm nodes
+# Gauss-Legendre nodes per arm: the fixed-node resolution of every
+# low-frequency profile, kernel and certificate cell (node-doubling checks
+# use twice as many).  The arm integrand is the Gaussian e^{-nu t b^2} on
+# [0, BETA_MAX / sqrt(nu t)]: against 1024 nodes over nu in
+# {1, 0.25, 0.04, 0.01}, t in [1e-5, 20], sigma/|xi| in {0.3, 0.5, 0.9, 1},
+# s <= 40 and k <= 2, R2 misses by 2.3e-10 of its sup at 48 nodes
 # (nu = 0.04, xi = (2,0), t = 3, sigma = |xi|/2, k = 0) and reaches the
-# rounding floor (~1e-13) at 64, so 96 is a 2x margin.  The arc keeps 128:
-# at t >= 10 it is the part still unresolved (R1 off by 8.2e-3 at 128 arc
-# nodes, 6.5e-2 at 64), and fewer nodes would make that silent error larger.
-N_ARM, N_ARC = 96, 128
+# rounding floor (~1e-13) at 64, so 96 is a 2x margin.
+N_ARM = 96
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,12 @@ class Segment:
 class Contour:
     """The upper half (Im lambda >= 0) of an upward-oriented contour, in segments.
 
-    ``params`` holds the geometry (the pole ``sigma`` among it); ``arc_index``
-    marks the segment that carries the pole contribution at low frequency.
+    ``params`` holds the geometry (the pole ``sigma`` among it).
     """
 
     segments: tuple[Segment, ...]
     regime: str
     params: dict = field(compare=False)
-    arc_index: int | None = None
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray], segment_indices=None):
         """(1/2 pi i) * integral of f(lambda) over (selected) segments and their mirrors.
@@ -147,38 +145,26 @@ class Contour:
         total = reduce(operator.add, (part(self.segments[k]) for k in segment_indices))
         return total.imag / np.pi
 
-    def gauss_legendre(self, f: Callable, n_arm: int = N_ARM, n_arc: int = N_ARC):
-        """Im(f(mu, dmu_w, cuts)) / pi on fixed Gauss-Legendre nodes, in the
-        principal root mu = sqrt(lambda/nu + |xi|^2) (nu and |xi| from ``params``).
+    def gauss_legendre(self, f: Callable, n: int = N_ARM, segment_indices=None):
+        """Im(f(mu, dmu_w)) / pi on fixed Gauss-Legendre nodes over (selected)
+        segments, in the principal root mu = sqrt(lambda/nu + |xi|^2) (nu and
+        |xi| from ``params``).
 
-        ``n_arm`` nodes on each arm.  The arc starts on the real axis at
-        p = 0 and takes the upper half of the ``n_arc``-node rule on
-        [-p1, p1], the whole half circle (an odd rule's centre node at half
-        weight), so that with the mirrored nodes the rule is the full
-        Gauss-Legendre rule in exact arithmetic.
-        ``f`` is called once, on the nodes of every segment together: mu with
-        the contour's s axes first and the segments' nodes concatenated in
-        order on the last axis, dmu/dp times the weights on the same nodes,
-        and ``cuts``, each segment's slice of that axis.  It returns its own
-        sums over the node axis (per segment, or over all of it), with any
-        leading axes (so one evaluation can give several integrals).  An
-        integrand g(lambda) over the whole contour is
+        Each segment takes the ``n``-node rule on [0, p1]; its mirrored nodes
+        are the same rule on the mirror image.  ``f`` is called once, on the
+        nodes of the selected segments together: mu with the contour's s axes
+        first and the segments' nodes concatenated in order on the last axis,
+        and dmu/dp times the weights on the same nodes.  It returns its own
+        sums over the node axis, with any leading axes (so one evaluation can
+        give several integrals).  An integrand g(lambda) is
         ``np.sum(g(lam) * (2 nu mu dmu_w), axis=-1)``, since
         dlambda = 2 nu mu dmu.
         """
         nu, xi_norm = self.params["nu"], self.params["xi_norm"]
-        nodes, cuts, start = [], [], 0
-        for k, seg in enumerate(self.segments):
-            if k == self.arc_index:
-                p, w = _gl(-seg.p1, seg.p1, n_arc)
-                p, w = p[n_arc // 2:], w[n_arc // 2:]
-                if n_arc % 2:
-                    w[0] *= 0.5
-            else:
-                p, w = _gl(0.0, seg.p1, n_arm)
-            nodes.append((seg, p, w))
-            cuts.append(slice(start, start + p.size))
-            start += p.size
+        if segment_indices is None:
+            segment_indices = range(len(self.segments))
+        segments = [self.segments[k] for k in segment_indices]
+        nodes = [(seg, *_gl(0.0, seg.p1, n)) for seg in segments]
         # in place, so that at most three arrays of the nodes' size are held;
         # each value takes the same operations as sqrt(lambda/nu + |xi|^2) and
         # dlambda/dp / (2 nu mu) * w.  f puts its own values first in its
@@ -193,7 +179,7 @@ class Contour:
         dmu_w = np.concatenate([seg.dgamma(p) for seg, p, _ in nodes], axis=-1)
         dmu_w /= 2.0 * nu * mu
         dmu_w *= np.concatenate([w for *_, w in nodes]).astype(complex)
-        return f(mu, dmu_w, cuts).imag / np.pi
+        return f(mu, dmu_w).imag / np.pi
 
 
 @lru_cache(maxsize=32)
@@ -268,7 +254,7 @@ def build_contour_lowfreq(t: float, nu: float, xi_norm: float, s, sigma: float,
     segments = (Segment("arc", 0.5 * np.pi, lambda th: c0 + M * np.exp(1j * th),
                         lambda th: 1j * M * np.exp(1j * th)),
                 Segment("arm", b_max, *_parabola(nu, a, c_arm + 1j * M)))
-    return Contour(segments=segments, regime="lowfreq", params=params, arc_index=0)
+    return Contour(segments=segments, regime="lowfreq", params=params)
 
 
 # ---------------------------------------------------------------------------

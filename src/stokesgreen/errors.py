@@ -43,10 +43,6 @@ class IncompatibleData(StokesGreenError):
     """Input data is inconsistent (shapes, compatibility conditions, mode sets)."""
 
 
-class AsymmetricModeSet(IncompatibleData):
-    """A physical-space assembly was requested from a non-conjugate-symmetric mode set."""
-
-
 class StabilityWarning(UserWarning):
     """Time step large relative to the diffusive scale; accuracy may degrade."""
 

@@ -22,7 +22,9 @@ contours of the ``contours`` module.  In the high-frequency regime both
 parts are closed forms and no node is evaluated: R1 is the residue
 2 (-sigma)^k e^{lambda* t - sigma s} where the parabola crossed the pole, and
 R2 = rho - R1 is -e^{-nu |xi|^2 t - s^2/4 nu t} erfcx(-x) there and rho
-elsewhere; in the low-frequency regime both come from contour quadrature.
+elsewhere.  In the low-frequency regime R2 is the arm integral, by
+quadrature, and R1, the half circle, is rho - R2: the arc and the arms
+together enclose the pole, so by Cauchy's theorem their integrals sum to rho.
 The no-slip vorticity kernel is the member D = P(xi)/|xi| with sigma = |xi|
 and lambda* = 0 exactly, not a family of its own: the resolvent kernel, the
 pole residue, the Green's function and its grid sample each take D, and
@@ -35,19 +37,20 @@ Since R_lambda depends on y, z only through s = y + z, all residual kernels
 here are scalar "profiles" in s times a constant matrix, and the profile
 evaluators are vectorized over arrays of s.
 
-The profiles (hence every kernel, sample and the CLI) and the bound
-certificate share one fixed-node path, ``_fixed_rho``.  At high frequency it
-evaluates the closed forms (``_residue``, ``_erfc_rho2``), every derivative
-order of R2 by the recurrence rho2^{(k)} = -sigma rho2^{(k-1)} -
-2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t);
-they take (cell, 1) columns too, so the certificate evaluates all its
-high-frequency cells in one call.  At low frequency ``_fixed_parts``
-integrates the half circle (R1) and the arm (R2) in one evaluation on one
-node array: in mu, with the completed-square exponent
+The profiles (hence every kernel, sample and the CLI) share one fixed-node
+path, ``_fixed_rho``, and the bound certificate evaluates the same pieces
+over its cells.  The closed forms (``_residue``, ``_erfc_rho2``) give every
+derivative order of R2 by the recurrence rho2^{(k)} = -sigma rho2^{(k-1)} -
+2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t),
+and rho itself on the branch where no contour crosses the pole; they take
+(cell, 1) columns too, so the certificate evaluates all its cells in one
+call.  At low frequency ``_fixed_arm`` integrates the arm (R2) on fixed
+nodes: in mu, with the completed-square exponent
 nu t (mu - a)^2 - nu |xi|^2 t, and every derivative order by the
 recurrence (-mu)^{k+1} = -mu (-mu)^k.  Both leave the
 Gaussian e^{-s^2/4 nu t} out.  The oracle ``_adaptive_rho``
-(``method="adaptive"``) is kept apart: adaptive panels in lambda, at k = 0.
+(``method="adaptive"``) is kept apart: adaptive panels in lambda, at k = 0,
+on the arc as well.
 """
 
 from __future__ import annotations
@@ -156,27 +159,25 @@ def _log_gauss(s, nu, t):
     return s**2 / (4.0 * nu * t)
 
 
-def _fixed_parts(contour, ks, comp1, comp2, n_arm, n_arc):
+def _fixed_arm(contour, ks, comp, n_arm):
     """The low-frequency fixed-node integrand of the profiles and the
-    certificate: (rho1 e^{s^2/(4 nu t) + comp1}, rho2 e^{s^2/(4 nu t) + comp2}),
-    k axis first, from one evaluation on the half circle (R1) and the arm (R2).
+    certificate: rho2 e^{s^2/(4 nu t) + comp}, k axis first, from ``n_arm``
+    Gauss-Legendre nodes on the arm (R2).
 
     In the root variable, dlambda / (nu mu (mu - sigma)) = 2 dmu / (mu - sigma),
     and with s = 2 nu t a the exponent completes the square:
     lambda t - mu s = nu t (mu - a)^2 - nu |xi|^2 t - s^2/(4 nu t).  The
-    Gaussian is replaced by ``comp1`` on the arc and ``comp2`` on the arm, so
-    a bound that divides by it cancels it exactly.  The weights are
-    multiplied in once per (s, node), and each k in ``ks`` is one more
-    factor -mu, summed per segment after each step.
+    Gaussian is replaced by ``comp``, so a bound that divides by it cancels
+    it exactly.  The weights are multiplied in once per (s, node), and each
+    k in ``ks`` is one more factor -mu, summed after each step.
     """
     p = contour.params
     t, nu, sigma = p["t"], p["nu"], p["sigma"]
     # the real operands as complex, the cast numpy would make per node
     a = p["a"][..., None].astype(complex)
-    decay = nu * p["xi_norm"]**2 * t
-    shifts = [np.asarray(comp - decay)[..., None].astype(complex) for comp in (comp1, comp2)]
+    shift = np.asarray(comp - nu * p["xi_norm"]**2 * t)[..., None].astype(complex)
 
-    def sums(mu, dmu_w, cuts):
+    def sums(mu, dmu_w):
         # g = e^{nu t (mu - a)^2 + shift} 2 dmu_w / (mu - sigma), in place over
         # dmu_w and one more array; products keep the large array on the left
         # (see gauss_legendre)
@@ -185,17 +186,16 @@ def _fixed_parts(contour, ks, comp1, comp2, n_arm, n_arc):
         dmu_w /= g
         g = np.square(np.subtract(mu, a, out=g), out=g)
         g *= nu * t
-        for cut, shift in zip(cuts, shifts):
-            g[..., cut] += shift
+        g += shift
         g = np.exp(g, out=g)
         g *= dmu_w
-        out = [[g[..., cut].sum(axis=-1) for cut in cuts]]
+        out = [g.sum(axis=-1)]
         for _ in range(max(ks)):
             g *= np.negative(mu, out=dmu_w)
-            out.append([g[..., cut].sum(axis=-1) for cut in cuts])
-        return np.stack(out, axis=1)[:, list(ks)]
+            out.append(g.sum(axis=-1))
+        return np.stack(out)[list(ks)]
 
-    return tuple(contour.gauss_legendre(sums, n_arm, n_arc))
+    return contour.gauss_legendre(sums, n_arm, segment_indices=[1])  # the arm
 
 
 def _auto_regime(nu, mode, regime=None):
@@ -259,19 +259,28 @@ def _erfc_rho2(p, ks, comp):
     return np.stack(out)[list(ks)]
 
 
-def _fixed_rho(regime, t, nu, xi_norm, s, sigma, ks, comp1, comp2, n_arm, n_arc):
-    """(rho1 e^{s^2/(4 nu t) + comp1}, rho2 e^{s^2/(4 nu t) + comp2}), k axis
-    first: the closed forms at high frequency, ``_fixed_parts`` with
-    ``n_arm``/``n_arc`` nodes on the half circle and the arm at low frequency."""
+def _fixed_rho(regime, t, nu, xi_norm, s, sigma, ks, comp, n_arm):
+    """(rho1, rho2) e^{s^2/(4 nu t) + comp}, k axis first: the closed forms at
+    high frequency; at low frequency R2 from ``_fixed_arm`` with ``n_arm``
+    nodes and R1 = rho - R2, rho from ``_erfc_rho2`` where nothing crosses
+    the pole."""
     if regime == "highfreq":
         p = ct.highfreq_params(t, nu, xi_norm, s, sigma)
-        return _residue(p, ks, comp1), _erfc_rho2(p, ks, comp2)
-    return _fixed_parts(ct.build_contour_lowfreq(t, nu, xi_norm, s, sigma), ks,
-                        comp1, comp2, n_arm, n_arc)
+        return _residue(p, ks, comp), _erfc_rho2(p, ks, comp)
+    contour = ct.build_contour_lowfreq(t, nu, xi_norm, s, sigma)
+    rho2 = _fixed_arm(contour, ks, comp, n_arm)
+    return _erfc_rho2(dict(contour.params, crosses_pole=False), ks, comp) - rho2, rho2
 
 
-# Cap on s values x evaluated quadrature nodes held at once: 125 s of the
-# default low-frequency contour's 160 upper-half nodes, 20 000 s of the
+def _rescale(rho, d):
+    """rho e^d in log form, which overflows only where the product does: e^d
+    alone overflows for large-t cells, where rho underflows against it."""
+    with np.errstate(divide="ignore"):
+        return np.copysign(np.exp(np.log(np.abs(rho)) + d), rho)
+
+
+# Cap on s values x evaluated quadrature nodes held at once: 208 s of the
+# default low-frequency arm's 96 upper-half nodes, 20 000 s of the
 # high-frequency closed forms.  The few complex arrays of this size (0.3 MB
 # each) stay in cache, and a `kernel` table's profiles add no more to the
 # heap's high-water mark than its formatting does.  Each value depends on
@@ -283,18 +292,20 @@ DOUBLING_RTOL = 1e-8
 
 
 def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
-                              regime=None, n_arm=ct.N_ARM, n_arc=ct.N_ARC):
+                              regime=None, n_arm=ct.N_ARM, n_arc=0):
     """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi).
 
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D (0: zeros).
     ``deriv`` is the order of d/dz (the factor (-mu)^deriv under the
     integral); one that is not a non-negative integer raises IncompatibleData,
     as does a ``regime`` other than "lowfreq", "highfreq" or None (from
-    nu |xi|^2).  At high frequency both parts are closed forms and
-    ``n_arm``/``n_arc`` are unused.  At low frequency both come from the fixed-node integrand
-    (``n_arm``/``n_arc`` Gauss-Legendre nodes) on one contour per chunk of s.
-    Both are real float arrays.  A non-finite value raises
-    QuadratureUnderresolved.
+    nu |xi|^2).  At high frequency both parts are closed forms and ``n_arm``
+    is unused.  At low frequency R2 comes from the fixed-node integrand on
+    the arm (``n_arm`` Gauss-Legendre nodes) of one contour per chunk of s,
+    and R1 = rho - R2 from the closed form rho.  No arc node is evaluated:
+    ``n_arc`` is unused, and stays only because the benchmark's tracer
+    (``perfbench/bench_trace.py``) reads it to count nodes.  Both are real
+    float arrays.  A non-finite value raises QuadratureUnderresolved.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
@@ -305,9 +316,9 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     if sigma == 0.0:
         return np.zeros(s.shape), np.zeros(s.shape)
     flat_s = s.reshape(-1)
-    # the nodes the low-frequency contour evaluates per s (its upper half); the
+    # the nodes the low-frequency arm evaluates per s (its upper half); the
     # high-frequency closed forms evaluate one value per s
-    per_s = n_arm + n_arc - n_arc // 2 if regime == "lowfreq" else 1
+    per_s = n_arm if regime == "lowfreq" else 1
     step = max(1, _CHUNK_ELEMENTS // per_s)
     chunks = []
     # an overflow surfaces as a non-finite value, which raises below
@@ -316,7 +327,7 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
             s_c = flat_s[i:i + step]
             comp = -_log_gauss(s_c, nu, t)
             chunks.append([rho[0] for rho in _fixed_rho(regime, t, nu, mode.norm, s_c, sigma,
-                                                        (deriv,), comp, comp, n_arm, n_arc)])
+                                                        (deriv,), comp, n_arm)])
     rho1, rho2 = (np.concatenate(rho).reshape(s.shape) for rho in zip(*chunks))
     if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
         raise QuadratureUnderresolved(
@@ -360,11 +371,13 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
     residue at lambda* when the contour deformation crossed the pole.  Both
     methods make this split the same way (none for D = 0, whose kernel
     vanishes).  ``method="fixed"`` is the profile at one s (closed form at
-    high frequency); the oracle ``method="adaptive"`` matches it to
-    quadrature tolerance.  ``check`` raises QuadratureUnderresolved when
-    doubling the fixed nodes moves the result by more than ``DOUBLING_RTOL``
-    relative.  Any other ``regime``/``method``, or ``check`` with the
-    adaptive method (no nodes to double), raises IncompatibleData.
+    high frequency, the arm by fixed nodes and R1 = rho - R2 at low
+    frequency); the oracle ``method="adaptive"`` integrates the arc and the
+    arm and matches it to quadrature tolerance.  ``check`` raises
+    QuadratureUnderresolved when doubling the fixed arm nodes moves the
+    result by more than ``DOUBLING_RTOL`` relative.  Any other
+    ``regime``/``method``, or ``check`` with the adaptive method (no nodes
+    to double), raises IncompatibleData.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual kernel needs |xi| > 0")
@@ -382,8 +395,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
     else:
         def run(k):  # (rho1, rho2) on k times the default nodes
             return np.concatenate(residual_profiles_general(
-                t, nu, mode, np.array([s]), D.sigma, regime=regime,
-                n_arm=k * ct.N_ARM, n_arc=k * ct.N_ARC))
+                t, nu, mode, np.array([s]), D.sigma, regime=regime, n_arm=k * ct.N_ARM))
 
         vals = run(1)
         if check:
@@ -521,19 +533,21 @@ def _sup(ratio, start):
 
 
 def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
-                 n_arm, n_arc, operator):
+                 n_arm, operator):
     """Sup bound ratios for the kernel family D = operator(mode), in one pass.
 
-    Returns (sup, (arg, drift)): the sups at ``n_arm``/``n_arc`` nodes, where
-    each is reached, and the relative move of the certified sups (R1,
-    R2_quarter) when the node counts double.  The fixed-node parts fill
+    Returns (sup, (arg, drift)): the sups at ``n_arm`` arm nodes, where each
+    is reached, and the relative move of the certified sups (R1,
+    R2_quarter) when the arm node count doubles.  The parts fill
     (node count, cell, k, s) arrays, cells in (nu, xi, t) order, with the
-    ratio's exponent inside exp() so that huge factors never overflow: every
-    high-frequency cell in one closed-form call over (cell, s) arrays, the
-    same for both node counts; each low-frequency cell on its contour at both
-    node counts.  The R2 ratio's e^{+s^2/4 nu t} cancels the Gaussian the
-    parts leave out exactly.  Each sup is one argmax over its ratio array;
-    at doubled nodes only the two the drift reads are formed.
+    ratio's exponent inside exp() so that huge factors never overflow: one
+    closed-form call over (cell, s) arrays gives the high-frequency cells'
+    R2 and the low-frequency cells' rho, the same for both node counts; each
+    low-frequency cell integrates its arm (R2) at both node counts, and its
+    R1 is rho - R2, with R2 moved into R1's exponent in log form.  The R2
+    ratio's e^{+s^2/4 nu t} cancels the Gaussian the parts leave out
+    exactly.  Each sup is one argmax over its ratio array; at doubled nodes
+    only the two the drift reads are formed.
     """
     s = s_values
     cells = [(nu, n_xi, t) for nu in nu_values for n_xi in xi_values for t in t_values]
@@ -555,26 +569,27 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
     # R1 against mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 s}
     comp1 = theta0 * mu0_c * s - lam_c - _log_gauss(s, nu_c, t_c)
     high = high[:, 0]
+    low = np.flatnonzero(~high)
 
-    def lowfreq(c, m):
-        t, nu, xin, sigma, comp2 = cols[c][:5]
-        return _fixed_rho("lowfreq", t, nu, xin, s, sigma, k_values, comp1[c], comp2,
-                          m * n_arm, m * n_arc)
-
-    # each low-frequency cell on its contour at both node counts, before the
-    # (node count, cell, k, s) arrays exist, which keeps the heap's high-water
-    # mark down
-    low = {c: [lowfreq(c, m) for m in (1, 2)] for c in np.flatnonzero(~high)}
     rho1, rho2 = np.empty((2, 2, len(cells), len(k_values), s.size))
-    for c, parts in low.items():
-        for m, part in enumerate(parts):
-            rho1[m, c], rho2[m, c] = part
+    for c in low:  # each low-frequency cell's arm at both node counts
+        t, nu, xin, sigma, comp2 = cols[c][:5]
+        contour = ct.build_contour_lowfreq(t, nu, xin, s, sigma)
+        rho2[:, c] = [_fixed_arm(contour, k_values, comp2, m * n_arm) for m in (1, 2)]
+    # one closed-form call: R2 in its exponent where the regime is high (the
+    # residue where the parabola crossed the pole), rho in R1's exponent where
+    # it is low (no contour crosses the pole there); each is the same at
+    # every node count
+    crosses = np.zeros((len(cells), s.size), dtype=bool)
     if high.any():
-        # a closed-form cell is the same at every node count
-        parts = _fixed_rho("highfreq", t_c[high], nu_c[high], xin_c[high], s, sigma_c[high],
-                           k_values, comp1[high], comp2_c[high], n_arm, n_arc)
-        for rho, part in zip((rho1, rho2), parts):
-            rho[:, high] = np.moveaxis(part, 0, 1)
+        p = ct.highfreq_params(t_c[high], nu_c[high], xin_c[high], s, sigma_c[high])
+        crosses[high] = p["crosses_pole"]
+        rho1[:, high] = np.moveaxis(_residue(p, k_values, comp1[high]), 0, 1)
+    closed = np.moveaxis(_erfc_rho2(
+        {"t": t_c, "nu": nu_c, "xi_norm": xin_c, "s": s, "sigma": sigma_c,
+         "crosses_pole": crosses}, k_values, np.where(high[:, None], comp2_c, comp1)), 0, 1)
+    rho2[:, high] = closed[high]
+    rho1[:, low] = closed[low] - _rescale(rho2[:, low], (comp1 - comp2_c)[low, None])
     # the ratios, in place of the parts
     k = np.asarray(k_values)[:, None]
     scale_c, mu0_c, nu_t = scale_c[..., None], mu0_c[..., None], (nu_c * t_c)[..., None]
@@ -624,14 +639,14 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     Each family reports its sups under ``sup`` and where each is reached
     under ``argmax(nu,xi,t,k,s)``: the first maximum in (nu, xi, t, k, s)
     sweep order, or the first NaN, which makes the sup NaN.  The ratios are
-    evaluated directly (not through the profiles, but on their fixed-node
-    path), cell-vectorized, each bound's exponent inside exp(): in closed
-    form at high frequency, all cells in one call, by quadrature on each
-    cell's contour at low frequency.
+    evaluated directly (not through the profiles, but from the same pieces),
+    cell-vectorized, each bound's exponent inside exp(): the closed forms
+    for all cells in one call, and at low frequency the arm by quadrature on
+    each cell's contour, with R1 = rho - R2.
     The certificate passes when the certified sups are finite and drift by
-    less than ``report["drift_tol"]`` relative when the quadrature node counts
-    double.  One sweep per operator fills both node counts: a low-frequency
-    cell is integrated at both, a high-frequency (closed-form) cell is
+    less than ``report["drift_tol"]`` relative when the arm node count
+    doubles.  One sweep per operator fills both node counts: a low-frequency
+    cell's arm is integrated at both, a high-frequency (closed-form) cell is
     evaluated once and counts at both, so a sup reached there does not
     move and its drift is exactly 0.  At doubled nodes only the two
     certified sups, which the drift reads, are formed.  A ``theta0`` outside
@@ -669,7 +684,7 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     ok = True
     for name, operator in (("no_slip", BoundaryOperatorD.no_slip), ("general", general)):
         sup, (arg, drift) = _bound_sweep(nu_values, xi_values, t_values, k_values,
-                                         s_values, theta0, ct.N_ARM, ct.N_ARC, operator)
+                                         s_values, theta0, ct.N_ARM, operator)
         finite = all(np.isfinite(sup[key]) for key in ("R1", "R2_quarter"))
         stable = all(d < _DRIFT_TOL for d in drift.values())
         ok = ok and finite and stable

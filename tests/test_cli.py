@@ -390,24 +390,48 @@ class TestConfigAndErrors:
         assert rc == EXIT_NUMERICAL
         assert "numerical error" in capsys.readouterr().err
 
-    def test_non_finite_kernel_exits_numerical(self, tmp_path, capsys):
-        # at t = 1000 the profile overflows to NaN: no table, numerical exit
+    def test_non_finite_kernel_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # a NaN from the low-frequency arm quadrature: no table, numerical exit
+        real = kernels._fixed_arm
+
+        def poisoned(*args):
+            rho = real(*args)
+            rho[..., 0] = np.nan
+            return rho
+
+        monkeypatch.setattr(kernels, "_fixed_arm", poisoned)
         out = tmp_path / "k.csv"
-        rc = run(["kernel", "--t", "1000", "--grid", "0:2:4", "--out", str(out)])
+        rc = run(["kernel", "--t", "1", "--grid", "0:2:4", "--out", str(out)])
         assert rc == EXIT_NUMERICAL
         assert "QuadratureUnderresolved" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("xi,t", [(("1", "0"), "50"), (("1", "0"), "20")])
-    def test_unresolved_kernel_exits_numerical(self, tmp_path, capsys, xi, t):
-        # finite but unresolved: at t = 50 the corner drift is 3e10 and the R
-        # values reach 3e10; no table is written
+    @pytest.mark.parametrize("xi,t", [(("1", "0"), "50"), (("1", "0"), "20"),
+                                      (("1", "0"), "1000")])
+    def test_large_t_kernel_matches_erfc(self, tmp_path, xi, t):
+        # the low-frequency arc at large t was unresolved (corner drift 3e10
+        # at t = 50) or overflowed (t = 1000), and no table was written; with
+        # the arc from the closed form the table is written, and the corner
+        # R1 + R2 = rho(0) D is erfc(-|xi| sqrt(nu t)) D to 40 digits
+        mpmath = pytest.importorskip("mpmath")
         out = tmp_path / "k.csv"
         rc = run(["kernel", "--xi", *xi, "--nu", "1", "--t", t, "--grid", "0:4:8",
                   "--out", str(out)])
-        assert rc == EXIT_NUMERICAL
-        assert "QuadratureUnderresolved" in capsys.readouterr().err
-        assert not out.exists()
+        assert rc == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("# green-function sample: heat-image part + residual "
+                                   "arm quadrature")
+        assert float(lines[2].rsplit(" ", 1)[1]) <= 1e-13
+        mode = FourierMode(int(xi[0]), int(xi[1]))
+        D = BoundaryOperatorD.no_slip(mode)
+        corner = {(row[2], row[3]): float(row[4]) for row in
+                  (line.split(",") for line in lines[4:]) if row[:2] == ["0", "0"]}
+        with mpmath.workdps(40):
+            rho = float(mpmath.erfc(-mpmath.mpf(mode.norm) * mpmath.sqrt(mpmath.mpf(t))))
+        for a in range(2):
+            for b in range(2):
+                got = corner[(f"{a + 1}{b + 1}", "R1")] + corner[(f"{a + 1}{b + 1}", "R2")]
+                assert abs(got - rho * D.matrix[a, b]) <= 1e-13 * rho * np.abs(D.matrix).max()
 
     def test_small_nu_t_kernel_matches_erfc(self, tmp_path):
         # at nu t = 1e-7 the high-frequency residual is a closed form: the

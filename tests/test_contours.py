@@ -27,7 +27,6 @@ class TestLowFreq:
     def test_arms_meet_arc(self):
         c = build_contour_lowfreq(t=0.3, nu=1.0, xi_norm=1.0, s=1.5, sigma=1.0)
         arc, arm = c.segments
-        assert c.arc_index == 0
         start_arc = arc.gamma(np.array([0.0]))[0]
         end_arc = arc.gamma(np.array([arc.p1]))[0]
         start_arm = arm.gamma(np.array([0.0]))[0]
@@ -58,10 +57,10 @@ class TestLowFreq:
 
 def _in_mu(c, g):
     """The lambda integrand g as ``Contour.gauss_legendre`` takes it: node
-    sums of g(lambda) dlambda over every segment, dlambda = 2 nu mu dmu."""
+    sums of g(lambda) dlambda over the segments, dlambda = 2 nu mu dmu."""
     nu, xin = c.params["nu"], c.params["xi_norm"]
-    return lambda mu, dmu_w, cuts: np.sum(g(nu * (mu**2 - xin**2)) * (2.0 * nu * mu * dmu_w),
-                                          axis=-1)
+    return lambda mu, dmu_w: np.sum(g(nu * (mu**2 - xin**2)) * (2.0 * nu * mu * dmu_w),
+                                    axis=-1)
 
 
 class TestHighFreq:
@@ -117,8 +116,7 @@ class TestContourIntegrate:
         # nu = 1, |xi| = 0: mu = sqrt(lambda) = e^{i th / 2}
         upper = Segment("upper", np.pi,
                         lambda th: np.exp(1j * th), lambda th: 1j * np.exp(1j * th))
-        c = Contour(segments=(upper,), regime="test", params={"nu": 1.0, "xi_norm": 0.0},
-                    arc_index=0)
+        c = Contour(segments=(upper,), regime="test", params={"nu": 1.0, "xi_norm": 0.0})
         assert abs(c.integrate(lambda lam: 1.0 / (lam - z0)) - 1.0) < 1e-12
         assert abs(c.gauss_legendre(_in_mu(c, lambda lam: 1.0 / (lam - z0))) - 1.0) < 1e-12
         assert dataclasses.is_dataclass(c)
@@ -141,33 +139,24 @@ class TestContourIntegrate:
             return np.exp(lam * t - mu * s[:, None]) / (lam - 5.0)
 
         adaptive = c.integrate(f)
-        fixed = c.gauss_legendre(_in_mu(c, f), n_arm=256, n_arc=128)
+        fixed = c.gauss_legendre(_in_mu(c, f), n=256)
         assert fixed.shape == s.shape
         assert np.max(np.abs(adaptive - fixed)) < 1e-12
 
 
-def _unfolded_gauss_legendre(c, h, n_arm, n_arc, segment_indices):
+def _unfolded_gauss_legendre(c, h, n, segment_indices):
     """The plain Gauss-Legendre rule for the integrand h(mu) dmu over the
-    selected segments and their mirror images: the arc extended to the whole
-    half circle, and each arm's mirror, conj mu traversed backwards.  mu is
-    the principal root sqrt(lambda/nu + |xi|^2), and dmu = dlambda / (2 nu mu)."""
+    selected segments and their mirror images, conj mu traversed backwards.
+    mu is the principal root sqrt(lambda/nu + |xi|^2), and
+    dmu = dlambda / (2 nu mu)."""
     nu, xin = c.params["nu"], c.params["xi_norm"]
-
-    def root(seg, p):
-        mu = np.sqrt(seg.gamma(p) / nu + xin**2)
-        return mu, seg.dgamma(p) / (2.0 * nu * mu)
-
+    x, w = np.polynomial.legendre.leggauss(n)
     total = 0.0
     for k in segment_indices:
         seg = c.segments[k]
-        if k == c.arc_index:
-            x, w = np.polynomial.legendre.leggauss(n_arc)
-            mu, dmu = root(seg, seg.p1 * x)
-            total = total + np.sum(h(mu) * dmu * (seg.p1 * w), axis=-1)
-            continue
-        x, w = np.polynomial.legendre.leggauss(n_arm)
         mid = half = 0.5 * seg.p1
-        mu, dmu = root(seg, mid + half * x)
+        mu = np.sqrt(seg.gamma(mid + half * x) / nu + xin**2)
+        dmu = seg.dgamma(mid + half * x) / (2.0 * nu * mu)
         total = total + np.sum((h(mu) * dmu - h(np.conj(mu)) * np.conj(dmu)) * (half * w),
                                axis=-1)
     return total / (2.0j * np.pi)
@@ -196,24 +185,23 @@ class TestConjugateFold:
 
         return c, h
 
-    @pytest.mark.parametrize("n_arm,n_arc", [(24, 16), (23, 15)])
+    @pytest.mark.parametrize("n1,n2", [(24, 16), (23, 15)])
     @pytest.mark.parametrize("pole", ["no_slip", "general"])
     @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
-    def test_matches_unfolded_rule(self, family, pole, n_arm, n_arc):
+    def test_matches_unfolded_rule(self, family, pole, n1, n2):
+        # at two node counts per case (even and odd)
         c, h = self._contour(family, pole)
         # the whole contour, and at low frequency the arc (R1) and the arm (R2) alone
         selections = [[0, 1], [0], [1]] if family == "lowfreq" else [[0]]
-        for sel in selections:
-            def f(mu, dmu_w, cuts):
-                # every segment's nodes come in one call; sum the selected ones
-                return sum(np.sum((h(mu) * dmu_w)[..., cuts[k]], axis=-1) for k in sel)
-
-            folded = c.gauss_legendre(f, n_arm=n_arm, n_arc=n_arc)
-            plain = _unfolded_gauss_legendre(c, h, n_arm, n_arc, sel)
-            assert folded.dtype == np.float64 and folded.shape == plain.shape
-            scale = np.max(np.abs(plain))
-            assert np.max(np.abs(plain.imag)) <= 1e-15 * scale
-            assert np.max(np.abs(folded - plain.real)) <= 1e-15 * scale
+        for n in (n1, n2):
+            for sel in selections:
+                folded = c.gauss_legendre(lambda mu, dmu_w: np.sum(h(mu) * dmu_w, axis=-1),
+                                          n=n, segment_indices=sel)
+                plain = _unfolded_gauss_legendre(c, h, n, sel)
+                assert folded.dtype == np.float64 and folded.shape == plain.shape
+                scale = np.max(np.abs(plain))
+                assert np.max(np.abs(plain.imag)) <= 1e-15 * scale
+                assert np.max(np.abs(folded - plain.real)) <= 1e-15 * scale
 
     def test_segments_in_upper_half_plane(self):
         # every built segment, and every node the fixed rule evaluates, has
@@ -232,11 +220,11 @@ class TestConjugateFold:
                 assert np.all(lam.imag >= 0.0), (c.regime, seg.name)
             nodes = []
 
-            def f(mu, dmu_w, cuts):
+            def f(mu, dmu_w):
                 nodes.append(mu)
                 return np.zeros(mu.shape[:-1], dtype=complex)
 
-            for n_arm, n_arc in ((24, 16), (23, 15)):
-                c.gauss_legendre(f, n_arm=n_arm, n_arc=n_arc)
+            for n in (24, 23):
+                c.gauss_legendre(f, n=n)
             # Re mu >= 0 for the principal root, so Im lambda = 2 nu Re mu Im mu
             assert all(np.all((mu.real >= 0.0) & (mu.imag >= 0.0)) for mu in nodes)

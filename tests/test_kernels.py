@@ -346,7 +346,7 @@ class TestSamplingDedup:
     """sample_green_function evaluates each distinct s once; the values must be
     bit-for-bit those of evaluating the profile at every (y, z) pair."""
 
-    N_ARM, N_ARC = 32, 16  # batch independence does not depend on the node counts
+    N_ARM = 32  # batch independence does not depend on the node count
 
     CASES = {
         "no_slip_lowfreq": (FourierMode(1, 0), 1.0, None),
@@ -374,10 +374,9 @@ class TestSamplingDedup:
         mode, nu, abg = self.CASES[case]
         sigma = mode.norm if abg is None else abg[0] + abg[1]
         s = np.linspace(0.0, 20.0, 257)
-        alone = residual_profiles_general(0.4, nu, mode, s, sigma, n_arm=self.N_ARM,
-                                          n_arc=self.N_ARC)
+        alone = residual_profiles_general(0.4, nu, mode, s, sigma, n_arm=self.N_ARM)
         batched = residual_profiles_general(0.4, nu, mode, np.tile(s, 40), sigma,
-                                            n_arm=self.N_ARM, n_arc=self.N_ARC)
+                                            n_arm=self.N_ARM)
         for a, b in zip(alone, batched):
             assert np.array_equal(a, b[:s.size])
 
@@ -389,10 +388,9 @@ class TestSamplingDedup:
         mode = FourierMode(1, 0) if regime == "lowfreq" else FourierMode(2, 1)
         sigma = (0.7 if general else 1.0) * mode.norm
         s = np.linspace(0.0, 12.0, 37)
-        # the elements a chunk holds per s: the low-frequency upper-half nodes,
-        # one closed-form value at high frequency
-        per_s = (contours.N_ARM + contours.N_ARC - contours.N_ARC // 2
-                 if regime == "lowfreq" else 1)
+        # the elements a chunk holds per s: the low-frequency arm's nodes, one
+        # closed-form value at high frequency
+        per_s = contours.N_ARM if regime == "lowfreq" else 1
         sizes = []
         real = kernels._fixed_rho
 
@@ -479,21 +477,35 @@ class TestQuadratureChecks:
             0.5, 0.8, check=True)
         assert outg["R2"].shape == (2, 2)
 
-    def test_non_finite_profile_raises(self):
-        # at t = 1000 the low-frequency contour overflows to NaN at s = 0
-        nodes = np.linspace(0.0, 2.0, 5)
-        with pytest.raises(QuadratureUnderresolved):
-            residual_profiles_general(1000.0, 1.0, MODE, np.array([0.0]), MODE.norm)
-        with pytest.raises(QuadratureUnderresolved):
-            sample_green_function(1000.0, 1.0, MODE, nodes, nodes)
+    def test_non_finite_profile_raises(self, monkeypatch):
+        # a NaN from the arm quadrature raises instead of reaching a sample
+        real = kernels._fixed_arm
 
+        def poisoned(*args):
+            rho = real(*args)
+            rho[..., 0] = np.nan
+            return rho
+
+        monkeypatch.setattr(kernels, "_fixed_arm", poisoned)
+        nodes = np.linspace(0.0, 2.0, 5)
+        with pytest.raises(QuadratureUnderresolved, match="not finite"):
+            residual_profiles_general(1.0, 1.0, MODE, np.array([0.0]), MODE.norm)
+        with pytest.raises(QuadratureUnderresolved, match="not finite"):
+            sample_green_function(1.0, 1.0, MODE, nodes, nodes)
 
     @pytest.mark.parametrize("xi,t", [((1, 0), 20.0), ((1, 0), 50.0)])
-    def test_check_raises_when_doubling_moves_the_kernel(self, xi, t):
-        # the low-frequency arc at large t is not resolved by the fixed nodes
-        # at y = z = 0
-        with pytest.raises(QuadratureUnderresolved, match="doubling"):
-            residual_kernel_time(t, 1.0, FourierMode(*xi), 0.0, 0.0, check=True)
+    def test_check_passes_at_large_t(self, xi, t):
+        # the arc at large t was 5.1e-7 (t = 20) and 1.5e10 (t = 50) off at
+        # y = z = 0, and doubling the nodes moved it; R1 = rho - R2 leaves
+        # only the arm to the nodes: R1 + R2 = rho(0) D =
+        # erfc(-|xi| sqrt(nu t)) D (lambda* = 0)
+        mpmath = pytest.importorskip("mpmath")
+        mode = FourierMode(*xi)
+        out = residual_kernel_time(t, 1.0, mode, 0.0, 0.0, check=True)
+        with mpmath.workdps(40):
+            rho = float(_mp_parts(t, 1.0, mode.norm, mode.norm, False)[1](0))
+        D = BoundaryOperatorD.no_slip(mode).matrix
+        assert np.max(np.abs(out["R1"] + out["R2"] - rho * D)) <= 1e-13 * rho * np.abs(D).max()
 
     def test_check_passes_at_small_nu_t_and_matches_mpmath(self):
         # the high-frequency closed form needs no nodes at tiny nu t, where the
@@ -506,23 +518,24 @@ class TestQuadratureChecks:
         D = BoundaryOperatorD.no_slip(mode).matrix
         assert np.max(np.abs(out["R1"] + out["R2"] - rho * D)) <= 1e-13 * rho * np.abs(D).max()
 
-    def test_check_raises_at_small_nu_t_low_frequency(self):
-        # nu = 0.25, xi = (1, 0), t = 0.01, y + z = 1.9: the fixed sum is
-        # -3.08e-120, with doubled nodes 2.85e-134, and the value is 4.92e-159,
-        # so check raises; unchecked, the error still meets the absolute
-        # contract, 1e-13 of rho at s = 0
+    def test_check_passes_at_small_nu_t_low_frequency(self):
+        # nu = 0.25, xi = (1, 0), t = 0.01, y + z = 1.9: the quadrature of
+        # the arc left 3.08e-120 against the value 4.92e-159, and doubling its
+        # nodes moved it, so check raised.  With R1 = rho - R2 the sum is rho
+        # to rounding, against the absolute contract (1e-13 of rho at s = 0)
+        # and against the value itself
         mpmath = pytest.importorskip("mpmath")
         nu, t = 0.25, 0.01
         assert kernels._auto_regime(nu, MODE) == "lowfreq"
-        with pytest.raises(QuadratureUnderresolved, match="doubling"):
-            residual_kernel_time(t, nu, MODE, 0.95, 0.95, check=True)
-        out = residual_kernel_time(t, nu, MODE, 0.95, 0.95)
+        out = residual_kernel_time(t, nu, MODE, 0.95, 0.95, check=True)
         # lambda* = 0 and the pole is never crossed: rho2 is rho, rho1 is 0
         _, rho = _mp_parts(t, nu, MODE.norm, MODE.norm, False)
         with mpmath.workdps(40):
             value, rho0 = float(rho(mpmath.mpf(1.9))), float(rho(mpmath.mpf(0)))
         D = BoundaryOperatorD.no_slip(MODE).matrix
-        assert np.max(np.abs(out["R1"] + out["R2"] - value * D)) <= 1e-13 * rho0 * np.abs(D).max()
+        err = np.max(np.abs(out["R1"] + out["R2"] - value * D))
+        assert err <= 1e-13 * rho0 * np.abs(D).max()
+        assert err <= 1e-13 * value * np.abs(D).max()
 
     def test_floored_vertex_moved_off_the_pole(self):
         # sigma = 0.1 at xi = (2, 1): the vertex floor 0.05 |xi| = 0.112 is
@@ -695,9 +708,49 @@ class TestHighFrequencyClosedForm:
             assert report[fam]["drift"] == {"R1": 0.0, "R2_quarter": 0.0}
 
 
+class TestLowFrequencySum:
+    """The low-frequency R1 + R2 against 40-digit rho and its derivatives, and
+    R1 = rho - R2 against the half circle integrated by the adaptive oracle."""
+
+    @pytest.mark.parametrize("nu,xi,t", [
+        (1.0, (1, 0), 20.0),    # the arc quadrature was 5.1e-7 off at s = 0
+        (1.0, (1, 0), 50.0),    # -2.95e10 where the value is 2
+        (1.0, (1, 0), 1000.0),  # NaN
+        (0.04, (3, 0), 50.0),   # 6.7e-8 off
+    ])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_sum_matches_mpmath(self, nu, xi, t, k):
+        # R1 + R2 to 1e-13 of its sup over s
+        mpmath = pytest.importorskip("mpmath")
+        mode = FourierMode(*xi)
+        assert kernels._auto_regime(nu, mode) == "lowfreq"
+        s = np.linspace(0.0, 8.0, 17)
+        rho1, rho2 = residual_profiles_general(t, nu, mode, s, mode.norm, deriv=k)
+        rho = _mp_parts(t, nu, mode.norm, mode.norm, False)[1]
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.diff(rho, mpmath.mpf(s_j), k)) for s_j in s])
+        assert np.max(np.abs(rho1 + rho2 - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("nu", [1.0, 0.25])
+    @pytest.mark.parametrize("general", [False, True], ids=["no_slip", "general"])
+    def test_r1_matches_adaptive_arc(self, general, nu, t):
+        # where the oracle resolves the arc (t <= 3), over y + z in [0, 5],
+        # both parts to 1e-12 of the largest of them
+        D = _general_operator(MODE) if general else BoundaryOperatorD.no_slip(MODE)
+        pairs = [(0.0, 0.0), (0.3, 0.5), (1.0, 1.5), (2.0, 3.0)]
+        fixed = [residual_kernel_general(t, nu, MODE, D, y, z) for y, z in pairs]
+        adaptive = [residual_kernel_general(t, nu, MODE, D, y, z, method="adaptive")
+                    for y, z in pairs]
+        scale = max(np.max(np.abs(out[key])) for out in fixed for key in ("R1", "R2"))
+        for f, a in zip(fixed, adaptive):
+            for key in ("R1", "R2"):
+                assert np.max(np.abs(f[key] - a[key])) <= 1e-12 * scale
+
+
 class TestBatchedEvaluation:
-    """The certificate's batched closed forms and fused low-frequency parts
-    give the bits of one scalar call per cell and of one pass per segment."""
+    """The certificate's batched closed forms give the bits of one scalar call
+    per cell, and both low-frequency parts come from one pass over the arm."""
 
     # (t, nu, |xi|, sigma) cells, |xi| integer as on the certificate's xi
     # axis: cell 0 takes the vertex-floor branch (|0.05 |xi| - sigma| <
@@ -741,35 +794,53 @@ class TestBatchedEvaluation:
             contours.highfreq_params(t, nu, xin, s, sigma)
 
     @pytest.mark.parametrize("n_s", [1, 21, 125])
-    @pytest.mark.parametrize("n_arm,n_arc", [(contours.N_ARM, contours.N_ARC),
-                                             (2 * contours.N_ARM, 2 * contours.N_ARC), (23, 15)])
+    @pytest.mark.parametrize("n1,n2", [(contours.N_ARM, 128), (2 * contours.N_ARM, 256), (23, 15)])
     @pytest.mark.parametrize("sigma_fraction", [1.0, 0.5])
-    def test_fused_parts_match_per_segment_passes(self, n_s, n_arm, n_arc, sigma_fraction):
-        # the arc and the arm evaluated together, on one concatenated node
-        # array, against a contour that holds only the arc or only the arm
+    def test_fused_parts_match_per_segment_passes(self, monkeypatch, n_s, n1, n2,
+                                                  sigma_fraction):
+        # both low-frequency parts from one pass over the arm, at two node
+        # counts per case: R2 is the arm, and R1 is the closed-form rho minus
+        # it, bit for bit, on a contour whose arc raises when it is evaluated
         import dataclasses
 
         t, nu, xin = 0.1, 0.04, 3.0
         s = np.linspace(0.0, 10.0, n_s)
         ks = (0, 1, 2)
-        comp1 = 0.25 * (xin + 1.0 / math.sqrt(nu)) * s - kernels._log_gauss(s, nu, t)
-        comp2 = nu * xin**2 * t / 8.0
+        comp = 0.25 * (xin + 1.0 / math.sqrt(nu)) * s - kernels._log_gauss(s, nu, t)
         c = contours.build_contour_lowfreq(t, nu, xin, s, sigma_fraction * xin)
-        arc = dataclasses.replace(c, segments=c.segments[:1])
-        arm = dataclasses.replace(c, segments=c.segments[1:], arc_index=None)
-        rho1, rho2 = kernels._fixed_parts(c, ks, comp1, comp2, n_arm, n_arc)
-        # a one-segment contour takes its shift from the first comp
-        assert _same_bits(rho1, kernels._fixed_parts(arc, ks, comp1, comp1, n_arm, n_arc)[0])
-        assert _same_bits(rho2, kernels._fixed_parts(arm, ks, comp2, comp2, n_arm, n_arc)[0])
+
+        def no_arc(p):
+            raise AssertionError("an arc node was evaluated")
+
+        arc = contours.Segment("arc", c.segments[0].p1, no_arc, no_arc)
+        armed = dataclasses.replace(c, segments=(arc, c.segments[1]))
+        monkeypatch.setattr(contours, "build_contour_lowfreq", lambda *args: armed)
+        p = c.params
+        rho = kernels._erfc_rho2(dict(p, crosses_pole=False), ks, comp)
+
+        def plain(mu, dmu_w):
+            # e^{lambda t - mu s + s^2/4 nu t + comp} dlambda / (nu mu (mu - sigma))
+            g = 2.0 * dmu_w / (mu - p["sigma"]) * np.exp(
+                nu * t * (mu - p["a"][:, None]) ** 2 - nu * xin**2 * t + comp[:, None])
+            return np.stack([np.sum(g * (-mu) ** k, axis=-1) for k in ks])
+
+        for n in (n1, n2):
+            rho1, rho2 = kernels._fixed_rho("lowfreq", t, nu, xin, s, p["sigma"], ks, comp, n)
+            assert _same_bits(rho2, kernels._fixed_arm(c, ks, comp, n))
+            assert _same_bits(rho1, rho - rho2)
+            # the in-place integrand against its plain form
+            arm = c.gauss_legendre(plain, n, segment_indices=[1])
+            assert np.max(np.abs(rho2 - arm)) <= 1e-13 * np.max(np.abs(arm))
 
 
 def reference_bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
-                          n_arm, n_arc, operator):
+                          n_arm, operator):
     """``kernels._bound_sweep`` one (nu, xi, t) cell at a time: each cell makes
-    its own ``_fixed_rho`` call (a high-frequency cell once, for both node
-    counts) and each sup is a running comparison of per-cell argmaxes, in
-    which a later cell replaces the sup only when it is strictly larger.  It
-    returns the same (sup, (arg, drift))."""
+    its own closed-form calls (a high-frequency cell once, for both node
+    counts; a low-frequency cell's rho once and its arm at both) and each sup
+    is a running comparison of per-cell argmaxes, in which a later cell
+    replaces the sup only when it is strictly larger.  It returns the same
+    (sup, (arg, drift))."""
     ln10 = math.log(10.0)
     k = np.asarray(k_values)[:, None]
     start = {"R1": 0.0, "R2_quarter": 0.0, "R2_stated_log10": -np.inf}
@@ -792,10 +863,18 @@ def reference_bound_sweep(nu_values, xi_values, t_values, k_values, s_values, th
                 cell = (nu, n_xi, t)
                 comp1 = theta0 * mu0 * s_values - lam_star_t - kernels._log_gauss(s_values, nu, t)
                 comp2 = nu * xin**2 * t / 8.0 - lam_star_t
-                regime = kernels._auto_regime(nu, mode)
-                parts = [kernels._fixed_rho(regime, t, nu, xin, s_values, D.sigma, k_values,
-                                            comp1, comp2, m * n_arm, m * n_arc)
-                         for m in ((1,) if regime == "highfreq" else (1, 2))]
+                if kernels._auto_regime(nu, mode) == "highfreq":
+                    p = contours.highfreq_params(t, nu, xin, s_values, D.sigma)
+                    parts = [(kernels._residue(p, k_values, comp1),
+                              kernels._erfc_rho2(p, k_values, comp2))]
+                else:
+                    c = contours.build_contour_lowfreq(t, nu, xin, s_values, D.sigma)
+                    rho = kernels._erfc_rho2(dict(c.params, crosses_pole=False), k_values,
+                                             comp1)
+                    parts = []
+                    for m in (1, 2):
+                        rho2 = kernels._fixed_arm(c, k_values, comp2, m * n_arm)
+                        parts.append((rho - kernels._rescale(rho2, comp1 - comp2), rho2))
                 for (rho1, rho2), report in zip((parts[0], parts[-1]), reports):
                     record(*report, "R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
                     ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
@@ -840,29 +919,21 @@ class TestBoundCertificate:
                                              ("highfreq", 0), ("highfreq", 1)],
                              ids=["R1", "R2", "highfreq-R1", "highfreq-R2"])
     def test_nan_profile_fails(self, monkeypatch, regime, part):
-        # one NaN per cell in a certified part (the half circle's R1 or the
-        # arm's R2 of the fused low-frequency evaluation, the residue or the
-        # erfc remainder of the batched closed forms), planted in both cells
+        # one NaN per cell in a certified part (the closed-form rho of the
+        # low-frequency R1 = rho - R2 or the arm's R2, the residue or the erfc
+        # remainder of the high-frequency closed forms), planted in both cells
         # at (k, s) = (1, 3.0), must make the sup NaN and the certificate
-        # fail.  argmax names the first NaN in sweep order: the first cell.
+        # fail; a NaN in the arm reaches R1 as well.  argmax names the first
+        # NaN in sweep order: the first cell.
         def poison(rho):
             rho = np.array(rho, copy=True)
             rho[1, ..., 3] = np.nan  # k axis first, s axis last
             return rho
 
-        if regime == "lowfreq":
-            real = kernels._fixed_parts
-
-            def poisoned(*args):
-                rho = list(real(*args))
-                rho[part] = poison(rho[part])
-                return tuple(rho)
-
-            monkeypatch.setattr(kernels, "_fixed_parts", poisoned)
-        else:
-            name = ("_residue", "_erfc_rho2")[part]
-            real = getattr(kernels, name)
-            monkeypatch.setattr(kernels, name, lambda *args: poison(real(*args)))
+        names = {"lowfreq": ("_erfc_rho2", "_fixed_arm"), "highfreq": ("_residue", "_erfc_rho2")}
+        name = names[regime][part]
+        real = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *args: poison(real(*args)))
         xi_values, t_values = self.NAN_SWEEPS[regime]
         report = verify_kernel_bounds(nu_values=(1.0,), xi_values=xi_values,
                                       t_values=t_values, k_values=(0, 1, 2),
@@ -870,9 +941,15 @@ class TestBoundCertificate:
         assert report["pass"] is False
         family = report["no_slip"]
         assert family["finite"] is False
-        key, other = ("R1", "R2_quarter")[part], ("R2_quarter", "R1")[part]
-        assert math.isnan(family["sup"][key]) and math.isfinite(family["sup"][other])
-        assert family["argmax(nu,xi,t,k,s)"][key] == (1.0, xi_values[0], t_values[0], 1, 3.0)
+        nan_keys = ({"R1", "R2_quarter"} if name == "_fixed_arm"
+                    else {("R1", "R2_quarter")[part]})
+        for key in ("R1", "R2_quarter"):
+            if key in nan_keys:
+                assert math.isnan(family["sup"][key])
+                assert family["argmax(nu,xi,t,k,s)"][key] == (1.0, xi_values[0], t_values[0],
+                                                              1, 3.0)
+            else:
+                assert math.isfinite(family["sup"][key])
 
     def test_sups_match_public_profiles(self):
         # the certificate's compensated parts against plain profiles, cell by cell
@@ -886,8 +963,7 @@ class TestBoundCertificate:
                 scale = np.abs(D.matrix).max()
                 for t in (0.1, 1.0):
                     sup, _ = kernels._bound_sweep((nu,), (n_xi,), (t,), ks, s, 0.25,
-                                                  contours.N_ARM, contours.N_ARC,
-                                                  BoundaryOperatorD.no_slip)
+                                                  contours.N_ARM, BoundaryOperatorD.no_slip)
                     r1 = r2 = 0.0
                     for k in ks:
                         rho1, rho2 = residual_profiles_general(t, nu, mode, s, D.sigma,
@@ -899,6 +975,40 @@ class TestBoundCertificate:
                                  * scale * (nu * t) ** ((k + 1) / 2))
                     assert sup["R1"] == pytest.approx(r1, rel=1e-12, abs=0)
                     assert sup["R2_quarter"] == pytest.approx(r2, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [200.0, 1000.0])
+    @pytest.mark.parametrize("operator", [BoundaryOperatorD.no_slip, _general_operator],
+                             ids=["no_slip", "general"])
+    def test_large_t_sweep_matches_per_cell_reference(self, operator, t):
+        # low-frequency cells at large t: R2 moves into R1's exponent in log
+        # form, and the sups are finite and match rho - arm with the arm
+        # integrated in R1's exponent directly, cell by cell
+        nu, xi_values, ks = 0.04, (1, 3, 5), (0, 1, 2)
+        s = np.linspace(0.0, 10.0, 21)
+        sup, _ = kernels._bound_sweep((nu,), xi_values, (t,), ks, s, 0.25, contours.N_ARM,
+                                      operator)
+        k = np.array(ks)[:, None]
+        r1 = r2 = 0.0
+        for n_xi in xi_values:
+            mode = FourierMode(n_xi, 0)
+            assert kernels._auto_regime(nu, mode) == "lowfreq"
+            D = operator(mode)
+            mu0, scale = mu0_rate(mode, nu), np.abs(D.matrix).max()
+            lam_star_t = D.pole_lambda(nu) * t
+            comp1 = 0.25 * mu0 * s - lam_star_t - kernels._log_gauss(s, nu, t)
+            comp2 = nu * mode.norm**2 * t / 8.0 - lam_star_t
+            c = contours.build_contour_lowfreq(t, nu, mode.norm, s, D.sigma)
+            rho = kernels._erfc_rho2(dict(c.params, crosses_pole=False), ks, comp1)
+            rho1 = rho - kernels._fixed_arm(c, ks, comp1, contours.N_ARM)
+            rho2 = kernels._fixed_arm(c, ks, comp2, contours.N_ARM)
+            r1 = max(r1, np.max(np.abs(rho1) * scale / mu0 ** (k + 1)))
+            r2 = max(r2, np.max(np.abs(rho2) * scale * (nu * t) ** ((k + 1) / 2)))
+        assert np.isfinite(r1) and np.isfinite(r2)
+        assert sup["R1"] == pytest.approx(r1, rel=1e-12, abs=0)
+        assert sup["R2_quarter"] == pytest.approx(r2, rel=1e-12, abs=0)
+        report = verify_kernel_bounds(nu_values=(nu,), xi_values=xi_values, t_values=(t,),
+                                      k_values=ks, s_values=s)
+        assert report["no_slip"]["finite"] and report["general"]["finite"]
 
     @pytest.mark.parametrize("theta0", [-5.0, 0.0, 1.0, math.nan])
     def test_theta0_outside_unit_interval_raises(self, theta0):
@@ -978,7 +1088,7 @@ class TestBoundCertificate:
     def test_sweep_matches_reference_loop(self, sweep, operator):
         # sup, argmax and drift bit for bit (repr tells -0.0 from 0.0 and
         # np.float64(1.0) from 1.0), the first cell in sweep order winning a tie
-        args = (*self.SWEEPS[sweep], 0.25, contours.N_ARM, contours.N_ARC, operator)
+        args = (*self.SWEEPS[sweep], 0.25, contours.N_ARM, operator)
         got = kernels._bound_sweep(*args)
         assert repr(got) == repr(reference_bound_sweep(*args))
         if sweep == "ties":
