@@ -6,7 +6,6 @@ reconstruction and Duhamel evolution, one tangential Fourier mode at a time.
 """
 
 from .biot_savart import (
-    boundary_source_K,
     check_biot_savart_roundtrip,
     check_trace_identities,
     curl_mode,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .actions import halfline_laplace_weights, image_action_exp
+from .actions import image_action_exp
 from .core import FourierMode, HalfLineGrid, ModeField
 from .errors import (
     GridTooSmall,
@@ -34,7 +34,6 @@ __all__ = [
     "divergence_mode",
     "check_biot_savart_roundtrip",
     "check_trace_identities",
-    "boundary_source_K",
 ]
 
 
@@ -160,19 +159,3 @@ def check_trace_identities(f: ModeField, mode: FourierMode, laplacian,
     err_n = abs(trace_int / xin - (fv[0] + df0 / xin))
     return float(err_d), float(err_n)
 
-
-def boundary_source_K(g: ModeField, mode: FourierMode) -> np.ndarray:
-    """Tangential boundary source pair K = d/dz Phi_D(g_tau)(0) + i xi Phi_N(g_3)(0).
-
-    Componentwise K_j = int e^{-|xi| z} g_j dz + (i xi_j / |xi|) int e^{-|xi| z}
-    g_3 dz, using the explicit boundary traces of the image kernels.  The
-    Laplace integrals are evaluated exactly on the piecewise-linear interpolant.
-    """
-    if mode.is_zero:
-        raise ZeroModeUnsupported("boundary source needs |xi| > 0")
-    if g.ncomp != 3:
-        raise IncompatibleData("boundary_source_K expects a 3-component field")
-    xin = mode.norm
-    ints = g.values @ halfline_laplace_weights(g.grid, xin)
-    xi_vec = np.array([mode.xi1, mode.xi2], dtype=float)
-    return ints[:2] + 1j * xi_vec / xin * ints[2]

@@ -35,19 +35,16 @@ well conditioned even for large s^2/(4 nu t).
 
 Each deformation is described once, as the ``Segment`` maps of a ``Contour``.
 The maps broadcast over an array of s (s axes first, the node axis last), so
-one Contour holds the contours of a whole batch of s.  Two integrators run
-over the same segments.  ``Contour.gauss_legendre`` (fixed nodes) hands the
-fixed-node integrand of the low-frequency profiles and bound certificate
-the nodes of the arm, in the root variable mu = sqrt(lambda/nu + |xi|^2),
-the principal square root of each node's lambda, with
-dmu = dlambda / (2 nu mu); the high-frequency profiles are closed forms that
-evaluate no node, and read only ``highfreq_params`` (which also takes
-(cell, 1) columns of t, nu, |xi| and sigma, for the certificate's cells at
-once).  ``Contour.integrate`` (adaptive panels) integrates the oracles'
+one Contour holds the contours of a whole batch of s.  Contours serve only
+the oracles: ``Contour.integrate`` (adaptive panels) integrates their
 integrands in lambda (``residual_kernel_general(method="adaptive")`` and
 ``invert_resolvent_kernel``), the half circle included.  Only ``integrate``
 needs scipy's ``quad_vec``, so it imports ``scipy.integrate`` on its first
-call and the package import does not load it.
+call and the package import does not load it.  The production paths read
+only the geometry: ``highfreq_params`` for the high-frequency closed forms
+(it also takes (cell, 1) columns of t, nu, |xi| and sigma, for the
+certificate's cells at once), and ``lowfreq_params`` for the low-frequency
+arm, whose fixed nodes the ``kernels`` module builds itself.
 
 Both deformations are mirror images under complex conjugation, and the
 residual integrands are real in the sense f(conj lambda) = conj f(lambda)
@@ -56,7 +53,7 @@ contour therefore contributes the conjugate of the upper half's integral I,
 so the Bromwich integral is (I - conj I) / (2 pi i) = Im(I) / pi.  A
 ``Contour`` is its upper half (Im lambda >= 0): at low frequency the quarter
 circle from the real axis and the arm b >= 0, at high frequency the parabola
-b >= 0.  Both integrators return that real value.
+b >= 0.  ``integrate`` returns that real value.
 """
 
 from __future__ import annotations
@@ -64,7 +61,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -89,16 +86,6 @@ BETA_MAX = 6.1
 # any vertex offset gives the same integral by Cauchy's theorem).
 VERTEX_FLOOR_FRACTION = 0.05
 
-# Gauss-Legendre nodes per arm: the fixed-node resolution of every
-# low-frequency profile, kernel and certificate cell (node-doubling checks
-# use twice as many).  The arm integrand is the Gaussian e^{-nu t b^2} on
-# [0, BETA_MAX / sqrt(nu t)]: against 1024 nodes over nu in
-# {1, 0.25, 0.04, 0.01}, t in [1e-5, 20], sigma/|xi| in {0.3, 0.5, 0.9, 1},
-# s <= 40 and k <= 2, R2 misses by 2.3e-10 of its sup at 48 nodes
-# (nu = 0.04, xi = (2,0), t = 3, sigma = |xi|/2, k = 0) and reaches the
-# rounding floor (~1e-13) at 64, so 96 is a 2x margin.
-N_ARM = 96
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -121,8 +108,8 @@ class Contour:
     regime: str
     params: dict = field(compare=False)
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray], segment_indices=None):
-        """(1/2 pi i) * integral of f(lambda) over (selected) segments and their mirrors.
+    def integrate(self, f: Callable[[np.ndarray], np.ndarray]):
+        """(1/2 pi i) * integral of f(lambda) over the segments and their mirrors.
 
         Requires f(conj lambda) = conj f(lambda), and returns the real
         Im(I) / pi of the upper-half integral I.  Uses adaptive Gauss-Kronrod
@@ -140,58 +127,8 @@ class Contour:
 
             return quad_vec(g, 0.0, seg.p1, epsabs=1e-13, epsrel=1e-11)[0]
 
-        if segment_indices is None:
-            segment_indices = range(len(self.segments))
-        total = reduce(operator.add, (part(self.segments[k]) for k in segment_indices))
+        total = reduce(operator.add, (part(seg) for seg in self.segments))
         return total.imag / np.pi
-
-    def gauss_legendre(self, f: Callable, n: int = N_ARM, segment_indices=None):
-        """Im(f(mu, dmu_w)) / pi on fixed Gauss-Legendre nodes over (selected)
-        segments, in the principal root mu = sqrt(lambda/nu + |xi|^2) (nu and
-        |xi| from ``params``).
-
-        Each segment takes the ``n``-node rule on [0, p1]; its mirrored nodes
-        are the same rule on the mirror image.  ``f`` is called once, on the
-        nodes of the selected segments together: mu with the contour's s axes
-        first and the segments' nodes concatenated in order on the last axis,
-        and dmu/dp times the weights on the same nodes.  It returns its own
-        sums over the node axis, with any leading axes (so one evaluation can
-        give several integrals).  An integrand g(lambda) is
-        ``np.sum(g(lam) * (2 nu mu dmu_w), axis=-1)``, since
-        dlambda = 2 nu mu dmu.
-        """
-        nu, xi_norm = self.params["nu"], self.params["xi_norm"]
-        if segment_indices is None:
-            segment_indices = range(len(self.segments))
-        segments = [self.segments[k] for k in segment_indices]
-        nodes = [(seg, *_gl(0.0, seg.p1, n)) for seg in segments]
-        # in place, so that at most three arrays of the nodes' size are held;
-        # each value takes the same operations as sqrt(lambda/nu + |xi|^2) and
-        # dlambda/dp / (2 nu mu) * w.  f puts its own values first in its
-        # products with dmu_w: numpy computes a product with a large temporary
-        # on the right in place with the operands swapped, and complex
-        # multiplication is not bitwise commutative, so the other order would
-        # make each value depend on how many s are evaluated together.
-        mu = np.concatenate([seg.gamma(p) for seg, p, _ in nodes], axis=-1)
-        mu /= nu
-        mu += xi_norm**2
-        mu = np.sqrt(mu, out=mu)
-        dmu_w = np.concatenate([seg.dgamma(p) for seg, p, _ in nodes], axis=-1)
-        dmu_w /= 2.0 * nu * mu
-        dmu_w *= np.concatenate([w for *_, w in nodes]).astype(complex)
-        return f(mu, dmu_w).imag / np.pi
-
-
-@lru_cache(maxsize=32)
-def _leggauss(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _gl(p0: float, p1: float, n: int):
-    """Gauss-Legendre nodes/weights on [p0, p1]."""
-    x, w = _leggauss(n)
-    mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-    return mid + half * x, half * w
 
 
 def _last(x) -> np.ndarray:

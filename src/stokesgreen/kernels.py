@@ -44,20 +44,22 @@ derivative order of R2 by the recurrence rho2^{(k)} = -sigma rho2^{(k-1)} -
 2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t),
 and rho itself on the branch where no contour crosses the pole; they take
 (cell, 1) columns too, so the certificate evaluates all its cells in one
-call.  At low frequency ``_fixed_arm`` integrates the arm (R2) on fixed
-nodes: in mu, with the completed-square exponent
-nu t (mu - a)^2 - nu |xi|^2 t, and every derivative order by the
-recurrence (-mu)^{k+1} = -mu (-mu)^k.  Both leave the
-Gaussian e^{-s^2/4 nu t} out.  The oracle ``_adaptive_rho``
-(``method="adaptive"``) is kept apart: adaptive panels in lambda, at k = 0,
-on the arc as well.
+call.  At low frequency ``_fixed_arm`` integrates the arm (R2) on
+Gauss-Legendre nodes it builds from ``lowfreq_params``, with no ``Contour``:
+in mu, with the completed-square exponent nu t (mu - a)^2 - nu |xi|^2 t,
+and every derivative order by the recurrence (-mu)^{k+1} = -mu (-mu)^k.
+Both leave the Gaussian e^{-s^2/4 nu t} out.  Only the oracles build
+contours: ``_adaptive_rho`` (``method="adaptive"``) integrates adaptive
+panels in lambda, at k = 0, on the arc as well, and
+``invert_resolvent_kernel`` the full resolvent kernel.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, erfcx
@@ -159,43 +161,75 @@ def _log_gauss(s, nu, t):
     return s**2 / (4.0 * nu * t)
 
 
-def _fixed_arm(contour, ks, comp, n_arm):
+# Gauss-Legendre nodes per arm: the fixed-node resolution of every
+# low-frequency profile, kernel and certificate cell (node-doubling checks
+# use twice as many).  The arm integrand is the Gaussian e^{-nu t b^2} on
+# [0, BETA_MAX / sqrt(nu t)]: against 1024 nodes over nu in
+# {1, 0.25, 0.04, 0.01}, t in [1e-5, 20], sigma/|xi| in {0.3, 0.5, 0.9, 1},
+# s <= 40 and k <= 2, R2 misses by 2.3e-10 of its sup at 48 nodes
+# (nu = 0.04, xi = (2,0), t = 3, sigma = |xi|/2, k = 0) and reaches the
+# rounding floor (~1e-13) at 64, so 96 is a 2x margin.
+N_ARM = 96
+
+
+@lru_cache(maxsize=32)
+def _leggauss(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _fixed_arm(p, ks, comp, n_arm):
     """The low-frequency fixed-node integrand of the profiles and the
     certificate: rho2 e^{s^2/(4 nu t) + comp}, k axis first, from ``n_arm``
-    Gauss-Legendre nodes on the arm (R2).
+    Gauss-Legendre nodes on the upper arm (R2) of the ``lowfreq_params``
+    geometry ``p``, as Im / pi of the upper-half sum (its mirror adds the
+    conjugate).
 
-    In the root variable, dlambda / (nu mu (mu - sigma)) = 2 dmu / (mu - sigma),
-    and with s = 2 nu t a the exponent completes the square:
+    The nodes are b in [0, b_max] on lambda = c_arm + i M + nu (a + i b)^2, in
+    the principal root mu = sqrt(lambda/nu + |xi|^2) with
+    dmu = dlambda / (2 nu mu) = 2 i nu (a + i b) db / (2 nu mu).  There
+    dlambda / (nu mu (mu - sigma)) = 2 dmu / (mu - sigma), and with
+    s = 2 nu t a the exponent completes the square:
     lambda t - mu s = nu t (mu - a)^2 - nu |xi|^2 t - s^2/(4 nu t).  The
     Gaussian is replaced by ``comp``, so a bound that divides by it cancels
     it exactly.  The weights are multiplied in once per (s, node), and each
     k in ``ks`` is one more factor -mu, summed after each step.
     """
-    p = contour.params
-    t, nu, sigma = p["t"], p["nu"], p["sigma"]
-    # the real operands as complex, the cast numpy would make per node
-    a = p["a"][..., None].astype(complex)
-    shift = np.asarray(comp - nu * p["xi_norm"]**2 * t)[..., None].astype(complex)
-
-    def sums(mu, dmu_w):
-        # g = e^{nu t (mu - a)^2 + shift} 2 dmu_w / (mu - sigma), in place over
-        # dmu_w and one more array; products keep the large array on the left
-        # (see gauss_legendre)
-        g = mu - sigma
-        dmu_w = np.multiply(2.0, dmu_w, out=dmu_w)
-        dmu_w /= g
-        g = np.square(np.subtract(mu, a, out=g), out=g)
-        g *= nu * t
-        g += shift
-        g = np.exp(g, out=g)
-        g *= dmu_w
-        out = [g.sum(axis=-1)]
-        for _ in range(max(ks)):
-            g *= np.negative(mu, out=dmu_w)
-            out.append(g.sum(axis=-1))
-        return np.stack(out)[list(ks)]
-
-    return contour.gauss_legendre(sums, n_arm, segment_indices=[1])  # the arm
+    t, nu, xi_norm, sigma = p["t"], p["nu"], p["xi_norm"], p["sigma"]
+    x, w = _leggauss(n_arm)
+    half = 0.5 * p["b_max"]  # the rule on [0, b_max]
+    b, w = half + half * x, half * w
+    a = p["a"][..., None]
+    vertex = p["c_arm"] + 1j * p["M"][..., None]
+    # in place where it can be, so that at most three arrays of the nodes'
+    # size are held
+    mu = vertex + nu * (a + 1j * b) ** 2
+    mu /= nu
+    mu += xi_norm**2
+    mu = np.sqrt(mu, out=mu)
+    dmu_w = 2j * nu * (a + 1j * b)
+    dmu_w /= 2.0 * nu * mu
+    dmu_w *= w.astype(complex)
+    # g = e^{nu t (mu - a)^2 - nu |xi|^2 t + comp} 2 dmu_w / (mu - sigma), in
+    # place over dmu_w and one more array, its real operands cast to complex
+    # as numpy would per node.  The products keep the large array on the
+    # left: numpy computes a product with a large temporary on the right in
+    # place with the operands swapped, and complex multiplication is not
+    # bitwise commutative, so the other order would make each value depend
+    # on how many s are evaluated together.
+    shift = np.asarray(comp - nu * xi_norm**2 * t)[..., None].astype(complex)
+    g = mu - sigma
+    dmu_w = np.multiply(2.0, dmu_w, out=dmu_w)
+    dmu_w /= g
+    g = np.square(np.subtract(mu, a.astype(complex), out=g), out=g)
+    g *= nu * t
+    g += shift
+    g = np.exp(g, out=g)
+    g *= dmu_w
+    out = [g.sum(axis=-1)]
+    for _ in range(max(ks)):
+        g *= np.negative(mu, out=dmu_w)
+        out.append(g.sum(axis=-1))
+    return np.stack(out)[list(ks)].imag / np.pi
 
 
 def _auto_regime(nu, mode, regime=None):
@@ -233,7 +267,9 @@ def _erfc_rho2(p, ks, comp):
     rho2 e^{s^2/4 nu t + comp} is -E erfcx(-x) where the parabola crossed the
     pole and E erfcx(x) elsewhere (rho - rho1 without cancellation).
     E erfcx(y) is evaluated as e^{y^2} E erfc(y) for y < 0, so nothing
-    overflows.  Derivative orders follow
+    overflows, with the exponent y^2 - nu |xi|^2 t + comp formed as
+    (lambda* t - sigma s) + (comp + s^2/4 nu t): its terms sigma^2 nu t and
+    s^2/4 nu t would otherwise cancel at large t.  Derivative orders follow
     rho2' = -sigma rho2 - 2 e^{-nu |xi|^2 t} Phi, with the Hermite recurrence
     Phi^{(j)} = -(s Phi^{(j-1)} + (j-1) Phi^{(j-2)}) / (2 nu t) for
     Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).  Where the parabola crosses the
@@ -246,9 +282,11 @@ def _erfc_rho2(p, ks, comp):
     sign = np.where(p["crosses_pole"], -1.0, 1.0)
     y = sign * (s / (2.0 * root) - sigma * root)
     log_e = comp - nu * p["xi_norm"]**2 * t
-    neg = np.minimum(y, 0.0)
+    # y^2 + log_e where y < 0 (log_e elsewhere, so that nothing unused overflows)
+    log_pole = np.where(y >= 0.0, log_e, (nu * (sigma**2 - p["xi_norm"]**2) * t - sigma * s)
+                        + (comp + _log_gauss(s, nu, t)))
     rho2 = sign * np.where(y >= 0.0, np.exp(log_e) * erfcx(np.maximum(y, 0.0)),
-                           np.exp(neg**2 + log_e) * erfc(neg))
+                           np.exp(log_pole) * erfc(np.minimum(y, 0.0)))
     out = [rho2]
     # 2 E Phi^{(j)} e^{s^2/4 nu t}, starting at j = 0
     phi, phi_prev = np.exp(log_e) / np.sqrt(math.pi * nu * t), 0.0
@@ -267,9 +305,9 @@ def _fixed_rho(regime, t, nu, xi_norm, s, sigma, ks, comp, n_arm):
     if regime == "highfreq":
         p = ct.highfreq_params(t, nu, xi_norm, s, sigma)
         return _residue(p, ks, comp), _erfc_rho2(p, ks, comp)
-    contour = ct.build_contour_lowfreq(t, nu, xi_norm, s, sigma)
-    rho2 = _fixed_arm(contour, ks, comp, n_arm)
-    return _erfc_rho2(dict(contour.params, crosses_pole=False), ks, comp) - rho2, rho2
+    p = ct.lowfreq_params(t, nu, xi_norm, s, sigma)
+    rho2 = _fixed_arm(p, ks, comp, n_arm)
+    return _erfc_rho2(dict(p, crosses_pole=False), ks, comp) - rho2, rho2
 
 
 def _rescale(rho, d):
@@ -291,8 +329,16 @@ _CHUNK_ELEMENTS = 20_000
 DOUBLING_RTOL = 1e-8
 
 
+def _check_domain(t, nu, s):
+    """IncompatibleData unless t, nu are finite and > 0 and every s is finite and >= 0."""
+    if not (0.0 < t < math.inf and 0.0 < nu < math.inf
+            and np.all((s >= 0.0) & (s < math.inf))):
+        raise IncompatibleData("the residual kernel needs finite t, nu > 0 and every "
+                               f"s = y + z finite and >= 0, got t={t}, nu={nu}")
+
+
 def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
-                              regime=None, n_arm=ct.N_ARM, n_arc=0):
+                              regime=None, n_arm=N_ARM, n_arc=0):
     """Scalar profiles (rho1, rho2) with R1 = rho1 D(xi), R2 = rho2 D(xi).
 
     Vectorized over an array of s = y + z values; ``sigma`` is the trace of D (0: zeros).
@@ -301,17 +347,20 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     as does a ``regime`` other than "lowfreq", "highfreq" or None (from
     nu |xi|^2).  At high frequency both parts are closed forms and ``n_arm``
     is unused.  At low frequency R2 comes from the fixed-node integrand on
-    the arm (``n_arm`` Gauss-Legendre nodes) of one contour per chunk of s,
-    and R1 = rho - R2 from the closed form rho.  No arc node is evaluated:
-    ``n_arc`` is unused, and stays only because the benchmark's tracer
-    (``perfbench/bench_trace.py``) reads it to count nodes.  Both are real
-    float arrays.  A non-finite value raises QuadratureUnderresolved.
+    the arm (``n_arm`` Gauss-Legendre nodes on the ``lowfreq_params``
+    geometry of each chunk of s), and R1 = rho - R2 from the closed form
+    rho.  No arc node is evaluated: ``n_arc`` is unused, and stays only
+    because the benchmark's tracer (``perfbench/bench_trace.py``) reads it
+    to count nodes.  Both are real float arrays.  A t or nu that is not
+    finite and > 0, or an s that is not finite and >= 0, raises
+    IncompatibleData; a non-finite value raises QuadratureUnderresolved.
     """
     if mode.is_zero:
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
     if not (isinstance(deriv, numbers.Integral) and deriv >= 0):
         raise IncompatibleData(f"deriv must be an integer >= 0, got {deriv!r}")
     s = np.asarray(s, dtype=float)
+    _check_domain(t, nu, s)
     regime = _auto_regime(nu, mode, regime)
     if sigma == 0.0:
         return np.zeros(s.shape), np.zeros(s.shape)
@@ -350,8 +399,9 @@ def _adaptive_rho(contour):
         mu = np.sqrt(lam / p["nu"] + p["xi_norm"]**2)
         return np.exp(lam * p["t"] - mu * p["s"][..., None]) / (p["nu"] * mu * (mu - p["sigma"]))
 
-    if contour.regime == "lowfreq":
-        return tuple(contour.integrate(f, segment_indices=[k]) for k in (0, 1))
+    if contour.regime == "lowfreq":  # the half circle (R1) and the arm (R2) apart
+        return tuple(replace(contour, segments=(seg,)).integrate(f)
+                     for seg in contour.segments)
     return _residue(p, (0,), -_log_gauss(p["s"], p["nu"], p["t"]))[0], contour.integrate(f)
 
 
@@ -387,6 +437,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
         raise IncompatibleData(f"method must be 'fixed', or 'adaptive' without check "
                                f"(no nodes to double), got {method!r} with check={check!r}")
     s = float(y) + float(z)
+    _check_domain(t, nu, s)
 
     if D.sigma == 0.0:
         vals = np.zeros(2)
@@ -395,7 +446,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
     else:
         def run(k):  # (rho1, rho2) on k times the default nodes
             return np.concatenate(residual_profiles_general(
-                t, nu, mode, np.array([s]), D.sigma, regime=regime, n_arm=k * ct.N_ARM))
+                t, nu, mode, np.array([s]), D.sigma, regime=regime, n_arm=k * N_ARM))
 
         vals = run(1)
         if check:
@@ -574,8 +625,8 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
     rho1, rho2 = np.empty((2, 2, len(cells), len(k_values), s.size))
     for c in low:  # each low-frequency cell's arm at both node counts
         t, nu, xin, sigma, comp2 = cols[c][:5]
-        contour = ct.build_contour_lowfreq(t, nu, xin, s, sigma)
-        rho2[:, c] = [_fixed_arm(contour, k_values, comp2, m * n_arm) for m in (1, 2)]
+        p = ct.lowfreq_params(t, nu, xin, s, sigma)
+        rho2[:, c] = [_fixed_arm(p, k_values, comp2, m * n_arm) for m in (1, 2)]
     # one closed-form call: R2 in its exponent where the regime is high (the
     # residue where the parabola crossed the pole), rho in R1's exponent where
     # it is low (no contour crosses the pole there); each is the same at
@@ -684,7 +735,7 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     ok = True
     for name, operator in (("no_slip", BoundaryOperatorD.no_slip), ("general", general)):
         sup, (arg, drift) = _bound_sweep(nu_values, xi_values, t_values, k_values,
-                                         s_values, theta0, ct.N_ARM, operator)
+                                         s_values, theta0, N_ARM, operator)
         finite = all(np.isfinite(sup[key]) for key in ("R1", "R2_quarter"))
         stable = all(d < _DRIFT_TOL for d in drift.values())
         ok = ok and finite and stable

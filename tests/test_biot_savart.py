@@ -11,7 +11,6 @@ from stokesgreen import (
     IncompatibleData,
     ModeField,
     ZeroModeUnsupported,
-    boundary_source_K,
     check_biot_savart_roundtrip,
     check_trace_identities,
     curl_mode,
@@ -175,39 +174,3 @@ class TestTraceIdentities:
         assert err_d < 1e-9
         assert err_n < 1e-9
 
-
-class TestBoundarySource:
-    def test_structure(self):
-        # g = (g1, g2, g3) constant-direction bump: K = I2 part + i xi/|xi| g3 part
-        grid = HalfLineGrid.uniform(20.0, 801)
-        mode = FourierMode(3, 4)
-        z = grid.nodes
-        bump = np.exp(-((z - 5.0) ** 2))
-        g = ModeField(grid, np.array([2.0 * bump, 0.0 * bump, 1j * bump]))
-        K = boundary_source_K(g, mode)
-        # oracle by Simpson quadrature of the same integrals
-        I = grid.integrate(np.exp(-mode.norm * z) * bump)
-        expect = np.array([2.0 * I + 1j * (3.0 / 5.0) * (1j * I),
-                           0.0 + 1j * (4.0 / 5.0) * (1j * I)])
-        assert np.allclose(K, expect, atol=1e-10)
-
-    def test_exact_vs_quadrature(self):
-        grid = HalfLineGrid.uniform(20.0, 801)
-        mode = FourierMode(2, 1)
-        z = grid.nodes
-        g = ModeField(grid, np.array([np.exp(-((z - 4) ** 2)),
-                                      1j * np.exp(-((z - 5) ** 2)),
-                                      np.exp(-((z - 6) ** 2))]))
-        K_exact = boundary_source_K(g, mode)
-        # the same Laplace integrals by Simpson quadrature
-        ints = grid.integrate(np.exp(-mode.norm * z) * g.values)
-        K_quad = ints[:2] + 1j * np.array([2.0, 1.0]) / mode.norm * ints[2]
-        # PL-exact Laplace weights vs Simpson differ at quadrature order
-        assert np.allclose(K_exact, K_quad, atol=1e-6)
-
-    def test_guards(self):
-        grid = HalfLineGrid.uniform(5.0, 11)
-        with pytest.raises(ZeroModeUnsupported):
-            boundary_source_K(ModeField(grid, np.ones((3, 11))), FourierMode(0, 0))
-        with pytest.raises(IncompatibleData):
-            boundary_source_K(ModeField(grid, np.ones((2, 11))), MODE)

@@ -1,5 +1,7 @@
 """Unit tests for the deformed inverse-Laplace contours."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from stokesgreen import (
     build_contour_highfreq,
     build_contour_lowfreq,
 )
+from stokesgreen import kernels
 from stokesgreen.contours import BETA_MAX, Contour, Segment, highfreq_params, lowfreq_params
 
 
@@ -55,12 +58,10 @@ class TestLowFreq:
         assert BETA_MAX**2 > 34.0
 
 
-def _in_mu(c, g):
-    """The lambda integrand g as ``Contour.gauss_legendre`` takes it: node
-    sums of g(lambda) dlambda over the segments, dlambda = 2 nu mu dmu."""
-    nu, xin = c.params["nu"], c.params["xi_norm"]
-    return lambda mu, dmu_w: np.sum(g(nu * (mu**2 - xin**2)) * (2.0 * nu * mu * dmu_w),
-                                    axis=-1)
+def _fixed_arm0(t, nu, xin, s, sigma, n):
+    """The fixed-node arm rho2 at k = 0 (its comp cancels the Gaussian it leaves out)."""
+    p = lowfreq_params(t, nu, xin, s, sigma)
+    return kernels._fixed_arm(p, (0,), -kernels._log_gauss(s, nu, t), n)[0]
 
 
 class TestHighFreq:
@@ -110,101 +111,82 @@ class TestContourIntegrate:
     def test_cauchy_circle(self):
         # closed-path check via the upper unit half circle and its mirror:
         # integral of 1/(lambda - z0) with a real pole z0 inside
-        import dataclasses
-
         z0 = 0.3
-        # nu = 1, |xi| = 0: mu = sqrt(lambda) = e^{i th / 2}
         upper = Segment("upper", np.pi,
                         lambda th: np.exp(1j * th), lambda th: 1j * np.exp(1j * th))
         c = Contour(segments=(upper,), regime="test", params={"nu": 1.0, "xi_norm": 0.0})
         assert abs(c.integrate(lambda lam: 1.0 / (lam - z0)) - 1.0) < 1e-12
-        assert abs(c.gauss_legendre(_in_mu(c, lambda lam: 1.0 / (lam - z0))) - 1.0) < 1e-12
         assert dataclasses.is_dataclass(c)
 
     @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
     def test_nodes_match_segments(self, family):
-        # fixed Gauss-Legendre nodes must reproduce the adaptive integral over
-        # the same segments, for every s of an array-s contour
+        # the fixed path's R2 (Gauss-Legendre nodes on the low-frequency arm,
+        # the closed form on the high-frequency parabola) must reproduce the
+        # adaptive integral over the same segment, for every s of an array-s
+        # contour
         if family == "lowfreq":
             t, nu, xin, s = 0.4, 0.8, 1.0, np.array([0.0, 1.3])
             c = build_contour_lowfreq(t, nu, xin, s, xin)
+            c = dataclasses.replace(c, segments=(c.segments[1],))  # the arm alone
+            fixed = _fixed_arm0(t, nu, xin, s, xin, 256)
         else:
             # s = 0 crosses the pole mu = |xi|, s = 10 (a = 50) does not
             t, nu, xin, s = 0.1, 1.0, 3.0, np.array([0.0, 10.0])
             c = build_contour_highfreq(t, nu, xin, s, xin)
             assert c.params["crosses_pole"].tolist() == [True, False]
+            fixed = kernels._erfc_rho2(c.params, (0,), -kernels._log_gauss(s, nu, t))[0]
 
         def f(lam):
             mu = np.sqrt(lam / nu + xin**2)
-            return np.exp(lam * t - mu * s[:, None]) / (lam - 5.0)
+            return np.exp(lam * t - mu * s[:, None]) / (nu * mu * (mu - xin))
 
         adaptive = c.integrate(f)
-        fixed = c.gauss_legendre(_in_mu(c, f), n=256)
         assert fixed.shape == s.shape
         assert np.max(np.abs(adaptive - fixed)) < 1e-12
 
 
-def _unfolded_gauss_legendre(c, h, n, segment_indices):
+def _unfolded_gauss_legendre(seg, nu, xin, h, n):
     """The plain Gauss-Legendre rule for the integrand h(mu) dmu over the
-    selected segments and their mirror images, conj mu traversed backwards.
-    mu is the principal root sqrt(lambda/nu + |xi|^2), and
-    dmu = dlambda / (2 nu mu)."""
-    nu, xin = c.params["nu"], c.params["xi_norm"]
+    segment and its mirror image, conj mu traversed backwards.  mu is the
+    principal root sqrt(lambda/nu + |xi|^2), and dmu = dlambda / (2 nu mu)."""
     x, w = np.polynomial.legendre.leggauss(n)
-    total = 0.0
-    for k in segment_indices:
-        seg = c.segments[k]
-        mid = half = 0.5 * seg.p1
-        mu = np.sqrt(seg.gamma(mid + half * x) / nu + xin**2)
-        dmu = seg.dgamma(mid + half * x) / (2.0 * nu * mu)
-        total = total + np.sum((h(mu) * dmu - h(np.conj(mu)) * np.conj(dmu)) * (half * w),
-                               axis=-1)
-    return total / (2.0j * np.pi)
+    mid = half = 0.5 * seg.p1
+    mu = np.sqrt(seg.gamma(mid + half * x) / nu + xin**2)
+    dmu = seg.dgamma(mid + half * x) / (2.0 * nu * mu)
+    return np.sum((h(mu) * dmu - h(np.conj(mu)) * np.conj(dmu)) * (half * w),
+                  axis=-1) / (2.0j * np.pi)
 
 
 class TestConjugateFold:
-    """gauss_legendre evaluates only the upper half of a conjugate-symmetric
-    contour; it must be the full Gauss-Legendre rule, with a real result."""
+    """The fixed-node arm evaluates only the upper half of the conjugate-
+    symmetric arm pair; it must be the full Gauss-Legendre rule, with a real
+    result."""
 
-    @staticmethod
-    def _contour(family, pole):
-        if family == "lowfreq":
-            t, nu, xin, s = 0.4, 0.8, 1.0, np.array([0.0, 0.7, 1.3])
-            sigma = xin if pole == "no_slip" else 0.5
-            c = build_contour_lowfreq(t, nu, xin, s, sigma)
-        else:
-            # s = 0 crosses the pole mu = sigma, s = 10 (a = 50) does not
-            t, nu, xin, s = 0.1, 1.0, 3.0, np.array([0.0, 10.0])
-            sigma = xin if pole == "no_slip" else 1.5
-            c = build_contour_highfreq(t, nu, xin, s, sigma)
-            assert c.params["crosses_pole"].tolist() == [True, False]
+    T, NU, XIN, S = 0.4, 0.8, 1.0, np.array([0.0, 0.7, 1.3])
+
+    @pytest.mark.parametrize("n1,n2", [(24, 16), (23, 15)])
+    @pytest.mark.parametrize("pole", ["no_slip", "general"])
+    @pytest.mark.parametrize("family", ["lowfreq"])
+    def test_matches_unfolded_rule(self, family, pole, n1, n2):
+        # at two node counts per case (even and odd)
+        t, nu, xin, s = self.T, self.NU, self.XIN, self.S
+        sigma = xin if pole == "no_slip" else 0.5
+        arm = build_contour_lowfreq(t, nu, xin, s, sigma).segments[1]
 
         def h(mu):
             # e^{lambda t - mu s} dlambda / (nu mu (mu - sigma)), per dmu
             return 2.0 * np.exp(nu * t * (mu**2 - xin**2) - mu * s[:, None]) / (mu - sigma)
 
-        return c, h
-
-    @pytest.mark.parametrize("n1,n2", [(24, 16), (23, 15)])
-    @pytest.mark.parametrize("pole", ["no_slip", "general"])
-    @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
-    def test_matches_unfolded_rule(self, family, pole, n1, n2):
-        # at two node counts per case (even and odd)
-        c, h = self._contour(family, pole)
-        # the whole contour, and at low frequency the arc (R1) and the arm (R2) alone
-        selections = [[0, 1], [0], [1]] if family == "lowfreq" else [[0]]
         for n in (n1, n2):
-            for sel in selections:
-                folded = c.gauss_legendre(lambda mu, dmu_w: np.sum(h(mu) * dmu_w, axis=-1),
-                                          n=n, segment_indices=sel)
-                plain = _unfolded_gauss_legendre(c, h, n, sel)
-                assert folded.dtype == np.float64 and folded.shape == plain.shape
-                scale = np.max(np.abs(plain))
-                assert np.max(np.abs(plain.imag)) <= 1e-15 * scale
-                assert np.max(np.abs(folded - plain.real)) <= 1e-15 * scale
+            folded = _fixed_arm0(t, nu, xin, s, sigma, n)
+            plain = _unfolded_gauss_legendre(arm, nu, xin, h, n)
+            assert folded.dtype == np.float64 and folded.shape == plain.shape
+            scale = np.max(np.abs(plain))
+            assert np.max(np.abs(plain.imag)) <= 1e-15 * scale
+            assert np.max(np.abs(folded - plain.real)) <= 1e-15 * scale
 
-    def test_segments_in_upper_half_plane(self):
-        # every built segment, and every node the fixed rule evaluates, has
+    def test_segments_in_upper_half_plane(self, monkeypatch):
+        # every built segment, and every node the fixed arm evaluates, has
         # Im lambda >= 0, also for s where the high-frequency parabola
         # crosses the pole
         s = np.linspace(0.0, 10.0, 41)
@@ -218,13 +200,19 @@ class TestConjugateFold:
             for seg in c.segments:
                 lam = seg.gamma(np.linspace(0.0, seg.p1, 257))
                 assert np.all(lam.imag >= 0.0), (c.regime, seg.name)
-            nodes = []
+        # the roots mu = sqrt(lambda/nu + |xi|^2) _fixed_arm takes are its nodes
+        params = [lowfreq_params(0.4, 0.8, 1.0, s, sigma) for sigma in (1.0, 0.5)]
+        nodes, sqrt = [], np.sqrt
 
-            def f(mu, dmu_w):
-                nodes.append(mu)
-                return np.zeros(mu.shape[:-1], dtype=complex)
+        def spy(*args, **kwargs):
+            nodes.append(sqrt(*args, **kwargs))
+            return nodes[-1]
 
+        monkeypatch.setattr(kernels.np, "sqrt", spy)
+        for p in params:
             for n in (24, 23):
-                c.gauss_legendre(f, n=n)
-            # Re mu >= 0 for the principal root, so Im lambda = 2 nu Re mu Im mu
-            assert all(np.all((mu.real >= 0.0) & (mu.imag >= 0.0)) for mu in nodes)
+                kernels._fixed_arm(p, (0,), 0.0, n)
+        monkeypatch.undo()
+        assert [mu.shape for mu in nodes] == [(s.size, n) for _ in params for n in (24, 23)]
+        # Re mu >= 0 for the principal root, so Im lambda = 2 nu Re mu Im mu
+        assert all(np.all((mu.real >= 0.0) & (mu.imag >= 0.0)) for mu in nodes)

@@ -32,7 +32,7 @@ from stokesgreen import (
     sample_green_function,
     verify_kernel_bounds,
 )
-from stokesgreen import contours, kernels
+from stokesgreen import cli, contours, kernels
 from stokesgreen.kernels import residual_kernel_general, residual_profiles_general
 
 MODE = FourierMode(1, 0)
@@ -390,7 +390,7 @@ class TestSamplingDedup:
         s = np.linspace(0.0, 12.0, 37)
         # the elements a chunk holds per s: the low-frequency arm's nodes, one
         # closed-form value at high frequency
-        per_s = contours.N_ARM if regime == "lowfreq" else 1
+        per_s = kernels.N_ARM if regime == "lowfreq" else 1
         sizes = []
         real = kernels._fixed_rho
 
@@ -493,6 +493,29 @@ class TestQuadratureChecks:
         with pytest.raises(QuadratureUnderresolved, match="not finite"):
             sample_green_function(1.0, 1.0, MODE, nodes, nodes)
 
+    @pytest.mark.parametrize("t,nu,y,z", [
+        (0.0, 1.0, 1.0, 0.0),          # was a bare ZeroDivisionError
+        (-0.5, 1.0, 1.0, 0.0), (math.inf, 1.0, 1.0, 0.0), (math.nan, 1.0, 1.0, 0.0),
+        (0.5, 0.0, 1.0, 0.0), (0.5, -1.0, 1.0, 0.0), (0.5, math.inf, 1.0, 0.0),
+        (0.5, math.nan, 1.0, 0.0),
+        (0.5, 1.0, -1.0, 0.5),         # a matrix for s = -0.5, off the half line
+        (0.5, 1.0, math.nan, 0.5),     # was QuadratureUnderresolved
+        (0.5, 1.0, math.inf, 0.5),
+    ])
+    @pytest.mark.parametrize("mode", [MODE, FourierMode(2, 1)], ids=["lowfreq", "highfreq"])
+    def test_outside_the_domain_raises(self, mode, t, nu, y, z):
+        # t, nu finite and > 0 and s = y + z finite and >= 0, on every entry point
+        D = BoundaryOperatorD.no_slip(mode)
+        calls = [lambda: residual_profiles_general(t, nu, mode, np.array([0.5, y + z]),
+                                                   mode.norm),
+                 lambda: residual_kernel_general(t, nu, mode, D, y, z),
+                 lambda: residual_kernel_general(t, nu, mode, D, y, z, method="adaptive"),
+                 lambda: green_function(t, nu, mode, y, z),
+                 lambda: sample_green_function(t, nu, mode, np.array([y]), np.array([z]))]
+        for call in calls:
+            with pytest.raises(IncompatibleData):
+                call()
+
     @pytest.mark.parametrize("xi,t", [((1, 0), 20.0), ((1, 0), 50.0)])
     def test_check_passes_at_large_t(self, xi, t):
         # the arc at large t was 5.1e-7 (t = 20) and 1.5e10 (t = 50) off at
@@ -559,7 +582,7 @@ def _arm_error(nu, xi, t, sigma_fraction, k, n_arm):
     s = np.linspace(0.0, 40.0, 161)
     sigma = sigma_fraction * mode.norm
     _, ref = residual_profiles_general(t, nu, mode, s, sigma, deriv=k, regime="lowfreq",
-                                       n_arm=4 * contours.N_ARM)
+                                       n_arm=4 * kernels.N_ARM)
     _, rho2 = residual_profiles_general(t, nu, mode, s, sigma, deriv=k, regime="lowfreq",
                                         n_arm=n_arm)
     return np.max(np.abs(rho2 - ref)) / np.max(np.abs(ref))
@@ -573,7 +596,7 @@ class TestArmNodeCount:
     def test_default_resolves_the_arm(self, nu, xi, t):
         for sigma_fraction in (0.5, 1.0):
             for k in (0, 1, 2):
-                err = _arm_error(nu, xi, t, sigma_fraction, k, contours.N_ARM)
+                err = _arm_error(nu, xi, t, sigma_fraction, k, kernels.N_ARM)
                 assert err <= 1e-12, (sigma_fraction, k, err)
 
     def test_half_the_nodes_miss(self):
@@ -688,11 +711,12 @@ class TestHighFrequencyClosedForm:
 
     def test_no_quadrature_nodes(self, monkeypatch):
         # the high-frequency profiles, samples and certificate cells evaluate
-        # no Gauss-Legendre node
+        # no Gauss-Legendre node and build no contour
         def no_nodes(*args, **kwargs):
             raise AssertionError("quadrature nodes were evaluated")
 
-        monkeypatch.setattr(contours.Contour, "gauss_legendre", no_nodes)
+        _forbid_contours(monkeypatch)
+        monkeypatch.setattr(kernels, "_leggauss", no_nodes)
         mode = FourierMode(2, 1)
         s = np.linspace(0.0, 4.0, 9)
         for k in (0, 1, 2):
@@ -706,6 +730,46 @@ class TestHighFrequencyClosedForm:
         assert report["pass"]
         for fam in ("no_slip", "general"):
             assert report[fam]["drift"] == {"R1": 0.0, "R2_quarter": 0.0}
+
+
+    @pytest.mark.parametrize("path", ["lowfreq", "general", "check", "certificate",
+                                      "cli_kernel"])
+    def test_no_contour_on_production_paths(self, monkeypatch, tmp_path, path):
+        # the low-frequency profiles, a general D in both regimes, the
+        # node-doubling check, the default certificate sweep and the `kernel`
+        # command read the contour geometry only: none builds a Contour
+        _forbid_contours(monkeypatch)
+        s = np.linspace(0.0, 4.0, 9)
+        if path == "lowfreq":
+            for k in (0, 1, 2):
+                rho1, rho2 = residual_profiles_general(0.3, 1.0, MODE, s, MODE.norm, deriv=k)
+                assert np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))
+            assert sample_green_function(0.3, 1.0, MODE, s, s).regime == "lowfreq"
+        elif path == "general":
+            for mode in (MODE, FourierMode(2, 1)):
+                G = green_function(0.3, 1.0, mode, 0.4, 0.7, D=_general_operator(mode))
+                assert np.all(np.isfinite(G))
+        elif path == "check":
+            for mode in (MODE, FourierMode(2, 1)):
+                D = BoundaryOperatorD.no_slip(mode)
+                out = residual_kernel_general(0.3, 1.0, mode, D, 0.4, 0.7, check=True)
+                assert np.all(np.isfinite(out["R1"])) and np.all(np.isfinite(out["R2"]))
+        elif path == "certificate":
+            assert verify_kernel_bounds()["pass"]
+        else:
+            out = tmp_path / "k.csv"
+            assert cli.main(["kernel", "--xi", "1", "0", "--t", "0.5", "--grid", "0:4:8",
+                             "--out", str(out)]) == 0
+            assert out.exists()
+
+
+def _forbid_contours(monkeypatch):
+    """Make building a Contour, of either regime, raise."""
+    def no_contour(*args, **kwargs):
+        raise AssertionError("a contour was built")
+
+    for name in ("Contour", "build_contour_lowfreq", "build_contour_highfreq"):
+        monkeypatch.setattr(contours, name, no_contour)
 
 
 class TestLowFrequencySum:
@@ -730,6 +794,10 @@ class TestLowFrequencySum:
         with mpmath.workdps(40):
             ref = np.array([float(mpmath.diff(rho, mpmath.mpf(s_j), k)) for s_j in s])
         assert np.max(np.abs(rho1 + rho2 - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # and relative to itself at every s: the closed form's exponent
+        # cancelled sigma^2 nu t and s^2/4 nu t against each other, 7.1e-15
+        # off at t = 20, 7.2e-15 at t = 50 and 2.3e-13 at t = 1000
+        assert np.all(np.abs(rho1 + rho2 - ref) <= 2e-15 * np.abs(ref))
 
     @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 3.0])
     @pytest.mark.parametrize("nu", [1.0, 0.25])
@@ -794,42 +862,40 @@ class TestBatchedEvaluation:
             contours.highfreq_params(t, nu, xin, s, sigma)
 
     @pytest.mark.parametrize("n_s", [1, 21, 125])
-    @pytest.mark.parametrize("n1,n2", [(contours.N_ARM, 128), (2 * contours.N_ARM, 256), (23, 15)])
+    @pytest.mark.parametrize("n1,n2", [(kernels.N_ARM, 128), (2 * kernels.N_ARM, 256), (23, 15)])
     @pytest.mark.parametrize("sigma_fraction", [1.0, 0.5])
     def test_fused_parts_match_per_segment_passes(self, monkeypatch, n_s, n1, n2,
                                                   sigma_fraction):
         # both low-frequency parts from one pass over the arm, at two node
         # counts per case: R2 is the arm, and R1 is the closed-form rho minus
-        # it, bit for bit, on a contour whose arc raises when it is evaluated
-        import dataclasses
-
+        # it, bit for bit, with no contour built
         t, nu, xin = 0.1, 0.04, 3.0
         s = np.linspace(0.0, 10.0, n_s)
         ks = (0, 1, 2)
         comp = 0.25 * (xin + 1.0 / math.sqrt(nu)) * s - kernels._log_gauss(s, nu, t)
-        c = contours.build_contour_lowfreq(t, nu, xin, s, sigma_fraction * xin)
-
-        def no_arc(p):
-            raise AssertionError("an arc node was evaluated")
-
-        arc = contours.Segment("arc", c.segments[0].p1, no_arc, no_arc)
-        armed = dataclasses.replace(c, segments=(arc, c.segments[1]))
-        monkeypatch.setattr(contours, "build_contour_lowfreq", lambda *args: armed)
-        p = c.params
+        p = contours.lowfreq_params(t, nu, xin, s, sigma_fraction * xin)
+        _forbid_contours(monkeypatch)
         rho = kernels._erfc_rho2(dict(p, crosses_pole=False), ks, comp)
 
-        def plain(mu, dmu_w):
+        def plain(n):
             # e^{lambda t - mu s + s^2/4 nu t + comp} dlambda / (nu mu (mu - sigma))
-            g = 2.0 * dmu_w / (mu - p["sigma"]) * np.exp(
+            # on the arm's nodes, with none of the in-place steps
+            x, w = np.polynomial.legendre.leggauss(n)
+            b, w = 0.5 * p["b_max"] * (x + 1.0), 0.5 * p["b_max"] * w
+            arm = p["a"][:, None] + 1j * b
+            lam = p["c_arm"] + 1j * p["M"][:, None] + nu * arm**2
+            mu = np.sqrt(lam / nu + xin**2)
+            dmu = 2j * nu * arm / (2.0 * nu * mu)
+            g = 2.0 * dmu / (mu - p["sigma"]) * np.exp(
                 nu * t * (mu - p["a"][:, None]) ** 2 - nu * xin**2 * t + comp[:, None])
-            return np.stack([np.sum(g * (-mu) ** k, axis=-1) for k in ks])
+            return np.stack([np.sum(g * (-mu) ** k * w, axis=-1) for k in ks]).imag / np.pi
 
         for n in (n1, n2):
             rho1, rho2 = kernels._fixed_rho("lowfreq", t, nu, xin, s, p["sigma"], ks, comp, n)
-            assert _same_bits(rho2, kernels._fixed_arm(c, ks, comp, n))
+            assert _same_bits(rho2, kernels._fixed_arm(p, ks, comp, n))
             assert _same_bits(rho1, rho - rho2)
             # the in-place integrand against its plain form
-            arm = c.gauss_legendre(plain, n, segment_indices=[1])
+            arm = plain(n)
             assert np.max(np.abs(rho2 - arm)) <= 1e-13 * np.max(np.abs(arm))
 
 
@@ -868,12 +934,11 @@ def reference_bound_sweep(nu_values, xi_values, t_values, k_values, s_values, th
                     parts = [(kernels._residue(p, k_values, comp1),
                               kernels._erfc_rho2(p, k_values, comp2))]
                 else:
-                    c = contours.build_contour_lowfreq(t, nu, xin, s_values, D.sigma)
-                    rho = kernels._erfc_rho2(dict(c.params, crosses_pole=False), k_values,
-                                             comp1)
+                    p = contours.lowfreq_params(t, nu, xin, s_values, D.sigma)
+                    rho = kernels._erfc_rho2(dict(p, crosses_pole=False), k_values, comp1)
                     parts = []
                     for m in (1, 2):
-                        rho2 = kernels._fixed_arm(c, k_values, comp2, m * n_arm)
+                        rho2 = kernels._fixed_arm(p, k_values, comp2, m * n_arm)
                         parts.append((rho - kernels._rescale(rho2, comp1 - comp2), rho2))
                 for (rho1, rho2), report in zip((parts[0], parts[-1]), reports):
                     record(*report, "R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
@@ -963,7 +1028,7 @@ class TestBoundCertificate:
                 scale = np.abs(D.matrix).max()
                 for t in (0.1, 1.0):
                     sup, _ = kernels._bound_sweep((nu,), (n_xi,), (t,), ks, s, 0.25,
-                                                  contours.N_ARM, BoundaryOperatorD.no_slip)
+                                                  kernels.N_ARM, BoundaryOperatorD.no_slip)
                     r1 = r2 = 0.0
                     for k in ks:
                         rho1, rho2 = residual_profiles_general(t, nu, mode, s, D.sigma,
@@ -985,7 +1050,7 @@ class TestBoundCertificate:
         # integrated in R1's exponent directly, cell by cell
         nu, xi_values, ks = 0.04, (1, 3, 5), (0, 1, 2)
         s = np.linspace(0.0, 10.0, 21)
-        sup, _ = kernels._bound_sweep((nu,), xi_values, (t,), ks, s, 0.25, contours.N_ARM,
+        sup, _ = kernels._bound_sweep((nu,), xi_values, (t,), ks, s, 0.25, kernels.N_ARM,
                                       operator)
         k = np.array(ks)[:, None]
         r1 = r2 = 0.0
@@ -997,10 +1062,10 @@ class TestBoundCertificate:
             lam_star_t = D.pole_lambda(nu) * t
             comp1 = 0.25 * mu0 * s - lam_star_t - kernels._log_gauss(s, nu, t)
             comp2 = nu * mode.norm**2 * t / 8.0 - lam_star_t
-            c = contours.build_contour_lowfreq(t, nu, mode.norm, s, D.sigma)
-            rho = kernels._erfc_rho2(dict(c.params, crosses_pole=False), ks, comp1)
-            rho1 = rho - kernels._fixed_arm(c, ks, comp1, contours.N_ARM)
-            rho2 = kernels._fixed_arm(c, ks, comp2, contours.N_ARM)
+            p = contours.lowfreq_params(t, nu, mode.norm, s, D.sigma)
+            rho = kernels._erfc_rho2(dict(p, crosses_pole=False), ks, comp1)
+            rho1 = rho - kernels._fixed_arm(p, ks, comp1, kernels.N_ARM)
+            rho2 = kernels._fixed_arm(p, ks, comp2, kernels.N_ARM)
             r1 = max(r1, np.max(np.abs(rho1) * scale / mu0 ** (k + 1)))
             r2 = max(r2, np.max(np.abs(rho2) * scale * (nu * t) ** ((k + 1) / 2)))
         assert np.isfinite(r1) and np.isfinite(r2)
@@ -1088,7 +1153,7 @@ class TestBoundCertificate:
     def test_sweep_matches_reference_loop(self, sweep, operator):
         # sup, argmax and drift bit for bit (repr tells -0.0 from 0.0 and
         # np.float64(1.0) from 1.0), the first cell in sweep order winning a tie
-        args = (*self.SWEEPS[sweep], 0.25, contours.N_ARM, operator)
+        args = (*self.SWEEPS[sweep], 0.25, kernels.N_ARM, operator)
         got = kernels._bound_sweep(*args)
         assert repr(got) == repr(reference_bound_sweep(*args))
         if sweep == "ties":
