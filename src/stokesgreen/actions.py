@@ -7,14 +7,15 @@ sitting mid-panel would otherwise inject O(h^2) node-alternating quadrature
 noise whose discrete Laplacian is O(1), wrecking PDE-residual checks.
 
 The exponential kernel e^{-mu|y-z|} is separable, so its action is two
-first-order recurrences over the panels (``image_action_exp``): O(n) per
-component, with no cancelling second differences of an antiderivative.  The
-sweep builds the table e^{-mu y} for its image term and ``_exp_action_rows``
-returns it beside the action: the resolvent and the solver's semigroup (a sum
-of resolvent solves) build their boundary layer c0 e^{-mu y} from that table
-instead of evaluating it again.  On the uniform grid the table is a geometric
-sequence, so ``_decay_table`` builds it as an outer product of about 2 sqrt(n)
-exponentials, within 4 eps (1 + |mu y|) relative of e^{-mu y} at every node.
+first-order recurrences over the panels, both driven by one scaled copy of
+f (``image_action_exp``): O(n) per component, with no cancelling second
+differences of an antiderivative.  The sweep builds the table e^{-mu y} for
+its image term and ``_exp_action_rows`` returns it beside the action: the
+resolvent and the solver's semigroup (a sum of resolvent solves) build their
+boundary layer c0 e^{-mu y} from that table instead of evaluating it again.
+On the uniform grid the table is a geometric sequence, so ``_decay_table``
+builds it as an outer product of about 2 sqrt(n) exponentials, within
+4 eps (1 + |mu y|) relative of e^{-mu y} at every node.
 
 The heat kernel is not separable; ``image_action_gauss`` is the heat-semigroup
 oracle the tests check the solver against.  With Psi2'' = K, the hat function
@@ -29,6 +30,7 @@ via scipy's FFT-based ``matmul_toeplitz``.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 
@@ -77,8 +79,8 @@ def _as_rows(grid: HalfLineGrid, f, warn_truncation: bool, stacklevel: int = 2) 
     f = np.asarray(f, dtype=complex)
     if warn_truncation:
         tail = np.max(np.abs(f[..., -2:]))
-        scale = np.max(np.abs(f))
-        if scale > 0 and tail > 1e-6 * scale:
+        # the max over every 64th node is <= max|f|: read all of f only if it cannot decide
+        if tail > 1e-6 * np.max(np.abs(f[..., ::64])) and tail > 1e-6 * np.max(np.abs(f)):
             warnings.warn(
                 "data not negligible at the truncation boundary; kernel action "
                 "ignores mass beyond z_max", TruncationWarning, stacklevel=stacklevel + 1)
@@ -126,13 +128,14 @@ def image_action_exp(grid: HalfLineGrid, f: np.ndarray, mu: complex,
 
         L_{j+1} = q L_j + a f_j + b f_{j+1},   R_j = q R_{j+1} + a f_{j+1} + b f_j,
 
-    with a = int_0^h e^{-mu r} r/h dr and b = int_0^h e^{-mu r} dr - a.  R_0 is
-    the Laplace trace int e^{-mu z} f dz, so the image term is
-    parity e^{-mu y} R_0; for parity -1 it includes the jump of the odd
-    extension at 0.  The L sweeps of all components are one banded triangular
-    solve, the R sweeps another.  The table e^{-mu y} of the image term is
-    dropped here; the resolvent and the semigroup get it from
-    ``_exp_action_rows``.
+    with a = int_0^h e^{-mu r} r/h dr and b = int_0^h e^{-mu r} dr - a.  With
+    c = q b + a, M = L - b f and N = R - b f obey M_{j+1} = q M_j + c f_j and
+    N_j = q N_{j+1} + c f_{j+1} from M_0 = -b f_0 and N_{n-1} = -b f_{n-1}: one
+    right-hand side c f for a unit lower and a unit upper bidiagonal solve,
+    both in node order on one band (-q off the diagonal) and over all rows.
+    R_0 = N_0 + b f_0 is the Laplace trace int e^{-mu z} f dz, so the action
+    is M + N + 2 b f + parity R_0 e^{-mu y}; for parity -1 the image term
+    includes the jump of the odd extension at 0.
     """
     rows = _as_rows(grid, f, warn_truncation)
     m = rows.shape[0]
@@ -148,46 +151,44 @@ def image_action_exp(grid: HalfLineGrid, f: np.ndarray, mu: complex,
 
 
 def _exp_action_rows(grid: HalfLineGrid, rows: np.ndarray, mu: complex,
-                     parity) -> tuple[np.ndarray, np.ndarray]:
-    """``image_action_exp`` of complex (m, n) rows, and the table e^{-mu y}.
+                     parity, scale=1.0) -> tuple[np.ndarray, np.ndarray]:
+    """``scale`` times ``image_action_exp`` of complex (m, n) rows, and e^{-mu y}.
 
     Returns (out, decay): out of shape (m, n), a new array the caller may
     overwrite, and decay = e^{-mu y} at the grid nodes, shape (n,), from
     ``_decay_table`` (about 2 sqrt(n) exponentials, within 4 eps (1 + |mu y|)
-    relative).  The parity is trusted (``image_action_exp`` checks it for
-    outside callers); Re mu <= 0, where the sweeps grow instead of decaying,
-    raises here.
+    relative).  ``scale`` multiplies b and c, so the action comes out scaled
+    with no pass of its own (the resolvent's 1/(2 nu mu)).  The parity is
+    trusted (``image_action_exp`` checks it for outside callers); Re mu <= 0,
+    where the sweeps grow instead of decaying, raises here.
     """
     if not mu.real > 0:
         raise HypothesisViolated(f"the exponential kernel needs Re mu > 0, got mu = {mu}")
     m, n = rows.shape
     x = mu * grid.h
-    q = np.exp(-x)
+    q = cmath.exp(-x)
     one_minus_q = -np.expm1(-x)
     a = (one_minus_q - x * q) / (mu * x)
-    b = one_minus_q / mu - a
-    # rows of out: L_j; rows of rev: R_{n-1-j}; L_0 = R_{n-1} = 0.  Two
-    # (m, n) arrays rather than one (2m, n) right-hand side: every large
+    b = scale * (one_minus_q / mu - a)
+    c = q * b + scale * a
+    # Two (m, n) arrays rather than one (2m, n) right-hand side: every large
     # block of a resolvent solve then has the size of a solution, so the
     # blocks freed by one solve are reused by the next.
     out = np.empty((m, n), dtype=complex)
-    rev = np.empty((m, n), dtype=complex)
-    out[:, 0] = rev[:, 0] = 0.0
-    lo, hi = rows[:, :-1], rows[:, 1:]
-    np.multiply(a, lo, out=out[:, 1:])
-    out[:, 1:] += np.multiply(b, hi, out=rev[:, 1:])  # rev as scratch
-    right_rhs = rev[:, :0:-1]
-    np.multiply(a, hi, out=right_rhs)
-    right_rhs += b * lo
-    # unit lower bidiagonal matrix with -q below the diagonal (row 0 unread)
-    band = np.empty((2, n), dtype=complex, order="F")
-    band[1] = -q
+    right = np.empty((m, n), dtype=complex)
+    np.multiply(c, rows[:, :-1], out=out[:, 1:])
+    out[:, 0] = -b * rows[:, 0]
+    np.multiply(c, rows[:, 1:], out=right[:, :-1])
+    right[:, -1] = -b * rows[:, -1]
+    # row 0: the upper solve's superdiagonal, row 1: the lower one's subdiagonal
+    band = np.full((2, n), -q, dtype=complex, order="F")
     out = ztbtrs(band, out.T, uplo="L", diag="U", overwrite_b=1)[0].T
-    right = ztbtrs(band, rev.T, uplo="L", diag="U", overwrite_b=1)[0].T[:, ::-1]
-    decay = _decay_table(grid, mu)
+    right = ztbtrs(band, right.T, uplo="U", diag="U", overwrite_b=1)[0].T
+    image = parity * (right[:, :1] + b * rows[:, :1])  # parity R_0, read before right is reused
     out += right
-    image = parity * right[:, :1]  # parity R_0, read before rev is reused
-    out += np.multiply(image, decay, out=rev)
+    out += np.multiply(2.0 * b, rows, out=right)
+    decay = _decay_table(grid, mu)
+    out += np.multiply(image, decay, out=right)
     return out, decay
 
 

@@ -183,8 +183,7 @@ def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> Resolven
                                "components")
     correction = D.correction(point)
     rows = _as_rows(f.grid, f.values, True, stacklevel=3)
-    v, decay = _exp_action_rows(f.grid, rows, point.mu, 1)
-    v /= 2.0 * point.nu * point.mu
+    v, decay = _exp_action_rows(f.grid, rows, point.mu, 1, 1.0 / (2.0 * point.nu * point.mu))
     c0 = correction @ v[:, 0]
     w = c0[:, None] * decay
     return ResolventSolution(u=ModeField(f.grid, v + w), v=ModeField(f.grid, v),

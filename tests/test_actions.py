@@ -1,5 +1,7 @@
 """Unit tests for the exact piecewise-linear kernel actions."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -41,7 +43,11 @@ def brute_force_action(grid, fvals, kernel, parity, y):
 
 
 def sweeps_longdouble(grid, fvals, mu, parity):
-    """The two panel recurrences of ``image_action_exp``, run in clongdouble."""
+    """The L and R panel recurrences of ``image_action_exp``, run in clongdouble.
+
+    The sweep itself solves the shifted recurrences M = L - b f, N = R - b f,
+    so this is an independent formulation of the same action.
+    """
     f = np.asarray(fvals).astype(np.clongdouble)
     mu = np.clongdouble(mu)
     x = mu * np.longdouble(grid.h)
@@ -132,6 +138,31 @@ class TestImageActions:
             image_action_exp(grid, np.ones(grid.n), 1.0, +1)
         assert caught[0].filename == __file__
 
+    # tails between 1e-6 times the sample maximum and 1e-6 max|f|, and just
+    # above the latter; a tail of 1 (not negligible) beside a NaN at a sample
+    # point, between sample points and in the tail
+    @pytest.mark.parametrize("tail, nan_at, expected",
+                             [(1e-4, None, False), (np.nextafter(1e-6 * 1e3, 1.0), None, True),
+                              (1.0, 128, False), (1.0, 101, False), (1.0, -1, False)],
+                             ids=["between-samples", "just-above", "nan-sample", "nan-between",
+                                  "nan-tail"])
+    def test_truncation_shortcut(self, tail, nan_at, expected):
+        # the check compares the tail first with max|f| over every 64th node, a
+        # lower bound on max|f|, and decides as the check reading all of f does
+        grid = HalfLineGrid.uniform(30.0, 1025)
+        f = np.zeros(grid.n)
+        f[::64] = 1.0
+        f[100] = 1e3  # the only large value, between the sample points
+        f[-2:] = tail
+        if nan_at is not None:
+            f[nan_at] = np.nan
+        scale = np.max(np.abs(f))
+        assert bool(scale > 0 and tail > 1e-6 * scale) == expected  # the full-read rule
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            image_action_exp(grid, f, 1.0, +1)
+        assert any(w.category is TruncationWarning for w in caught) == expected
+
     @pytest.mark.parametrize("mu", [-1.0, 0.0, 1j, -0.5 + 2j, np.nan])
     def test_exp_action_needs_positive_re_mu(self, mu):
         # the sweeps grow instead of decaying (mu = -1 gave max|out| = 7.5e6)
@@ -208,10 +239,13 @@ class TestExpActionAccuracy:
         rough = rng.normal(size=z.size) + 1j * rng.normal(size=z.size)
         return np.array([smooth, rough])
 
-    def _worst(self, mu, parity):
+    def _worst(self, mu, parity, scale=1.0):
         f = self._data()
-        out = image_action_exp(self.GRID, f, mu, parity, warn_truncation=False)
-        ref = sweeps_longdouble(self.GRID, f, mu, parity)
+        if scale == 1.0:
+            out = image_action_exp(self.GRID, f, mu, parity, warn_truncation=False)
+        else:
+            out, _ = _exp_action_rows(self.GRID, f, mu, parity, scale)
+        ref = sweeps_longdouble(self.GRID, f, mu, parity) * np.clongdouble(scale)
         err = np.max(np.abs(out - ref), axis=-1) / np.max(np.abs(ref), axis=-1)
         return float(np.max(err))
 
@@ -228,6 +262,20 @@ class TestExpActionAccuracy:
         # through which |q|^k stays near 1
         mu = 1e-4 / self.GRID.h * np.exp(0.3j)
         assert self._worst(mu, parity) <= 1e-12
+
+    @pytest.mark.parametrize("parity", [+1, -1])
+    @pytest.mark.parametrize("mu_h", [5.0, 1.5e3])
+    def test_q_near_zero(self, mu_h, parity):
+        # |mu h| = 1.5e3 is where the forced evolve shape (nu = 0.1, n = 513,
+        # t = 0.5) puts the parabola nodes of its smallest kernel time, 1.9e-7
+        mu = mu_h / self.GRID.h * (0.6 + 0.8j)
+        assert self._worst(mu, parity) <= 1e-14
+
+    def test_resolvent_scale(self):
+        # the resolvent's 1/(2 nu mu) scales the coefficients, not the result
+        point = SpectralPoint(1 + 1j, 0.5, FourierMode(2, 1))
+        scale = 1.0 / (2.0 * point.nu * point.mu)
+        assert self._worst(point.mu, +1, scale) <= 1e-14
 
 
 class TestDecayTable:
