@@ -12,18 +12,16 @@ a = s / (2 nu t):
 
 * low frequency (nu |xi|^2 <= 1): two parabolic arms
   lambda = -nu|xi|^2/2 + nu (a + i b)^2 -+ i M, b in (-inf, 0] resp. [0, inf),
-  bridged by a half circle of radius M around c0 = -nu|xi|^2/2 + nu a^2.  The
-  half circle carries the pole contribution (R1), the arms the decaying
-  remainder (R2).  The arc and the arms together enclose the pole, so by
-  Cauchy's theorem R1 = rho - R2 with the closed-form Robin heat kernel rho
-  of the ``kernels`` module: the fixed-node path integrates only the arms,
-  and only the adaptive oracle integrates the half circle.
+  bridged by a half circle of radius M around c0 = -nu|xi|^2/2 + nu a^2.
+  The arc and the arms together enclose the pole, so by Cauchy's theorem
+  their integral is the closed-form Robin heat kernel rho of the ``kernels``
+  module.
 
 * high frequency (nu |xi|^2 >= 1): a single parabola
   lambda = -nu|xi|^2 + nu (theta a + i b)^2, b in R, with theta in {1, 1/2}
   chosen so the line mu = theta a + i b stays away from the pole of the
-  integrand at mu = sigma.  Here R2 is the parabola integral and R1 is the
-  residue when the parabola encloses the pole.
+  integrand at mu = sigma.  The parabola integral plus the residue where the
+  parabola crossed the pole (``params["crosses_pole"]``) is rho.
 
 Both take the pole once, as ``sigma`` (finite, > 0; kept in ``params``): its
 position in mu = sqrt(lambda/nu + |xi|^2), so lambda* = nu (sigma^2 - |xi|^2)
@@ -38,13 +36,13 @@ The maps broadcast over an array of s (s axes first, the node axis last), so
 one Contour holds the contours of a whole batch of s.  Contours serve only
 the oracles: ``Contour.integrate`` (adaptive panels) integrates their
 integrands in lambda (``residual_kernel_general(method="adaptive")`` and
-``invert_resolvent_kernel``), the half circle included.  Only ``integrate``
-needs scipy's ``quad_vec``, so it imports ``scipy.integrate`` on its first
-call and the package import does not load it.  The production paths read
-only the geometry: ``highfreq_params`` for the high-frequency closed forms
-(it also takes (cell, 1) columns of t, nu, |xi| and sigma, for the
-certificate's cells at once), and ``lowfreq_params`` for the low-frequency
-arm, whose fixed nodes the ``kernels`` module builds itself.
+``invert_resolvent_kernel``).  No production path builds a contour or reads
+its geometry: the kernels split R = R1 + R2 in closed form at x = 0, where
+the contours' split (arc against arms, or where ``crosses_pole`` lands)
+would make the parts contour artifacts.  Only ``integrate`` needs scipy's
+``quad_vec``, so it imports ``scipy.integrate`` on its first call and the
+package import does not load it.  ``highfreq_params`` also takes (cell, 1)
+columns of t, nu, |xi| and sigma against an s row.
 
 Both deformations are mirror images under complex conjugation, and the
 residual integrands are real in the sense f(conj lambda) = conj f(lambda)

@@ -22,6 +22,7 @@ error, O(h^2), and the boundary residual is zero up to rounding.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -176,14 +177,22 @@ def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> Resolven
 
     v(y) = (1/2 nu mu) int (e^{-mu|y-z|} + e^{-mu(y+z)}) f(z) dz, exactly on PL f.
     Called only from the two public solvers, so a truncation warning points
-    at their caller.  f must be the tangential pair (two components).
+    at their caller.  f must be the tangential pair (two components) and
+    finite; a non-finite f raises IncompatibleData.
     """
     if f.ncomp != 2:
         raise IncompatibleData(f"the resolvent acts on the tangential pair, got {f.ncomp} "
                                "components")
     correction = D.correction(point)
     rows = _as_rows(f.grid, f.values, True, stacklevel=3)
-    v, decay = _exp_action_rows(f.grid, rows, point.mu, 1, 1.0 / (2.0 * point.nu * point.mu))
+    # an infinite value of f makes inf * 0 in the sweep; v[r, 0] carries row
+    # r's whole Laplace trace, so every non-finite value of f reaches it, and
+    # one O(1) test raises for all of them instead of a pass over f
+    with np.errstate(invalid="ignore"):
+        v, decay = _exp_action_rows(f.grid, rows, point.mu, 1,
+                                    1.0 / (2.0 * point.nu * point.mu))
+    if not all(map(cmath.isfinite, v[:, 0].tolist())):
+        raise IncompatibleData("the resolvent data f must be finite")
     c0 = correction @ v[:, 0]
     w = c0[:, None] * decay
     return ResolventSolution(u=ModeField(f.grid, v + w), v=ModeField(f.grid, v),

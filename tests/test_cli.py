@@ -86,7 +86,7 @@ class TestKernelWriter:
          "--general-bc", "alpha=0.2,beta=0.5,gamma=0.31622776601683794"],
         ["kernel", "--xi", "1", "0", "--grid", "0:7:20"],
         ["kernel", "--xi", "3", "2", "--nu", "0.04", "--t", "0.01", "--grid", "0:2:8"],
-        # 257 distinct s: the low-frequency profiles run in several chunks
+        # 257 distinct s
         ["kernel", "--xi", "1", "0", "--t", "0.6", "--grid", "0:10:128"],
     ])
     def test_rows_match_reference_loop(self, tmp_path, capsys, argv):
@@ -125,8 +125,8 @@ class TestKernelWriter:
         assert not out.exists()
 
     def test_traced_peak_memory(self, tmp_path):
-        # the table is formatted per distinct value and written row by row,
-        # and the profiles run in small chunks: no full-table temporaries
+        # the table is formatted per distinct value and written row by row:
+        # no full-table temporaries
         tracemalloc.start()
         try:
             assert run(["kernel", "--xi", "1", "0", "--t", "0.6", "--grid", "0:10:128",
@@ -391,15 +391,15 @@ class TestConfigAndErrors:
         assert "numerical error" in capsys.readouterr().err
 
     def test_non_finite_kernel_exits_numerical(self, tmp_path, capsys, monkeypatch):
-        # a NaN from the low-frequency arm quadrature: no table, numerical exit
-        real = kernels._fixed_arm
+        # a NaN from a closed form: no table, numerical exit
+        real = kernels._erfc_rho2
 
         def poisoned(*args):
             rho = real(*args)
             rho[..., 0] = np.nan
             return rho
 
-        monkeypatch.setattr(kernels, "_fixed_arm", poisoned)
+        monkeypatch.setattr(kernels, "_erfc_rho2", poisoned)
         out = tmp_path / "k.csv"
         rc = run(["kernel", "--t", "1", "--grid", "0:2:4", "--out", str(out)])
         assert rc == EXIT_NUMERICAL
@@ -410,8 +410,8 @@ class TestConfigAndErrors:
                                       (("1", "0"), "1000")])
     def test_large_t_kernel_matches_erfc(self, tmp_path, xi, t):
         # the low-frequency arc at large t was unresolved (corner drift 3e10
-        # at t = 50) or overflowed (t = 1000), and no table was written; with
-        # the arc from the closed form the table is written, and the corner
+        # at t = 50) or overflowed (t = 1000), and no table was written; from
+        # the closed forms the table is written, and the corner
         # R1 + R2 = rho(0) D is erfc(-|xi| sqrt(nu t)) D to 40 digits
         mpmath = pytest.importorskip("mpmath")
         out = tmp_path / "k.csv"
@@ -420,8 +420,8 @@ class TestConfigAndErrors:
         assert rc == EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# green-function sample: heat-image part + residual "
-                                   "arm quadrature")
-        assert float(lines[2].rsplit(" ", 1)[1]) <= 1e-13
+                                   "erfc closed form")
+        assert lines[2].startswith("# split: R1 = 2 e^(lambda* t - sigma (y+z)) D")
         mode = FourierMode(int(xi[0]), int(xi[1]))
         D = BoundaryOperatorD.no_slip(mode)
         corner = {(row[2], row[3]): float(row[4]) for row in
@@ -434,8 +434,8 @@ class TestConfigAndErrors:
                 assert abs(got - rho * D.matrix[a, b]) <= 1e-13 * rho * np.abs(D.matrix).max()
 
     def test_small_nu_t_kernel_matches_erfc(self, tmp_path):
-        # at nu t = 1e-7 the high-frequency residual is a closed form: the
-        # table is written with drift 0, and the corner R1 + R2 = rho(0) D is
+        # at nu t = 1e-7 the high-frequency residual is a closed form, as at
+        # every nu |xi|^2, and the corner R1 + R2 = rho(0) D is
         # erfc(-|xi| sqrt(nu t)) D (lambda* = 0 for no-slip) to 40 digits
         mpmath = pytest.importorskip("mpmath")
         out = tmp_path / "k.csv"
@@ -445,7 +445,7 @@ class TestConfigAndErrors:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# green-function sample: heat-image part + residual "
                                    "erfc closed form")
-        assert lines[2].endswith("drift estimate: 0")
+        assert lines[2].startswith("# split: R1 = 2 e^(lambda* t - sigma (y+z)) D")
         mode = FourierMode(2, 1)
         D = BoundaryOperatorD.no_slip(mode)
         corner = {(row[2], row[3]): float(row[4]) for row in

@@ -58,12 +58,6 @@ class TestLowFreq:
         assert BETA_MAX**2 > 34.0
 
 
-def _fixed_arm0(t, nu, xin, s, sigma, n):
-    """The fixed-node arm rho2 at k = 0 (its comp cancels the Gaussian it leaves out)."""
-    p = lowfreq_params(t, nu, xin, s, sigma)
-    return kernels._fixed_arm(p, (0,), -kernels._log_gauss(s, nu, t), n)[0]
-
-
 class TestHighFreq:
     def test_mu_identity_on_contour(self):
         # principal sqrt of lambda/nu + |xi|^2 returns exactly a_eff + i b
@@ -119,76 +113,39 @@ class TestContourIntegrate:
         assert dataclasses.is_dataclass(c)
 
     @pytest.mark.parametrize("family", ["lowfreq", "highfreq"])
-    def test_nodes_match_segments(self, family):
-        # the fixed path's R2 (Gauss-Legendre nodes on the low-frequency arm,
-        # the closed form on the high-frequency parabola) must reproduce the
-        # adaptive integral over the same segment, for every s of an array-s
+    def test_integral_matches_closed_form(self, family):
+        # the whole contour's adaptive integral, plus the residue where the
+        # high-frequency parabola crossed the pole, is the closed-form Robin
+        # kernel rho = R1 + R2 of the profiles, for every s of an array-s
         # contour
         if family == "lowfreq":
-            t, nu, xin, s = 0.4, 0.8, 1.0, np.array([0.0, 1.3])
-            c = build_contour_lowfreq(t, nu, xin, s, xin)
-            c = dataclasses.replace(c, segments=(c.segments[1],))  # the arm alone
-            fixed = _fixed_arm0(t, nu, xin, s, xin, 256)
+            t, nu, mode, s = 0.4, 0.8, FourierMode(1, 0), np.array([0.0, 1.3])
+            c = build_contour_lowfreq(t, nu, mode.norm, s, mode.norm)
+            residue = 0.0
         else:
             # s = 0 crosses the pole mu = |xi|, s = 10 (a = 50) does not
-            t, nu, xin, s = 0.1, 1.0, 3.0, np.array([0.0, 10.0])
-            c = build_contour_highfreq(t, nu, xin, s, xin)
+            t, nu, mode, s = 0.1, 1.0, FourierMode(3, 0), np.array([0.0, 10.0])
+            c = build_contour_highfreq(t, nu, mode.norm, s, mode.norm)
             assert c.params["crosses_pole"].tolist() == [True, False]
-            fixed = kernels._erfc_rho2(c.params, (0,), -kernels._log_gauss(s, nu, t))[0]
+            # no-slip: lambda* = 0
+            residue = np.where(c.params["crosses_pole"], 2.0 * np.exp(-mode.norm * s), 0.0)
+        xin = mode.norm
 
         def f(lam):
             mu = np.sqrt(lam / nu + xin**2)
             return np.exp(lam * t - mu * s[:, None]) / (nu * mu * (mu - xin))
 
-        adaptive = c.integrate(f)
-        assert fixed.shape == s.shape
-        assert np.max(np.abs(adaptive - fixed)) < 1e-12
-
-
-def _unfolded_gauss_legendre(seg, nu, xin, h, n):
-    """The plain Gauss-Legendre rule for the integrand h(mu) dmu over the
-    segment and its mirror image, conj mu traversed backwards.  mu is the
-    principal root sqrt(lambda/nu + |xi|^2), and dmu = dlambda / (2 nu mu)."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid = half = 0.5 * seg.p1
-    mu = np.sqrt(seg.gamma(mid + half * x) / nu + xin**2)
-    dmu = seg.dgamma(mid + half * x) / (2.0 * nu * mu)
-    return np.sum((h(mu) * dmu - h(np.conj(mu)) * np.conj(dmu)) * (half * w),
-                  axis=-1) / (2.0j * np.pi)
+        rho = sum(kernels.residual_profiles_general(t, nu, mode, s, xin))
+        assert np.max(np.abs(c.integrate(f) + residue - rho)) < 1e-12
 
 
 class TestConjugateFold:
-    """The fixed-node arm evaluates only the upper half of the conjugate-
-    symmetric arm pair; it must be the full Gauss-Legendre rule, with a real
-    result."""
+    """A contour is the upper half of a conjugate-symmetric pair: the
+    builders build only segments in Im lambda >= 0."""
 
-    T, NU, XIN, S = 0.4, 0.8, 1.0, np.array([0.0, 0.7, 1.3])
-
-    @pytest.mark.parametrize("n1,n2", [(24, 16), (23, 15)])
-    @pytest.mark.parametrize("pole", ["no_slip", "general"])
-    @pytest.mark.parametrize("family", ["lowfreq"])
-    def test_matches_unfolded_rule(self, family, pole, n1, n2):
-        # at two node counts per case (even and odd)
-        t, nu, xin, s = self.T, self.NU, self.XIN, self.S
-        sigma = xin if pole == "no_slip" else 0.5
-        arm = build_contour_lowfreq(t, nu, xin, s, sigma).segments[1]
-
-        def h(mu):
-            # e^{lambda t - mu s} dlambda / (nu mu (mu - sigma)), per dmu
-            return 2.0 * np.exp(nu * t * (mu**2 - xin**2) - mu * s[:, None]) / (mu - sigma)
-
-        for n in (n1, n2):
-            folded = _fixed_arm0(t, nu, xin, s, sigma, n)
-            plain = _unfolded_gauss_legendre(arm, nu, xin, h, n)
-            assert folded.dtype == np.float64 and folded.shape == plain.shape
-            scale = np.max(np.abs(plain))
-            assert np.max(np.abs(plain.imag)) <= 1e-15 * scale
-            assert np.max(np.abs(folded - plain.real)) <= 1e-15 * scale
-
-    def test_segments_in_upper_half_plane(self, monkeypatch):
-        # every built segment, and every node the fixed arm evaluates, has
-        # Im lambda >= 0, also for s where the high-frequency parabola
-        # crosses the pole
+    def test_segments_in_upper_half_plane(self):
+        # every built segment has Im lambda >= 0, also for s where the
+        # high-frequency parabola crosses the pole
         s = np.linspace(0.0, 10.0, 41)
         contours = [build_contour_lowfreq(0.4, 0.8, 1.0, s, 1.0),
                     build_contour_lowfreq(0.4, 0.8, 1.0, s, 0.5),
@@ -200,19 +157,3 @@ class TestConjugateFold:
             for seg in c.segments:
                 lam = seg.gamma(np.linspace(0.0, seg.p1, 257))
                 assert np.all(lam.imag >= 0.0), (c.regime, seg.name)
-        # the roots mu = sqrt(lambda/nu + |xi|^2) _fixed_arm takes are its nodes
-        params = [lowfreq_params(0.4, 0.8, 1.0, s, sigma) for sigma in (1.0, 0.5)]
-        nodes, sqrt = [], np.sqrt
-
-        def spy(*args, **kwargs):
-            nodes.append(sqrt(*args, **kwargs))
-            return nodes[-1]
-
-        monkeypatch.setattr(kernels.np, "sqrt", spy)
-        for p in params:
-            for n in (24, 23):
-                kernels._fixed_arm(p, (0,), 0.0, n)
-        monkeypatch.undo()
-        assert [mu.shape for mu in nodes] == [(s.size, n) for _ in params for n in (24, 23)]
-        # Re mu >= 0 for the principal root, so Im lambda = 2 nu Re mu Im mu
-        assert all(np.all((mu.real >= 0.0) & (mu.imag >= 0.0)) for mu in nodes)

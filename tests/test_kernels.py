@@ -143,13 +143,14 @@ class TestDecomposition:
     @pytest.mark.parametrize("t", [0.2, 5.0])
     @pytest.mark.parametrize("bc", ["no_slip", "general"])
     def test_regime_boundary_agreement(self, bc, t):
-        # nu |xi|^2 = 1: both contour families must give the same kernel
+        # nu |xi|^2 = 1: both contour families must give the same kernel (the
+        # closed forms read no contour, so the oracle integrates them)
         mode = FourierMode(1, 0)
         nu, y, z = 1.0, 0.5, 1.0
         D = BoundaryOperatorD.no_slip(mode) if bc == "no_slip" else \
             BoundaryOperatorD(0.5, 0.0, 0.0, c0=1.0, mode=mode)
-        lo = residual_kernel_general(t, nu, mode, D, y, z, regime="lowfreq")
-        hi = residual_kernel_general(t, nu, mode, D, y, z, regime="highfreq")
+        lo = residual_kernel_general(t, nu, mode, D, y, z, regime="lowfreq", method="adaptive")
+        hi = residual_kernel_general(t, nu, mode, D, y, z, regime="highfreq", method="adaptive")
         total_lo = lo["R1"] + lo["R2"]
         total_hi = hi["R1"] + hi["R2"]
         assert np.max(np.abs(total_lo - total_hi)) < 1e-10 * np.max(np.abs(total_lo))
@@ -254,11 +255,26 @@ def _same_bits(a, b):
     lambda mode, D: green_function(0.3, 0.5, mode, 0.7, 1.9, D=D),
     lambda mode, D: residue_at_pole(0.3, 0.5, mode, 0.7, 1.9, D=D),
     lambda mode, D: sample_green_function(0.3, 0.5, mode, [0.0, 0.7], [1.9], D=D).values,
-], ids=["resolvent_kernel", "green_function", "residue_at_pole", "sample_green_function"])
+    lambda mode, D: np.stack(list(residual_kernel_general(0.3, 0.5, mode, D, 0.7, 1.9).values())),
+], ids=["resolvent_kernel", "green_function", "residue_at_pole", "sample_green_function",
+        "residual_kernel_general"])
 def test_default_operator_is_no_slip(call, xi):
     # D=None is BoundaryOperatorD.no_slip(mode), bit for bit
     mode = FourierMode(*xi)
     assert _same_bits(call(mode, None), call(mode, BoundaryOperatorD.no_slip(mode)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: residual_kernel_general(1.0, 1.0, (1, 0), None, 0.5, 0.5),
+    lambda: green_function(1.0, 1.0, (1, 0), 0.5, 0.5),
+    lambda: sample_green_function(1.0, 1.0, (1, 0), [0.5], [0.5]),
+    lambda: residual_profiles_general(1.0, 1.0, (1, 0), [1.0], 1.0),
+], ids=["residual_kernel_general", "green_function", "sample_green_function",
+        "residual_profiles_general"])
+def test_mode_must_be_a_fourier_mode(call):
+    # a plain pair was an AttributeError from inside the kernel
+    with pytest.raises(IncompatibleData, match="FourierMode"):
+        call()
 
 
 # every mode with |xi1|, |xi2| <= 9 but the zero mode
@@ -346,8 +362,6 @@ class TestSamplingDedup:
     """sample_green_function evaluates each distinct s once; the values must be
     bit-for-bit those of evaluating the profile at every (y, z) pair."""
 
-    N_ARM = 32  # batch independence does not depend on the node count
-
     CASES = {
         "no_slip_lowfreq": (FourierMode(1, 0), 1.0, None),
         "no_slip_highfreq": (FourierMode(2, 1), 1.0, None),
@@ -374,43 +388,27 @@ class TestSamplingDedup:
         mode, nu, abg = self.CASES[case]
         sigma = mode.norm if abg is None else abg[0] + abg[1]
         s = np.linspace(0.0, 20.0, 257)
-        alone = residual_profiles_general(0.4, nu, mode, s, sigma, n_arm=self.N_ARM)
-        batched = residual_profiles_general(0.4, nu, mode, np.tile(s, 40), sigma,
-                                            n_arm=self.N_ARM)
+        alone = residual_profiles_general(0.4, nu, mode, s, sigma)
+        batched = residual_profiles_general(0.4, nu, mode, np.tile(s, 40), sigma)
         for a, b in zip(alone, batched):
             assert np.array_equal(a, b[:s.size])
 
     @pytest.mark.parametrize("regime", ["lowfreq", "highfreq"])
     @pytest.mark.parametrize("general", [False, True], ids=["no_slip", "general"])
-    def test_chunk_boundaries_keep_bits(self, monkeypatch, regime, general):
-        # one s per chunk, chunks of 5 with a ragged last one, and one chunk
-        # for all 37 s give the same bits at every derivative order
+    def test_chunk_boundaries_keep_bits(self, regime, general):
+        # s split into calls of one value, of 5 with a ragged last one, and
+        # one call for all 37 give the same bits at every derivative order
         mode = FourierMode(1, 0) if regime == "lowfreq" else FourierMode(2, 1)
+        assert kernels._auto_regime(1.0, mode) == regime
         sigma = (0.7 if general else 1.0) * mode.norm
         s = np.linspace(0.0, 12.0, 37)
-        # the elements a chunk holds per s: the low-frequency arm's nodes, one
-        # closed-form value at high frequency
-        per_s = kernels.N_ARM if regime == "lowfreq" else 1
-        sizes = []
-        real = kernels._fixed_rho
-
-        def fixed_rho(*args):
-            sizes.append(np.size(args[4]))
-            return real(*args)
-
-        monkeypatch.setattr(kernels, "_fixed_rho", fixed_rho)
         for deriv in (0, 1, 2):
-            runs = []
-            for elements, chunks in ((per_s, [1] * 37), (5 * per_s, [5] * 7 + [2]),
-                                     (37 * per_s, [37])):
-                monkeypatch.setattr(kernels, "_CHUNK_ELEMENTS", elements)
-                sizes.clear()
-                runs.append(residual_profiles_general(0.4, 1.0, mode, s, sigma,
-                                                      deriv=deriv, regime=regime))
-                assert sizes == chunks
+            runs = [[np.concatenate(rho) for rho in zip(*(
+                residual_profiles_general(0.4, 1.0, mode, s[i:i + size], sigma, deriv=deriv)
+                for i in range(0, s.size, size)))] for size in (1, 5, 37)]
             for rho in zip(*runs):
                 assert np.all(np.isfinite(rho[0]))
-                assert all(np.array_equal(rho[0], other) for other in rho[1:])
+                assert all(_same_bits(rho[0], other) for other in rho[1:])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_uniform_grid(self, case):
@@ -441,7 +439,7 @@ class TestSamplingDedup:
 
 
 class TestRealResidualKernels:
-    """R(conj lambda) = conj R(lambda) for a real D, so the fixed-node R1 and
+    """R(conj lambda) = conj R(lambda) for a real D, so the closed-form R1 and
     R2 are real: their imaginary parts are exactly 0, not rounding noise."""
 
     CASES = [(FourierMode(1, 0), 1.0, None), (FourierMode(2, 1), 1.0, None),
@@ -478,15 +476,15 @@ class TestQuadratureChecks:
         assert outg["R2"].shape == (2, 2)
 
     def test_non_finite_profile_raises(self, monkeypatch):
-        # a NaN from the arm quadrature raises instead of reaching a sample
-        real = kernels._fixed_arm
+        # a NaN from a closed form raises instead of reaching a sample
+        real = kernels._erfc_rho2
 
         def poisoned(*args):
             rho = real(*args)
             rho[..., 0] = np.nan
             return rho
 
-        monkeypatch.setattr(kernels, "_fixed_arm", poisoned)
+        monkeypatch.setattr(kernels, "_erfc_rho2", poisoned)
         nodes = np.linspace(0.0, 2.0, 5)
         with pytest.raises(QuadratureUnderresolved, match="not finite"):
             residual_profiles_general(1.0, 1.0, MODE, np.array([0.0]), MODE.norm)
@@ -519,9 +517,8 @@ class TestQuadratureChecks:
     @pytest.mark.parametrize("xi,t", [((1, 0), 20.0), ((1, 0), 50.0)])
     def test_check_passes_at_large_t(self, xi, t):
         # the arc at large t was 5.1e-7 (t = 20) and 1.5e10 (t = 50) off at
-        # y = z = 0, and doubling the nodes moved it; R1 = rho - R2 leaves
-        # only the arm to the nodes: R1 + R2 = rho(0) D =
-        # erfc(-|xi| sqrt(nu t)) D (lambda* = 0)
+        # y = z = 0, and doubling the nodes moved it; the closed forms give
+        # R1 + R2 = rho(0) D = erfc(-|xi| sqrt(nu t)) D (lambda* = 0)
         mpmath = pytest.importorskip("mpmath")
         mode = FourierMode(*xi)
         out = residual_kernel_time(t, 1.0, mode, 0.0, 0.0, check=True)
@@ -544,14 +541,14 @@ class TestQuadratureChecks:
     def test_check_passes_at_small_nu_t_low_frequency(self):
         # nu = 0.25, xi = (1, 0), t = 0.01, y + z = 1.9: the quadrature of
         # the arc left 3.08e-120 against the value 4.92e-159, and doubling its
-        # nodes moved it, so check raised.  With R1 = rho - R2 the sum is rho
+        # nodes moved it, so check raised.  The closed forms give the sum rho
         # to rounding, against the absolute contract (1e-13 of rho at s = 0)
         # and against the value itself
         mpmath = pytest.importorskip("mpmath")
         nu, t = 0.25, 0.01
         assert kernels._auto_regime(nu, MODE) == "lowfreq"
         out = residual_kernel_time(t, nu, MODE, 0.95, 0.95, check=True)
-        # lambda* = 0 and the pole is never crossed: rho2 is rho, rho1 is 0
+        # lambda* = 0 and s > 2 sigma nu t (x > 0): rho2 is rho, rho1 is 0
         _, rho = _mp_parts(t, nu, MODE.norm, MODE.norm, False)
         with mpmath.workdps(40):
             value, rho0 = float(rho(mpmath.mpf(1.9))), float(rho(mpmath.mpf(0)))
@@ -563,7 +560,7 @@ class TestQuadratureChecks:
     def test_floored_vertex_moved_off_the_pole(self):
         # sigma = 0.1 at xi = (2, 1): the vertex floor 0.05 |xi| = 0.112 is
         # within sigma/2 of the pole, so it moves to sigma/4 (left of the pole,
-        # so the residue is added); the fixed nodes still match the oracle
+        # so the oracle adds the residue); the closed forms match the oracle
         mode = FourierMode(2, 1)
         D = BoundaryOperatorD(0.04, 0.06, math.sqrt(0.04 * 0.06), c0=1.0, mode=mode)
         params = contours.highfreq_params(0.3, 1.0, mode.norm, 0.0, D.sigma)
@@ -573,35 +570,6 @@ class TestQuadratureChecks:
         scale = max(np.max(np.abs(fixed[k])) for k in ("R1", "R2"))
         for k in ("R1", "R2"):
             assert np.max(np.abs(fixed[k] - adaptive[k])) < 1e-12 * scale
-
-
-def _arm_error(nu, xi, t, sigma_fraction, k, n_arm):
-    """Low-frequency R2 at ``n_arm`` arm nodes against 4 N_ARM, relative to its
-    sup over s in [0, 40]."""
-    mode = FourierMode(*xi)
-    s = np.linspace(0.0, 40.0, 161)
-    sigma = sigma_fraction * mode.norm
-    _, ref = residual_profiles_general(t, nu, mode, s, sigma, deriv=k, regime="lowfreq",
-                                       n_arm=4 * kernels.N_ARM)
-    _, rho2 = residual_profiles_general(t, nu, mode, s, sigma, deriv=k, regime="lowfreq",
-                                        n_arm=n_arm)
-    return np.max(np.abs(rho2 - ref)) / np.max(np.abs(ref))
-
-
-class TestArmNodeCount:
-    # the arm integrand is the Gaussian e^{-nu t b^2} on [0, BETA_MAX / sqrt(nu t)]
-
-    @pytest.mark.parametrize("nu,xi", [(1.0, (1, 0)), (0.04, (2, 0)), (0.04, (5, 0))])
-    @pytest.mark.parametrize("t", [1e-5, 0.01, 3.0])
-    def test_default_resolves_the_arm(self, nu, xi, t):
-        for sigma_fraction in (0.5, 1.0):
-            for k in (0, 1, 2):
-                err = _arm_error(nu, xi, t, sigma_fraction, k, kernels.N_ARM)
-                assert err <= 1e-12, (sigma_fraction, k, err)
-
-    def test_half_the_nodes_miss(self):
-        # 48 arm nodes leave 2.3e-10 here, so the bound above is not vacuous
-        assert _arm_error(0.04, (2, 0), 3.0, 0.5, 0, 48) > 1e-12
 
 
 class TestSelectors:
@@ -629,7 +597,8 @@ class TestSelectors:
             residual_kernel_general(0.3, 1.0, MODE, self.D, 0.5, 0.8, method=method)
 
     def test_check_with_adaptive_raises(self):
-        # the adaptive oracle has no nodes to double: check was ignored there
+        # check belongs to the fixed path, where it has no effect; the oracle
+        # never took it
         with pytest.raises(IncompatibleData, match="check"):
             residual_kernel_time(0.3, 1.0, MODE, 0.5, 0.8, method="adaptive", check=True)
 
@@ -659,11 +628,12 @@ class TestZeroOperator:
 
 
 def _mp_parts(t, nu, xi_norm, sigma, crosses):
-    """(rho1, rho2) of the high-frequency split as mpmath functions of s, at the
+    """(rho1, rho2) of the split at x = 0 as mpmath functions of s, at the
     working precision: rho = e^{lambda* t - sigma s} erfc(x) with
-    x = s / (2 sqrt(nu t)) - sigma sqrt(nu t); where the parabola crosses the
-    pole rho1 = 2 e^{lambda* t - sigma s} and rho2 = rho - rho1 =
-    -e^{lambda* t - sigma s} erfc(-x), elsewhere rho1 = 0 and rho2 = rho."""
+    x = s / (2 sqrt(nu t)) - sigma sqrt(nu t); where the split gives the pole
+    term to R1 (``crosses``: x < 0) rho1 = 2 e^{lambda* t - sigma s} and
+    rho2 = rho - rho1 = -e^{lambda* t - sigma s} erfc(-x), which does not
+    cancel where x << 0, elsewhere rho1 = 0 and rho2 = rho."""
     import mpmath
 
     t, nu, xi_norm, sigma = map(mpmath.mpf, (t, nu, xi_norm, sigma))
@@ -679,102 +649,101 @@ def _mp_parts(t, nu, xi_norm, sigma, crosses):
             lambda s: pole(s) * mpmath.erfc(s / (2 * root) - sigma * root))
 
 
+def _assert_parts_match_mpmath(t, nu, mode, s, sigma, k):
+    """R1 and R2 of the profiles at derivative order k, each to 1e-13 of its
+    sup over s, against 40-digit mpmath on the branch the split picks at each s."""
+    import mpmath
+
+    got = residual_profiles_general(t, nu, mode, s, sigma, deriv=k)
+    with mpmath.workdps(40):
+        ref = np.array([[float(mpmath.diff(part, mpmath.mpf(s_j), k))
+                         for part in _mp_parts(t, nu, mode.norm, sigma, c_j)]
+                        for s_j, c_j in zip(s, s < 2.0 * sigma * nu * t)]).T
+    for got_part, ref_part in zip(got, ref):
+        assert np.max(np.abs(got_part - ref_part)) <= 1e-13 * np.max(np.abs(ref_part))
+
+
 class TestHighFrequencyClosedForm:
     """The high-frequency profiles against 40-digit erfc and its derivatives."""
 
-    # s runs over [0, s_max] in 17 values.  The parabola crosses the pole at
-    # s = 0 only in the first three cells, at every s in the fourth and at
-    # the first 9 s in the last.
+    # s runs over [0, s_max] in 17 values.  The split gives R1 the pole term
+    # at s = 0 only in the first three cells, at every s in the fourth and at
+    # the first 6 s in the last (the parabola crosses the pole at the first
+    # 9: there a in [sigma, 1.5 sigma) puts its vertex at a/2).
     @pytest.mark.parametrize("nu,xi,t,fraction,s_max", [
         (1.0, (2, 1), 1e-7, 1.0, 3e-3),    # the parabola was off by 1.8e-3 at s = 0
         (0.25, (2, 1), 1e-3, 0.1, 0.16),   # a pole close to the cut: off by 4.0e-6
         (0.04, (8, 0), 1e-3, 0.1, 0.064),  # off by 1.2e-6
         (1.0, (8, 0), 1.0, 1.0, 10.0),     # sigma^2 nu t = 64
-        (1.0, (2, 1), 0.3, 1.0, 4.0),      # both sides of crosses_pole
+        (1.0, (2, 1), 0.3, 1.0, 4.0),      # both sides of the split
     ])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_parts_match_mpmath(self, nu, xi, t, fraction, s_max, k):
-        # R1 and R2 separately, each to 1e-13 of its sup over s
-        mpmath = pytest.importorskip("mpmath")
+        pytest.importorskip("mpmath")
         mode = FourierMode(*xi)
-        sigma = fraction * mode.norm
-        s = np.linspace(0.0, s_max, 17)
-        crosses = contours.highfreq_params(t, nu, mode.norm, s, sigma)["crosses_pole"]
-        got = residual_profiles_general(t, nu, mode, s, sigma, deriv=k)
-        with mpmath.workdps(40):
-            ref = np.array([[float(mpmath.diff(part, mpmath.mpf(s_j), k))
-                             for part in _mp_parts(t, nu, mode.norm, sigma, c_j)]
-                            for s_j, c_j in zip(s, crosses)]).T
-        for got_part, ref_part in zip(got, ref):
-            sup = np.max(np.abs(ref_part))
-            assert np.max(np.abs(got_part - ref_part)) <= 1e-13 * sup
+        _assert_parts_match_mpmath(t, nu, mode, np.linspace(0.0, s_max, 17),
+                                   fraction * mode.norm, k)
 
-    def test_no_quadrature_nodes(self, monkeypatch):
-        # the high-frequency profiles, samples and certificate cells evaluate
-        # no Gauss-Legendre node and build no contour
-        def no_nodes(*args, **kwargs):
-            raise AssertionError("quadrature nodes were evaluated")
+    def test_no_quadrature_nodes(self):
+        # the kernel layer keeps no quadrature rule, node count, chunking or
+        # node-doubling tolerance: every production kernel is a closed form
+        for name in ("_fixed_arm", "N_ARM", "_leggauss", "_rescale", "_fixed_rho",
+                     "_CHUNK_ELEMENTS", "DOUBLING_RTOL"):
+            assert not hasattr(kernels, name), name
 
-        _forbid_contours(monkeypatch)
-        monkeypatch.setattr(kernels, "_leggauss", no_nodes)
-        mode = FourierMode(2, 1)
-        s = np.linspace(0.0, 4.0, 9)
-        for k in (0, 1, 2):
-            rho1, rho2 = residual_profiles_general(0.3, 1.0, mode, s, mode.norm, deriv=k)
-            assert np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))
-        sample = sample_green_function(0.3, 1.0, mode, s, s)
-        assert sample.regime == "highfreq"
-        report = verify_kernel_bounds(nu_values=(1.0,), xi_values=(2, 3),
-                                      t_values=(0.1, 1.0), k_values=(0, 1, 2),
-                                      s_values=np.linspace(0.0, 6.0, 7))
-        assert report["pass"]
-        for fam in ("no_slip", "general"):
-            assert report[fam]["drift"] == {"R1": 0.0, "R2_quarter": 0.0}
-
-
-    @pytest.mark.parametrize("path", ["lowfreq", "general", "check", "certificate",
-                                      "cli_kernel"])
+    @pytest.mark.parametrize("path", ["lowfreq", "highfreq", "general", "check",
+                                      "certificate", "cli_kernel", "cli_verify"])
     def test_no_contour_on_production_paths(self, monkeypatch, tmp_path, path):
-        # the low-frequency profiles, a general D in both regimes, the
-        # node-doubling check, the default certificate sweep and the `kernel`
-        # command read the contour geometry only: none builds a Contour
+        # no production path builds a contour or reads its geometry: the
+        # profiles and samples of both regimes (no-slip and a general D),
+        # green_function, the single-point kernel, the default certificate
+        # sweep and the `kernel` and `verify --full` commands
         _forbid_contours(monkeypatch)
         s = np.linspace(0.0, 4.0, 9)
-        if path == "lowfreq":
+        modes = (MODE, FourierMode(2, 1))  # low and high frequency at nu = 1
+        if path in ("lowfreq", "highfreq"):
+            mode = modes[path == "highfreq"]
             for k in (0, 1, 2):
-                rho1, rho2 = residual_profiles_general(0.3, 1.0, MODE, s, MODE.norm, deriv=k)
+                rho1, rho2 = residual_profiles_general(0.3, 1.0, mode, s, mode.norm, deriv=k)
                 assert np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))
-            assert sample_green_function(0.3, 1.0, MODE, s, s).regime == "lowfreq"
+            for D in (None, _general_operator(mode)):
+                assert np.all(np.isfinite(sample_green_function(0.3, 1.0, mode, s, s,
+                                                                D=D).values))
         elif path == "general":
-            for mode in (MODE, FourierMode(2, 1)):
-                G = green_function(0.3, 1.0, mode, 0.4, 0.7, D=_general_operator(mode))
-                assert np.all(np.isfinite(G))
+            for mode in modes:
+                for D in (None, _general_operator(mode)):
+                    assert np.all(np.isfinite(green_function(0.3, 1.0, mode, 0.4, 0.7, D=D)))
         elif path == "check":
-            for mode in (MODE, FourierMode(2, 1)):
-                D = BoundaryOperatorD.no_slip(mode)
-                out = residual_kernel_general(0.3, 1.0, mode, D, 0.4, 0.7, check=True)
+            for mode in modes:
+                out = residual_kernel_general(0.3, 1.0, mode, None, 0.4, 0.7, check=True)
                 assert np.all(np.isfinite(out["R1"])) and np.all(np.isfinite(out["R2"]))
         elif path == "certificate":
             assert verify_kernel_bounds()["pass"]
-        else:
+        elif path == "cli_kernel":
             out = tmp_path / "k.csv"
-            assert cli.main(["kernel", "--xi", "1", "0", "--t", "0.5", "--grid", "0:4:8",
-                             "--out", str(out)]) == 0
+            for xi in (("1", "0"), ("2", "1")):
+                assert cli.main(["kernel", "--xi", *xi, "--t", "0.5", "--grid", "0:4:8",
+                                 "--out", str(out)]) == 0
+                assert out.exists()
+        else:
+            out = tmp_path / "v.json"
+            assert cli.main(["verify", "--full", "--out", str(out)]) == 0
             assert out.exists()
 
 
 def _forbid_contours(monkeypatch):
-    """Make building a Contour, of either regime, raise."""
+    """Make building a Contour, of either regime, or reading its geometry raise."""
     def no_contour(*args, **kwargs):
-        raise AssertionError("a contour was built")
+        raise AssertionError("a contour was built or its geometry read")
 
-    for name in ("Contour", "build_contour_lowfreq", "build_contour_highfreq"):
+    for name in ("Contour", "build_contour_lowfreq", "build_contour_highfreq",
+                 "lowfreq_params", "highfreq_params"):
         monkeypatch.setattr(contours, name, no_contour)
 
 
 class TestLowFrequencySum:
-    """The low-frequency R1 + R2 against 40-digit rho and its derivatives, and
-    R1 = rho - R2 against the half circle integrated by the adaptive oracle."""
+    """The low-frequency R1 + R2 and each part against 40-digit rho and its
+    derivatives."""
 
     @pytest.mark.parametrize("nu,xi,t", [
         (1.0, (1, 0), 20.0),    # the arc quadrature was 5.1e-7 off at s = 0
@@ -799,31 +768,27 @@ class TestLowFrequencySum:
         # off at t = 20, 7.2e-15 at t = 50 and 2.3e-13 at t = 1000
         assert np.all(np.abs(rho1 + rho2 - ref) <= 2e-15 * np.abs(ref))
 
-    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 3.0, 50.0])
     @pytest.mark.parametrize("nu", [1.0, 0.25])
     @pytest.mark.parametrize("general", [False, True], ids=["no_slip", "general"])
-    def test_r1_matches_adaptive_arc(self, general, nu, t):
-        # where the oracle resolves the arc (t <= 3), over y + z in [0, 5],
-        # both parts to 1e-12 of the largest of them
+    def test_parts_match_mpmath(self, general, nu, t):
+        # each part at k <= 2 over y + z in [0, 5], on both sides of the
+        # split; nu = 1, t = 50 is nu |xi|^2 t = 50, where R2's recurrence
+        # cancels most
+        pytest.importorskip("mpmath")
         D = _general_operator(MODE) if general else BoundaryOperatorD.no_slip(MODE)
-        pairs = [(0.0, 0.0), (0.3, 0.5), (1.0, 1.5), (2.0, 3.0)]
-        fixed = [residual_kernel_general(t, nu, MODE, D, y, z) for y, z in pairs]
-        adaptive = [residual_kernel_general(t, nu, MODE, D, y, z, method="adaptive")
-                    for y, z in pairs]
-        scale = max(np.max(np.abs(out[key])) for out in fixed for key in ("R1", "R2"))
-        for f, a in zip(fixed, adaptive):
-            for key in ("R1", "R2"):
-                assert np.max(np.abs(f[key] - a[key])) <= 1e-12 * scale
+        assert kernels._auto_regime(nu, MODE) == "lowfreq"
+        for k in (0, 1, 2):
+            _assert_parts_match_mpmath(t, nu, MODE, np.linspace(0.0, 5.0, 17), D.sigma, k)
 
 
 class TestBatchedEvaluation:
     """The certificate's batched closed forms give the bits of one scalar call
-    per cell, and both low-frequency parts come from one pass over the arm."""
+    per cell."""
 
     # (t, nu, |xi|, sigma) cells, |xi| integer as on the certificate's xi
-    # axis: cell 0 takes the vertex-floor branch (|0.05 |xi| - sigma| <
-    # sigma / 2); over the s row the parabola crosses the pole in every cell
-    # at s = 0 and in none at s = 6.
+    # axis; over the s row the split gives R1 the pole term in every cell at
+    # s = 0 and in none at s = 6
     CELLS = [(0.1, 1.0, 8.0, 0.45), (0.3, 1.0, 2.0, 2.0), (0.316, 1.0, 8.0, 4.0),
              (0.01, 0.04, 7.0, 3.5), (0.0316, 0.25, 3.0, 0.5 * 3.0)]
 
@@ -834,18 +799,13 @@ class TestBatchedEvaluation:
         t, nu, xin, sigma = cols
         comp1 = 0.25 * (xin + 1.0 / np.sqrt(nu)) * s - kernels._log_gauss(s, nu, t)
         comp2 = nu * xin**2 * t / 8.0
-        p = contours.highfreq_params(t, nu, xin, s, sigma)
+        p = kernels._split(t, nu, xin, s, sigma)
         rho1, rho2 = kernels._residue(p, ks, comp1), kernels._erfc_rho2(p, ks, comp2)
         crosses = p["crosses_pole"]
         assert crosses[:, 0].all() and not crosses[:, -1].any()
-        *_, xin0, sigma0 = self.CELLS[0]
-        assert abs(0.05 * xin0 - sigma0) < 0.5 * sigma0
-        assert np.all(p["a_eff"][0] >= 0.25 * sigma0) and p["a_eff"][0, 0] == 0.25 * sigma0
         for c, (t_c, nu_c, xin_c, sigma_c) in enumerate(self.CELLS):
-            q = contours.highfreq_params(t_c, nu_c, xin_c, s, sigma_c)
-            for key in ("a", "theta", "a_eff", "crosses_pole"):
-                assert _same_bits(p[key][c], q[key])
-            assert _same_bits(p["b_max"][c, 0], q["b_max"])
+            q = kernels._split(t_c, nu_c, xin_c, s, sigma_c)
+            assert _same_bits(p["crosses_pole"][c], q["crosses_pole"])
             assert _same_bits(rho1[:, c], kernels._residue(q, ks, comp1[c]))
             assert _same_bits(rho2[:, c], kernels._erfc_rho2(q, ks, float(comp2[c, 0])))
 
@@ -861,58 +821,19 @@ class TestBatchedEvaluation:
         with pytest.raises(PoleOnContour):
             contours.highfreq_params(t, nu, xin, s, sigma)
 
-    @pytest.mark.parametrize("n_s", [1, 21, 125])
-    @pytest.mark.parametrize("n1,n2", [(kernels.N_ARM, 128), (2 * kernels.N_ARM, 256), (23, 15)])
-    @pytest.mark.parametrize("sigma_fraction", [1.0, 0.5])
-    def test_fused_parts_match_per_segment_passes(self, monkeypatch, n_s, n1, n2,
-                                                  sigma_fraction):
-        # both low-frequency parts from one pass over the arm, at two node
-        # counts per case: R2 is the arm, and R1 is the closed-form rho minus
-        # it, bit for bit, with no contour built
-        t, nu, xin = 0.1, 0.04, 3.0
-        s = np.linspace(0.0, 10.0, n_s)
-        ks = (0, 1, 2)
-        comp = 0.25 * (xin + 1.0 / math.sqrt(nu)) * s - kernels._log_gauss(s, nu, t)
-        p = contours.lowfreq_params(t, nu, xin, s, sigma_fraction * xin)
-        _forbid_contours(monkeypatch)
-        rho = kernels._erfc_rho2(dict(p, crosses_pole=False), ks, comp)
-
-        def plain(n):
-            # e^{lambda t - mu s + s^2/4 nu t + comp} dlambda / (nu mu (mu - sigma))
-            # on the arm's nodes, with none of the in-place steps
-            x, w = np.polynomial.legendre.leggauss(n)
-            b, w = 0.5 * p["b_max"] * (x + 1.0), 0.5 * p["b_max"] * w
-            arm = p["a"][:, None] + 1j * b
-            lam = p["c_arm"] + 1j * p["M"][:, None] + nu * arm**2
-            mu = np.sqrt(lam / nu + xin**2)
-            dmu = 2j * nu * arm / (2.0 * nu * mu)
-            g = 2.0 * dmu / (mu - p["sigma"]) * np.exp(
-                nu * t * (mu - p["a"][:, None]) ** 2 - nu * xin**2 * t + comp[:, None])
-            return np.stack([np.sum(g * (-mu) ** k * w, axis=-1) for k in ks]).imag / np.pi
-
-        for n in (n1, n2):
-            rho1, rho2 = kernels._fixed_rho("lowfreq", t, nu, xin, s, p["sigma"], ks, comp, n)
-            assert _same_bits(rho2, kernels._fixed_arm(p, ks, comp, n))
-            assert _same_bits(rho1, rho - rho2)
-            # the in-place integrand against its plain form
-            arm = plain(n)
-            assert np.max(np.abs(rho2 - arm)) <= 1e-13 * np.max(np.abs(arm))
-
 
 def reference_bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
-                          n_arm, operator):
+                          operator):
     """``kernels._bound_sweep`` one (nu, xi, t) cell at a time: each cell makes
-    its own closed-form calls (a high-frequency cell once, for both node
-    counts; a low-frequency cell's rho once and its arm at both) and each sup
-    is a running comparison of per-cell argmaxes, in which a later cell
-    replaces the sup only when it is strictly larger.  It returns the same
-    (sup, (arg, drift))."""
+    its own closed-form calls, and each sup is a running comparison of
+    per-cell argmaxes, in which a later cell replaces the sup only when it is
+    strictly larger.  It returns the same (sup, arg)."""
     ln10 = math.log(10.0)
     k = np.asarray(k_values)[:, None]
-    start = {"R1": 0.0, "R2_quarter": 0.0, "R2_stated_log10": -np.inf}
-    reports = [(dict(start), dict.fromkeys(start)) for _ in range(2)]
+    sup = {"R1": 0.0, "R2_quarter": 0.0, "R2_stated_log10": -np.inf}
+    arg = dict.fromkeys(sup)
 
-    def record(sup, arg, key, ratio, cell):
+    def record(key, ratio, cell):
         i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
         if ratio[i, j] > sup[key]:
             sup[key], arg[key] = float(ratio[i, j]), (*cell, k_values[i], float(s_values[j]))
@@ -929,28 +850,16 @@ def reference_bound_sweep(nu_values, xi_values, t_values, k_values, s_values, th
                 cell = (nu, n_xi, t)
                 comp1 = theta0 * mu0 * s_values - lam_star_t - kernels._log_gauss(s_values, nu, t)
                 comp2 = nu * xin**2 * t / 8.0 - lam_star_t
-                if kernels._auto_regime(nu, mode) == "highfreq":
-                    p = contours.highfreq_params(t, nu, xin, s_values, D.sigma)
-                    parts = [(kernels._residue(p, k_values, comp1),
-                              kernels._erfc_rho2(p, k_values, comp2))]
-                else:
-                    p = contours.lowfreq_params(t, nu, xin, s_values, D.sigma)
-                    rho = kernels._erfc_rho2(dict(p, crosses_pole=False), k_values, comp1)
-                    parts = []
-                    for m in (1, 2):
-                        rho2 = kernels._fixed_arm(p, k_values, comp2, m * n_arm)
-                        parts.append((rho - kernels._rescale(rho2, comp1 - comp2), rho2))
-                for (rho1, rho2), report in zip((parts[0], parts[-1]), reports):
-                    record(*report, "R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
-                    ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
-                    record(*report, "R2_quarter", ratio2, cell)
-                    stated = np.log10(np.maximum(ratio2, 1e-300)) \
-                        + 0.75 * s_values**2 / (nu * t) / ln10
-                    record(*report, "R2_stated_log10", stated, cell)
-    (sup, arg), (sup2, _) = reports
-    drift = {key: abs(sup2[key] - sup[key]) / max(abs(sup[key]), 1e-300)
-             for key in ("R1", "R2_quarter")}
-    return sup, (arg, drift)
+                p = kernels._split(t, nu, xin, s_values, D.sigma)
+                rho1 = kernels._residue(p, k_values, comp1)
+                rho2 = kernels._erfc_rho2(p, k_values, comp2)
+                record("R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
+                ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
+                record("R2_quarter", ratio2, cell)
+                stated = np.log10(np.maximum(ratio2, 1e-300)) \
+                    + 0.75 * s_values**2 / (nu * t) / ln10
+                record("R2_stated_log10", stated, cell)
+    return sup, arg
 
 
 def _general_operator(mode):
@@ -960,9 +869,59 @@ def _general_operator(mode):
     return BoundaryOperatorD(alpha, beta, math.sqrt(alpha * beta), c0=1.0, mode=mode)
 
 
+class TestScaleCovariance:
+    """Each part obeys the symmetries of the kernel, not only their sum.
+
+    rho depends on (nu, t) only through nu t, so (nu, t) -> (a nu, t/a) leaves
+    R1 and R2 unchanged; (xi, y, z, t, sigma) -> (c xi, y/c, z/c, t/c^2,
+    c sigma) leaves rho unchanged and scales the no-slip D = P/|xi| by c, so
+    it maps G, and each part, to c times itself.  The split s < 2 sigma nu t
+    is invariant under both, so each part is covariant to rounding."""
+
+    T = np.logspace(-3.0, 1.0, 9)
+    YZ = [(0.0, 0.0), (0.3, 0.7), (1.1, 2.0)]
+    MODES = [(1, 0), (2, 1), (3, 0)]
+
+    @staticmethod
+    def _parts(t, nu, xi, y, z):
+        out = residual_kernel_general(t, nu, FourierMode(*xi), None, y, z)
+        return np.stack([out["R1"], out["R2"]])
+
+    @staticmethod
+    def _err(got, ref):
+        # each part's miss relative to the larger part at this point (0 where
+        # both parts underflow to 0 on both sides)
+        miss = np.max(np.abs(got - ref))
+        return miss / np.max(np.abs(ref)) if miss else 0.0
+
+    @pytest.mark.parametrize("nu", [1.0, 0.3, 0.04])
+    def test_nu_t(self, nu):
+        # crosses nu |xi|^2 = 1 in both directions (the split used to move there)
+        worst = 0.0
+        for xi in self.MODES:
+            for a in (0.2, 0.05, 4.0):
+                for t in self.T:
+                    for y, z in self.YZ:
+                        ref = self._parts(t, nu, xi, y, z)
+                        worst = max(worst, self._err(self._parts(t / a, a * nu, xi, y, z), ref))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("nu", [1.0, 0.3, 0.04])
+    def test_xi(self, nu):
+        worst = 0.0
+        for xi in self.MODES:
+            for c in (2, 3):
+                for t in self.T:
+                    for y, z in self.YZ:
+                        ref = self._parts(t, nu, xi, y, z)
+                        got = self._parts(t / c**2, nu, (c * xi[0], c * xi[1]), y / c, z / c)
+                        worst = max(worst, self._err(got / c, ref))
+        assert worst <= 1e-12
+
+
 class TestBoundCertificate:
     def test_small_sweep_passes(self, monkeypatch):
-        # the certificate integrates on the contour itself, not through the profiles
+        # the certificate evaluates the closed forms itself, not through the profiles
         def no_profiles(*args, **kw):
             raise AssertionError("the certificate called residual_profiles_general")
 
@@ -974,7 +933,7 @@ class TestBoundCertificate:
         for fam in ("no_slip", "general"):
             assert np.isfinite(report[fam]["sup"]["R1"])
             assert np.isfinite(report[fam]["sup"]["R2_quarter"])
-            assert report[fam]["stable"]
+            assert report[fam]["finite"] is True
 
     # two cells per sweep, in sweep order: two low-frequency cells (t = 0.1,
     # then 1.0) or two high-frequency ones (xi = 2, then 3)
@@ -984,19 +943,16 @@ class TestBoundCertificate:
                                              ("highfreq", 0), ("highfreq", 1)],
                              ids=["R1", "R2", "highfreq-R1", "highfreq-R2"])
     def test_nan_profile_fails(self, monkeypatch, regime, part):
-        # one NaN per cell in a certified part (the closed-form rho of the
-        # low-frequency R1 = rho - R2 or the arm's R2, the residue or the erfc
-        # remainder of the high-frequency closed forms), planted in both cells
-        # at (k, s) = (1, 3.0), must make the sup NaN and the certificate
-        # fail; a NaN in the arm reaches R1 as well.  argmax names the first
-        # NaN in sweep order: the first cell.
+        # one NaN per cell in a certified part (the residue R1 or the erfc
+        # remainder R2), planted in both cells at (k, s) = (1, 3.0), must make
+        # that sup NaN, and only that one, and the certificate fail, in both
+        # regimes.  argmax names the first NaN in sweep order: the first cell.
         def poison(rho):
             rho = np.array(rho, copy=True)
             rho[1, ..., 3] = np.nan  # k axis first, s axis last
             return rho
 
-        names = {"lowfreq": ("_erfc_rho2", "_fixed_arm"), "highfreq": ("_residue", "_erfc_rho2")}
-        name = names[regime][part]
+        name = ("_residue", "_erfc_rho2")[part]
         real = getattr(kernels, name)
         monkeypatch.setattr(kernels, name, lambda *args: poison(real(*args)))
         xi_values, t_values = self.NAN_SWEEPS[regime]
@@ -1006,10 +962,8 @@ class TestBoundCertificate:
         assert report["pass"] is False
         family = report["no_slip"]
         assert family["finite"] is False
-        nan_keys = ({"R1", "R2_quarter"} if name == "_fixed_arm"
-                    else {("R1", "R2_quarter")[part]})
         for key in ("R1", "R2_quarter"):
-            if key in nan_keys:
+            if key == ("R1", "R2_quarter")[part]:
                 assert math.isnan(family["sup"][key])
                 assert family["argmax(nu,xi,t,k,s)"][key] == (1.0, xi_values[0], t_values[0],
                                                               1, 3.0)
@@ -1028,7 +982,7 @@ class TestBoundCertificate:
                 scale = np.abs(D.matrix).max()
                 for t in (0.1, 1.0):
                     sup, _ = kernels._bound_sweep((nu,), (n_xi,), (t,), ks, s, 0.25,
-                                                  kernels.N_ARM, BoundaryOperatorD.no_slip)
+                                                  BoundaryOperatorD.no_slip)
                     r1 = r2 = 0.0
                     for k in ks:
                         rho1, rho2 = residual_profiles_general(t, nu, mode, s, D.sigma,
@@ -1045,13 +999,14 @@ class TestBoundCertificate:
     @pytest.mark.parametrize("operator", [BoundaryOperatorD.no_slip, _general_operator],
                              ids=["no_slip", "general"])
     def test_large_t_sweep_matches_per_cell_reference(self, operator, t):
-        # low-frequency cells at large t: R2 moves into R1's exponent in log
-        # form, and the sups are finite and match rho - arm with the arm
-        # integrated in R1's exponent directly, cell by cell
+        # low-frequency cells at large t, where the parts' plain values
+        # underflow against the bounds' weights: each part is evaluated in its
+        # bound's exponent, so the sups are finite and match R1 in plain form,
+        # 2 sigma^k e^{(theta0 mu0 - sigma) s} where s < 2 sigma nu t, and R2
+        # cell by cell
         nu, xi_values, ks = 0.04, (1, 3, 5), (0, 1, 2)
         s = np.linspace(0.0, 10.0, 21)
-        sup, _ = kernels._bound_sweep((nu,), xi_values, (t,), ks, s, 0.25, kernels.N_ARM,
-                                      operator)
+        sup, _ = kernels._bound_sweep((nu,), xi_values, (t,), ks, s, 0.25, operator)
         k = np.array(ks)[:, None]
         r1 = r2 = 0.0
         for n_xi in xi_values:
@@ -1059,16 +1014,13 @@ class TestBoundCertificate:
             assert kernels._auto_regime(nu, mode) == "lowfreq"
             D = operator(mode)
             mu0, scale = mu0_rate(mode, nu), np.abs(D.matrix).max()
-            lam_star_t = D.pole_lambda(nu) * t
-            comp1 = 0.25 * mu0 * s - lam_star_t - kernels._log_gauss(s, nu, t)
-            comp2 = nu * mode.norm**2 * t / 8.0 - lam_star_t
-            p = contours.lowfreq_params(t, nu, mode.norm, s, D.sigma)
-            rho = kernels._erfc_rho2(dict(p, crosses_pole=False), ks, comp1)
-            rho1 = rho - kernels._fixed_arm(p, ks, comp1, kernels.N_ARM)
-            rho2 = kernels._fixed_arm(p, ks, comp2, kernels.N_ARM)
-            r1 = max(r1, np.max(np.abs(rho1) * scale / mu0 ** (k + 1)))
+            rho1 = np.where(s < 2.0 * D.sigma * nu * t,
+                            2.0 * D.sigma**k * np.exp((0.25 * mu0 - D.sigma) * s), 0.0)
+            comp2 = nu * mode.norm**2 * t / 8.0 - D.pole_lambda(nu) * t
+            rho2 = kernels._erfc_rho2(kernels._split(t, nu, mode.norm, s, D.sigma), ks, comp2)
+            r1 = max(r1, np.max(rho1 * scale / mu0 ** (k + 1)))
             r2 = max(r2, np.max(np.abs(rho2) * scale * (nu * t) ** ((k + 1) / 2)))
-        assert np.isfinite(r1) and np.isfinite(r2)
+        assert np.isfinite(r1) and np.isfinite(r2) and r2 > 0.0
         assert sup["R1"] == pytest.approx(r1, rel=1e-12, abs=0)
         assert sup["R2_quarter"] == pytest.approx(r2, rel=1e-12, abs=0)
         report = verify_kernel_bounds(nu_values=(nu,), xi_values=xi_values, t_values=(t,),
@@ -1101,17 +1053,16 @@ class TestBoundCertificate:
     def test_r2_ratio_matches_40_digit_sum(self):
         # at the R2 argmax s^2/(4 nu t) = 62500: the parts leave the Gaussian
         # out, so the bound's weight e^{s^2/4 nu t} cancels exactly instead of
-        # against terms of that size.  The parabola does not cross the pole
-        # there, so R2 is the whole closed form, differentiated at 40 digits
-        # in the plain exponent lambda* t - sigma s.
+        # against terms of that size.  x > 0 there, so R2 is the whole closed
+        # form, differentiated at 40 digits in the plain exponent
+        # lambda* t - sigma s.
         mpmath = pytest.importorskip("mpmath")
         nu, n_xi, t, k, s = 0.04, 8, 0.01, 2, 10.0
         report = verify_kernel_bounds(nu_values=(nu,), xi_values=(n_xi,), t_values=(t,),
                                       k_values=(k,), s_values=[s])
         mode = FourierMode(n_xi, 0)
         D = BoundaryOperatorD.no_slip(mode)
-        params = contours.highfreq_params(t, nu, mode.norm, np.array([s]), mode.norm)
-        assert params["theta"][0] == 1.0 and not params["crosses_pole"][0]
+        assert s >= 2.0 * mode.norm * nu * t
         with mpmath.workdps(40):
             mp = mpmath.mpf
             nu_, t_, s_ = mp(nu), mp(t), mp(s)
@@ -1151,13 +1102,13 @@ class TestBoundCertificate:
                              ids=["no_slip", "general"])
     @pytest.mark.parametrize("sweep", sorted(SWEEPS))
     def test_sweep_matches_reference_loop(self, sweep, operator):
-        # sup, argmax and drift bit for bit (repr tells -0.0 from 0.0 and
+        # sup and argmax bit for bit (repr tells -0.0 from 0.0 and
         # np.float64(1.0) from 1.0), the first cell in sweep order winning a tie
-        args = (*self.SWEEPS[sweep], 0.25, kernels.N_ARM, operator)
+        args = (*self.SWEEPS[sweep], 0.25, operator)
         got = kernels._bound_sweep(*args)
         assert repr(got) == repr(reference_bound_sweep(*args))
         if sweep == "ties":
-            for where in got[1][0].values():
+            for where in got[1].values():
                 assert type(where[0]) is float and math.copysign(1.0, where[4]) == 1.0
 
     def test_mu0_rate(self):

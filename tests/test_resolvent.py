@@ -318,3 +318,28 @@ def test_resolvent_bound_needs_a_trial(trials):
     # zero trials would report ratios of 0.0, which a finiteness check passes
     with pytest.raises(IncompatibleData, match="trials"):
         check_resolvent_bound(PT, trials=trials)
+
+
+@pytest.mark.parametrize("xi", [(1, 0), (0, 0), (2, 1)])
+@pytest.mark.parametrize("lam", [3.0, 1e4, 50.0 + 40.0j])
+def test_non_finite_data_raises(lam, xi):
+    # a NaN or an infinity anywhere in either row reached every value of the
+    # solution as NaN, with no error; at lambda = 1e4 |mu h| is about 2
+    mode = FourierMode(*xi)
+    n = mode.norm
+    D = (BoundaryOperatorD.no_slip(mode) if mode.is_zero
+         else BoundaryOperatorD(0.2 * n, 0.3 * n, np.sqrt(0.06) * n, c0=1.0, mode=mode))
+    point = SpectralPoint(lam=complex(lam), nu=1.0, mode=mode)
+    grid = HalfLineGrid.uniform(40.96, 2049)
+    base = np.array([np.exp(-(grid.nodes - 5.0) ** 2),
+                     0.5j * np.exp(-(grid.nodes - 6.0) ** 2)])
+    for bad in (np.nan, np.inf, -np.inf):
+        for node in (0, 1, 1024, 2047, 2048):
+            for row in (0, 1):
+                vals = base.copy()
+                vals[row, node] = bad
+                f = ModeField(grid, vals)
+                for solve in (lambda: resolvent_apply(f, point),
+                              lambda: resolvent_apply_general(f, point, D)):
+                    with pytest.raises(IncompatibleData, match="finite"):
+                        solve()
