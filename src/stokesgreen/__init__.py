@@ -1,8 +1,9 @@
 """Per-mode numerical engine for the Stokes system on T^2 x R+ in vorticity form.
 
-Resolvent solves, Green's functions (closed form at high frequency, contour
-quadrature at low frequency), kernel-bound certification, Biot-Savart
-reconstruction and Duhamel evolution, one tangential Fourier mode at a time.
+Resolvent solves, Green's functions (closed forms in every frequency regime,
+checked against adaptive Bromwich quadrature on one parabola), kernel-bound
+certification, Biot-Savart reconstruction and Duhamel evolution, one
+tangential Fourier mode at a time.
 """
 
 from .biot_savart import (
@@ -13,7 +14,6 @@ from .biot_savart import (
     neumann_inverse,
     phi,
 )
-from .contours import Contour, Segment, build_contour_highfreq, build_contour_lowfreq
 from .core import (
     FourierMode,
     HalfLineGrid,
@@ -30,7 +30,6 @@ from .errors import (
     HypothesisViolated,
     IncompatibleData,
     PoleHit,
-    PoleOnContour,
     QuadratureUnderresolved,
     StabilityWarning,
     StokesGreenError,

@@ -13,17 +13,13 @@ class ZeroModeUnsupported(StokesGreenError):
     """The requested operation needs |xi| > 0."""
 
 
-class PoleOnContour(StokesGreenError):
-    """A contour passes too close to a pole of the integrand."""
-
-
 class PoleHit(StokesGreenError):
     """lambda coincides (within tolerance) with a pole of the resolvent."""
 
 
 class QuadratureUnderresolved(StokesGreenError):
-    """A quadrature is not resolved: doubling its order changed the result more
-    than the tolerance, or it returned a non-finite value."""
+    """A kernel evaluation returned a non-finite value (an overflow of its
+    closed form)."""
 
 
 class GridTooSmall(StokesGreenError):

@@ -42,10 +42,10 @@ certificate evaluate the same two closed forms, ``_residue`` (R1) and
 2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).
 They take (cell, 1) columns too, so the certificate evaluates all its cells
 in one call.  No production path evaluates a quadrature node or reads a
-contour.  Contours serve only the oracles: ``_adaptive_rho``
-(``method="adaptive"``) integrates adaptive panels in lambda, at k = 0, over
-the regime's contour, and ``invert_resolvent_kernel`` the full resolvent
-kernel.
+contour.  The oracles integrate adaptive panels in lambda over the one
+parabola of ``contours`` at every frequency: ``_adaptive_rho``
+(``method="adaptive"``) the residual integrand at k = 0, and
+``invert_resolvent_kernel`` the full resolvent kernel.
 """
 
 from __future__ import annotations
@@ -155,18 +155,15 @@ def _log_gauss(s, nu, t):
 
 
 def _auto_regime(nu, mode, regime=None):
-    """``regime`` ("lowfreq" or "highfreq"), or for None the one nu |xi|^2 selects."""
+    """``regime`` ("lowfreq" or "highfreq"), or for None the one nu |xi|^2 selects.
+
+    No kernel depends on it; the profiles validate it, and the benchmark's
+    tracer reads it."""
     if regime is None:
         return "lowfreq" if nu * mode.norm**2 <= 1.0 else "highfreq"
     if regime not in ("lowfreq", "highfreq"):
         raise IncompatibleData(f"regime must be 'lowfreq', 'highfreq' or None, got {regime!r}")
     return regime
-
-
-def _contour(regime, t, nu, xi_norm, s, sigma):
-    """The regime's contour around the pole mu = sigma (the oracles' only)."""
-    build = ct.build_contour_lowfreq if regime == "lowfreq" else ct.build_contour_highfreq
-    return build(t, nu, xi_norm, s, sigma)
 
 
 def _split(t, nu, xi_norm, s, sigma):
@@ -277,14 +274,14 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 # single-point residual kernels (closed forms; adaptive quadrature as an oracle)
 
 
-def _adaptive_rho(contour):
-    """The oracle's (rho1, rho2) at k = 0 on ``contour``, split as the profiles
-    split them: rho1 from ``_residue`` where x < 0, rho2 the contour's whole
-    integral minus rho1.  The integral is adaptive panels
-    (``Contour.integrate``) over e^{lambda t - mu s} / (nu mu (mu - sigma)),
-    on the half circle and the arm at low frequency, and on the parabola plus
-    the residue where it crossed the pole at high frequency."""
-    p = contour.params
+def _adaptive_rho(p):
+    """The oracle's (rho1, rho2) at k = 0 for ``contours.parabola_params``'
+    ``p``, split as the profiles split them: rho1 from ``_residue`` where
+    x < 0, rho2 = I + (residue - rho1), where I is the adaptive integral
+    (``contours.integrate``) of e^{lambda t - mu s} / (nu mu (mu - sigma))
+    over the parabola and the residue is added where it crossed the pole.
+    Where the parabola and the split agree on the pole the two terms cancel
+    exactly, so rho2 keeps the relative accuracy of I when it is tiny."""
     t, nu, s = p["t"], p["nu"], p["s"]
 
     def f(lam):  # node axis last
@@ -292,41 +289,33 @@ def _adaptive_rho(contour):
         return np.exp(lam * t - mu * s[..., None]) / (nu * mu * (mu - p["sigma"]))
 
     comp = -_log_gauss(s, nu, t)
-    total = contour.integrate(f)
-    if contour.regime == "highfreq":
-        total = total + _residue(p, (0,), comp)[0]
     rho1 = _residue(_split(t, nu, p["xi_norm"], s, p["sigma"]), (0,), comp)[0]
-    return rho1, total - rho1
+    return rho1, ct.integrate(f, p) + (_residue(p, (0,), comp)[0] - rho1)
 
 
-def residual_kernel_time(t, nu, mode: FourierMode, y, z, regime=None,
-                         method="fixed", check=False):
+def residual_kernel_time(t, nu, mode: FourierMode, y, z, method="fixed", check=False):
     """Split no-slip residual kernel {R1, R2} at a single (t, y, z)."""
-    return residual_kernel_general(t, nu, mode, None, y, z, regime, method, check)
+    return residual_kernel_general(t, nu, mode, None, y, z, method, check)
 
 
-def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
-                            method="fixed", check=False):
+def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, method="fixed", check=False):
     """Split residual kernel {R1, R2} for the boundary operator D at a single (t, y, z).
 
     ``D=None`` is no-slip.  R1 is the pole part 2 e^{lambda* t - sigma s} D
     where x < 0 (s < 2 sigma nu t) and 0 elsewhere, and R2 = rho D - R1 (none
     for D = 0, whose kernel vanishes).  ``method="fixed"`` is the profile at
-    one s; the oracle ``method="adaptive"`` integrates the ``regime``'s
-    contour (from nu |xi|^2 for None), the arc and the arm or the parabola
-    and its residue, and returns R1 the same way and R2 as that integral
-    minus R1, so it matches the closed forms to quadrature tolerance.
-    ``regime`` is unused on the fixed path, and ``check`` (the fixed path
-    only) has no effect.  A mode that is not a FourierMode, any other
-    ``regime``/``method``, or ``check`` with the adaptive method raises
-    IncompatibleData.
+    one s; the oracle ``method="adaptive"`` integrates the parabola of
+    ``contours.parabola_params`` and adds its residue, and returns R1 the
+    same way and R2 as that integral minus R1, so it matches the closed
+    forms to quadrature tolerance.  ``check`` (the fixed path only) has no
+    effect.  A mode that is not a FourierMode, any other ``method``, or
+    ``check`` with the adaptive method raises IncompatibleData.
     """
     _check_mode(mode)
     if mode.is_zero:
         raise ZeroModeUnsupported("residual kernel needs |xi| > 0")
     D = D or BoundaryOperatorD.no_slip(mode)
     D.check_mode(mode)
-    regime = _auto_regime(nu, mode, regime)
     if method not in ("fixed", "adaptive") or (check and method == "adaptive"):
         raise IncompatibleData(f"method must be 'fixed', or 'adaptive' without check, "
                                f"got {method!r} with check={check!r}")
@@ -336,7 +325,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, regime=None,
     if D.sigma == 0.0:
         vals = np.zeros(2)
     elif method == "adaptive":
-        vals = np.array(_adaptive_rho(_contour(regime, t, nu, mode.norm, s, D.sigma)))
+        vals = np.array(_adaptive_rho(ct.parabola_params(t, nu, mode.norm, s, D.sigma)))
     else:
         vals = np.concatenate(residual_profiles_general(t, nu, mode, np.array([s]), D.sigma))
     # D and both paths' profiles are real, so R1 and R2 are real
@@ -355,16 +344,16 @@ def green_function(t, nu, mode: FourierMode, y, z, D=None, **kw) -> np.ndarray:
 def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z) -> np.ndarray:
     """(1/2 pi i) int_Gamma e^{lambda t} G_lambda(y,z) dlambda, entrywise.
 
-    Integrates the *full* resolvent kernel (heat part included) over one fixed
-    contour, adding the lambda = 0 residue when the high-frequency deformation
+    Integrates the *full* resolvent kernel (heat part included) over the
+    oracles' parabola, adding the lambda = 0 residue where the parabola
     crossed the pole.  Used to validate the H + R1 + R2 decomposition.
     """
     xin = mode.norm
     s = float(y) + float(z)
     d = abs(float(y) - float(z))
-    # the heat part decays only like e^{-mu |y-z|}, so tune the contour to
-    # the weakest decay distance d <= s to keep the arm integrand bounded
-    contour = _contour(_auto_regime(nu, mode), t, nu, xin, d, xin)
+    # the heat part decays only like e^{-mu |y-z|}, so tune the parabola to
+    # the weakest decay distance d <= s to keep the integrand bounded
+    p = ct.parabola_params(t, nu, xin, d, xin)
     P = projection_matrix(mode).real
     eye = np.eye(2)
 
@@ -374,8 +363,8 @@ def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z) -> np.ndarray:
         r = np.exp(lam * t - mu * s) * (mu + xin) / (mu * lam * xin)
         return (h[None, :] * eye.reshape(4, 1) + r[None, :] * P.reshape(4, 1))
 
-    total = contour.integrate(f).reshape(2, 2)
-    if contour.regime == "highfreq" and np.any(contour.params["crosses_pole"]):
+    total = ct.integrate(f, p).reshape(2, 2)
+    if p["crosses_pole"]:
         total = total + residue_at_pole(t, nu, mode, y, z).real
     return total
 

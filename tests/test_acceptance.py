@@ -37,7 +37,7 @@ from stokesgreen import (
     verify_kernel_bounds,
 )
 from stokesgreen import kernels
-from stokesgreen.contours import build_contour_lowfreq, lowfreq_params
+from stokesgreen.contours import parabola_params
 from stokesgreen.core import projection_matrix
 from stokesgreen.solver import _propagate
 
@@ -129,19 +129,16 @@ class TestCriterion3KernelDecomposition:
                     rel = np.max(np.abs(G - direct)) / np.max(np.abs(direct))
                     assert rel < 1e-6, (nu, xi, t, y, z, rel)
                     worst = max(worst, rel)
-        # regime boundary nu |xi|^2 = 1: both contour families agree (the
-        # closed forms read no contour, so the adaptive oracle integrates them)
+        # regime boundary nu |xi|^2 = 1: the adaptive oracle on the parabola
+        # agrees with the closed-form R1 + R2
         mode = FourierMode(1, 0)
         worst_b = 0.0
         for t in (0.05, 0.2, 1.0):
             for y, z in yz:
-                lo = residual_kernel_time(t, 1.0, mode, y, z, regime="lowfreq",
-                                          method="adaptive")
-                hi = residual_kernel_time(t, 1.0, mode, y, z, regime="highfreq",
-                                          method="adaptive")
-                tot_lo, tot_hi = lo["R1"] + lo["R2"], hi["R1"] + hi["R2"]
-                rel = np.max(np.abs(tot_lo - tot_hi)) / max(np.max(np.abs(tot_lo)),
-                                                            1e-300)
+                oracle = residual_kernel_time(t, 1.0, mode, y, z, method="adaptive")
+                closed = residual_kernel_time(t, 1.0, mode, y, z)
+                tot_o, tot_c = oracle["R1"] + oracle["R2"], closed["R1"] + closed["R2"]
+                rel = np.max(np.abs(tot_o - tot_c)) / max(np.max(np.abs(tot_c)), 1e-300)
                 assert rel < 1e-6, (t, y, z, rel)
                 worst_b = max(worst_b, rel)
         elapsed = time.perf_counter() - start
@@ -155,24 +152,23 @@ class TestCriterion4ContourIndependence:
         nu, mode, t = 0.25, FourierMode(1, 0), 0.3
         y, z = 0.6, 0.9
         s = y + z
-        params = lowfreq_params(t, nu, mode.norm, np.array([s]), mode.norm)
-        M0 = float(np.asarray(params["M"]).reshape(-1)[0])
+        P = BoundaryOperatorD.no_slip(mode).matrix
+        rho = P * sum(residual_profiles_general(t, nu, mode, np.array([s]), mode.norm))
 
-        def total(contour):
-            # the adaptive oracle's R1 + R2 on this contour
-            rho1, rho2 = kernels._adaptive_rho(contour)
-            P = BoundaryOperatorD.no_slip(mode).matrix
+        def total(s_tuned):
+            # the adaptive oracle's R1 + R2 at s on the parabola tuned at
+            # s_tuned, plus the residue where that parabola crossed the pole
+            p = dict(parabola_params(t, nu, mode.norm, s_tuned, mode.norm), s=np.asarray(s))
+            rho1, rho2 = kernels._adaptive_rho(p)
             return rho1 * P + rho2 * P
 
-        base = total(build_contour_lowfreq(t, nu, mode.norm, s, mode.norm))
-        doubled = total(build_contour_lowfreq(t, nu, mode.norm, s, mode.norm, M=2.0 * M0))
-        perturbed = total(build_contour_lowfreq(t, nu, mode.norm, s, mode.norm,
-                                                M=1.37 * M0))
-        scale = np.max(np.abs(base))
-        rel_d = np.max(np.abs(doubled - base)) / scale
-        rel_p = np.max(np.abs(perturbed - base)) / scale
-        assert rel_d < 1e-8
-        assert rel_p < 1e-8
+        # tuning at 0 crosses the pole and adds its residue; at s, s/2 and 2s
+        # the parabola passes right of it (tuning at 4s would cancel)
+        assert bool(parabola_params(t, nu, mode.norm, 0.0, mode.norm)["crosses_pole"])
+        drift = {tuned: np.max(np.abs(total(tuned) - rho)) / np.max(np.abs(rho))
+                 for tuned in (s, 0.0, s / 2, 2 * s)}
+        for rel in drift.values():
+            assert rel < 1e-8
 
         # residue at lambda = 0: analytic formula vs small-circle quadrature
         def f(lam):
@@ -184,8 +180,9 @@ class TestCriterion4ContourIndependence:
         expect = circ * projection_matrix(mode)
         rel_r = np.max(np.abs(analytic - expect)) / np.max(np.abs(analytic))
         assert rel_r < 1e-10
-        print(f"\n[criterion 4] PASS contour drift: M-doubling {rel_d:.2e}, radius "
-              f"perturbation {rel_p:.2e}; residue vs quadrature {rel_r:.2e}")
+        print(f"\n[criterion 4] PASS contour drift against rho, parabola tuned at "
+              f"s, 0, s/2, 2s: " + ", ".join(f"{rel:.2e}" for rel in drift.values())
+              + f"; residue vs quadrature {rel_r:.2e}")
 
 
 class TestCriterion5GreenFunctionProperties:

@@ -1,5 +1,6 @@
 """Unit tests for the time-domain Green's function and its certification."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from stokesgreen import (
     ModeField,
     QuadratureUnderresolved,
     PoleHit,
-    PoleOnContour,
     SpectralPoint,
     ZeroModeUnsupported,
     green_function,
@@ -143,17 +143,17 @@ class TestDecomposition:
     @pytest.mark.parametrize("t", [0.2, 5.0])
     @pytest.mark.parametrize("bc", ["no_slip", "general"])
     def test_regime_boundary_agreement(self, bc, t):
-        # nu |xi|^2 = 1: both contour families must give the same kernel (the
-        # closed forms read no contour, so the oracle integrates them)
+        # nu |xi|^2 = 1: the oracle's parabola and the closed forms give the
+        # same kernel at the boundary between the frequency regimes
         mode = FourierMode(1, 0)
         nu, y, z = 1.0, 0.5, 1.0
         D = BoundaryOperatorD.no_slip(mode) if bc == "no_slip" else \
             BoundaryOperatorD(0.5, 0.0, 0.0, c0=1.0, mode=mode)
-        lo = residual_kernel_general(t, nu, mode, D, y, z, regime="lowfreq", method="adaptive")
-        hi = residual_kernel_general(t, nu, mode, D, y, z, regime="highfreq", method="adaptive")
-        total_lo = lo["R1"] + lo["R2"]
-        total_hi = hi["R1"] + hi["R2"]
-        assert np.max(np.abs(total_lo - total_hi)) < 1e-10 * np.max(np.abs(total_lo))
+        oracle = residual_kernel_general(t, nu, mode, D, y, z, method="adaptive")
+        closed = residual_kernel_general(t, nu, mode, D, y, z)
+        total_oracle = oracle["R1"] + oracle["R2"]
+        total_closed = closed["R1"] + closed["R2"]
+        assert np.max(np.abs(total_oracle - total_closed)) < 1e-10 * np.max(np.abs(total_closed))
 
     @pytest.mark.parametrize("t", [0.4, 1.0, 5.0])
     def test_fixed_matches_adaptive(self, t):
@@ -168,11 +168,9 @@ class TestDecomposition:
         nu, t, y, z = 0.5, 0.4, 0.7, 1.1
         D = BoundaryOperatorD(0.5, 0.3, math.sqrt(0.15), c0=2.0, mode=mode)
         G = green_function(t, nu, mode, y, z, D=D)
-        # oracle: integrate the full general resolvent kernel over the contour
-        from stokesgreen.contours import build_contour_highfreq
-
+        # oracle: integrate the full general resolvent kernel over the parabola
         s = y + z
-        contour = build_contour_highfreq(t, nu, mode.norm, s, D.sigma)
+        p = contours.parabola_params(t, nu, mode.norm, s, D.sigma)
 
         def f(lam):
             mu = np.sqrt(lam / nu + mode.norm**2)
@@ -182,10 +180,43 @@ class TestDecomposition:
             return h[None, :] * np.eye(2).reshape(4, 1) \
                 + r[None, :] * D.matrix.reshape(4, 1)
 
-        direct = contour.integrate(f).reshape(2, 2)
-        if np.any(contour.params["crosses_pole"]):
+        direct = contours.integrate(f, p).reshape(2, 2)
+        if p["crosses_pole"]:
             direct = direct + residue_at_pole(t, nu, mode, y, z, D=D)
         assert np.max(np.abs(G - direct)) < 1e-9 * np.max(np.abs(direct))
+
+
+class TestOracleSweep:
+    """The adaptive oracle on the parabola against the closed forms, part by
+    part, to 1e-9 of each part's own size (R2 is -1.5e-23 beside R1 = 2 at
+    nu |xi|^2 t = 50), across both frequency regimes, small and large t and
+    three operators, one of them with lambda* > 0."""
+
+    def test_adaptive_matches_closed_forms(self):
+        compared = 0
+        for nu in (1.0, 0.25, 0.04):
+            for xi in ((1, 0), (2, 1), (3, 0), (8, 0)):
+                mode = FourierMode(*xi)
+                operators = [BoundaryOperatorD.no_slip(mode), _general_operator(mode)]
+                # c0 = 2, sigma = 1.6 |xi|: lambda* > 0
+                sigma = 1.6 * mode.norm
+                operators.append(BoundaryOperatorD(0.3 * sigma, 0.7 * sigma,
+                                                   math.sqrt(0.21) * sigma, c0=2.0, mode=mode))
+                for t, (y, z), D in itertools.product(
+                        (0.01, 0.1, 0.3, 1.0, 5.0, 20.0, 50.0),
+                        ((0.0, 0.0), (0.3, 0.3), (0.6, 0.9), (1.5, 1.0), (2.5, 2.5)),
+                        operators):
+                    try:
+                        closed = residual_kernel_general(t, nu, mode, D, y, z)
+                    except QuadratureUnderresolved:
+                        continue  # the closed form itself overflows
+                    oracle = residual_kernel_general(t, nu, mode, D, y, z, method="adaptive")
+                    for k in ("R1", "R2"):
+                        err = np.max(np.abs(oracle[k] - closed[k]))
+                        assert err <= 1e-9 * np.max(np.abs(closed[k])), \
+                            (nu, xi, t, y, z, D.sigma, k, err)
+                    compared += 1
+        assert compared == 1245
 
 
 class TestResidues:
@@ -563,7 +594,7 @@ class TestQuadratureChecks:
         # so the oracle adds the residue); the closed forms match the oracle
         mode = FourierMode(2, 1)
         D = BoundaryOperatorD(0.04, 0.06, math.sqrt(0.04 * 0.06), c0=1.0, mode=mode)
-        params = contours.highfreq_params(0.3, 1.0, mode.norm, 0.0, D.sigma)
+        params = contours.parabola_params(0.3, 1.0, mode.norm, 0.0, D.sigma)
         assert float(params["a_eff"]) == 0.25 * D.sigma and bool(params["crosses_pole"])
         fixed = residual_kernel_general(0.3, 1.0, mode, D, 0.0, 0.0)
         adaptive = residual_kernel_general(0.3, 1.0, mode, D, 0.0, 0.0, method="adaptive")
@@ -581,14 +612,17 @@ class TestSelectors:
     @pytest.mark.parametrize("method", ["fixed", "adaptive"])
     @pytest.mark.parametrize("regime", ["bogus", "Lowfreq", ""])
     def test_unknown_regime_raises(self, regime, method):
-        # "bogus" was the low-frequency contour on the fixed path and the
-        # high-frequency one on the adaptive path (R2[1,1] 0.02315 against
-        # 0.09979 at nu = 1, xi = (1,0), t = 0.3, (y, z) = (0.5, 0.8))
-        with pytest.raises(IncompatibleData, match="regime"):
-            residual_kernel_general(0.3, 1.0, MODE, self.D, 0.5, 0.8, regime=regime,
-                                    method=method)
+        # the profiles validate a regime they do not read; the
+        # single-point kernels and green_function take none, for either
+        # method, since one parabola serves the oracle at every frequency
         with pytest.raises(IncompatibleData, match="regime"):
             residual_profiles_general(0.3, 1.0, MODE, np.array([1.3]), 1.0, regime=regime)
+        for call in (residual_kernel_time, green_function):
+            with pytest.raises(TypeError, match="regime"):
+                call(0.3, 1.0, MODE, 0.5, 0.8, regime=regime, method=method)
+        with pytest.raises(TypeError, match="regime"):
+            residual_kernel_general(0.3, 1.0, MODE, self.D, 0.5, 0.8, regime=regime,
+                                    method=method)
 
     @pytest.mark.parametrize("method", ["Adaptive", "exact", None])
     def test_unknown_method_raises(self, method):
@@ -604,8 +638,7 @@ class TestSelectors:
 
     def test_rejected_for_the_zero_operator_too(self):
         D0 = BoundaryOperatorD(0.0, 0.0, 0.0, c0=1.0, mode=MODE)
-        for kw in (dict(regime="bogus"), dict(method="Adaptive"),
-                   dict(method="adaptive", check=True)):
+        for kw in (dict(method="Adaptive"), dict(method="adaptive", check=True)):
             with pytest.raises(IncompatibleData):
                 residual_kernel_general(0.3, 1.0, MODE, D0, 0.5, 0.8, **kw)
 
@@ -618,8 +651,8 @@ class TestZeroOperator:
         def no_contour(*args, **kwargs):
             raise AssertionError("a contour was built for D = 0")
 
-        monkeypatch.setattr(contours, "build_contour_lowfreq", no_contour)
-        monkeypatch.setattr(contours, "build_contour_highfreq", no_contour)
+        monkeypatch.setattr(contours, "parabola_params", no_contour)
+        monkeypatch.setattr(contours, "integrate", no_contour)
         mode = FourierMode(2, 1)
         D = BoundaryOperatorD(0.0, 0.0, 0.0, c0=1.0, mode=mode)
         out = residual_kernel_general(0.3, nu, mode, D, 0.2, 0.5, method=method)
@@ -732,12 +765,11 @@ class TestHighFrequencyClosedForm:
 
 
 def _forbid_contours(monkeypatch):
-    """Make building a Contour, of either regime, or reading its geometry raise."""
+    """Make building the parabola or integrating over it raise."""
     def no_contour(*args, **kwargs):
         raise AssertionError("a contour was built or its geometry read")
 
-    for name in ("Contour", "build_contour_lowfreq", "build_contour_highfreq",
-                 "lowfreq_params", "highfreq_params"):
+    for name in ("parabola_params", "integrate"):
         monkeypatch.setattr(contours, name, no_contour)
 
 
@@ -809,17 +841,20 @@ class TestBatchedEvaluation:
             assert _same_bits(rho1[:, c], kernels._residue(q, ks, comp1[c]))
             assert _same_bits(rho2[:, c], kernels._erfc_rho2(q, ks, float(comp2[c, 0])))
 
-    def test_pole_on_contour_in_one_cell_raises(self):
-        # the guards keep a_eff at least sigma/4 from the pole, so only a pole
-        # inside the check's absolute 1e-9 band is hit: a cell with sigma =
-        # |xi| = 1e-10 at s = 0, beside cells that alone pass
-        cells = np.array([[0.1, 1.0, 2.0, 2.0], [0.1, 1.0, 1e-10, 1e-10],
-                          [0.1, 1.0, 3.0, 3.0]])
-        t, nu, xin, sigma = (cells[:, [j]] for j in range(4))
-        s = np.array([0.0, 1.0])
-        contours.highfreq_params(t[[0, 2]], nu[[0, 2]], xin[[0, 2]], s, sigma[[0, 2]])
-        with pytest.raises(PoleOnContour):
-            contours.highfreq_params(t, nu, xin, s, sigma)
+    def test_parabola_keeps_off_the_pole(self):
+        # the theta band and the vertex-floor guard keep the parabola's line
+        # Re mu = a_eff at least sigma/4 from the pole mu = sigma, for every
+        # s, at every sigma/|xi| (the floor 0.05 |xi| within sigma/2 of the
+        # pole included) and for (cell, 1) columns as for scalars
+        s = np.linspace(0.0, 20.0, 2001)
+        cells = [(t, nu, float(n), frac * n) for t in (0.01, 0.3, 5.0) for nu in (0.04, 1.0)
+                 for n in (1, 3, 8) for frac in (1e-12, 0.05, 0.5, 1.0, 1.6)]
+        t, nu, xin, sigma = (np.array(col)[:, None] for col in zip(*cells))
+        p = contours.parabola_params(t, nu, xin, s, sigma)
+        assert np.all(np.abs(p["a_eff"] - sigma) >= 0.25 * sigma)
+        for c, cell in enumerate(cells):
+            q = contours.parabola_params(*cell[:3], s, cell[3])
+            assert _same_bits(p["a_eff"][c], q["a_eff"])
 
 
 def reference_bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0,
