@@ -1,9 +1,9 @@
 """Per-mode numerical engine for the Stokes system on T^2 x R+ in vorticity form.
 
 Resolvent solves, Green's functions (closed forms in every frequency regime,
-checked against adaptive Bromwich quadrature on one parabola), kernel-bound
-certification, Biot-Savart reconstruction and Duhamel evolution, one
-tangential Fourier mode at a time.
+with an adaptive Bromwich quadrature of the residual part as an oracle),
+kernel-bound certification, Biot-Savart reconstruction and Duhamel
+evolution, one tangential Fourier mode at a time.
 """
 
 from .biot_savart import (
@@ -41,13 +41,10 @@ from .kernels import (
     green_function,
     heat_kernel_dirichlet,
     heat_kernel_neumann,
-    invert_resolvent_kernel,
     mu0_rate,
     residual_kernel_general,
     residual_kernel_time,
     residual_profiles_general,
-    residue_at_pole,
-    residue_small_circle,
     resolvent_kernel,
     sample_green_function,
     verify_kernel_bounds,

@@ -68,16 +68,21 @@ def _parse_grid(spec: str) -> HalfLineGrid:
 
 
 def _parse_general_bc(spec: str, mode: FourierMode) -> BoundaryOperatorD:
+    """D from ``K=V,...`` with each of alpha, beta, gamma (default 0) and c0
+    (default 1) given at most once; any other key, or a repeated one, raises
+    ValueError."""
     kv = {}
     for item in spec.split(","):
         key, _, val = item.partition("=")
-        if key.strip() not in ("alpha", "beta", "gamma", "gamma_off", "c0"):
-            raise ValueError(f"unknown --general-bc key {key.strip()!r} "
+        key = key.strip()
+        if key not in ("alpha", "beta", "gamma", "c0"):
+            raise ValueError(f"unknown --general-bc key {key!r} "
                              "(expected alpha, beta, gamma, c0)")
-        kv[key.strip()] = float(val)
+        if key in kv:
+            raise ValueError(f"--general-bc key {key!r} given twice")
+        kv[key] = float(val)
     return BoundaryOperatorD(alpha=kv.get("alpha", 0.0), beta=kv.get("beta", 0.0),
-                             gamma_off=kv.get("gamma", kv.get("gamma_off", 0.0)),
-                             c0=kv.get("c0", 1.0), mode=mode)
+                             gamma_off=kv.get("gamma", 0.0), c0=kv.get("c0", 1.0), mode=mode)
 
 
 def _open_out(path: str | None, mode: str = "w"):

@@ -1,8 +1,9 @@
-"""The deformed Bromwich contour of the oracles: one parabola at every frequency.
+"""The deformed Bromwich contour of the adaptive oracle, at every frequency.
 
 The residual (non-heat) part of the per-mode Green's function is the Bromwich
 integral (1/2 pi i) int_Gamma exp(lambda t) R_lambda(y, z) dlambda.  The
-oracles deform Gamma into the parabola
+oracle ``kernels._adaptive_rho`` (``method="adaptive"``) deforms Gamma into
+the parabola
 
     lambda = -nu |xi|^2 + nu (a_eff + i b)^2,   b in R,
 
@@ -19,7 +20,7 @@ pole (``crosses_pole``) is the whole Bromwich integral.
 No production path reads the contour: the kernels split R = R1 + R2 in
 closed form.  Only ``integrate`` needs scipy's ``quad_vec``, so it imports
 ``scipy.integrate`` on its first call.  The parabola is its own mirror image
-under conjugation and the residual integrands satisfy
+under conjugation and the residual integrand satisfies
 f(conj lambda) = conj f(lambda), so the Bromwich integral is Im(I) / pi of
 the upper half's integral I.
 """
@@ -80,8 +81,7 @@ def integrate(f, p: dict):
     Requires f(conj lambda) = conj f(lambda), and returns the real Im(I) / pi
     of the upper-half integral I over b in [0, b_max], by adaptive
     Gauss-Kronrod panels (scipy ``quad_vec``).  ``f`` takes lambda with the
-    node axis last, after the axes of ``p["a_eff"]``, and may return extra
-    leading axes (e.g. a stack of integrands).
+    node axis last, after the axes of ``p["a_eff"]``.
     """
     from scipy.integrate import quad_vec
 

@@ -24,10 +24,10 @@ through the saddle picks up where it passes left of the pole, and
 R2 = R - R1, which is -e^{-nu |xi|^2 t - s^2/4 nu t} erfcx(-x) D where
 x < 0 and R elsewhere, so neither part cancels or overflows.
 The no-slip vorticity kernel is the member D = P(xi)/|xi| with sigma = |xi|
-and lambda* = 0 exactly, not a family of its own: the resolvent kernel, the
-pole residue, the Green's function and its grid sample each take D, and
-``D=None`` means ``BoundaryOperatorD.no_slip(mode)``.  The profiles take
-sigma and give R = rho_D D for every D, no-slip included.
+and lambda* = 0 exactly, not a family of its own: the resolvent kernel,
+the split residual kernel, the Green's function and its grid sample each
+take D, and ``D=None`` means ``BoundaryOperatorD.no_slip(mode)``.  The
+profiles take sigma and give R = rho_D D for every D, no-slip included.
 ``residual_kernel_time`` is the one no-slip wrapper left (of
 ``residual_kernel_general``).
 
@@ -42,10 +42,9 @@ certificate evaluate the same two closed forms, ``_residue`` (R1) and
 2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).
 They take (cell, 1) columns too, so the certificate evaluates all its cells
 in one call.  No production path evaluates a quadrature node or reads a
-contour.  The oracles integrate adaptive panels in lambda over the one
-parabola of ``contours`` at every frequency: ``_adaptive_rho``
-(``method="adaptive"``) the residual integrand at k = 0, and
-``invert_resolvent_kernel`` the full resolvent kernel.
+contour.  The one oracle here, ``_adaptive_rho`` (``method="adaptive"``),
+integrates the residual integrand at k = 0 by adaptive panels in lambda
+over the parabola of ``contours``, at every frequency.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from . import contours as ct
-from .core import FourierMode, SpectralPoint, projection_matrix
+from .core import FourierMode, SpectralPoint
 from .errors import IncompatibleData, QuadratureUnderresolved, ZeroModeUnsupported
 from .resolvent import BoundaryOperatorD
 
@@ -66,13 +65,10 @@ __all__ = [
     "heat_kernel_neumann",
     "heat_kernel_dirichlet",
     "resolvent_kernel",
-    "residue_at_pole",
     "residual_profiles_general",
     "residual_kernel_time",
     "residual_kernel_general",
     "green_function",
-    "invert_resolvent_kernel",
-    "residue_small_circle",
     "KernelSample",
     "sample_green_function",
     "mu0_rate",
@@ -125,24 +121,6 @@ def resolvent_kernel(point: SpectralPoint, y: float, z: float, D=None) -> np.nda
     h = (np.exp(-mu * abs(y - z)) + np.exp(-mu * (y + z))) / (2.0 * point.nu * mu)
     r = np.exp(-mu * (y + z)) / (point.nu * mu)
     return h * np.eye(2) + r * D.correction(point)
-
-
-def residue_at_pole(t, nu, mode: FourierMode, y, z, D=None) -> np.ndarray:
-    """Residue of the residual integrand at lambda* = nu(sigma^2 - |xi|^2).
-
-    Near lambda*, nu mu (mu - sigma) = (lambda - lambda*)/2 + O((lambda-lambda*)^2)
-    since dmu/dlambda = 1/(2 nu mu), so the residue is 2 e^{lambda* t}
-    e^{-sigma (y+z)} D — confirmed by small-circle quadrature.  For D
-    no-slip (the default) lambda* = 0 exactly, so the residue
-    (2/|xi|) P e^{-|xi|(y+z)} does not depend on t.
-    """
-    if mode.is_zero:
-        raise ZeroModeUnsupported("the boundary pole needs |xi| > 0")
-    D = D or BoundaryOperatorD.no_slip(mode)
-    D.check_mode(mode)
-    # complex like the small-circle residues; D itself is real
-    return (2.0 * math.exp(D.pole_lambda(nu) * t) * np.exp(-D.sigma * (y + z))
-            * D.matrix.astype(complex))
 
 
 # ---------------------------------------------------------------------------
@@ -332,53 +310,12 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, method="fixed", c
     return {"R1": vals[0] * D.matrix, "R2": vals[1] * D.matrix}
 
 
-def green_function(t, nu, mode: FourierMode, y, z, D=None, **kw) -> np.ndarray:
+def green_function(t, nu, mode: FourierMode, y, z, D=None) -> np.ndarray:
     """Tangential Green's function G_xi(t,y;z) = H I_2 + R1 + R2 (2x2, real) for
-    the boundary operator D (default no-slip); ``kw`` goes to
-    ``residual_kernel_general``."""
-    parts = residual_kernel_general(t, nu, mode, D, y, z, **kw)
+    the boundary operator D (default no-slip)."""
+    parts = residual_kernel_general(t, nu, mode, D, y, z)
     h = heat_kernel_neumann(t, nu, mode, y, z)
     return h * np.eye(2) + parts["R1"] + parts["R2"]
-
-
-def invert_resolvent_kernel(t, nu, mode: FourierMode, y, z) -> np.ndarray:
-    """(1/2 pi i) int_Gamma e^{lambda t} G_lambda(y,z) dlambda, entrywise.
-
-    Integrates the *full* resolvent kernel (heat part included) over the
-    oracles' parabola, adding the lambda = 0 residue where the parabola
-    crossed the pole.  Used to validate the H + R1 + R2 decomposition.
-    """
-    xin = mode.norm
-    s = float(y) + float(z)
-    d = abs(float(y) - float(z))
-    # the heat part decays only like e^{-mu |y-z|}, so tune the parabola to
-    # the weakest decay distance d <= s to keep the integrand bounded
-    p = ct.parabola_params(t, nu, xin, d, xin)
-    P = projection_matrix(mode).real
-    eye = np.eye(2)
-
-    def f(lam):
-        mu = np.sqrt(lam / nu + xin**2)
-        h = np.exp(lam * t) * (np.exp(-mu * d) + np.exp(-mu * s)) / (2.0 * nu * mu)
-        r = np.exp(lam * t - mu * s) * (mu + xin) / (mu * lam * xin)
-        return (h[None, :] * eye.reshape(4, 1) + r[None, :] * P.reshape(4, 1))
-
-    total = ct.integrate(f, p).reshape(2, 2)
-    if p["crosses_pole"]:
-        total = total + residue_at_pole(t, nu, mode, y, z).real
-    return total
-
-
-# periodic-trapezoid nodes on the small residue circle
-_N_CIRCLE = 256
-
-
-def residue_small_circle(f, center: complex, radius: float) -> complex:
-    """(1/2 pi i) contour integral of f over a small circle (periodic trapezoid)."""
-    theta = 2.0 * np.pi * np.arange(_N_CIRCLE) / _N_CIRCLE
-    lam = center + radius * np.exp(1j * theta)
-    vals = f(lam) * radius * np.exp(1j * theta)
-    return complex(np.sum(vals) / _N_CIRCLE)
 
 
 # ---------------------------------------------------------------------------

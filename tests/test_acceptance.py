@@ -7,6 +7,7 @@ full run doubles as a verification report.
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,19 +28,17 @@ from stokesgreen import (
     duhamel_solve,
     green_function,
     heat_kernel_neumann,
-    invert_resolvent_kernel,
     residual_kernel_time,
     residual_profiles_general,
-    residue_at_pole,
-    residue_small_circle,
     resolvent_apply,
     sample_green_function,
     verify_kernel_bounds,
 )
 from stokesgreen import kernels
 from stokesgreen.contours import parabola_params
-from stokesgreen.core import projection_matrix
 from stokesgreen.solver import _propagate
+
+from bromwich_mp import circle_residue, green_bromwich
 
 
 def random_pair(grid, seed):
@@ -114,9 +113,10 @@ class TestCriterion2ResolventBoundCertificate:
 class TestCriterion3KernelDecomposition:
     def test_decomposition_both_regimes(self):
         start = time.perf_counter()
-        # (y, z) separations stay within a few heat-kernel widths of each t so
-        # the direct contour oracle keeps relative accuracy (the kernel decays
-        # like e^{-(y-z)^2/4 nu t}, which swamps any quadrature at large gaps)
+        # the closed forms against Talbot inversion of the full resolvent
+        # kernel in 30-digit arithmetic, at (y, z) separations within a few
+        # heat-kernel widths of each t (the kernel decays like
+        # e^{-(y-z)^2/4 nu t}, so a relative error means little at large gaps)
         t_vals = np.array([0.1, 0.2, 0.3, 0.7, 1.0])
         yz = [(0.3, 0.3), (0.0, 0.6), (0.8, 1.4), (1.5, 1.0), (1.2, 1.2)]
         worst = 0.0
@@ -125,7 +125,7 @@ class TestCriterion3KernelDecomposition:
             for t in t_vals:
                 for y, z in yz:
                     G = green_function(t, nu, mode, y, z)
-                    direct = invert_resolvent_kernel(t, nu, mode, y, z)
+                    direct = green_bromwich(t, nu, mode, y, z)
                     rel = np.max(np.abs(G - direct)) / np.max(np.abs(direct))
                     assert rel < 1e-6, (nu, xi, t, y, z, rel)
                     worst = max(worst, rel)
@@ -170,15 +170,18 @@ class TestCriterion4ContourIndependence:
         for rel in drift.values():
             assert rel < 1e-8
 
-        # residue at lambda = 0: analytic formula vs small-circle quadrature
-        def f(lam):
-            mu = np.sqrt(lam / nu + mode.norm**2)
-            return np.exp(lam * t - mu * s) * (mu + mode.norm) / (mu * lam * mode.norm)
+        # residue at lambda = 0: R1 at a t with s < 2 sigma nu t, where it is
+        # the whole pole term, vs small-circle quadrature in 30 digits
+        t_pole = 5.0
+        assert s < 2.0 * mode.norm * nu * t_pole
 
-        circ = residue_small_circle(f, 0.0, 0.05 * nu * mode.norm**2)
-        analytic = residue_at_pole(t, nu, mode, y, z)
-        expect = circ * projection_matrix(mode)
-        rel_r = np.max(np.abs(analytic - expect)) / np.max(np.abs(analytic))
+        def f(lam):
+            mu = mpmath.sqrt(lam / nu + mode.norm**2)
+            return mpmath.exp(lam * t_pole - mu * s) / (nu * mu * (mu - mode.norm))
+
+        circ = circle_residue(f, 0.0, 0.05 * nu * mode.norm**2)
+        analytic = residual_kernel_time(t_pole, nu, mode, y, z)["R1"]
+        rel_r = np.max(np.abs(analytic - circ * P)) / np.max(np.abs(analytic))
         assert rel_r < 1e-10
         print(f"\n[criterion 4] PASS contour drift against rho, parabola tuned at "
               f"s, 0, s/2, 2s: " + ", ".join(f"{rel:.2e}" for rel in drift.values())

@@ -274,11 +274,24 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize("command", ["kernel", "resolvent"])
     def test_unknown_general_bc_key(self, command, capsys):
-        # an empty spec names no key, so it is rejected rather than read as no-slip
-        for spec, key in (("alpah=0.3,beta=0.2", "'alpah'"), ("", "''")):
+        # an empty spec names no key, so it is rejected rather than read as
+        # no-slip; the alias gamma_off was silently ignored beside gamma
+        for spec, key in (("alpah=0.3,beta=0.2", "'alpah'"), ("", "''"),
+                          ("alpha=0.5,gamma=0,gamma_off=0.1", "'gamma_off'")):
             rc = run([command, "--grid", "0:4:8", "--general-bc", spec, "--out", "-"])
             assert rc == EXIT_CONFIG
             assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["kernel", "resolvent"])
+    def test_repeated_general_bc_key(self, command, tmp_path, capsys):
+        # the second alpha silently won
+        out = tmp_path / "out.csv"
+        rc = run([command, "--grid", "0:4:8", "--general-bc", "alpha=0.3,alpha=0.5",
+                  "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: --general-bc key 'alpha' given twice"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("config", [{"nu": "1.0"}, {"func": 1}, {"nuu": 0.5}],
                              ids=["string-nu", "func", "unknown-key"])

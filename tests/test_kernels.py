@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,19 +22,17 @@ from stokesgreen import (
     green_function,
     heat_kernel_dirichlet,
     heat_kernel_neumann,
-    invert_resolvent_kernel,
     mu0_rate,
-    projection_matrix,
     resolvent_apply,
     resolvent_kernel,
     residual_kernel_time,
-    residue_at_pole,
-    residue_small_circle,
     sample_green_function,
     verify_kernel_bounds,
 )
 from stokesgreen import cli, contours, kernels
 from stokesgreen.kernels import residual_kernel_general, residual_profiles_general
+
+from bromwich_mp import circle_residue, green_bromwich
 
 MODE = FourierMode(1, 0)
 
@@ -129,16 +128,9 @@ class TestDecomposition:
         mode = FourierMode(*xi)
         t, y, z = 0.3, 0.8, 1.4
         G = green_function(t, nu, mode, y, z)
-        direct = invert_resolvent_kernel(t, nu, mode, y, z)
+        direct = green_bromwich(t, nu, mode, y, z)
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(G - direct)) < 1e-9 * scale
-
-    @pytest.mark.parametrize("t", [0.1, 0.3, 1.0])
-    @pytest.mark.parametrize("nu,xi", [(1.0, (1, 0)), (1.0, (2, 1))], ids=["lowfreq", "highfreq"])
-    def test_contour_inversion_is_real(self, nu, xi, t):
-        # at high frequency these t cross the pole, and the residue term is real too
-        direct = invert_resolvent_kernel(t, nu, FourierMode(*xi), 0.8, 1.4)
-        assert direct.dtype == np.float64
 
     @pytest.mark.parametrize("t", [0.2, 5.0])
     @pytest.mark.parametrize("bc", ["no_slip", "general"])
@@ -168,21 +160,7 @@ class TestDecomposition:
         nu, t, y, z = 0.5, 0.4, 0.7, 1.1
         D = BoundaryOperatorD(0.5, 0.3, math.sqrt(0.15), c0=2.0, mode=mode)
         G = green_function(t, nu, mode, y, z, D=D)
-        # oracle: integrate the full general resolvent kernel over the parabola
-        s = y + z
-        p = contours.parabola_params(t, nu, mode.norm, s, D.sigma)
-
-        def f(lam):
-            mu = np.sqrt(lam / nu + mode.norm**2)
-            h = np.exp(lam * t) * (np.exp(-mu * abs(y - z)) + np.exp(-mu * s)) \
-                / (2.0 * nu * mu)
-            r = np.exp(lam * t - mu * s) / (nu * mu * (mu - D.sigma))
-            return h[None, :] * np.eye(2).reshape(4, 1) \
-                + r[None, :] * D.matrix.reshape(4, 1)
-
-        direct = contours.integrate(f, p).reshape(2, 2)
-        if p["crosses_pole"]:
-            direct = direct + residue_at_pole(t, nu, mode, y, z, D=D)
+        direct = green_bromwich(t, nu, mode, y, z, D=D)
         assert np.max(np.abs(G - direct)) < 1e-9 * np.max(np.abs(direct))
 
 
@@ -219,56 +197,52 @@ class TestOracleSweep:
         assert compared == 1245
 
 
+def _residue_r1(t, nu, mode, D, y, z, radius):
+    """(R1, residue): R1 at a t where s < 2 sigma nu t, so that it is the whole
+    pole term, and the residue of the residual integrand at lambda* by
+    small-circle quadrature, times D."""
+    s, sigma = y + z, D.sigma
+    assert s < 2.0 * sigma * nu * t
+
+    def f(lam):
+        mu = mpmath.sqrt(lam / nu + mode.norm**2)
+        return mpmath.exp(lam * t - mu * s) / (nu * mu * (mu - sigma))
+
+    circ = circle_residue(f, D.pole_lambda(nu), radius)
+    return residual_kernel_general(t, nu, mode, D, y, z)["R1"], circ * D.matrix
+
+
 class TestResidues:
     def test_zero_pole_vs_small_circle(self):
         mode = FourierMode(2, 1)
-        nu, t, y, z = 0.5, 0.3, 0.4, 0.9
-        s = y + z
-
-        def f(lam):
-            mu = np.sqrt(lam / nu + mode.norm**2)
-            return np.exp(lam * t - mu * s) * (mu + mode.norm) / (mu * lam * mode.norm)
-
-        circ = residue_small_circle(f, 0.0, 0.05 * nu * mode.norm**2)
-        analytic = residue_at_pole(t, nu, mode, y, z)
-        expect = circ * projection_matrix(mode)
+        nu, y, z = 0.5, 0.4, 0.9
+        D = BoundaryOperatorD.no_slip(mode)
+        analytic, expect = _residue_r1(1.0, nu, mode, D, y, z, 0.05 * nu * mode.norm**2)
         assert np.max(np.abs(analytic - expect)) < 1e-10 * np.max(np.abs(analytic))
         # and the residue is t-independent
-        assert np.allclose(residue_at_pole(5.0, 7.0, mode, y, z), analytic)
+        assert np.allclose(residual_kernel_time(5.0, 7.0, mode, y, z)["R1"], analytic)
 
     def test_general_pole_vs_small_circle(self):
         mode = FourierMode(2, 1)
         D = BoundaryOperatorD(0.6, 0.2, math.sqrt(0.12), c0=2.0, mode=mode)
-        nu, t, y, z = 0.5, 0.3, 0.4, 0.9
-        s, sigma = y + z, D.sigma
-        lam_star = nu * (sigma**2 - mode.norm**2)
-
-        def f(lam):
-            mu = np.sqrt(lam / nu + mode.norm**2)
-            return np.exp(lam * t - mu * s) / (nu * mu * (mu - sigma))
-
-        circ = residue_small_circle(f, lam_star, 0.02)
-        analytic = residue_at_pole(t, nu, mode, y, z, D=D)
-        expect = circ * D.matrix
+        analytic, expect = _residue_r1(2.0, 0.5, mode, D, 0.4, 0.9, 0.02)
         assert np.max(np.abs(analytic - expect)) < 1e-10 * np.max(np.abs(analytic))
 
     def test_zero_mode_has_no_pole(self):
-        # no_slip(xi = 0) is the zero operator, but the residues stay undefined there
+        # no_slip(xi = 0) is the zero operator, but the split kernel stays undefined there
         zero = FourierMode(0, 0)
-        with pytest.raises(ZeroModeUnsupported):
-            residue_at_pole(0.3, 0.5, zero, 0.4, 0.9)
-        with pytest.raises(ZeroModeUnsupported):
-            residue_at_pole(0.3, 0.5, zero, 0.4, 0.9, D=BoundaryOperatorD.no_slip(zero))
+        for D in (None, BoundaryOperatorD.no_slip(zero)):
+            with pytest.raises(ZeroModeUnsupported):
+                residual_kernel_general(0.3, 0.5, zero, D, 0.4, 0.9)
 
 
 @pytest.mark.parametrize("call", [
     lambda D: residual_kernel_general(0.5, 1.0, MODE, D, 0.1, 0.2),
     lambda D: green_function(0.5, 1.0, MODE, 0.1, 0.2, D=D),
     lambda D: sample_green_function(0.5, 1.0, MODE, [0.1], [0.2], D=D),
-    lambda D: residue_at_pole(0.5, 1.0, MODE, 0.1, 0.2, D=D),
     lambda D: resolvent_kernel(SpectralPoint(2.0 + 1.0j, 1.0, MODE), 0.1, 0.2, D=D),
 ], ids=["residual_kernel_general", "green_function", "sample_green_function",
-        "residue_at_pole", "resolvent_kernel"])
+        "resolvent_kernel"])
 def test_operator_of_another_mode_raises(call):
     # a D validated for xi = (2, 1) says nothing about xi = (1, 0)
     with pytest.raises(HypothesisViolated, match="built for xi"):
@@ -284,10 +258,9 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("call", [
     lambda mode, D: resolvent_kernel(SpectralPoint(2.0 + 1.0j, 0.5, mode), 0.7, 1.9, D=D),
     lambda mode, D: green_function(0.3, 0.5, mode, 0.7, 1.9, D=D),
-    lambda mode, D: residue_at_pole(0.3, 0.5, mode, 0.7, 1.9, D=D),
     lambda mode, D: sample_green_function(0.3, 0.5, mode, [0.0, 0.7], [1.9], D=D).values,
     lambda mode, D: np.stack(list(residual_kernel_general(0.3, 0.5, mode, D, 0.7, 1.9).values())),
-], ids=["resolvent_kernel", "green_function", "residue_at_pole", "sample_green_function",
+], ids=["resolvent_kernel", "green_function", "sample_green_function",
         "residual_kernel_general"])
 def test_default_operator_is_no_slip(call, xi):
     # D=None is BoundaryOperatorD.no_slip(mode), bit for bit
@@ -325,9 +298,10 @@ class TestNoSlipPole:
         assert wrong == []
 
     def test_residue_does_not_depend_on_t(self):
+        # s = 1.3 < 2 sigma nu t at both t, so R1 is the whole pole term
         wrong = [(mode.xi1, mode.xi2) for mode in NO_SLIP_MODES
-                 if not _same_bits(residue_at_pole(0.3, 1.0, mode, 0.4, 0.9),
-                                   residue_at_pole(50.0, 1.0, mode, 0.4, 0.9))]
+                 if not _same_bits(residual_kernel_time(5.0, 1.0, mode, 0.4, 0.9)["R1"],
+                                   residual_kernel_time(50.0, 1.0, mode, 0.4, 0.9)["R1"])]
         assert wrong == []
 
 

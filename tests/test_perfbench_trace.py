@@ -1,20 +1,26 @@
-"""The names the benchmark's tracer binds still exist and still take its calls.
+"""The names the benchmark binds still exist and still take its calls.
 
 ``perfbench/bench_trace.py`` imports every layer module by name, wraps the
 public functions of each, and reads call arguments (``regime``, ``n_arm``,
-``n_arc``) of the residual profiles to count work.  A rename or a deleted
-keyword breaks the benchmark only when it runs; this runs the tracer over the
-calls its workloads make, without changing anything under ``perfbench/``.
+``n_arc``) of the residual profiles to count work; ``perfbench/bench_workloads.py``
+calls the package through its module names.  A rename or a deleted keyword
+breaks the benchmark only when it runs; these run the tracer over the calls
+its workloads make, and read the workloads' source, without changing
+anything under ``perfbench/``.
 """
 
+import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 
-from stokesgreen import FourierMode, kernels
+from stokesgreen import FourierMode, cli, core, kernels, resolvent, solver
 
-BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+BENCH_TRACE = PERFBENCH / "bench_trace.py"
+BENCH_WORKLOADS = PERFBENCH / "bench_workloads.py"
 
 
 def _load_bench_trace():
@@ -41,3 +47,46 @@ def test_tracer_binds_the_kernel_layer():
     # the wrappers are gone again
     assert kernels.residual_profiles_general.__module__ == "stokesgreen.kernels"
     assert not hasattr(kernels.residual_profiles_general, "__wrapped__")
+
+
+# the package modules bench_workloads.py imports and calls through
+WORKLOAD_MODULES = {"cli": cli, "core": core, "kernels": kernels, "resolvent": resolvent,
+                    "solver": solver}
+
+
+def _dotted(node):
+    """The chain ``module.name[.attr...]`` of an attribute node rooted at one of
+    WORKLOAD_MODULES, as a list of names, or None."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.insert(0, node.attr)
+        node = node.value
+    if chain and isinstance(node, ast.Name) and node.id in WORKLOAD_MODULES:
+        return [node.id, *chain]
+    return None
+
+
+def _resolve(chain):
+    obj = WORKLOAD_MODULES[chain[0]]
+    for name in chain[1:]:
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_workloads_bind_existing_names_and_keywords():
+    tree = ast.parse(BENCH_WORKLOADS.read_text())
+    names, calls = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in WORKLOAD_MODULES:
+            names.add((node.value.id, node.attr))
+        if isinstance(node, ast.Call) and (chain := _dotted(node.func)):
+            calls.update((tuple(chain), kw.arg) for kw in node.keywords if kw.arg)
+    missing = sorted((m, a) for m, a in names if not hasattr(WORKLOAD_MODULES[m], a))
+    assert missing == []
+    unknown = sorted((chain, kw) for chain, kw in calls
+                     if kw not in inspect.signature(_resolve(chain)).parameters)
+    assert unknown == []
+    # the parse found the workloads' calls: the no-slip kernel with its oracle method
+    assert ("kernels", "residual_kernel_time") in names
+    assert (("kernels", "residual_kernel_time"), "method") in calls

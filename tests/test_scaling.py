@@ -6,9 +6,15 @@ count (the node values of the data are the same array on both grids):
 
 * space: (xi, z_max, lambda) -> (c xi, z_max / c, c^2 lambda), with D -> c D,
   maps the resolvent solution u to u / c^2, and (xi, z_max, t) ->
-  (c xi, z_max / c, t / c^2) leaves the evolved omega unchanged;
+  (c xi, z_max / c, t / c^2), with the sources f(s) -> c^2 f(c^2 s) and
+  g(s) -> c g(c^2 s), leaves the evolved omega unchanged;
 * viscosity: (nu, lambda) -> (a nu, a lambda) maps u to u / a, and
-  (nu, t) -> (a nu, t / a) leaves omega unchanged.
+  (nu, t) -> (a nu, t / a), with f(s) -> a f(a s) and g(s) -> a g(a s),
+  leaves omega unchanged.
+
+The sampled Green's function follows the same maps: (xi, y, z, t) ->
+(c xi, y / c, z / c, t / c^2) takes G to c G (it is a density in z), and
+(nu, t) -> (a nu, t / a) leaves it unchanged.
 
 These cross-check the solves without an oracle: a change that is exact in
 one scale but not in another (a constant added to mu - sigma, say) breaks them.
@@ -29,6 +35,7 @@ from stokesgreen import (
     duhamel_solve,
     resolvent_apply,
     resolvent_apply_general,
+    sample_green_function,
 )
 
 Z_MAX = 20.0
@@ -50,19 +57,23 @@ def _rel(got, ref):
     return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
 
 
+def _general(mode, scale_d=1.0):
+    """The general D with alpha + beta = |XI|/2 (times scale_d) for ``mode``."""
+    sigma = 0.5 * math.hypot(*XI) * scale_d
+    alpha, beta = 0.3 * sigma, 0.7 * sigma
+    return BoundaryOperatorD(alpha, beta, math.sqrt(alpha * beta), c0=1.0, mode=mode)
+
+
 def _resolve(general, xi, z_max, nu, lam, scale_d=1.0):
     """u at the nodes of a 1025-node grid on [0, z_max], for the no-slip
-    condition or a general D with alpha + beta = |xi|/2 (times scale_d)."""
+    condition or ``_general``'s D."""
     mode = FourierMode(*xi)
     grid = HalfLineGrid.uniform(z_max, 1025)
     f = ModeField(grid, _data(grid.n, 2))
     point = SpectralPoint(lam, nu, mode)
     if not general:
         return resolvent_apply(f, point).u.values
-    sigma = 0.5 * math.hypot(*XI) * scale_d
-    alpha, beta = 0.3 * sigma, 0.7 * sigma
-    D = BoundaryOperatorD(alpha, beta, math.sqrt(alpha * beta), c0=1.0, mode=mode)
-    return resolvent_apply_general(f, point, D).u.values
+    return resolvent_apply_general(f, point, _general(mode, scale_d)).u.values
 
 
 @pytest.mark.parametrize("lam", [3.0 + 1.0j, -0.4 + 2.5j])
@@ -111,3 +122,64 @@ class TestDuhamel:
         scaled = _evolve(XI, Z_MAX, a * NU, 1.0 / a)
         for got, ref in zip(scaled, base):
             assert _rel(got, ref) <= RTOL
+
+
+T_FORCED = 0.3
+
+
+def _evolve_forced(xi, z_max, nu, rate, g_scale):
+    """The forced state at T_FORCED / rate on a 513-node grid, with the sources
+    f(s) = rate f_1(rate s) and g(s) = g_scale g_1(rate s) for smooth,
+    time-dependent f_1 and g_1: the space map has rate = c^2 and
+    g_scale = c, the viscosity map rate = g_scale = a."""
+    grid = HalfLineGrid.uniform(z_max, 513)
+    omega0 = _data(grid.n, 3)
+    omega0[2, 0] = 0.0
+    force = _data(grid.n, 3)[::-1]
+    t = T_FORCED / rate
+    problem = StokesProblem(
+        mode=FourierMode(*xi), nu=nu, omega0=ModeField(grid, omega0), t_final=t,
+        forcing=lambda s: rate * (np.cos(3.0 * rate * s) + 0.5j * rate * s) * force,
+        boundary_g=lambda s: g_scale * np.array([1.0 + rate * s, 0.5j * (rate * s) ** 2]))
+    return duhamel_solve(problem, [t]).state_at(t).values
+
+
+class TestForcedDuhamel:
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_space(self, c):
+        base = _evolve_forced(XI, Z_MAX, NU, 1.0, 1.0)
+        scaled = _evolve_forced((c * XI[0], c * XI[1]), Z_MAX / c, NU, c**2, c)
+        assert _rel(scaled, base) <= RTOL
+
+    @pytest.mark.parametrize("a", [0.2, 4.0])
+    def test_viscosity(self, a):
+        base = _evolve_forced(XI, Z_MAX, NU, 1.0, 1.0)
+        scaled = _evolve_forced(XI, Z_MAX, a * NU, a, a)
+        assert _rel(scaled, base) <= RTOL
+
+
+NODES = np.linspace(0.0, 3.0, 31)
+
+
+def _sample(general, xi, nu, t, length_scale, scale_d=1.0):
+    """The Green's function at time t on NODES / length_scale, for the
+    no-slip condition or ``_general``'s D."""
+    mode = FourierMode(*xi)
+    D = _general(mode, scale_d) if general else None
+    nodes = NODES / length_scale
+    return sample_green_function(t, nu, mode, nodes, nodes, D=D).values
+
+
+@pytest.mark.parametrize("general", [False, True], ids=["no_slip", "general"])
+class TestGreenFunction:
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_space(self, general, c):
+        base = _sample(general, XI, NU, T_FORCED, 1.0)
+        scaled = _sample(general, (c * XI[0], c * XI[1]), NU, T_FORCED / c**2, c, scale_d=c)
+        assert _rel(scaled, c * base) <= RTOL
+
+    @pytest.mark.parametrize("a", [0.2, 4.0])
+    def test_viscosity(self, general, a):
+        base = _sample(general, XI, NU, T_FORCED, 1.0)
+        scaled = _sample(general, XI, a * NU, T_FORCED / a, 1.0)
+        assert _rel(scaled, base) <= RTOL
