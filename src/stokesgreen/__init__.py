@@ -22,7 +22,6 @@ from .core import (
     apply_delta_xi,
     projection_matrix,
     spectral_root,
-    tangential_projector,
 )
 from .errors import (
     BranchCutViolation,

@@ -37,7 +37,8 @@ __all__ = [
 ]
 
 
-def _scalar_inverse(f: ModeField, mode: FourierMode, parity: int) -> ModeField:
+def _scalar_inverse(f: ModeField, mode: FourierMode, parity) -> ModeField:
+    """Dirichlet (parity -1) or Neumann (+1) inverse, per row for an (ncomp, 1) parity."""
     if mode.is_zero:
         raise ZeroModeUnsupported("half-line inverse needs |xi| > 0")
     xin = mode.norm
@@ -55,13 +56,16 @@ def neumann_inverse(f: ModeField, mode: FourierMode) -> ModeField:
     return _scalar_inverse(f, mode, parity=+1)
 
 
+# phi's parities: the odd (Dirichlet) image on the tangential pair, the even
+# (Neumann) one on omega_3
+_PHI_PARITY = np.array([[-1.0], [-1.0], [1.0]])
+
+
 def phi(omega: ModeField, mode: FourierMode) -> ModeField:
     """Vector potential: Dirichlet inverse on the tangential pair, Neumann on omega_3."""
     if omega.ncomp != 3:
         raise IncompatibleData("phi expects a 3-component field")
-    tang = dirichlet_inverse(ModeField(omega.grid, omega.values[:2]), mode)
-    norm = neumann_inverse(ModeField(omega.grid, omega.values[2:]), mode)
-    return ModeField(omega.grid, np.vstack([tang.values, norm.values]))
+    return _scalar_inverse(omega, mode, _PHI_PARITY)
 
 
 # one-sided 5-point first-derivative stencils at the first two nodes, in units

@@ -163,14 +163,13 @@ def cmd_kernel(args) -> int:
         " R2 = rho D - R1",
         "y,z,entry,part,re,im",
     ]
-    # one row per (y, z, entry, part), in that nesting order.  R1 and R2 depend
-    # on (y, z) only through s = y + z, so they are formatted once per
-    # distinct float s, as sample_green_function grouped them, and gathered
-    # back; the heat part once per (y, z), and its off-diagonal entries
-    # H * 0 are the literal 0, since H is finite and >= 0.
-    # _fmt_each raises TypeError on a complex part (the im column is 0).
-    first, s_inv = sample._s_groups
-    r_parts = np.stack([r.reshape(-1, 4)[first] for r in (sample.R1, sample.R2)], axis=-1)
+    # one row per (y, z, entry, part), in that nesting order.  R1 and R2 are
+    # rho1 D and rho2 D, formed and formatted once per distinct float
+    # s = y + z and taken by each pair through s_index; the heat part once
+    # per (y, z), and its off-diagonal entries H * 0 are the literal 0, since
+    # H is finite and >= 0.  _fmt_each raises TypeError on a complex part
+    # (the im column is 0).  r_parts is (s, a, b, part): each s's 8 rows in order.
+    r_parts = np.moveaxis(sample.rho[..., None, None] * sample.D.matrix, 0, -1)
     # per distinct s, the tail ",ab,part,re,0\n" of each of its 8 residual rows
     r_labels = np.array([f",{a + 1}{b + 1},{pname}," for a in range(2) for b in range(2)
                          for pname in ("R1", "R2")], dtype=object)
@@ -185,7 +184,7 @@ def cmd_kernel(args) -> int:
     r_rows = [1, 2, 4, 5, 7, 8, 10, 11]
     with _open_out(args.out) as fh:
         fh.write("\n".join(header) + "\n")
-        for y, h_y, s_y in zip(_fmt_each(sample.y_nodes), h_text, s_inv):
+        for y, h_y, s_y in zip(_fmt_each(sample.y_nodes), h_text, sample.s_index):
             cells[:, :, 0] = (y + z_text)[:, None]
             h_tail = h_y + ",0\n"
             cells[:, 0, 1] = ",11,H," + h_tail

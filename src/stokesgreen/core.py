@@ -7,8 +7,8 @@ omega(x, z) on T^2 x R+ is decomposed as
 
 and each mode solves a one-dimensional problem on the half line z >= 0 with the
 operator  Delta_xi = -|xi|^2 + d^2/dz^2.  This module provides the mode/grid
-containers, the principal-branch spectral root, the 2x2 projections P(xi) and
-Q(xi) and the discrete Delta_xi.
+containers, the principal-branch spectral root, the 2x2 projection P(xi) and
+the discrete Delta_xi.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "spectral_root",
     "apply_delta_xi",
     "projection_matrix",
-    "tangential_projector",
 ]
 
 
@@ -64,12 +63,6 @@ class FourierMode:
     @property
     def is_zero(self) -> bool:
         return self.xi1 == 0 and self.xi2 == 0
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.xi1, self.xi2], dtype=float)
-
-    def conjugate(self) -> "FourierMode":
-        return FourierMode(-self.xi1, -self.xi2)
 
 
 def spectral_root(lam: complex, nu: float, mode: FourierMode) -> complex:
@@ -182,7 +175,7 @@ class ModeField:
 
 
 # ---------------------------------------------------------------------------
-# 2x2 projections
+# 2x2 projection
 
 
 def projection_matrix(mode: FourierMode) -> np.ndarray:
@@ -195,14 +188,6 @@ def projection_matrix(mode: FourierMode) -> np.ndarray:
         raise ZeroModeUnsupported("projection matrix undefined for xi = 0")
     x1, x2 = float(mode.xi1), float(mode.xi2)
     return np.array([[x2 * x2, -x1 * x2], [-x1 * x2, x1 * x1]], dtype=complex)
-
-
-def tangential_projector(mode: FourierMode) -> np.ndarray:
-    """Q(xi) = xi xi^T / |xi|, the scaled projector onto the xi direction."""
-    if mode.is_zero:
-        raise ZeroModeUnsupported("Q undefined for xi = 0")
-    x1, x2 = float(mode.xi1), float(mode.xi2)
-    return np.array([[x1 * x1, x1 * x2], [x1 * x2, x2 * x2]], dtype=complex) / mode.norm
 
 
 # ---------------------------------------------------------------------------

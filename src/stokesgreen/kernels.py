@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfcx
@@ -324,20 +324,28 @@ def green_function(t, nu, mode: FourierMode, y, z, D=None) -> np.ndarray:
 
 @dataclass
 class KernelSample:
-    """Green's function sampled on a (y, z) product grid, parts kept separate."""
+    """Green's function H I_2 + R1 + R2 on a (y, z) product grid, in its paper
+    form: H per pair, R1 and R2 as rho1 D and rho2 D with each profile stored
+    once per distinct s = y + z.  ``R1``, ``R2`` and ``values`` (ny, nz, 2, 2)
+    are formed on each read."""
 
     t: float
     nu: float
     mode: FourierMode
     y_nodes: np.ndarray
     z_nodes: np.ndarray
-    H: np.ndarray       # (ny, nz)
-    R1: np.ndarray      # (ny, nz, 2, 2)
-    R2: np.ndarray
-    # (flat index of the first (y, z) pair with each distinct s = y + z, the
-    # (ny, nz) index of each pair's distinct s): the grouping the profiles
-    # were evaluated on, so the `kernel` writer formats R1, R2 once per s
-    _s_groups: tuple | None = field(default=None, repr=False, compare=False)
+    H: np.ndarray        # (ny, nz)
+    D: BoundaryOperatorD
+    rho: np.ndarray      # (2, number of distinct s): (rho1, rho2)
+    s_index: np.ndarray  # (ny, nz): each pair's index into rho's last axis
+
+    @property
+    def R1(self) -> np.ndarray:
+        return self.rho[0][self.s_index][..., None, None] * self.D.matrix
+
+    @property
+    def R2(self) -> np.ndarray:
+        return self.rho[1][self.s_index][..., None, None] * self.D.matrix
 
     @property
     def values(self) -> np.ndarray:
@@ -349,14 +357,14 @@ def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
     """Sample G_xi(t) for the boundary operator D (default no-slip) on a product grid.
 
     The residual profiles depend on (y, z) only through s = y + z, so they are
-    evaluated once per distinct float s and scattered back.  Distinct means
-    exact float equality: on a uniform n x n grid that is 2n - 1 values when
-    every node is an exact binary fraction (spacing 5/64: 257 values for
-    n = 129 on [0, 10]), but on other spacings rounding splits some sums that
-    are equal in exact arithmetic (726 for n = 201 on [0, 7]).  Every profile
-    value is computed on its own, so the sample is bit-for-bit the one a
-    per-pair evaluation gives.  A mode that is not a FourierMode raises
-    IncompatibleData.
+    evaluated and stored once per distinct float s, with each pair's index
+    into them.  Distinct means exact float equality: on a uniform n x n grid
+    that is 2n - 1 values when every node is an exact binary fraction
+    (spacing 5/64: 257 values for n = 129 on [0, 10]), but on other spacings
+    rounding splits some sums that are equal in exact arithmetic (726 for
+    n = 201 on [0, 7]).  Every profile value is computed on its own, so the
+    sample is bit-for-bit the one a per-pair evaluation gives.  A mode that
+    is not a FourierMode raises IncompatibleData.
     """
     _check_mode(mode)
     D = D or BoundaryOperatorD.no_slip(mode)
@@ -365,12 +373,10 @@ def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
     z = np.asarray(z_nodes, dtype=float)
     s = y[:, None] + z[None, :]
     h = heat_kernel_neumann(t, nu, mode, y[:, None], z[None, :])
-    s_u, first, inv = np.unique(s, return_index=True, return_inverse=True)
-    inv = inv.reshape(s.shape)
-    rho1, rho2 = (rho[inv] for rho in residual_profiles_general(t, nu, mode, s_u, D.sigma))
-    return KernelSample(t=t, nu=nu, mode=mode, y_nodes=y, z_nodes=z, H=h,
-                        R1=rho1[..., None, None] * D.matrix,
-                        R2=rho2[..., None, None] * D.matrix, _s_groups=(first, inv))
+    s_u, inv = np.unique(s, return_inverse=True)
+    rho = np.array(residual_profiles_general(t, nu, mode, s_u, D.sigma))
+    return KernelSample(t=t, nu=nu, mode=mode, y_nodes=y, z_nodes=z, H=h, D=D, rho=rho,
+                        s_index=inv.reshape(s.shape))
 
 
 # ---------------------------------------------------------------------------

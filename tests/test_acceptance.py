@@ -364,7 +364,7 @@ class TestCriterion8VorticityIdentities:
                                      snapshot_times=np.linspace(0.1, 1.0, 10))
         norms = np.array([st.norm_l2() for st in traj.states])
         assert np.all(np.diff(norms) <= 1e-10 * norms[0])
-        xi_vec = mode.as_array()
+        xi_vec = np.array([mode.xi1, mode.xi2], dtype=float)
         norm0 = norms[0]
         worst = max(float(np.max(np.abs(xi_vec @ st.values[:2]))) / norm0
                     for st in traj.states)

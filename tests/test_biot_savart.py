@@ -62,6 +62,22 @@ class TestScalarInverses:
         with pytest.raises(ZeroModeUnsupported):
             dirichlet_inverse(ModeField(grid, np.ones(11)), FourierMode(0, 0))
 
+    def test_phi_is_the_stacked_inverses(self):
+        # one sweep with row parities (-1, -1, +1) gives the bits of the
+        # Dirichlet inverse of the tangential pair and the Neumann one of
+        # omega_3; omega(0) != 0 in every row, so each row's parity shows
+        grid = HalfLineGrid.uniform(20.0, 161)
+        mode = FourierMode(2, 1)
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+        vals = amps * np.exp(-grid.nodes) * (1.5 + np.cos(3.0 * grid.nodes))
+        assert np.all(vals[:, 0] != 0.0)
+        tang = dirichlet_inverse(ModeField(grid, vals[:2]), mode).values
+        norm = neumann_inverse(ModeField(grid, vals[2:]), mode).values
+        assert not np.allclose(tang, neumann_inverse(ModeField(grid, vals[:2]), mode).values)
+        assert np.array_equal(phi(ModeField(grid, vals), mode).values,
+                              np.vstack([tang, norm]))
+
 
 class TestCurl:
     def test_constant_third_component(self):

@@ -116,17 +116,18 @@ class TestKernelWriter:
 
         def complex_sample(*args, **kwargs):
             sample = real(*args, **kwargs)
-            return dataclasses.replace(sample, R2=sample.R2 + 1e-3j)
+            return dataclasses.replace(sample, rho=sample.rho + 1e-3j)
 
         monkeypatch.setattr(kernels, "sample_green_function", complex_sample)
         out = tmp_path / "k.csv"
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="real arrays only"):
             run(["kernel", "--grid", "0:4:8", "--out", str(out)])
         assert not out.exists()
 
     def test_traced_peak_memory(self, tmp_path):
-        # the table is formatted per distinct value and written row by row:
-        # no full-table temporaries
+        # the table is formatted per distinct value and written row by row,
+        # and the sample keeps R1, R2 per distinct s: no full-table
+        # temporaries and no (n, n, 2, 2) residual arrays
         tracemalloc.start()
         try:
             assert run(["kernel", "--xi", "1", "0", "--t", "0.6", "--grid", "0:10:128",
@@ -134,7 +135,7 @@ class TestKernelWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 4e6
+        assert peak < 1.8e6
 
 
 class TestResolventCommand:

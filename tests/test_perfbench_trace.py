@@ -1,8 +1,10 @@
 """The names the benchmark binds still exist and still take its calls.
 
 ``perfbench/bench_trace.py`` imports every layer module by name, wraps the
-public functions of each, and reads call arguments (``regime``, ``n_arm``,
-``n_arc``) of the residual profiles to count work; ``perfbench/bench_workloads.py``
+public functions of each, and reads call arguments by name to count work
+(``regime``, ``n_arm`` and ``n_arc`` of the residual profiles; ``grid``,
+``f``, ``problem``, ``dt`` and ``args`` of the other counted functions);
+``perfbench/bench_workloads.py``
 calls the package through its module names.  A rename or a deleted keyword
 breaks the benchmark only when it runs; these run the tracer over the calls
 its workloads make, and read the workloads' source, without changing
@@ -16,7 +18,17 @@ from pathlib import Path
 
 import numpy as np
 
-from stokesgreen import FourierMode, cli, core, kernels, resolvent, solver
+from stokesgreen import (
+    FourierMode,
+    HalfLineGrid,
+    ModeField,
+    actions,
+    cli,
+    core,
+    kernels,
+    resolvent,
+    solver,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BENCH_TRACE = PERFBENCH / "bench_trace.py"
@@ -47,6 +59,39 @@ def test_tracer_binds_the_kernel_layer():
     # the wrappers are gone again
     assert kernels.residual_profiles_general.__module__ == "stokesgreen.kernels"
     assert not hasattr(kernels.residual_profiles_general, "__wrapped__")
+
+
+def test_tracer_counts_every_counted_function(tmp_path):
+    # each COUNTERS entry the package still defines, called under the tracer:
+    # a counter reads the call's arguments by name (grid, f, problem, dt,
+    # args), so renaming one fails here rather than in a traced benchmark run
+    bench_trace = _load_bench_trace()
+    tracer = bench_trace.Tracer()
+    counted = {"kernels.residual_profiles_general", "actions.image_action_gauss",
+               "actions.image_action_exp", "solver.crank_nicolson_oracle",
+               "cli.cmd_kernel", "cli.cmd_verify"}
+    assert {q for q in tracer.originals.values() if q in bench_trace.COUNTERS} == counted
+    mode, grid = FourierMode(1, 0), HalfLineGrid.uniform(12.0, 33)
+    bump = np.exp(-((grid.nodes - 4.0) ** 2))
+    f = np.array([[1.0], [2.0j]]) * bump
+    vals = np.zeros((3, grid.n), dtype=complex)
+    vals[1] = bump
+    problem = solver.StokesProblem(mode=mode, nu=1.0, omega0=ModeField(grid, vals),
+                                   t_final=0.1)
+    with tracer.record(bench_trace.Recording()) as rec:
+        kernels.residual_profiles_general(0.5, 1.0, mode, grid.nodes, mode.norm)
+        actions.image_action_exp(grid, f, 1.5, parity=-1)
+        actions.image_action_gauss(grid, f, 0.2, parity=1)
+        solver.crank_nicolson_oracle(problem, dt=0.01)
+        assert cli.main(["kernel", "--grid", "0:4:8", "--out", str(tmp_path / "k.csv")]) == 0
+        assert cli.main(["verify", "--out", str(tmp_path / "v.json")]) == 0
+    assert not rec.errors, dict(rec.errors)
+    assert counted <= set(rec.calls())
+    for key in ("actions.toeplitz_elements", "solver.cn_steps", "cli.bytes_written"):
+        assert rec.counts[key] > 0, key
+    assert rec.counts["solver.cn_steps"] == 10
+    assert rec.counts["cli.bytes_written"] == sum(
+        (tmp_path / name).stat().st_size for name in ("k.csv", "v.json"))
 
 
 # the package modules bench_workloads.py imports and calls through
