@@ -322,7 +322,7 @@ def green_function(t, nu, mode: FourierMode, y, z, D=None) -> np.ndarray:
 # grid sampling
 
 
-@dataclass
+@dataclass(eq=False)  # array fields: == is identity
 class KernelSample:
     """Green's function H I_2 + R1 + R2 on a (y, z) product grid, in its paper
     form: H per pair, R1 and R2 as rho1 D and rho2 D with each profile stored

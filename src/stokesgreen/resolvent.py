@@ -12,8 +12,7 @@ The solution splits as u = v + w:
 * v is the whole-space/Neumann free part, built from the even image kernel
   (e^{-mu|y-z|} + e^{-mu(y+z)}) / (2 nu mu), so gamma(dv/dz) = 0 exactly.
   It is ``ResolventSolution.v``, and the whole solution for D = 0;
-* w = c0 e^{-mu y} corrects the boundary condition: (mu - D) c0 = D v(0), and
-  since D^2 = sigma D this is c0 = D v(0) / (mu - sigma).
+* w = c0 e^{-mu y} corrects the boundary condition (``_solve_rows``).
 
 Kernel actions are exact on the piecewise-linear interpolant of f (see
 ``actions``), so the interior PDE residual of u is pure finite-difference
@@ -173,9 +172,8 @@ def resolvent_apply_general(f: ModeField, point: SpectralPoint,
 
 
 def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> ResolventSolution:
-    """u = v + w from one sweep: w is built on the sweep's own e^{-mu y} table.
+    """u = v + w from one ``_solve_rows`` call with g = 0 and scale 1.
 
-    v(y) = (1/2 nu mu) int (e^{-mu|y-z|} + e^{-mu(y+z)}) f(z) dz, exactly on PL f.
     Called only from the two public solvers, so a truncation warning points
     at their caller.  f must be the tangential pair (two components) and
     finite; a non-finite f raises IncompatibleData.
@@ -183,20 +181,31 @@ def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> Resolven
     if f.ncomp != 2:
         raise IncompatibleData(f"the resolvent acts on the tangential pair, got {f.ncomp} "
                                "components")
-    correction = D.correction(point)
+    D.correction(point)  # raises for another mode's D or for lambda on the pole
     rows = _as_rows(f.grid, f.values, True, stacklevel=3)
     # an infinite value of f makes inf * 0 in the sweep; v[r, 0] carries row
     # r's whole Laplace trace, so every non-finite value of f reaches it, and
     # one O(1) test raises for all of them instead of a pass over f
     with np.errstate(invalid="ignore"):
-        v, decay = _exp_action_rows(f.grid, rows, point.mu, 1,
-                                    1.0 / (2.0 * point.nu * point.mu))
+        v, c0, w = _solve_rows(f.grid, rows, point.mu, point.nu, D, 1)
     if not all(map(cmath.isfinite, v[:, 0].tolist())):
         raise IncompatibleData("the resolvent data f must be finite")
-    c0 = correction @ v[:, 0]
-    w = c0[:, None] * decay
     return ResolventSolution(u=ModeField(f.grid, v + w), v=ModeField(f.grid, v),
                              w=ModeField(f.grid, w), point=point, D=D, c0=c0)
+
+
+def _solve_rows(grid, rows, mu, nu, D, parity, g=0.0, scale=1.0):
+    """``scale`` times the solve of PL rows with du/dz + D u = -g/nu: (v, c, w).
+
+    v = (1/2 nu mu) int (e^{-mu|y-z|} + parity e^{-mu(y+z)}) f(z) dz on every
+    row, with scale/(2 nu mu) folded into the sweep.  Rows 0, 1 take the layer
+    w = c e^{-mu y}: dv/dz(0) = 0 and D^2 = sigma D give -mu c + D (v(0) + c)
+    = -scale g/nu for c = G + D (v(0) + G)/(mu - sigma), G = scale g/(nu mu).
+    """
+    v, decay = _exp_action_rows(grid, rows, mu, parity, scale / (2.0 * nu * mu))
+    G = (scale / (nu * mu)) * g
+    c = G + (D.matrix / (mu - D.sigma)) @ (v[:2, 0] + G)
+    return v, c, c[:, None] * decay
 
 
 def _h1_norm(grid: HalfLineGrid, values: np.ndarray) -> float:

@@ -7,12 +7,11 @@ All three terms are contour integrals of the resolvent on one
 Weideman-Trefethen parabola, summed by the trapezoid rule over 33 nodes:
 e^{tA} (f, g) = sum_k w_k e^{lambda_k t} (lambda_k - A)^{-1} (f, g), each solve
 taking f in the interior and g in the boundary condition.  Each solve is the
-resolvent's own: the image-exponential action (even on the tangential pair,
-odd on omega_3), exact on PL data and O(n), plus the boundary layer
-c e^{-mu y}, c = (mu - D)^{-1} (D v(0) + g/nu).  The time integrals use the
-substitution s = t - sigma^2 with Gauss-Legendre in sigma, which removes the
-(nu (t-s))^{-1/2} trace singularity of the boundary term and keeps all
-integrands smooth.
+resolvent's own, ``resolvent._solve_rows``: an O(n) image-exponential action
+(even on the tangential pair, odd on omega_3) plus its boundary layer.  The
+time integrals use the substitution s = t - sigma^2 with Gauss-Legendre in
+sigma, which removes the (nu (t-s))^{-1/2} trace singularity of the boundary
+term and keeps all integrands smooth.
 
 Two finite-difference oracles validate the representation and the resolvent.
 Both use one 3-point operator for nu Delta_xi on (omega_1, omega_2, omega_3):
@@ -33,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import _as_rows, _exp_action_rows
+from .actions import _as_rows
 from .core import FourierMode, HalfLineGrid, ModeField, SpectralPoint
 from .errors import IncompatibleData, StabilityWarning
-from .resolvent import BoundaryOperatorD
+from .resolvent import BoundaryOperatorD, _solve_rows
 
 __all__ = [
     "StokesProblem",
@@ -55,7 +54,8 @@ class StokesProblem:
     ``forcing(t)`` returns interior force node values of shape (3, n) and
     ``boundary_g(t)`` the tangential boundary datum pair, shape (2,); both
     default to zero (None), and a source that is not callable or returns
-    any other shape raises IncompatibleData.
+    any other shape or a value that is not finite raises IncompatibleData, as
+    does initial data that is not finite.
     Initial data with omega_3(0) != 0 is incompatible with the boundary
     condition and is corrected by zeroing the first node (linear interpolation
     over the first cell); the correction size is recorded.
@@ -76,6 +76,8 @@ class StokesProblem:
             raise IncompatibleData(f"t_final must be finite and positive, got {self.t_final}")
         if self.omega0.ncomp != 3:
             raise IncompatibleData("omega0 must have 3 components")
+        if not np.all(np.isfinite(self.omega0.values)):
+            raise IncompatibleData("omega0 must be finite")
         for name in ("forcing", "boundary_g"):
             if getattr(self, name) is not None and not callable(getattr(self, name)):
                 raise IncompatibleData(f"{name} must be a function of t or None")
@@ -101,10 +103,12 @@ def _checked_shape(value, shape: tuple, what: str) -> np.ndarray:
     value = np.asarray(value, dtype=complex)
     if value.shape != shape:
         raise IncompatibleData(f"{what} must have shape {shape}, got {value.shape}")
+    if not np.all(np.isfinite(value)):
+        raise IncompatibleData(f"{what} must be finite")
     return value
 
 
-@dataclass
+@dataclass(eq=False)  # an array field: == is identity
 class Trajectory:
     """Output times (starting at 0) and the states at those times."""
 
@@ -156,18 +160,15 @@ def _propagate(grid, nu, mode, t, values, g, D):
     """Apply the 3-component solution operator at time t to node values and
     the tangential boundary datum pair g.
 
-    A sum of exact resolvent solves on PL data with du/dz + D u = -g/nu: the
-    even image action plus the boundary layer c e^{-mu y} on the tangential
-    pair, c = D v(0) / (mu - sigma) + (g + D g / (mu - sigma)) / (nu mu), and
-    the odd image action on omega_3.
+    A sum of exact resolvent solves on PL data with du/dz + D u = -g/nu, one
+    ``resolvent._solve_rows`` per parabola node (parity -1 on omega_3).
     """
     rows = _as_rows(grid, values, False)
     out = np.zeros(values.shape, dtype=complex)
     for c, mu in zip(*_parabola(nu, mode, t)):
-        r, decay = _exp_action_rows(grid, rows, mu, _PARITY)
-        # r is 2 nu mu times the solve, so 2 nu mu c is the coefficient here
-        r[:2] += np.outer(2.0 * g + D.matrix @ (r[:2, 0] + 2.0 * g) / (mu - D.sigma), decay)
-        out += (c / (2.0 * nu * mu)) * r
+        v, _, w = _solve_rows(grid, rows, mu, nu, D, _PARITY, g, c)
+        out += v
+        out[:2] += w
     return out
 
 
@@ -206,7 +207,8 @@ def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
         if t == 0.0:
             states.append(problem.omega0)
             continue
-        vals = _propagate(grid, nu, mode, t, problem.omega0.values, no_g, D)
+        # the sources first: one that is not finite raises before any solve
+        vals = 0.0
         if problem.forcing is not None or problem.boundary_g is not None:
             sig = 0.5 * np.sqrt(t) * (x_gl + 1.0)
             wts = 0.5 * np.sqrt(t) * w_gl * 2.0 * sig  # ds = 2 sigma dsigma
@@ -214,7 +216,8 @@ def duhamel_solve(problem: StokesProblem, times) -> Trajectory:
                 tk = sigma**2  # kernel time t - s
                 vals += wt * _propagate(grid, nu, mode, tk, problem.force_at(t - tk),
                                         problem.g_at(t - tk), D)
-        states.append(ModeField(grid, vals))
+        states.append(ModeField(grid, _propagate(grid, nu, mode, t, problem.omega0.values,
+                                                 no_g, D) + vals))
     if times[0] != 0.0:
         times = np.concatenate([[0.0], times])
         states = [problem.omega0] + states

@@ -362,6 +362,15 @@ class TestSampling:
         V = sample.values
         assert np.max(np.abs(V - np.transpose(V, (1, 0, 3, 2)))) < 1e-12
 
+    def test_equality_is_identity(self):
+        # array fields: a field-wise == raised "truth value ... is ambiguous"
+        nodes = np.linspace(0.0, 4.0, 9)
+        sample = sample_green_function(0.5, 1.0, MODE, nodes, nodes)
+        copy = sample_green_function(0.5, 1.0, MODE, nodes, nodes)
+        assert np.array_equal(copy.values, sample.values)
+        assert (sample == sample) is True
+        assert (sample == copy) is False
+
 
 class TestSamplingDedup:
     """sample_green_function evaluates each distinct s once; the values must be

@@ -18,8 +18,9 @@ from stokesgreen import (
     resolvent_apply,
     resolvent_apply_general,
 )
+from stokesgreen import cli, resolvent, solver
 from stokesgreen.actions import _decay_table
-from stokesgreen.solver import finite_difference_resolvent_general
+from stokesgreen.solver import StokesProblem, duhamel_solve, finite_difference_resolvent_general
 
 MODE10 = FourierMode(1, 0)
 PT = SpectralPoint(lam=3.0 + 0j, nu=1.0, mode=MODE10)  # mu = 2
@@ -160,6 +161,90 @@ class TestExactParts:
             else:
                 resolvent_apply_general(f, PT, BoundaryOperatorD.no_slip(MODE10))
         assert [w.filename for w in caught] == [__file__]
+
+
+class _SharedSolveCalled(AssertionError):
+    pass
+
+
+class TestSharedSolve:
+    """``resolvent._solve_rows`` is the one solve of the resolvent and of the
+    semigroup: it alone sweeps and forms the boundary layer."""
+
+    GRID = HalfLineGrid.uniform(20.0, 257)
+    MODE = FourierMode(2, 1)
+    NU = 0.5
+
+    def _data(self, nrows):
+        z = self.GRID.nodes
+        vals = np.array([np.exp(-((z - 4.0) ** 2)), (0.5 - 1j) * np.exp(-((z - 6.0) ** 2)),
+                         z * np.exp(-((z - 5.0) ** 2))], dtype=complex)
+        return vals[:nrows]
+
+    def _operator(self, general):
+        if general:
+            return BoundaryOperatorD(0.3, 0.2, np.sqrt(0.06), c0=1.0, mode=self.MODE)
+        return BoundaryOperatorD.no_slip(self.MODE)
+
+    @pytest.mark.parametrize("general", [False, True], ids=["no-slip", "general"])
+    @pytest.mark.parametrize("node", ["complex", "real"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["scale-1", "scale-c_k"])
+    def test_boundary_datum_condition(self, general, node, weighted):
+        # one node of the semigroup's sum, with g != 0: the layer meets
+        # -mu c + D (v(0) + c) = -scale g/nu, since dv/dz(0) = 0 for the even image
+        D = self._operator(general)
+        c, mus = solver._parabola(self.NU, self.MODE, 0.3)
+        k = solver._N_CONTOUR + (5 if node == "complex" else 0)  # u = 0 is the vertex
+        mu = mus[k]
+        assert (mu.imag != 0.0) == (node == "complex")
+        scale = c[k] if weighted else 1.0
+        g = np.array([0.7 - 0.2j, -0.4 + 0.9j])
+        v, cl, w = resolvent._solve_rows(self.GRID, self._data(3), mu, self.NU, D,
+                                         solver._PARITY, g, scale)
+        lhs = -mu * cl + D.matrix @ (v[:2, 0] + cl)
+        rhs = -scale * g / self.NU
+        size = max(np.max(np.abs(mu * cl)), np.max(np.abs(D.matrix @ (v[:2, 0] + cl))),
+                   np.max(np.abs(rhs)))
+        assert np.max(np.abs(lhs - rhs)) <= 1e-14 * size
+        assert np.array_equal(w, cl[:, None] * _decay_table(self.GRID, mu))
+
+    @pytest.mark.parametrize("general", [False, True], ids=["no-slip", "general"])
+    def test_zero_datum_is_the_resolvent(self, general):
+        D = self._operator(general)
+        pt = SpectralPoint(3.0 + 1.0j, self.NU, self.MODE)
+        f = ModeField(self.GRID, self._data(2))
+        sol = resolvent_apply_general(f, pt, D)
+        v, c, w = resolvent._solve_rows(self.GRID, f.values, pt.mu, self.NU, D, 1,
+                                        np.zeros(2), 1.0)
+        assert np.array_equal(c, sol.c0)
+        assert np.array_equal(v + w, sol.u.values)
+
+    @pytest.mark.parametrize("path", ["resolvent_apply", "resolvent_apply_general",
+                                      "duhamel", "duhamel_forced", "cli_solve"])
+    def test_both_paths_go_through_the_one_solve(self, monkeypatch, tmp_path, path):
+        # if either module forms its layer again on its own, this fails
+        def called(*args, **kwargs):
+            raise _SharedSolveCalled
+
+        for module in (resolvent, solver):
+            monkeypatch.setattr(module, "_solve_rows", called)
+        grid = HalfLineGrid.uniform(8.0, 65)
+        f = ModeField(grid, np.exp(-((grid.nodes - 3.0) ** 2)) * np.ones((2, 1)))
+        omega0 = ModeField(grid, np.vstack([f.values, np.zeros((1, grid.n))]))
+        with pytest.raises(_SharedSolveCalled):
+            if path == "resolvent_apply":
+                resolvent_apply(f, PT)
+            elif path == "resolvent_apply_general":
+                resolvent_apply_general(f, PT, BoundaryOperatorD(0.4, 0.0, 0.0, 1.0, MODE10))
+            elif path == "cli_solve":
+                cli.main(["solve", "--xi", "1", "0", "--t", "0.1", "--grid", "0:8:64",
+                          "--out", str(tmp_path / "s.csv")])
+            else:
+                forced = path == "duhamel_forced"
+                p = StokesProblem(mode=MODE10, nu=1.0, omega0=omega0, t_final=0.1,
+                                  forcing=(lambda t: omega0.values) if forced else None,
+                                  boundary_g=(lambda t: np.ones(2)) if forced else None)
+                duhamel_solve(p, [0.1])
 
 
 class TestBoundaryOperatorD:

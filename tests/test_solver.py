@@ -34,6 +34,15 @@ def bump_initial(grid, centers=(4.0, 5.0, 6.0), width=1.0):
     return ModeField(grid, vals)
 
 
+def _spy_on_solves(monkeypatch) -> list:
+    """Record every resolvent solve ``duhamel_solve`` runs; returns the record."""
+    calls = []
+    real = solver._solve_rows
+    monkeypatch.setattr(solver, "_solve_rows",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
 class TestStokesProblem:
     def test_compat_correction(self):
         grid = HalfLineGrid.uniform(10.0, 101)
@@ -74,6 +83,15 @@ class TestTrajectory:
         for bad in (0.15, math.nan, math.inf, -math.inf):
             with pytest.raises(IncompatibleData):
                 tr.state_at(bad)
+
+    def test_equality_is_identity(self):
+        # an array field: a field-wise == raised "truth value ... is ambiguous"
+        grid = HalfLineGrid.uniform(16.0, 129)
+        p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid))
+        traj = duhamel_solve(p, [0.1, 0.2])
+        copy = Trajectory(times=traj.times.copy(), states=list(traj.states))
+        assert (traj == traj) is True
+        assert (traj == copy) is False
 
 
 class TestCrankNicolson:
@@ -216,15 +234,15 @@ class TestDuhamel:
                                            ([0.5, 0.25], "is below"),
                                            ([0.0, 0.3, 0.3, 0.6], "repeats")])
     def test_times_not_increasing_raise_before_any_solve(self, monkeypatch, times, how):
-        calls = []
-        real = solver._exp_action_rows
-        monkeypatch.setattr(solver, "_exp_action_rows",
-                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        calls = _spy_on_solves(monkeypatch)
         grid = HalfLineGrid.uniform(16.0, 257)
         p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=1.0)
         with pytest.raises(IncompatibleData, match=f"strictly increase.*{how}"):
             duhamel_solve(p, times)
         assert calls == []
+        # the spy watches the solves: valid times run one per parabola node
+        duhamel_solve(p, sorted(set(times)))
+        assert len(calls) == (2 * solver._N_CONTOUR + 1) * sum(t > 0 for t in set(times))
 
     def test_large_time_residue_limit(self):
         # for nu |xi|^2 t >> 1 only the boundary pole at lambda = 0 survives:
@@ -267,6 +285,40 @@ class TestDuhamel:
         with pytest.raises(IncompatibleData, match=source):
             StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=0.2,
                           **{source: value})
+
+
+class TestNonFiniteData:
+    """A NaN or an infinity in omega0, the forcing or g raises IncompatibleData;
+    each gave a state of NaN, or one with no finite value, and no error."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_initial_data(self, bad):
+        # the check is in StokesProblem, so neither solver can take such data
+        grid = HalfLineGrid.uniform(8.0, 65)
+        for comp, node in ((0, 30), (1, 0), (2, 0), (2, 64)):
+            vals = bump_initial(grid).values.copy()
+            vals[comp, node] = bad
+            with pytest.raises(IncompatibleData, match="omega0 must be finite"):
+                StokesProblem(mode=MODE, nu=1.0, omega0=ModeField(grid, vals), t_final=0.2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("source", ["forcing", "boundary_g"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    def test_sources_raise_before_any_solve(self, monkeypatch, source, bad, part):
+        calls = _spy_on_solves(monkeypatch)
+        grid = HalfLineGrid.uniform(8.0, 65)
+        value = np.zeros((3, grid.n) if source == "forcing" else 2, dtype=complex)
+        if part == "real":
+            value.flat[-1] = bad
+        else:
+            value.imag.flat[0] = bad
+        p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=0.2,
+                          **{source: lambda t: value})
+        with pytest.raises(IncompatibleData, match=fr"{source}\(t\) must be finite"):
+            duhamel_solve(p, [0.1, 0.2])
+        assert calls == []
+        with pytest.raises(IncompatibleData, match=fr"{source}\(t\) must be finite"):
+            crank_nicolson_oracle(p, dt=0.1)
 
 
 # (nu, xi) pairs covering both frequency regimes and the zero mode
