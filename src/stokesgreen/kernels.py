@@ -11,40 +11,34 @@ admissible boundary operator D (det D = 0, alpha, beta >= 0, trace sigma),
     R_lambda(y, z) = e^{-mu (y+z)} / (nu mu (mu - sigma)) * D(xi),
 
 whose Bromwich integral around the pole mu = sigma (lambda* = nu (sigma^2 -
-|xi|^2)) is R = rho D with the Robin half-line heat kernel
+|xi|^2)) is R = rho D, rho(s) = e^{lambda* t - sigma s} erfc(x) with
+x = s / (2 sqrt(nu t)) - sigma sqrt(nu t); D = 0 (sigma = 0) gives R = 0.
+R depends on y, z only through s = y + z: the residual kernels are scalar
+profiles in s, vectorized over arrays of s, times D.  The no-slip kernel is
+the member D = P(xi)/|xi|, sigma = |xi|, lambda* = 0 exactly: every kernel
+takes D, ``D=None`` means ``BoundaryOperatorD.no_slip(mode)``, and
+``residual_kernel_time`` is the one no-slip wrapper left.
 
-    rho(s) = e^{lambda* t - sigma s} erfc(x) = e^{-nu |xi|^2 t - s^2/4 nu t} erfcx(x),
-    x = s / (2 sqrt(nu t)) - sigma sqrt(nu t);
+R1 is the boundary-layer (pole) part, 2 e^{lambda* t - sigma s} D where
+s < 2 sigma nu t (x < 0) and 0 elsewhere: the residue the steepest-descent
+line Re mu = s/(2 nu t) picks up where it passes left of the pole.  R2 =
+R - R1 decays like a Gaussian in s, and neither part cancels or overflows.
+The split predicate s < 2 sigma nu t is formed in the dimensional
+variables.  Each part is scale-free: with tau = nu |xi|^2 t,
+zeta = s / sqrt(nu t) and r = sigma / |xi|, the k-th s-derivative is
+rho_i^{(k)} = (nu t)^{-k/2} F_{i,k}(tau, zeta, r), where
 
-D = 0 (sigma = 0) gives R = 0.  R1 is the boundary-layer (pole) part and R2
-the remainder with Gaussian-in-(y+z) decay.  They split at x = 0 in every
-regime: R1 = 2 e^{lambda* t - sigma s} D where x < 0 (s < 2 sigma nu t) and
-0 elsewhere, the residue the steepest-descent line Re mu = s/(2 nu t)
-through the saddle picks up where it passes left of the pole, and
-R2 = R - R1, which is -e^{-nu |xi|^2 t - s^2/4 nu t} erfcx(-x) D where
-x < 0 and R elsewhere, so neither part cancels or overflows.
-The no-slip vorticity kernel is the member D = P(xi)/|xi| with sigma = |xi|
-and lambda* = 0 exactly, not a family of its own: the resolvent kernel,
-the split residual kernel, the Green's function and its grid sample each
-take D, and ``D=None`` means ``BoundaryOperatorD.no_slip(mode)``.  The
-profiles take sigma and give R = rho_D D for every D, no-slip included.
-``residual_kernel_time`` is the one no-slip wrapper left (of
-``residual_kernel_general``).
+    F1_k = 2 (-r sqrt(tau))^k e^{tau (r^2 - 1) - r sqrt(tau) zeta}   (0 past the split),
+    F2_0 = -+e^{-tau - zeta^2/4} erfcx(|zeta/2 - r sqrt(tau)|)        (- before it),
 
-Since R_lambda depends on y, z only through s = y + z, all residual kernels
-here are scalar "profiles" in s times a constant matrix, and the profile
-evaluators are vectorized over arrays of s.
-
-The profiles (hence every kernel, sample and the CLI) and the bound
-certificate evaluate the same two closed forms, ``_residue`` (R1) and
-``_erfc_rho2`` (R2), which give every derivative order: R1 by the factor
-(-sigma)^k, R2 by the recurrence rho2^{(k)} = -sigma rho2^{(k-1)} -
-2 e^{-nu |xi|^2 t} Phi^{(k-1)}(s), Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).
-They take (cell, 1) columns too, so the certificate evaluates all its cells
-in one call.  No production path evaluates a quadrature node or reads a
-contour.  The one oracle here, ``_adaptive_rho`` (``method="adaptive"``),
-integrates the residual integrand at k = 0 by adaptive panels in lambda
-over the parabola of ``contours``, at every frequency.
+and F2_k follows by a Hermite recurrence in zeta.  One core,
+``_closed_forms``, evaluates both parts at every order and serves the
+profiles (hence every kernel, sample and the CLI), the bound certificate
+(all its cells in one call) and the residue of the one oracle,
+``_adaptive_rho`` (``method="adaptive"``), which integrates the residual
+integrand at k = 0 by adaptive panels in lambda over the parabola of
+``contours``.  No production path evaluates a quadrature node or reads a
+contour.
 """
 
 from __future__ import annotations
@@ -81,10 +75,9 @@ __all__ = [
 
 
 def _heat(t, nu, mode, y, z, sign):
-    if not (0.0 < t < math.inf and 0.0 < nu < math.inf):
-        raise IncompatibleData(f"heat kernel needs finite t, nu > 0, got t={t}, nu={nu}")
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
+    _check_domain(y, z, t=t, nu=nu)
     c = 4.0 * nu * t
     pref = 1.0 / math.sqrt(np.pi * c)
     val = np.exp(-((y - z) ** 2) / c) + sign * np.exp(-((y + z) ** 2) / c)
@@ -112,10 +105,15 @@ def resolvent_kernel(point: SpectralPoint, y: float, z: float, D=None) -> np.nda
     """H_lambda I_2 + e^{-mu(y+z)} / (nu mu) * D / (mu - sigma); PoleHit at lambda*.
 
     D defaults to no-slip, where the correction is ((mu+|xi|)/(mu lambda |xi|))
-    P e^{-mu(y+z)}.
+    P e^{-mu(y+z)}.  y and z other than single points of [0, inf) raise
+    IncompatibleData (an array's values would land on different entries).
     """
     if point.mode.is_zero:
         raise ZeroModeUnsupported("resolvent kernel needs |xi| > 0")
+    if np.ndim(y) or np.ndim(z):
+        raise IncompatibleData(f"resolvent_kernel takes one y and one z, got shapes "
+                               f"{np.shape(y)} and {np.shape(z)}")
+    _check_domain(y, z)
     D = D or BoundaryOperatorD.no_slip(point.mode)
     mu = point.mu
     h = (np.exp(-mu * abs(y - z)) + np.exp(-mu * (y + z))) / (2.0 * point.nu * mu)
@@ -125,11 +123,6 @@ def resolvent_kernel(point: SpectralPoint, y: float, z: float, D=None) -> np.nda
 
 # ---------------------------------------------------------------------------
 # scalar residual profiles (vectorized over s = y + z)
-
-
-def _log_gauss(s, nu, t):
-    """s^2 / (4 nu t): the Gaussian e^{-s^2/4 nu t} that every part is returned without."""
-    return s**2 / (4.0 * nu * t)
 
 
 def _auto_regime(nu, mode, regime=None):
@@ -144,58 +137,53 @@ def _auto_regime(nu, mode, regime=None):
     return regime
 
 
-def _split(t, nu, xi_norm, s, sigma):
-    """The closed forms' parameters, with ``crosses_pole`` where R1 takes the
-    pole term: x < 0, that is s < 2 sigma nu t.  Takes (cells, 1) columns of
-    t, nu, |xi| and sigma against an s row as well."""
-    return {"t": t, "nu": nu, "xi_norm": xi_norm, "s": s, "sigma": sigma,
-            "crosses_pole": s < 2.0 * sigma * nu * t}
+def _scale_free(t, nu, xi_norm, s, sigma):
+    """(tau, zeta, eta, r, sqrt(nu t), crosses): ``_closed_forms``' inputs
+    and the split mask where R1 takes the pole term, s < 2 sigma nu t.
 
-
-def _residue(p, ks, comp):
-    """rho1 e^{s^2/(4 nu t) + comp} for each k in ``ks`` (k axis first): the pole
-    term 2 (-sigma)^k e^{lambda* t - sigma s} where ``p["crosses_pole"]``, 0
-    elsewhere.  ``p`` holds t, nu, xi_norm, s and sigma (``_split``, or an
-    oracle contour's params); like them it may hold (cells, 1) columns, with
-    ``comp`` per cell or per (cell, s).  The exponent is formed as
-    (lambda* t - sigma s) + (comp + s^2/4 nu t): its terms sigma^2 nu t and
-    s^2/4 nu t would otherwise cancel at large t."""
-    t, nu, sigma, s = p["t"], p["nu"], p["sigma"], p["s"]
-    arg = np.where(p["crosses_pole"], (nu * (sigma**2 - p["xi_norm"]**2) * t - sigma * s)
-                   + (comp + _log_gauss(s, nu, t)), -np.inf)
-    k = np.reshape(ks, (-1,) + (1,) * arg.ndim)
-    return 2.0 * (-sigma) ** k * np.exp(arg)
-
-
-def _erfc_rho2(p, ks, comp):
-    """rho2 e^{s^2/(4 nu t) + comp} = (rho - rho1) e^{s^2/(4 nu t) + comp} for
-    ``_split``'s ``p``, like ``_residue``, in closed form.
-
-    With x = s/(2 sqrt(nu t)) - sigma sqrt(nu t) and E = e^{-nu |xi|^2 t + comp},
-    rho e^{s^2/4 nu t + comp} is E erfcx(x), and by erfc(x) + erfc(-x) = 2,
-    rho minus the pole term is -E erfcx(-x).  So rho2 is -E erfcx(|x|) where
-    the split gives the pole term to R1 (x < 0) and E erfcx(|x|) elsewhere:
-    erfcx of a non-negative argument lies in (0, 1], so nothing overflows,
-    and where rounding puts the split on the other side of x = 0 both forms
-    agree to rounding.  Derivative orders follow
-    rho2' = -sigma rho2 - 2 e^{-nu |xi|^2 t} Phi, with the Hermite recurrence
-    Phi^{(j)} = -(s Phi^{(j-1)} + (j-1) Phi^{(j-2)}) / (2 nu t) for
-    Phi = e^{-s^2/4 nu t} / sqrt(4 pi nu t).  Where x < 0 the two terms
-    nearly cancel for k >= 1: the relative error grows like 2 x^2 times the
-    rounding error.
-    """
-    t, nu, sigma, s = p["t"], p["nu"], p["sigma"], p["s"]
+    The mask is formed in the dimensional variables: as zeta/2 < r sqrt(tau)
+    it would put s on the split, to rounding, on its other side, which
+    leaves the sum but moves each part by O(1).  eta = |xi| s is formed from
+    s, so R1's exponent sigma s has the same bits at every t.  Takes (cells,
+    1) columns of t, nu, |xi| and sigma against an s row as well, each value
+    the bits of its own scalar call (every square is a product)."""
     root = np.sqrt(nu * t)
-    e = np.exp(comp - nu * p["xi_norm"]**2 * t)
-    rho2 = np.where(p["crosses_pole"], -e, e) * erfcx(np.abs(s / (2.0 * root) - sigma * root))
-    out = [rho2]
-    # 2 E Phi^{(j)} e^{s^2/4 nu t}, starting at j = 0
-    phi, phi_prev = e / np.sqrt(math.pi * nu * t), 0.0
+    return (nu * (xi_norm * xi_norm) * t, s / root, xi_norm * s, sigma / xi_norm, root,
+            s < 2.0 * sigma * nu * t)
+
+
+def _closed_forms(tau, zeta, eta, r, ks, comp1, comp2, crosses):
+    """Both parts of R, each with the k axis first: (F1, F2) with
+    F_{i,k} = (nu t)^{k/2} rho_i^{(k)} e^{zeta^2/4 + comp_i} for each k in
+    ``ks`` (the module docstring's forms, with eta = |xi| s = sqrt(tau) zeta).
+
+    comp_i is part i's log compensation: -zeta^2/4 gives the plain part, a
+    bound's exponent the part against its bound without overflow.  F1's
+    exponent is formed as (tau (r^2 - 1) - r eta) + (comp1 + zeta^2/4),
+    whose terms r^2 tau and zeta^2/4 would otherwise cancel at large t.
+    F2_0 = -+E erfcx(|x|) with E = e^{comp2 - tau} and x = zeta/2 -
+    r sqrt(tau): rho is E erfcx(x) and, by erfc(x) + erfc(-x) = 2, rho minus
+    the pole term is -E erfcx(-x), so nothing overflows, and where rounding
+    puts the split on the other side of x = 0 both forms agree to rounding.
+    F2_k = -r sqrt(tau) F2_{k-1} - psi_{k-1}, with psi_0 = E / sqrt(pi) and
+    psi_j = -(zeta psi_{j-1} + (j-1) psi_{j-2}) / 2; where x < 0 its two
+    terms nearly cancel for k >= 1, and the relative error grows like 2 x^2
+    times the rounding error.  Inputs may be (cells, 1) columns against an
+    s row, and ``crosses`` may carry axes of its own.
+    """
+    q = r * np.sqrt(tau)  # sigma sqrt(nu t)
+    arg = np.where(crosses, (tau * (r * r - 1.0) - r * eta) + (comp1 + zeta * zeta / 4.0),
+                   -np.inf)
+    f1 = 2.0 * (-q) ** np.reshape(ks, (-1,) + (1,) * arg.ndim) * np.exp(arg)
+    e = np.exp(comp2 - tau)
+    f2 = np.where(crosses, -e, e) * erfcx(np.abs(zeta / 2.0 - q))
+    out = [f2]
+    psi, psi_prev = e / math.sqrt(math.pi), 0.0
     for j in range(max(ks)):
-        rho2 = -sigma * rho2 - phi
-        out.append(rho2)
-        phi, phi_prev = -(s * phi + j * phi_prev) / (2.0 * nu * t), phi
-    return np.stack(out)[list(ks)]
+        f2 = -q * f2 - psi
+        out.append(f2)
+        psi, psi_prev = -(zeta * psi + j * psi_prev) / 2.0, psi
+    return f1, np.stack(out)[list(ks)]
 
 
 def _check_mode(mode):
@@ -204,12 +192,15 @@ def _check_mode(mode):
         raise IncompatibleData(f"mode must be a FourierMode, got {mode!r}")
 
 
-def _check_domain(t, nu, s):
-    """IncompatibleData unless t, nu are finite and > 0 and every s is finite and >= 0."""
-    if not (0.0 < t < math.inf and 0.0 < nu < math.inf
-            and np.all((s >= 0.0) & (s < math.inf))):
-        raise IncompatibleData("the residual kernel needs finite t, nu > 0 and every "
-                               f"s = y + z finite and >= 0, got t={t}, nu={nu}")
+def _check_domain(*coords, t=1.0, nu=1.0, sigma=0.0):
+    """IncompatibleData unless t, nu are finite and > 0, sigma is finite and
+    >= 0 and every value of each coordinate (y, z or s = y + z) is finite and
+    >= 0; the defaults are admissible, for kernels without t or a trace."""
+    if not (0.0 < t < math.inf and 0.0 < nu < math.inf and 0.0 <= sigma < math.inf
+            and all(np.all((c >= 0.0) & (c < math.inf)) for c in coords)):
+        raise IncompatibleData("the kernels need finite t, nu > 0, a finite trace sigma >= 0 "
+                               "and every y, z and s = y + z finite and >= 0, got "
+                               f"t={t}, nu={nu}, sigma={sigma}")
 
 
 def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
@@ -220,13 +211,14 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     ``deriv`` is the order of d/dz (the factor (-mu)^deriv under the
     integral); one that is not a non-negative integer raises IncompatibleData,
     as does a ``regime`` other than "lowfreq", "highfreq" or None.  Both
-    parts are the closed forms of the split at x = 0 in every regime, so no
-    quadrature node is evaluated: ``regime``, ``n_arm`` and ``n_arc`` are
-    unused, and stay only because the benchmark's tracer
+    parts are ``_closed_forms`` of the split s < 2 sigma nu t in every
+    regime, so no quadrature node is evaluated: ``regime``, ``n_arm`` and
+    ``n_arc`` are unused, and stay only because the benchmark's tracer
     (``perfbench/bench_trace.py``) reads them to count nodes.  Both are real
     float arrays.  A mode that is not a FourierMode, a t or nu that is not
-    finite and > 0, or an s that is not finite and >= 0, raises
-    IncompatibleData; a non-finite value raises QuadratureUnderresolved.
+    finite and > 0, a sigma that is not finite and >= 0, or an s that is not
+    finite and >= 0, raises IncompatibleData; a non-finite value raises
+    QuadratureUnderresolved.
     """
     _check_mode(mode)
     if mode.is_zero:
@@ -234,15 +226,18 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
     if not (isinstance(deriv, numbers.Integral) and deriv >= 0):
         raise IncompatibleData(f"deriv must be an integer >= 0, got {deriv!r}")
     s = np.asarray(s, dtype=float)
-    _check_domain(t, nu, s)
+    _check_domain(s, t=t, nu=nu, sigma=sigma)
     _auto_regime(nu, mode, regime)
     if sigma == 0.0:
         return np.zeros(s.shape), np.zeros(s.shape)
-    p = _split(t, nu, mode.norm, s, sigma)
-    comp = -_log_gauss(s, nu, t)
+    tau, zeta, eta, r, root, crosses = _scale_free(t, nu, mode.norm, s, sigma)
     # an overflow surfaces as a non-finite value, which raises below
-    with np.errstate(over="ignore", invalid="ignore"):
-        rho1, rho2 = (part(p, (deriv,), comp)[0] for part in (_residue, _erfc_rho2))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # R1's compensation cancels the core's zeta^2/4 exactly; R2's is the
+        # Gaussian from s and nu t, with fewer roundings than zeta^2/4
+        parts = _closed_forms(tau, zeta, eta, r, (deriv,), -(zeta * zeta / 4.0),
+                              -(s * s / (4.0 * nu * t)), crosses)
+        rho1, rho2 = (f[0] / root**deriv for f in parts)
     if not (np.all(np.isfinite(rho1)) and np.all(np.isfinite(rho2))):
         raise QuadratureUnderresolved(f"the residual profile is not finite at t={t}")
     return rho1, rho2
@@ -254,21 +249,26 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
 
 def _adaptive_rho(p):
     """The oracle's (rho1, rho2) at k = 0 for ``contours.parabola_params``'
-    ``p``, split as the profiles split them: rho1 from ``_residue`` where
-    x < 0, rho2 = I + (residue - rho1), where I is the adaptive integral
-    (``contours.integrate``) of e^{lambda t - mu s} / (nu mu (mu - sigma))
-    over the parabola and the residue is added where it crossed the pole.
-    Where the parabola and the split agree on the pole the two terms cancel
-    exactly, so rho2 keeps the relative accuracy of I when it is tiny."""
+    ``p``, split as the profiles split them: rho1 is ``_closed_forms``' pole
+    term on the split's mask, and rho2 = I + (residue - rho1), where I is the
+    adaptive integral (``contours.integrate``) of
+    e^{lambda t - mu s} / (nu mu (mu - sigma)) over the parabola and the
+    residue is the same pole term on the parabola's mask, where it crossed
+    the pole.  Where the parabola and the split agree on the pole the two
+    terms cancel exactly, so rho2 keeps the relative accuracy of I when it
+    is tiny."""
     t, nu, s = p["t"], p["nu"], p["s"]
 
     def f(lam):  # node axis last
         mu = np.sqrt(lam / nu + p["xi_norm"]**2)
         return np.exp(lam * t - mu * s[..., None]) / (nu * mu * (mu - p["sigma"]))
 
-    comp = -_log_gauss(s, nu, t)
-    rho1 = _residue(_split(t, nu, p["xi_norm"], s, p["sigma"]), (0,), comp)[0]
-    return rho1, ct.integrate(f, p) + (_residue(p, (0,), comp)[0] - rho1)
+    tau, zeta, eta, r, _, crosses = _scale_free(t, nu, p["xi_norm"], s, p["sigma"])
+    # both masks in one call, on a leading axis; k = 0 carries no (nu t)^{-k/2}
+    plain = -(zeta * zeta / 4.0)
+    rho1, residue = _closed_forms(tau, zeta, eta, r, (0,), plain, plain,
+                                  np.stack([crosses, p["crosses_pole"]]))[0][0]
+    return rho1, ct.integrate(f, p) + (residue - rho1)
 
 
 def residual_kernel_time(t, nu, mode: FourierMode, y, z, method="fixed", check=False):
@@ -298,7 +298,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, method="fixed", c
         raise IncompatibleData(f"method must be 'fixed', or 'adaptive' without check, "
                                f"got {method!r} with check={check!r}")
     s = float(y) + float(z)
-    _check_domain(t, nu, s)
+    _check_domain(s, t=t, nu=nu)
 
     if D.sigma == 0.0:
         vals = np.zeros(2)
@@ -400,49 +400,48 @@ def _sup(ratio, start):
 def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0, operator):
     """Sup bound ratios for the kernel family D = operator(mode), in one pass.
 
-    Returns (sup, arg): the sups and where each is reached.  One call of each
-    closed form over (cell, 1) columns against the s row fills (cell, k, s)
-    arrays, cells in (nu, xi, t) order, each part in its bound's exponent,
-    so that huge factors never overflow: R1 against e^{lambda* t -
-    theta0 mu0 s}, R2 against e^{lambda* t - s^2/4 nu t - nu |xi|^2 t / 8},
-    whose Gaussian cancels the one the parts leave out exactly.  Each sup is
-    one argmax over its ratio array.
+    Returns (sup, arg): the sups and where each is reached.  One call of
+    ``_closed_forms`` over (cell, 1) columns of tau, r and sqrt(nu t)
+    against the s row fills (cell, k, s) arrays, cells in (nu, xi, t) order,
+    each part in its bound's exponent, so that huge factors never overflow.
+    With rho^{(k)} = (nu t)^{-k/2} F_k and m0 = mu0 sqrt(nu t): R1 against
+    mu0^{k+1} e^{lambda* t - theta0 mu0 s} is |F1_k| max|D| / (mu0 m0^k),
+    in the exponent theta0 m0 zeta - tau (r^2 - 1) - zeta^2/4, and R2
+    against (nu t)^{-(k+1)/2} e^{lambda* t - zeta^2/4 - tau/8} is
+    |F2_k| max|D| sqrt(nu t), in the exponent tau/8 - tau (r^2 - 1), whose
+    Gaussian cancels the one the parts leave out exactly.  Each sup is one
+    argmax over its ratio array.
     """
-    s = s_values
     cells = [(nu, n_xi, t) for nu in nu_values for n_xi in xi_values for t in t_values]
     operators = {n_xi: operator(FourierMode(n_xi, 0)) for n_xi in xi_values}
-    cols = []
-    for nu, n_xi, t in cells:
-        D = operators[n_xi]
-        mode = D.mode
-        cols.append((t, nu, mode.norm, D.sigma, mu0_rate(mode, nu), D.pole_lambda(nu) * t,
-                     np.abs(D.matrix).max()))
-    # (cell, 1) columns
-    t_c, nu_c, xin_c, sigma_c, mu0_c, lam_c, scale_c = (
-        np.array(col)[:, None] for col in zip(*cols))
-    p = _split(t_c, nu_c, xin_c, s, sigma_c)
-    # R1 against mu0^{k+1} e^{lambda* t} e^{-theta0 mu0 s}
-    comp1 = theta0 * mu0_c * s - lam_c - _log_gauss(s, nu_c, t_c)
-    # R2 against (nu t)^{-(k+1)/2} e^{lambda* t} e^{-s^2/4 nu t}
-    #   e^{-nu |xi|^2 t / 8} (proof exponent)
-    comp2 = nu_c * xin_c**2 * t_c / 8.0 - lam_c
+    ops = [operators[n_xi] for _, n_xi, _ in cells]
+
+    def column(values):
+        return np.array(values)[:, None]
+
+    nu, t = column([cell[0] for cell in cells]), column([cell[2] for cell in cells])
+    tau, zeta, eta, r, root, crosses = _scale_free(
+        t, nu, column([D.mode.norm for D in ops]), s_values, column([D.sigma for D in ops]))
+    mu0 = column([mu0_rate(D.mode, cell[0]) for cell, D in zip(cells, ops)])
+    lam_t = tau * (r * r - 1.0)  # lambda* t
+    m0 = mu0 * root  # mu0 sqrt(nu t)
+    f1, f2 = _closed_forms(tau, zeta, eta, r, k_values,
+                           theta0 * m0 * zeta - lam_t - zeta * zeta / 4.0, tau / 8.0 - lam_t,
+                           crosses)
+    # the ratios, (cell, k, s)
     k = np.asarray(k_values)[:, None]
-    scale_c, mu0_c, nu_t = scale_c[..., None], mu0_c[..., None], (nu_c * t_c)[..., None]
-    # the ratios, (cell, k, s), in place of the parts
-    ratios = {"R1": np.abs(np.moveaxis(_residue(p, k_values, comp1), 0, 1)),
-              "R2_quarter": np.abs(np.moveaxis(_erfc_rho2(p, k_values, comp2), 0, 1))}
-    for ratio in ratios.values():
-        ratio *= scale_c
-    ratios["R1"] /= mu0_c ** (k + 1)
-    ratios["R2_quarter"] *= nu_t ** ((k + 1) / 2)
-    # the stated exponent e^{-s^2/nu t} differs by e^{3 s^2/4 nu t}; report in
+    scale = column([np.abs(D.matrix).max() for D in ops])[..., None]
+    ratios = {"R1": np.abs(np.moveaxis(f1, 0, 1)) * (scale / mu0[..., None])
+              / m0[..., None] ** k,
+              "R2_quarter": np.abs(np.moveaxis(f2, 0, 1)) * (scale * root[..., None])}
+    # the stated exponent e^{-s^2/nu t} differs by e^{3 zeta^2/4}; report in
     # log10 since it can overflow any float
     ratios["R2_stated_log10"] = np.log10(np.maximum(ratios["R2_quarter"], 1e-300)) \
-        + 0.75 * s**2 / nu_t / math.log(10.0)
+        + 0.75 * (zeta * zeta)[:, None] / math.log(10.0)
     sup, arg = {}, {}
     for key, start in (("R1", 0.0), ("R2_quarter", 0.0), ("R2_stated_log10", -np.inf)):
         sup[key], i = _sup(ratios[key], start)
-        arg[key] = None if i is None else (*cells[i[0]], k_values[i[1]], float(s[i[2]]))
+        arg[key] = None if i is None else (*cells[i[0]], k_values[i[1]], float(s_values[i[2]]))
     return sup, arg
 
 
@@ -469,12 +468,12 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     Each family reports its sups under ``sup`` and where each is reached
     under ``argmax(nu,xi,t,k,s)``: the first maximum in (nu, xi, t, k, s)
     sweep order, or the first NaN, which makes the sup NaN.  The ratios are
-    evaluated directly (not through the profiles, but from the same closed
-    forms and the same split), cell-vectorized, each bound's exponent
-    inside exp().  The certificate passes when both certified sups of both
-    families are finite.  A ``theta0`` outside
-    (0, 1) raises IncompatibleData: theta0 <= 0 turns the R1 bound's decay
-    e^{-theta0 mu0 (y+z)} into growth, so the sup would bound nothing.  So
+    evaluated by the profiles' core and split, not through the profiles,
+    cell-vectorized, each bound's exponent inside exp().  The certificate
+    passes when both certified sups of both families are finite.  A
+    ``theta0`` outside (0, 1) raises IncompatibleData: theta0 <= 0 turns the
+    R1 bound's decay e^{-theta0 mu0 (y+z)} into growth, so the sup would
+    bound nothing.  So
     does an empty sweep axis, a nu or t that is not finite and positive, an
     s = y + z that is not finite and >= 0, or a k that is not a non-negative
     integer: a vacuous or invalid sweep certifies nothing.  A zero in

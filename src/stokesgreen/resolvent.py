@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import _as_rows, _exp_action_rows
+from .actions import _as_rows, _decay_table, _exp_action_rows
 from .core import (
     FourierMode,
     HalfLineGrid,
@@ -133,14 +133,17 @@ class BoundaryOperatorD:
 
 @dataclass(frozen=True)
 class ResolventSolution:
-    """u = v + w: full solution, free part, boundary correction w = c0 e^{-mu y}."""
+    """u = v + w: full solution, free part, boundary correction w = c0 e^{-mu y} (on read)."""
 
     u: ModeField
     v: ModeField
-    w: ModeField
     point: SpectralPoint
     D: BoundaryOperatorD
     c0: np.ndarray
+
+    @property
+    def w(self) -> ModeField:
+        return ModeField(self.v.grid, self.c0[:, None] * _decay_table(self.v.grid, self.point.mu))
 
     def boundary_residual(self) -> float:
         """|du/dz(0) + D u(0)| = |-mu c0 + D u(0)| from the analytic closed forms.
@@ -172,7 +175,8 @@ def resolvent_apply_general(f: ModeField, point: SpectralPoint,
 
 
 def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> ResolventSolution:
-    """u = v + w from one ``_solve_rows`` call with g = 0 and scale 1.
+    """u = v + w from one ``_solve_rows`` call with g = 0 and scale 1: v is
+    added in place into the layer w, which becomes u.
 
     Called only from the two public solvers, so a truncation warning points
     at their caller.  f must be the tangential pair (two components) and
@@ -187,11 +191,12 @@ def _solve(f: ModeField, point: SpectralPoint, D: BoundaryOperatorD) -> Resolven
     # r's whole Laplace trace, so every non-finite value of f reaches it, and
     # one O(1) test raises for all of them instead of a pass over f
     with np.errstate(invalid="ignore"):
-        v, c0, w = _solve_rows(f.grid, rows, point.mu, point.nu, D, 1)
+        v, c0, u = _solve_rows(f.grid, rows, point.mu, point.nu, D, 1)
     if not all(map(cmath.isfinite, v[:, 0].tolist())):
         raise IncompatibleData("the resolvent data f must be finite")
-    return ResolventSolution(u=ModeField(f.grid, v + w), v=ModeField(f.grid, v),
-                             w=ModeField(f.grid, w), point=point, D=D, c0=c0)
+    u += v
+    return ResolventSolution(u=ModeField(f.grid, u), v=ModeField(f.grid, v), point=point,
+                             D=D, c0=c0)
 
 
 def _solve_rows(grid, rows, mu, nu, D, parity, g=0.0, scale=1.0):

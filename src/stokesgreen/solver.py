@@ -100,7 +100,11 @@ class StokesProblem:
 
 
 def _checked_shape(value, shape: tuple, what: str) -> np.ndarray:
-    value = np.asarray(value, dtype=complex)
+    try:
+        value = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError):  # a string, a ragged list, an object
+        raise IncompatibleData(f"{what} must be a numeric array of shape {shape}, "
+                               f"got {value!r:.80}") from None
     if value.shape != shape:
         raise IncompatibleData(f"{what} must have shape {shape}, got {value.shape}")
     if not np.all(np.isfinite(value)):

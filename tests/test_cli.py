@@ -406,14 +406,14 @@ class TestConfigAndErrors:
 
     def test_non_finite_kernel_exits_numerical(self, tmp_path, capsys, monkeypatch):
         # a NaN from a closed form: no table, numerical exit
-        real = kernels._erfc_rho2
+        real = kernels._closed_forms
 
         def poisoned(*args):
-            rho = real(*args)
-            rho[..., 0] = np.nan
-            return rho
+            f1, f2 = real(*args)
+            f2[..., 0] = np.nan
+            return f1, f2
 
-        monkeypatch.setattr(kernels, "_erfc_rho2", poisoned)
+        monkeypatch.setattr(kernels, "_closed_forms", poisoned)
         out = tmp_path / "k.csv"
         rc = run(["kernel", "--t", "1", "--grid", "0:2:4", "--out", str(out)])
         assert rc == EXIT_NUMERICAL

@@ -491,14 +491,14 @@ class TestQuadratureChecks:
 
     def test_non_finite_profile_raises(self, monkeypatch):
         # a NaN from a closed form raises instead of reaching a sample
-        real = kernels._erfc_rho2
+        real = kernels._closed_forms
 
         def poisoned(*args):
-            rho = real(*args)
-            rho[..., 0] = np.nan
-            return rho
+            f1, f2 = real(*args)
+            f2[..., 0] = np.nan
+            return f1, f2
 
-        monkeypatch.setattr(kernels, "_erfc_rho2", poisoned)
+        monkeypatch.setattr(kernels, "_closed_forms", poisoned)
         nodes = np.linspace(0.0, 2.0, 5)
         with pytest.raises(QuadratureUnderresolved, match="not finite"):
             residual_profiles_general(1.0, 1.0, MODE, np.array([0.0]), MODE.norm)
@@ -584,6 +584,33 @@ class TestQuadratureChecks:
         scale = max(np.max(np.abs(fixed[k])) for k in ("R1", "R2"))
         for k in ("R1", "R2"):
             assert np.max(np.abs(fixed[k] - adaptive[k])) < 1e-12 * scale
+
+
+# each returned a value: finite profiles at sigma = -1, 0.292, -0.135 and
+# 0.692 at y = -1, a NaN matrix at y = NaN, and for y = (0.1, 0.2) a matrix
+# whose two diagonal entries belong to different y; sigma = NaN raised
+# QuadratureUnderresolved
+POINT = SpectralPoint(2.0 + 1.0j, 0.5, MODE)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: residual_profiles_general(0.5, 1.0, MODE, [0.5], -1.0),
+    lambda: residual_profiles_general(0.5, 1.0, MODE, [0.5], math.nan),
+    lambda: residual_profiles_general(0.5, 1.0, MODE, [0.5], math.inf),
+    lambda: heat_kernel_neumann(0.5, 1.0, MODE, -1.0, 0.5),
+    lambda: heat_kernel_dirichlet(0.5, 1.0, MODE, -1.0, 0.5),
+    lambda: heat_kernel_neumann(0.5, 1.0, MODE, 0.5, math.nan),
+    lambda: heat_kernel_dirichlet(0.5, 1.0, MODE, np.array([0.5, math.inf]), 0.5),
+    lambda: resolvent_kernel(POINT, -1.0, 0.5),
+    lambda: resolvent_kernel(POINT, math.nan, 0.5),
+    lambda: resolvent_kernel(POINT, 0.5, math.inf),
+    lambda: resolvent_kernel(POINT, np.array([0.1, 0.2]), 0.3),
+], ids=["profiles-sigma=-1", "profiles-sigma=nan", "profiles-sigma=inf", "neumann-y=-1",
+        "dirichlet-y=-1", "neumann-z=nan", "dirichlet-y=inf", "resolvent-y=-1",
+        "resolvent-y=nan", "resolvent-z=inf", "resolvent-y=array"])
+def test_outside_the_half_line_raises(call):
+    with pytest.raises(IncompatibleData):
+        call()
 
 
 class TestSelectors:
@@ -802,27 +829,56 @@ class TestBatchedEvaluation:
     per cell."""
 
     # (t, nu, |xi|, sigma) cells, |xi| integer as on the certificate's xi
-    # axis; over the s row the split gives R1 the pole term in every cell at
-    # s = 0 and in none at s = 6
+    # axis and |(2, 1)| = sqrt(5), whose square the core forms as a product
+    # for a column and a scalar alike; over the s row the split gives R1 the
+    # pole term in every cell at s = 0 and in none at s = 6
     CELLS = [(0.1, 1.0, 8.0, 0.45), (0.3, 1.0, 2.0, 2.0), (0.316, 1.0, 8.0, 4.0),
-             (0.01, 0.04, 7.0, 3.5), (0.0316, 0.25, 3.0, 0.5 * 3.0)]
+             (0.01, 0.04, 7.0, 3.5), (0.0316, 0.25, 3.0, 0.5 * 3.0),
+             (0.3, 0.7, FourierMode(2, 1).norm, 0.5 * FourierMode(2, 1).norm)]
 
     def test_closed_forms_match_scalar_calls(self):
+        # the core's variables and both parts, with a (cell, s) compensation
+        # for F1 and a per-cell one for F2, as the certificate passes them
         s = np.linspace(0.0, 6.0, 25)
         ks = (0, 1, 2)
-        cols = [np.array(col)[:, None] for col in zip(*self.CELLS)]
-        t, nu, xin, sigma = cols
-        comp1 = 0.25 * (xin + 1.0 / np.sqrt(nu)) * s - kernels._log_gauss(s, nu, t)
-        comp2 = nu * xin**2 * t / 8.0
-        p = kernels._split(t, nu, xin, s, sigma)
-        rho1, rho2 = kernels._residue(p, ks, comp1), kernels._erfc_rho2(p, ks, comp2)
-        crosses = p["crosses_pole"]
+        t, nu, xin, sigma = (np.array(col)[:, None] for col in zip(*self.CELLS))
+        v = kernels._scale_free(t, nu, xin, s, sigma)
+        tau, zeta, eta, r, root, crosses = v
+        comp1 = 0.25 * ((xin + 1.0 / np.sqrt(nu)) * root) * zeta - zeta * zeta / 4.0
+        comp2 = tau / 8.0
+        f1, f2 = kernels._closed_forms(tau, zeta, eta, r, ks, comp1, comp2, crosses)
         assert crosses[:, 0].all() and not crosses[:, -1].any()
         for c, (t_c, nu_c, xin_c, sigma_c) in enumerate(self.CELLS):
-            q = kernels._split(t_c, nu_c, xin_c, s, sigma_c)
-            assert _same_bits(p["crosses_pole"][c], q["crosses_pole"])
-            assert _same_bits(rho1[:, c], kernels._residue(q, ks, comp1[c]))
-            assert _same_bits(rho2[:, c], kernels._erfc_rho2(q, ks, float(comp2[c, 0])))
+            w = kernels._scale_free(t_c, nu_c, xin_c, s, sigma_c)
+            for batched, scalar in zip(v, w):
+                assert _same_bits(np.reshape(batched[c], np.shape(scalar)), scalar)
+            g1, g2 = kernels._closed_forms(*w[:4], ks, comp1[c], float(comp2[c, 0]), w[5])
+            assert _same_bits(f1[:, c], g1)
+            assert _same_bits(f2[:, c], g2)
+
+    def test_split_assigns_each_s_as_the_dimensional_predicate(self):
+        # s across 2 sigma nu t, the float values either side of it included:
+        # the core's mask, batched and per cell, and the profiles' R1 put
+        # every s on the side that s < 2 sigma nu t puts it (in exact
+        # arithmetic zeta/2 < r sqrt(tau) is the same predicate, in floats not)
+        modes = [FourierMode(8, 0), FourierMode(2, 1), FourierMode(2, 1), FourierMode(3, 0)]
+        cells = [(0.1, 1.0, 8.0, 0.45), (0.3, 0.7, modes[1].norm, modes[1].norm),
+                 (0.0316, 0.25, modes[2].norm, 0.5 * modes[2].norm),
+                 (20.0, 0.25, 3.0, 0.3 * 3.0)]
+        edges = [2.0 * sigma * nu * t for t, nu, _, sigma in cells]
+        s = np.unique([x for e in edges
+                       for x in (np.nextafter(e, 0.0), e, np.nextafter(e, np.inf), 0.5 * e)])
+        t, nu, xin, sigma = (np.array(col)[:, None] for col in zip(*cells))
+        batched = kernels._scale_free(t, nu, xin, s, sigma)[5]
+        for c, (t_c, nu_c, xin_c, sigma_c) in enumerate(cells):
+            expect = np.array([s_j < 2.0 * sigma_c * nu_c * t_c for s_j in s.tolist()])
+            assert expect.any() and not expect.all()
+            assert np.array_equal(batched[c], expect)
+            assert np.array_equal(kernels._scale_free(t_c, nu_c, xin_c, s, sigma_c)[5], expect)
+            for s_j, side in zip(s.tolist(), expect):
+                assert kernels._scale_free(t_c, nu_c, xin_c, s_j, sigma_c)[5] == side
+            rho1, _ = residual_profiles_general(t_c, nu_c, modes[c], s, sigma_c)
+            assert np.array_equal(rho1 != 0.0, expect)
 
     def test_parabola_keeps_off_the_pole(self):
         # the theta band and the vertex-floor guard keep the parabola's line
@@ -864,18 +920,22 @@ def reference_bound_sweep(nu_values, xi_values, t_values, k_values, s_values, th
             D = operator(mode)
             mat_scale = np.abs(D.matrix).max()
             for t in t_values:
-                lam_star_t = D.pole_lambda(nu) * t
                 cell = (nu, n_xi, t)
-                comp1 = theta0 * mu0 * s_values - lam_star_t - kernels._log_gauss(s_values, nu, t)
-                comp2 = nu * xin**2 * t / 8.0 - lam_star_t
-                p = kernels._split(t, nu, xin, s_values, D.sigma)
-                rho1 = kernels._residue(p, k_values, comp1)
-                rho2 = kernels._erfc_rho2(p, k_values, comp2)
-                record("R1", np.abs(rho1) * mat_scale / mu0 ** (k + 1), cell)
-                ratio2 = np.abs(rho2) * mat_scale * (nu * t) ** ((k + 1) / 2)
+                tau, zeta, eta, r, root, crosses = kernels._scale_free(t, nu, xin, s_values,
+                                                                       D.sigma)
+                lam_star_t = tau * (r * r - 1.0)
+                m0 = mu0 * root  # mu0 sqrt(nu t)
+                comp1 = theta0 * m0 * zeta - lam_star_t - zeta * zeta / 4.0
+                comp2 = tau / 8.0 - lam_star_t
+                f1, f2 = kernels._closed_forms(tau, zeta, eta, r, k_values, comp1, comp2,
+                                               crosses)
+                # rho^{(k)} = (nu t)^{-k/2} F_k: R1's weight mu0^{-(k+1)} on rho
+                # is (mu0 (mu0 sqrt(nu t))^k)^{-1} on F_k, R2's (nu t)^{(k+1)/2}
+                # is sqrt(nu t)
+                record("R1", np.abs(f1) * (mat_scale / mu0) / m0 ** k, cell)
+                ratio2 = np.abs(f2) * (mat_scale * root)
                 record("R2_quarter", ratio2, cell)
-                stated = np.log10(np.maximum(ratio2, 1e-300)) \
-                    + 0.75 * s_values**2 / (nu * t) / ln10
+                stated = np.log10(np.maximum(ratio2, 1e-300)) + 0.75 * (zeta * zeta) / ln10
                 record("R2_stated_log10", stated, cell)
     return sup, arg
 
@@ -970,9 +1030,14 @@ class TestBoundCertificate:
             rho[1, ..., 3] = np.nan  # k axis first, s axis last
             return rho
 
-        name = ("_residue", "_erfc_rho2")[part]
-        real = getattr(kernels, name)
-        monkeypatch.setattr(kernels, name, lambda *args: poison(real(*args)))
+        real = kernels._closed_forms
+
+        def poisoned(*args):
+            parts = list(real(*args))
+            parts[part] = poison(parts[part])
+            return tuple(parts)
+
+        monkeypatch.setattr(kernels, "_closed_forms", poisoned)
         xi_values, t_values = self.NAN_SWEEPS[regime]
         report = verify_kernel_bounds(nu_values=(1.0,), xi_values=xi_values,
                                       t_values=t_values, k_values=(0, 1, 2),
@@ -1034,10 +1099,12 @@ class TestBoundCertificate:
             mu0, scale = mu0_rate(mode, nu), np.abs(D.matrix).max()
             rho1 = np.where(s < 2.0 * D.sigma * nu * t,
                             2.0 * D.sigma**k * np.exp((0.25 * mu0 - D.sigma) * s), 0.0)
+            # R2 (nu t)^{k/2} in the bound's exponent
+            tau, zeta, eta, r, root, crosses = kernels._scale_free(t, nu, mode.norm, s, D.sigma)
             comp2 = nu * mode.norm**2 * t / 8.0 - D.pole_lambda(nu) * t
-            rho2 = kernels._erfc_rho2(kernels._split(t, nu, mode.norm, s, D.sigma), ks, comp2)
+            f2 = kernels._closed_forms(tau, zeta, eta, r, ks, comp2, comp2, crosses)[1]
             r1 = max(r1, np.max(rho1 * scale / mu0 ** (k + 1)))
-            r2 = max(r2, np.max(np.abs(rho2) * scale * (nu * t) ** ((k + 1) / 2)))
+            r2 = max(r2, np.max(np.abs(f2) * scale * root))
         assert np.isfinite(r1) and np.isfinite(r2) and r2 > 0.0
         assert sup["R1"] == pytest.approx(r1, rel=1e-12, abs=0)
         assert sup["R2_quarter"] == pytest.approx(r2, rel=1e-12, abs=0)

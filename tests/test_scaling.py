@@ -14,7 +14,9 @@ count (the node values of the data are the same array on both grids):
 
 The sampled Green's function follows the same maps: (xi, y, z, t) ->
 (c xi, y / c, z / c, t / c^2) takes G to c G (it is a density in z), and
-(nu, t) -> (a nu, t / a) leaves it unchanged.
+(nu, t) -> (a nu, t / a) leaves it unchanged.  So do the kernel-bound
+certificate's R2 sups, which are functions of tau = nu |xi|^2 t,
+zeta = (y + z) / sqrt(nu t) and sigma / |xi| alone.
 
 These cross-check the solves without an oracle: a change that is exact in
 one scale but not in another (a constant added to mu - sigma, say) breaks them.
@@ -36,6 +38,7 @@ from stokesgreen import (
     resolvent_apply,
     resolvent_apply_general,
     sample_green_function,
+    verify_kernel_bounds,
 )
 
 Z_MAX = 20.0
@@ -183,3 +186,47 @@ class TestGreenFunction:
         base = _sample(general, XI, NU, T_FORCED, 1.0)
         scaled = _sample(general, XI, a * NU, T_FORCED / a, 1.0)
         assert _rel(scaled, base) <= RTOL
+
+
+CERT_S = np.linspace(0.0, 10.0, 21)
+CERT_SWEEP = ((1.0, 0.04), (1, 2, 3), (0.01, 0.1, 1.0))
+
+
+def _certificate(nu_values, xi_values, t_values, s_values):
+    return verify_kernel_bounds(nu_values=nu_values, xi_values=xi_values,
+                                t_values=t_values, s_values=s_values)
+
+
+@pytest.mark.parametrize("family", ["no_slip", "general"])
+class TestCertificate:
+    """The certificate's R2 ratios are scale-free.
+
+    The R2 ratio |d^k R2/dz^k| (nu t)^{(k+1)/2} e^{s^2/4 nu t} e^{nu |xi|^2 t/8}
+    e^{-lambda* t} is a function of tau = nu |xi|^2 t, zeta = s / sqrt(nu t)
+    and r = sigma / |xi| times max|D| / |xi|, so (nu, t) -> (nu/4, 4 t) and
+    (xi, s, t) -> (2 xi, s/2, t/4) leave both R2 sups, and where they are
+    reached, unchanged.  The R1 ratio is not covariant: its rate
+    mu0 = |xi| + nu^{-1/2} mixes the viscous scale with the mode's."""
+
+    KEYS = ("R2_quarter", "R2_stated_log10")
+
+    def _check(self, family, base, scaled, cell_map):
+        for key in self.KEYS:
+            got, ref = scaled[family]["sup"][key], base[family]["sup"][key]
+            assert abs(got - ref) <= RTOL * abs(ref)
+            nu, xi, t, k, s = base[family]["argmax(nu,xi,t,k,s)"][key]
+            assert scaled[family]["argmax(nu,xi,t,k,s)"][key] == (*cell_map(nu, xi, t, s)[:3],
+                                                                  k, cell_map(nu, xi, t, s)[3])
+
+    def test_viscosity(self, family):
+        nus, xis, ts = CERT_SWEEP
+        base = _certificate(nus, xis, ts, CERT_S)
+        scaled = _certificate(tuple(nu / 4 for nu in nus), xis, tuple(4 * t for t in ts), CERT_S)
+        self._check(family, base, scaled, lambda nu, xi, t, s: (nu / 4, xi, 4 * t, s))
+
+    def test_space(self, family):
+        nus, xis, ts = CERT_SWEEP
+        base = _certificate(nus, xis, ts, CERT_S)
+        scaled = _certificate(nus, tuple(2 * xi for xi in xis), tuple(t / 4 for t in ts),
+                              CERT_S / 2)
+        self._check(family, base, scaled, lambda nu, xi, t, s: (nu, 2 * xi, t / 4, s / 2))

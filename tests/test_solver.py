@@ -321,6 +321,24 @@ class TestNonFiniteData:
             crank_nicolson_oracle(p, dt=0.1)
 
 
+    @pytest.mark.parametrize("bad", ["string", "ragged"])
+    @pytest.mark.parametrize("source", ["forcing", "boundary_g"])
+    def test_malformed_sources_raise(self, monkeypatch, source, bad):
+        # a string or a ragged list was a bare ValueError from complex() or
+        # from numpy's inhomogeneous-shape check
+        calls = _spy_on_solves(monkeypatch)
+        grid = HalfLineGrid.uniform(8.0, 65)
+        rows = [[0.0] * grid.n] * 3 if source == "forcing" else [[0.0], [0.0]]
+        value = "not a number" if bad == "string" else rows[:-1] + [rows[-1] + [0.0]]
+        p = StokesProblem(mode=MODE, nu=1.0, omega0=bump_initial(grid), t_final=0.2,
+                          **{source: lambda t: value})
+        with pytest.raises(IncompatibleData, match=fr"{source}\(t\) must be a numeric array"):
+            duhamel_solve(p, [0.1, 0.2])
+        assert calls == []
+        with pytest.raises(IncompatibleData, match=fr"{source}\(t\) must be a numeric array"):
+            crank_nicolson_oracle(p, dt=0.1)
+
+
 # (nu, xi) pairs covering both frequency regimes and the zero mode
 HEAT_CASES = [(0.4, (1, 0)), (1.0, (2, 1)), (0.05, (8, 0)), (1.0, (0, 0))]
 
