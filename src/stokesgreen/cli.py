@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -359,8 +360,8 @@ _FLAGS = {
     "out": dict(default=None, metavar="PATH"),
 }
 
-# each command runs the cmd_* of its name ('-' as '_'), looked up when the
-# parser is built, so a function rebound on the module (a wrapper) is the one called
+# each command runs the cmd_* of its name ('-' as '_'), looked up by ``main``
+# on each call, so a function rebound on the module (a wrapper) is the one called
 _COMMANDS = (
     ("kernel", "sample the Green's function on a grid",
      ("xi", "nu", "t", "grid", "general-bc", "out")),
@@ -384,8 +385,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
             p.add_argument("--" + flag, **_FLAGS[flag])
-        p.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every call without ``--config``, built on first use.
+
+    Parsing leaves a parser as it was, so one serves every such call; a
+    ``--config`` call installs its file's defaults on a fresh ``_build_parser``
+    instead, so they never reach a later call."""
+    return _build_parser()
 
 
 def _config_value_ok(action: argparse.Action, val) -> bool:
@@ -431,10 +441,10 @@ def _apply_config(parser: argparse.ArgumentParser, path: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         if args.config:
+            parser = _build_parser()
             _apply_config(parser, args.config)
             args = parser.parse_args(argv)
         # each check runs only for the commands that take the flag
@@ -446,7 +456,7 @@ def main(argv=None) -> int:
             raise ValueError(f"tolerance must be in (0,1), got {args.tol}")
         if hasattr(args, "theta0") and not 0.0 < args.theta0 < 1.0:
             raise ValueError(f"theta0 must be in (0,1), got {args.theta0}")
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -202,8 +202,11 @@ def apply_delta_xi(field: ModeField, nu: float, mode: FourierMode) -> ModeField:
 
     Interior nodes use the centered 3-point second difference; the endpoints
     use one-sided 4-point stencils (2, -5, 4, -1)/h^2, so the whole operator
-    is second-order accurate.
+    is second-order accurate.  A viscosity that is not finite and positive
+    raises IncompatibleData.
     """
+    if not 0.0 < nu < math.inf:
+        raise IncompatibleData(f"viscosity must be finite and positive, got {nu}")
     grid = field.grid
     if grid.n < 4:
         raise GridTooSmall("apply_delta_xi needs at least 4 nodes")

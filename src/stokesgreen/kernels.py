@@ -75,9 +75,7 @@ __all__ = [
 
 
 def _heat(t, nu, mode, y, z, sign):
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    _check_domain(y, z, t=t, nu=nu)
+    y, z = _check_domain(y, z, t=t, nu=nu)
     c = 4.0 * nu * t
     pref = 1.0 / math.sqrt(np.pi * c)
     val = np.exp(-((y - z) ** 2) / c) + sign * np.exp(-((y + z) ** 2) / c)
@@ -192,15 +190,33 @@ def _check_mode(mode):
         raise IncompatibleData(f"mode must be a FourierMode, got {mode!r}")
 
 
+def _real(x):
+    """``x`` as a float array; IncompatibleData unless it holds real numbers
+    (a str, None or a ragged sequence would fail a comparison or ``float``)."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # a ragged sequence
+        raise IncompatibleData(f"the kernels take real numbers, got {x!r}") from exc
+    if a.dtype.kind not in "biuf":
+        raise IncompatibleData(f"the kernels take real numbers, got {x!r}")
+    return a.astype(float, copy=False)
+
+
 def _check_domain(*coords, t=1.0, nu=1.0, sigma=0.0):
-    """IncompatibleData unless t, nu are finite and > 0, sigma is finite and
-    >= 0 and every value of each coordinate (y, z or s = y + z) is finite and
-    >= 0; the defaults are admissible, for kernels without t or a trace."""
+    """The coordinates as float arrays (``_real``), after IncompatibleData
+    unless t, nu are finite and > 0, sigma is finite and >= 0 and every value
+    of each coordinate (y, z or s = y + z) is finite and >= 0; the defaults
+    are admissible, for kernels without t or a trace.  Each argument is
+    converted before it is compared."""
+    # a float (np.float64 included) needs no conversion, and compares fastest
+    t, nu, sigma = (x if isinstance(x, float) else _real(x) for x in (t, nu, sigma))
+    coords = [_real(c) for c in coords]
     if not (0.0 < t < math.inf and 0.0 < nu < math.inf and 0.0 <= sigma < math.inf
             and all(np.all((c >= 0.0) & (c < math.inf)) for c in coords)):
         raise IncompatibleData("the kernels need finite t, nu > 0, a finite trace sigma >= 0 "
                                "and every y, z and s = y + z finite and >= 0, got "
                                f"t={t}, nu={nu}, sigma={sigma}")
+    return coords
 
 
 def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
@@ -225,8 +241,7 @@ def residual_profiles_general(t, nu, mode: FourierMode, s, sigma, deriv=0,
         raise ZeroModeUnsupported("residual profiles need |xi| > 0")
     if not (isinstance(deriv, numbers.Integral) and deriv >= 0):
         raise IncompatibleData(f"deriv must be an integer >= 0, got {deriv!r}")
-    s = np.asarray(s, dtype=float)
-    _check_domain(s, t=t, nu=nu, sigma=sigma)
+    (s,) = _check_domain(s, t=t, nu=nu, sigma=sigma)
     _auto_regime(nu, mode, regime)
     if sigma == 0.0:
         return np.zeros(s.shape), np.zeros(s.shape)
@@ -297,7 +312,7 @@ def residual_kernel_general(t, nu, mode: FourierMode, D, y, z, method="fixed", c
     if method not in ("fixed", "adaptive") or (check and method == "adaptive"):
         raise IncompatibleData(f"method must be 'fixed', or 'adaptive' without check, "
                                f"got {method!r} with check={check!r}")
-    s = float(y) + float(z)
+    s = float(_real(y) + _real(z))
     _check_domain(s, t=t, nu=nu)
 
     if D.sigma == 0.0:
@@ -484,7 +499,7 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
         raise IncompatibleData(f"theta0 must be in (0, 1), got {theta0}")
     if s_values is None:
         s_values = np.linspace(0.0, 10.0, 21)
-    s_values = np.asarray(s_values, dtype=float)
+    s_values = _real(s_values)
     if not (all(np.size(axis) for axis in (nu_values, xi_values, t_values, k_values, s_values))
             and all(0.0 < x < math.inf for x in (*nu_values, *t_values))
             and np.all((s_values >= 0.0) & (s_values < math.inf))

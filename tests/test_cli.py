@@ -257,6 +257,12 @@ class TestBiotSavartCommand:
         assert report["pass"]
         assert report["trace_identity_errors"]["dirichlet"] < 1e-6
 
+    @pytest.mark.xfail(strict=True, reason="the roundtrip error at the defaults is "
+                       "1.2015e-3 against --tol 1e-3: second-order actions "
+                       "(ROADMAP items 8 and 9)")
+    def test_defaults_exit_ok(self, tmp_path):
+        assert run(["biot-savart", "--out", str(tmp_path / "bs.json")]) == EXIT_OK
+
 
 class TestConfigAndErrors:
     def test_config_defaults_and_flag_override(self, tmp_path):
@@ -346,13 +352,64 @@ class TestConfigAndErrors:
         assert run(["kernel", "--grid", "0:3:4", "--out", "-"]) == EXIT_OK
         assert calls == ["0:3:4"]
 
+    def test_command_rebound_after_first_call(self, monkeypatch, tmp_path):
+        # the shared parser is built by the first call; a cmd_* rebound after
+        # it is still the one main calls
+        assert run(["kernel", "--grid", "0:3:4", "--out", str(tmp_path / "k.csv")]) == EXIT_OK
+        calls = []
+
+        def fake(args):
+            calls.append(args.grid)
+            return EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_kernel", fake)
+        assert run(["kernel", "--grid", "0:3:6", "--out", "-"]) == EXIT_OK
+        assert calls == ["0:3:6"]
+
+    def test_config_defaults_do_not_leak(self, tmp_path):
+        # a --config call parses with a parser of its own: the next plain
+        # call reads the flag default, nu = 1, not the file's 0.5
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"nu": 0.5}))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(["kernel", "--grid", "0:4:8", "--out", str(a)]) == EXIT_OK
+        assert run(["--config", str(cfg), "kernel", "--grid", "0:4:8",
+                    "--out", str(b)]) == EXIT_OK
+        assert " nu=0.5 " in b.read_text().splitlines()[1]
+        assert run(["kernel", "--grid", "0:4:8", "--out", str(b)]) == EXIT_OK
+        assert " nu=1 " in b.read_text().splitlines()[1]
+        assert b.read_bytes() == a.read_bytes()
+
+    def test_parser_built_once(self, monkeypatch, tmp_path):
+        # calls without --config share one parser; each --config call builds its own
+        built = []
+        build = cli._build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_build_parser", counted)
+        cli._shared_parser.cache_clear()
+        try:
+            for grid in ("0:3:4", "0:3:6"):
+                assert run(["kernel", "--grid", grid, "--out", "-"]) == EXIT_OK
+            assert len(built) == 1
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"nu": 0.5}))
+            assert run(["--config", str(cfg), "kernel", "--grid", "0:3:4",
+                        "--out", str(tmp_path / "k.csv")]) == EXIT_OK
+            assert len(built) == 2
+        finally:
+            cli._shared_parser.cache_clear()
+
     def test_every_flag_is_read(self):
         # each command registers exactly the flags its cmd_* reads
         commands = next(a.choices for a in _build_parser()._actions
                         if a.dest == "command")
         for name, p in commands.items():
-            src = inspect.getsource(p.get_default("func"))
-            dests = {a.dest for a in p._actions} - {"help", "command", "func", "config"}
+            src = inspect.getsource(getattr(cli, "cmd_" + name.replace("-", "_")))
+            dests = {a.dest for a in p._actions} - {"help", "command", "config"}
             unread = {d for d in dests if f"args.{d}" not in src}
             assert not unread, f"{name} registers flags it never reads: {unread}"
             unregistered = set(re.findall(r"args\.(\w+)", src)) - dests

@@ -1,5 +1,7 @@
 """Unit tests for modes, grids, the spectral root and the discrete operator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,13 @@ class TestProjectors:
 
 
 class TestApplyDeltaXi:
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf, 0.0, -0.7])
+    def test_bad_viscosity_raises(self, nu):
+        # nu = nan returned a field of nan at every node
+        f = ModeField(HalfLineGrid.uniform(5.0, 33), np.ones((2, 33)))
+        with pytest.raises(IncompatibleData, match="viscosity"):
+            apply_delta_xi(f, nu, FourierMode(1, 0))
+
     def test_second_order_convergence(self):
         mode = FourierMode(2, 1)
         nu = 0.7

@@ -613,6 +613,21 @@ def test_outside_the_half_line_raises(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: residual_profiles_general("1", 1.0, MODE, [0.1], 1.0),
+    lambda: heat_kernel_neumann(None, 1.0, MODE, 0.1, 0.2),
+    lambda: residual_kernel_general(1.0, 1.0, MODE, None, "a", 0.0),
+    lambda: verify_kernel_bounds(s_values=["a"]),
+    lambda: green_function(1.0, 1.0, MODE, None, 0.0),
+], ids=["profiles-t=str", "neumann-t=None", "kernel-y=str", "bounds-s=str",
+        "green-y=None"])
+def test_non_numeric_argument_raises(call):
+    # each raised a bare TypeError or ValueError: the domain check compared
+    # (or float() converted) before checking that it held real numbers
+    with pytest.raises(IncompatibleData, match="real numbers"):
+        call()
+
+
 class TestSelectors:
     """A regime, method or check that no path reads raises instead of being
     read as another one."""

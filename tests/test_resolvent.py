@@ -1,5 +1,7 @@
 """Unit tests for the per-mode resolvent solves."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,35 @@ class TestResolventBound:
         assert np.isfinite(r1["l2_ratio"]) and np.isfinite(r1["h1_ratio"])
         assert r1["l2_ratio"] == r2["l2_ratio"]
         assert r1["h1_ratio"] == r2["h1_ratio"]
+
+    @staticmethod
+    def reference(point, trials, seed, grid):
+        """(l2_ratio, h1_ratio) by one ``resolvent_apply`` per trial and the
+        H^1 norm formed from the solution alone, as the bound was first computed."""
+        rng = np.random.default_rng(seed)
+        weight = abs(point.lam + point.nu * point.mode.norm**2)
+        sup_l2 = sup_h1 = 0.0
+        for _ in range(trials):
+            centers = rng.uniform(0.5, 0.6 * grid.z_max, size=(2, 1))
+            widths = rng.uniform(0.2, 2.0, size=(2, 1))
+            amps = rng.normal(size=(2, 2)) @ np.array([1.0, 1j])
+            f = ModeField(grid, amps[:, None] * np.exp(-((grid.nodes - centers) / widths) ** 2))
+            u = resolvent_apply(f, point).u
+            du = np.gradient(u.values, grid.nodes, axis=-1)
+            h1 = math.sqrt(grid.norm_l2(u.values) ** 2 + grid.norm_l2(du) ** 2)
+            sup_l2 = max(sup_l2, u.norm_l2() * weight / f.norm_l2())
+            sup_h1 = max(sup_h1, h1 * math.sqrt(point.nu) * math.sqrt(weight) / f.norm_l2())
+        return sup_l2, sup_h1
+
+    @pytest.mark.parametrize("trials", [1, 10])
+    @pytest.mark.parametrize("point", [SpectralPoint(3.0 + 0j, 1.0, MODE10),
+                                       SpectralPoint(10.0 + 5.0j, 0.1, FourierMode(2, 1))],
+                             ids=["verify", "complex-lambda"])
+    def test_matches_per_trial_solves_bit_for_bit(self, point, trials):
+        grid = HalfLineGrid.uniform(20.0, 401)
+        report = check_resolvent_bound(point, trials=trials, seed=7, grid=grid)
+        assert (report["l2_ratio"], report["h1_ratio"]) == self.reference(point, trials, 7,
+                                                                          grid)
 
 
 @pytest.mark.parametrize("ncomp", [1, 3])
