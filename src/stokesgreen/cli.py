@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -86,38 +87,45 @@ def _parse_general_bc(spec: str, mode: FourierMode) -> BoundaryOperatorD:
                              gamma_off=kv.get("gamma", 0.0), c0=kv.get("c0", 1.0), mode=mode)
 
 
-def _open_out(path: str | None, mode: str = "w"):
-    """The output file, opened with ``mode``, as a context manager; stdout for no path or '-'.
-
-    A file that cannot be opened for writing is a configuration error
-    (ValueError), so ``main`` exits 2 with one line instead of a traceback.
-    """
-    if path is None or path == "-":
-        return contextlib.nullcontext(sys.stdout)
+def _open_in_place(path: str):
+    """``path`` as a text file written from offset 0, created with mode 0o666
+    (less the umask) if missing and not truncated on open."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
-        return open(path, mode)
-    except OSError as exc:
-        raise ValueError(f"cannot write output: {exc}") from exc
+        return open(fd, "w")
+    except BaseException:
+        os.close(fd)
+        raise
 
 
-def _write_lines(*outputs) -> None:
-    """Write each (path, lines) pair, opening every path (by ``_open_out``, in
-    append mode so that nothing is truncated yet) before writing any: when
-    one cannot be opened, none is written and the files this call created
-    are removed before the ValueError."""
+def _write(*outputs) -> None:
+    """Write each (path, chunks) pair: its text chunks in order, to stdout for
+    no path or '-', else over the file at ``path`` in place.
+
+    Every path is opened before any is written: when one cannot be opened,
+    none is written, the files this call created are removed, and ValueError
+    makes ``main`` exit 2 with one line instead of a traceback.  A regular
+    file is cut at the end of its new text, also when writing raises, so no
+    byte of a longer earlier file survives after it; stdout, devices and
+    FIFOs are never truncated.  No output is fsync'ed.
+    """
     new = [p for p, _ in outputs if p not in (None, "-") and not os.path.lexists(p)]
     with contextlib.ExitStack() as stack:
         try:
-            handles = [stack.enter_context(_open_out(p, "a")) for p, _ in outputs]
-        except ValueError:
+            handles = [sys.stdout if p in (None, "-") else stack.enter_context(_open_in_place(p))
+                       for p, _ in outputs]
+        except OSError as exc:
             stack.close()
             for p in filter(os.path.lexists, new):
                 os.remove(p)
-            raise
-        for fh, (_, lines) in zip(handles, outputs):
-            if fh is not sys.stdout:
-                fh.truncate(0)
-            fh.write("\n".join(lines) + "\n")
+            raise ValueError(f"cannot write output: {exc}") from exc
+        for fh, (_, chunks) in zip(handles, outputs):
+            regular = fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            try:
+                fh.writelines(chunks)
+            finally:
+                if regular:
+                    fh.truncate()  # at the end of what was written
 
 
 def _bump_params(ncomp: int, seed: int, z_max: float, interior: bool = False):
@@ -183,15 +191,19 @@ def cmd_kernel(args) -> int:
     cells[:, 3, 1] = ",12,H,0,0\n"
     cells[:, 6, 1] = ",21,H,0,0\n"
     r_rows = [1, 2, 4, 5, 7, 8, 10, 11]
-    with _open_out(args.out) as fh:
-        fh.write("\n".join(header) + "\n")
-        for y, h_y, s_y in zip(_fmt_each(sample.y_nodes), h_text, sample.s_index):
+    y_text = _fmt_each(sample.y_nodes)
+
+    def chunks():  # the header, then one y-row of the table at a time
+        yield "\n".join(header) + "\n"
+        for y, h_y, s_y in zip(y_text, h_text, sample.s_index):
             cells[:, :, 0] = (y + z_text)[:, None]
             h_tail = h_y + ",0\n"
             cells[:, 0, 1] = ",11,H," + h_tail
             cells[:, 9, 1] = ",22,H," + h_tail
             cells[:, r_rows, 1] = r_tails[s_y]
-            fh.write("".join(cells.ravel().tolist()))
+            yield "".join(cells.ravel().tolist())
+
+    _write((args.out, chunks()))
     return EXIT_OK
 
 
@@ -222,7 +234,7 @@ def cmd_resolvent(args) -> int:
     rows = (_fmt_each(grid.nodes) + labels[:, :, None] + _fmt_each(parts.real) + ","
             + _fmt_each(parts.imag))
     lines.extend(rows.ravel().tolist())
-    _write_lines((args.out, lines))
+    _write((args.out, ["\n".join(lines) + "\n"]))
     return EXIT_OK
 
 
@@ -249,7 +261,7 @@ def cmd_solve(args) -> int:
             + labels[:, None] + _fmt_each(values.real) + "," + _fmt_each(values.imag))
     lines.extend(rows.ravel().tolist())
     # the oracle and its report come first: a failure writes neither file
-    outputs = [(args.out, lines)]
+    outputs = [(args.out, ["\n".join(lines) + "\n"])]
     passed = True
     if args.oracle:
         # run the oracle on a 4x refined grid so its own O(h^2) error does not
@@ -273,8 +285,8 @@ def cmd_solve(args) -> int:
                            "max_rel_errors": errs, "tol": args.tol, "pass": passed},
                           indent=2, sort_keys=True)
         if args.out and args.out != "-":
-            outputs.append((args.out + ".oracle.json", [text]))
-    _write_lines(*outputs)
+            outputs.append((args.out + ".oracle.json", [text + "\n"]))
+    _write(*outputs)
     if args.oracle and len(outputs) == 1:
         print(text, file=sys.stderr)  # stdout holds the CSV alone
     return EXIT_OK if passed else EXIT_NUMERICAL
@@ -311,7 +323,7 @@ def cmd_verify(args) -> int:
                    "tolerance": args.tol, "pass": bool(rt["rel_error"] < args.tol)})
 
     report = {"checks": checks, "pass": all(c["pass"] for c in checks)}
-    _write_lines((args.out, [json.dumps(report, indent=2, sort_keys=True)]))
+    _write((args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"]))
     return EXIT_OK if report["pass"] else EXIT_NUMERICAL
 
 
@@ -334,7 +346,7 @@ def cmd_biot_savart(args) -> int:
               "trace_identity_errors": {"dirichlet": errs[0], "neumann": errs[1]},
               "seed": args.seed, "tolerance": args.tol,
               "pass": bool(rt["rel_error"] < args.tol and max(errs) < args.tol)}
-    _write_lines((args.out, [json.dumps(report, indent=2, sort_keys=True)]))
+    _write((args.out, [json.dumps(report, indent=2, sort_keys=True) + "\n"]))
     return EXIT_OK if report["pass"] else EXIT_NUMERICAL
 
 

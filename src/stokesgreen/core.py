@@ -65,6 +65,19 @@ class FourierMode:
         return self.xi1 == 0 and self.xi2 == 0
 
 
+def _real(x):
+    """``x`` as a float array; IncompatibleData unless it holds real numbers
+    (a str, None, a complex or a ragged sequence would fail a comparison or
+    ``float``, or lose its imaginary part)."""
+    try:
+        a = np.asarray(x)
+    except ValueError as exc:  # a ragged sequence
+        raise IncompatibleData(f"expected real numbers, got {x!r}") from exc
+    if a.dtype.kind not in "biuf":
+        raise IncompatibleData(f"expected real numbers, got {x!r}")
+    return a.astype(float, copy=False)
+
+
 def spectral_root(lam: complex, nu: float, mode: FourierMode) -> complex:
     """Principal-branch root mu = nu^{-1/2} sqrt(lambda + nu |xi|^2).
 
@@ -72,11 +85,26 @@ def spectral_root(lam: complex, nu: float, mode: FourierMode) -> complex:
     (lambda - nu Delta_xi) u = 0, so Re mu > 0 is required for decaying
     solutions.  The principal branch guarantees that away from the cut
     lambda + nu|xi|^2 in (-inf, 0], where a BranchCutViolation is raised.
-    A viscosity that is not finite and positive raises IncompatibleData.
+    A viscosity that is not finite and positive raises IncompatibleData, and
+    so do a lambda that is not a number, a nu that is not one real number
+    (a str or None for either, a complex nu) and a mode that is not a
+    FourierMode.
     """
+    if not isinstance(mode, FourierMode):
+        raise IncompatibleData(f"mode must be a FourierMode, got {mode!r}")
+    try:
+        if isinstance(lam, (str, bytes)):
+            raise TypeError  # complex() would parse it
+        lam = complex(lam)
+    except (TypeError, ValueError):
+        raise IncompatibleData(f"lambda must be a number, got {lam!r}") from None
+    nu = _real(nu)
+    if nu.ndim:
+        raise IncompatibleData(f"viscosity must be one number, got {nu}")
+    nu = float(nu)
     if not 0.0 < nu < math.inf:
         raise IncompatibleData(f"viscosity must be finite and positive, got {nu}")
-    q = complex(lam) + nu * mode.norm**2
+    q = lam + nu * mode.norm**2
     if not cmath.isfinite(q):
         raise BranchCutViolation(f"lambda + nu|xi|^2 = {q} is not finite")
     if q.imag == 0.0 and q.real <= 0.0:

@@ -51,7 +51,7 @@ import numpy as np
 from scipy.special import erfcx
 
 from . import contours as ct
-from .core import FourierMode, SpectralPoint
+from .core import FourierMode, SpectralPoint, _real
 from .errors import IncompatibleData, QuadratureUnderresolved, ZeroModeUnsupported
 from .resolvent import BoundaryOperatorD
 
@@ -188,18 +188,6 @@ def _check_mode(mode):
     """IncompatibleData unless ``mode`` is a FourierMode."""
     if not isinstance(mode, FourierMode):
         raise IncompatibleData(f"mode must be a FourierMode, got {mode!r}")
-
-
-def _real(x):
-    """``x`` as a float array; IncompatibleData unless it holds real numbers
-    (a str, None or a ragged sequence would fail a comparison or ``float``)."""
-    try:
-        a = np.asarray(x)
-    except ValueError as exc:  # a ragged sequence
-        raise IncompatibleData(f"the kernels take real numbers, got {x!r}") from exc
-    if a.dtype.kind not in "biuf":
-        raise IncompatibleData(f"the kernels take real numbers, got {x!r}")
-    return a.astype(float, copy=False)
 
 
 def _check_domain(*coords, t=1.0, nu=1.0, sigma=0.0):
@@ -399,7 +387,12 @@ def sample_green_function(t, nu, mode: FourierMode, y_nodes, z_nodes,
 
 
 def mu0_rate(mode: FourierMode, nu: float) -> float:
-    """Boundary-layer rate mu_0 = |xi| + nu^{-1/2} of the kernel bounds."""
+    """Boundary-layer rate mu_0 = |xi| + nu^{-1/2} of the kernel bounds;
+    IncompatibleData unless nu is one finite real number > 0."""
+    _check_mode(mode)
+    nu = _real(nu)
+    if not (nu.ndim == 0 and 0.0 < nu < math.inf):
+        raise IncompatibleData(f"mu0 needs a finite viscosity nu > 0, got {nu}")
     return mode.norm + 1.0 / math.sqrt(nu)
 
 
@@ -435,9 +428,10 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0, ope
         return np.array(values)[:, None]
 
     nu, t = column([cell[0] for cell in cells]), column([cell[2] for cell in cells])
+    xi_norm = column([D.mode.norm for D in ops])
     tau, zeta, eta, r, root, crosses = _scale_free(
-        t, nu, column([D.mode.norm for D in ops]), s_values, column([D.sigma for D in ops]))
-    mu0 = column([mu0_rate(D.mode, cell[0]) for cell, D in zip(cells, ops)])
+        t, nu, xi_norm, s_values, column([D.sigma for D in ops]))
+    mu0 = xi_norm + 1.0 / np.sqrt(nu)  # mu0_rate, bit for bit
     lam_t = tau * (r * r - 1.0)  # lambda* t
     m0 = mu0 * root  # mu0 sqrt(nu t)
     f1, f2 = _closed_forms(tau, zeta, eta, r, k_values,
@@ -491,21 +485,28 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     bound nothing.  So
     does an empty sweep axis, a nu or t that is not finite and positive, an
     s = y + z that is not finite and >= 0, or a k that is not a non-negative
-    integer: a vacuous or invalid sweep certifies nothing.  A zero in
-    ``xi_values`` raises ZeroModeUnsupported: the bounds are stated for
-    |xi| > 0.
+    integer: a vacuous or invalid sweep certifies nothing.  theta0 and the
+    nu, t and s axes are converted to floats before they are compared (a
+    str or None raises IncompatibleData); the report lists nu and t as
+    floats.  A zero in ``xi_values`` raises ZeroModeUnsupported: the bounds
+    are stated for |xi| > 0.
     """
-    if not 0.0 < theta0 < 1.0:
+    theta0 = _real(theta0)
+    if not (theta0.ndim == 0 and 0.0 < theta0 < 1.0):
         raise IncompatibleData(f"theta0 must be in (0, 1), got {theta0}")
+    theta0 = float(theta0)
     if s_values is None:
         s_values = np.linspace(0.0, 10.0, 21)
     s_values = _real(s_values)
-    if not (all(np.size(axis) for axis in (nu_values, xi_values, t_values, k_values, s_values))
+    nu_values, t_values = _real(nu_values), _real(t_values)
+    if not (nu_values.ndim == t_values.ndim == 1
+            and all(np.size(axis) for axis in (nu_values, xi_values, t_values, k_values, s_values))
             and all(0.0 < x < math.inf for x in (*nu_values, *t_values))
             and np.all((s_values >= 0.0) & (s_values < math.inf))
             and all(isinstance(k, numbers.Integral) and k >= 0 for k in k_values)):
-        raise IncompatibleData("the sweep needs non-empty axes, finite nu, t > 0, "
+        raise IncompatibleData("the sweep needs non-empty axes, sequences of finite nu, t > 0, "
                                "finite s >= 0 and integer k >= 0")
+    nu_values, t_values = nu_values.tolist(), t_values.tolist()  # the report's JSON floats
     if 0 in xi_values:
         raise ZeroModeUnsupported("kernel bounds need |xi| > 0")
 
@@ -515,8 +516,8 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
         return BoundaryOperatorD(alpha, beta, math.sqrt(alpha * beta), c0=1.0, mode=mode)
 
     report = {"theta0": theta0,
-              "sweep": {"nu": list(nu_values), "xi": list(xi_values),
-                        "t": list(t_values), "k": list(k_values),
+              "sweep": {"nu": nu_values, "xi": list(xi_values),
+                        "t": t_values, "k": list(k_values),
                         "s_max": float(s_values.max()), "n_s": int(s_values.size)}}
     ok = True
     for name, operator in (("no_slip", BoundaryOperatorD.no_slip), ("general", general)):

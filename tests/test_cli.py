@@ -1,9 +1,12 @@
 """In-process tests of the command-line interface."""
 
 import dataclasses
+import hashlib
 import inspect
 import json
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -136,6 +139,86 @@ class TestKernelWriter:
         finally:
             tracemalloc.stop()
         assert peak < 1.8e6
+
+
+# one small call of each command, for the output-writer tests
+WRITER_ARGV = {
+    "kernel": ["kernel", "--xi", "2", "1", "--grid", "0:4:16"],
+    "resolvent": ["resolvent", "--xi", "2", "1", "--nu", "0.5", "--lambda", "3", "1",
+                  "--seed", "7", "--grid", "0:10:64"],
+    "solve": ["solve", "--grid", "0:12:32", "--t", "0.2"],
+    "verify": ["verify"],
+    "biot-savart": ["biot-savart", "--grid", "0:10:64"],
+}
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOutputWriter:
+    """Every command writes through ``cli._write``: each file is rewritten in
+    place from offset 0 and cut at the end of its new text."""
+
+    @pytest.mark.parametrize("command", list(WRITER_ARGV))
+    def test_rewrite_matches_fresh_write(self, tmp_path, command):
+        argv = WRITER_ARGV[command]
+        fresh = tmp_path / "fresh"
+        rc = run(argv + ["--out", str(fresh)])
+        out = tmp_path / "out"
+        for earlier in (b"x" * 30_000_000, b"y\n"):  # longer, then shorter
+            out.write_bytes(earlier)
+            inode = out.stat().st_ino
+            assert run(argv + ["--out", str(out)]) == rc
+            assert sha256(out) == sha256(fresh)
+            assert out.stat().st_ino == inode
+
+    def test_kernel_raise_after_header_cuts_file(self, tmp_path, monkeypatch):
+        # the table stops after two y-rows: the file holds exactly the header
+        # and those rows of a full write, and nothing of the 30 MB before it
+        argv = WRITER_ARGV["kernel"]
+        fresh = tmp_path / "fresh"
+        assert run(argv + ["--out", str(fresh)]) == EXIT_OK
+        real = kernels.sample_green_function
+
+        class TwoRows:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def __iter__(self):
+                yield from self.rows[:2]
+                raise RuntimeError("cut after two rows")
+
+        def cut_sample(*args, **kwargs):
+            sample = real(*args, **kwargs)
+            return dataclasses.replace(sample, s_index=TwoRows(sample.s_index))
+
+        monkeypatch.setattr(kernels, "sample_green_function", cut_sample)
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * 30_000_000)
+        with pytest.raises(RuntimeError, match="two rows"):
+            run(argv + ["--out", str(out)])
+        n = _parse_grid(argv[argv.index("--grid") + 1]).n
+        expected = b"".join(fresh.read_bytes().splitlines(keepends=True)[:4 + 2 * 12 * n])
+        assert out.read_bytes() == expected
+
+    @pytest.mark.parametrize("command", ["kernel", "verify"])
+    def test_dev_null_is_not_truncated(self, command):
+        argv = WRITER_ARGV[command]
+        assert run(argv + ["--out", os.devnull]) == EXIT_OK
+
+    def test_fifo_is_not_truncated(self, tmp_path):
+        argv = WRITER_ARGV["kernel"]
+        fresh = tmp_path / "fresh"
+        assert run(argv + ["--out", str(fresh)]) == EXIT_OK
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run(argv + ["--out", str(fifo)]) == EXIT_OK
+        reader.join(timeout=60)
+        assert got == [fresh.read_bytes()]
 
 
 class TestResolventCommand:

@@ -27,6 +27,7 @@ from stokesgreen import (
     resolvent_kernel,
     residual_kernel_time,
     sample_green_function,
+    spectral_root,
     verify_kernel_bounds,
 )
 from stokesgreen import cli, contours, kernels
@@ -626,6 +627,41 @@ def test_non_numeric_argument_raises(call):
     # (or float() converted) before checking that it held real numbers
     with pytest.raises(IncompatibleData, match="real numbers"):
         call()
+
+
+# each raised a bare TypeError, ValueError, AttributeError or
+# ZeroDivisionError, or returned a value (NaN or |xi| for mu0 at nu = NaN or
+# inf): the sweep axes, theta0, lambda, nu and mode were compared or used
+# before they were checked
+@pytest.mark.parametrize("call", [
+    lambda: verify_kernel_bounds(nu_values=("a",)),
+    lambda: verify_kernel_bounds(t_values=(None,)),
+    lambda: verify_kernel_bounds(theta0="x"),
+    lambda: verify_kernel_bounds(nu_values=1.0),
+    lambda: mu0_rate(MODE, math.nan),
+    lambda: mu0_rate(MODE, math.inf),
+    lambda: mu0_rate(MODE, 0.0),
+    lambda: mu0_rate(MODE, -1.0),
+    lambda: mu0_rate(MODE, "x"),
+    lambda: spectral_root("x", 1.0, MODE),
+    lambda: spectral_root(3.0, "x", MODE),
+    lambda: spectral_root(3.0, np.complex128(1.0 + 1.0j), MODE),
+    lambda: spectral_root(3.0, 1.0, (1, 0)),
+    lambda: SpectralPoint(lam="x", nu=1.0, mode=MODE),
+], ids=["bounds-nu=str", "bounds-t=None", "bounds-theta0=str", "bounds-nu=scalar",
+        "mu0-nu=nan", "mu0-nu=inf", "mu0-nu=0", "mu0-nu=-1", "mu0-nu=str", "root-lambda=str",
+        "root-nu=str", "root-nu=complex", "root-mode=tuple", "point-lambda=str"])
+def test_rates_roots_and_sweep_axes_raise_typed(call):
+    with pytest.raises(IncompatibleData):
+        call()
+
+
+def test_sweep_axes_reported_as_floats():
+    report = verify_kernel_bounds(nu_values=(1,), xi_values=(1,), t_values=[np.float32(0.5)],
+                                  k_values=(0,), s_values=[0.0, 1.0], theta0=np.float64(0.25))
+    assert report["sweep"]["nu"] == [1.0] and report["sweep"]["t"] == [0.5]
+    assert all(type(x) is float for x in (*report["sweep"]["nu"], *report["sweep"]["t"],
+                                          report["theta0"]))
 
 
 class TestSelectors:
