@@ -17,8 +17,10 @@ import functools
 import json
 import math
 import os
+import signal
 import stat
 import sys
+import threading
 
 import numpy as np
 
@@ -34,6 +36,9 @@ __all__ = ["main", "cmd_kernel", "cmd_resolvent", "cmd_solve", "cmd_verify",
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+# signals whose default action would end a rewrite without cutting the file
+_STOP_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGHUP")
+                      if hasattr(signal, name))
 
 
 def _fmt(x: float) -> str:
@@ -105,9 +110,14 @@ def _write(*outputs) -> None:
     Every path is opened before any is written: when one cannot be opened,
     none is written, the files this call created are removed, and ValueError
     makes ``main`` exit 2 with one line instead of a traceback.  A regular
-    file is cut at the end of its new text, also when writing raises, so no
-    byte of a longer earlier file survives after it; stdout, devices and
-    FIFOs are never truncated.  No output is fsync'ed.
+    file is cut at the end of what reached it, also when writing raises, so no
+    byte of a longer earlier file survives after the new text; stdout, devices
+    and FIFOs are never truncated.  While a regular file is written, SIGTERM
+    and SIGHUP raise SystemExit (``_stop_signals_raise``), so they cut it too.
+    A process ended without cleanup (SIGKILL, another signal left at its
+    default action, a crash, power loss) can leave a plausible mixed file: the
+    new header and rows followed by rows of the old file.  No output is
+    fsync'ed.
     """
     new = [p for p, _ in outputs if p not in (None, "-") and not os.path.lexists(p)]
     with contextlib.ExitStack() as stack:
@@ -120,12 +130,37 @@ def _write(*outputs) -> None:
                 os.remove(p)
             raise ValueError(f"cannot write output: {exc}") from exc
         for fh, (_, chunks) in zip(handles, outputs):
-            regular = fh is not sys.stdout and stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-            try:
+            if fh is sys.stdout or not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
                 fh.writelines(chunks)
-            finally:
-                if regular:
-                    fh.truncate()  # at the end of what was written
+                continue
+            with _stop_signals_raise():
+                try:
+                    fh.writelines(chunks)
+                    fh.flush()
+                finally:  # at the file's own offset: a failed flush must not keep the old tail
+                    os.ftruncate(fh.fileno(), os.lseek(fh.fileno(), 0, os.SEEK_CUR))
+
+
+@contextlib.contextmanager
+def _stop_signals_raise():
+    """Meanwhile, SIGTERM and SIGHUP raise SystemExit(128 + signum) instead of
+    ending the process at once.  Only signals left at their default action
+    are taken, and only in the main thread: an ignored SIGHUP (nohup) stays
+    ignored and a caller's own handlers stay in place."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+
+    def stop(signum, frame):
+        raise SystemExit(128 + signum)
+
+    taken = {s: signal.signal(s, stop) for s in _STOP_SIGNALS
+             if signal.getsignal(s) == signal.SIG_DFL}
+    try:
+        yield
+    finally:
+        for s, handler in taken.items():
+            signal.signal(s, handler)
 
 
 def _bump_params(ncomp: int, seed: int, z_max: float, interior: bool = False):

@@ -393,7 +393,12 @@ def mu0_rate(mode: FourierMode, nu: float) -> float:
     nu = _real(nu)
     if not (nu.ndim == 0 and 0.0 < nu < math.inf):
         raise IncompatibleData(f"mu0 needs a finite viscosity nu > 0, got {nu}")
-    return mode.norm + 1.0 / math.sqrt(nu)
+    return float(_mu0(mode.norm, nu))
+
+
+def _mu0(xi_norm, nu):
+    """mu_0 = |xi| + nu^{-1/2} for validated |xi| and nu, scalars or arrays."""
+    return xi_norm + 1.0 / np.sqrt(nu)
 
 
 def _sup(ratio, start):
@@ -431,7 +436,7 @@ def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0, ope
     xi_norm = column([D.mode.norm for D in ops])
     tau, zeta, eta, r, root, crosses = _scale_free(
         t, nu, xi_norm, s_values, column([D.sigma for D in ops]))
-    mu0 = xi_norm + 1.0 / np.sqrt(nu)  # mu0_rate, bit for bit
+    mu0 = _mu0(xi_norm, nu)
     lam_t = tau * (r * r - 1.0)  # lambda* t
     m0 = mu0 * root  # mu0 sqrt(nu t)
     f1, f2 = _closed_forms(tau, zeta, eta, r, k_values,

@@ -6,7 +6,10 @@ import inspect
 import json
 import os
 import re
+import resource
+import signal
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -156,6 +159,12 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def header_and_two_rows(table):
+    """The header and first two y-rows of the ``WRITER_ARGV['kernel']`` table."""
+    n = _parse_grid(WRITER_ARGV["kernel"][-1]).n
+    return b"".join(table.read_bytes().splitlines(keepends=True)[:4 + 2 * 12 * n])
+
+
 class TestOutputWriter:
     """Every command writes through ``cli._write``: each file is rewritten in
     place from offset 0 and cut at the end of its new text."""
@@ -173,9 +182,11 @@ class TestOutputWriter:
             assert sha256(out) == sha256(fresh)
             assert out.stat().st_ino == inode
 
-    def test_kernel_raise_after_header_cuts_file(self, tmp_path, monkeypatch):
-        # the table stops after two y-rows: the file holds exactly the header
-        # and those rows of a full write, and nothing of the 30 MB before it
+    @staticmethod
+    def cut_kernel_write(tmp_path, monkeypatch, after_two_rows):
+        """A ``kernel`` table run over 30 MB of 'x' that calls ``after_two_rows``
+        once two y-rows are formed; returns (the table written fresh, the
+        output path, the argv that writes it)."""
         argv = WRITER_ARGV["kernel"]
         fresh = tmp_path / "fresh"
         assert run(argv + ["--out", str(fresh)]) == EXIT_OK
@@ -187,7 +198,8 @@ class TestOutputWriter:
 
             def __iter__(self):
                 yield from self.rows[:2]
-                raise RuntimeError("cut after two rows")
+                after_two_rows()
+                yield from self.rows[2:]
 
         def cut_sample(*args, **kwargs):
             sample = real(*args, **kwargs)
@@ -196,11 +208,71 @@ class TestOutputWriter:
         monkeypatch.setattr(kernels, "sample_green_function", cut_sample)
         out = tmp_path / "out"
         out.write_bytes(b"x" * 30_000_000)
+        return fresh, out, argv + ["--out", str(out)]
+
+    def test_kernel_raise_after_header_cuts_file(self, tmp_path, monkeypatch):
+        # the table stops after two y-rows: the file holds exactly the header
+        # and those rows of a full write, and nothing of the 30 MB before it
+        def cut():
+            raise RuntimeError("cut after two rows")
+
+        fresh, out, argv = self.cut_kernel_write(tmp_path, monkeypatch, cut)
         with pytest.raises(RuntimeError, match="two rows"):
-            run(argv + ["--out", str(out)])
-        n = _parse_grid(argv[argv.index("--grid") + 1]).n
-        expected = b"".join(fresh.read_bytes().splitlines(keepends=True)[:4 + 2 * 12 * n])
-        assert out.read_bytes() == expected
+            run(argv)
+        assert out.read_bytes() == header_and_two_rows(fresh)
+
+    def test_sigterm_mid_write_cuts_file(self, tmp_path, monkeypatch):
+        # SIGTERM, at its default action, would end the process with the old
+        # tail after the new rows; during the write it raises SystemExit and
+        # the file is cut, and the default action is back afterwards
+        def term():
+            # at the default action the signal would end the test run itself
+            assert signal.getsignal(signal.SIGTERM) != signal.SIG_DFL
+            os.kill(os.getpid(), signal.SIGTERM)
+            time.sleep(10)  # the handler's SystemExit ends the sleep
+            raise AssertionError("SIGTERM did not stop the write")
+
+        fresh, out, argv = self.cut_kernel_write(tmp_path, monkeypatch, term)
+        previous = signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        try:
+            with pytest.raises(SystemExit) as stop:
+                run(argv)
+            assert signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert stop.value.code == 128 + signal.SIGTERM
+        assert out.read_bytes() == header_and_two_rows(fresh)
+
+    def test_ignored_sighup_stays_ignored(self, tmp_path, monkeypatch):
+        # under nohup SIGHUP is ignored: the write goes on and ends whole
+        fresh, out, argv = self.cut_kernel_write(
+            tmp_path, monkeypatch, lambda: os.kill(os.getpid(), signal.SIGHUP))
+        previous = signal.signal(signal.SIGHUP, signal.SIG_IGN)
+        try:
+            assert run(argv) == EXIT_OK
+            assert signal.getsignal(signal.SIGHUP) == signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGHUP, previous)
+        assert sha256(out) == sha256(fresh)
+
+    def test_failed_write_cuts_at_what_reached_the_file(self, tmp_path):
+        # a write refused partway (here by a file-size limit, EFBIG) makes the
+        # flush fail again; the file is still cut where its bytes end
+        argv = WRITER_ARGV["kernel"]
+        fresh = tmp_path / "fresh"
+        assert run(argv + ["--out", str(fresh)]) == EXIT_OK
+        limit = 65536
+        assert fresh.stat().st_size > limit
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * 30_000_000)
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, hard))
+        try:
+            with pytest.raises(OSError):
+                run(argv + ["--out", str(out)])
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert out.read_bytes() == fresh.read_bytes()[:limit]
 
     @pytest.mark.parametrize("command", ["kernel", "verify"])
     def test_dev_null_is_not_truncated(self, command):
