@@ -503,6 +503,8 @@ def main(argv=None) -> int:
             raise ValueError(f"tolerance must be in (0,1), got {args.tol}")
         if hasattr(args, "theta0") and not 0.0 < args.theta0 < 1.0:
             raise ValueError(f"theta0 must be in (0,1), got {args.theta0}")
+        if hasattr(args, "seed") and args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -192,17 +192,19 @@ def _check_mode(mode):
 
 def _check_domain(*coords, t=1.0, nu=1.0, sigma=0.0):
     """The coordinates as float arrays (``_real``), after IncompatibleData
-    unless t, nu are finite and > 0, sigma is finite and >= 0 and every value
-    of each coordinate (y, z or s = y + z) is finite and >= 0; the defaults
-    are admissible, for kernels without t or a trace.  Each argument is
-    converted before it is compared."""
+    unless t, nu are single finite numbers > 0, sigma is a single finite
+    number >= 0 and every value of each coordinate (y, z or s = y + z) is
+    finite and >= 0; the defaults are admissible, for kernels without t or a
+    trace.  Each argument is converted before it is compared."""
     # a float (np.float64 included) needs no conversion, and compares fastest
     t, nu, sigma = (x if isinstance(x, float) else _real(x) for x in (t, nu, sigma))
     coords = [_real(c) for c in coords]
-    if not (0.0 < t < math.inf and 0.0 < nu < math.inf and 0.0 <= sigma < math.inf
+    if not (all(isinstance(x, float) or x.ndim == 0 for x in (t, nu, sigma))
+            and 0.0 < t < math.inf and 0.0 < nu < math.inf and 0.0 <= sigma < math.inf
             and all(np.all((c >= 0.0) & (c < math.inf)) for c in coords)):
-        raise IncompatibleData("the kernels need finite t, nu > 0, a finite trace sigma >= 0 "
-                               "and every y, z and s = y + z finite and >= 0, got "
+        raise IncompatibleData("the kernels need single finite t, nu > 0, a single finite "
+                               "trace sigma >= 0 and every y, z and s = y + z finite and "
+                               ">= 0, got "
                                f"t={t}, nu={nu}, sigma={sigma}")
     return coords
 
@@ -413,49 +415,45 @@ def _sup(ratio, start):
 def _bound_sweep(nu_values, xi_values, t_values, k_values, s_values, theta0, operator):
     """Sup bound ratios for the kernel family D = operator(mode), in one pass.
 
-    Returns (sup, arg): the sups and where each is reached.  One call of
-    ``_closed_forms`` over (cell, 1) columns of tau, r and sqrt(nu t)
-    against the s row fills (cell, k, s) arrays, cells in (nu, xi, t) order,
-    each part in its bound's exponent, so that huge factors never overflow.
-    With rho^{(k)} = (nu t)^{-k/2} F_k and m0 = mu0 sqrt(nu t): R1 against
+    Returns (sup, arg): the sups and where each is reached.  nu lies along
+    (N_nu, 1, 1, 1), the per-xi |xi|, sigma and max|D| of the one operator
+    per xi along (1, N_xi, 1, 1), and t along (1, 1, N_t, 1), against the s
+    row; one call of ``_closed_forms`` fills (nu, xi, t, k, s) arrays, each
+    part in its bound's exponent, so that huge factors never overflow.  With
+    rho^{(k)} = (nu t)^{-k/2} F_k and m0 = mu0 sqrt(nu t): R1 against
     mu0^{k+1} e^{lambda* t - theta0 mu0 s} is |F1_k| max|D| / (mu0 m0^k),
     in the exponent theta0 m0 zeta - tau (r^2 - 1) - zeta^2/4, and R2
     against (nu t)^{-(k+1)/2} e^{lambda* t - zeta^2/4 - tau/8} is
     |F2_k| max|D| sqrt(nu t), in the exponent tau/8 - tau (r^2 - 1), whose
     Gaussian cancels the one the parts leave out exactly.  Each sup is one
-    argmax over its ratio array.
+    argmax over its ratio array, in sweep order, and its index picks the
+    caller's own axis values.
     """
-    cells = [(nu, n_xi, t) for nu in nu_values for n_xi in xi_values for t in t_values]
-    operators = {n_xi: operator(FourierMode(n_xi, 0)) for n_xi in xi_values}
-    ops = [operators[n_xi] for _, n_xi, _ in cells]
-
-    def column(values):
-        return np.array(values)[:, None]
-
-    nu, t = column([cell[0] for cell in cells]), column([cell[2] for cell in cells])
-    xi_norm = column([D.mode.norm for D in ops])
-    tau, zeta, eta, r, root, crosses = _scale_free(
-        t, nu, xi_norm, s_values, column([D.sigma for D in ops]))
+    ops = [operator(FourierMode(n_xi, 0)) for n_xi in xi_values]
+    xi_norm, sigma, scale = (np.reshape(v, (1, -1, 1, 1)) for v in
+                             zip(*((D.mode.norm, D.sigma, np.abs(D.matrix).max()) for D in ops)))
+    nu, t = np.reshape(nu_values, (-1, 1, 1, 1)), np.reshape(t_values, (1, 1, -1, 1))
+    tau, zeta, eta, r, root, crosses = _scale_free(t, nu, xi_norm, s_values, sigma)
     mu0 = _mu0(xi_norm, nu)
     lam_t = tau * (r * r - 1.0)  # lambda* t
     m0 = mu0 * root  # mu0 sqrt(nu t)
-    f1, f2 = _closed_forms(tau, zeta, eta, r, k_values,
-                           theta0 * m0 * zeta - lam_t - zeta * zeta / 4.0, tau / 8.0 - lam_t,
-                           crosses)
-    # the ratios, (cell, k, s)
+    f1, f2 = (np.abs(np.moveaxis(f, 0, -2)) for f in _closed_forms(
+        tau, zeta, eta, r, k_values, theta0 * m0 * zeta - lam_t - zeta * zeta / 4.0,
+        tau / 8.0 - lam_t, crosses))
+    # the ratios, (nu, xi, t, k, s)
     k = np.asarray(k_values)[:, None]
-    scale = column([np.abs(D.matrix).max() for D in ops])[..., None]
-    ratios = {"R1": np.abs(np.moveaxis(f1, 0, 1)) * (scale / mu0[..., None])
-              / m0[..., None] ** k,
-              "R2_quarter": np.abs(np.moveaxis(f2, 0, 1)) * (scale * root[..., None])}
+    ratios = {"R1": f1 * (scale / mu0)[..., None] / m0[..., None] ** k,
+              "R2_quarter": f2 * (scale * root)[..., None]}
     # the stated exponent e^{-s^2/nu t} differs by e^{3 zeta^2/4}; report in
     # log10 since it can overflow any float
     ratios["R2_stated_log10"] = np.log10(np.maximum(ratios["R2_quarter"], 1e-300)) \
-        + 0.75 * (zeta * zeta)[:, None] / math.log(10.0)
+        + 0.75 * (zeta * zeta)[..., None, :] / math.log(10.0)
+    axes = (nu_values, xi_values, t_values, k_values)
     sup, arg = {}, {}
     for key, start in (("R1", 0.0), ("R2_quarter", 0.0), ("R2_stated_log10", -np.inf)):
         sup[key], i = _sup(ratios[key], start)
-        arg[key] = None if i is None else (*cells[i[0]], k_values[i[1]], float(s_values[i[2]]))
+        arg[key] = None if i is None else (*(a[j] for a, j in zip(axes, i)),
+                                           float(s_values[i[4]]))
     return sup, arg
 
 
@@ -488,7 +486,8 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
     ``theta0`` outside (0, 1) raises IncompatibleData: theta0 <= 0 turns the
     R1 bound's decay e^{-theta0 mu0 (y+z)} into growth, so the sup would
     bound nothing.  So
-    does an empty sweep axis, a nu or t that is not finite and positive, an
+    does an empty sweep axis, a nu, xi, t or k axis that is not a sequence
+    (a scalar), a nu or t that is not finite and positive, an
     s = y + z that is not finite and >= 0, or a k that is not a non-negative
     integer: a vacuous or invalid sweep certifies nothing.  theta0 and the
     nu, t and s axes are converted to floats before they are compared (a
@@ -504,7 +503,7 @@ def verify_kernel_bounds(nu_values=(1.0, 0.04), xi_values=tuple(range(1, 9)),
         s_values = np.linspace(0.0, 10.0, 21)
     s_values = _real(s_values)
     nu_values, t_values = _real(nu_values), _real(t_values)
-    if not (nu_values.ndim == t_values.ndim == 1
+    if not (nu_values.ndim == t_values.ndim == np.ndim(xi_values) == np.ndim(k_values) == 1
             and all(np.size(axis) for axis in (nu_values, xi_values, t_values, k_values, s_values))
             and all(0.0 < x < math.inf for x in (*nu_values, *t_values))
             and np.all((s_values >= 0.0) & (s_values < math.inf))

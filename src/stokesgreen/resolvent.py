@@ -224,15 +224,26 @@ def check_resolvent_bound(point: SpectralPoint, trials: int, seed: int = 0,
 
     where u solves the no-slip problem for each trial's f, and
     ||u||_{H^1}^2 = ||u||_2^2 + ||du/dz||_2^2 with du/dz by ``np.gradient``
-    on the nodes.  The no-slip D is built once per call and each trial is
-    one ``resolvent_apply_general`` solve with it, which has the bits of
+    on the grid spacing h, as every other operator of the uniform grid.
+    The no-slip D is built once per call and each trial is one
+    ``resolvent_apply_general`` solve with it, which has the bits of
     ``resolvent_apply``.  ``grid`` defaults to [0, 20] with 801 nodes.
-    ``trials`` must be a positive integer: no trial bounds nothing.
+    ``trials`` must be a positive integer: no trial bounds nothing.  A
+    ``trials`` that is not an integer >= 1, a ``seed`` that is not an
+    integer >= 0 (a bool is neither), a ``point`` that is not a
+    SpectralPoint or a ``grid`` that is neither None nor a HalfLineGrid
+    raises IncompatibleData before any draw.
     """
-    if not (isinstance(trials, numbers.Integral) and trials >= 1):
-        raise IncompatibleData(f"trials must be an integer >= 1, got {trials!r}")
+    for name, value, low in (("trials", trials, 1), ("seed", seed, 0)):
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+                and value >= low):
+            raise IncompatibleData(f"{name} must be an integer >= {low}, got {value!r}")
+    if not isinstance(point, SpectralPoint):
+        raise IncompatibleData(f"point must be a SpectralPoint, got {point!r}")
     if grid is None:
         grid = HalfLineGrid.uniform(20.0, 801)
+    elif not isinstance(grid, HalfLineGrid):
+        raise IncompatibleData(f"grid must be a HalfLineGrid or None, got {grid!r}")
     rng = np.random.default_rng(seed)
     D = BoundaryOperatorD.no_slip(point.mode)
     weight = abs(point.lam + point.nu * point.mode.norm**2)
@@ -245,7 +256,7 @@ def check_resolvent_bound(point: SpectralPoint, trials: int, seed: int = 0,
         f = ModeField(grid, vals)
         u = resolvent_apply_general(f, point, D).u.values
         norm_f, norm_u = f.norm_l2(), grid.norm_l2(u)
-        norm_h1 = math.sqrt(norm_u**2 + grid.norm_l2(np.gradient(u, grid.nodes, axis=-1))**2)
+        norm_h1 = math.sqrt(norm_u**2 + grid.norm_l2(np.gradient(u, grid.h, axis=-1))**2)
         sup_l2 = max(sup_l2, norm_u * weight / norm_f)
         sup_h1 = max(sup_h1, norm_h1 * math.sqrt(point.nu) * math.sqrt(weight) / norm_f)
     return {"l2_ratio": sup_l2, "h1_ratio": sup_h1, "trials": trials,

@@ -495,6 +495,18 @@ class TestConfigAndErrors:
         for val in ("-5", "0", "1", "nan"):
             assert run(["verify", "--theta0", val, "--out", "-"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["verify", "resolvent", "solve", "biot-savart"])
+    def test_negative_seed_exits_config(self, tmp_path, monkeypatch, command):
+        # a negative seed reached numpy's ValueError (exit 2) inside each
+        # command; check_resolvent_bound now raises IncompatibleData for it,
+        # which would exit 3, so main rejects it before any command runs
+        monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"),
+                            lambda args: pytest.fail("ran with a negative seed"))
+        assert run([command, "--seed", "-1", "--out", "-"]) == EXIT_CONFIG
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        assert run(["--config", str(cfg), command, "--out", "-"]) == EXIT_CONFIG
+
     def test_command_looked_up_when_parsing(self, monkeypatch):
         # a cmd_* rebound on the module (as a tracing wrapper is) is the one main calls
         calls = []

@@ -632,12 +632,15 @@ def test_non_numeric_argument_raises(call):
 # each raised a bare TypeError, ValueError, AttributeError or
 # ZeroDivisionError, or returned a value (NaN or |xi| for mu0 at nu = NaN or
 # inf): the sweep axes, theta0, lambda, nu and mode were compared or used
-# before they were checked
+# before they were checked, and a kernel's t or nu, compared as one number,
+# could be an array
 @pytest.mark.parametrize("call", [
     lambda: verify_kernel_bounds(nu_values=("a",)),
     lambda: verify_kernel_bounds(t_values=(None,)),
     lambda: verify_kernel_bounds(theta0="x"),
     lambda: verify_kernel_bounds(nu_values=1.0),
+    lambda: verify_kernel_bounds(xi_values=3),
+    lambda: verify_kernel_bounds(k_values=2),
     lambda: mu0_rate(MODE, math.nan),
     lambda: mu0_rate(MODE, math.inf),
     lambda: mu0_rate(MODE, 0.0),
@@ -648,9 +651,13 @@ def test_non_numeric_argument_raises(call):
     lambda: spectral_root(3.0, np.complex128(1.0 + 1.0j), MODE),
     lambda: spectral_root(3.0, 1.0, (1, 0)),
     lambda: SpectralPoint(lam="x", nu=1.0, mode=MODE),
+    lambda: heat_kernel_neumann(np.array([0.5, 1.0]), 1.0, MODE, 0.1, 0.2),
+    lambda: residual_kernel_time(1.0, np.array([1.0, 2.0]), MODE, 0.1, 0.2),
+    lambda: heat_kernel_neumann(np.array([0.5]), 1.0, MODE, 0.1, 0.2),
 ], ids=["bounds-nu=str", "bounds-t=None", "bounds-theta0=str", "bounds-nu=scalar",
-        "mu0-nu=nan", "mu0-nu=inf", "mu0-nu=0", "mu0-nu=-1", "mu0-nu=str", "root-lambda=str",
-        "root-nu=str", "root-nu=complex", "root-mode=tuple", "point-lambda=str"])
+        "bounds-xi=scalar", "bounds-k=scalar", "mu0-nu=nan", "mu0-nu=inf", "mu0-nu=0", "mu0-nu=-1", "mu0-nu=str", "root-lambda=str",
+        "root-nu=str", "root-nu=complex", "root-mode=tuple", "point-lambda=str",
+        "neumann-t=array", "kernel-nu=array", "neumann-t=1-array"])
 def test_rates_roots_and_sweep_axes_raise_typed(call):
     with pytest.raises(IncompatibleData):
         call()
@@ -1225,8 +1232,13 @@ class TestBoundCertificate:
     # (nu, xi, t, k, s) axes: `verify --full`, `verify`, and a mixed-regime
     # sweep with planted ties.  There every nu = 1 cell has a twin, identical
     # in value, later in sweep order (nu = np.float64(1.0), an arg that prints
-    # differently), and s = 0 has one (s = -0.0).
+    # differently), and s = 0 has one (s = -0.0).  In "axes" the five axes
+    # have five lengths, so an axis swapped or broadcast wrongly fails by
+    # shape or by value, and t = 0.01, where both R2 sups sit, has a twin
+    # (np.float64(0.01)).
     SWEEPS = {
+        "axes": ((1.0, 0.04), (1, 2, 5), (1.0, 0.01, 0.3, np.float64(0.01)), (2, 0, 4, 1, 3),
+                 np.linspace(0.0, 6.0, 6)),
         "full": ((1.0, 0.04), tuple(range(1, 9)), (0.01, 0.0316, 0.1, 0.316, 1.0), (0, 1, 2),
                  np.linspace(0.0, 10.0, 21)),
         "default": ((1.0,), (1, 4, 8), (0.01, 0.1, 1.0), (0, 1, 2), np.linspace(0.0, 10.0, 21)),
@@ -1246,6 +1258,9 @@ class TestBoundCertificate:
         if sweep == "ties":
             for where in got[1].values():
                 assert type(where[0]) is float and math.copysign(1.0, where[4]) == 1.0
+        if sweep == "axes":
+            assert [where[2] for where in got[1].values()] == [1.0, 0.01, 0.01]
+            assert all(type(where[2]) is float for where in got[1].values())
 
     def test_mu0_rate(self):
         assert mu0_rate(FourierMode(3, 4), 0.25) == pytest.approx(7.0)

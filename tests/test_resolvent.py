@@ -385,10 +385,17 @@ class TestResolventBound:
         assert r1["l2_ratio"] == r2["l2_ratio"]
         assert r1["h1_ratio"] == r2["h1_ratio"]
 
+    POINTS = pytest.mark.parametrize(
+        "point", [SpectralPoint(3.0 + 0j, 1.0, MODE10),
+                  SpectralPoint(10.0 + 5.0j, 0.1, FourierMode(2, 1))],
+        ids=["verify", "complex-lambda"])
+
     @staticmethod
-    def reference(point, trials, seed, grid):
+    def reference(point, trials, seed, grid, spacing=None):
         """(l2_ratio, h1_ratio) by one ``resolvent_apply`` per trial and the
-        H^1 norm formed from the solution alone, as the bound was first computed."""
+        H^1 norm formed from the solution alone, as the bound was first
+        computed; du/dz by ``np.gradient`` on ``spacing``, the grid's h by
+        default."""
         rng = np.random.default_rng(seed)
         weight = abs(point.lam + point.nu * point.mode.norm**2)
         sup_l2 = sup_h1 = 0.0
@@ -398,21 +405,35 @@ class TestResolventBound:
             amps = rng.normal(size=(2, 2)) @ np.array([1.0, 1j])
             f = ModeField(grid, amps[:, None] * np.exp(-((grid.nodes - centers) / widths) ** 2))
             u = resolvent_apply(f, point).u
-            du = np.gradient(u.values, grid.nodes, axis=-1)
+            du = np.gradient(u.values, grid.h if spacing is None else spacing, axis=-1)
             h1 = math.sqrt(grid.norm_l2(u.values) ** 2 + grid.norm_l2(du) ** 2)
             sup_l2 = max(sup_l2, u.norm_l2() * weight / f.norm_l2())
             sup_h1 = max(sup_h1, h1 * math.sqrt(point.nu) * math.sqrt(weight) / f.norm_l2())
         return sup_l2, sup_h1
 
     @pytest.mark.parametrize("trials", [1, 10])
-    @pytest.mark.parametrize("point", [SpectralPoint(3.0 + 0j, 1.0, MODE10),
-                                       SpectralPoint(10.0 + 5.0j, 0.1, FourierMode(2, 1))],
-                             ids=["verify", "complex-lambda"])
+    @POINTS
     def test_matches_per_trial_solves_bit_for_bit(self, point, trials):
         grid = HalfLineGrid.uniform(20.0, 401)
         report = check_resolvent_bound(point, trials=trials, seed=7, grid=grid)
         assert (report["l2_ratio"], report["h1_ratio"]) == self.reference(point, trials, 7,
                                                                           grid)
+
+    @pytest.mark.parametrize("trials", [1, 10])
+    @POINTS
+    def test_matches_on_the_default_grid(self, point, trials):
+        # `verify`'s grid, [0, 20] with 801 nodes, whose linspace spacings are
+        # not bit-equal: there np.gradient on the nodes forms other bits than
+        # on h (at seed 9 the h1 ratio differs in three of these four cases)
+        # and agrees with the reported ratio to rounding
+        grid = HalfLineGrid.uniform(20.0, 801)
+        assert np.unique(np.diff(grid.nodes)).size > 1
+        report = check_resolvent_bound(point, trials=trials, seed=9)
+        assert report["n_nodes"] == grid.n
+        assert (report["l2_ratio"], report["h1_ratio"]) == self.reference(point, trials, 9,
+                                                                          grid)
+        on_nodes = self.reference(point, trials, 9, grid, grid.nodes)[1]
+        assert abs(on_nodes - report["h1_ratio"]) <= 1e-14 * report["h1_ratio"]
 
 
 @pytest.mark.parametrize("ncomp", [1, 3])
@@ -429,11 +450,27 @@ def test_solves_need_the_tangential_pair(solve, ncomp):
         solve(f)
 
 
-@pytest.mark.parametrize("trials", [0, -1, 2.5])
+@pytest.mark.parametrize("trials", [0, -1, 2.5, True])
 def test_resolvent_bound_needs_a_trial(trials):
-    # zero trials would report ratios of 0.0, which a finiteness check passes
+    # zero trials would report ratios of 0.0, which a finiteness check
+    # passes; True ran one trial and reported "trials": true
     with pytest.raises(IncompatibleData, match="trials"):
         check_resolvent_bound(PT, trials=trials)
+
+
+# each reached numpy's bare TypeError or ValueError (the seed) or an
+# AttributeError (the point or the grid)
+@pytest.mark.parametrize("kwargs", [
+    dict(seed="x"), dict(seed=1.5), dict(seed=-1),
+    dict(point=(3.0, 1.0, MODE10)), dict(grid=(20.0, 801)), dict(grid=np.linspace(0, 20, 801)),
+], ids=["seed=str", "seed=float", "seed=-1", "point=tuple", "grid=tuple", "grid=array"])
+def test_resolvent_bound_arguments_raise_typed(kwargs, monkeypatch):
+    def no_draw(*args, **kw):
+        raise AssertionError("drew before checking the arguments")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(IncompatibleData):
+        check_resolvent_bound(**{"point": PT, "trials": 2, **kwargs})
 
 
 @pytest.mark.parametrize("xi", [(1, 0), (0, 0), (2, 1)])
